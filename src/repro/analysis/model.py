@@ -56,7 +56,7 @@ from ..gaspi.constants import (
     DEFAULT_NOTIFICATION_VALUE,
     GASPI_BLOCK,
 )
-from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.runtime import GaspiRuntime, source_bytes
 from .events import (
     BARRIER,
     CONSUME,
@@ -205,8 +205,10 @@ class ModelRuntime(GaspiRuntime):
     Data movement is immediate and in order; waits never block (a blocking
     wait with nothing pending is a model bug and raises).  ``segment_bind``
     is deliberately *not* implemented so ``supports_bind`` is False and the
-    pipelined broadcast takes its staging path, whose local copies the
-    tracked views can observe.
+    pipelined broadcast's receivers take their staging path, whose local
+    copies the tracked views can observe.  ``write_notify_from`` is a post
+    from an anonymous local source: caller memory is not a segment, so
+    there is nothing on the sending side to track or budget-check.
     """
 
     def __init__(self, world: ModelWorld, rank: int) -> None:
@@ -342,6 +344,35 @@ class ModelRuntime(GaspiRuntime):
                 notif_id=notification_id,
                 value=notification_value,
                 local_offset=offset_local,
+            )
+        )
+
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        # A post from an anonymous local source: caller memory is not a
+        # segment, so the event carries no ``local_offset`` to budget-check.
+        data = source_bytes(source)
+        target = self._world.segment(target_rank, segment_id_remote)
+        target.buffer[offset_remote : offset_remote + data.size] = data
+        target.pending[notification_id] = notification_value
+        self._world.record(
+            Event(
+                kind=POST,
+                rank=self._rank,
+                segment=segment_id_remote,
+                dst=target_rank,
+                offset=offset_remote,
+                length=data.size,
+                notif_id=notification_id,
+                value=notification_value,
             )
         )
 
@@ -678,6 +709,7 @@ def build_model(
     chunk_bytes: Optional[int] = None,
     calls: int = 2,
     segment_id: int = 23,
+    mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
 ) -> ModelRun:
     """Symbolically execute ``calls`` back-to-back planned collectives.
 
@@ -687,7 +719,10 @@ def build_model(
     cooperative scheduler — two calls exercise every cross-call
     consume-ack handshake — and returns the recorded
     :class:`~repro.analysis.events.ProtocolTrace` together with the
-    payload buffers for numerical validation.
+    payload buffers for numerical validation.  ``mutate_plan`` is applied
+    to every rank's freshly compiled plan before the calls run — the hook
+    of the plan-level seeded defects in :mod:`repro.analysis.mutations`,
+    whose symptom is a wrong value rather than a trace finding.
     """
     info = REGISTRY.get(algorithm)
     if not info.plannable:
@@ -712,6 +747,9 @@ def build_model(
         info.plan(world.runtime(rank), key, segment_id, policy)
         for rank in range(num_ranks)
     ]
+    if mutate_plan is not None:
+        for plan in plans:
+            mutate_plan(plan)
 
     sendbufs: List[np.ndarray] = []
     recvbufs: List[Optional[np.ndarray]] = []

@@ -13,14 +13,23 @@ funds it (deadlock), a copy-paste error in a chunk-id map (duplicate
 id), a handshake shortened by "obviously unnecessary" acks (lost
 notification), a missing entry fence (data race), and an off-by-range
 slice of the notification board or workspace (budget).
+
+One defect lives below the trace: :func:`skip_allgather_copy_out` corrupts
+a compiled *plan*, because a receiver that leaves an arrival in its
+segment posts and consumes exactly what a correct one does.  It is applied
+through ``build_model(..., mutate_plan=...)`` and must be caught by the
+model's value check — every rank's ``recvbuf`` against the NumPy sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .events import CONSUME, POST, Event, ProtocolTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.pipeline import PipelinedRingAllreducePlan
 
 
 def _first_post_location(
@@ -115,10 +124,10 @@ def drop_consumes(
 
     The generic "shrunk handshake" mutation.  Dropping a plan's
     previous-call ack consumes yields ``double-post`` (the acked slot —
-    and the data slot it guards — can be overwritten unconsumed);
-    dropping a pipelined ring's entry-fence consume additionally yields
-    ``data-race`` (the predecessor's writes are no longer ordered after
-    the local payload initialisation).
+    and the data slot it guards — can be overwritten unconsumed), and so
+    does dropping a pipelined ring's entry-fence consume; dropping a BST
+    reduce child's READY consume additionally yields ``data-race`` (its
+    next push is no longer ordered after the parent's fold of the slot).
     """
     wanted = set(notif_ids)
     mutated = trace.copy()
@@ -176,3 +185,22 @@ def corrupt_offset(trace: ProtocolTrace) -> ProtocolTrace:
     mutated.events[r][i] = replace(anchor, local_offset=max(size - 1, 0))
     mutated.name += " +corrupt_offset"
     return mutated
+
+
+def skip_allgather_copy_out(plan: "PipelinedRingAllreducePlan") -> None:
+    """Leave every allgather arrival of a pipelined ring in the segment.
+
+    The single-copy ring keeps its result in the caller's ``recvbuf``;
+    the pooled segment is only where peers' sub-chunks land, so each
+    allgather arrival has to be copied out before it is forwarded.  This
+    empties the element bounds of those copy-outs (in place, on one
+    rank's plan): notifications still flow, the trace is indistinguishable
+    from a clean one, and the rank forwards — and returns — whatever its
+    ``recvbuf`` held before.  Expected symptom: wrong values on every
+    rank, no trace finding.
+    """
+    plan.steps = [
+        (sends, recvs if fold else [(nid, rb, rb) for nid, rb, _re in recvs], fold)
+        for sends, recvs, fold in plan.steps
+    ]
+

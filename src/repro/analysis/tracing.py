@@ -229,6 +229,35 @@ class TracingRuntime(GaspiRuntime):
             )
         )
 
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        self.inner.write_notify_from(
+            source, target_rank, segment_id_remote, offset_remote,
+            notification_id, notification_value, queue,
+        )
+        # The same event kind as write_notify; the source is caller
+        # memory, so there is no local segment offset to budget-check.
+        self.sink.record(
+            Event(
+                kind=POST,
+                rank=self.inner.rank,
+                segment=segment_id_remote,
+                dst=target_rank,
+                offset=offset_remote,
+                length=source.nbytes,
+                notif_id=notification_id,
+                value=notification_value,
+            )
+        )
+
     # -- weak synchronisation ------------------------------------------- #
     def notify_waitsome(
         self,

@@ -107,6 +107,7 @@ def ring_allgather(
             )
             recvbuf[recv_owner * block : (recv_owner + 1) * block] = incoming
     finally:
+        staging = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)

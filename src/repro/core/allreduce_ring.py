@@ -193,6 +193,7 @@ def ring_allreduce(
             if incoming.size:
                 work[r_begin:r_end] = incoming
     finally:
+        incoming = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)
@@ -287,6 +288,8 @@ class RingAllreducePlan(CollectivePlan):
     notification ids come from the frozen step table below.
     """
 
+    _segment_views = ("_send_slots", "_recv_slots")
+
     def __init__(self, runtime, key, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)
         self.dtype = np.dtype(key.dtype)
@@ -363,7 +366,7 @@ class RingAllreducePlan(CollectivePlan):
         size = rt.size
         recvbuf = request.recvbuf
         if recvbuf is None:
-            recvbuf = np.array(sendbuf, copy=True)
+            recvbuf = np.empty_like(sendbuf)
         else:
             recvbuf = np.asarray(recvbuf)
             require(

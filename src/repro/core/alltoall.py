@@ -73,17 +73,13 @@ def alltoall(
         )
 
     # Segment layout: the slot at offset i*block_bytes receives rank i's block.
+    # Outgoing blocks are posted straight from ``sendbuf`` (caller memory
+    # needs no registration), so the segment holds receive slots only.
     if manage_segment:
-        runtime.segment_create(segment_id, max(size * block_bytes * 2, 8))
+        runtime.segment_create(segment_id, max(size * block_bytes, 8))
         runtime.barrier()
     try:
-        # Stage the outgoing data in the upper half of the local segment so
-        # local reads and remote writes never overlap.
-        send_offset = size * block_bytes
-        staging = runtime.segment_view(
-            segment_id, dtype=sendbuf.dtype, offset=send_offset, count=sendbuf.size
-        )
-        staging[:] = sendbuf
+        slots = runtime.segment_view(segment_id, dtype=sendbuf.dtype, count=sendbuf.size)
 
         # Own block never touches the network.
         recvbuf[rank * block : (rank + 1) * block] = sendbuf[
@@ -93,13 +89,11 @@ def alltoall(
         for peer in range(size):
             if peer == rank:
                 continue
-            runtime.write_notify(
-                segment_id_local=segment_id,
-                offset_local=send_offset + peer * block_bytes,
+            runtime.write_notify_from(
+                sendbuf[peer * block : (peer + 1) * block],
                 target_rank=peer,
                 segment_id_remote=segment_id,
                 offset_remote=rank * block_bytes,
-                size=block_bytes,
                 notification_id=rank,
                 queue=queue,
             )
@@ -116,14 +110,13 @@ def alltoall(
             runtime.notify_reset(segment_id, got)
             if got in pending:
                 pending.discard(got)
-                incoming = runtime.segment_read(
-                    segment_id,
-                    dtype=sendbuf.dtype,
-                    offset=got * block_bytes,
-                    count=block,
-                )
-                recvbuf[got * block : (got + 1) * block] = incoming
+                # The consumed notification makes the slot quiescent (each
+                # peer writes it once per call): copy straight out of it.
+                recvbuf[got * block : (got + 1) * block] = slots[
+                    got * block : (got + 1) * block
+                ]
     finally:
+        slots = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)
@@ -180,45 +173,35 @@ def alltoallv(
         recvbuf = np.asarray(recvbuf)
         require(recvbuf.size >= total_recv, "recvbuf too small for recv_counts")
 
-    # Segment layout: [header: size int64][recv region][send staging][offset staging]
+    # Segment layout: [header: size int64][recv region].  Both the offset
+    # table and the data blocks are posted straight from caller memory.
     header_bytes = size * 8
     recv_bytes_total = max(total_recv * itemsize, itemsize)
-    send_bytes_total = max(sendbuf.size * itemsize, itemsize)
-    offset_staging_bytes = size * 8
     recv_region = header_bytes
-    send_region = header_bytes + recv_bytes_total
-    offset_region = send_region + send_bytes_total
 
     # Notification ids: [0, size) for data (id = producer), [size, 2*size) for
     # the offset-exchange header (id = size + producer).
     if manage_segment:
-        runtime.segment_create(
-            segment_id,
-            header_bytes + recv_bytes_total + send_bytes_total + offset_staging_bytes,
-        )
+        runtime.segment_create(segment_id, header_bytes + recv_bytes_total)
         runtime.barrier()
     try:
-        if sendbuf.size:
-            staging = runtime.segment_view(
-                segment_id, dtype=sendbuf.dtype, offset=send_region, count=sendbuf.size
-            )
-            staging[:] = sendbuf
-        offsets_out = runtime.segment_view(
-            segment_id, dtype=np.int64, offset=offset_region, count=size
+        header = runtime.segment_view(segment_id, dtype=np.int64, count=size)
+        arrivals = runtime.segment_view(
+            segment_id, dtype=sendbuf.dtype, offset=recv_region, count=total_recv
         )
-        offsets_out[:] = [recv_region + int(d) * itemsize for d in recv_displs]
+        offsets_out = np.array(
+            [recv_region + int(d) * itemsize for d in recv_displs], dtype=np.int64
+        )
 
         # Phase 1: tell every peer where its data belongs in our recv region.
         for peer in range(size):
             if peer == rank:
                 continue
-            runtime.write_notify(
-                segment_id_local=segment_id,
-                offset_local=offset_region + peer * 8,
+            runtime.write_notify_from(
+                offsets_out[peer : peer + 1],
                 target_rank=peer,
                 segment_id_remote=segment_id,
                 offset_remote=rank * 8,
-                size=8,
                 notification_id=size + rank,
                 queue=queue,
             )
@@ -243,18 +226,14 @@ def alltoallv(
             if peer not in header_pending:
                 continue
             header_pending.discard(peer)
-            remote_offset = int(
-                runtime.segment_read(segment_id, dtype=np.int64, offset=peer * 8, count=1)[0]
-            )
-            nbytes = send_counts[peer] * itemsize
-            if nbytes:
-                runtime.write_notify(
-                    segment_id_local=segment_id,
-                    offset_local=send_region + int(send_displs[peer]) * itemsize,
+            remote_offset = int(header[peer])
+            if send_counts[peer]:
+                begin = int(send_displs[peer])
+                runtime.write_notify_from(
+                    sendbuf[begin : begin + send_counts[peer]],
                     target_rank=peer,
                     segment_id_remote=segment_id,
                     offset_remote=remote_offset,
-                    size=nbytes,
                     notification_id=rank,
                     queue=queue,
                 )
@@ -273,16 +252,13 @@ def alltoallv(
             runtime.notify_reset(segment_id, got)
             if got in pending:
                 pending.discard(got)
-                count = recv_counts[got]
+                begin, count = int(recv_displs[got]), recv_counts[got]
                 if count:
-                    incoming = runtime.segment_read(
-                        segment_id,
-                        dtype=sendbuf.dtype,
-                        offset=recv_region + int(recv_displs[got]) * itemsize,
-                        count=count,
-                    )
-                    recvbuf[recv_displs[got] : recv_displs[got] + count] = incoming
+                    # Quiescent once its notification is consumed: copy
+                    # straight out of the segment.
+                    recvbuf[begin : begin + count] = arrivals[begin : begin + count]
     finally:
+        header = arrivals = None  # live views would keep the mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)

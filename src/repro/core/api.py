@@ -958,6 +958,11 @@ class Communicator:
             h = comm.ibcast(weights, root=0)
             loss = expensive_forward_pass(batch)   # overlaps the bcast
             h.wait()
+
+        Buffer ownership (the MPI rule): the library posts chunks straight
+        from ``buffer`` on the root and writes into it elsewhere, so it
+        must not be modified (root) or read (non-root) until the handle
+        completed.
         """
         request = CollectiveRequest(
             collective="bcast",
@@ -982,6 +987,11 @@ class Communicator:
 
         ``tag`` keys the compiled plan instance: concurrent same-shape
         requests with distinct tags advance independently.
+
+        Buffer ownership (the MPI rule): ``sendbuf`` is read — folded and
+        posted without an entry copy — until the handle completed, and
+        ``recvbuf`` is undefined until then; modify neither before
+        ``wait()``/``test()`` reports completion.
         """
         request = CollectiveRequest(
             collective="reduce",
@@ -1014,6 +1024,14 @@ class Communicator:
                        for i, (g, o) in enumerate(buckets)]
             more_compute()
             comm.wait_all()
+
+        Buffer ownership (the MPI rule): ``sendbuf`` is read in place —
+        step-0 sends and every fold take it straight from the caller's
+        memory — and ``recvbuf`` is the working vector, so ``sendbuf`` must
+        stay unmodified and ``recvbuf`` unread until the handle completed.
+        ``recvbuf`` may be ``sendbuf`` itself (in-place), and a view of a
+        live array (one gradient bucket) is fine as long as that slice is
+        left alone while in flight.
         """
         request = CollectiveRequest(
             collective="allreduce",

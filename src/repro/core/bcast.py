@@ -176,6 +176,7 @@ def bst_bcast(
                 raise TimeoutError(f"rank {rank}: no ack from leaf child {child}")
             runtime.notify_reset(segment_id, ack_slot)
     finally:
+        staging = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)
@@ -233,6 +234,7 @@ def flat_bcast(
             runtime.notify_reset(segment_id, _NOTIF_DATA)
             buffer[:send_elems] = staging[:send_elems]
     finally:
+        staging = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)
@@ -365,6 +367,8 @@ class BstBcastPlan(CollectivePlan):
     the next call's compute (MPI persistent-collective style pipelining).
     """
 
+    _segment_views = ("_staging",)
+
     def __init__(self, runtime, key, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)
         self.dtype = np.dtype(key.dtype)
@@ -467,6 +471,8 @@ class FlatBcastPlan(CollectivePlan):
     previous-call acks before restaging — the cold path's barriers are
     replaced by one ack round that the root overlaps with its next call.
     """
+
+    _segment_views = ("_staging",)
 
     def __init__(self, runtime, key, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)

@@ -10,24 +10,40 @@ ring allreduce) — and builds a nonblocking request API on top.
 
 Three pipelined planned executors (registered in
 :mod:`repro.core.registry`, selected by the tuning tables for large
-payloads):
+payloads).  Large messages are memcpy-bound, so all three move each
+payload byte as few times as the protocol allows: a rank that *originates*
+data posts it straight from the caller's buffer with
+:meth:`~repro.gaspi.runtime.GaspiRuntime.write_notify_from` (only the
+remote target of a one-sided write has to be segment memory), and the
+pooled segment holds only what peers write into it.
 
 * :class:`PipelinedBstBcastPlan` — a parent forwards chunk ``k`` while
-  chunk ``k+1`` is still in flight.  On runtimes with
-  :meth:`~repro.gaspi.runtime.GaspiRuntime.segment_bind` support the
-  user's buffer *is* the segment (the ``gaspi_segment_bind`` zero-copy
-  path): chunks land directly in the destination buffer, per-chunk
-  notification ids mark arrivals, and a per-call readiness handshake is
-  the consume-ack that makes cross-call reuse safe.  Without bind support
-  the same protocol runs over per-chunk staging slots.
-* :class:`PipelinedBstReducePlan` — per-chunk folds
-  (:mod:`repro.core.kernels`) with each completed chunk pushed up the tree
-  while later chunks are still arriving; the accumulator lives in the
-  pooled segment so the push-up needs no staging copy.
+  chunk ``k+1`` is still in flight; the root writes every chunk from the
+  user's buffer.  On runtimes with
+  :meth:`~repro.gaspi.runtime.GaspiRuntime.segment_bind` support a
+  receiver's buffer *is* its segment (the ``gaspi_segment_bind``
+  zero-copy path): chunks land directly in the destination buffer,
+  per-chunk notification ids mark arrivals, and a per-call readiness
+  handshake is the consume-ack that makes cross-call reuse safe.  Without
+  bind support the same protocol runs over per-chunk staging slots on the
+  receivers (one copy-out per chunk).
+* :class:`PipelinedBstReducePlan` — per-chunk fused folds
+  (:func:`repro.core.kernels.fold`: the first reads ``sendbuf``, the
+  root's last lands in ``recvbuf``) with each completed chunk pushed up
+  the tree while later chunks are still arriving.  An inner rank's
+  accumulator lives in the pooled segment and is pushed from there; a
+  leaf has nothing to fold and pushes ``sendbuf`` itself.
 * :class:`PipelinedRingAllreducePlan` — the ring with multiple in-flight
-  sub-chunk slots per step, sends posted straight from the pooled work
-  region and allgather chunks written *directly* into the successor's work
-  region (no copy-out), guarded by a per-call entry notification.
+  sub-chunk slots per step.  ``recvbuf`` is the working vector: step-0
+  sends read ``sendbuf``, every scatter fold is
+  ``recvbuf[c] = op(sendbuf[c], slot)``, allgather sub-chunks land at
+  their global offsets in the segment and are copied into ``recvbuf`` as
+  they arrive, later sends read ``recvbuf`` — no entry copy, no staging,
+  no copy back.
+
+Buffer ownership follows from that (the MPI rule): ``sendbuf`` is read and
+``recvbuf`` written until the call — or, for the nonblocking API, the
+handle — completed.
 
 The same chunk machinery drives the **nonblocking API**:
 :meth:`~repro.core.api.Communicator.ibcast` / ``ireduce`` /
@@ -630,6 +646,8 @@ class PipelinedBstBcastPlan(CollectivePlan):
     per-chunk staging slots in the pooled segment.
     """
 
+    _segment_views = ("_staging",)
+
     def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)
         self.dtype = np.dtype(key.dtype)
@@ -667,7 +685,9 @@ class PipelinedBstBcastPlan(CollectivePlan):
         self._byte_bounds = [
             self.chunks.byte_bounds(k) for k in range(self.chunks.num_chunks)
         ]
-        self.zero_copy = runtime.supports_bind
+        # A bound buffer must fill its segment exactly, and a segment is
+        # at least 8 bytes: smaller payloads take the staged protocol.
+        self.zero_copy = runtime.supports_bind and key.nbytes >= 8
         self._bound: Optional[np.ndarray] = None
         # Budget check: the chunk map is sliced by hand below, so prove
         # here — once, on every rank alike — that the last chunk ends
@@ -679,9 +699,11 @@ class PipelinedBstBcastPlan(CollectivePlan):
             f"ends at byte {self._byte_bounds[-1][1]} of {max(key.nbytes, 8)}",
         )
         self._create_workspace(key.nbytes)
+        # Receive staging of the bind-less protocol.  The root never
+        # receives: it posts every chunk straight from the user's buffer.
         self._staging = (
             None
-            if self.zero_copy
+            if self.zero_copy or rank == key.root
             else runtime.segment_view(segment_id, dtype=self.dtype, count=self.elements)
         )
 
@@ -719,7 +741,7 @@ class PipelinedBstBcastPlan(CollectivePlan):
         data = self.notif_data
         chunks = self.chunks
 
-        if self.zero_copy and self._bound is not buffer:
+        if self.zero_copy and rank != root and self._bound is not buffer:
             # Swap the registered window to this call's buffer.  Safe: no
             # write can be in flight — the parent only writes after
             # consuming the readiness notification posted *below*.
@@ -741,12 +763,14 @@ class PipelinedBstBcastPlan(CollectivePlan):
         bounds = self._byte_bounds
         children = self.children
         if rank == root:
-            for k, (bb, be) in enumerate(bounds):
-                if self._staging is not None:
-                    eb, ee = chunks.bounds[k]
-                    self._staging[eb:ee] = buffer[eb:ee]
+            # Single copy: every chunk goes from the caller's buffer
+            # straight into the children's segments.
+            for k, ((eb, ee), (bb, _be)) in enumerate(zip(chunks.bounds, bounds)):
+                chunk = buffer[eb:ee]
                 for child in children:
-                    rt.write_notify(sid, bb, child, sid, bb, be - bb, data.base + k, queue=queue)
+                    rt.write_notify_from(
+                        chunk, child, sid, bb, data.base + k, queue=queue
+                    )
             if children:
                 rt.wait(queue)
         else:
@@ -807,6 +831,8 @@ class PipelinedBstReducePlan(CollectivePlan):
     (``wait(queue)``) before the call returns, so the data has left the
     accumulator before the next call can overwrite it.
     """
+
+    _segment_views = ("_acc", "_child_slots")
 
     def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)
@@ -927,11 +953,12 @@ class PipelinedBstReducePlan(CollectivePlan):
         if self.participating:
             acc = self._acc
             own = sendbuf[: self.reduce_elems]
-            # Fused-fold fast path: with a ufunc operator the first fold
-            # of each chunk reads straight from the caller's sendbuf (no
-            # upfront accumulator copy) and the root's last fold lands
-            # straight in recvbuf — two full passes over the vector gone.
-            fused = bool(self.children) and kernels.is_vectorizable(operator.func)
+            # Fused folds: the first fold of each chunk reads straight
+            # from the caller's sendbuf (no upfront accumulator copy) and
+            # the root's last fold lands straight in recvbuf.  A rank with
+            # nothing to fold (a leaf) pushes sendbuf itself — its data
+            # never touches the local segment.
+            push_src = acc if self.children else own
             root_out = None
             if self.parent is None and recvbuf is not None:
                 recvbuf = np.asarray(recvbuf)
@@ -940,13 +967,11 @@ class PipelinedBstReducePlan(CollectivePlan):
                     "recvbuf too small for the reduced prefix",
                 )
                 if (
-                    fused
+                    self.children
                     and recvbuf.dtype == self.dtype
                     and recvbuf.flags["C_CONTIGUOUS"]
                 ):
                     root_out = recvbuf
-            if not fused:
-                acc[:] = own
 
             # Entry handshake: the previous call's child slots are folded,
             # so the children may overwrite them for this call.
@@ -978,14 +1003,12 @@ class PipelinedBstReducePlan(CollectivePlan):
                 # Push every completed chunk up, once the parent declared
                 # this call's slots writable.
                 for k in completed:
-                    bb, be = self._byte_bounds[k]
-                    rt.write_notify(
-                        sid,
-                        bb,
+                    eb, ee = bounds[k]
+                    rt.write_notify_from(
+                        push_src[eb:ee],
                         self.parent,
                         sid,
                         self._push_offsets[k],
-                        be - bb,
                         self._push_ids[k],
                         self.subtree_contributors,
                         queue=queue,
@@ -1022,18 +1045,15 @@ class PipelinedBstReducePlan(CollectivePlan):
                     eb, ee = bounds[k]
                     while position < n_children and fold_order[position] in arrived[k]:
                         slot = self._child_slots[fold_order[position]][eb:ee]
-                        if fused:
-                            first = position == 0
-                            last = position == n_children - 1
-                            fold_src = own[eb:ee] if first else acc[eb:ee]
-                            fold_out = (
-                                root_out[eb:ee]
-                                if (last and root_out is not None)
-                                else acc[eb:ee]
-                            )
-                            kernels.fold(operator, fold_src, slot, fold_out)
-                        else:
-                            kernels.reduce_into(operator, acc[eb:ee], slot)
+                        first = position == 0
+                        last = position == n_children - 1
+                        fold_src = own[eb:ee] if first else acc[eb:ee]
+                        fold_out = (
+                            root_out[eb:ee]
+                            if (last and root_out is not None)
+                            else acc[eb:ee]
+                        )
+                        kernels.fold(operator, fold_src, slot, fold_out)
                         position += 1
                     next_fold[k] = position
                     if position == n_children:
@@ -1061,8 +1081,9 @@ class PipelinedBstReducePlan(CollectivePlan):
                 try_push()
                 rt.wait(queue)
             elif recvbuf is not None and root_out is None:
-                # Non-fused root: the result is in the accumulator.
-                recvbuf[: self.reduce_elems] = acc
+                # The root's last fold could not land in recvbuf (strided
+                # or differently typed), or there was nothing to fold.
+                recvbuf[: self.reduce_elems] = push_src
 
         self.calls += 1
         contributors = len(self.participants) if rank == root else 0
@@ -1082,24 +1103,32 @@ class PipelinedBstReducePlan(CollectivePlan):
 # pipelined (chunked) ring allreduce
 # --------------------------------------------------------------------------- #
 class PipelinedRingAllreducePlan(CollectivePlan):
-    """Ring allreduce with in-flight sub-chunk slots and a zero-copy path.
+    """Ring allreduce with in-flight sub-chunk slots and a single-copy path.
 
     Differences from the monolithic :class:`~repro.core.allreduce_ring.RingAllreducePlan`:
 
-    * the working vector lives *inside* the pooled segment, so every send
-      posts directly from it — the per-step staging copy is gone;
+    * the caller's ``recvbuf`` is the working vector and every send posts
+      straight from caller memory
+      (:meth:`~repro.gaspi.runtime.GaspiRuntime.write_notify_from`):
+      step 0 sends read ``sendbuf``, each scatter fold is the fused
+      ``recvbuf[c] = op(sendbuf[c], slot)``, later sends read ``recvbuf``
+      — no entry copy into a work region, no per-step staging copy, no
+      copy back.  Only a non-contiguous ``recvbuf`` goes through a private
+      contiguous vector, copied out once;
     * each ring step's 1/P chunk is split into up to ``M`` sub-chunks
       (``policy.chunk_bytes`` / the tuning table), all in flight at once
       with per-sub-chunk notification ids;
-    * allgather-phase sub-chunks are written straight into the
-      *successor's work region* (their final destination — same global
-      offsets on every rank), eliminating the receive-slot copy of that
-      phase.  A per-call entry notification from the successor fences
-      those direct writes against the successor's next-call entry
-      overwrite (``work[:] = sendbuf``); the scatter-phase slots need no
+    * the pooled segment holds only what peers write: one slot per
+      scatter sub-chunk and the allgather *landing zone*, where
+      sub-chunks arrive at their global offsets (the same on every rank)
+      and are copied into ``recvbuf`` as they arrive.  A per-call entry
+      notification from the successor fences those writes against the
+      successor's previous-call copy-out; the scatter-phase slots need no
       fence — the ring's transitive step dependency already serialises
       them across calls, exactly as for the monolithic plan.
     """
+
+    _segment_views = ("_slot_views",)
 
     def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)
@@ -1120,19 +1149,21 @@ class PipelinedRingAllreducePlan(CollectivePlan):
             self.subs = max(1, min(64, -(-max_chunk_bytes // max(chunk_bytes, 1))))
         self.scatter_steps = size - 1
         self.total_steps = 2 * (size - 1)
-        self.sub_slot_bytes = max(-(-max_chunk_bytes // self.subs), itemsize)
+        # One slot holds the largest sub-chunk: a whole number of elements
+        # (rounding the *byte* quotient up leaves the slot short of — and
+        # the next slot inside — a sub-chunk one element larger).
+        self.sub_slot_bytes = max(-(-max_chunk // self.subs), 1) * itemsize
         layout = NotificationLayout()
         self.notif_entry = layout.add("entry", 1)
         self.notif_steps = layout.add(
             "steps", max(1, self.total_steps * self.subs)
         )
         # Step table: per global step, the fully precomputed send and
-        # receive actions.  Sends: (notif id, local byte offset, remote
-        # byte offset, size).  Receives: (notif id, element bounds, slot
-        # byte offset or None for in-place allgather arrivals).
+        # receive actions.  Sends: (notif id, element bounds in the
+        # caller's vector, remote byte offset).  Receives: (notif id,
+        # element bounds) — the arrival sits in ``_slot_views[nid]``.
         # Sub-bounds slice the *global* vector; sender and receiver cut
         # the same global chunk, so they always agree.
-        itemsize = self.dtype.itemsize
         self.steps: List[Tuple[List[tuple], List[tuple], bool]] = []
         for gstep in range(self.total_steps):
             fold = gstep < self.scatter_steps
@@ -1143,26 +1174,31 @@ class PipelinedRingAllreducePlan(CollectivePlan):
             else:
                 send_chunk = self.ring.allgather_send_chunk(rank, step)
                 recv_chunk = self.ring.allgather_recv_chunk(rank, step)
-            sends = []
-            for m, (sb, se) in enumerate(self._sub_bounds(send_chunk)):
-                nid = self._step_id(gstep, m)
-                remote = self._slot_offset(gstep, m) if fold else sb * itemsize
-                sends.append((nid, sb * itemsize, remote, (se - sb) * itemsize))
-            recvs = []
-            for m, (rb, re) in enumerate(self._sub_bounds(recv_chunk)):
-                nid = self._step_id(gstep, m)
-                slot = self._slot_offset(gstep, m) if fold else None
-                recvs.append((nid, rb, re, slot))
+            sends = [
+                (self._step_id(gstep, m), sb, se, self._arrival_offset(gstep, m, sb))
+                for m, (sb, se) in enumerate(self._sub_bounds(send_chunk))
+            ]
+            recvs = [
+                (self._step_id(gstep, m), rb, re)
+                for m, (rb, re) in enumerate(self._sub_bounds(recv_chunk))
+            ]
             self.steps.append((sends, recvs, fold))
         if size > 1:
             slot_region = self.scatter_steps * self.subs * self.sub_slot_bytes
             workspace_bytes = max(key.nbytes, 8) + slot_region
             # Budget check: the step table's remote offsets are computed by
-            # hand (scatter slots past the work region, allgather writes
-            # into the work region itself) — prove every send of every
-            # step lands inside the workspace created just below.
-            for sends, _recvs, _fold in self.steps:
-                for nid, _local, remote, send_bytes in sends:
+            # hand (allgather arrivals at their global offsets, scatter
+            # slots past them) — prove every send of every step lands
+            # inside the workspace created just below.
+            for sends, _recvs, fold in self.steps:
+                for nid, sb, se, remote in sends:
+                    send_bytes = (se - sb) * itemsize
+                    require(
+                        not fold or send_bytes <= self.sub_slot_bytes,
+                        f"ring scatter sub-chunk of {send_bytes} bytes "
+                        f"(notification {nid}) overflows its "
+                        f"{self.sub_slot_bytes}-byte slot",
+                    )
                     require(
                         0 <= remote and remote + send_bytes <= workspace_bytes,
                         f"ring step table overruns the workspace: send for "
@@ -1171,18 +1207,17 @@ class PipelinedRingAllreducePlan(CollectivePlan):
                         f"{workspace_bytes}",
                     )
             self._create_workspace(workspace_bytes)
-            self._work = runtime.segment_view(
-                segment_id, dtype=self.dtype, count=self.elements
-            )
-            # Frozen receive-slot views per scatter sub-chunk (keyed by
+            # Frozen views of where each sub-chunk arrives (keyed by
             # notification id) — no per-call segment lookups.
             self._slot_views = {
                 nid: runtime.segment_view(
-                    segment_id, dtype=self.dtype, offset=slot, count=re - rb
+                    segment_id,
+                    dtype=self.dtype,
+                    offset=self._arrival_offset(gstep, m, rb),
+                    count=re - rb,
                 )
-                for sends, recvs, fold in self.steps
-                if fold
-                for nid, rb, re, slot in recvs
+                for gstep, (_sends, recvs, _fold) in enumerate(self.steps)
+                for m, (nid, rb, re) in enumerate(recvs)
                 if re > rb
             }
 
@@ -1195,8 +1230,16 @@ class PipelinedRingAllreducePlan(CollectivePlan):
             out.append((begin + sb, begin + se))
         return out
 
-    def _slot_offset(self, step: int, sub: int) -> int:
-        return self.key.nbytes + (step * self.subs + sub) * self.sub_slot_bytes
+    def _arrival_offset(self, gstep: int, sub: int, begin: int) -> int:
+        """Segment byte offset where sub-chunk ``sub`` of ``gstep`` lands.
+
+        Scatter sub-chunks get one slot each past the landing zone;
+        allgather sub-chunks land at their global offset ``begin``
+        (elements) inside it — identical on sender and receiver.
+        """
+        if gstep < self.scatter_steps:
+            return self.key.nbytes + (gstep * self.subs + sub) * self.sub_slot_bytes
+        return begin * self.dtype.itemsize
 
     def _step_id(self, step: int, sub: int) -> int:
         return self.notif_steps.id(step * self.subs + sub)
@@ -1228,7 +1271,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         size = rt.size
         recvbuf = request.recvbuf
         if recvbuf is None:
-            recvbuf = np.array(sendbuf, copy=True)
+            recvbuf = np.empty_like(sendbuf)
         else:
             recvbuf = np.asarray(recvbuf)
             require(
@@ -1244,12 +1287,17 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
         sid = self.segment_id
         queue = request.queue
-        work = self._work
         nxt = self.next_rank
-        work[:] = sendbuf
-        # Entry fence: tell the predecessor our work region holds this
-        # call's data, so its allgather-phase direct writes cannot land
-        # before (and be clobbered by) the copy above.
+        # recvbuf is the working vector: every element is written exactly
+        # once per phase (a fold out of sendbuf, or an allgather arrival)
+        # before it is sent on, so nothing is staged and nothing is copied
+        # back.  Posted sources must be contiguous; a strided recvbuf
+        # reduces into a private vector and is filled once at the end.
+        out = recvbuf if recvbuf.flags["C_CONTIGUOUS"] else np.empty_like(sendbuf)
+        arrivals = self._slot_views
+        # Entry fence: the predecessor writes its allgather sub-chunks
+        # into this rank's landing zone only after this notification, i.e.
+        # after the previous call's arrivals were all copied out.
         entry_id = self.notif_entry.id(0)
         rt.notify(self.prev_rank, sid, entry_id, queue=queue)
         rt.wait(queue)
@@ -1258,33 +1306,40 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         bytes_sent = 0
         bytes_received = 0
         itemsize = self.dtype.itemsize
+        source = sendbuf  # step 0 sends the caller's own chunk
         for sends, recvs, fold in self.steps:
             if not fold and not entry_seen:
                 # First allgather send: wait for the successor's entry
-                # notification before writing into its work region.
+                # notification before writing into its landing zone.
                 while rt.notify_waitsome(sid, entry_id, 1, timeout=poll_timeout) is None:
                     yield WaitSpec(sid, entry_id, 1)
                 rt.notify_reset(sid, entry_id)
                 entry_seen = True
-            for nid, local, remote, sub_bytes in sends:
-                if sub_bytes:
-                    rt.write_notify(
-                        sid, local, nxt, sid, remote, sub_bytes, nid, queue=queue
+            for nid, sb, se, remote in sends:
+                if se > sb:
+                    rt.write_notify_from(
+                        source[sb:se], nxt, sid, remote, nid, queue=queue
                     )
                 else:
                     rt.notify(nxt, sid, nid, queue=queue)
-                bytes_sent += sub_bytes
+                bytes_sent += (se - sb) * itemsize
             rt.wait(queue)
-            for nid, rb, re, _slot in recvs:
+            source = out  # every later send forwards what the last step produced
+            for nid, rb, re in recvs:
                 while rt.notify_waitsome(sid, nid, 1, timeout=poll_timeout) is None:
                     yield WaitSpec(sid, nid, 1)
                 rt.notify_reset(sid, nid)
                 bytes_received += (re - rb) * itemsize
-                if fold and re > rb:
-                    kernels.reduce_into(operator, work[rb:re], self._slot_views[nid])
-                # Allgather sub-chunks were written straight into work.
+                if re > rb:
+                    if fold:
+                        kernels.fold(
+                            operator, sendbuf[rb:re], arrivals[nid], out[rb:re]
+                        )
+                    else:
+                        out[rb:re] = arrivals[nid]
 
-        recvbuf[:] = work
+        if out is not recvbuf:
+            recvbuf[:] = out
         self.calls += 1
         detail = RingAllreduceStats(
             rank=rank,

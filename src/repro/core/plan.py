@@ -209,6 +209,11 @@ class CollectivePlan:
     with a single barrier — the last barrier this plan will ever take.
     """
 
+    #: Attributes holding views of the pooled segment.  :meth:`close` drops
+    #: them before deleting the segment: a live view keeps a shared-memory
+    #: mapping exported, and an exported mapping cannot be unmapped.
+    _segment_views: Tuple[str, ...] = ()
+
     def __init__(self, runtime: "GaspiRuntime", key: PlanKey, segment_id: int) -> None:
         self.runtime = runtime
         self.key = key
@@ -272,6 +277,8 @@ class CollectivePlan:
         self._closed = True
         if not self._workspace_created:
             return
+        for name in self._segment_views:
+            setattr(self, name, None)
         try:
             self.runtime.segment_delete(self.segment_id)
         except GaspiError:  # pragma: no cover - crashed/vanished runtime

@@ -224,6 +224,7 @@ def bst_reduce(
                     raise TimeoutError(f"rank {rank}: parent {parent} never acknowledged")
                 runtime.notify_reset(segment_id, _NOTIF_ACK)
     finally:
+        staging = None  # a live view would keep the segment's mapping open
         if manage_segment:
             runtime.barrier()
             runtime.segment_delete(segment_id)
@@ -254,6 +255,8 @@ class BstReducePlan(CollectivePlan):
     per-call segment registration, the two barriers around it, and all
     topology/threshold recomputation.
     """
+
+    _segment_views = ("_staging", "_child_slots")
 
     def __init__(self, runtime, key, segment_id: int, policy) -> None:
         super().__init__(runtime, key, segment_id)

@@ -407,7 +407,7 @@ def _run_allreduce_ring(runtime, request: CollectiveRequest) -> CollectiveResult
 
     recvbuf = request.recvbuf
     if recvbuf is None:
-        recvbuf = np.array(request.sendbuf, copy=True)
+        recvbuf = np.empty_like(request.sendbuf)
     detail = ring_allreduce(
         runtime,
         np.ascontiguousarray(request.sendbuf),
@@ -694,7 +694,7 @@ def _register_core_algorithms() -> None:
         ),
         description=(
             "Chunked ring allreduce: multiple in-flight sub-chunk slots, "
-            "sends posted straight from the pooled work region"
+            "sends posted straight from the caller's buffers"
         ),
     )
     REGISTRY.register(

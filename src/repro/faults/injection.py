@@ -268,8 +268,8 @@ class FaultPlan:
 class FaultyRuntime(GaspiRuntime):
     """A fault-injecting decorator around any GASPI runtime.
 
-    Data-plane operations (``write``, ``notify``, ``write_notify``) are
-    counted per rank; before each one the plan is consulted for a crash,
+    Data-plane operations (``write``, ``notify``, ``write_notify``,
+    ``write_notify_from``) are counted per rank; before each one the plan is consulted for a crash,
     a delay and a drop.  Control-plane operations (barriers, waits,
     notification waits, segment creation) only check liveness: a crashed
     rank can no longer take part in synchronisation, but purely local
@@ -453,6 +453,27 @@ class FaultyRuntime(GaspiRuntime):
                 segment_id_remote,
                 offset_remote,
                 size,
+                notification_id,
+                notification_value,
+                queue=queue,
+            )
+
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        if self._data_plane_op(target_rank):
+            self._base.write_notify_from(
+                source,
+                target_rank,
+                segment_id_remote,
+                offset_remote,
                 notification_id,
                 notification_value,
                 queue=queue,

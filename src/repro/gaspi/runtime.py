@@ -23,7 +23,17 @@ from .constants import (
     DEFAULT_NOTIFICATION_VALUE,
     GASPI_BLOCK,
 )
+from .errors import GaspiInvalidArgumentError
 from .group import Group
+
+
+def source_bytes(source: np.ndarray) -> np.ndarray:
+    """Flat ``uint8`` view of the caller memory a ``write_notify_from`` posts."""
+    if not source.flags["C_CONTIGUOUS"]:
+        raise GaspiInvalidArgumentError(
+            "write_notify_from requires a C-contiguous source"
+        )
+    return source.reshape(-1).view(np.uint8)
 
 
 class GaspiRuntime(abc.ABC):
@@ -228,6 +238,29 @@ class GaspiRuntime(abc.ABC):
         notification is.
         """
 
+    @abc.abstractmethod
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        """Post a ``write_notify`` whose source is caller memory.
+
+        The ``gaspi_segment_use`` model: only the remote *target* must be
+        registered segment memory.  ``source`` is any C-contiguous array
+        (a user buffer, a slice of one) and all of its bytes are written;
+        like the source region of :meth:`write_notify` it must stay
+        unmodified until :meth:`wait` on ``queue`` returns.  This is the
+        single-copy data path of the large-message collectives: payloads
+        go from the caller's buffer to the peer's segment without being
+        staged in the local one.
+        """
+
     # ------------------------------------------------------------------ #
     # weak synchronisation
     # ------------------------------------------------------------------ #
@@ -328,40 +361,6 @@ class GaspiRuntime(abc.ABC):
     # ------------------------------------------------------------------ #
     # convenience helpers shared by collectives
     # ------------------------------------------------------------------ #
-    def write_notify_array(
-        self,
-        source: np.ndarray,
-        segment_id_local: int,
-        offset_local: int,
-        target_rank: int,
-        segment_id_remote: int,
-        offset_remote: int,
-        notification_id: int,
-        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
-        queue: int = 0,
-    ) -> None:
-        """Copy ``source`` into the local segment and ``write_notify`` it.
-
-        A common idiom in the paper's collectives: stage the payload in the
-        local communication segment, then push it to the peer together with
-        a notification.
-        """
-        staged = self.segment_view(
-            segment_id_local, dtype=source.dtype, offset=offset_local, count=source.size
-        )
-        staged[:] = source
-        self.write_notify(
-            segment_id_local,
-            offset_local,
-            target_rank,
-            segment_id_remote,
-            offset_remote,
-            source.nbytes,
-            notification_id,
-            notification_value,
-            queue,
-        )
-
     def wait_and_reset(
         self,
         segment_id_local: int,

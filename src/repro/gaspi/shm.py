@@ -47,8 +47,10 @@ Implementation notes, mirroring the GASPI guarantees the collectives in
   target segment under a single world-wide lock word.
 * ``segment_bind`` is **not** supported (user memory of another process
   cannot be registered); :attr:`ShmRuntime.supports_bind` is False and
-  the pipelined collectives transparently use their staged-slot
-  fallback, exactly as on any bind-less runtime.
+  the pipelined broadcast's receivers transparently use their
+  staged-slot fallback, exactly as on any bind-less runtime.  The
+  *source* of a write needs no registration: ``write_notify_from`` copies
+  from the posting process's private memory into the target's block.
 
 :func:`run_shm` is the process-world analogue of
 :func:`~repro.gaspi.spmd.run_spmd`: fork one process per rank, run
@@ -89,7 +91,7 @@ from .errors import (
     GaspiTimeoutError,
 )
 from .group import Group
-from .runtime import GaspiRuntime
+from .runtime import GaspiRuntime, source_bytes
 from .spmd import SpmdError
 from .threaded import TrafficStats
 
@@ -128,16 +130,27 @@ def _group_key(group: Group) -> int:
 def _quiet_close(shm: shared_memory.SharedMemory) -> None:
     """Close a block's mapping, tolerating still-exported NumPy views.
 
-    Segment views handed to callers (plan accumulators, user-held
-    ``segment_view`` arrays) keep the mmap's buffer exported, in which
-    case ``close`` raises :class:`BufferError`.  The mapping then simply
-    dies with the process — but ``SharedMemory.__del__`` would retry the
-    close at garbage collection and print an "Exception ignored" notice,
-    so the instance's ``close`` is neutralised after the first failure.
+    A segment view still alive somewhere (a user-held ``segment_view``
+    array) keeps the mmap's buffer exported, in which case ``close``
+    raises :class:`BufferError` before it has released anything.  The
+    mapping then has to outlive this call — it is unmapped, and the
+    mmap's own descriptor closed, when the last view dies — but the
+    block's second descriptor (``shm._fd``) is closed here; left to
+    ``close`` it would leak once per segment created or attached.
+    ``SharedMemory.__del__`` would retry the close at garbage collection
+    and print an "Exception ignored" notice, so the instance's ``close``
+    is neutralised after the first failure.
     """
     try:
         shm.close()
     except (BufferError, OSError):
+        fd = getattr(shm, "_fd", -1)
+        if fd >= 0:
+            try:
+                os.close(fd)
+            except OSError:  # pragma: no cover - already closed
+                pass
+            shm._fd = -1
         shm.close = lambda: None  # __del__ retries close; make it a no-op
 
 
@@ -637,6 +650,13 @@ class ShmRuntime(GaspiRuntime):
                 f"rank {self._rank}: cannot delete unknown segment {segment_id}"
             )
         block.destroy()
+        # Segment ids are symmetric across ranks, so deleting the local
+        # copy ends this rank's use of the peers' copies too.  Unmap them
+        # now: ids are rarely reused, and an attachment kept until its id
+        # comes round again holds a mapping and two descriptors.  (A peer
+        # copy that is written again is simply re-attached.)
+        for key in [k for k in self._remote if k[1] == segment_id]:
+            self._remote.pop(key).release()
 
     def segment_view(
         self,
@@ -730,9 +750,49 @@ class ShmRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
+        self._post_write_notify(
+            self._read_local(segment_id_local, offset_local, size),
+            target_rank,
+            segment_id_remote,
+            offset_remote,
+            notification_id,
+            notification_value,
+            queue,
+        )
+
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        # Caller memory need not be shared: this process does the copy.
+        self._post_write_notify(
+            source_bytes(source),
+            target_rank,
+            segment_id_remote,
+            offset_remote,
+            notification_id,
+            notification_value,
+            queue,
+        )
+
+    def _post_write_notify(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int,
+        queue: int,
+    ) -> None:
         self._check_target(target_rank)
         self._check_queue(queue)
-        source = self._read_local(segment_id_local, offset_local, size)
         value = int(notification_value)
         if value <= 0:
             raise GaspiInvalidArgumentError(
@@ -752,7 +812,7 @@ class ShmRuntime(GaspiRuntime):
             block.header[_H_POSTED] += 1
         self._world.wake_waiters()
         if self._world.config.collect_stats:
-            self.stats.record_send(target_rank, size, notified=True)
+            self.stats.record_send(target_rank, source.size, notified=True)
 
     def _apply_write(
         self, target_rank: int, segment_id: int, offset: int, source: np.ndarray

@@ -216,6 +216,26 @@ class GroupRuntime(GaspiRuntime):
             queue=queue,
         )
 
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        self._base.write_notify_from(
+            source,
+            self.to_base_rank(target_rank),
+            segment_id_remote,
+            offset_remote,
+            notification_id,
+            notification_value,
+            queue=queue,
+        )
+
     # ------------------------------------------------------------------ #
     # weak synchronisation (local: pass through)
     # ------------------------------------------------------------------ #

@@ -7,7 +7,8 @@ implementing :class:`~repro.gaspi.runtime.GaspiRuntime`.
 Semantics implemented:
 
 * ``write`` / ``write_notify`` copy bytes from the caller's local segment
-  into the target rank's segment.  In ``immediate`` delivery mode the copy
+  (``write_notify_from``: from any contiguous caller array) into the
+  target rank's segment.  In ``immediate`` delivery mode the copy
   happens synchronously; in ``async`` mode it is performed by a delivery
   thread, but the data copy always precedes the notification post, which is
   the GASPI visibility guarantee (Section II of the paper).
@@ -44,7 +45,7 @@ from .errors import (
 from .group import Group
 from .notifications import NotificationBoard  # noqa: F401  (re-exported for tests)
 from .queue import CommunicationQueue, DeliveryWorker, WriteRequest
-from .runtime import GaspiRuntime
+from .runtime import GaspiRuntime, source_bytes
 from .segment import Segment
 
 
@@ -414,7 +415,49 @@ class ThreadedRuntime(GaspiRuntime):
         queue: int = 0,
     ) -> None:
         self._check_target(target_rank)
-        data = self._read_local(segment_id_local, offset_local, size)
+        self._post_write_notify(
+            self._read_local(segment_id_local, offset_local, size),
+            target_rank,
+            segment_id_remote,
+            offset_remote,
+            notification_id,
+            notification_value,
+            queue,
+        )
+
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        self._check_target(target_rank)
+        # The same request as write_notify: the delivery layer reads the
+        # caller's memory instead of a view of the local segment.
+        self._post_write_notify(
+            source_bytes(source),
+            target_rank,
+            segment_id_remote,
+            offset_remote,
+            notification_id,
+            notification_value,
+            queue,
+        )
+
+    def _post_write_notify(
+        self,
+        data: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int,
+        queue: int,
+    ) -> None:
         self._world.post(
             WriteRequest(
                 source_rank=self._rank,

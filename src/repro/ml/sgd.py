@@ -99,10 +99,15 @@ class WorkerResult:
     staleness: StalenessTracker
 
     @property
+    def iterations(self) -> int:
+        """Iterations trained: the last record is always the final one."""
+        return self.records[-1].iteration if self.records else 0
+
+    @property
     def iterations_per_second(self) -> float:
         if self.total_time <= 0:
             return 0.0
-        return len(self.records) / self.total_time
+        return self.iterations / self.total_time
 
 
 @dataclass
@@ -287,7 +292,7 @@ def _aggregate(
     mean_wait = float(
         np.mean(
             [
-                w.total_wait_time / max(1, len(w.records))
+                w.total_wait_time / max(1, w.iterations)
                 for w in worker_results
             ]
         )
@@ -346,7 +351,11 @@ class OverlapAllreduce:
             comm.start_progress_thread()
 
     def issue(self, gradient: np.ndarray, bucket: int) -> None:
-        """Start the nonblocking exchange of one gradient bucket."""
+        """Start the nonblocking exchange of one gradient bucket.
+
+        The bucket is posted as a *view* of ``gradient`` (no copy): the
+        slice must stay unmodified until :meth:`finish` returned.
+        """
         begin, end = self.bounds[bucket]
         self._pending.append(
             self.comm.iallreduce(

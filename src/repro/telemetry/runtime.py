@@ -165,6 +165,24 @@ class TelemetryRuntime(GaspiRuntime):
         self._c_bytes.add(size)
         self._c_posted.add()
 
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        self.inner.write_notify_from(
+            source, target_rank, segment_id_remote, offset_remote,
+            notification_id, notification_value, queue,
+        )
+        self._c_writes.add()
+        self._c_bytes.add(source.nbytes)
+        self._c_posted.add()
+
     # -- weak synchronisation ------------------------------------------- #
     def notify_waitsome(
         self,

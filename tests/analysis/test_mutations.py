@@ -9,6 +9,7 @@ that starts misfiling defects under another class, fails here.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -27,6 +28,7 @@ from repro.analysis.mutations import (
     drop_notify,
     duplicate_chunk_id,
     hoist_first_consume,
+    skip_allgather_copy_out,
 )
 
 
@@ -99,6 +101,21 @@ def test_corrupt_offset_is_budget_only():
     # ordering and destination ranges are untouched.
     trace = build_model("gaspi_bcast_bst", 8, 256).trace
     assert classes(analyze(corrupt_offset(trace))) == {BUDGET}
+
+
+def test_skipped_allgather_copy_out_fails_the_value_check():
+    # The single-copy ring's result lives in recvbuf; an arrival left in
+    # the landing zone posts and consumes like a copied one, so the trace
+    # stays clean and only the modelled values expose the defect.
+    cell = dict(num_ranks=4, nbytes=512, chunk_bytes=64)
+    expected = sum(np.arange(64, dtype=np.float64) + rank + 1 for rank in range(4))
+    clean = build_model("gaspi_allreduce_ring_pipelined", **cell)
+    assert all(np.array_equal(out, expected) for out in clean.recvbufs)
+    mutated = build_model(
+        "gaspi_allreduce_ring_pipelined", **cell, mutate_plan=skip_allgather_copy_out
+    )
+    assert analyze(mutated.trace) == []
+    assert not any(np.array_equal(out, expected) for out in mutated.recvbufs)
 
 
 @pytest.mark.parametrize(

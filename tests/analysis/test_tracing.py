@@ -78,6 +78,39 @@ def test_traced_bcast_run_is_clean():
     assert findings == [], [finding.describe() for finding in findings]
 
 
+def test_caller_memory_posts_trace_like_segment_posts():
+    # write_notify_from is recorded as the same event kind as write_notify
+    # (a data-carrying post, minus the local offset caller memory lacks):
+    # a live pipelined ring replays clean and posts what the model posts.
+    from repro.analysis import build_model
+
+    sink, results = _run_traced(
+        "gaspi_allreduce_ring_pipelined", "allreduce", 4, 512
+    )
+    expected = sum(np.arange(64, dtype=np.float64) + rank + 1 for rank in range(4))
+    for recvbuf in results:
+        assert np.array_equal(recvbuf, expected)
+    trace = sink.trace(name="live ring_pipelined x2")
+    assert analyze(trace) == []
+
+    def data_posts(events):
+        return sorted(
+            (e.dst, e.offset, e.length, e.notif_id)
+            for e in events
+            if e.kind == "post" and e.length > 0
+        )
+
+    model = build_model("gaspi_allreduce_ring_pipelined", 4, 512).trace
+    for rank in range(4):
+        live = data_posts(trace.events[rank])
+        assert live and live == data_posts(model.events[rank])
+        assert all(
+            e.local_offset == -1
+            for e in trace.events[rank]
+            if e.kind == "post" and e.length > 0
+        )
+
+
 def test_injected_double_post_is_caught():
     # Post the same notification id twice before the consume: the board
     # overwrites the unconsumed value — exactly the bug class the

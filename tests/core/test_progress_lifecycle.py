@@ -53,6 +53,10 @@ class ArmableExplodingRuntime(GaspiRuntime):
         self._maybe_explode()
         return self._base.write_notify(*args, **kwargs)
 
+    def write_notify_from(self, *args, **kwargs):
+        self._maybe_explode()
+        return self._base.write_notify_from(*args, **kwargs)
+
     # -- everything else delegates ----------------------------------------- #
     def segment_create(self, *args, **kwargs):
         return self._base.segment_create(*args, **kwargs)

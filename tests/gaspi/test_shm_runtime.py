@@ -350,3 +350,74 @@ class TestShmStack:
             np.testing.assert_allclose(
                 np.frombuffer(value), survivors, rtol=1e-12
             )
+
+
+# --------------------------------------------------------------------------- #
+# descriptor hygiene: segments come and go, /proc/self/fd stays flat
+# --------------------------------------------------------------------------- #
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+class TestShmDescriptors:
+    """Every created and every peer-attached block holds a mapping and two
+    descriptors; both must go when the segment is deleted, or a loop of
+    cold collectives walks into ``RLIMIT_NOFILE`` and wedges the world."""
+
+    def test_cold_calls_do_not_leak_descriptors(self):
+        def worker(rt):
+            comm = Communicator(rt, plan_cache=0)
+            small, big = np.ones(128), np.ones(1 << 15)
+            calls = [
+                lambda: comm.allreduce(small),
+                lambda: comm.bcast(small, root=0),
+                lambda: comm.reduce(small, np.empty_like(small)),
+                lambda: comm.alltoall(small),
+                lambda: comm.allreduce(big, algorithm="ring_pipelined"),
+                lambda: comm.bcast(big, root=1, algorithm="bst_pipelined"),
+            ]
+            for call in calls:  # first use of every code path
+                call()
+            before = _open_fds()
+            for i in range(300):
+                calls[i % len(calls)]()
+            after = _open_fds()
+            comm.close()
+            return before, after
+
+        for before, after in _run_clean(2, worker, timeout=120):
+            assert after == before
+
+    def test_plan_cache_evictions_do_not_leak_descriptors(self):
+        def worker(rt):
+            comm = Communicator(rt, plan_cache=4)
+            shapes = [np.ones(64 + 8 * i) for i in range(12)]
+            shapes.append(np.ones(1 << 15))  # a pipelined plan in the cycle
+            for x in shapes:
+                comm.allreduce(x)
+            before = _open_fds()
+            evictions0 = comm.plan_cache_stats().evictions
+            while comm.plan_cache_stats().evictions - evictions0 < 300:
+                for x in shapes:
+                    comm.allreduce(x)
+            after = _open_fds()
+            comm.close()
+            return before, after
+
+        for before, after in _run_clean(2, worker, timeout=120):
+            assert after == before
+
+    def test_cold_barrier_loop_survives_a_low_descriptor_limit(self):
+        import resource
+
+        def worker(rt):
+            _soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (256, hard))
+            comm = Communicator(rt)
+            for _ in range(2000):
+                comm.barrier(algorithm="auto")
+            comm.close()
+            return _open_fds()
+
+        assert max(_run_clean(2, worker, timeout=120)) < 256

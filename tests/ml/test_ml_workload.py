@@ -178,6 +178,28 @@ class TestDistributedSGD:
         for w in results:
             assert w.staleness.max_staleness <= 2
 
+    def test_rates_count_iterations_not_records(self):
+        # record_every thins the records, not the training: 12 iterations
+        # leave records at 5, 10 and the final 12, and the rate is 12 / time.
+        ds = movielens_like("small", seed=0)
+        config = DistributedSGDConfig(
+            num_workers=2,
+            iterations=12,
+            record_every=5,
+            base_compute_time=0.0,
+            perturbation="none",
+            seed=0,
+        )
+        results = run_distributed_sgd(ds, config)
+        for w in results:
+            assert [r.iteration for r in w.records] == [5, 10, 12]
+            assert w.iterations == 12
+            assert w.iterations_per_second == pytest.approx(12 / w.total_time)
+        entry = run_slack_sweep(ds, [0], config)[0]
+        rates = [w.iterations_per_second for w in entry.worker_results]
+        assert entry.mean_iterations_per_second == pytest.approx(sum(rates) / len(rates))
+        assert all(w.iterations == 12 for w in entry.worker_results)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             DistributedSGDConfig(algorithm="bsp")
