@@ -16,15 +16,19 @@ Entry points
     Run all four checkers over one trace; returns the findings.
 :func:`verify_algorithm`
     Model one algorithm/ranks/payload cell and analyze it.
+:func:`verify_recycling`
+    Model two different plans back to back on recycled workspace-pool
+    segments (one rank lagging) and analyze trace and values.
 ``python -m repro.analysis --all``
     Sweep every registered plannable algorithm × {4, 8, 16} ranks ×
-    representative payloads; non-zero exit on any finding.
+    representative payloads, plus the recycling pairs; non-zero exit on
+    any finding.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .budget import check_budget
 from .deadlock import check_double_posts, replay_trace
@@ -35,12 +39,19 @@ from .events import (
     DOUBLE_POST,
     MODEL_STUCK,
     UNMATCHED,
+    WRONG_VALUE,
     Event,
     Finding,
     ProtocolTrace,
     SegmentMeta,
 )
-from .model import ModelRun, ModelRuntime, ModelWorld, build_model
+from .model import (
+    ModelRun,
+    ModelRuntime,
+    ModelWorld,
+    build_model,
+    build_recycle_model,
+)
 from .races import check_races, compute_vector_clocks
 from .tracing import TraceSink, TracingRuntime
 
@@ -51,6 +62,7 @@ __all__ = [
     "DOUBLE_POST",
     "MODEL_STUCK",
     "UNMATCHED",
+    "WRONG_VALUE",
     "Event",
     "Finding",
     "ModelRun",
@@ -62,7 +74,9 @@ __all__ = [
     "TracingRuntime",
     "analyze",
     "build_model",
+    "build_recycle_model",
     "verify_algorithm",
+    "verify_recycling",
 ]
 
 
@@ -115,3 +129,14 @@ def verify_algorithm(
         calls=calls,
     )
     return analyze(run.trace)
+
+
+def verify_recycling(
+    bcast: str, other: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
+) -> List[Finding]:
+    """Model one workspace-recycling cell; trace findings plus wrong values."""
+    run = build_recycle_model(bcast, other, num_ranks, nbytes, **model_kwargs)
+    return analyze(run.trace) + [
+        Finding(WRONG_VALUE, message, trace=run.trace.name)
+        for message in run.wrong_values
+    ]

@@ -1,8 +1,9 @@
 """CLI sweep: ``python -m repro.analysis --all``.
 
 Models every registered plannable algorithm at several rank counts and
-representative payloads (monolithic and pipelined/chunked), runs all four
-checkers over each cell, and prints a findings report.  Exit status is
+representative payloads (monolithic and pipelined/chunked), plus pairs of
+different plans back to back on recycled workspace-pool segments, runs all
+four checkers over each cell, and prints a findings report.  Exit status is
 non-zero when any finding survives — CI runs this as the
 ``static-analysis`` job.
 """
@@ -16,7 +17,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
-from . import analyze, build_model
+from . import analyze, build_model, verify_recycling
 from .events import Finding
 
 #: (nbytes, chunk_bytes) payload cells, chosen so pipelined plans exercise
@@ -50,6 +51,18 @@ def _cells(
                 for root in roots:
                     cells.append((name, ranks, nbytes, chunk_bytes, root))
     return cells
+
+
+#: (broadcast, other plan) pairs run back to back on recycled workspace
+#: segments (pairs whose notification boards share a class, or nothing
+#: would be recycled): consume-acks left for the next lessee under both
+#: ack-id maps, the hypercube's clocked mailboxes, the ring's step slots.
+_RECYCLE_PAIRS: List[Tuple[str, str]] = [
+    ("gaspi_bcast_bst", "gaspi_bcast_flat"),
+    ("gaspi_bcast_bst", "gaspi_allreduce_ssp_hypercube"),
+    ("gaspi_bcast_flat", "gaspi_allreduce_ssp_hypercube"),
+    ("gaspi_bcast_bst", "gaspi_allreduce_ring"),
+]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -124,6 +137,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{status:>14}  {run.trace.name}  ({run.trace.total_events()} events)")
             for finding in findings:
                 print(f"                {finding.describe()}")
+    for bcast, other in _RECYCLE_PAIRS if args.all else ():
+        for ranks in args.ranks:
+            if REGISTRY.get(other).capabilities.unsupported_reason(ranks, None, None):
+                continue
+            findings = verify_recycling(bcast, other, ranks, calls=args.calls)
+            all_findings.extend(findings)
+            name = f"recycle[{bcast} <-> {other}, ranks={ranks}]"
+            report.append(
+                {"cell": name, "findings": [finding.describe() for finding in findings]}
+            )
+            if not args.json:
+                status = "ok" if not findings else f"{len(findings)} finding(s)"
+                print(f"{status:>14}  {name}")
+                for finding in findings:
+                    print(f"                {finding.describe()}")
     elapsed = time.perf_counter() - started
 
     if args.json:

@@ -138,6 +138,7 @@ DOUBLE_POST = "double-post"
 DATA_RACE = "data-race"
 BUDGET = "budget"
 MODEL_STUCK = "model-stuck"
+WRONG_VALUE = "wrong-value"
 
 
 @dataclass(frozen=True)

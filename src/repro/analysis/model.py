@@ -51,6 +51,7 @@ from ..core.reduce import (
 )
 from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
+from ..core.workspace import WorkspacePool
 from ..gaspi.constants import (
     DEFAULT_NOTIFICATION_COUNT,
     DEFAULT_NOTIFICATION_VALUE,
@@ -168,6 +169,10 @@ class ModelWorld:
         self.num_ranks = num_ranks
         self.events: List[List[Event]] = [[] for _ in range(num_ranks)]
         self.segments: Dict[Tuple[int, int], ModelSegment] = {}
+        #: Barriers entered so far, per rank (the model's barrier records
+        #: and returns; programs that must not run ahead of one wait on
+        #: these counts — see :func:`build_recycle_model`).
+        self.barriers: List[int] = [0] * num_ranks
         #: Monotone progress counter for the cooperative scheduler.
         self.op_count = 0
         self._runtimes = [ModelRuntime(self, r) for r in range(num_ranks)]
@@ -442,6 +447,7 @@ class ModelRuntime(GaspiRuntime):
         return None
 
     def barrier(self, group: Any = None, timeout: float = GASPI_BLOCK) -> None:
+        self._world.barriers[self._rank] += 1
         self._world.record(Event(kind=BARRIER, rank=self._rank))
 
 
@@ -606,20 +612,21 @@ def _emit_ssp_allreduce(
     part_clock = instance.clock
     for k in range(instance.dimensions):
         partner = instance.hypercube.partner(rt.rank, k)
-        instance._send_partial(partner, k, part_red, part_clock)
-        rcv_clock, rcv_data = instance._read_mailbox(k)
+        box = instance._mailbox(k)
+        instance._send_partial(partner, box, part_red, part_clock)
+        rcv_clock, rcv_data = instance._read_mailbox(box)
         if rcv_clock < min_clock_accepted:
             while True:
-                got = rt.notify_waitsome(sid, k, 1, timeout=0.0)
+                got = rt.notify_waitsome(sid, box, 1, timeout=0.0)
                 if got is not None:
                     rt.notify_reset(sid, got)
-                rcv_clock, rcv_data = instance._read_mailbox(k)
+                rcv_clock, rcv_data = instance._read_mailbox(box)
                 if rcv_clock >= min_clock_accepted:
                     break
                 yield
         else:
-            if rt.notify_peek(sid, k):
-                rt.notify_reset(sid, k)
+            if rt.notify_peek(sid, box):
+                rt.notify_reset(sid, box)
         kernels.reduce_into(instance.op, part_red, rcv_data)
         part_clock = min(part_clock, int(rcv_clock))
     if request.recvbuf is not None:
@@ -677,6 +684,9 @@ class ModelRun:
     recvbufs: List[Optional[np.ndarray]]
     algorithm: str = ""
     stalled_ranks: List[int] = field(default_factory=list)
+    #: Results that differ from the NumPy reference (recycling cells check
+    #: every plan of their sequence themselves — the buffers are reused).
+    wrong_values: List[str] = field(default_factory=list)
 
 
 def _run_cooperative(world: ModelWorld, programs: List[Iterator[None]]) -> List[int]:
@@ -697,6 +707,22 @@ def _run_cooperative(world: ModelWorld, programs: List[Iterator[None]]) -> List[
         if not progressed:
             return sorted(live)
     return []
+
+
+def _payloads(
+    collective: str, num_ranks: int, elements: int, root: int
+) -> Tuple[List[np.ndarray], List[Optional[np.ndarray]]]:
+    """Per-rank (sendbufs, recvbufs) of one modelled collective."""
+    ramp = np.arange(elements, dtype=np.float64)
+    if collective == "bcast":
+        return (
+            [ramp + 1.0 if r == root else np.zeros(elements) for r in range(num_ranks)],
+            [None] * num_ranks,
+        )
+    return (
+        [ramp + r + 1.0 for r in range(num_ranks)],
+        [np.zeros(elements) for _ in range(num_ranks)],
+    )
 
 
 def build_model(
@@ -751,19 +777,7 @@ def build_model(
         for plan in plans:
             mutate_plan(plan)
 
-    sendbufs: List[np.ndarray] = []
-    recvbufs: List[Optional[np.ndarray]] = []
-    for rank in range(num_ranks):
-        if info.collective == "bcast":
-            if rank == root:
-                sendbufs.append(np.arange(elements, dtype=dtype) + 1.0)
-            else:
-                sendbufs.append(np.zeros(elements, dtype=dtype))
-            recvbufs.append(None)
-        else:
-            sendbufs.append(np.arange(elements, dtype=dtype) + rank + 1.0)
-            recvbufs.append(np.zeros(elements, dtype=dtype))
-
+    sendbufs, recvbufs = _payloads(info.collective, num_ranks, elements, root)
     emit = _emitter_for(plans[0])
 
     def rank_program(rank: int) -> Emitter:
@@ -790,7 +804,6 @@ def build_model(
         num_ranks=num_ranks,
         events=world.events,
         segments=world.segment_metas(),
-        overwrite_tolerant=isinstance(plans[0], HypercubeAllreducePlan),
         stalled_ranks=stalled,
     )
     return ModelRun(
@@ -801,4 +814,135 @@ def build_model(
         recvbufs=recvbufs,
         algorithm=algorithm,
         stalled_ranks=stalled,
+    )
+
+
+def build_recycle_model(
+    bcast: str,
+    other: str,
+    num_ranks: int,
+    nbytes: int = 256,
+    *,
+    laggard: int = 1,
+    calls: int = 2,
+    mutate_pool: Optional[Callable[[WorkspacePool], None]] = None,
+) -> ModelRun:
+    """Two different plans back to back on recycled workspace segments.
+
+    Every rank drives one :class:`~repro.core.workspace.WorkspacePool`
+    through the misses of a one-entry plan cache over the sequence
+    ``bcast, other, other, bcast``: each miss releases the evicted plan,
+    then compiles the next.  ``other`` moves ``nbytes``; the broadcast —
+    whose workspace is its payload — is sized to ``other``'s workspace, so
+    the two share a size class.  The third plan thereby runs on the
+    segment the first one released two misses earlier and the fourth on
+    the second one's: both orders of the pair, each on a scrubbed segment
+    behind the cooling barrier.  Rank ``laggard`` idles before every
+    call, so the others run as far ahead as the protocol lets them.
+
+    The model's barrier records and returns, so the programs wait where a
+    real barrier would hold them: until every rank arrived, before a
+    release; until every rank entered it, after a pool miss.  A recycled
+    lease takes no barrier and nothing holds a rank back — which is what
+    exposes the seeded pool defects of :mod:`repro.analysis.mutations`
+    (applied to every rank's pool through ``mutate_pool``).
+    """
+    sized = build_model(other, num_ranks, nbytes, calls=0)
+    workspace = sized.world.segment(0, sized.plans[0].segment_id).buffer.size
+    first, second = (bcast, workspace), (other, nbytes)
+    policy = ConsistencyPolicy()
+    world = ModelWorld(num_ranks)
+    pools = [WorkspacePool(world.runtime(r), 23, 64) for r in range(num_ranks)]
+    if mutate_pool is not None:
+        for pool in pools:
+            mutate_pool(pool)
+    sequence = [first, second, second, first]
+    arrived = [0] * num_ranks
+    plans: List[List[CollectivePlan]] = [[] for _ in range(num_ranks)]
+    wrong: List[str] = []
+    buffers: Dict[int, Tuple[List[np.ndarray], List[Optional[np.ndarray]]]] = {}
+
+    def rank_program(rank: int) -> Emitter:
+        rt = world.runtime(rank)
+        for step, (algorithm, nbytes) in enumerate(sequence):
+            info = REGISTRY.get(algorithm)
+            elements = max(1, nbytes // 8)
+            key = PlanKey(
+                collective=info.collective,
+                algorithm=algorithm,
+                size=num_ranks,
+                root=0,
+                nbytes=elements * 8,
+                dtype="<f8",
+                op="sum",
+                policy=policy_fingerprint(policy),
+            )
+            if plans[rank]:
+                arrived[rank] += 1
+                while min(arrived) < arrived[rank]:
+                    yield
+                plans[rank][-1].release()
+            entered = world.barriers[rank]
+            plan = info.plan(rt, key, 0, policy, pools[rank])
+            plans[rank].append(plan)
+            if world.barriers[rank] > entered:  # a pool miss: hold at its barrier
+                while min(world.barriers) < world.barriers[rank]:
+                    yield
+            sendbufs, recvbufs = buffers.setdefault(
+                step, _payloads(info.collective, num_ranks, elements, 0)
+            )
+            emit = _emitter_for(plan)
+            for call in range(calls):
+                for _ in range(8 if rank == laggard else 0):
+                    world.op_count += 1  # idling is progress, not a stall
+                    yield
+                request = CollectiveRequest(
+                    collective=info.collective,
+                    sendbuf=sendbufs[rank],
+                    recvbuf=recvbufs[rank],
+                    op="sum",
+                    policy=policy,
+                    segment_id=plan.segment_id,
+                )
+                yield from emit(plan, request)
+                if info.collective == "bcast":
+                    got, want = sendbufs[rank], np.arange(elements) + 1.0
+                elif info.collective == "allreduce" or rank == 0:
+                    got = recvbufs[rank]
+                    want = sum(np.arange(elements) + r + 1.0 for r in range(num_ranks))
+                else:
+                    continue
+                if not np.array_equal(got, want):
+                    wrong.append(
+                        f"rank {rank}: plan {step} ({algorithm}) call {call} "
+                        f"computed a wrong result"
+                    )
+
+    stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
+    recycled = [
+        len(p) == 4 and (p[2].segment_id, p[3].segment_id)
+        == (p[0].segment_id, p[1].segment_id)
+        for p in plans
+    ]
+    if not stalled and mutate_pool is None and not all(recycled):
+        raise ValueError(f"{bcast} and {other} recycled nothing at {num_ranks} ranks")
+    trace = ProtocolTrace(
+        name=(
+            f"recycle[{bcast} <-> {other}, ranks={num_ranks}, "
+            f"nbytes={workspace}/{nbytes}, laggard={laggard}]"
+        ),
+        num_ranks=num_ranks,
+        events=world.events,
+        segments=world.segment_metas(),
+        stalled_ranks=stalled,
+    )
+    return ModelRun(
+        trace=trace,
+        world=world,
+        plans=[p[-1] for p in plans if p],
+        sendbufs=[],
+        recvbufs=[],
+        algorithm=f"{bcast}<->{other}",
+        stalled_ranks=stalled,
+        wrong_values=wrong,
     )

@@ -19,6 +19,12 @@ a compiled *plan*, because a receiver that leaves an arrival in its
 segment posts and consumes exactly what a correct one does.  It is applied
 through ``build_model(..., mutate_plan=...)`` and must be caught by the
 model's value check — every rank's ``recvbuf`` against the NumPy sum.
+
+Two more live in the workspace *pool* and are applied through
+``build_recycle_model(..., mutate_pool=...)``: :func:`reuse_without_cooling`
+and :func:`skip_scrub` break the two halves of the argument that makes a
+recycled segment safe — the barrier between a scrub and the next lessee's
+first write, and the scrub itself.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .events import CONSUME, POST, Event, ProtocolTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import PipelinedRingAllreducePlan
+    from ..core.workspace import WorkspacePool
 
 
 def _first_post_location(
@@ -204,3 +211,35 @@ def skip_allgather_copy_out(plan: "PipelinedRingAllreducePlan") -> None:
         for sends, recvs, fold in plan.steps
     ]
 
+
+
+def reuse_without_cooling(pool: "WorkspacePool") -> None:
+    """Make a released segment leasable at the miss that released it.
+
+    The pool parks a scrubbed segment in ``cooling`` until the *next*
+    release barrier proves every rank finished its scrub.  Promoting it
+    at once lets a fast rank lease it and write into a slow rank's copy
+    before that rank has scrubbed: expected finding class ``data-race``
+    (a remote write unordered against the scrub's stores), and the wiped
+    arrival then starves its consumer.
+    """
+    release = pool.release
+
+    def hasty_release(segment_id: int) -> None:
+        release(segment_id)
+        for key, idle_id in pool._cooling:
+            pool._free.setdefault(key, []).append(idle_id)
+        pool._cooling.clear()
+
+    pool.release = hasty_release  # type: ignore[method-assign]
+
+
+def skip_scrub(pool: "WorkspacePool") -> None:
+    """Park released segments as their last lessee left them.
+
+    The next plan then finds consume-acks already posted and mailbox
+    headers carrying old clocks.  The trace of each rank is still a legal
+    schedule; expected symptom: the hypercube accepts the stale bytes in
+    its mailbox as a fresh contribution — a wrong value.
+    """
+    pool._scrub = lambda segment_id, notification_ids: None  # type: ignore[method-assign]

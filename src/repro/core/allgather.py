@@ -15,8 +15,10 @@ import numpy as np
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
+from .allreduce_ring import ring_notification_layout
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring
+from .workspace import Lease, WorkspacePool
 
 #: Default segment id used by the allgather collective.
 ALLGATHER_SEGMENT_ID = 130
@@ -29,7 +31,7 @@ def ring_allgather(
     segment_id: int = ALLGATHER_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Gather equal-sized blocks from every rank onto every rank.
 
@@ -71,46 +73,44 @@ def ring_allgather(
     # Lower half of the segment: receive slots (one per step, written by the
     # predecessor); upper half: local send staging.  Keeping them disjoint
     # avoids clobbering an early-arriving block while staging the outgoing one.
-    if manage_segment:
-        runtime.segment_create(segment_id, slot_bytes * (size - 1) * 2)
-        runtime.barrier()
     send_region = slot_bytes * (size - 1)
-    try:
-        for step in range(size - 1):
-            # Send the block received in the previous step (own block first).
-            send_owner = (rank - step) % size
-            recv_owner = (rank - step - 1) % size
-            offset = step * slot_bytes
+    step_ids = ring_notification_layout(size - 1).end  # notification id == step
+    with Lease(
+        runtime, pool, segment_id, slot_bytes * (size - 1) * 2, step_ids
+    ) as segment_id:
+        try:
+            for step in range(size - 1):
+                # Send the block received in the previous step (own block first).
+                send_owner = (rank - step) % size
+                recv_owner = (rank - step - 1) % size
+                offset = step * slot_bytes
 
-            staging = runtime.segment_view(
-                segment_id, dtype=sendbuf.dtype, offset=send_region + offset, count=block
-            )
-            staging[:] = recvbuf[send_owner * block : (send_owner + 1) * block]
-            runtime.write_notify(
-                segment_id_local=segment_id,
-                offset_local=send_region + offset,
-                target_rank=nxt,
-                segment_id_remote=segment_id,
-                offset_remote=offset,
-                size=slot_bytes,
-                notification_id=step,
-                queue=queue,
-            )
-            runtime.wait(queue)
+                staging = runtime.segment_view(
+                    segment_id, dtype=sendbuf.dtype, offset=send_region + offset, count=block
+                )
+                staging[:] = recvbuf[send_owner * block : (send_owner + 1) * block]
+                runtime.write_notify(
+                    segment_id_local=segment_id,
+                    offset_local=send_region + offset,
+                    target_rank=nxt,
+                    segment_id_remote=segment_id,
+                    offset_remote=offset,
+                    size=slot_bytes,
+                    notification_id=step,
+                    queue=queue,
+                )
+                runtime.wait(queue)
 
-            got = runtime.notify_waitsome(segment_id, step, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(f"rank {rank}: allgather step {step} never completed")
-            runtime.notify_reset(segment_id, step)
-            incoming = runtime.segment_read(
-                segment_id, dtype=sendbuf.dtype, offset=offset, count=block
-            )
-            recvbuf[recv_owner * block : (recv_owner + 1) * block] = incoming
-    finally:
-        staging = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+                got = runtime.notify_waitsome(segment_id, step, 1, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(f"rank {rank}: allgather step {step} never completed")
+                runtime.notify_reset(segment_id, step)
+                incoming = runtime.segment_read(
+                    segment_id, dtype=sendbuf.dtype, offset=offset, count=block
+                )
+                recvbuf[recv_owner * block : (recv_owner + 1) * block] = incoming
+        finally:
+            staging = None  # a live view would keep the segment's mapping open
     return recvbuf
 
 

@@ -30,6 +30,7 @@ from ..utils.validation import require
 from . import kernels
 from .notifmap import NotificationLayout, NotifRange
 from .plan import CollectivePlan
+from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring, chunk_bounds
@@ -69,7 +70,7 @@ def ring_allreduce(
     segment_id: int = RING_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> RingAllreduceStats:
     """Segmented pipelined ring allreduce over all ranks.
 
@@ -132,71 +133,68 @@ def ring_allreduce(
     # regions disjoint is essential: a fast predecessor may deliver the
     # step-k chunk before this rank has even staged its own step-k send, and
     # the incoming data must not be clobbered.
-    if manage_segment:
-        runtime.segment_create(segment_id, slot_bytes * total_steps * 2)
-        runtime.barrier()
     send_region = slot_bytes * total_steps
 
     bytes_sent = 0
     bytes_received = 0
-    try:
-        # ----------------------------- Scatter-Reduce ---------------------- #
-        for step in range(size - 1):
-            send_chunk = ring.scatter_reduce_send_chunk(rank, step)
-            recv_chunk = ring.scatter_reduce_recv_chunk(rank, step)
-            s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
-            r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
+    with Lease(
+        runtime, pool, segment_id, slot_bytes * total_steps * 2, step_ids.end
+    ) as segment_id:
+        try:
+            # ----------------------------- Scatter-Reduce ---------------------- #
+            for step in range(size - 1):
+                send_chunk = ring.scatter_reduce_send_chunk(rank, step)
+                recv_chunk = ring.scatter_reduce_recv_chunk(rank, step)
+                s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
+                r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
 
-            _send_chunk(
-                runtime,
-                work[s_begin:s_end],
-                nxt,
-                segment_id,
-                step,
-                slot_bytes,
-                send_region,
-                queue,
-            )
-            bytes_sent += (s_end - s_begin) * itemsize
+                _send_chunk(
+                    runtime,
+                    work[s_begin:s_end],
+                    nxt,
+                    segment_id,
+                    step,
+                    slot_bytes,
+                    send_region,
+                    queue,
+                )
+                bytes_sent += (s_end - s_begin) * itemsize
 
-            incoming = _recv_chunk(
-                runtime, segment_id, step, r_end - r_begin, work.dtype, slot_bytes, timeout
-            )
-            bytes_received += (r_end - r_begin) * itemsize
-            if incoming.size:
-                kernels.reduce_into(operator, work[r_begin:r_end], incoming)
+                incoming = _recv_chunk(
+                    runtime, segment_id, step, r_end - r_begin, work.dtype, slot_bytes, timeout
+                )
+                bytes_received += (r_end - r_begin) * itemsize
+                if incoming.size:
+                    kernels.reduce_into(operator, work[r_begin:r_end], incoming)
 
-        # ----------------------------- Allgather --------------------------- #
-        for step in range(size - 1):
-            gstep = (size - 1) + step
-            send_chunk = ring.allgather_send_chunk(rank, step)
-            recv_chunk = ring.allgather_recv_chunk(rank, step)
-            s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
-            r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
+            # ----------------------------- Allgather --------------------------- #
+            for step in range(size - 1):
+                gstep = (size - 1) + step
+                send_chunk = ring.allgather_send_chunk(rank, step)
+                recv_chunk = ring.allgather_recv_chunk(rank, step)
+                s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
+                r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
 
-            _send_chunk(
-                runtime,
-                work[s_begin:s_end],
-                nxt,
-                segment_id,
-                gstep,
-                slot_bytes,
-                send_region,
-                queue,
-            )
-            bytes_sent += (s_end - s_begin) * itemsize
+                _send_chunk(
+                    runtime,
+                    work[s_begin:s_end],
+                    nxt,
+                    segment_id,
+                    gstep,
+                    slot_bytes,
+                    send_region,
+                    queue,
+                )
+                bytes_sent += (s_end - s_begin) * itemsize
 
-            incoming = _recv_chunk(
-                runtime, segment_id, gstep, r_end - r_begin, work.dtype, slot_bytes, timeout
-            )
-            bytes_received += (r_end - r_begin) * itemsize
-            if incoming.size:
-                work[r_begin:r_end] = incoming
-    finally:
-        incoming = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+                incoming = _recv_chunk(
+                    runtime, segment_id, gstep, r_end - r_begin, work.dtype, slot_bytes, timeout
+                )
+                bytes_received += (r_end - r_begin) * itemsize
+                if incoming.size:
+                    work[r_begin:r_end] = incoming
+        finally:
+            incoming = None  # a live view would keep the segment's mapping open
 
     recvbuf[:] = work
     return RingAllreduceStats(
@@ -290,8 +288,8 @@ class RingAllreducePlan(CollectivePlan):
 
     _segment_views = ("_send_slots", "_recv_slots")
 
-    def __init__(self, runtime, key, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         size = runtime.size
@@ -326,7 +324,10 @@ class RingAllreducePlan(CollectivePlan):
                 )
             )
         if size > 1:
-            self._create_workspace(self.slot_bytes * self.total_steps * 2)
+            self._lease_workspace(
+                self.slot_bytes * self.total_steps * 2, self.step_ids.end
+            )
+            segment_id = self.segment_id
             # Frozen zero-copy views per step: the send staging slot and
             # the receive slot (the latter sliced to the chunk length).
             self._send_slots = [

@@ -19,6 +19,13 @@ Implementation notes matching the paper:
   checks the slot's clock against ``clock - slack``; only when it is older
   does it block on the slot's notification, and it keeps waiting until a
   sufficiently fresh contribution lands.
+* **Strict calls never read ahead.**  "Overwriting its previous
+  contribution" is the point under slack, but at ``slack = 0`` a partner
+  that already entered its *next* call would replace the contribution this
+  call has yet to read, and the result would fold a value from the future.
+  A strict partner is at most one call ahead (its call ``c + 1`` needs
+  this rank's ``c + 1`` data), so a strict instance keeps two mailboxes —
+  and notification ids — per step, selected by the parity of the clock.
 
 The collective keeps state across calls (the mailboxes and the local
 clock), so it is exposed as a class, :class:`SSPAllreduce`, that an
@@ -33,12 +40,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.errors import GaspiError
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
+from .notifmap import NotificationLayout
 from .plan import CollectivePlan
+from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Hypercube
@@ -117,7 +124,10 @@ class SSPAllreduce:
     dtype:
         Element dtype of the reduced vector.
     segment_id:
-        Segment id of the mailbox segment (one per collective instance).
+        Segment id of the mailbox segment of a standalone instance.
+    pool:
+        The caller's :class:`~repro.core.workspace.WorkspacePool`; the
+        mailbox segment is leased from it and ``segment_id`` is not used.
     wait_timeout:
         Upper bound (seconds) on a single "wait for fresh update"; raising
         :class:`TimeoutError` instead of hanging forever makes failures in
@@ -137,6 +147,7 @@ class SSPAllreduce:
         queue: int = 0,
         wait_timeout: float = 60.0,
         keep_per_call_stats: bool = True,
+        pool: Optional[WorkspacePool] = None,
     ) -> None:
         require(num_elements > 0, "num_elements must be positive")
         require(slack >= 0, f"slack must be non-negative, got {slack}")
@@ -147,7 +158,6 @@ class SSPAllreduce:
         self.slack = int(slack)
         self.op = get_op(op)
         self.dtype = np.dtype(dtype)
-        self.segment_id = int(segment_id)
         self.queue = int(queue)
         self.wait_timeout = float(wait_timeout)
         self.keep_per_call_stats = bool(keep_per_call_stats)
@@ -160,11 +170,16 @@ class SSPAllreduce:
         # Slot layout: [clock: float64][payload: num_elements * dtype]
         self._slot_header = 8
         self._slot_bytes = self._slot_header + self.num_elements * self.dtype.itemsize
-        # One mailbox slot per dimension plus one staging slot for sends.
-        segment_bytes = max(self._slot_bytes * (self.dimensions + 1), 16)
-        runtime.segment_create(self.segment_id, segment_bytes)
-        runtime.barrier()
-        self._send_offset = self.dimensions * self._slot_bytes
+        # One mailbox (and notification id) per dimension — per dimension and
+        # clock parity when strict — plus one staging slot for sends.
+        self._parities = 2 if self.slack == 0 else 1
+        mailboxes = self.dimensions * self._parities
+        ids = NotificationLayout().add("mailboxes", max(1, mailboxes)).end
+        self._lease = Lease(
+            runtime, pool, segment_id, self._slot_bytes * (mailboxes + 1), ids
+        )
+        self.segment_id = self._lease.segment_id
+        self._send_offset = mailboxes * self._slot_bytes
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -212,23 +227,24 @@ class SSPAllreduce:
 
         for k in range(self.dimensions):
             partner = self.hypercube.partner(self.runtime.rank, k)
+            box = self._mailbox(k)
 
             # line 6: send the current partial reduction (tagged with its clock)
-            self._send_partial(partner, k, part_red, part_clock)
+            self._send_partial(partner, box, part_red, part_clock)
 
             # line 7: read the last contribution received for this step
-            rcv_clock, rcv_data = self._read_mailbox(k)
+            rcv_clock, rcv_data = self._read_mailbox(box)
 
             # lines 8-11: wait only if the cached contribution is too stale
             if rcv_clock < min_clock_accepted:
-                waited = self._wait_for_update(k, min_clock_accepted, stats)
+                waited = self._wait_for_update(box, min_clock_accepted, stats)
                 rcv_clock, rcv_data = waited
             else:
                 stats.stale_reuses += 1 if rcv_clock < self.clock else 0
                 stats.fresh_uses += 1 if rcv_clock >= self.clock else 0
                 # consume a pending notification, if any, to keep the board tidy
-                if self.runtime.notify_peek(self.segment_id, k):
-                    self.runtime.notify_reset(self.segment_id, k)
+                if self.runtime.notify_peek(self.segment_id, box):
+                    self.runtime.notify_reset(self.segment_id, box)
 
             # line 12: reduce sent with received data; clock = min of the two
             kernels.reduce_into(self.op, part_red, rcv_data)
@@ -242,10 +258,14 @@ class SSPAllreduce:
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
+    def _mailbox(self, step: int) -> int:
+        """Mailbox (= notification id) of ``step`` at the current clock."""
+        return step * self._parities + self.clock % self._parities
+
     def _send_partial(
         self, partner: int, step: int, data: np.ndarray, data_clock: int
     ) -> None:
-        """Write ``[clock, data]`` into the partner's step-``step`` mailbox."""
+        """Write ``[clock, data]`` into the partner's mailbox ``step``."""
         header = self.runtime.segment_view(
             self.segment_id, dtype=np.float64, offset=self._send_offset, count=1
         )
@@ -311,18 +331,18 @@ class SSPAllreduce:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def flush(self) -> None:
-        """Synchronise all ranks (used before tearing the collective down)."""
-        self._check_open()
-        self.runtime.barrier()
-
     def close(self) -> None:
-        """Release the mailbox segment.  All ranks must call this together."""
-        if self._closed:
-            return
-        self.runtime.barrier()
-        self.runtime.segment_delete(self.segment_id)
-        self._closed = True
+        """Release the mailbox segment (collective).  The release barrier
+        matters: slack > 0 permits in-flight partner writes at call boundaries."""
+        if not self._closed:
+            self._closed = True
+            self._lease.release()
+
+    def drop(self) -> None:
+        """Local teardown: no synchronisation (see :meth:`Lease.drop`)."""
+        if not self._closed:
+            self._closed = True
+            self._lease.drop()
 
     def __enter__(self) -> "SSPAllreduce":
         return self
@@ -344,6 +364,7 @@ def ssp_allreduce_once(
     slack: int = 0,
     op: str | ReductionOp = "sum",
     segment_id: int = SSP_SEGMENT_ID,
+    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Single-call convenience wrapper (constructs and tears down the state).
 
@@ -359,9 +380,9 @@ def ssp_allreduce_once(
         op=op,
         dtype=contribution.dtype,
         segment_id=segment_id,
+        pool=pool,
     ) as coll:
         result = coll.reduce(contribution)
-        coll.flush()
     return result.value
 
 
@@ -372,23 +393,22 @@ class HypercubeAllreducePlan(CollectivePlan):
     """Compiled hypercube allreduce: one persistent :class:`SSPAllreduce`.
 
     The one-shot dispatch path (:func:`ssp_allreduce_once`) constructs and
-    tears down the whole mailbox state per call — a segment registration,
-    two barriers and a delete.  The plan keeps a single long-lived
-    :class:`SSPAllreduce` instead; cross-call safety is inherent in the
-    SSP design, because every contribution travels with its logical clock
-    and a slack-0 reader blocks until the partner's *current*-clock data
-    arrived.  Each planned call is therefore exactly one `reduce()` of
+    tears down the whole mailbox state per call.  The plan keeps a single
+    long-lived :class:`SSPAllreduce` instead; cross-call safety is inherent
+    in the SSP design, because every contribution travels with its logical
+    clock, a slack-0 reader blocks until the partner's *current*-clock data
+    arrived, and the parity mailboxes keep a partner's next call out of
+    this one.  Each planned call is therefore exactly one `reduce()` of
     Algorithm 1, and repeated calls return bit-identical values to
     repeated one-shot calls (the reduction order per step is fixed by the
     hypercube).
     """
 
-    def __init__(self, runtime, key, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
-        # The SSP instance owns the workspace segment (created in its
-        # constructor, including the one synchronising barrier).
+        # The SSP instance holds the workspace lease.
         self._instance = SSPAllreduce(
             runtime,
             self.elements,
@@ -396,8 +416,9 @@ class HypercubeAllreducePlan(CollectivePlan):
             op=key.op,
             dtype=self.dtype,
             segment_id=segment_id,
+            pool=pool,
         )
-        self._workspace_created = True
+        self.segment_id = self._instance.segment_id
 
     @property
     def instance(self) -> SSPAllreduce:
@@ -418,26 +439,13 @@ class HypercubeAllreducePlan(CollectivePlan):
             value = request.recvbuf
         return CollectiveResult(value=value)
 
-    def close(self) -> None:
-        """Release the mailbox segment through the SSP instance (idempotent).
-
-        :meth:`SSPAllreduce.close` synchronises the ranks before the
-        delete — necessary because slack > 0 permits genuinely in-flight
-        partner writes at call boundaries.  Plan closes happen in
-        lock-step (cache eviction and ``Communicator.close()`` are
-        collective), so the barrier pairs up; a runtime that can no longer
-        synchronise (crashed rank) degrades to a local delete.
-        """
-        if self._closed:
-            return
+    def release(self) -> None:
         self._closed = True
-        try:
-            self._instance.close()
-        except GaspiError:  # pragma: no cover - crashed/vanished runtime
-            try:
-                self.runtime.segment_delete(self.segment_id)
-            except GaspiError:
-                pass
+        self._instance.close()
+
+    def close(self) -> None:
+        self._closed = True
+        self._instance.drop()
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,9 @@ import numpy as np
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
+from .notifmap import NotificationLayout
 from .schedule import CommunicationSchedule, Message, Protocol
+from .workspace import Lease, WorkspacePool
 
 #: Default segment id used by the alltoall collectives.
 ALLTOALL_SEGMENT_ID = 140
@@ -34,7 +36,7 @@ def alltoall(
     segment_id: int = ALLTOALL_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Exchange equal-sized blocks between every pair of ranks.
 
@@ -75,51 +77,47 @@ def alltoall(
     # Segment layout: the slot at offset i*block_bytes receives rank i's block.
     # Outgoing blocks are posted straight from ``sendbuf`` (caller memory
     # needs no registration), so the segment holds receive slots only.
-    if manage_segment:
-        runtime.segment_create(segment_id, max(size * block_bytes, 8))
-        runtime.barrier()
-    try:
-        slots = runtime.segment_view(segment_id, dtype=sendbuf.dtype, count=sendbuf.size)
+    producer_ids = NotificationLayout().add("data", size).end  # id = producer
+    with Lease(runtime, pool, segment_id, size * block_bytes, producer_ids) as segment_id:
+        try:
+            slots = runtime.segment_view(segment_id, dtype=sendbuf.dtype, count=sendbuf.size)
 
-        # Own block never touches the network.
-        recvbuf[rank * block : (rank + 1) * block] = sendbuf[
-            rank * block : (rank + 1) * block
-        ]
+            # Own block never touches the network.
+            recvbuf[rank * block : (rank + 1) * block] = sendbuf[
+                rank * block : (rank + 1) * block
+            ]
 
-        for peer in range(size):
-            if peer == rank:
-                continue
-            runtime.write_notify_from(
-                sendbuf[peer * block : (peer + 1) * block],
-                target_rank=peer,
-                segment_id_remote=segment_id,
-                offset_remote=rank * block_bytes,
-                notification_id=rank,
-                queue=queue,
-            )
-        if size > 1:
-            runtime.wait(queue)
-
-        pending = {p for p in range(size) if p != rank}
-        while pending:
-            got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: alltoall still waiting for blocks from {sorted(pending)}"
+            for peer in range(size):
+                if peer == rank:
+                    continue
+                runtime.write_notify_from(
+                    sendbuf[peer * block : (peer + 1) * block],
+                    target_rank=peer,
+                    segment_id_remote=segment_id,
+                    offset_remote=rank * block_bytes,
+                    notification_id=rank,
+                    queue=queue,
                 )
-            runtime.notify_reset(segment_id, got)
-            if got in pending:
-                pending.discard(got)
-                # The consumed notification makes the slot quiescent (each
-                # peer writes it once per call): copy straight out of it.
-                recvbuf[got * block : (got + 1) * block] = slots[
-                    got * block : (got + 1) * block
-                ]
-    finally:
-        slots = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+            if size > 1:
+                runtime.wait(queue)
+
+            pending = {p for p in range(size) if p != rank}
+            while pending:
+                got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(
+                        f"rank {rank}: alltoall still waiting for blocks from {sorted(pending)}"
+                    )
+                runtime.notify_reset(segment_id, got)
+                if got in pending:
+                    pending.discard(got)
+                    # The consumed notification makes the slot quiescent (each
+                    # peer writes it once per call): copy straight out of it.
+                    recvbuf[got * block : (got + 1) * block] = slots[
+                        got * block : (got + 1) * block
+                    ]
+        finally:
+            slots = None  # a live view would keep the segment's mapping open
     return recvbuf
 
 
@@ -132,7 +130,7 @@ def alltoallv(
     segment_id: int = ALLTOALL_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Variable-size AlltoAll (``MPI_Alltoallv`` equivalent).
 
@@ -180,88 +178,88 @@ def alltoallv(
     recv_region = header_bytes
 
     # Notification ids: [0, size) for data (id = producer), [size, 2*size) for
-    # the offset-exchange header (id = size + producer).
-    if manage_segment:
-        runtime.segment_create(segment_id, header_bytes + recv_bytes_total)
-        runtime.barrier()
-    try:
-        header = runtime.segment_view(segment_id, dtype=np.int64, count=size)
-        arrivals = runtime.segment_view(
-            segment_id, dtype=sendbuf.dtype, offset=recv_region, count=total_recv
-        )
-        offsets_out = np.array(
-            [recv_region + int(d) * itemsize for d in recv_displs], dtype=np.int64
-        )
-
-        # Phase 1: tell every peer where its data belongs in our recv region.
-        for peer in range(size):
-            if peer == rank:
-                continue
-            runtime.write_notify_from(
-                offsets_out[peer : peer + 1],
-                target_rank=peer,
-                segment_id_remote=segment_id,
-                offset_remote=rank * 8,
-                notification_id=size + rank,
-                queue=queue,
+    # the offset-exchange header (id = size + producer).  The receive region
+    # is as large as this rank's ``recv_counts`` say — a size the ranks do
+    # not share, hence an exact lease.
+    ids = NotificationLayout().add("data+offsets", 2 * size).end
+    with Lease(
+        runtime, pool, segment_id, header_bytes + recv_bytes_total, ids, exact=True
+    ) as segment_id:
+        try:
+            header = runtime.segment_view(segment_id, dtype=np.int64, count=size)
+            arrivals = runtime.segment_view(
+                segment_id, dtype=sendbuf.dtype, offset=recv_region, count=total_recv
             )
-        if size > 1:
-            runtime.wait(queue)
+            offsets_out = np.array(
+                [recv_region + int(d) * itemsize for d in recv_displs], dtype=np.int64
+            )
 
-        # local block
-        own = sendbuf[send_displs[rank] : send_displs[rank] + send_counts[rank]]
-        recvbuf[recv_displs[rank] : recv_displs[rank] + recv_counts[rank]] = own
-
-        # Phase 2: push data to the offsets the peers advertised.
-        header_pending = {p for p in range(size) if p != rank}
-        while header_pending:
-            got = runtime.notify_waitsome(segment_id, size, size, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: alltoallv offset exchange incomplete, "
-                    f"missing {sorted(header_pending)}"
-                )
-            runtime.notify_reset(segment_id, got)
-            peer = got - size
-            if peer not in header_pending:
-                continue
-            header_pending.discard(peer)
-            remote_offset = int(header[peer])
-            if send_counts[peer]:
-                begin = int(send_displs[peer])
+            # Phase 1: tell every peer where its data belongs in our recv region.
+            for peer in range(size):
+                if peer == rank:
+                    continue
                 runtime.write_notify_from(
-                    sendbuf[begin : begin + send_counts[peer]],
+                    offsets_out[peer : peer + 1],
                     target_rank=peer,
                     segment_id_remote=segment_id,
-                    offset_remote=remote_offset,
-                    notification_id=rank,
+                    offset_remote=rank * 8,
+                    notification_id=size + rank,
                     queue=queue,
                 )
-            else:
-                runtime.notify(peer, segment_id, rank, queue=queue)
-        if size > 1:
-            runtime.wait(queue)
+            if size > 1:
+                runtime.wait(queue)
 
-        pending = {p for p in range(size) if p != rank}
-        while pending:
-            got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: alltoallv still waiting for {sorted(pending)}"
-                )
-            runtime.notify_reset(segment_id, got)
-            if got in pending:
-                pending.discard(got)
-                begin, count = int(recv_displs[got]), recv_counts[got]
-                if count:
-                    # Quiescent once its notification is consumed: copy
-                    # straight out of the segment.
-                    recvbuf[begin : begin + count] = arrivals[begin : begin + count]
-    finally:
-        header = arrivals = None  # live views would keep the mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+            # local block
+            own = sendbuf[send_displs[rank] : send_displs[rank] + send_counts[rank]]
+            recvbuf[recv_displs[rank] : recv_displs[rank] + recv_counts[rank]] = own
+
+            # Phase 2: push data to the offsets the peers advertised.
+            header_pending = {p for p in range(size) if p != rank}
+            while header_pending:
+                got = runtime.notify_waitsome(segment_id, size, size, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(
+                        f"rank {rank}: alltoallv offset exchange incomplete, "
+                        f"missing {sorted(header_pending)}"
+                    )
+                runtime.notify_reset(segment_id, got)
+                peer = got - size
+                if peer not in header_pending:
+                    continue
+                header_pending.discard(peer)
+                remote_offset = int(header[peer])
+                if send_counts[peer]:
+                    begin = int(send_displs[peer])
+                    runtime.write_notify_from(
+                        sendbuf[begin : begin + send_counts[peer]],
+                        target_rank=peer,
+                        segment_id_remote=segment_id,
+                        offset_remote=remote_offset,
+                        notification_id=rank,
+                        queue=queue,
+                    )
+                else:
+                    runtime.notify(peer, segment_id, rank, queue=queue)
+            if size > 1:
+                runtime.wait(queue)
+
+            pending = {p for p in range(size) if p != rank}
+            while pending:
+                got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(
+                        f"rank {rank}: alltoallv still waiting for {sorted(pending)}"
+                    )
+                runtime.notify_reset(segment_id, got)
+                if got in pending:
+                    pending.discard(got)
+                    begin, count = int(recv_displs[got]), recv_counts[got]
+                    if count:
+                        # Quiescent once its notification is consumed: copy
+                        # straight out of the segment.
+                        recvbuf[begin : begin + count] = arrivals[begin : begin + count]
+        finally:
+            header = arrivals = None  # live views would keep the mapping open
     return recvbuf
 
 

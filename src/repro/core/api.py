@@ -77,6 +77,7 @@ from .reduce import ReduceMode
 from .reduction_ops import ReductionOp
 from .registry import REGISTRY, AlgorithmInfo, AlgorithmRegistry
 from .tuning import DEFAULT_TABLES, TuningTable
+from .workspace import WorkspacePool
 
 #: First segment id handed out by a communicator with ``segment_base=0``.
 _SEGMENT_BASE_DEFAULT = 200
@@ -95,9 +96,9 @@ _MAX_CHILD_SPLITS = 16
 _MAX_OPEN_DEGRADED = 8
 
 #: Compiled collective plans kept in the LRU cache; like the degraded
-#: workspace cap, this bounds the pooled segments a communicator can hold
-#: open — a workload that never repeats a shape evicts (and frees) the
-#: oldest plan instead of growing without limit.
+#: workspace cap, this bounds the workspaces a communicator can hold
+#: leased — a workload that never repeats a shape evicts the oldest plan
+#: (whose workspace goes back to the pool) instead of growing without limit.
 _MAX_CACHED_PLANS = 16
 
 logger = get_logger("core.api")
@@ -177,9 +178,11 @@ class Communicator:
         with the same shape — ``(collective, algorithm, size, root,
         nbytes, dtype, op, policy)`` — are served by a compiled
         :class:`~repro.core.plan.CollectivePlan`: frozen topology and
-        notification layout, a pooled workspace segment and a cached
-        simulator schedule, so the steady-state cost is the data movement
-        and the reduction kernels only.  Observe it through
+        notification layout, a workspace leased for the plan's lifetime
+        and a cached simulator schedule, so the steady-state cost is the
+        data movement and the reduction kernels only.  Cold calls and
+        evicted plans recycle their workspaces through the communicator's
+        :class:`~repro.core.workspace.WorkspacePool`.  Observe it through
         :meth:`plan_cache_stats`; pin plans explicitly with
         :meth:`persistent`.
     telemetry:
@@ -226,7 +229,10 @@ class Communicator:
         self.runtime = runtime
         self._segment_base = int(segment_base)
         self._segment_span = int(segment_span)
-        self._next_segment = int(segment_base)
+        #: Lower half of the id range; children own the upper half.
+        self._pool = WorkspacePool(
+            self.runtime, self._segment_base, self._segment_span // 2
+        )
         self._policy = policy or STRICT
         check_policy(self._policy)
         require(
@@ -350,9 +356,10 @@ class Communicator:
 
         A recovered rank needs it to push a late contribution into the
         degraded exchange it crashed out of
-        (:func:`~repro.faults.recovery.send_late_contribution`): segment
-        ids are allocated in SPMD lock-step, so every rank — including one
-        whose dispatch raised mid-collective — observes the same id here.
+        (:func:`~repro.faults.recovery.send_late_contribution`): the pool
+        hands out segment ids in SPMD lock-step, so every rank — including
+        one whose dispatch raised mid-collective — observes the same id
+        here.
         """
         return self._last_segment_id
 
@@ -496,21 +503,6 @@ class Communicator:
     def is_subcommunicator(self) -> bool:
         """True when this communicator covers a strict rank subset."""
         return isinstance(self.runtime, GroupRuntime)
-
-    def _allocate_segment_id(self) -> int:
-        """Next unused segment id.
-
-        All ranks allocate in lock-step because they execute the same
-        sequence of collective calls (the usual SPMD contract).
-        """
-        sid = self._next_segment
-        require(
-            sid < self._segment_base + self._segment_span // 2,
-            f"communicator exhausted its segment-id range "
-            f"[{self._segment_base}, {self._segment_base + self._segment_span // 2})",
-        )
-        self._next_segment += 1
-        return sid
 
     # ------------------------------------------------------------------ #
     # algorithm resolution and dispatch
@@ -671,10 +663,7 @@ class Communicator:
         plan = self._plans.get(key)
         if plan is None:
             self._c_cache_misses.add()
-            plan = info.plan(
-                self.runtime, key, self._allocate_segment_id(), request.policy
-            )
-            evicted = self._plans.put(key, plan)
+            evicted = self._plans.evict()
             if evicted:
                 self._c_cache_evictions.add(len(evicted))
                 logger.debug(
@@ -683,35 +672,19 @@ class Communicator:
                     self.rank, len(evicted), info.collective, info.name,
                     self._plans.capacity,
                 )
-                # Deferred-consumption notifications of an evicted plan (the
-                # bcast consume-acks) may still be in flight from a rank
-                # that is a step behind; evictions happen at the same
-                # dispatch on every rank, so one barrier drains them before
-                # the pooled segments are freed.
-                self._quiesce_plans()
+                # Evictions happen at the same dispatch on every rank; the
+                # release barrier drains what a rank a step behind still has
+                # in flight (the bcast consume-acks) before the scrub.
                 for old in evicted:
-                    old.close()
+                    self._progress.wait_plan(old, request.timeout)
+                    old.release()
+            plan = info.plan(
+                self.runtime, key, self._segment_base, request.policy, self._pool
+            )
+            self._plans.put(key, plan)
         else:
             self._c_cache_hits.add()
         return plan
-
-    def _quiesce_plans(
-        self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
-    ) -> None:
-        """Synchronise ranks before freeing pooled plan segments.
-
-        Best effort: a runtime that can no longer synchronise (a fault
-        plan crashed this rank, a peer died mid-run) must not turn
-        teardown into a hang — the subsequent segment deletes tolerate
-        whatever the missing synchronisation leaves behind.  ``group``
-        restricts the barrier to a survivor subset (elastic shrink), and
-        a finite ``timeout`` bounds the wait when some of them may be
-        gone too.
-        """
-        try:
-            self.runtime.barrier(group, timeout=timeout)
-        except GaspiError:
-            pass
 
     def plan_cache_stats(self) -> PlanCacheStats:
         """Hit/miss/eviction counters of the compiled-plan cache."""
@@ -791,8 +764,8 @@ class Communicator:
                 self._progress.wait_plan(plan, request.timeout)
             request.segment_id = plan.segment_id
         else:
-            request.segment_id = self._allocate_segment_id()
-        self._last_segment_id = request.segment_id
+            # Cold path: the runner leases (or reserves an id) from the pool.
+            request.pool = self._pool
         try:
             result = info.run(self.runtime, request, plan=plan)
         except Exception as exc:
@@ -801,6 +774,10 @@ class Communicator:
             # the caller never touches exc.detail.
             self._track_degraded(getattr(exc, "detail", None))
             raise
+        finally:
+            self._last_segment_id = (
+                self._pool.last_id if plan is None else plan.segment_id
+            )
         if result.missing_ranks:
             newly = set(result.missing_ranks) - self._suspected
             if newly:
@@ -1204,7 +1181,7 @@ class Communicator:
                 slack=effective_slack,
                 op=op,
                 dtype=contribution.dtype,
-                segment_id=self._allocate_segment_id(),
+                pool=self._pool,
             )
             self._ssp_instances[key] = inst
         return inst.reduce(contribution, clock=clock)
@@ -1236,7 +1213,7 @@ class Communicator:
 
         The explicit counterpart of the transparent plan cache, mirroring
         MPI persistent collectives (``MPI_Bcast_init`` & friends): the
-        topology, notification layout, workspace segment and simulator
+        topology, notification layout, workspace lease and simulator
         schedule are compiled once, here, against ``template`` (only its
         shape/dtype matter — e.g. ``np.empty(4096)``), and every
         subsequent ``handle(buf)`` is pure data movement::
@@ -1363,9 +1340,9 @@ class Communicator:
             [0 if color is None else 1, 0 if color is None else int(color), int(key)],
             dtype=np.int64,
         )
-        gathered = ring_allgather(
-            self.runtime, mine, segment_id=self._allocate_segment_id()
-        ).reshape(self.size, 3)
+        gathered = ring_allgather(self.runtime, mine, pool=self._pool).reshape(
+            self.size, 3
+        )
         split_seq = self._split_count
         self._split_count += 1
         if color is None:
@@ -1460,9 +1437,9 @@ class Communicator:
 
         The shrunk communicator runs *non-degraded* collectives: its
         policy resets ``on_failure`` to ``"abort"`` (no dead weight left
-        to tolerate), its plan cache starts empty and recompiles for the
-        new size, and suspicion not covered by the removal carries over
-        in survivor numbering.  The parent communicator remains usable
+        to tolerate), its plan cache and workspace pool start empty (plans
+        recompile for the new size), and suspicion not covered by the
+        removal carries over in survivor numbering.  The parent communicator remains usable
         only for teardown (``close()``); run collectives on the returned
         child.
 
@@ -1524,9 +1501,9 @@ class Communicator:
             mask[sorted(removing)] = 1
         if agreement_segment_id is None:
             # Lock-step allocation: every survivor calls shrink() at the
-            # same collective sequence point, so the pooled id matches.
+            # same collective sequence point, so the reserved id matches.
             self._collective_seq += 1
-            agreement_segment_id = self._allocate_segment_id()
+            agreement_segment_id = self._pool.reserve_id()
         verdict = tolerant_allreduce(
             self.runtime,
             mask,
@@ -1567,26 +1544,10 @@ class Communicator:
             f"(removed: {sorted(agreed)})",
         )
 
-        # Quiesce: drain in-flight state so the parent's pooled segments
-        # can be freed without racing a survivor still driving them.
-        if self._progress.active:
-            try:
-                self._progress.wait_all(timeout)
-            except (GaspiError, TimeoutError):
-                pass
-        self._progress.stop_thread()
-        for key in list(self._ssp_instances):
-            inst = self._ssp_instances.pop(key)
-            try:
-                inst.close()
-            except GaspiError:  # pragma: no cover - dead peer mid-close
-                pass
-        for detail in self._open_degraded:
-            detail.close()
-        self._open_degraded.clear()
-        if len(self._plans):
-            self._quiesce_plans(Group(survivors), timeout=timeout)
-        self._plans.close_all()
+        # Quiesce: drain in-flight state, then free every workspace behind
+        # one barrier over the survivors, bounded by the detection window
+        # (some of them may be gone too).
+        self._teardown(Group(survivors), timeout)
 
         # Unwrap instrumentation and fault layers: the child re-wraps
         # telemetry itself, and injected faults died with the removed
@@ -1649,33 +1610,36 @@ class Communicator:
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Release all persistent collective state: SSP mailboxes, degraded
-        workspaces held open for correction, and every pooled plan segment.
+        workspaces held open for correction, and every pooled workspace.
 
-        Plan closes are idempotent (each pooled segment is freed exactly
-        once, whether the plan is dropped here, by LRU eviction, or via a
-        persistent handle) and tolerate a runtime that can no longer
-        perform segment operations — e.g. a fault plan wrapped the runtime
-        and this rank crashed — so teardown never raises after a failure.
+        Collective: one barrier (skipped by a communicator that holds no
+        workspace leased — no cached plan, no SSP state) drains whatever is
+        still travelling toward a workspace — deferred consume-acks,
+        slack-tolerated SSP writes — then every segment is deleted exactly
+        once.  Idempotent, and
+        tolerant of a runtime that can no longer synchronise or perform
+        segment operations (a fault plan crashed this rank), so teardown
+        never raises after a failure.
         """
+        self._teardown(None, GASPI_BLOCK)
+
+    def _teardown(self, group: Optional[Group], timeout: float) -> None:
         if self._progress.active:
-            # Drain in-flight nonblocking collectives before any pooled
-            # segment can be freed under an active pipeline.
+            # Drain in-flight nonblocking collectives before any workspace
+            # can be freed under an active pipeline.
             try:
-                self._progress.wait_all()
+                self._progress.wait_all(timeout)
             except (GaspiError, TimeoutError):  # pragma: no cover - dead peer
                 pass
         self._progress.stop_thread()
-        for key in list(self._ssp_instances):
-            self.close_ssp(key)
+        for inst in self._ssp_instances.values():
+            inst.drop()
+        self._ssp_instances.clear()
         for detail in self._open_degraded:
             detail.close()
         self._open_degraded.clear()
-        if len(self._plans):
-            # Like close_ssp, plan teardown is collective: one barrier
-            # drains any deferred consume-acks still travelling toward a
-            # pooled segment, then each plan is freed exactly once.
-            self._quiesce_plans()
         self._plans.close_all()
+        self._pool.close(group, timeout)
 
     def __enter__(self) -> "Communicator":
         return self
@@ -1764,8 +1728,8 @@ class PersistentCollective:
     def close(self) -> None:
         """Unpin the plan (collective hygiene: close on every rank).
 
-        The plan stays cached for transparent reuse; its pooled segment is
-        freed by LRU eviction or ``Communicator.close()``, exactly once.
+        The plan stays cached for transparent reuse; its workspace goes
+        back to the pool at LRU eviction or ``Communicator.close()``.
         """
         if self._closed:
             return

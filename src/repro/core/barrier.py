@@ -14,11 +14,15 @@ do not confuse each other.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import ceil_log2, require
+from .notifmap import NotificationLayout
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import dissemination_schedule
+from .workspace import Lease, WorkspacePool
 
 #: Default segment id used by the notification barrier.
 BARRIER_SEGMENT_ID = 150
@@ -35,15 +39,17 @@ class NotificationBarrier:
         runtime: GaspiRuntime,
         segment_id: int = BARRIER_SEGMENT_ID,
         queue: int = 0,
+        pool: Optional[WorkspacePool] = None,
     ) -> None:
         self.runtime = runtime
-        self.segment_id = int(segment_id)
         self.queue = int(queue)
         self.rounds = ceil_log2(runtime.size) if runtime.size > 1 else 0
         self.generation = 0
-        # The segment only exists to carry notifications; 8 bytes suffice.
-        runtime.segment_create(self.segment_id, 8)
-        runtime.barrier()
+        # One id per (generation, round); the segment only exists to carry
+        # them, 8 bytes suffice.
+        ids = NotificationLayout().add("rounds", max(1, _GENERATIONS * self.rounds)).end
+        self._lease = Lease(runtime, pool, segment_id, 8, ids)
+        self.segment_id = self._lease.segment_id
         self._closed = False
 
     def wait(self, timeout: float = GASPI_BLOCK) -> None:
@@ -73,9 +79,8 @@ class NotificationBarrier:
         """Release the barrier segment (collective)."""
         if self._closed:
             return
-        self.runtime.barrier()
-        self.runtime.segment_delete(self.segment_id)
         self._closed = True
+        self._lease.release()
 
     def __enter__(self) -> "NotificationBarrier":
         return self
@@ -88,9 +93,10 @@ def notification_barrier(
     runtime: GaspiRuntime,
     segment_id: int = BARRIER_SEGMENT_ID,
     timeout: float = GASPI_BLOCK,
+    pool: Optional[WorkspacePool] = None,
 ) -> None:
     """One-shot dissemination barrier (constructs and tears down its state)."""
-    barrier = NotificationBarrier(runtime, segment_id=segment_id)
+    barrier = NotificationBarrier(runtime, segment_id=segment_id, pool=pool)
     try:
         barrier.wait(timeout=timeout)
     finally:

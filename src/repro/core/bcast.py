@@ -18,6 +18,7 @@ used by the Figure 8 benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -26,20 +27,26 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan
+from .workspace import Lease, WorkspacePool
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree
 
 #: Default segment id used by the broadcast collectives.
 BCAST_SEGMENT_ID = 100
 
-#: Notification-id map of the broadcast segment: one data arrival slot,
-#: then one ack slot per peer (indexed by child position in the BST, by
-#: rank in the flat fan-out — which therefore bounds the flat plan's world
-#: size to the ack range).
-BCAST_LAYOUT = NotificationLayout()
-_NOTIF_DATA = BCAST_LAYOUT.add("data", 1).id()
-_ACK_RANGE = BCAST_LAYOUT.add("ack", 4096)
-_NOTIF_ACK_BASE = _ACK_RANGE.base
+
+
+def bcast_layout(num_ranks: int) -> NotificationLayout:
+    """Ids of a broadcast workspace: one data arrival slot, then one ack
+    slot per peer (child position in the BST, rank in the flat fan-out)."""
+    layout = NotificationLayout()
+    layout.add("data", 1)
+    layout.add("ack", max(1, int(num_ranks)))
+    return layout
+
+
+_NOTIF_DATA = bcast_layout(1)["data"].id()
+_NOTIF_ACK_BASE = bcast_layout(1)["ack"].base
 
 
 @dataclass
@@ -85,7 +92,7 @@ def bst_bcast(
     segment_id: int = BCAST_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> BroadcastResult:
     """Binomial-spanning-tree broadcast of ``buffer`` from ``root``.
 
@@ -101,14 +108,10 @@ def bst_bcast(
         Broadcasting rank.
     threshold:
         Fraction of the payload (by element count) to ship, in (0, 1].
-    segment_id:
-        Segment id used as communication workspace (must be free on every
-        rank when ``manage_segment`` is true).
-    manage_segment:
-        When true (default) the function creates and deletes the workspace
-        segment and synchronises ranks around those operations.  Set to
-        false when the caller (e.g. :class:`repro.core.api.Communicator`)
-        manages a persistent workspace.
+    segment_id, pool:
+        The workspace is leased from ``pool`` (a communicator passes its
+        own); without one it is registered under ``segment_id`` (free on
+        every rank) for this call only.
 
     Returns
     -------
@@ -125,61 +128,60 @@ def bst_bcast(
     children = tree.children(rank)
     parent = tree.parent(rank)
 
-    if manage_segment:
-        runtime.segment_create(segment_id, max(buffer.nbytes, 8))
-        runtime.barrier()
-
-    try:
-        staging = runtime.segment_view(segment_id, dtype=buffer.dtype, count=buffer.size)
-
-        if rank == root:
-            staging[:send_elems] = buffer[:send_elems]
-        else:
-            # Wait for the parent's write_notify: GASPI guarantees the data is
-            # already visible once the notification is.
-            got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: broadcast data from parent {parent} did not arrive"
-                )
-            runtime.notify_reset(segment_id, _NOTIF_DATA)
-            buffer[:send_elems] = staging[:send_elems]
-
-        # Forward the (possibly partial) payload down the tree.
-        for child in children:
-            runtime.write_notify(
-                segment_id_local=segment_id,
-                offset_local=0,
-                target_rank=child,
-                segment_id_remote=segment_id,
-                offset_remote=0,
-                size=send_bytes,
-                notification_id=_NOTIF_DATA,
-                queue=queue,
+    with Lease(
+        runtime, pool, segment_id, buffer.nbytes, bcast_layout(runtime.size).used
+    ) as segment_id:
+        try:
+            staging = runtime.segment_view(
+                segment_id, dtype=buffer.dtype, count=buffer.size
             )
-        if children:
-            runtime.wait(queue)
 
-        # Outer (leaf) nodes acknowledge their parent; inner nodes wait for the
-        # acknowledgements of their leaf children (paper: "only acknowledge the
-        # data transfer from the outer nodes to their parents; the collective is
-        # considered complete when the outer nodes receive data").
-        if parent is not None and not children:
-            ack_slot = _NOTIF_ACK_BASE + tree.children(parent).index(rank)
-            runtime.notify(parent, segment_id, ack_slot, queue=queue)
-            runtime.wait(queue)
-        leaf_children = [c for c in children if not tree.children(c)]
-        for child in leaf_children:
-            ack_slot = _NOTIF_ACK_BASE + children.index(child)
-            got = runtime.notify_waitsome(segment_id, ack_slot, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(f"rank {rank}: no ack from leaf child {child}")
-            runtime.notify_reset(segment_id, ack_slot)
-    finally:
-        staging = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+            if rank == root:
+                staging[:send_elems] = buffer[:send_elems]
+            else:
+                # Wait for the parent's write_notify: GASPI guarantees the data
+                # is already visible once the notification is.
+                got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(
+                        f"rank {rank}: broadcast data from parent {parent} did not arrive"
+                    )
+                runtime.notify_reset(segment_id, _NOTIF_DATA)
+                buffer[:send_elems] = staging[:send_elems]
+
+            # Forward the (possibly partial) payload down the tree.
+            for child in children:
+                runtime.write_notify(
+                    segment_id_local=segment_id,
+                    offset_local=0,
+                    target_rank=child,
+                    segment_id_remote=segment_id,
+                    offset_remote=0,
+                    size=send_bytes,
+                    notification_id=_NOTIF_DATA,
+                    queue=queue,
+                )
+            if children:
+                runtime.wait(queue)
+
+            # Outer (leaf) nodes acknowledge their parent; inner nodes wait for
+            # the acknowledgements of their leaf children (paper: "only
+            # acknowledge the data transfer from the outer nodes to their
+            # parents; the collective is considered complete when the outer
+            # nodes receive data").
+            if parent is not None and not children:
+                ack_slot = _NOTIF_ACK_BASE + tree.children(parent).index(rank)
+                runtime.notify(parent, segment_id, ack_slot, queue=queue)
+                runtime.wait(queue)
+            leaf_children = [c for c in children if not tree.children(c)]
+            for child in leaf_children:
+                ack_slot = _NOTIF_ACK_BASE + children.index(child)
+                got = runtime.notify_waitsome(segment_id, ack_slot, 1, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(f"rank {rank}: no ack from leaf child {child}")
+                runtime.notify_reset(segment_id, ack_slot)
+        finally:
+            staging = None  # a live view would keep the segment's mapping open
 
     return BroadcastResult(
         rank=rank,
@@ -200,7 +202,7 @@ def flat_bcast(
     segment_id: int = BCAST_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> BroadcastResult:
     """Flat broadcast: the root issues P-1 ``write_notify`` calls directly.
 
@@ -213,31 +215,31 @@ def flat_bcast(
     send_bytes = send_elems * buffer.itemsize
     rank = runtime.rank
 
-    if manage_segment:
-        runtime.segment_create(segment_id, max(buffer.nbytes, 8))
-        runtime.barrier()
-    try:
-        staging = runtime.segment_view(segment_id, dtype=buffer.dtype, count=buffer.size)
-        if rank == root:
-            staging[:send_elems] = buffer[:send_elems]
-            for peer in range(runtime.size):
-                if peer == root:
-                    continue
-                runtime.write_notify(
-                    segment_id, 0, peer, segment_id, 0, send_bytes, _NOTIF_DATA, queue=queue
-                )
-            runtime.wait(queue)
-        else:
-            got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(f"rank {rank}: flat bcast data never arrived")
-            runtime.notify_reset(segment_id, _NOTIF_DATA)
-            buffer[:send_elems] = staging[:send_elems]
-    finally:
-        staging = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+    with Lease(
+        runtime, pool, segment_id, buffer.nbytes, bcast_layout(runtime.size).used
+    ) as segment_id:
+        try:
+            staging = runtime.segment_view(
+                segment_id, dtype=buffer.dtype, count=buffer.size
+            )
+            if rank == root:
+                staging[:send_elems] = buffer[:send_elems]
+                for peer in range(runtime.size):
+                    if peer == root:
+                        continue
+                    runtime.write_notify(
+                        segment_id, 0, peer, segment_id, 0, send_bytes, _NOTIF_DATA,
+                        queue=queue,
+                    )
+                runtime.wait(queue)
+            else:
+                got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
+                if got is None:
+                    raise TimeoutError(f"rank {rank}: flat bcast data never arrived")
+                runtime.notify_reset(segment_id, _NOTIF_DATA)
+                buffer[:send_elems] = staging[:send_elems]
+        finally:
+            staging = None  # a live view would keep the segment's mapping open
 
     return BroadcastResult(
         rank=rank,
@@ -354,10 +356,10 @@ def _require_vector(buffer: np.ndarray) -> np.ndarray:
 # compiled plans (persistent workspace, zero per-call setup)
 # --------------------------------------------------------------------------- #
 class BstBcastPlan(CollectivePlan):
-    """Compiled BST broadcast: frozen tree, pooled workspace, no barriers.
+    """Compiled BST broadcast: frozen tree, leased workspace, no barriers.
 
-    The cold path's segment-management barriers also serialise successive
-    calls; without them, reuse needs an explicit hand-shake.  This plan
+    The cold path's release barrier also serialises successive calls;
+    without it, reuse needs an explicit hand-shake.  This plan
     uses *consume acknowledgements*: every child acks its parent once it
     has (a) copied the payload out of its staging slot and (b) flushed its
     own forwards, and a parent consumes each child's previous-call ack
@@ -369,8 +371,8 @@ class BstBcastPlan(CollectivePlan):
 
     _segment_views = ("_staging",)
 
-    def __init__(self, runtime, key, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)
@@ -388,11 +390,11 @@ class BstBcastPlan(CollectivePlan):
         self.child_ack_slots = [
             _NOTIF_ACK_BASE + i for i in range(len(self.children))
         ]
-        self._create_workspace(key.nbytes)
+        self._lease_workspace(key.nbytes, bcast_layout(runtime.size).used)
         # The workspace buffer is stable for the plan's lifetime, so the
         # staging view is computed once — zero per-call segment lookups.
         self._staging = runtime.segment_view(
-            segment_id, dtype=self.dtype, count=self.elements
+            self.segment_id, dtype=self.dtype, count=self.elements
         )
 
     def execute(self, request) -> "CollectiveResult":
@@ -464,18 +466,18 @@ class BstBcastPlan(CollectivePlan):
 
 
 class FlatBcastPlan(CollectivePlan):
-    """Compiled flat broadcast: root fan-out over a pooled workspace.
+    """Compiled flat broadcast: root fan-out over a leased workspace.
 
     Reuse safety mirrors :class:`BstBcastPlan`: every receiver acks the
     root after copying the payload out, and the root consumes all P-1
-    previous-call acks before restaging — the cold path's barriers are
+    previous-call acks before restaging — the cold path's barrier is
     replaced by one ack round that the root overlaps with its next call.
     """
 
     _segment_views = ("_staging",)
 
-    def __init__(self, runtime, key, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)
@@ -484,9 +486,9 @@ class FlatBcastPlan(CollectivePlan):
         self.peers = [r for r in range(runtime.size) if r != key.root]
         self.ack_slot = _NOTIF_ACK_BASE + rank
         self.peer_ack_slots = [_NOTIF_ACK_BASE + r for r in self.peers]
-        self._create_workspace(key.nbytes)
+        self._lease_workspace(key.nbytes, bcast_layout(runtime.size).used)
         self._staging = runtime.segment_view(
-            segment_id, dtype=self.dtype, count=self.elements
+            self.segment_id, dtype=self.dtype, count=self.elements
         )
 
     def execute(self, request) -> "CollectiveResult":

@@ -70,7 +70,6 @@ from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.errors import GaspiError
 from ..telemetry.core import CLOCK, NULL_TELEMETRY
 from ..utils.logging import get_logger
 from ..utils.validation import require
@@ -648,8 +647,10 @@ class PipelinedBstBcastPlan(CollectivePlan):
 
     _segment_views = ("_staging",)
 
-    def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)
@@ -698,13 +699,17 @@ class PipelinedBstBcastPlan(CollectivePlan):
             f"pipelined bcast chunk map overruns the workspace: last chunk "
             f"ends at byte {self._byte_bounds[-1][1]} of {max(key.nbytes, 8)}",
         )
-        self._create_workspace(key.nbytes)
+        # A bound window must be exactly the user buffer's size and is
+        # re-pointed at caller memory: not a segment the pool can recycle.
+        self._lease_workspace(key.nbytes, layout.used, exact=self.zero_copy)
         # Receive staging of the bind-less protocol.  The root never
         # receives: it posts every chunk straight from the user's buffer.
         self._staging = (
             None
             if self.zero_copy or rank == key.root
-            else runtime.segment_view(segment_id, dtype=self.dtype, count=self.elements)
+            else runtime.segment_view(
+                self.segment_id, dtype=self.dtype, count=self.elements
+            )
         )
 
     # ------------------------------------------------------------------ #
@@ -834,8 +839,10 @@ class PipelinedBstReducePlan(CollectivePlan):
 
     _segment_views = ("_acc", "_child_slots")
 
-    def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.mode = ReduceMode(policy.mode)
@@ -879,6 +886,11 @@ class PipelinedBstReducePlan(CollectivePlan):
         self._ready_id = self.notif_ready.id(0)
         C = self.chunks.num_chunks
         self._byte_bounds = [self.chunks.byte_bounds(k) for k in range(C)]
+        # Segment layout: the accumulator in [0, reduce_bytes), then one
+        # full-width slot per child — as many as the widest fan-out of the
+        # tree (the root's) on every rank: a lease must ask for the same
+        # size everywhere.
+        workspace_bytes = (1 + max(1, self.tree.num_stages())) * max(key.nbytes, 8)
         # Per-call constants for the push-up to the parent.
         if self.my_index is not None:
             self._push_ids = [self._data_id(self.my_index, k) for k in range(C)]
@@ -887,29 +899,24 @@ class PipelinedBstReducePlan(CollectivePlan):
                 for bb, _ in self._byte_bounds
             ]
             # Budget check: the push offsets index the *parent's* slot
-            # table, which the parent sizes from its own child count —
-            # prove every push lands inside it before any call posts.
-            parent_slots = max(1, len(self.tree.children(self.parent)))
-            parent_workspace = (1 + parent_slots) * max(key.nbytes, 8)
+            # table — prove every push lands inside the workspace every
+            # rank leases below before any call posts.
             last_bb, last_be = self._byte_bounds[-1]
             require(
                 self._push_offsets[-1] + (last_be - last_bb)
-                <= parent_workspace,
+                <= workspace_bytes,
                 f"pipelined reduce push-up overruns the parent's workspace: "
                 f"slot {self.my_index} chunk {C - 1} ends at byte "
                 f"{self._push_offsets[-1] + (last_be - last_bb)} of "
-                f"{parent_workspace}",
+                f"{workspace_bytes}",
             )
-        # Segment layout: the accumulator in [0, reduce_bytes), then one
-        # full-width slot per child.
-        slot_count = max(1, len(self.children_all))
-        self._create_workspace((1 + slot_count) * max(key.nbytes, 8))
+        self._lease_workspace(workspace_bytes, layout.used)
         self._acc = runtime.segment_view(
-            segment_id, dtype=self.dtype, count=self.reduce_elems
+            self.segment_id, dtype=self.dtype, count=self.reduce_elems
         )
         self._child_slots = {
             index: runtime.segment_view(
-                segment_id,
+                self.segment_id,
                 dtype=self.dtype,
                 offset=(1 + index) * self.reduce_bytes,
                 count=self.reduce_elems,
@@ -1130,8 +1137,10 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
     _segment_views = ("_slot_views",)
 
-    def __init__(self, runtime, key: PlanKey, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         size = runtime.size
@@ -1206,12 +1215,12 @@ class PipelinedRingAllreducePlan(CollectivePlan):
                         f"[{remote}, {remote + send_bytes}) of "
                         f"{workspace_bytes}",
                     )
-            self._create_workspace(workspace_bytes)
+            self._lease_workspace(workspace_bytes, layout.used)
             # Frozen views of where each sub-chunk arrives (keyed by
             # notification id) — no per-call segment lookups.
             self._slot_views = {
                 nid: runtime.segment_view(
-                    segment_id,
+                    self.segment_id,
                     dtype=self.dtype,
                     offset=self._arrival_offset(gstep, m, rb),
                     count=re - rb,
@@ -1374,24 +1383,17 @@ def _request_key(
 
 
 def _run_cold(plan_cls, collective: str, name: str, runtime, request):
-    """Build a throwaway plan, run one call, tear it down (cold path).
+    """Build a throwaway plan, run one call, release it (cold path).
 
-    Mirrors the other cold runners' costs: one segment registration with
-    its barrier on construction, one barrier before the segment delete
-    (draining the entry-handshake notifications still in flight from the
-    call).
+    The release barrier also drains the entry-handshake notifications
+    still in flight from the call.
     """
     key = _request_key(collective, name, runtime, request)
-    plan = plan_cls(runtime, key, request.segment_id, request.policy)
+    plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
     try:
-        result = plan.execute(request)
+        return plan.execute(request)
     finally:
-        try:
-            runtime.barrier()
-        except GaspiError:  # pragma: no cover - crashed/vanished runtime
-            pass
-        plan.close()
-    return result
+        plan.release()
 
 
 def run_pipelined_bcast(runtime, request):

@@ -2,11 +2,14 @@
 
 The paper's pitch is *efficient* eventually consistent collectives, but a
 naive dispatch re-derives everything per call: topology objects are
-rebuilt, a workspace segment is registered and torn down (two barriers!),
-notification layouts are recomputed and the simulator schedule is rebuilt
-— for every single ``comm.allreduce(x)`` of an iterative application.
-Production MPI amortises exactly this setup through *persistent*
-(initialised) collectives; this module brings the same idea here.
+rebuilt, notification layouts are recomputed and the simulator schedule is
+rebuilt — for every single ``comm.allreduce(x)`` of an iterative
+application.  Production MPI amortises exactly this setup through
+*persistent* (initialised) collectives; this module brings the same idea
+here.  (Registering a workspace is not part of that bill: cold calls and
+plans alike lease theirs from the communicator's
+:class:`~repro.core.workspace.WorkspacePool` — one barrier per cold call
+or plan-cache miss, no segment created or deleted in the steady state.)
 
 A :class:`CollectivePlan` freezes, for one :class:`PlanKey` — the tuple
 ``(collective, algorithm, world size, root, payload bytes, dtype, op,
@@ -16,7 +19,7 @@ on the payload *values*:
 * the topology (binomial tree / ring / hypercube neighbour lists),
 * the per-round send/receive offsets and the notification-id layout,
 * the communication schedule for the simulator backend (built once), and
-* a pooled workspace segment, registered once and reused by every call.
+* a workspace segment leased from the pool for the plan's lifetime.
 
 Concrete plans live next to their algorithms
 (:class:`~repro.core.bcast.BstBcastPlan`,
@@ -30,12 +33,13 @@ through the registry's planner entry points
 explicit MPI-persistent-style handle API via
 :meth:`~repro.core.api.Communicator.persistent`.
 
-Plan reuse changes the synchronisation structure: the cold path brackets
-every call with segment-management barriers, which also serialise
-successive calls.  Planned executors must therefore be *self-synchronising
-across calls* — each plan documents its reuse argument (consume-ack
-handshakes for the broadcast fan-out, the ready/ack handshake of the BST
-reduce, the ring's transitive step dependency, SSP's logical clocks).
+Plan reuse changes the synchronisation structure: the cold path ends
+every call with the barrier of its workspace release, which also
+serialises successive calls.  Planned executors must therefore be
+*self-synchronising across calls* — each plan documents its reuse argument
+(consume-ack handshakes for the broadcast fan-out, the ready/ack handshake
+of the BST reduce, the ring's transitive step dependency, SSP's logical
+clocks).
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..gaspi.errors import GaspiError
 from ..utils.validation import require
+from .workspace import Lease, WorkspacePool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..gaspi.runtime import GaspiRuntime
@@ -197,27 +201,36 @@ class PlanKey:
 # plan base class
 # --------------------------------------------------------------------------- #
 class CollectivePlan:
-    """Base class of compiled collectives: pooled workspace + frozen layout.
+    """Base class of compiled collectives: leased workspace + frozen layout.
 
     Subclasses precompute their topology and offsets in ``__init__`` and
-    implement :meth:`execute`; the base class owns the workspace segment
-    life-cycle (registered once, freed exactly once) and the cached
-    simulator schedule.
+    implement :meth:`execute`; the base class owns the workspace lease and
+    the cached simulator schedule.
 
     Construction is collective: every rank builds the plan for the same
-    key at the same dispatch, so the workspace creation can synchronise
-    with a single barrier — the last barrier this plan will ever take.
+    key at the same dispatch, so a pool miss can synchronise its fresh
+    segment with a single barrier.  With ``pool=None`` the plan is
+    standalone: its workspace is registered under ``segment_id`` and lives
+    exactly as long as the plan.
     """
 
-    #: Attributes holding views of the pooled segment.  :meth:`close` drops
-    #: them before deleting the segment: a live view keeps a shared-memory
-    #: mapping exported, and an exported mapping cannot be unmapped.
+    #: Attributes holding views of the workspace.  Teardown drops them
+    #: first: a live view keeps a shared-memory mapping exported, and an
+    #: exported mapping cannot be unmapped.
     _segment_views: Tuple[str, ...] = ()
 
-    def __init__(self, runtime: "GaspiRuntime", key: PlanKey, segment_id: int) -> None:
+    def __init__(
+        self,
+        runtime: "GaspiRuntime",
+        key: PlanKey,
+        segment_id: int,
+        pool: Optional[WorkspacePool] = None,
+    ) -> None:
         self.runtime = runtime
         self.key = key
         self.key_dtype = np.dtype(key.dtype)
+        #: The workspace's segment id (a standalone plan's own id until
+        #: :meth:`_lease_workspace` replaces it with the leased one).
         self.segment_id = int(segment_id)
         self.calls = 0
         #: Pin reference count: one per open persistent handle.  A plan is
@@ -226,18 +239,19 @@ class CollectivePlan:
         #: unpin the plan out from under the other.
         self.pins = 0
         self._schedule: Optional["CommunicationSchedule"] = None
-        self._workspace_created = False
+        self._pool = pool
+        self._lease: Optional[Lease] = None
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def _create_workspace(self, nbytes: int, num_notifications: Optional[int] = None) -> None:
-        """Register the pooled segment on every rank and synchronise once."""
-        kwargs: Dict[str, int] = {}
-        if num_notifications is not None:
-            kwargs["num_notifications"] = num_notifications
-        self.runtime.segment_create(self.segment_id, max(int(nbytes), 8), **kwargs)
-        self._workspace_created = True
-        self.runtime.barrier()
+    def _lease_workspace(
+        self, nbytes: int, notification_ids: int, exact: bool = False
+    ) -> None:
+        """Lease the plan's workspace (``nbytes`` must agree on every rank)."""
+        self._lease = Lease(
+            self.runtime, self._pool, self.segment_id, nbytes, notification_ids, exact
+        )
+        self.segment_id = self._lease.segment_id
 
     def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
         """Run one planned call (implemented by subclasses)."""
@@ -260,29 +274,37 @@ class CollectivePlan:
     # ------------------------------------------------------------------ #
     @property
     def closed(self) -> bool:
-        """True once the pooled workspace has been released."""
+        """True once the plan gave up its workspace."""
         return self._closed
 
-    def close(self) -> None:
-        """Free the pooled workspace segment (idempotent, never raises).
-
-        Tolerates a wrapped runtime that can no longer perform segment
-        operations (e.g. a :class:`~repro.faults.injection.FaultyRuntime`
-        whose rank crashed): the flag flips exactly once either way, so a
-        later :meth:`close` — from cache eviction, a persistent handle and
-        ``Communicator.close()`` alike — never double-frees.
-        """
+    def _retire(self) -> Optional[Lease]:
+        """Flip to closed exactly once; the lease to give back, if any."""
         if self._closed:
-            return
+            return None
         self._closed = True
-        if not self._workspace_created:
-            return
         for name in self._segment_views:
             setattr(self, name, None)
-        try:
-            self.runtime.segment_delete(self.segment_id)
-        except GaspiError:  # pragma: no cover - crashed/vanished runtime
-            pass
+        return self._lease
+
+    def release(self) -> None:
+        """Give the workspace back to its pool (collective: one barrier).
+
+        What plan-cache eviction and the cold runners call.  Idempotent.
+        """
+        lease = self._retire()
+        if lease is not None:
+            lease.release()
+
+    def close(self) -> None:
+        """Local teardown (idempotent, never raises, no synchronisation).
+
+        A standalone plan deletes its segment — the caller synchronises
+        first, as before.  A pooled plan only forgets its workspace: the
+        pool's owner deletes it in bulk (``Communicator.close()``).
+        """
+        lease = self._retire()
+        if lease is not None:
+            lease.drop()
 
     def _check_payload(self, buffer: np.ndarray, name: str = "buffer") -> np.ndarray:
         """Validate that a per-call payload matches the plan's frozen key.
@@ -354,7 +376,7 @@ class PlanCache:
     Plans pinned by a persistent handle are exempt from eviction (the cap
     becomes soft while pins exist).  Like the capped degraded-workspace
     tracking on the communicator, the bound exists so a workload that
-    never repeats a shape cannot grow pooled segments without limit.
+    never repeats a shape cannot hold workspaces leased without limit.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -375,23 +397,28 @@ class PlanCache:
         self._hits += 1
         return plan
 
-    def put(self, key: PlanKey, plan: CollectivePlan) -> List[CollectivePlan]:
-        """Insert a freshly built plan; returns the plans evicted by LRU.
+    def evict(self) -> List[CollectivePlan]:
+        """Make room for one more plan; returns the plans evicted by LRU.
 
-        The caller closes the evicted plans — eviction happens at a
-        dispatch every rank executes, so the closes stay in lock-step.
+        The caller releases them (eviction happens at a dispatch every
+        rank executes, so the releases stay in lock-step) *before*
+        compiling the newcomer: that release's barrier is what makes the
+        workspace released one miss earlier leasable again.
         """
-        self._plans[key] = plan
         evicted: List[CollectivePlan] = []
         if self.capacity:
             for old_key in list(self._plans):
-                if len(self._plans) <= self.capacity:
+                if len(self._plans) < self.capacity:
                     break
-                if self._plans[old_key].pins > 0 or old_key == key:
+                if self._plans[old_key].pins > 0:
                     continue
                 evicted.append(self._plans.pop(old_key))
                 self._evictions += 1
         return evicted
+
+    def put(self, key: PlanKey, plan: CollectivePlan) -> None:
+        """Insert a freshly built plan as the most recently used."""
+        self._plans[key] = plan
 
     def pin(self, key: PlanKey) -> None:
         """Add one eviction-protection reference (persistent handles)."""
@@ -419,7 +446,7 @@ class PlanCache:
         )
 
     def close_all(self) -> None:
-        """Free every cached plan's workspace exactly once (idempotent)."""
+        """Close every cached plan exactly once (local, idempotent)."""
         while self._plans:
             _, plan = self._plans.popitem()
             plan.close()

@@ -36,6 +36,7 @@ from ..gaspi.constants import GASPI_BLOCK
 from ..utils.validation import check_fraction, require
 from .reduce import ReduceMode
 from .reduction_ops import ReductionOp
+from .workspace import WorkspacePool
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,10 @@ class CollectiveRequest:
     policy: ConsistencyPolicy = field(default_factory=ConsistencyPolicy)
     send_counts: Optional[Sequence[int]] = None
     recv_counts: Optional[Sequence[int]] = None
+    #: Workspace id of a call made outside a communicator; under one,
+    #: runners lease from its ``pool`` instead.
     segment_id: int = 0
+    pool: Optional[WorkspacePool] = None
     queue: int = 0
     timeout: float = GASPI_BLOCK
     #: Plan-instance tag: requests with different tags never share a
@@ -245,6 +249,12 @@ class CollectiveRequest:
     #: space.
     tag: int = 0
     metadata: Dict[str, Any] = field(default_factory=dict)
+
+    def own_segment_id(self) -> int:
+        """Segment id for a runner that registers its own workspace (the
+        fault-tolerant collectives, the MPI baselines): under a
+        communicator, a fresh id from its pool's range, in SPMD lock-step."""
+        return self.segment_id if self.pool is None else self.pool.reserve_id()
 
     @property
     def nbytes(self) -> int:

@@ -32,6 +32,7 @@ from . import kernels
 from .bcast import threshold_elements
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan
+from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree
@@ -89,7 +90,7 @@ def bst_reduce(
     segment_id: int = REDUCE_SEGMENT_ID,
     queue: int = 0,
     timeout: float = GASPI_BLOCK,
-    manage_segment: bool = True,
+    pool: Optional[WorkspacePool] = None,
 ) -> ReduceResult:
     """Binomial-spanning-tree reduction of ``sendbuf`` onto ``root``.
 
@@ -139,95 +140,93 @@ def bst_reduce(
     children = [c for c in children_all if c in participants]
     parent = tree.parent(rank)
 
-    # Segment layout: slot i (i-th child) at offset i * reduce_bytes.
-    slot_count = max(1, len(children_all))
-    if manage_segment:
-        runtime.segment_create(segment_id, max(slot_count * sendbuf.nbytes, 8))
-        runtime.barrier()
-
+    # Segment layout: slot i (i-th child) at offset i * reduce_bytes, with
+    # room for the widest fan-out of the tree (the root's) on every rank:
+    # a lease must ask for the same size everywhere.
     contributors = 1 if participating else 0
-    try:
-        if participating:
-            accumulator = sendbuf[:reduce_elems].astype(sendbuf.dtype, copy=True)
+    slots = max(1, tree.num_stages())
+    with Lease(
+        runtime, pool, segment_id, slots * sendbuf.nbytes, REDUCE_LAYOUT.used
+    ) as segment_id:
+        try:
+            if participating:
+                accumulator = sendbuf[:reduce_elems].astype(sendbuf.dtype, copy=True)
 
-            # Tell every participating child its slot may be overwritten; the
-            # child waits on READY at its own segment before pushing data up.
-            for child in children:
-                runtime.notify(child, segment_id, _NOTIF_READY_BASE, queue=queue)
-            if children:
-                runtime.wait(queue)
+                # Tell every participating child its slot may be overwritten; the
+                # child waits on READY at its own segment before pushing data up.
+                for child in children:
+                    runtime.notify(child, segment_id, _NOTIF_READY_BASE, queue=queue)
+                if children:
+                    runtime.wait(queue)
 
-            # Collect contributions from participating children.
-            for child in children:
-                child_index = children_all.index(child)
-                notif = _NOTIF_DATA_BASE + child_index
-                got = runtime.notify_waitsome(segment_id, notif, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: contribution of child {child} never arrived"
+                # Collect contributions from participating children.
+                for child in children:
+                    child_index = children_all.index(child)
+                    notif = _NOTIF_DATA_BASE + child_index
+                    got = runtime.notify_waitsome(segment_id, notif, 1, timeout=timeout)
+                    if got is None:
+                        raise TimeoutError(
+                            f"rank {rank}: contribution of child {child} never arrived"
+                        )
+                    value = runtime.notify_reset(segment_id, notif)
+                    contributors += max(1, value) if value else 1
+                    # Zero-copy fold: the notification guarantees the child's
+                    # write landed, and each child writes its slot exactly once
+                    # per call, so reducing straight from the segment is safe.
+                    kernels.reduce_from_segment(
+                        operator,
+                        accumulator,
+                        runtime,
+                        segment_id,
+                        offset=child_index * reduce_bytes,
+                        count=reduce_elems,
                     )
-                value = runtime.notify_reset(segment_id, notif)
-                contributors += max(1, value) if value else 1
-                # Zero-copy fold: the notification guarantees the child's
-                # write landed, and each child writes its slot exactly once
-                # per call, so reducing straight from the segment is safe.
-                kernels.reduce_from_segment(
-                    operator,
-                    accumulator,
-                    runtime,
-                    segment_id,
-                    offset=child_index * reduce_bytes,
-                    count=reduce_elems,
-                )
-                # Acknowledge so the child can reuse its buffer (Figure 1).
-                runtime.notify(child, segment_id, _NOTIF_ACK, queue=queue)
-            if children:
-                runtime.wait(queue)
+                    # Acknowledge so the child can reuse its buffer (Figure 1).
+                    runtime.notify(child, segment_id, _NOTIF_ACK, queue=queue)
+                if children:
+                    runtime.wait(queue)
 
-            if rank == root:
-                if recvbuf is not None:
-                    recvbuf = np.asarray(recvbuf)
-                    require(
-                        recvbuf.size >= reduce_elems,
-                        "recvbuf too small for the reduced prefix",
+                if rank == root:
+                    if recvbuf is not None:
+                        recvbuf = np.asarray(recvbuf)
+                        require(
+                            recvbuf.size >= reduce_elems,
+                            "recvbuf too small for the reduced prefix",
+                        )
+                        recvbuf[:reduce_elems] = accumulator
+                else:
+                    # Wait until the parent declared our slot writable, then push
+                    # the partial reduction up and wait for the acknowledgement.
+                    got = runtime.notify_waitsome(
+                        segment_id, _NOTIF_READY_BASE, 1, timeout=timeout
                     )
-                    recvbuf[:reduce_elems] = accumulator
-            else:
-                # Wait until the parent declared our slot writable, then push
-                # the partial reduction up and wait for the acknowledgement.
-                got = runtime.notify_waitsome(
-                    segment_id, _NOTIF_READY_BASE, 1, timeout=timeout
-                )
-                if got is None:
-                    raise TimeoutError(f"rank {rank}: parent {parent} never got ready")
-                runtime.notify_reset(segment_id, _NOTIF_READY_BASE)
+                    if got is None:
+                        raise TimeoutError(f"rank {rank}: parent {parent} never got ready")
+                    runtime.notify_reset(segment_id, _NOTIF_READY_BASE)
 
-                my_index = tree.children(parent).index(rank)
-                staging = runtime.segment_view(
-                    segment_id, dtype=sendbuf.dtype, count=reduce_elems
-                )
-                staging[:] = accumulator
-                runtime.write_notify(
-                    segment_id_local=segment_id,
-                    offset_local=0,
-                    target_rank=parent,
-                    segment_id_remote=segment_id,
-                    offset_remote=my_index * reduce_bytes,
-                    size=reduce_bytes,
-                    notification_id=_NOTIF_DATA_BASE + my_index,
-                    notification_value=max(1, contributors),
-                    queue=queue,
-                )
-                runtime.wait(queue)
-                got = runtime.notify_waitsome(segment_id, _NOTIF_ACK, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(f"rank {rank}: parent {parent} never acknowledged")
-                runtime.notify_reset(segment_id, _NOTIF_ACK)
-    finally:
-        staging = None  # a live view would keep the segment's mapping open
-        if manage_segment:
-            runtime.barrier()
-            runtime.segment_delete(segment_id)
+                    my_index = tree.children(parent).index(rank)
+                    staging = runtime.segment_view(
+                        segment_id, dtype=sendbuf.dtype, count=reduce_elems
+                    )
+                    staging[:] = accumulator
+                    runtime.write_notify(
+                        segment_id_local=segment_id,
+                        offset_local=0,
+                        target_rank=parent,
+                        segment_id_remote=segment_id,
+                        offset_remote=my_index * reduce_bytes,
+                        size=reduce_bytes,
+                        notification_id=_NOTIF_DATA_BASE + my_index,
+                        notification_value=max(1, contributors),
+                        queue=queue,
+                    )
+                    runtime.wait(queue)
+                    got = runtime.notify_waitsome(segment_id, _NOTIF_ACK, 1, timeout=timeout)
+                    if got is None:
+                        raise TimeoutError(f"rank {rank}: parent {parent} never acknowledged")
+                    runtime.notify_reset(segment_id, _NOTIF_ACK)
+        finally:
+            staging = None  # a live view would keep the segment's mapping open
 
     return ReduceResult(
         rank=rank,
@@ -252,14 +251,14 @@ class BstReducePlan(CollectivePlan):
     consumed *all* of its call-``k`` child slots; and a parent overwrites
     nothing at the child (READY and ACK are pure notifications).  So the
     planned executor runs the identical handshake — it merely skips the
-    per-call segment registration, the two barriers around it, and all
+    per-call workspace lease, the barrier of its release, and all
     topology/threshold recomputation.
     """
 
     _segment_views = ("_staging", "_child_slots")
 
-    def __init__(self, runtime, key, segment_id: int, policy) -> None:
-        super().__init__(runtime, key, segment_id)
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.mode = ReduceMode(policy.mode)
@@ -283,16 +282,19 @@ class BstReducePlan(CollectivePlan):
             if self.parent is None
             else self.tree.children(self.parent).index(rank)
         )
-        slot_count = max(1, len(self.children_all))
-        self._create_workspace(slot_count * key.nbytes)
+        # Room for the widest fan-out of the tree on every rank: a lease
+        # must ask for the same size everywhere.
+        self._lease_workspace(
+            max(1, self.tree.num_stages()) * key.nbytes, REDUCE_LAYOUT.used
+        )
         # Frozen zero-copy views: one staging slot for the push-up, one
         # receive slot per child for the folds.
         self._staging = runtime.segment_view(
-            segment_id, dtype=self.dtype, count=self.reduce_elems
+            self.segment_id, dtype=self.dtype, count=self.reduce_elems
         )
         self._child_slots = [
             runtime.segment_view(
-                segment_id,
+                self.segment_id,
                 dtype=self.dtype,
                 offset=index * self.reduce_bytes,
                 count=self.reduce_elems,

@@ -26,18 +26,20 @@ same names, so the two paths cannot diverge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..utils.validation import is_power_of_two
 from .plan import CollectivePlan, PlanKey
+from .workspace import WorkspacePool
 from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
 from .schedule import CommunicationSchedule
 
 ScheduleBuilder = Callable[..., CommunicationSchedule]
 Runner = Callable[..., CollectiveResult]  # runner(runtime, request)
-Planner = Callable[..., CollectivePlan]  # planner(runtime, key, segment_id, policy)
+Planner = Callable[..., CollectivePlan]  # planner(runtime, key, segment_id, policy, pool)
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ class AlgorithmCapabilities:
         The algorithm has a plan-compilation entry point
         (:meth:`AlgorithmInfo.plan`): repeated calls with the same shape
         can run through a compiled :class:`~repro.core.plan.CollectivePlan`
-        with a pooled workspace and zero per-call setup.  The Communicator
+        with a leased workspace and zero per-call setup.  The Communicator
         caches such plans transparently (see
         :meth:`~repro.core.api.Communicator.plan_cache_stats`).
     pipelined:
@@ -209,7 +211,7 @@ class AlgorithmInfo:
         dtype first so misuse fails fast with a clear message instead of a
         deadlocked collective.  When a compiled ``plan`` is supplied (the
         plan-aware entry point) the call runs through
-        :meth:`CollectivePlan.execute` — pooled workspace, frozen topology
+        :meth:`CollectivePlan.execute` — leased workspace, frozen topology
         and notification layout — instead of the cold runner.
         """
         if plan is None and self.runner is None:
@@ -233,19 +235,22 @@ class AlgorithmInfo:
         key: PlanKey,
         segment_id: int,
         policy: ConsistencyPolicy,
+        pool: Optional[WorkspacePool] = None,
     ) -> CollectivePlan:
         """Compile a :class:`CollectivePlan` for ``key`` on this rank.
 
         Collective: every rank must compile the plan for the same key at
-        the same point of its call sequence (plan construction registers
-        the pooled workspace and synchronises once).
+        the same point of its call sequence (a pool miss registers the
+        workspace and synchronises once).  The workspace is leased from
+        ``pool``; without one the plan is standalone and registers its
+        own under ``segment_id``.
         """
         if not self.plannable:
             raise ValueError(
                 f"algorithm {self.name!r} does not support compiled plans"
             )
         self.check_request(runtime.size, policy, np.dtype(key.dtype))
-        return self.planner(runtime, key, segment_id, policy)
+        return self.planner(runtime, key, segment_id, policy, pool)
 
 
 class AlgorithmRegistry:
@@ -365,6 +370,7 @@ def _run_bcast_bst(runtime, request: CollectiveRequest) -> CollectiveResult:
         segment_id=request.segment_id,
         queue=request.queue,
         timeout=request.timeout,
+        pool=request.pool,
     )
     return CollectiveResult(value=request.sendbuf, detail=detail)
 
@@ -380,6 +386,7 @@ def _run_bcast_flat(runtime, request: CollectiveRequest) -> CollectiveResult:
         segment_id=request.segment_id,
         queue=request.queue,
         timeout=request.timeout,
+        pool=request.pool,
     )
     return CollectiveResult(value=request.sendbuf, detail=detail)
 
@@ -398,6 +405,7 @@ def _run_reduce_bst(runtime, request: CollectiveRequest) -> CollectiveResult:
         segment_id=request.segment_id,
         queue=request.queue,
         timeout=request.timeout,
+        pool=request.pool,
     )
     return CollectiveResult(value=request.recvbuf, detail=detail)
 
@@ -416,6 +424,7 @@ def _run_allreduce_ring(runtime, request: CollectiveRequest) -> CollectiveResult
         segment_id=request.segment_id,
         queue=request.queue,
         timeout=request.timeout,
+        pool=request.pool,
     )
     return CollectiveResult(value=recvbuf, detail=detail)
 
@@ -429,6 +438,7 @@ def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveR
         slack=request.policy.slack,
         op=request.op,
         segment_id=request.segment_id,
+        pool=request.pool,
     )
     if request.recvbuf is not None:
         request.recvbuf[:] = value
@@ -449,6 +459,7 @@ def _run_alltoall(runtime, request: CollectiveRequest) -> CollectiveResult:
             segment_id=request.segment_id,
             queue=request.queue,
             timeout=request.timeout,
+            pool=request.pool,
         )
     else:
         value = alltoall(
@@ -458,6 +469,7 @@ def _run_alltoall(runtime, request: CollectiveRequest) -> CollectiveResult:
             segment_id=request.segment_id,
             queue=request.queue,
             timeout=request.timeout,
+            pool=request.pool,
         )
     return CollectiveResult(value=value)
 
@@ -472,6 +484,7 @@ def _run_allgather_ring(runtime, request: CollectiveRequest) -> CollectiveResult
         segment_id=request.segment_id,
         queue=request.queue,
         timeout=request.timeout,
+        pool=request.pool,
     )
     return CollectiveResult(value=value)
 
@@ -479,41 +492,26 @@ def _run_allgather_ring(runtime, request: CollectiveRequest) -> CollectiveResult
 def _run_barrier(runtime, request: CollectiveRequest) -> CollectiveResult:
     from .barrier import notification_barrier
 
-    notification_barrier(runtime, segment_id=request.segment_id, timeout=request.timeout)
+    notification_barrier(
+        runtime, segment_id=request.segment_id, timeout=request.timeout, pool=request.pool
+    )
     return CollectiveResult(value=None)
 
 
 # --------------------------------------------------------------------------- #
-# planners for the GASPI collectives (compiled-plan entry points)
+# planners (compiled-plan entry points)
 # --------------------------------------------------------------------------- #
-def _plan_bcast_bst(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .bcast import BstBcastPlan
+def _planner(module: str, plan_class: str) -> Planner:
+    """Planner constructing ``plan_class`` of ``repro.core.<module>``.
 
-    return BstBcastPlan(runtime, key, segment_id, policy)
+    Imported on first use: the plan modules import this package.
+    """
 
+    def plan(runtime, key, segment_id, policy, pool=None) -> CollectivePlan:
+        cls = getattr(import_module(f"{__package__}.{module}"), plan_class)
+        return cls(runtime, key, segment_id, policy, pool)
 
-def _plan_bcast_flat(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .bcast import FlatBcastPlan
-
-    return FlatBcastPlan(runtime, key, segment_id, policy)
-
-
-def _plan_reduce_bst(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .reduce import BstReducePlan
-
-    return BstReducePlan(runtime, key, segment_id, policy)
-
-
-def _plan_allreduce_ring(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .allreduce_ring import RingAllreducePlan
-
-    return RingAllreducePlan(runtime, key, segment_id, policy)
-
-
-def _plan_allreduce_hypercube(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .allreduce_ssp import HypercubeAllreducePlan
-
-    return HypercubeAllreducePlan(runtime, key, segment_id, policy)
+    return plan
 
 
 # --------------------------------------------------------------------------- #
@@ -537,24 +535,6 @@ def _run_allreduce_pipelined(runtime, request: CollectiveRequest) -> CollectiveR
     return run_pipelined_allreduce(runtime, request)
 
 
-def _plan_bcast_pipelined(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .pipeline import PipelinedBstBcastPlan
-
-    return PipelinedBstBcastPlan(runtime, key, segment_id, policy)
-
-
-def _plan_reduce_pipelined(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .pipeline import PipelinedBstReducePlan
-
-    return PipelinedBstReducePlan(runtime, key, segment_id, policy)
-
-
-def _plan_allreduce_pipelined(runtime, key, segment_id, policy) -> CollectivePlan:
-    from .pipeline import PipelinedRingAllreducePlan
-
-    return PipelinedRingAllreducePlan(runtime, key, segment_id, policy)
-
-
 def _register_core_algorithms() -> None:
     """Register the GASPI collectives described in the paper."""
     # Import the builder functions explicitly: several submodules (e.g.
@@ -575,7 +555,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=bst_bcast_schedule,
         runner=_run_bcast_bst,
-        planner=_plan_bcast_bst,
+        planner=_planner("bcast", "BstBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True, modes=("data",), plannable=True, verified=True
         ),
@@ -587,7 +567,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=flat_bcast_schedule,
         runner=_run_bcast_flat,
-        planner=_plan_bcast_flat,
+        planner=_planner("bcast", "FlatBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True, modes=("data",), plannable=True, verified=True
         ),
@@ -599,7 +579,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=bst_reduce_schedule,
         runner=_run_reduce_bst,
-        planner=_plan_reduce_bst,
+        planner=_planner("reduce", "BstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
             modes=("data", "processes"),
@@ -615,7 +595,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=ring_allreduce_schedule,
         runner=_run_allreduce_ring,
-        planner=_plan_allreduce_ring,
+        planner=_planner("allreduce_ring", "RingAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True, plannable=True, verified=True
         ),
@@ -627,7 +607,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=hypercube_allreduce_schedule,
         runner=_run_allreduce_hypercube,
-        planner=_plan_allreduce_hypercube,
+        planner=_planner("allreduce_ssp", "HypercubeAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True,
             supports_slack=True,
@@ -649,7 +629,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=pipelined_bst_bcast_schedule,
         runner=_run_bcast_pipelined,
-        planner=_plan_bcast_pipelined,
+        planner=_planner("pipeline", "PipelinedBstBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
             modes=("data",),
@@ -668,7 +648,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=pipelined_bst_reduce_schedule,
         runner=_run_reduce_pipelined,
-        planner=_plan_reduce_pipelined,
+        planner=_planner("pipeline", "PipelinedBstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
             modes=("data", "processes"),
@@ -688,7 +668,7 @@ def _register_core_algorithms() -> None:
         family="gaspi",
         builder=pipelined_ring_allreduce_schedule,
         runner=_run_allreduce_pipelined,
-        planner=_plan_allreduce_pipelined,
+        planner=_planner("pipeline", "PipelinedRingAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True, plannable=True, pipelined=True, verified=True
         ),

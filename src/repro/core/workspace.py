@@ -1,0 +1,246 @@
+"""Workspace pool: registered segments are recycled, not re-registered.
+
+Every collective needs a workspace — a registered segment its peers write
+into.  Registering one is the expensive part of a call that is not data
+movement: ``segment_create``, a barrier before the first remote write, a
+barrier before ``segment_delete``.  A :class:`WorkspacePool` pays that
+once per *size class* instead of once per call or compiled plan, and it is
+the only place in :mod:`repro.core` that creates or deletes a segment
+(:mod:`repro.faults.recovery` keeps its own: a correction-capable
+workspace is held open past the call by design).
+
+Protocol — every rank runs the same ``lease``/``release`` sequence with
+the same arguments, so pool state evolves in SPMD lock-step and hits and
+misses agree everywhere:
+
+* ``lease(nbytes, notification_ids)`` pops a free segment of the request's
+  geometric size class (at most 25 % larger than asked for).  A miss is
+  the one remaining ``segment_create`` + ``barrier`` pair.
+* ``release(segment_id)`` takes **one** barrier.  Behind it every rank has
+  finished every earlier call, so nothing more will be posted at the
+  segment — and every segment parked before this barrier has been
+  scrubbed on every rank, so the ``cooling`` list is promoted to ``free``.
+  The released segment is then scrubbed (the notification ids its layout
+  declared are drained, its bytes zeroed: a pooled segment must be
+  indistinguishable from a fresh one — hypercube mailboxes start at clock
+  0, broadcast consume-acks start unposted) and parked in ``cooling``.
+* A segment released at one barrier is therefore leasable after the
+  *next* one, which separates the slowest rank's scrub from the fastest
+  rank's first write into the recycled segment.
+
+The pool holds at most the high-water mark of simultaneously leased
+segments per size class (plus the one cooling), until :meth:`close`.
+
+Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
+owns one pool over its segment-id range; a standalone caller (a cold
+function called with a bare ``segment_id``, a plan compiled outside a
+communicator) gets a :class:`Lease` on a single-id pool that lives exactly
+as long as the lease.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from ..gaspi.constants import GASPI_BLOCK
+from ..gaspi.errors import GaspiError
+from ..gaspi.group import Group
+from ..gaspi.runtime import GaspiRuntime
+from ..utils.validation import require
+
+#: Smallest pooled segment and notification board (tiny requests share them).
+_MIN_BYTES = 64
+_MIN_SLOTS = 64
+
+#: (segment bytes, notification slots) — what a free segment is matched on.
+_Key = Tuple[int, int]
+
+
+def size_class(nbytes: int) -> int:
+    """Pooled segment size serving a request of ``nbytes``.
+
+    Four classes per octave — the next multiple of a quarter of the
+    leading power of two — so a class is never more than 25 % larger than
+    the request it serves.
+    """
+    n = max(int(nbytes), _MIN_BYTES)
+    step = 1 << (n.bit_length() - 3)
+    return -(-n // step) * step
+
+
+def board_class(notification_ids: int) -> int:
+    """Notification-board slots (a power of two) serving ``notification_ids``."""
+    return max(_MIN_SLOTS, 1 << (max(int(notification_ids), 1) - 1).bit_length())
+
+
+class WorkspacePool:
+    """Recycling allocator of registered segments over one id range.
+
+    ``next_id`` is the high-water mark of ids drawn so far (what elastic
+    checkpoints record as ``next_segment``); ``last_id`` is the id most
+    recently handed out, by :meth:`lease` or :meth:`reserve_id`.
+    """
+
+    def __init__(self, runtime: GaspiRuntime, first_id: int, span: int = 1) -> None:
+        self.runtime = runtime
+        self._first = int(first_id)
+        self._limit = self._first + int(span)
+        self.next_id = self._first
+        self.last_id: Optional[int] = None
+        self._spare_ids: List[int] = []
+        #: segment id -> (key, notification ids declared, exact?)
+        self._leased: Dict[int, Tuple[_Key, int, bool]] = {}
+        self._cooling: List[Tuple[_Key, int]] = []
+        self._free: Dict[_Key, List[int]] = {}
+
+    # ------------------------------------------------------------------ #
+    def reserve_id(self) -> int:
+        """Draw a fresh id for a segment its caller manages itself.
+
+        Always the high-water mark, never a recycled id: a rank restored
+        from a checkpoint knows the mark but not which ids were recycled.
+        """
+        require(
+            self.next_id < self._limit,
+            f"communicator exhausted its segment-id range "
+            f"[{self._first}, {self._limit})",
+        )
+        self.last_id = self.next_id
+        self.next_id += 1
+        return self.last_id
+
+    def lease(self, nbytes: int, notification_ids: int, exact: bool = False) -> int:
+        """Segment id of a clean workspace of at least ``nbytes`` bytes.
+
+        ``notification_ids`` is how many ids the caller's
+        :class:`~repro.core.notifmap.NotificationLayout` declares; it
+        sizes the board and bounds the scrub.  ``exact`` is for a request
+        that cannot be served from a size class: ``nbytes`` differs
+        between ranks (so a hit could not be agreed on without
+        communicating), or the segment is re-pointed at caller memory of
+        exactly that size.  Such a workspace is registered for this lease
+        and deleted by its release; only its id is recycled.
+        """
+        slots = board_class(notification_ids)
+        key = (max(int(nbytes), 8), slots) if exact else (size_class(nbytes), slots)
+        idle = None if exact else self._free.get(key)
+        if idle:
+            segment_id = idle.pop()
+        else:
+            segment_id = self._spare_ids.pop() if self._spare_ids else self.reserve_id()
+            self.runtime.segment_create(segment_id, key[0], key[1])
+            self.runtime.barrier()
+        self._leased[segment_id] = (key, int(notification_ids), exact)
+        self.last_id = segment_id
+        return segment_id
+
+    def release(self, segment_id: int) -> None:
+        """Give a leased workspace back (collective: one barrier).
+
+        A runtime that can no longer synchronise — this rank crashed, the
+        barrier broke — deletes the segment best-effort instead of
+        pooling it, and never hangs on the scrub.
+        """
+        key, notification_ids, exact = self._leased.pop(segment_id)
+        try:
+            self.runtime.barrier()
+        except GaspiError:
+            self._delete(segment_id)
+            return
+        for idle_key, idle_id in self._cooling:
+            self._free.setdefault(idle_key, []).append(idle_id)
+        self._cooling.clear()
+        if exact:
+            self._delete(segment_id)
+            return
+        self._scrub(segment_id, notification_ids)
+        self._cooling.append((key, segment_id))
+
+    def _scrub(self, segment_id: int, notification_ids: int) -> None:
+        """Make a released segment indistinguishable from a fresh one."""
+        self.runtime.notify_drain(segment_id, 0, notification_ids)
+        self.runtime.segment_view(segment_id, np.uint8)[:] = 0
+
+    # ------------------------------------------------------------------ #
+    def close(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
+        """Delete every segment behind one (group, timeout-bounded) barrier.
+
+        Only a leased workspace needs the barrier (a peer may still be
+        posting at it); idle ones were released behind one already, so a
+        pool with nothing leased does not synchronise.  Idempotent; a
+        barrier that fails (dead peer, crashed rank) does not stop the
+        deletes.
+        """
+        if self._leased:
+            try:
+                self.runtime.barrier(group, timeout=timeout)
+            except GaspiError:
+                pass
+        self.drop()
+
+    def drop(self) -> None:
+        """Delete every segment without synchronising (local).
+
+        For an owner that has synchronised already — the documented
+        contract of closing a plan compiled outside a communicator.
+        """
+        for segment_id in (
+            list(self._leased)
+            + [sid for _, sid in self._cooling]
+            + [sid for idle in self._free.values() for sid in idle]
+        ):
+            self._delete(segment_id)
+        self._leased.clear()
+        self._cooling.clear()
+        self._free.clear()
+
+    def _delete(self, segment_id: int) -> None:
+        try:
+            self.runtime.segment_delete(segment_id)
+        except GaspiError:  # crashed/vanished runtime: nothing left to free
+            pass
+        self._spare_ids.append(segment_id)
+
+
+class Lease:
+    """One leased workspace and the way back to its pool.
+
+    With ``pool=None`` the lease opens a pool of its own over the single
+    id ``segment_id``; releasing the lease closes that pool (the barrier
+    and delete that used to close every cold call).  As a context manager
+    it yields the segment id and releases on exit.
+    """
+
+    def __init__(
+        self,
+        runtime: GaspiRuntime,
+        pool: Optional[WorkspacePool],
+        segment_id: int,
+        nbytes: int,
+        notification_ids: int,
+        exact: bool = False,
+    ) -> None:
+        self._standalone = pool is None
+        self._pool = WorkspacePool(runtime, segment_id) if pool is None else pool
+        self.segment_id = self._pool.lease(nbytes, notification_ids, exact)
+
+    def release(self) -> None:
+        """Collective: one barrier, then the workspace is parked or deleted."""
+        if self._standalone:
+            self._pool.close()
+        else:
+            self._pool.release(self.segment_id)
+
+    def drop(self) -> None:
+        """Local: a standalone workspace is deleted, a pooled one is left
+        to its pool's owner (who releases it or closes the pool)."""
+        if self._standalone:
+            self._pool.drop()
+
+    def __enter__(self) -> int:
+        return self.segment_id
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()

@@ -11,8 +11,11 @@ suspected-rank set and the policy fingerprints.
 :func:`checkpoint` freezes exactly that into a :class:`CommSnapshot`:
 
 * **plan-cache keys** in LRU order, with each plan's workspace segment id
-  and pin state, so :func:`restore` recompiles byte-identical plans into
-  the *same* segment ids without consuming fresh ones;
+  (informational) and pin state, so :func:`restore` recompiles
+  byte-identical plans.  A restored world starts with an empty workspace
+  pool on every rank: the plans lease fresh segments — the same ids on
+  every rank, which is all the protocols need — and the id high-water
+  mark is then advanced to the checkpointed one;
 * **in-flight handle queue**: nonblocking handles cannot be serialized
   mid-pipeline, so the checkpoint first drains them (``wait_all``) and
   records how many it drained (:attr:`CommSnapshot.drained_handles`) —
@@ -29,8 +32,8 @@ Snapshots serialize to one JSON file per rank under a versioned schema
 (``repro-ckpt/v1``) plus a rank-0 manifest, and :func:`restore` rebuilds
 a :class:`~repro.core.api.Communicator` in a fresh world that replays
 from the boundary with bit-identical results (same algorithms, same
-segment ids, same plan-cache state — ``misses == 0`` after the replay
-proves the restored plans served).
+plan-cache state — ``misses == 0`` after the replay proves the restored
+plans served).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Dict, Optional, Tuple
 
 from ..core.api import Communicator
 from ..gaspi.constants import GASPI_BLOCK
+from ..gaspi.errors import GaspiError
 from ..gaspi.group import Group
 from ..core.plan import PlanKey, PolicyFingerprint, policy_fingerprint, policy_from_fingerprint
 from ..gaspi.runtime import GaspiRuntime
@@ -205,6 +209,20 @@ class CommSnapshot:
 # --------------------------------------------------------------------------- #
 # checkpoint / restore
 # --------------------------------------------------------------------------- #
+def _quiesce(
+    comm: Communicator, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
+) -> None:
+    """Best-effort barrier at a checkpoint/restore boundary.
+
+    A runtime that can no longer synchronise (a fault plan crashed this
+    rank, a peer died mid-run) must not turn a checkpoint into a hang.
+    """
+    try:
+        comm.runtime.barrier(group, timeout=timeout)
+    except GaspiError:
+        pass
+
+
 def checkpoint(
     comm: Communicator,
     *,
@@ -229,7 +247,7 @@ def checkpoint(
     if comm._progress.active:
         drained = comm._progress.active
         comm.wait_all(timeout)
-    comm._quiesce_plans(group, timeout=timeout)
+    _quiesce(comm, group, timeout)
     entries = tuple(
         PlanEntry(
             key=key,
@@ -244,7 +262,7 @@ def checkpoint(
         size=comm.size,
         segment_base=comm._segment_base,
         segment_span=comm._segment_span,
-        next_segment=comm._next_segment,
+        next_segment=comm._pool.next_id,
         collective_seq=comm._collective_seq,
         split_count=comm._split_count,
         family=comm._family,
@@ -289,10 +307,9 @@ def restore(
     rejoining a live world — the respawn path — passes ``barrier=False``,
     which is only legal for plan-free snapshots.
 
-    The restored communicator allocates segment ids and sequence numbers
-    exactly where the checkpointed one stopped, and its plan cache is
-    repopulated (same keys, same segment ids, pins re-applied) without
-    counting misses — a subsequent replay that stays at ``misses == 0``
+    The restored communicator draws fresh segment ids and sequence
+    numbers exactly where the checkpointed one stopped, and its plan cache
+    is repopulated (same keys, pins re-applied) without counting misses — a subsequent replay that stays at ``misses == 0``
     proves the restored plans served every call.
     """
     require(
@@ -336,20 +353,20 @@ def restore(
             entry.key,
             entry.segment_id,
             policy_from_fingerprint(entry.key.policy),
+            comm._pool,
         )
         # Restored plans restart at calls=0: the fresh world's boards are
         # clean, so the executors' cross-call synchronisation state is at
         # its initial position regardless of how far the old world got.
-        for evicted in comm._plans.put(entry.key, plan):
-            evicted.close()
+        comm._plans.put(entry.key, plan)
         if entry.pinned:
             comm._plans.pin(entry.key)
-    comm._next_segment = snapshot.next_segment
+    comm._pool.next_id = max(comm._pool.next_id, snapshot.next_segment)
     comm._collective_seq = snapshot.collective_seq
     comm._split_count = snapshot.split_count
     comm._suspected = set(snapshot.suspected)
     if barrier:
-        comm._quiesce_plans()
+        _quiesce(comm)
     logger.info(
         "rank %d: restored at seq %d (%d plan(s) recompiled)",
         comm.rank, snapshot.collective_seq, len(snapshot.plans),

@@ -165,7 +165,7 @@ def rejoin(
     The recovered/respawned half of the re-convergence protocol.  By
     default the exchange is the one this communicator last dispatched
     (:attr:`~repro.core.api.Communicator.last_segment_id` — segment ids
-    are allocated in SPMD lock-step, so even a rank that crashed
+    are reserved in SPMD lock-step, so even a rank that crashed
     mid-dispatch observes the survivors' id).  A freshly *restored* rank
     that never dispatched passes ``advance=True`` to allocate the next
     id and bump the sequence number, aligning its counters with the
@@ -181,9 +181,8 @@ def rejoin(
     t0 = CLOCK() if tel.enabled else 0.0
     recovered = recover_crashed(comm)
     if advance:
-        segment_id = comm._allocate_segment_id()
+        segment_id = comm._last_segment_id = comm._pool.reserve_id()
         comm._collective_seq += 1
-        comm._last_segment_id = segment_id
     else:
         segment_id = comm.last_segment_id
         require(

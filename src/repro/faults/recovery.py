@@ -955,7 +955,7 @@ def _run_allreduce_tolerant(runtime, request: CollectiveRequest) -> CollectiveRe
         on_failure=request.policy.on_failure,
         detect_timeout=_detect_timeout_for(request),
         known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.segment_id,
+        segment_id=request.own_segment_id(),
         queue=request.queue,
     )
     return CollectiveResult(
@@ -974,7 +974,7 @@ def _run_reduce_tolerant(runtime, request: CollectiveRequest) -> CollectiveResul
         on_failure=request.policy.on_failure,
         detect_timeout=_detect_timeout_for(request),
         known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.segment_id,
+        segment_id=request.own_segment_id(),
         queue=request.queue,
     )
     return CollectiveResult(
@@ -992,7 +992,7 @@ def _run_bcast_tolerant(runtime, request: CollectiveRequest) -> CollectiveResult
         on_failure=request.policy.on_failure,
         detect_timeout=_detect_timeout_for(request),
         known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.segment_id,
+        segment_id=request.own_segment_id(),
         queue=request.queue,
     )
     return CollectiveResult(

@@ -42,7 +42,7 @@ def _layer(runtime: GaspiRuntime, request: CollectiveRequest):
     layer = TwoSidedLayer(
         runtime,
         max_elements=max(int(np.asarray(request.sendbuf).size), 1),
-        segment_id=request.segment_id,
+        segment_id=request.own_segment_id(),
         queue=request.queue,
     )
     try:

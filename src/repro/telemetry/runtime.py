@@ -12,7 +12,9 @@ stacks — the same forwarding idiom as
   ``notify_waitsome`` (zero-timeout probes are forwarded untimed: the
   progress engine polls them by the thousand);
 * ``runtime.barriers`` / ``runtime.barrier_s`` — barrier count and wait
-  time, the cheapest live arrival-skew signal a rank has.
+  time, the cheapest live arrival-skew signal a rank has;
+* ``runtime.segments_created`` / ``runtime.segments_deleted`` — segment
+  registrations, which a warm workspace pool keeps at zero.
 
 The wrapper sits *outside* any fault-injection layer (the communicator
 wraps faults first, telemetry last), so posts that a fault plan swallows
@@ -51,6 +53,8 @@ class TelemetryRuntime(GaspiRuntime):
         self._c_posted = telemetry.counter("runtime.notifications_posted")
         self._c_consumed = telemetry.counter("runtime.notifications_consumed")
         self._c_barriers = telemetry.counter("runtime.barriers")
+        self._c_created = telemetry.counter("runtime.segments_created")
+        self._c_deleted = telemetry.counter("runtime.segments_deleted")
         self._h_wait = telemetry.histogram("runtime.wait_s")
         self._h_barrier = telemetry.histogram("runtime.barrier_s")
 
@@ -80,9 +84,11 @@ class TelemetryRuntime(GaspiRuntime):
         num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
     ) -> None:
         self.inner.segment_create(segment_id, size, num_notifications)
+        self._c_created.add()
 
     def segment_delete(self, segment_id: int) -> None:
         self.inner.segment_delete(segment_id)
+        self._c_deleted.add()
 
     def segment_view(
         self,

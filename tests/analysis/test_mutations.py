@@ -18,8 +18,10 @@ from repro.analysis import (
     DEADLOCK,
     DOUBLE_POST,
     UNMATCHED,
+    WRONG_VALUE,
     analyze,
     build_model,
+    verify_recycling,
 )
 from repro.analysis.mutations import (
     corrupt_notification_id,
@@ -28,7 +30,9 @@ from repro.analysis.mutations import (
     drop_notify,
     duplicate_chunk_id,
     hoist_first_consume,
+    reuse_without_cooling,
     skip_allgather_copy_out,
+    skip_scrub,
 )
 
 
@@ -125,3 +129,52 @@ def test_skipped_allgather_copy_out_fails_the_value_check():
 def test_mutations_tag_the_trace_name(mutate):
     trace = build_model("gaspi_allreduce_ring", 4, 256).trace
     assert mutate.__name__ in mutate(trace).name
+
+
+# --------------------------------------------------------------------------- #
+# pool-level defects: the two halves of the workspace-recycling argument
+# --------------------------------------------------------------------------- #
+RECYCLE_PAIRS = [
+    ("gaspi_bcast_bst", "gaspi_bcast_flat"),
+    ("gaspi_bcast_bst", "gaspi_allreduce_ssp_hypercube"),
+    ("gaspi_bcast_bst", "gaspi_allreduce_ring"),
+]
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+@pytest.mark.parametrize("bcast,other", RECYCLE_PAIRS)
+def test_reuse_without_cooling_races_the_scrub(bcast, other, ranks):
+    # A fast rank leases the segment released at this very miss and writes
+    # into the laggard's copy before the laggard scrubbed it.
+    assert verify_recycling(bcast, other, ranks) == []
+    found = classes(
+        verify_recycling(bcast, other, ranks, mutate_pool=reuse_without_cooling)
+    )
+    assert DATA_RACE in found
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+def test_skipped_scrub_feeds_the_hypercube_stale_mailboxes(ranks):
+    # The broadcast payload left in the segment reads as a mailbox whose
+    # clock header is already current: accepted without waiting.
+    found = classes(
+        verify_recycling(
+            "gaspi_bcast_bst",
+            "gaspi_allreduce_ssp_hypercube",
+            ranks,
+            mutate_pool=skip_scrub,
+        )
+    )
+    assert WRONG_VALUE in found
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+def test_skipped_scrub_leaves_consume_acks_posted(ranks):
+    # The flat broadcast's receivers find the BST's acks still pending on
+    # their boards: the next lessee's posts land on unconsumed slots.
+    found = classes(
+        verify_recycling(
+            "gaspi_bcast_bst", "gaspi_bcast_flat", ranks, mutate_pool=skip_scrub
+        )
+    )
+    assert DOUBLE_POST in found

@@ -216,3 +216,38 @@ class TestSlackBehaviour:
 
         values = spmd(4, worker)
         assert all(abs(v - 1111.0) < 1e-9 for v in values)
+
+
+class TestStrictCallsNeverReadAhead:
+    """A strict result folds this call's contributions, never the next one's.
+
+    The plan-cached hypercube has no barrier between calls, so a partner
+    may already be in call ``c + 1`` while this rank still reads call
+    ``c``'s mailbox.  With one mailbox per step the partner's next
+    contribution replaced the unread one (22-30 % of results on a 2-core
+    box); with one per (step, clock parity) it cannot.
+    """
+
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    @pytest.mark.parametrize("num_ranks", [2, 8])
+    def test_back_to_back_strict_allreduce_is_exact(self, backend, num_ranks):
+        from repro import run_backend
+
+        calls, n = 2000, 24
+        base = np.arange(n, dtype=np.float64)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            send, recv = np.empty(n), np.empty(n)
+            wrong = 0
+            tri = rt.size * (rt.size - 1) // 2
+            for i in range(calls):
+                np.add(base, rt.rank + i, out=send)  # per-call payload
+                comm.allreduce(send, recv, algorithm="hypercube")
+                wrong += not np.array_equal(recv, rt.size * (base + i) + tri)
+            comm.close()
+            return wrong
+
+        assert run_backend(num_ranks, worker, backend=backend, timeout=120.0) == [
+            0
+        ] * num_ranks

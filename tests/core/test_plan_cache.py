@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Communicator, ConsistencyPolicy, FaultPlan
+from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry
 from repro.core.plan import PlanCache, PlanKey
 from repro.core.registry import REGISTRY
+from repro.core.workspace import size_class
 
 from tests.helpers import rank_vector, spmd
 
@@ -286,6 +287,127 @@ class TestTeardown:
             return len(rt.world._segments[rt.rank])
 
         assert spmd(2, worker) == [0, 0]
+
+
+def _runtime_counts(tel):
+    counters = tel.snapshot()["counters"]
+    return tuple(
+        counters.get(f"runtime.{name}", 0)
+        for name in ("barriers", "segments_created", "segments_deleted")
+    )
+
+
+def _distinct_class_elements(count):
+    """float64 element counts whose payloads fall in distinct size classes."""
+    out, nbytes = [], 64
+    while len(out) < count:
+        out.append(nbytes // 8)
+        nbytes = size_class(nbytes + 1)
+    return out
+
+
+class TestWorkspaceRecycling:
+    """Counts, not timings: the gate cannot flake on a loaded runner."""
+
+    def test_misses_and_hits_register_no_segments_once_warm(self):
+        shapes = _distinct_class_elements(25)  # > 16: the cycle never hits
+
+        def worker(rt):
+            tel = Telemetry(rank=rt.rank, max_events=0)
+            comm = Communicator(rt, telemetry=tel)
+            buffers = [np.full(n, float(rt.rank)) for n in shapes]
+            for i in range(200):
+                comm.bcast(buffers[i % 25], root=0, algorithm="bst")
+            misses = comm.plan_cache_stats().misses
+            after_misses = _runtime_counts(tel)
+            live = [buffers[i % 25] for i in range(184, 200)]  # LRU order
+            for i in range(208):
+                comm.bcast(live[i % 16], root=0, algorithm="bst")
+            hits = comm.plan_cache_stats().hits
+            after_hits = _runtime_counts(tel)
+            comm.close()
+            return misses, after_misses, hits, after_hits, _runtime_counts(tel)
+
+        for misses, cold, hits, warm, closed in spmd(2, worker):
+            assert misses == 200 and hits == 208
+            barriers, created, deleted = cold
+            assert barriers <= 200 + 16
+            assert created <= 2 * 25  # two per size class
+            assert deleted == 0
+            assert warm == cold  # 208 hits: no barrier, no create, no delete
+            assert closed[0] == cold[0] + 1  # close(): one barrier ...
+            assert closed[2] == created  # ... and every segment deleted once
+
+    COLD_CALLS = {
+        "bcast_bst": lambda c, x, y: c.bcast(x, root=1, algorithm="bst"),
+        "bcast_flat": lambda c, x, y: c.bcast(x, root=1, algorithm="flat"),
+        "reduce_bst": lambda c, x, y: c.reduce(x, y, root=0, algorithm="bst"),
+        "reduce_pipelined": lambda c, x, y: c.reduce(
+            x, y, algorithm="gaspi_reduce_bst_pipelined"
+        ),
+        "allreduce_ring": lambda c, x, y: c.allreduce(x, y, algorithm="ring"),
+        "allreduce_hypercube": lambda c, x, y: c.allreduce(x, y, algorithm="hypercube"),
+        "allreduce_pipelined": lambda c, x, y: c.allreduce(
+            x, y, algorithm="gaspi_allreduce_ring_pipelined"
+        ),
+        "alltoall": lambda c, x, y: c.alltoall(x, y),
+        "allgather": lambda c, x, y: c.allgather(x[:16]),
+        "barrier": lambda c, x, y: c.barrier(algorithm="auto"),
+        # Exact leases, registered per call as before: a receive region
+        # sized by this rank's counts, a window bound to the caller's buffer.
+        "alltoallv": lambda c, x, y: c.alltoallv(x, [16] * 4, [16] * 4, y),
+        "bcast_bound_window": lambda c, x, y: c.bcast(
+            x, root=1, algorithm="gaspi_bcast_bst_pipelined"
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(COLD_CALLS))
+    def test_cold_calls_cost_one_barrier_each(self, shape):
+        call = self.COLD_CALLS[shape]
+
+        def worker(rt):
+            tel = Telemetry(rank=rt.rank, max_events=0)
+            comm = Communicator(rt, plan_cache=0, telemetry=tel)
+            x, y = np.full(64, float(rt.rank)), np.empty(64)
+            for _ in range(200):
+                call(comm, x, y)
+            counts = _runtime_counts(tel)
+            comm.close()
+            return counts
+
+        for barriers, created, deleted in spmd(4, worker):
+            if shape in ("alltoallv", "bcast_bound_window"):
+                assert (barriers, created, deleted) == (400, 200, 200)
+                continue
+            # One release barrier per call; the two segments that alternate
+            # between leased and cooling cost a create + barrier each.
+            assert created <= 2
+            assert barriers <= 200 + created
+            assert deleted == 0
+
+    def test_segment_ids_are_recycled_with_their_segments(self):
+        # 32 ids for its own collectives: every miss used to burn one.
+        shapes = _distinct_class_elements(4)
+
+        def worker(rt):
+            comm = Communicator(rt, segment_span=64, plan_cache=2)
+            cold = Communicator(rt, segment_base=1000, segment_span=64, plan_cache=0)
+            buffers = [np.full(n, float(rt.rank)) for n in shapes]
+            for i in range(10_000):
+                comm.bcast(buffers[i % 4], root=0, algorithm="flat")
+            for i in range(10_000):
+                cold.bcast(buffers[i % 4], root=0, algorithm="flat")
+            cold.alltoallv(np.ones(2), [1, 1], [1, 1])  # exact lease: id reused
+            stats = comm.plan_cache_stats()
+            ids = (comm.last_segment_id, cold.last_segment_id)
+            comm.close()
+            cold.close()
+            return stats.misses, ids, len(rt.world._segments[rt.rank])
+
+        for misses, (main_id, cold_id), open_segments in spmd(2, worker):
+            assert misses == 10_000
+            assert 200 <= main_id < 232 and 1000 <= cold_id < 1032
+            assert open_segments == 0
 
 
 class TestSplitIsolation:
