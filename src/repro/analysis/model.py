@@ -11,10 +11,11 @@ per rank, over real payload bytes, for the checkers in
 
 Two execution styles are bridged:
 
-* The three *pipelined* plans are generators already: ``begin(request)``
-  yields a :class:`~repro.core.pipeline.WaitSpec` whenever a wait would
-  block, so the model simply drives the real generator cooperatively.
-* The five *monolithic* plans block inline (``notify_waitsome`` with a
+* The three *pipelined* plans and the strict hypercube are generators
+  already: ``begin(request)`` yields a
+  :class:`~repro.core.pipeline.WaitSpec` whenever a wait would block, so
+  the model simply drives the shipped generator cooperatively.
+* The four *monolithic* plans block inline (``notify_waitsome`` with a
   real timeout).  For these, :mod:`repro.analysis.model` carries one
   *emitter* per plan class — a generator transliteration of the plan's
   ``execute`` body, operating on the plan instance's own frozen operands
@@ -40,7 +41,6 @@ import numpy as np
 from ..core import kernels
 from ..core.bcast import _NOTIF_DATA, BstBcastPlan, FlatBcastPlan
 from ..core.allreduce_ring import RingAllreducePlan
-from ..core.allreduce_ssp import HypercubeAllreducePlan
 from ..core.plan import CollectivePlan, PlanKey, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
 from ..core.reduce import (
@@ -593,47 +593,6 @@ def _emit_ring_allreduce(plan: RingAllreducePlan, request: CollectiveRequest) ->
     plan.calls += 1
 
 
-def _emit_ssp_allreduce(
-    plan: HypercubeAllreducePlan, request: CollectiveRequest
-) -> Emitter:
-    """Transliteration of :meth:`SSPAllreduce.reduce` (Algorithm 1).
-
-    ``_send_partial`` and ``_read_mailbox`` are non-blocking and reused
-    directly from the instance; only the stale-wait loop is rewritten to
-    yield instead of sleeping.
-    """
-    instance = plan.instance
-    rt = instance.runtime
-    sid = instance.segment_id
-    contribution = np.ascontiguousarray(request.sendbuf, dtype=instance.dtype)
-    instance.clock += 1
-    min_clock_accepted = instance.clock - instance.slack
-    part_red = contribution.copy()
-    part_clock = instance.clock
-    for k in range(instance.dimensions):
-        partner = instance.hypercube.partner(rt.rank, k)
-        box = instance._mailbox(k)
-        instance._send_partial(partner, box, part_red, part_clock)
-        rcv_clock, rcv_data = instance._read_mailbox(box)
-        if rcv_clock < min_clock_accepted:
-            while True:
-                got = rt.notify_waitsome(sid, box, 1, timeout=0.0)
-                if got is not None:
-                    rt.notify_reset(sid, got)
-                rcv_clock, rcv_data = instance._read_mailbox(box)
-                if rcv_clock >= min_clock_accepted:
-                    break
-                yield
-        else:
-            if rt.notify_peek(sid, box):
-                rt.notify_reset(sid, box)
-        kernels.reduce_into(instance.op, part_red, rcv_data)
-        part_clock = min(part_clock, int(rcv_clock))
-    if request.recvbuf is not None:
-        np.asarray(request.recvbuf)[:] = part_red
-    plan.calls += 1
-
-
 def _drive_pipelined(plan: CollectivePlan, request: CollectiveRequest) -> Emitter:
     """Cooperatively drive a pipelined plan's real ``begin()`` generator."""
     rt = plan.runtime
@@ -655,7 +614,6 @@ _EMITTERS: Dict[type, Callable[[Any, CollectiveRequest], Emitter]] = {
     FlatBcastPlan: _emit_flat_bcast,
     BstReducePlan: _emit_bst_reduce,
     RingAllreducePlan: _emit_ring_allreduce,
-    HypercubeAllreducePlan: _emit_ssp_allreduce,
 }
 
 

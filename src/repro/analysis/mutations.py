@@ -20,6 +20,10 @@ segment posts and consumes exactly what a correct one does.  It is applied
 through ``build_model(..., mutate_plan=...)`` and must be caught by the
 model's value check — every rank's ``recvbuf`` against the NumPy sum.
 
+So does :func:`single_mailbox_per_step`, which takes the call parity out of
+the strict hypercube's mailboxes — the proof obligation for folding a
+mailbox in place, without a locked snapshot.
+
 Two more live in the workspace *pool* and are applied through
 ``build_recycle_model(..., mutate_pool=...)``: :func:`reuse_without_cooling`
 and :func:`skip_scrub` break the two halves of the argument that makes a
@@ -35,6 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from .events import CONSUME, POST, Event, ProtocolTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.allreduce_ssp import HypercubeAllreducePlan
     from ..core.pipeline import PipelinedRingAllreducePlan
     from ..core.workspace import WorkspacePool
 
@@ -212,6 +217,18 @@ def skip_allgather_copy_out(plan: "PipelinedRingAllreducePlan") -> None:
     ]
 
 
+def single_mailbox_per_step(plan: "HypercubeAllreducePlan") -> None:
+    """Make both call parities of a strict hypercube share one mailbox.
+
+    The plan folds a mailbox out of its segment view, unlocked and
+    uncopied; that is safe only because a partner one call ahead writes
+    the *other* parity's box.  With one box (and notification id) per
+    step its next contribution can land before this call consumed the
+    current one.  Expected finding class: ``double-post`` (and a lost
+    notification then starves the reader, or it folds the wrong call).
+    """
+    plan._steps = (plan._steps[0], plan._steps[0])
+
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:
     """Make a released segment leasable at the miss that released it.
@@ -237,9 +254,10 @@ def reuse_without_cooling(pool: "WorkspacePool") -> None:
 def skip_scrub(pool: "WorkspacePool") -> None:
     """Park released segments as their last lessee left them.
 
-    The next plan then finds consume-acks already posted and mailbox
-    headers carrying old clocks.  The trace of each rank is still a legal
-    schedule; expected symptom: the hypercube accepts the stale bytes in
-    its mailbox as a fresh contribution — a wrong value.
+    The next plan then finds consume-acks already posted, some of them on
+    ids that are now mailbox notifications.  The trace of each rank is
+    still a legal schedule; expected symptom: the hypercube takes the
+    pending ack for its partner's post and folds the stale bytes in the
+    mailbox as a fresh contribution — a wrong value.
     """
     pool._scrub = lambda segment_id, notification_ids: None  # type: ignore[method-assign]

@@ -30,6 +30,7 @@ from ..utils.validation import require
 from . import kernels
 from .notifmap import NotificationLayout, NotifRange
 from .plan import CollectivePlan
+from .policy import CollectiveResult
 from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
@@ -353,9 +354,7 @@ class RingAllreducePlan(CollectivePlan):
                 for step, _, (r_begin, r_end), _ in self.steps
             ]
 
-    def execute(self, request) -> "CollectiveResult":
-        from .policy import CollectiveResult
-
+    def execute(self, request) -> CollectiveResult:
         sendbuf = self._check_payload(np.asarray(request.sendbuf), "allreduce sendbuf")
         require(
             sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],

@@ -30,6 +30,15 @@ Implementation notes matching the paper:
 The collective keeps state across calls (the mailboxes and the local
 clock), so it is exposed as a class, :class:`SSPAllreduce`, that an
 iterative application constructs once and then calls every iteration.
+
+Two executors share the hypercube.  :class:`SSPAllreduce` is Algorithm 1
+in full — clocked mailboxes, locked snapshots, stale reuse, statistics —
+and serves every call with slack: ``comm.allreduce_ssp``, the ML layer,
+the cold ``comm.allreduce(..., policy=ssp(k))``.  At slack 0 there is
+nothing to reuse or compare, so what ``comm.allreduce`` compiles (and its
+cold strict call builds for one call), :class:`HypercubeAllreducePlan`,
+keeps only the parity mailboxes: payload only, one write from the caller's
+buffer, one wait and one fused fold per step — and the same bits.
 """
 
 from __future__ import annotations
@@ -44,7 +53,9 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
 from .notifmap import NotificationLayout
+from .pipeline import PipelineGen, WaitSpec, _plan_poll_timeout, drive_pipeline
 from .plan import CollectivePlan
+from .policy import CollectiveResult
 from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
@@ -387,65 +398,113 @@ def ssp_allreduce_once(
 
 
 # --------------------------------------------------------------------------- #
-# compiled plan (persistent mailboxes, zero per-call setup)
+# compiled plan: the strict hypercube as a single-copy exchange
 # --------------------------------------------------------------------------- #
-class HypercubeAllreducePlan(CollectivePlan):
-    """Compiled hypercube allreduce: one persistent :class:`SSPAllreduce`.
+#: Upper bound (seconds) on one blocking wait of a planned strict step: a
+#: partner that never posts raises :class:`TimeoutError` instead of hanging.
+PLAN_WAIT_TIMEOUT = 60.0
 
-    The one-shot dispatch path (:func:`ssp_allreduce_once`) constructs and
-    tears down the whole mailbox state per call.  The plan keeps a single
-    long-lived :class:`SSPAllreduce` instead; cross-call safety is inherent
-    in the SSP design, because every contribution travels with its logical
-    clock, a slack-0 reader blocks until the partner's *current*-clock data
-    arrived, and the parity mailboxes keep a partner's next call out of
-    this one.  Each planned call is therefore exactly one `reduce()` of
-    Algorithm 1, and repeated calls return bit-identical values to
-    repeated one-shot calls (the reduction order per step is fixed by the
-    hypercube).
+
+class HypercubeAllreducePlan(CollectivePlan):
+    """Compiled strict hypercube allreduce: one wire op and one fold per step.
+
+    Step ``k`` posts the running partial — the caller's ``sendbuf`` at
+    step 0, the accumulator afterwards — straight into the partner's
+    mailbox (``write_notify_from``: nothing is staged), waits for the
+    partner's notification, and folds ``acc = op(partial, mailbox)`` out
+    of the mailbox view in place.  The accumulator is the caller's
+    ``recvbuf`` when that is a contiguous vector of the plan's dtype; any
+    other ``recvbuf`` is filled once from a private vector at the end.
+
+    Reuse needs no barrier, no clock header and no locked snapshot: a
+    partner is at most one call ahead (it cannot pass step ``k`` of call
+    ``c + 1`` before this rank's step-``k`` write of that call, which is
+    posted only after call ``c`` finished here), so two mailboxes — and
+    notification ids — per step, selected by call parity, keep its next
+    contribution out of this call's, and nothing can land in the box being
+    folded.  The fold order per step is fixed by the hypercube, so planned,
+    cold and :class:`SSPAllreduce` ``slack = 0`` results are bit-identical.
+    Slack is never planned: its cross-call state is the explicit
+    :class:`SSPAllreduce` of ``comm.allreduce_ssp``.
     """
+
+    _segment_views = ("_steps",)
 
     def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
         super().__init__(runtime, key, segment_id, pool)
-        self.dtype = np.dtype(key.dtype)
+        require(policy.slack == 0, "a compiled hypercube plan is strict (slack 0)")
+        self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
-        # The SSP instance holds the workspace lease.
-        self._instance = SSPAllreduce(
-            runtime,
-            self.elements,
-            slack=policy.slack,
-            op=key.op,
-            dtype=self.dtype,
-            segment_id=segment_id,
-            pool=pool,
+        require(self.elements > 0, "num_elements must be positive")
+        cube = Hypercube(runtime.size)
+        boxes = NotificationLayout().add("mailboxes", max(1, 2 * cube.dimensions))
+        self._lease_workspace(key.nbytes * boxes.count, boxes.end)
+
+        def step(k: int, box: int) -> tuple:
+            # (step, partner, mailbox id, byte offset of that mailbox in the
+            # partner's segment, view of the local one)
+            view = runtime.segment_view(
+                self.segment_id, self.dtype, box * key.nbytes, self.elements
+            )
+            return k, cube.partner(runtime.rank, k), boxes.id(box), box * key.nbytes, view
+
+        #: Step tables of even and odd calls: mailbox ``2 * step + parity``.
+        self._steps = tuple(
+            [step(k, 2 * k + parity) for k in range(cube.dimensions)]
+            for parity in (0, 1)
         )
-        self.segment_id = self._instance.segment_id
 
-    @property
-    def instance(self) -> SSPAllreduce:
-        """The underlying persistent SSP collective (for stats/tests)."""
-        return self._instance
+    def begin(self, request) -> PipelineGen:
+        """The incremental executor: polls, and yields when a step is blocked."""
+        return self._run(request, poll_timeout=0.0)
 
-    def execute(self, request) -> "CollectiveResult":
-        from .policy import CollectiveResult
+    def execute(self, request) -> CollectiveResult:
+        bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
+        poll_timeout = min(_plan_poll_timeout(self.runtime, request), bound)
+        return drive_pipeline(self.runtime, self._run(request, poll_timeout), bound)
 
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(
             np.ascontiguousarray(request.sendbuf), "allreduce sendbuf"
         )
-        result = self._instance.reduce(sendbuf)
+        require(sendbuf.ndim == 1, "allreduce sendbuf must be a vector")
+        operator = get_op(request.op)
+        recvbuf = request.recvbuf
+        if (
+            isinstance(recvbuf, np.ndarray)
+            and recvbuf.dtype == self.dtype
+            and recvbuf.shape == sendbuf.shape
+            and recvbuf.flags["C_CONTIGUOUS"]
+        ):
+            acc = recvbuf
+        else:
+            acc = np.empty_like(sendbuf)
+        rt = self.runtime
+        sid = self.segment_id
+        queue = request.queue
+        partial = sendbuf
+        for step, partner, box, offset, mailbox in self._steps[self.calls & 1]:
+            rt.write_notify_from(partial, partner, sid, offset, box, queue=queue)
+            # The posted source is folded over below: flush it first.
+            rt.wait(queue)
+            while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
+                if poll_timeout:
+                    raise TimeoutError(
+                        f"rank {rt.rank}: hypercube step {step} waited longer than "
+                        f"{poll_timeout}s for partner {partner}'s contribution to "
+                        f"call {self.calls}"
+                    )
+                yield WaitSpec(sid, box, 1)
+            rt.notify_reset(sid, box)
+            kernels.fold(operator, partial, mailbox, acc)
+            partial = acc
+        if partial is sendbuf:  # a world of one: nothing was folded
+            acc[:] = sendbuf
+        if recvbuf is not None and acc is not recvbuf:
+            recvbuf[:] = acc
+            acc = recvbuf
         self.calls += 1
-        value = result.value
-        if request.recvbuf is not None:
-            request.recvbuf[:] = value
-            value = request.recvbuf
-        return CollectiveResult(value=value)
-
-    def release(self) -> None:
-        self._closed = True
-        self._instance.close()
-
-    def close(self) -> None:
-        self._closed = True
-        self._instance.drop()
+        return CollectiveResult(value=acc)
 
 
 # --------------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan
+from .policy import CollectiveResult
 from .workspace import Lease, WorkspacePool
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree
@@ -397,9 +398,7 @@ class BstBcastPlan(CollectivePlan):
             self.segment_id, dtype=self.dtype, count=self.elements
         )
 
-    def execute(self, request) -> "CollectiveResult":
-        from .policy import CollectiveResult
-
+    def execute(self, request) -> CollectiveResult:
         buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
         rt = self.runtime
         rank = rt.rank
@@ -491,9 +490,7 @@ class FlatBcastPlan(CollectivePlan):
             self.segment_id, dtype=self.dtype, count=self.elements
         )
 
-    def execute(self, request) -> "CollectiveResult":
-        from .policy import CollectiveResult
-
+    def execute(self, request) -> CollectiveResult:
         buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
         rt = self.runtime
         rank = rt.rank

@@ -74,16 +74,18 @@ from ..telemetry.core import CLOCK, NULL_TELEMETRY
 from ..utils.logging import get_logger
 from ..utils.validation import require
 from . import kernels
+from .allreduce_ring import RingAllreduceStats, ring_allreduce_schedule
 from .bcast import BroadcastResult, _require_vector, threshold_elements
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan, PlanKey, policy_fingerprint
+from .policy import CollectiveResult
 from .reduce import ReduceMode, ReduceResult
 from .reduction_ops import get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree, Ring, chunk_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .policy import CollectiveRequest, CollectiveResult
+    from .policy import CollectiveRequest
 
 logger = get_logger("core.pipeline")
 
@@ -176,7 +178,7 @@ class WaitSpec:
     count: int = 1
 
 
-PipelineGen = Generator[WaitSpec, None, "CollectiveResult"]
+PipelineGen = Generator[WaitSpec, None, CollectiveResult]
 
 
 def drive_pipeline(runtime, gen: PipelineGen, timeout: float = GASPI_BLOCK):
@@ -735,8 +737,6 @@ class PipelinedBstBcastPlan(CollectivePlan):
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
-        from .policy import CollectiveResult
-
         buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
         rt = self.runtime
         rank = rt.rank
@@ -940,8 +940,6 @@ class PipelinedBstReducePlan(CollectivePlan):
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
-        from .policy import CollectiveResult
-
         sendbuf = self._check_payload(np.asarray(request.sendbuf), "reduce sendbuf")
         require(
             sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],
@@ -1266,9 +1264,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
-        from .allreduce_ring import RingAllreduceStats
-        from .policy import CollectiveResult
-
         sendbuf = self._check_payload(np.asarray(request.sendbuf), "allreduce sendbuf")
         require(
             sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],
@@ -1579,8 +1574,6 @@ def pipelined_ring_allreduce_schedule(
     name: str | None = None,
 ) -> CommunicationSchedule:
     """Schedule of the chunked ring: the ring builder with sub-splitting."""
-    from .allreduce_ring import ring_allreduce_schedule
-
     per_rank_chunk = -(-nbytes // num_ranks) if num_ranks else nbytes
     subs = _chunk_count(per_rank_chunk, chunk_bytes)
     sched = ring_allreduce_schedule(

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..utils.validation import require
+from .reduction_ops import get_op
 from .workspace import Lease, WorkspacePool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
@@ -83,8 +84,7 @@ def policy_fingerprint(policy: "ConsistencyPolicy") -> PolicyFingerprint:
 
 def policy_from_fingerprint(fingerprint: PolicyFingerprint) -> "ConsistencyPolicy":
     """Rebuild the :class:`ConsistencyPolicy` a fingerprint was taken from."""
-    from .policy import ConsistencyPolicy
-    from .reduce import ReduceMode
+    from .policy import ConsistencyPolicy, ReduceMode
 
     threshold, mode, slack, on_failure, chunk_bytes = fingerprint
     return ConsistencyPolicy(
@@ -94,6 +94,13 @@ def policy_from_fingerprint(fingerprint: PolicyFingerprint) -> "ConsistencyPolic
         on_failure=on_failure,
         chunk_bytes=chunk_bytes,
     )
+
+
+#: Call signature -> :class:`PlanKey` (see :meth:`PlanKey.from_request`).
+#: Keys are a pure function of the signature, so entries never go stale;
+#: the memo is simply cleared when it reaches its fixed size.
+_KEY_MEMO: Dict[tuple, "PlanKey"] = {}
+_KEY_MEMO_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -126,20 +133,28 @@ class PlanKey:
         """Key of the plan serving ``request``, or ``None`` if unplannable.
 
         Data-free requests (barriers) and non-array payloads cannot be
-        keyed and fall back to the cold path.
+        keyed and fall back to the cold path.  The key is a pure function
+        of the call signature, so it is built on first sight only and
+        memoized (:data:`_KEY_MEMO`): a plan-cache hit pays one dict
+        lookup, not a nine-field frozen dataclass and its hash.
         """
         if request.sendbuf is None:
             return None
         sendbuf = np.asarray(request.sendbuf)
         if sendbuf.size == 0:
             return None
-        from .reduction_ops import get_op
-
+        signature = (
+            info.collective, info.name, runtime.size, request.root, sendbuf.nbytes,
+            sendbuf.dtype, request.op, request.policy, request.tag,
+        )
+        key = _KEY_MEMO.get(signature)
+        if key is not None:
+            return key
         try:
             op_name = get_op(request.op).name
         except ValueError:
             return None
-        return cls(
+        key = cls(
             collective=info.collective,
             algorithm=info.name,
             size=runtime.size,
@@ -150,6 +165,10 @@ class PlanKey:
             policy=policy_fingerprint(request.policy),
             tag=int(request.tag),
         )
+        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
+            _KEY_MEMO.clear()
+        _KEY_MEMO[signature] = key
+        return key
 
     # ------------------------------------------------------------------ #
     # serialization (checkpoint snapshots)

@@ -27,6 +27,7 @@ existing code written against the old per-collective result types
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple
 
@@ -34,9 +35,15 @@ import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
 from ..utils.validation import check_fraction, require
-from .reduce import ReduceMode
 from .reduction_ops import ReductionOp
 from .workspace import WorkspacePool
+
+
+class ReduceMode(enum.Enum):
+    """Which eventual-consistency strategy a threshold applies to."""
+
+    DATA = "data"
+    PROCESSES = "processes"
 
 
 @dataclass(frozen=True)
@@ -293,7 +300,9 @@ class CollectiveResult:
 
     value: Optional[np.ndarray]
     algorithm: str = ""
-    policy: ConsistencyPolicy = field(default_factory=ConsistencyPolicy)
+    #: Shared default (policies are immutable): constructing and validating
+    #: one per result is measurable at plan-cached call rates.
+    policy: ConsistencyPolicy = STRICT
     detail: Any = None
     simulated: Any = None
     missing_ranks: Tuple[int, ...] = ()

@@ -19,7 +19,6 @@ buffer.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -32,6 +31,7 @@ from . import kernels
 from .bcast import threshold_elements
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan
+from .policy import CollectiveResult, ReduceMode
 from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
@@ -50,13 +50,6 @@ REDUCE_LAYOUT = NotificationLayout()
 _NOTIF_READY_BASE = REDUCE_LAYOUT.add("ready", 64).base
 _NOTIF_DATA_BASE = REDUCE_LAYOUT.add("data", 64).base
 _NOTIF_ACK = REDUCE_LAYOUT.add("ack", 1).id()
-
-
-class ReduceMode(enum.Enum):
-    """Which eventual-consistency strategy a threshold applies to."""
-
-    DATA = "data"
-    PROCESSES = "processes"
 
 
 @dataclass
@@ -302,9 +295,7 @@ class BstReducePlan(CollectivePlan):
             for index in self.child_indices
         ]
 
-    def execute(self, request) -> "CollectiveResult":
-        from .policy import CollectiveResult
-
+    def execute(self, request) -> CollectiveResult:
         sendbuf = self._check_payload(np.asarray(request.sendbuf), "reduce sendbuf")
         require(
             sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],

@@ -430,8 +430,13 @@ def _run_allreduce_ring(runtime, request: CollectiveRequest) -> CollectiveResult
 
 
 def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .allreduce_ssp import ssp_allreduce_once
+    from .allreduce_ssp import HypercubeAllreducePlan, ssp_allreduce_once
 
+    if request.policy.slack == 0:
+        from .pipeline import _run_cold
+
+        name = "gaspi_allreduce_ssp_hypercube"
+        return _run_cold(HypercubeAllreducePlan, "allreduce", name, runtime, request)
     value = ssp_allreduce_once(
         runtime,
         np.ascontiguousarray(request.sendbuf),

@@ -31,6 +31,7 @@ from repro.analysis.mutations import (
     duplicate_chunk_id,
     hoist_first_consume,
     reuse_without_cooling,
+    single_mailbox_per_step,
     skip_allgather_copy_out,
     skip_scrub,
 )
@@ -122,6 +123,18 @@ def test_skipped_allgather_copy_out_fails_the_value_check():
     assert not any(np.array_equal(out, expected) for out in mutated.recvbufs)
 
 
+@pytest.mark.parametrize("ranks", [2, 8])
+def test_single_mailbox_per_step_lets_the_next_call_overwrite_this_one(ranks):
+    # The parity is what allows folding the mailbox view unlocked: without
+    # it a partner one call ahead posts into the box still being read.
+    cell = dict(num_ranks=ranks, nbytes=256, calls=3)
+    assert analyze(build_model("gaspi_allreduce_ssp_hypercube", **cell).trace) == []
+    mutated = build_model(
+        "gaspi_allreduce_ssp_hypercube", **cell, mutate_plan=single_mailbox_per_step
+    )
+    assert DOUBLE_POST in classes(analyze(mutated.trace))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [drop_notify, hoist_first_consume, corrupt_notification_id, corrupt_offset],
@@ -155,8 +168,8 @@ def test_reuse_without_cooling_races_the_scrub(bcast, other, ranks):
 
 @pytest.mark.parametrize("ranks", [4, 8])
 def test_skipped_scrub_feeds_the_hypercube_stale_mailboxes(ranks):
-    # The broadcast payload left in the segment reads as a mailbox whose
-    # clock header is already current: accepted without waiting.
+    # A consume-ack left pending on a mailbox's notification id reads as the
+    # partner's post: the broadcast payload in the box is folded unwaited.
     found = classes(
         verify_recycling(
             "gaspi_bcast_bst",

@@ -76,23 +76,56 @@ def test_ibcast_and_ireduce_release_their_buffers_at_completion():
     assert np.array_equal(results[2][1], _total(4, 3))
 
 
+#: Where the two differ: the ring requires a ``recvbuf`` of the payload's
+#: dtype and a contiguous ``sendbuf``; the hypercube reduces privately and
+#: casts on the way out, and copies a strided ``sendbuf`` (as its copying
+#: predecessor did).
+ACCEPTS_ODD_BUFFERS = {"ring_pipelined": False, "hypercube": True}
+
+
+@pytest.mark.parametrize("algorithm,ranks", [("ring_pipelined", 3), ("hypercube", 4)])
 @pytest.mark.parametrize("config", [None, ASYNC], ids=["immediate", "async"])
-def test_in_place_and_allocated_recvbuf(config):
+def test_in_place_and_allocated_recvbuf(config, algorithm, ranks):
     def worker(rt):
         comm = Communicator(rt)
         x = _contribution(rt.rank, 0)
-        returned = comm.allreduce(x, x, algorithm="ring_pipelined", policy=POLICY)
+        returned = comm.allreduce(x, x, algorithm=algorithm, policy=POLICY)
         in_place = returned is x
         send = _contribution(rt.rank, 1)
-        fresh = comm.allreduce(send, algorithm="ring_pipelined", policy=POLICY)
+        fresh = comm.allreduce(send, algorithm=algorithm, policy=POLICY)
+        backing = np.zeros(2 * N)
+        strided = comm.allreduce(send, backing[::2], algorithm=algorithm, policy=POLICY)
+        narrow = np.zeros(N, dtype=np.float32)
+        columns = np.stack([send, send], axis=1)
+        try:  # rejected before anything is posted, on every rank alike
+            comm.allreduce(send, narrow, algorithm=algorithm, policy=POLICY)
+            from_strided = comm.allreduce(
+                columns[:, 0], algorithm=algorithm, policy=POLICY
+            )
+        except ValueError:
+            from_strided = None
         untouched = np.array_equal(send, _contribution(rt.rank, 1))
-        handle = comm.iallreduce(send, send, policy=POLICY, tag=3)
+        handle = comm.iallreduce(send, send, algorithm=algorithm, policy=POLICY, tag=3)
         handle.wait(timeout=60)
         comm.close()
-        return x, in_place, fresh, untouched, send
+        return {
+            "x": x, "in_place": in_place, "fresh": fresh, "untouched": untouched,
+            "strided": (strided.base is backing, backing[::2].copy(), backing[1::2].any()),
+            "odd": (narrow, from_strided),
+            "nonblocking": send,
+        }
 
-    for x, in_place, fresh, untouched, nonblocking in spmd(3, worker, world_config=config):
-        assert in_place and np.array_equal(x, _total(3, 0))
-        assert fresh.flags["C_CONTIGUOUS"] and np.array_equal(fresh, _total(3, 1))
-        assert untouched
-        assert np.array_equal(nonblocking, _total(3, 1))
+    for out in spmd(ranks, worker, world_config=config):
+        total = _total(ranks, 1)
+        assert out["in_place"] and np.array_equal(out["x"], _total(ranks, 0))
+        assert out["fresh"].flags["C_CONTIGUOUS"] and np.array_equal(out["fresh"], total)
+        assert out["untouched"]
+        returned_view, filled, gaps_written = out["strided"]
+        assert returned_view and np.array_equal(filled, total) and not gaps_written
+        narrow, from_strided = out["odd"]
+        if ACCEPTS_ODD_BUFFERS[algorithm]:
+            assert np.array_equal(narrow, total.astype(np.float32))
+            assert np.array_equal(from_strided, total)
+        else:
+            assert from_strided is None and not narrow.any()
+        assert np.array_equal(out["nonblocking"], total)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry
 from repro.core.plan import PlanCache, PlanKey
+from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
 from repro.core.workspace import size_class
 
@@ -410,6 +414,125 @@ class TestWorkspaceRecycling:
             assert open_segments == 0
 
 
+class _CountingRuntime:
+    """Forwards everything to ``inner``; counts the calls by method name."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.counts = Counter()
+
+    def __getattr__(self, name):
+        attribute = getattr(self._inner, name)
+        if not callable(attribute):
+            return attribute
+
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return attribute(*args, **kwargs)
+
+        return counted
+
+
+class TestHitCostsItsWireOps:
+    """Counts, not timings: what a plan-cache hit may still do per call."""
+
+    def test_hits_build_no_plan_key_and_validate_no_policy(self, monkeypatch):
+        built = Counter()
+
+        def counting(cls, method):
+            original = getattr(cls, method)
+
+            def wrapper(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        counting(PlanKey, "__init__")
+        counting(ConsistencyPolicy, "__post_init__")
+        PlanKey.from_dict(
+            PlanKey.from_request(
+                REGISTRY.get("gaspi_allreduce_ring"),
+                type("FakeRuntime", (), {"size": 4}),
+                CollectiveRequest("allreduce", sendbuf=np.zeros(8)),
+            ).to_dict()
+        )
+        assert built["PlanKey"] >= 1 and built["ConsistencyPolicy"] == 1
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x, y = np.full(128, float(rt.rank)), np.empty(128)  # the *_1k shapes
+            handle = comm.persistent("allreduce", np.empty(256))
+
+            def round_of_calls():
+                comm.allreduce(x, y)
+                comm.bcast(x, root=0)
+                comm.reduce(x, y, root=0)
+                handle(np.ones(256))
+
+            round_of_calls()  # compiles the four plans
+            rt.barrier()  # ... on every rank, before anybody snapshots
+            before = dict(built), comm.plan_cache_stats().hits
+            for _ in range(200):
+                round_of_calls()
+            rt.barrier()
+            after = dict(built), comm.plan_cache_stats().hits
+            algorithm = comm.last_result.algorithm
+            handle.close()
+            comm.close()
+            return before, after, algorithm
+
+        for (built0, hits0), (built1, hits1), algorithm in spmd(2, worker):
+            assert hits1 - hits0 == 800
+            assert built1 == built0
+            assert algorithm == "gaspi_allreduce_ssp_hypercube"
+
+    @pytest.mark.parametrize("ranks", [2, 8])
+    def test_planned_hypercube_call_is_one_write_wait_reset_per_step(self, ranks):
+        calls, steps = 50, ranks.bit_length() - 1
+
+        def worker(rt):
+            counting = _CountingRuntime(rt)
+            comm = Communicator(counting)
+            x, y = np.full(128, float(rt.rank)), np.empty(128)
+            comm.allreduce(x, y, algorithm="hypercube")  # compile
+            before = Counter(counting.counts)
+            for _ in range(calls):
+                comm.allreduce(x, y, algorithm="hypercube")
+            spent = counting.counts - before
+            comm.close()
+            return spent, float(y[0])
+
+        for spent, value in spmd(ranks, worker):
+            assert value == ranks * (ranks - 1) / 2
+            for op in ("write_notify_from", "notify_waitsome", "notify_reset"):
+                assert spent[op] == calls * steps, op
+            for op in ("segment_read", "segment_view", "write_notify", "barrier"):
+                assert spent[op] == 0, op
+
+    def test_a_partner_that_never_posts_is_a_timeout_not_a_hang(self, monkeypatch):
+        monkeypatch.setattr("repro.core.allreduce_ssp.PLAN_WAIT_TIMEOUT", 0.2)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.ones(16)
+            comm.allreduce(x, algorithm="hypercube")  # compile; call 0
+            message, elapsed = None, 0.0
+            if rt.rank == 0:
+                started = time.perf_counter()
+                with pytest.raises(TimeoutError) as caught:
+                    comm.allreduce(x, algorithm="hypercube")
+                message, elapsed = str(caught.value), time.perf_counter() - started
+            rt.barrier()  # rank 1 never entered call 1
+            comm.close()
+            return message, elapsed
+
+        message, elapsed = spmd(2, worker)[0]
+        assert elapsed < 10.0
+        for part in ("rank 0", "step 0", "partner 1", "call 1"):
+            assert part in message
+
+
 class TestSplitIsolation:
     def test_children_never_share_plans_or_pools_with_the_parent(self):
         def worker(rt):
@@ -446,8 +569,6 @@ class TestPlanKeyAndCacheUnits:
         class FakeRuntime:
             size = 4
 
-        from repro.core.policy import CollectiveRequest
-
         a = PlanKey.from_request(
             info, FakeRuntime(), CollectiveRequest("allreduce", sendbuf=np.zeros(8))
         )
@@ -469,8 +590,6 @@ class TestPlanKeyAndCacheUnits:
 
         class FakeRuntime:
             size = 4
-
-        from repro.core.policy import CollectiveRequest
 
         assert (
             PlanKey.from_request(info, FakeRuntime(), CollectiveRequest("barrier"))

@@ -5,10 +5,13 @@ The pipelined plans post one-sided writes straight from caller buffers
 places a copy used to hide a mistake are gone: an odd element count, a
 payload smaller than one chunk, a non-power-of-two world, a ``recvbuf``
 that is the ``sendbuf``, or one that is not contiguous.  For a random draw
-of all of those, the plan-cached call (twice: the second one crosses every
-cross-call handshake), the cold pipelined call and the cold monolithic
+of all of those, the plan-cached call (three times: the second one crosses
+every cross-call handshake, the third returns to the first call's
+mailbox parity), the cold pipelined call and the cold monolithic
 function must agree bit for bit, and — where the arithmetic is exact in
-any association (integer-valued payloads, or ``max``) — with NumPy.
+any association (integer-valued payloads, or ``max``) — with NumPy.  The
+strict hypercube, which posts from caller buffers and folds into
+``recvbuf`` the same way, is one more input.
 """
 
 from __future__ import annotations
@@ -28,25 +31,31 @@ from repro.core.reduction_ops import ReductionOp
 PYSUM = ReductionOp("pysum", lambda a, b: a + b, 0.0)
 OPS = {"sum": np.add, "max": np.maximum, "pysum": np.add}
 
+#: case kind -> (planned algorithm, cold reference algorithm)
 ALGORITHMS = {
     "bcast": ("bst_pipelined", "bst"),
     "reduce": ("bst_pipelined", "bst"),
     "allreduce": ("ring_pipelined", "ring"),
+    # Its cold call is a throwaway plan of the same class.
+    "allreduce/hypercube": ("hypercube", "hypercube"),
 }
 
 
 @st.composite
 def cases(draw):
-    collective = draw(st.sampled_from(sorted(ALGORITHMS)))
-    ranks = draw(st.integers(min_value=2, max_value=8))
+    kind = draw(st.sampled_from(sorted(ALGORITHMS)))
+    collective = kind.split("/")[0]
+    hypercube = kind.endswith("hypercube")
+    ranks = draw(st.sampled_from([2, 4, 8]) if hypercube else st.integers(2, 8))
     dtype = draw(st.sampled_from(["float32", "float64", "int64"]))
     exact = draw(st.booleans()) or dtype == "int64"
     return {
         "collective": collective,
+        "algorithms": ALGORITHMS[kind],
         "ranks": ranks,
         "root": draw(st.integers(min_value=0, max_value=ranks - 1)),
         # 1 element, odd counts, fewer elements than ranks, several chunks
-        "elements": draw(st.integers(min_value=1, max_value=700)),
+        "elements": draw(st.integers(1, 1024 if hypercube else 700)),
         "dtype": dtype,
         "op": draw(st.sampled_from(sorted(OPS))),
         "chunk_bytes": draw(st.sampled_from([None, 8, 24, 64, 512, 1 << 16])),
@@ -108,16 +117,17 @@ def _call(comm, case, algorithm, call):
 
 
 def _worker(rt, case):
-    pipelined, monolithic = ALGORITHMS[case["collective"]]
+    pipelined, monolithic = case["algorithms"]
     planned = Communicator(rt)
     cold = Communicator(rt, segment_base=4000, plan_cache=0)
     out = {
         "planned": _call(planned, case, pipelined, 0),
         "planned_again": _call(planned, case, pipelined, 1),
+        "planned_third": _call(planned, case, pipelined, 2),
         "cold": _call(cold, case, pipelined, 0),
         "cold_function": _call(cold, case, monolithic, 0),
     }
-    if case["collective"] == "allreduce":
+    if pipelined == "ring_pipelined":
         # Two tagged nonblocking pipelines in flight at once, each with its
         # own plan and workspace; the second one reduces in place.
         op = PYSUM if case["op"] == "pysum" else case["op"]
@@ -165,7 +175,7 @@ def _check(case, backend):
             assert out["nonblocking"] == out["planned"], (rank, "iallreduce tag 1")
             assert out["nonblocking_again"] == out["planned_again"], (rank, "tag 2")
     if order_free:
-        for call, label in ((0, "planned"), (1, "planned_again")):
+        for call, label in enumerate(("planned", "planned_again", "planned_third")):
             expected = _reference(case, call)
             for rank, out in enumerate(results):
                 assert out[label] == expected[rank], (rank, label, "numpy")
@@ -173,7 +183,8 @@ def _check(case, backend):
 
 def _case(collective, ranks, elements, dtype, chunk_bytes):
     return {
-        "collective": collective, "ranks": ranks, "root": 0, "elements": elements,
+        "collective": collective, "algorithms": ALGORITHMS[collective],
+        "ranks": ranks, "root": 0, "elements": elements,
         "dtype": dtype, "op": "max", "chunk_bytes": chunk_bytes, "threshold": 1.0,
         "recvbuf": "fresh", "exact": False, "seed": 0,
     }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,28 @@ class TestInstrumentedRun:
         # Chunk waits happen whenever a rank blocks on a peer; with 4 ranks
         # and several chunks per call at least some ranks block.
         assert chunk_wait["count"] == merged["counters"]["pipeline.chunks"]
+
+
+def test_blocked_hypercube_step_is_a_chunk_span():
+    # The strict hypercube polls and yields under telemetry like the
+    # pipelined plans, so a late partner is visible as a wait, with its step.
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank)
+        comm = Communicator(rt, telemetry=tel)
+        x = rank_vector(rt.rank, 128)
+        comm.allreduce(x, algorithm="hypercube")  # compile
+        rt.barrier()
+        if rt.rank == 1:
+            time.sleep(0.05)
+        comm.allreduce(x, algorithm="hypercube")
+        comm.close()
+        return tel.snapshot(events=True)
+
+    waiting = spmd(2, worker)[0]
+    chunks = [e for e in waiting["events"] if e["cat"] == "chunk"]
+    assert chunks and max(e["dur"] for e in chunks) >= 0.02
+    assert all(e["args"]["count"] == 1 for e in chunks)  # one mailbox id
+    assert waiting["histograms"]["pipeline.chunk_wait_s"]["count"] == len(chunks)
 
 
 class TestDisabledPathEquivalence:
