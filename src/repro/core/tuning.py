@@ -69,12 +69,17 @@ class ChunkRule:
 #: Payload-size → chunk-size table of the pipelined data path.  The shape
 #: mirrors Open MPI's segmented-collective tuning: no segmentation below
 #: the pipelining threshold, then chunk sizes that grow with the payload
-#: so the chunk count stays small.  On this thread-per-rank substrate the
-#: per-chunk cost is a condition-variable wakeup (~50 us), not a NIC
-#: doorbell, so the crossover sits far higher than on real hardware —
-#: chunking pays off only once a chunk's memcpy time clears the wakeup
-#: latency.  ``ConsistencyPolicy.chunk_bytes`` overrides the table, which
-#: the nonblocking overlap path uses to force finer chunks.
+#: so the chunk count stays small.  The table was derived by hand on the
+#: thread-per-rank substrate, where the per-chunk cost is a
+#: condition-variable wakeup (~50 us), not a NIC doorbell, so the
+#: crossover sits far higher than on real hardware — chunking pays off
+#: only once a chunk's memcpy time clears the wakeup latency.  The shm
+#: substrate no longer pays that wakeup when each rank owns a core (a
+#: blocked rank polls, see ``ShmWorld.hybrid_wait``); finer chunks on top
+#: of that measured inconclusive (+5 % / -4 % over two pairs), so the
+#: table stands until a sweep re-derives it (ROADMAP item 5).
+#: ``ConsistencyPolicy.chunk_bytes`` overrides the table, which the
+#: nonblocking overlap path uses to force finer chunks.
 PIPELINE_CHUNK_TABLE: List[ChunkRule] = [
     ChunkRule(max_nbytes=512 * 1024, chunk_bytes=None),  # single zero-copy chunk
     ChunkRule(max_nbytes=2 * 1024 * 1024, chunk_bytes=512 * 1024),

@@ -27,16 +27,37 @@ Implementation notes, mirroring the GASPI guarantees the collectives in
   ``segment_delete``), exactly as GPI-2 requires — a missing remote
   segment therefore raises :class:`~repro.gaspi.errors.GaspiSegmentError`
   immediately, as the threaded runtime does.
-* **Write-before-notify visibility**: the data copy and the notification
-  store are both guarded by a (striped) cross-process lock, whose
-  release/acquire pairs order the stores; the notification can never be
-  observed before the data of the same request.
-* **Notification waits** (``notify_waitsome``) are a busy-wait/condvar
-  hybrid: a short yield-polling phase (cheap when the notification is
-  already there or arrives within a scheduling quantum), then the waiter
-  parks on a world-global cross-process condition variable that posters
-  signal only while waiters are registered — so the posting fast path
-  stays a single slot store plus one shared counter read.
+* **Two (striped) cross-process locks per segment.**  The *board lock*
+  guards the notification board: every notification store,
+  ``notify_reset``, ``notify_drain`` and the ``adopt_segment`` drain.
+  The *data lock* guards bulk payload copies.  A write below
+  ``_BULK_WRITE_BYTES`` copies and notifies inside one board-lock
+  section; a bulk write copies under the data lock only, releases it,
+  and then stores its notification under the board lock — so a receiver
+  that was told "chunk k is here" resets and drains while chunk k+1 is
+  still being copied in, instead of queueing behind that copy.
+  ``segment_read`` takes both (data, then board: the only nesting, so
+  the order cannot deadlock) and therefore still never observes a
+  half-applied remote write of either kind.
+* **Write-before-notify visibility**: the data copy completes and its
+  lock is released before the notification store's lock is taken; the
+  release/acquire pairs order the stores, so the notification can never
+  be observed before the data of the same request.
+* **Notification waits** (``notify_waitsome``) and barrier waits are a
+  busy-wait/condvar hybrid (:meth:`ShmWorld.hybrid_wait`): a
+  yield-polling phase, then the waiter parks on a world-global
+  cross-process condition variable that posters signal only while
+  waiters are registered — so the posting fast path stays a single slot
+  store plus one shared counter read.  The length of the polling phase
+  follows from what the world can observe: when every rank can own a
+  core (``world.size <= len(os.sched_getaffinity(0))``) a waiter polls
+  for up to ``wait_slice`` before it parks, because a futex wake-up
+  costs more than the wait it would save; when the world is
+  oversubscribed it polls ``config.spin`` times and parks, because the
+  core it would burn is the one its peer needs.  A wait with a timeout
+  shorter than ``wait_slice`` gets the ``config.spin`` budget either
+  way: its caller loops over short waits (the progress thread), and
+  polling each of them out would never park.
 * **Barrier** is a sense-reversing counter in a preallocated shared
   table, one slot per distinct group (claimed deterministically by a
   hash of the member ranks).  A finite-timeout barrier with a dead
@@ -63,6 +84,7 @@ by the children instead of pickled.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import time
@@ -111,8 +133,17 @@ _H_POSTED = 3  # diagnostic: notifications posted into this segment
 _BARRIER_SLOTS = 256
 _BARRIER_FIELDS = 4
 
-#: Cross-process locks striped over segments (write/reset serialisation).
+#: Cross-process locks striped over segments; the world holds two such
+#: sets (notification board, bulk data).
 _SEGMENT_LOCK_STRIPES = 16
+
+#: Payload size from which a write copies under the data lock instead of
+#: inside the board-lock section.  The split costs a second uncontended
+#: lock round trip (0.36 us measured on the 2-core reference box) and buys
+#: the receiver a board lock it never waits a memcpy for; a 64 KiB copy
+#: takes 2.2 us there (1 MiB: 50 us), so from here on the copy, not the
+#: extra round trip, is what a queued ``notify_reset`` would pay for.
+_BULK_WRITE_BYTES = 64 * 1024
 
 
 def _segment_lock_index(owner_rank: int, segment_id: int) -> int:
@@ -166,12 +197,19 @@ class ShmConfig:
     max_segments:
         Maximum number of live segments per rank.
     spin:
-        Yield-polling iterations before a waiter parks on the shared
-        condition variable.  Each miss yields the CPU, so even on a
-        single core the poller cannot starve the rank it is waiting on.
+        The *oversubscribed* polling budget: yield-polling iterations
+        before a waiter parks on the shared condition variable when the
+        world has more ranks than the process may use cores.  Each miss
+        yields the CPU, so even on a single core the poller cannot
+        starve the rank it is waiting on.  A world whose ranks can each
+        own a core polls for up to ``wait_slice`` instead — except in a
+        wait whose timeout is shorter than ``wait_slice``, which gets
+        this budget too (see :meth:`ShmWorld.hybrid_wait`).
     wait_slice:
         Maximum single park on the condition variable (seconds); bounds
-        the latency of a wake-up racing the waiter's registration.
+        the latency of a wake-up racing the waiter's registration.  Also
+        the longest a rank with a core to itself polls before it parks,
+        i.e. the CPU one blocked wait may burn before it sleeps.
     collect_stats:
         Record per-rank traffic statistics (process-local).
     """
@@ -333,8 +371,19 @@ class ShmWorld:
         self._segment_locks = tuple(
             self._ctx.Lock() for _ in range(_SEGMENT_LOCK_STRIPES)
         )
+        self._data_locks = tuple(
+            self._ctx.Lock() for _ in range(_SEGMENT_LOCK_STRIPES)
+        )
         self._notify_cond = self._ctx.Condition()
         self._notify_waiters = self._ctx.RawValue("i", 0)
+        #: True when every rank can own a core; decides how long a
+        #: blocked wait polls before it parks (see :meth:`hybrid_wait`).
+        self.dedicated_cores = self.size <= len(os.sched_getaffinity(0))
+        #: Blocked waits of *this process* that ended while polling /
+        #: that went on to park.  Plain ints: the world object is
+        #: inherited by fork, so every rank process counts its own.
+        self.waits_spun = 0
+        self.waits_parked = 0
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -355,7 +404,12 @@ class ShmWorld:
         return f"{self.uid}-r{rank}-s{segment_id}"
 
     def segment_lock(self, owner_rank: int, segment_id: int):
+        """The lock guarding a segment's notification board."""
         return self._segment_locks[_segment_lock_index(owner_rank, segment_id)]
+
+    def data_lock(self, owner_rank: int, segment_id: int):
+        """The lock bulk writers into a segment and ``segment_read`` take."""
+        return self._data_locks[_segment_lock_index(owner_rank, segment_id)]
 
     # ------------------------------------------------------------------ #
     # notification wake-up (busy-wait/condvar hybrid, posting side)
@@ -369,26 +423,54 @@ class ShmWorld:
     def hybrid_wait(self, poll: Callable[[], Any], timeout: float):
         """Run ``poll`` until it returns non-``None`` or ``timeout`` expires.
 
-        Phase one yield-polls ``config.spin`` times — the notification is
-        usually either already there or one scheduling quantum away on a
-        loaded host.  Phase two registers as a waiter and parks on the
-        shared condition variable in ``wait_slice`` bites (the slice
-        bounds the race of a post landing between the poster's waiter
-        check and this waiter's registration).
+        Phase one yield-polls.  With a core per rank
+        (:attr:`dedicated_cores`) it does so for up to ``wait_slice``
+        seconds: nobody else wants the core, a poll notices a post within
+        a microsecond, and the poster skips ``notify_all`` because no
+        waiter is registered — parking would add a futex wake-up to every
+        wait longer than a few dozen yields, which on a pipelined
+        transfer is every chunk.  Otherwise the budget is ``config.spin``
+        iterations.  That is the oversubscribed world — the notification
+        is either already there or a scheduling quantum away, and the
+        peer needs the core — and also any wait whose own ``timeout`` is
+        shorter than ``wait_slice``: such a caller slices a long wait
+        into short ones itself (the progress thread's 200 us parks on the
+        head pipeline), so polling each slice out would add up to an
+        unbounded spin that holds the GIL against the thread it is meant
+        to overlap with.
+        Phase two registers as a waiter and parks on the shared condition
+        variable in ``wait_slice`` bites (the slice bounds the race of a
+        post landing between the poster's waiter check and this waiter's
+        registration).
         """
         hit = poll()
         if hit is not None:
             return hit
         if timeout == 0.0:
             return None
-        deadline = None if timeout == GASPI_BLOCK else time.monotonic() + timeout
-        for _ in range(self.config.spin):
+        now = time.monotonic()
+        deadline = None if timeout == GASPI_BLOCK else now + timeout
+        wait_slice = self.config.wait_slice
+        if self.dedicated_cores and (deadline is None or timeout >= wait_slice):
+            polls = itertools.repeat(None)
+            spin_until = now + wait_slice
+        else:
+            polls = range(self.config.spin)
+            spin_until = deadline
+        for _ in polls:
             os.sched_yield()
             hit = poll()
             if hit is not None:
+                self.waits_spun += 1
                 return hit
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
+            if spin_until is not None:
+                now = time.monotonic()
+                if now >= spin_until:
+                    if deadline is not None and now >= deadline:
+                        self.waits_spun += 1
+                        return None
+                    break
+        self.waits_parked += 1
         cond = self._notify_cond
         waiters = self._notify_waiters
         with cond:
@@ -698,10 +780,13 @@ class ShmRuntime(GaspiRuntime):
             count = (block.size - offset) // dtype.itemsize
         nbytes = count * dtype.itemsize
         block.check_range(offset, nbytes)
-        # Snapshot under the segment's write lock, so a half-applied
-        # remote write (the SSP mailbox race) is never observed.
-        with self._world.segment_lock(self._rank, segment_id):
-            raw = block.data[offset : offset + nbytes].copy()
+        # Snapshot under both of the segment's locks — bulk writers copy
+        # under the data lock, small ones under the board lock — so a
+        # half-applied remote write (the SSP mailbox race) is never
+        # observed.  Data before board is the only nesting anywhere.
+        with self._world.data_lock(self._rank, segment_id):
+            with self._world.segment_lock(self._rank, segment_id):
+                raw = block.data[offset : offset + nbytes].copy()
         return raw.view(dtype)
 
     # -- one-sided communication ---------------------------------------- #
@@ -801,13 +886,21 @@ class ShmRuntime(GaspiRuntime):
         block = self._segment_of(target_rank, segment_id_remote)
         block.check_range(offset_remote, source.size)
         block.check_notification(notification_id)
-        # Data first, then the notification, inside ONE critical section
-        # (this is the hottest protocol op — one lock round-trip, not
-        # two); the lock release orders the stores, so the GASPI
-        # visibility guarantee holds even under weak memory ordering.
+        # Data first, then the notification; each lock release orders the
+        # stores before it, so the GASPI visibility guarantee holds even
+        # under weak memory ordering.  A small write does both inside ONE
+        # board-lock section (the hottest protocol op: one lock round
+        # trip).  A bulk write copies under the data lock and takes the
+        # board lock for the two stores only, so the target's
+        # notify_reset/notify_drain never wait for a memcpy.
+        size = source.size
+        bulk = size >= _BULK_WRITE_BYTES
+        if bulk:
+            with self._world.data_lock(target_rank, segment_id_remote):
+                block.data[offset_remote : offset_remote + size] = source
         with self._world.segment_lock(target_rank, segment_id_remote):
-            if source.size:
-                block.data[offset_remote : offset_remote + source.size] = source
+            if size and not bulk:
+                block.data[offset_remote : offset_remote + size] = source
             block.notif[notification_id] = value
             block.header[_H_POSTED] += 1
         self._world.wake_waiters()
@@ -820,7 +913,10 @@ class ShmRuntime(GaspiRuntime):
         block = self._segment_of(target_rank, segment_id)
         block.check_range(offset, source.size)
         if source.size:
-            with self._world.segment_lock(target_rank, segment_id):
+            world = self._world
+            bulk = source.size >= _BULK_WRITE_BYTES
+            lock = world.data_lock if bulk else world.segment_lock
+            with lock(target_rank, segment_id):
                 block.data[offset : offset + source.size] = source
 
     def _apply_notify(
@@ -1101,8 +1197,12 @@ class ShmRuntime(GaspiRuntime):
         for segment_id in list(self._local):
             self._local.pop(segment_id).destroy()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ShmRuntime(rank={self._rank}, size={self.size})"
+    def __repr__(self) -> str:
+        world = self._world
+        return (
+            f"ShmRuntime(rank={self._rank}, size={self.size}, "
+            f"waits_spun={world.waits_spun}, waits_parked={world.waits_parked})"
+        )
 
 
 # --------------------------------------------------------------------------- #

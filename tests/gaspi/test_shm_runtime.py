@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.gaspi import (
     Group,
     SpmdError,
 )
-from repro.gaspi.shm import ShmConfig, ShmWorld
+from repro.gaspi.shm import _BULK_WRITE_BYTES, ShmConfig, ShmWorld
 
 from tests.helpers import expected_sum, rank_vector
 
@@ -193,6 +195,221 @@ class TestShmSemantics:
         results = _run_clean(2, worker, timeout=60)
         # The write landed in the *new* block, not the stale mapping.
         assert results == [1.5, 0.5]
+
+
+# --------------------------------------------------------------------------- #
+# the split segment lock: board ops never wait for a bulk copy, reads never tear
+# --------------------------------------------------------------------------- #
+class TestSplitSegmentLock:
+    def test_segment_read_never_sees_a_half_applied_bulk_write(self):
+        """The SSP mailbox property: one rank alternates two 1 MiB patterns
+        into a peer's segment while the peer snapshots it — every snapshot
+        is one whole pattern (or the initial zeros), never a mix."""
+        size = 1 << 20
+        assert size >= _BULK_WRITE_BYTES
+
+        def worker(rt):
+            rt.segment_create(1, size, num_notifications=4)
+            rt.barrier()
+            if rt.rank == 0:
+                patterns = [np.full(size, fill, np.uint8) for fill in (0x11, 0xEE)]
+                writes = 0
+                while not rt.notify_probe(1, 1, 1):  # until the reader says stop
+                    rt.write_notify_from(patterns[writes & 1], 1, 1, 0, 0)
+                    writes += 1
+                rt.barrier()
+                return writes
+            torn, seen = 0, set()
+            until = time.monotonic() + 1.0
+            while time.monotonic() < until:
+                snapshot = rt.segment_read(1, np.uint8, 0, size)
+                low, high = int(snapshot.min()), int(snapshot.max())
+                torn += low != high
+                seen.add(low)
+            rt.notify(0, 1, 1)
+            rt.barrier()
+            return torn, seen
+
+        writes, (torn, seen) = _run_clean(2, worker, timeout=60)
+        assert torn == 0
+        assert writes > 10 and {0x11, 0xEE} <= seen  # the two really interleaved
+
+    def test_board_ops_and_bulk_copies_do_not_share_a_lock(self):
+        """Structural, both directions.  With a bulk copy into rank 1's
+        segment held in progress (its data lock taken), an incoming small
+        notify, a small ``write_notify``, ``notify_reset`` and
+        ``notify_drain`` on that segment all complete.  And with the
+        segment's board lock held, a bulk write still lands its data —
+        only its notification waits."""
+        bulk = 4 * _BULK_WRITE_BYTES
+
+        def worker(rt):
+            rt.segment_create(1, bulk, num_notifications=8)
+            rt.barrier()
+            world = rt.world
+            if rt.rank == 0:
+                with world.data_lock(1, 1):  # "a bulk copy into (1, 1) is in progress"
+                    rt.notify(1, 1, 2)
+                    rt.write_notify_from(np.full(64, 5, np.uint8), 1, 1, 0, 3)
+                    acked = rt.notify_waitsome(1, 0, 1, timeout=20.0)
+                assert acked == 0, "board ops on the segment waited for the data lock"
+                rt.barrier()  # rank 1 now holds its board lock
+                rt.write_notify_from(np.full(bulk, 9, np.uint8), 1, 1, 0, 4)
+                rt.barrier()
+                return True
+            assert rt.notify_waitsome(1, 2, 1, timeout=20.0) == 2
+            assert rt.notify_waitsome(1, 3, 1, timeout=20.0) == 3
+            assert rt.notify_reset(1, 2) == 1
+            assert rt.notify_drain(1) == {3: 1}
+            rt.notify(0, 1, 0)
+            data = rt.segment_view(1, np.uint8)
+            with world.segment_lock(1, 1):
+                rt.barrier()
+                until = time.monotonic() + 20.0
+                while data[-1] != 9 and time.monotonic() < until:
+                    time.sleep(0.001)
+                landed = bool((data == 9).all())
+                early = rt.notify_peek(1, 4)
+            assert landed, "the bulk copy waited for the board lock"
+            assert early == 0, "the notification overtook the board lock"
+            assert rt.notify_waitsome(1, 4, 1, timeout=20.0) == 4
+            del data
+            rt.barrier()
+            return True
+
+        assert _run_clean(2, worker, timeout=90) == [True, True]
+
+
+# --------------------------------------------------------------------------- #
+# waiting: poll with a core per rank, park when oversubscribed
+# --------------------------------------------------------------------------- #
+def _cores(monkeypatch, count):
+    """Make the worlds created in this test see ``count`` usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestWaitPolicy:
+    def test_oversubscribed_budget_is_exactly_spin(self, monkeypatch):
+        _cores(monkeypatch, 1)
+        with ShmWorld(2, ShmConfig(spin=7)) as world:
+            assert not world.dedicated_cores
+            registered = []  # waiters registered at each poll
+
+            def poll():
+                registered.append(world._notify_waiters.value)
+
+            assert world.hybrid_wait(poll, timeout=0.05) is None
+            assert registered.count(0) == 1 + 7  # the entry probe + spin yields
+            assert set(registered[8:]) == {1}  # every later poll is a parked one
+            assert (world.waits_spun, world.waits_parked) == (0, 1)
+
+    def test_dedicated_polls_for_a_wait_slice_before_parking(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        with ShmWorld(2, ShmConfig(spin=7, wait_slice=0.02)) as world:
+            assert world.dedicated_cores
+            spins = parked_polls = 0
+            last_spin = 0.0
+
+            def poll():  # allocates no container: a GC pause would skew the clock
+                nonlocal spins, parked_polls, last_spin
+                if world._notify_waiters.value:
+                    parked_polls += 1
+                else:
+                    spins += 1
+                    last_spin = time.monotonic()
+
+            start = time.monotonic()
+            assert world.hybrid_wait(poll, timeout=0.1) is None
+            assert spins > 1 + 7  # not bounded by ``spin``
+            assert 0.019 <= last_spin - start < 0.06  # polled for one wait_slice
+            assert parked_polls >= 1  # and then it parked
+            assert (world.waits_spun, world.waits_parked) == (0, 1)
+            assert world.hybrid_wait(lambda: 3, timeout=1.0) == 3  # no wait at all
+            assert (world.waits_spun, world.waits_parked) == (0, 1)
+            assert "waits_spun=0, waits_parked=1" in repr(world.runtime(0))
+
+    def test_a_caller_that_slices_its_wait_parks_in_every_slice(self, monkeypatch):
+        """The progress thread waits in bites shorter than ``wait_slice``:
+        each bite gets the ``spin`` budget and then parks (releasing the
+        GIL), or a late peer would make the bites add up to one long spin."""
+        _cores(monkeypatch, 2)
+        with ShmWorld(2, ShmConfig(spin=7, wait_slice=0.02)) as world:
+            assert world.dedicated_cores
+            registered = []
+
+            def poll():
+                registered.append(world._notify_waiters.value)
+
+            for bite in range(1, 4):
+                del registered[:]
+                assert world.hybrid_wait(poll, timeout=0.005) is None
+                assert registered.count(0) == 1 + 7
+                assert set(registered[8:]) == {1}
+                assert (world.waits_spun, world.waits_parked) == (0, bite)
+
+    @staticmethod
+    def _late_root_bcast(rt):
+        """A planned 4 MiB bcast whose root arrives 20 ms late."""
+        comm = Communicator(rt)
+        buf = np.full(1 << 19, float(rt.rank))
+        comm.bcast(buf, root=0)  # compile the plan
+        rt.barrier()
+        world = rt.world  # the counters are this rank process's own
+        spun, parked = world.waits_spun, world.waits_parked
+        if rt.rank == 0:
+            time.sleep(0.02)
+            buf[:] = 7.0
+        comm.bcast(buf, root=0)
+        counts = world.waits_spun - spun, world.waits_parked - parked
+        delivered = bool((buf == 7.0).all())
+        comm.close()
+        return counts, delivered
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2, reason="needs a core per rank"
+    )
+    def test_receiver_with_a_core_to_itself_never_parks(self):
+        # wait_slice far above the root's delay: scheduling noise cannot
+        # push a wait past the polling phase.
+        results = _run_clean(
+            2, self._late_root_bcast, config=ShmConfig(wait_slice=0.25), timeout=60
+        )
+        (spun, parked), delivered = results[1]
+        assert delivered and parked == 0 and spun >= 1
+
+    def test_oversubscribed_receiver_parks(self, monkeypatch):
+        _cores(monkeypatch, 1)
+        (spun, parked), delivered = _run_clean(2, self._late_root_bcast, timeout=60)[1]
+        assert delivered and parked >= 1
+
+    @pytest.mark.parametrize("cores", [1, 64], ids=["oversubscribed", "dedicated"])
+    def test_finite_deadlines_hold_in_both_modes(self, monkeypatch, cores):
+        _cores(monkeypatch, cores)
+
+        def worker(rt):
+            rt.segment_create(1, 64, num_notifications=8)
+            rt.barrier()
+            start = time.monotonic()
+            got = rt.notify_waitsome(1, 3, 1, timeout=0.05)  # never posted
+            elapsed = time.monotonic() - start
+            rt.barrier()
+            broke = None
+            if rt.rank == rt.size - 1:
+                time.sleep(0.8)  # play dead for one round
+            else:
+                try:
+                    rt.barrier(timeout=0.2)
+                    broke = False
+                except GaspiTimeoutError:
+                    broke = True
+            rt.barrier(timeout=30.0)  # the broken round drained
+            return got, elapsed, broke, rt.world.dedicated_cores
+
+        results = _run_clean(3, worker, timeout=60)
+        for got, elapsed, broke, dedicated in results:
+            assert got is None and 0.05 <= elapsed < 0.15
+            assert dedicated == (cores >= 3)
+        assert [r[2] for r in results] == [True, True, None]
 
 
 # --------------------------------------------------------------------------- #
@@ -396,6 +613,10 @@ class TestShmDescriptors:
             shapes.append(np.ones(1 << 15))  # a pipelined plan in the cycle
             for x in shapes:
                 comm.allreduce(x)
+            # The forked worker inherits the pytest process's uncollected
+            # SharedMemory garbage (earlier tests' worlds); collect it now,
+            # or a GC pass between the two snapshots closes its descriptors.
+            gc.collect()
             before = _open_fds()
             evictions0 = comm.plan_cache_stats().evictions
             while comm.plan_cache_stats().evictions - evictions0 < 300:
