@@ -1,30 +1,31 @@
 """Record real executions as protocol traces (`TracingRuntime`).
 
-:class:`TracingRuntime` wraps any concrete
-:class:`~repro.gaspi.runtime.GaspiRuntime` (threaded, shm, fault-injected
-stacks — the same wrapper idiom as :mod:`repro.faults.injection`) and
-records every post, consume and barrier into a shared
-:class:`TraceSink`.  The sink assembles the same
-:class:`~repro.analysis.events.ProtocolTrace` the static model produces,
-so a *real* 8-rank run can be replayed through the identical checkers —
-validating the model against reality in one direction, and catching
-protocol bugs that only a live interleaving exposes in the other.
+:class:`TracingRuntime` is a :class:`~repro.gaspi.runtime.RuntimeWrapper`
+around any :class:`~repro.gaspi.runtime.GaspiRuntime` (threaded, shm,
+fault-injected stacks): it overrides the seven operations it records —
+every post, consume, barrier and segment registration goes into a shared
+:class:`TraceSink` — and every other one is the inner runtime's own.  The
+sink assembles the same :class:`~repro.analysis.events.ProtocolTrace` the
+static model produces, so a *real* 8-rank run can be replayed through the
+identical checkers — validating the model against reality in one
+direction, and catching protocol bugs that only a live interleaving
+exposes in the other.
 
 Two deliberate differences from model traces:
 
 * Local stores through :meth:`segment_view` are invisible (the wrapper
   hands out the inner runtime's views), so race checking on recorded
   traces covers remote writes only.
-* :meth:`notify_drain` is *not* forwarded to the inner runtime's
-  optimised sweep: the base-class loop runs instead, so every reset is
-  individually observed.  That costs a few waitsome calls per drain —
-  part of the documented tracing overhead.
+* :meth:`notify_drain` is *not* the inner runtime's optimised sweep: the
+  :class:`~repro.gaspi.runtime.GaspiRuntime` loop runs instead, so every
+  reset is individually observed.  That costs a few waitsome calls per
+  drain — part of the documented tracing overhead.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from ..gaspi.constants import (
     GASPI_BLOCK,
 )
 from ..gaspi.group import Group
-from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.runtime import GaspiRuntime, RuntimeWrapper
 from .events import (
     BARRIER,
     CONSUME,
@@ -79,25 +80,12 @@ class TraceSink:
         )
 
 
-class TracingRuntime(GaspiRuntime):
-    """Forwarding wrapper that records protocol events into a sink."""
+class TracingRuntime(RuntimeWrapper):
+    """Wrapper that records protocol events into a sink."""
 
     def __init__(self, inner: GaspiRuntime, sink: TraceSink) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.sink = sink
-
-    # -- identity ------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def fault_injected(self) -> bool:
-        return self.inner.fault_injected
 
     # -- segments ------------------------------------------------------- #
     def segment_create(
@@ -115,39 +103,6 @@ class TracingRuntime(GaspiRuntime):
                 num_notifications=num_notifications,
             )
         )
-
-    def segment_delete(self, segment_id: int) -> None:
-        self.inner.segment_delete(segment_id)
-
-    def segment_view(
-        self,
-        segment_id: int,
-        dtype: Any = np.float64,
-        offset: int = 0,
-        count: Optional[int] = None,
-    ) -> np.ndarray:
-        return self.inner.segment_view(segment_id, dtype, offset, count)
-
-    def segment_size(self, segment_id: int) -> int:
-        return self.inner.segment_size(segment_id)
-
-    def segment_read(
-        self,
-        segment_id: int,
-        dtype: Any = np.float64,
-        offset: int = 0,
-        count: Optional[int] = None,
-    ) -> np.ndarray:
-        return self.inner.segment_read(segment_id, dtype, offset, count)
-
-    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
-        self.inner.segment_bind(segment_id, array)
-
-    @property
-    def supports_bind(self) -> bool:
-        # Defining segment_bind above would otherwise make the base-class
-        # probe report bind support the inner runtime may not have.
-        return self.inner.supports_bind
 
     # -- one-sided ------------------------------------------------------ #
     def write(
@@ -259,17 +214,6 @@ class TracingRuntime(GaspiRuntime):
         )
 
     # -- weak synchronisation ------------------------------------------- #
-    def notify_waitsome(
-        self,
-        segment_id_local: int,
-        notification_begin: int = 0,
-        notification_count: Optional[int] = None,
-        timeout: float = GASPI_BLOCK,
-    ) -> Optional[int]:
-        return self.inner.notify_waitsome(
-            segment_id_local, notification_begin, notification_count, timeout
-        )
-
     def notify_reset(self, segment_id_local: int, notification_id: int) -> int:
         value = self.inner.notify_reset(segment_id_local, notification_id)
         if value > 0:
@@ -285,34 +229,13 @@ class TracingRuntime(GaspiRuntime):
             )
         return value
 
-    def notify_peek(self, segment_id_local: int, notification_id: int) -> int:
-        return self.inner.notify_peek(segment_id_local, notification_id)
+    # Every consume individually observed: the ABC's loop over this
+    # class's notify_waitsome / notify_reset, not the inner sweep.
+    notify_drain = GaspiRuntime.notify_drain
 
-    def notify_probe(
-        self,
-        segment_id_local: int,
-        notification_begin: int = 0,
-        notification_count: Optional[int] = None,
-    ) -> bool:
-        return self.inner.notify_probe(
-            segment_id_local, notification_begin, notification_count
-        )
-
-    # notify_drain is intentionally NOT forwarded: the inherited loop runs
-    # through self.notify_waitsome/self.notify_reset so every consume is
-    # recorded (see module docstring).
-
-    # -- queues / synchronisation --------------------------------------- #
-    def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
-        self.inner.wait(queue, timeout)
-
+    # -- synchronisation ------------------------------------------------ #
     def barrier(
         self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
     ) -> None:
         self.inner.barrier(group, timeout)
         self.sink.record(Event(kind=BARRIER, rank=self.inner.rank))
-
-    def atomic_fetch_add(
-        self, segment_id: int, offset: int, target_rank: int, value: int
-    ) -> int:
-        return self.inner.atomic_fetch_add(segment_id, offset, target_rank, value)

@@ -32,7 +32,6 @@ from .policy import (
     CollectiveRequest,
     CollectiveResult,
     ConsistencyPolicy,
-    coerce_policy,
 )
 from .tuning import TuningRule, TuningTable, select_algorithm, select_chunk_bytes
 from .allgather import ring_allgather, ring_allgather_schedule
@@ -101,7 +100,6 @@ __all__ = [
     "CollectiveRequest",
     "CollectiveResult",
     "ConsistencyPolicy",
-    "coerce_policy",
     "TuningRule",
     "TuningTable",
     "select_algorithm",

@@ -39,14 +39,13 @@ up the v2 API:
    replays its registered schedule on the simulator
    (:mod:`repro.simulate.executor`) and reports the simulated time.
 
-The legacy loose kwargs (``threshold=``, ``mode=``, ``slack=``) are still
-accepted as thin deprecation shims and fold into a policy object.
+Of the v1 loose kwargs only ``allreduce_ssp(slack=)`` and the short
+``algorithm=`` aliases are kept; thresholds and modes are ``policy=``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 import weakref
 from dataclasses import replace as dataclass_replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -56,7 +55,7 @@ import numpy as np
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.errors import GaspiError
 from ..gaspi.group import Group
-from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.runtime import GaspiRuntime, RuntimeWrapper
 from ..gaspi.subruntime import GroupRuntime
 from ..telemetry.core import CLOCK, NULL_TELEMETRY, Telemetry
 from ..utils.logging import get_logger
@@ -71,9 +70,7 @@ from .policy import (
     CollectiveResult,
     ConsistencyPolicy,
     check_policy,
-    coerce_policy,
 )
-from .reduce import ReduceMode
 from .reduction_ops import ReductionOp
 from .registry import REGISTRY, AlgorithmInfo, AlgorithmRegistry
 from .tuning import DEFAULT_TABLES, TuningTable
@@ -121,14 +118,6 @@ _ALGORITHM_ALIASES: Dict[str, Dict[str, str]] = {
     "allgather": {"ring": "gaspi_allgather_ring"},
     "barrier": {"dissemination": "gaspi_barrier_dissemination"},
 }
-
-
-def _deprecated_kwarg(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"the {name}= kwarg is deprecated; pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class Communicator:
@@ -838,20 +827,17 @@ class Communicator:
         root: int = 0,
         policy: Optional[ConsistencyPolicy] = None,
         algorithm: str = "auto",
-        threshold: Optional[float] = None,
     ) -> CollectiveResult:
         """Broadcast ``buffer`` from ``root`` (in place on non-root ranks).
 
         A policy with ``threshold < 1`` ships only the leading fraction of
         the payload — the eventually consistent mode of the paper.
         """
-        if threshold is not None:
-            _deprecated_kwarg("threshold", "policy=ConsistencyPolicy.data_threshold(...)")
-        effective = coerce_policy(policy, threshold=threshold) if (
-            policy is not None or threshold is not None
-        ) else self._policy
         request = CollectiveRequest(
-            collective="bcast", sendbuf=buffer, root=root, policy=effective
+            collective="bcast",
+            sendbuf=buffer,
+            root=root,
+            policy=policy or self._policy,
         )
         return self._dispatch("bcast", algorithm, request)
 
@@ -863,8 +849,6 @@ class Communicator:
         op: str | ReductionOp = "sum",
         policy: Optional[ConsistencyPolicy] = None,
         algorithm: str = "auto",
-        threshold: Optional[float] = None,
-        mode: Optional[ReduceMode | str] = None,
     ) -> CollectiveResult:
         """Reduce ``sendbuf`` onto ``root`` under a consistency policy.
 
@@ -872,18 +856,13 @@ class Communicator:
         ``f`` fraction of the vector; ``process_threshold(f)`` reduces the
         full vector over a fraction of the processes (Figures 9 and 10).
         """
-        if threshold is not None or mode is not None:
-            _deprecated_kwarg("threshold/mode", "policy=ConsistencyPolicy(...)")
-        effective = coerce_policy(policy, threshold=threshold, mode=mode) if (
-            policy is not None or threshold is not None or mode is not None
-        ) else self._policy
         request = CollectiveRequest(
             collective="reduce",
             sendbuf=sendbuf,
             recvbuf=recvbuf,
             root=root,
             op=op,
-            policy=effective,
+            policy=policy or self._policy,
         )
         return self._dispatch("reduce", algorithm, request)
 
@@ -1554,17 +1533,11 @@ class Communicator:
         # ranks (a shrunk world is a fresh, full-strength one).  The
         # structural GroupRuntime layers stay — survivors are expressed
         # in this communicator's numbering.
-        base = self.runtime
-        while True:
-            inner = getattr(base, "inner", None)
-            if inner is not None and not isinstance(base, GroupRuntime):
-                base = inner
-                continue
-            faulty_base = getattr(base, "base", None)
-            if faulty_base is not None and not isinstance(base, GroupRuntime):
-                base = faulty_base
-                continue
-            break
+        base = next(
+            layer
+            for layer in self.runtime.layers()
+            if isinstance(layer, GroupRuntime) or not isinstance(layer, RuntimeWrapper)
+        )
 
         split_seq = self._split_count
         self._split_count += 1

@@ -193,39 +193,6 @@ def check_policy(policy: object) -> None:
         )
 
 
-def coerce_policy(
-    policy: Optional[ConsistencyPolicy],
-    threshold: Optional[float] = None,
-    mode: Optional[ReduceMode | str] = None,
-    slack: Optional[int] = None,
-) -> ConsistencyPolicy:
-    """Merge a policy object with legacy loose kwargs into one policy.
-
-    The deprecated per-call kwargs (``threshold=``, ``mode=``, ``slack=``)
-    may not be combined with an explicit ``policy`` — that would make the
-    effective consistency ambiguous.
-    """
-    loose = {
-        k: v
-        for k, v in (("threshold", threshold), ("mode", mode), ("slack", slack))
-        if v is not None
-    }
-    if policy is not None:
-        check_policy(policy)
-        require(
-            not loose,
-            f"pass either policy= or the legacy kwargs {sorted(loose)}, not both",
-        )
-        return policy
-    if not loose:
-        return STRICT
-    return ConsistencyPolicy(
-        threshold=threshold if threshold is not None else 1.0,
-        mode=ReduceMode(mode) if mode is not None else ReduceMode.DATA,
-        slack=slack if slack is not None else 0,
-    )
-
-
 @dataclass
 class CollectiveRequest:
     """One collective invocation, as handed to a registered algorithm.

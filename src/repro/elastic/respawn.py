@@ -55,16 +55,6 @@ _REJOIN_BACKOFF = BackoffPolicy(
 )
 
 
-def _runtime_stack(runtime) -> Iterable:
-    """The wrapper stack outermost-first (telemetry, faults, groups, base)."""
-    seen = set()
-    layer = runtime
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        yield layer
-        layer = getattr(layer, "inner", None) or getattr(layer, "base", None)
-
-
 def recover_crashed(comm: Communicator) -> bool:
     """Un-crash this rank's fault layer, if any; True when it recovered.
 
@@ -73,7 +63,7 @@ def recover_crashed(comm: Communicator) -> bool:
     in-place half of the recovery protocol (the process is still alive,
     only the injected crash makes its runtime refuse operations).
     """
-    for layer in _runtime_stack(comm.runtime):
+    for layer in comm.runtime.layers():
         is_crashed = getattr(layer, "is_crashed", None)
         if is_crashed is None or not hasattr(layer, "recover"):
             continue
@@ -87,7 +77,7 @@ def recover_crashed(comm: Communicator) -> bool:
 
 def _shm_runtime(runtime):
     """The :class:`~repro.gaspi.shm.ShmRuntime` under the wrappers, or None."""
-    for layer in _runtime_stack(runtime):
+    for layer in runtime.layers():
         if hasattr(layer, "adopt_segment"):
             return layer
     return None

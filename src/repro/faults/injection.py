@@ -42,7 +42,7 @@ from ..gaspi.constants import (
 )
 from ..gaspi.errors import GaspiError
 from ..gaspi.group import Group
-from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.runtime import GaspiRuntime, RuntimeWrapper
 from ..utils.logging import get_logger
 from ..utils.validation import require
 
@@ -265,15 +265,18 @@ class FaultPlan:
         return ", ".join(parts) or "benign"
 
 
-class FaultyRuntime(GaspiRuntime):
+class FaultyRuntime(RuntimeWrapper):
     """A fault-injecting decorator around any GASPI runtime.
 
     Data-plane operations (``write``, ``notify``, ``write_notify``,
-    ``write_notify_from``) are counted per rank; before each one the plan is consulted for a crash,
-    a delay and a drop.  Control-plane operations (barriers, waits,
-    notification waits, segment creation) only check liveness: a crashed
-    rank can no longer take part in synchronisation, but purely local
-    reads stay available so a post-mortem inspection of its state is
+    ``write_notify_from``) are counted per rank; before each one the plan
+    is consulted for a crash, a delay and a drop.  Control-plane operations
+    (barriers, waits, notification waits / probes / drains, segment
+    creation and binding, atomics) only check liveness: a crashed rank can
+    no longer take part in synchronisation, but purely local reads
+    (``segment_view`` / ``segment_size`` / ``segment_read``,
+    ``notify_peek`` / ``notify_reset``) and ``segment_delete`` stay the
+    inner runtime's own, so a post-mortem inspection of its state is
     possible.
 
     Wrapping composes with :class:`~repro.gaspi.subruntime.GroupRuntime`
@@ -281,26 +284,13 @@ class FaultyRuntime(GaspiRuntime):
     runtime's numbering.
     """
 
-    def __init__(self, base: GaspiRuntime, plan: FaultPlan) -> None:
-        self._base = base
+    def __init__(self, inner: GaspiRuntime, plan: FaultPlan) -> None:
+        super().__init__(inner)
         self._plan = plan
         self._ops = 0
         self._crashed = False
 
-    # -- identity / introspection ---------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self._base.rank
-
-    @property
-    def size(self) -> int:
-        return self._base.size
-
-    @property
-    def base(self) -> GaspiRuntime:
-        """The wrapped runtime."""
-        return self._base
-
+    # -- introspection ---------------------------------------------------- #
     @property
     def plan(self) -> FaultPlan:
         """The fault plan driving this wrapper."""
@@ -356,44 +346,6 @@ class FaultyRuntime(GaspiRuntime):
             return False
         return True
 
-    # -- segments --------------------------------------------------------- #
-    def segment_create(
-        self,
-        segment_id: int,
-        size: int,
-        num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
-    ) -> None:
-        self._check_alive()
-        self._base.segment_create(segment_id, size, num_notifications)
-
-    def segment_delete(self, segment_id: int) -> None:
-        self._base.segment_delete(segment_id)
-
-    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
-        self._check_alive()
-        self._base.segment_bind(segment_id, array)
-
-    @property
-    def supports_bind(self) -> bool:
-        return self._base.supports_bind
-
-    def segment_view(
-        self, segment_id: int, dtype=np.float64, offset: int = 0, count=None
-    ) -> np.ndarray:
-        return self._base.segment_view(
-            segment_id, dtype=dtype, offset=offset, count=count
-        )
-
-    def segment_size(self, segment_id: int) -> int:
-        return self._base.segment_size(segment_id)
-
-    def segment_read(
-        self, segment_id: int, dtype=np.float64, offset: int = 0, count=None
-    ) -> np.ndarray:
-        return self._base.segment_read(
-            segment_id, dtype=dtype, offset=offset, count=count
-        )
-
     # -- one-sided communication (perturbed) ------------------------------ #
     def write(
         self,
@@ -406,14 +358,9 @@ class FaultyRuntime(GaspiRuntime):
         queue: int = 0,
     ) -> None:
         if self._data_plane_op(target_rank):
-            self._base.write(
-                segment_id_local,
-                offset_local,
-                target_rank,
-                segment_id_remote,
-                offset_remote,
-                size,
-                queue=queue,
+            self.inner.write(
+                segment_id_local, offset_local, target_rank, segment_id_remote,
+                offset_remote, size, queue,
             )
 
     def notify(
@@ -425,12 +372,8 @@ class FaultyRuntime(GaspiRuntime):
         queue: int = 0,
     ) -> None:
         if self._data_plane_op(target_rank):
-            self._base.notify(
-                target_rank,
-                segment_id_remote,
-                notification_id,
-                notification_value,
-                queue=queue,
+            self.inner.notify(
+                target_rank, segment_id_remote, notification_id, notification_value, queue
             )
 
     def write_notify(
@@ -446,16 +389,9 @@ class FaultyRuntime(GaspiRuntime):
         queue: int = 0,
     ) -> None:
         if self._data_plane_op(target_rank):
-            self._base.write_notify(
-                segment_id_local,
-                offset_local,
-                target_rank,
-                segment_id_remote,
-                offset_remote,
-                size,
-                notification_id,
-                notification_value,
-                queue=queue,
+            self.inner.write_notify(
+                segment_id_local, offset_local, target_rank, segment_id_remote,
+                offset_remote, size, notification_id, notification_value, queue,
             )
 
     def write_notify_from(
@@ -469,49 +405,72 @@ class FaultyRuntime(GaspiRuntime):
         queue: int = 0,
     ) -> None:
         if self._data_plane_op(target_rank):
-            self._base.write_notify_from(
-                source,
-                target_rank,
-                segment_id_remote,
-                offset_remote,
-                notification_id,
-                notification_value,
-                queue=queue,
+            self.inner.write_notify_from(
+                source, target_rank, segment_id_remote, offset_remote,
+                notification_id, notification_value, queue,
             )
 
-    # -- weak synchronisation (liveness-checked) -------------------------- #
+    # -- control plane (liveness-checked, then the inner runtime's own) --- #
+    def segment_create(
+        self,
+        segment_id: int,
+        size: int,
+        num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
+    ) -> None:
+        self._check_alive()
+        self.inner.segment_create(segment_id, size, num_notifications)
+
+    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
+        self._check_alive()
+        self.inner.segment_bind(segment_id, array)
+
     def notify_waitsome(
         self,
         segment_id_local: int,
         notification_begin: int = 0,
-        notification_count=None,
+        notification_count: Optional[int] = None,
         timeout: float = GASPI_BLOCK,
-    ):
+    ) -> Optional[int]:
         self._check_alive()
-        return self._base.notify_waitsome(
+        return self.inner.notify_waitsome(
             segment_id_local, notification_begin, notification_count, timeout
         )
 
-    def notify_reset(self, segment_id_local: int, notification_id: int) -> int:
-        return self._base.notify_reset(segment_id_local, notification_id)
+    def notify_probe(
+        self,
+        segment_id_local: int,
+        notification_begin: int = 0,
+        notification_count: Optional[int] = None,
+    ) -> bool:
+        self._check_alive()
+        return self.inner.notify_probe(
+            segment_id_local, notification_begin, notification_count
+        )
 
-    def notify_peek(self, segment_id_local: int, notification_id: int) -> int:
-        return self._base.notify_peek(segment_id_local, notification_id)
+    def notify_drain(
+        self,
+        segment_id_local: int,
+        notification_begin: int = 0,
+        notification_count: Optional[int] = None,
+    ) -> dict:
+        self._check_alive()
+        return self.inner.notify_drain(
+            segment_id_local, notification_begin, notification_count
+        )
 
-    # -- queues / barriers / atomics -------------------------------------- #
     def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
         self._check_alive()
-        self._base.wait(queue, timeout)
+        self.inner.wait(queue, timeout)
 
     def barrier(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
         self._check_alive()
-        self._base.barrier(group, timeout=timeout)
+        self.inner.barrier(group, timeout)
 
     def atomic_fetch_add(
         self, segment_id: int, offset: int, target_rank: int, value: int
     ) -> int:
         self._check_alive()
-        return self._base.atomic_fetch_add(segment_id, offset, target_rank, value)
+        return self.inner.atomic_fetch_add(segment_id, offset, target_rank, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self._crashed else f"ops={self._ops}"

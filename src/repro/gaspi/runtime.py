@@ -14,7 +14,8 @@ GASPI API.  The method names follow GPI-2 (``gaspi_write_notify`` →
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Sequence
+import functools
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -42,7 +43,15 @@ class GaspiRuntime(abc.ABC):
     Concrete implementations:
 
     * :class:`repro.gaspi.threaded.ThreadedRuntime` — real data movement
-      between rank threads inside one process.
+      between rank threads inside one process;
+    * :class:`repro.gaspi.shm.ShmRuntime` — real data movement between
+      rank processes over POSIX shared memory;
+    * :class:`repro.analysis.model.ModelRuntime` — symbolic execution for
+      the static protocol checkers (no data moves).
+
+    Everything else that is a ``GaspiRuntime`` (fault injection,
+    telemetry, tracing, rank-subset views) is a :class:`RuntimeWrapper`
+    around one of those.
     """
 
     # ------------------------------------------------------------------ #
@@ -154,6 +163,15 @@ class GaspiRuntime(abc.ABC):
             return True
         except Exception:
             return False
+
+    def layers(self) -> Iterator["GaspiRuntime"]:
+        """The wrapper stack this handle stands for, outermost first.
+
+        A concrete runtime is its own only layer; a
+        :class:`RuntimeWrapper` yields itself and then its inner
+        runtime's layers, so the last layer is always the concrete one.
+        """
+        yield self
 
     def traced(self, sink: Any) -> "GaspiRuntime":
         """Wrap this runtime so every post/consume is recorded into ``sink``.
@@ -358,27 +376,79 @@ class GaspiRuntime(abc.ABC):
         """Atomic fetch-and-add of an int64 at a remote segment offset."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    # convenience helpers shared by collectives
-    # ------------------------------------------------------------------ #
-    def wait_and_reset(
-        self,
-        segment_id_local: int,
-        notification_id: int,
-        timeout: float = GASPI_BLOCK,
-    ) -> Optional[int]:
-        """Wait for one specific notification and reset it.
 
-        Returns the notification value, or ``None`` on timeout.
-        """
-        got = self.notify_waitsome(
-            segment_id_local, notification_id, 1, timeout=timeout
-        )
-        if got is None:
-            return None
-        value = self.notify_reset(segment_id_local, got)
-        return value if value > 0 else None
+def _forward(name: str) -> Callable[..., Any]:
+    """Class-level forwarder of operation ``name`` to ``self.inner``."""
 
-    def ranks(self) -> Sequence[int]:
-        """All ranks of the world, convenience for iteration."""
-        return range(self.size)
+    # updated=(): copying the ABC method's __dict__ would copy its
+    # __isabstractmethod__ mark along with it.
+    @functools.wraps(getattr(GaspiRuntime, name), updated=())
+    def forward(self: "RuntimeWrapper", *args: Any, **kwargs: Any) -> Any:
+        return getattr(self.inner, name)(*args, **kwargs)
+
+    return forward
+
+
+class RuntimeWrapper(GaspiRuntime):
+    """A runtime layered over another one: the base of every wrapper.
+
+    It holds the wrapped runtime as :attr:`inner` and forwards the whole
+    :class:`GaspiRuntime` surface to it — every operation in
+    :attr:`FORWARDED` and the discovery properties (:attr:`rank`,
+    :attr:`size`, :attr:`fault_injected`, :attr:`telemetry`,
+    :attr:`supports_bind`) — so a subclass body is only what it changes.
+    Subclasses override operations with the ABC's explicit signatures and
+    call ``self.inner.<operation>(...)`` themselves.
+
+    ``inner`` is fixed at construction: an operation the subclass leaves
+    alone *is* the inner runtime's bound method, installed on the
+    instance, so a pass-through costs no frame however deep the stack.
+    """
+
+    #: Every operation of the ABC (all but the stack builders ``traced`` /
+    #: ``instrumented`` and ``layers``); ``tests/gaspi/test_runtime_wrapper.py``
+    #: holds this table against the ABC.
+    FORWARDED = (
+        "segment_create", "segment_delete", "segment_view", "segment_size",
+        "segment_read", "segment_bind", "segment_exists",
+        "write", "notify", "write_notify", "write_notify_from",
+        "notify_waitsome", "notify_reset", "notify_peek", "notify_probe",
+        "notify_drain", "wait", "barrier", "atomic_fetch_add",
+    )  # fmt: skip
+    # What ``super().<operation>(...)`` reaches, and what makes the class
+    # concrete; instances bypass these for the operations they pass through.
+    locals().update((name, _forward(name)) for name in FORWARDED)
+
+    def __init__(self, inner: GaspiRuntime) -> None:
+        self.inner = inner
+        cls = type(self)
+        for name in self.FORWARDED:
+            if getattr(cls, name) is getattr(RuntimeWrapper, name):
+                setattr(self, name, getattr(inner, name))
+
+    @property
+    def rank(self) -> int:
+        return self.inner.rank
+
+    @property
+    def size(self) -> int:
+        return self.inner.size
+
+    @property
+    def fault_injected(self) -> bool:
+        return self.inner.fault_injected
+
+    @property
+    def telemetry(self) -> Any:
+        return self.inner.telemetry
+
+    @property
+    def supports_bind(self) -> bool:
+        return self.inner.supports_bind
+
+    def layers(self) -> Iterator[GaspiRuntime]:
+        yield self
+        yield from self.inner.layers()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.inner!r})"

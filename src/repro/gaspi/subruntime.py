@@ -1,13 +1,15 @@
 """Group-scoped view of a GASPI runtime (the substrate of sub-communicators).
 
-A :class:`GroupRuntime` wraps any :class:`~repro.gaspi.runtime.GaspiRuntime`
-and renumbers a subset of its ranks ``0 .. len(members)-1``.  Every
-collective in :mod:`repro.core` is written against ``runtime.rank`` /
-``runtime.size`` and posts one-sided operations to *rank numbers*, so
-running it on a :class:`GroupRuntime` transparently scopes it to the
-member subset: target ranks are translated on the way out, barriers are
-taken over the member group only, and segment/notification operations —
-which are local in GASPI — pass straight through.
+A :class:`GroupRuntime` is a :class:`~repro.gaspi.runtime.RuntimeWrapper`
+around any :class:`~repro.gaspi.runtime.GaspiRuntime` that renumbers a
+subset of its ranks ``0 .. len(members)-1``.  Every collective in
+:mod:`repro.core` is written against ``runtime.rank`` / ``runtime.size``
+and posts one-sided operations to *rank numbers*, so running it on a
+:class:`GroupRuntime` transparently scopes it to the member subset: target
+ranks are translated on the way out, barriers are taken over the member
+group only, and segment/notification operations — which are local in
+GASPI — are the inner runtime's own (the wrapper base forwards everything
+this class does not override).
 
 Wrappers nest: splitting a sub-communicator wraps its (already wrapped)
 runtime again, so each level only reasons about its parent's numbering.
@@ -19,48 +21,44 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_NOTIFICATION_COUNT,
-    DEFAULT_NOTIFICATION_VALUE,
-    GASPI_BLOCK,
-)
+from .constants import DEFAULT_NOTIFICATION_VALUE, GASPI_BLOCK
 from .errors import GaspiInvalidArgumentError
 from .group import Group
-from .runtime import GaspiRuntime
+from .runtime import GaspiRuntime, RuntimeWrapper
 
 
-class GroupRuntime(GaspiRuntime):
-    """A rank-subset view onto a base runtime.
+class GroupRuntime(RuntimeWrapper):
+    """A rank-subset view onto an inner runtime.
 
     Parameters
     ----------
-    base:
+    inner:
         The wrapped runtime (the world, or another :class:`GroupRuntime`).
     members:
-        Base-runtime ranks belonging to this group, **in group-rank
+        Inner-runtime ranks belonging to this group, **in group-rank
         order** (position ``i`` becomes group rank ``i``; the order may
         deviate from the sorted one when a split reorders ranks by key).
-        Must contain ``base.rank`` and must be duplicate-free.
+        Must contain ``inner.rank`` and must be duplicate-free.
     """
 
-    def __init__(self, base: GaspiRuntime, members: Sequence[int]) -> None:
+    def __init__(self, inner: GaspiRuntime, members: Sequence[int]) -> None:
         members = [int(m) for m in members]
         if len(set(members)) != len(members):
             raise GaspiInvalidArgumentError(f"duplicate ranks in group: {members}")
         for m in members:
-            if not (0 <= m < base.size):
+            if not (0 <= m < inner.size):
                 raise GaspiInvalidArgumentError(
-                    f"group member {m} outside base world of size {base.size}"
+                    f"group member {m} outside base world of size {inner.size}"
                 )
-        if base.rank not in members:
+        if inner.rank not in members:
             raise GaspiInvalidArgumentError(
-                f"rank {base.rank} constructed a GroupRuntime it is not part of "
+                f"rank {inner.rank} constructed a GroupRuntime it is not part of "
                 f"(members: {members})"
             )
-        self._base = base
+        super().__init__(inner)
         self._members = tuple(members)
-        self._rank = members.index(base.rank)
-        self._base_group = Group(members)
+        self._rank = members.index(inner.rank)
+        self._member_group = Group(members)
 
     # ------------------------------------------------------------------ #
     # identity
@@ -74,27 +72,12 @@ class GroupRuntime(GaspiRuntime):
         return len(self._members)
 
     @property
-    def base(self) -> GaspiRuntime:
-        """The wrapped runtime."""
-        return self._base
-
-    @property
     def members(self) -> Sequence[int]:
-        """Base-runtime ranks of the group, indexed by group rank."""
+        """Inner-runtime ranks of the group, indexed by group rank."""
         return self._members
 
-    @property
-    def fault_injected(self) -> bool:
-        return self._base.fault_injected
-
-    @property
-    def telemetry(self):
-        # Forwarded so a split() communicator sharing the parent's registry
-        # is detected upstream and not wrapped (and counted) a second time.
-        return getattr(self._base, "telemetry", None)
-
     def to_base_rank(self, group_rank: int) -> int:
-        """Translate a group rank to the base runtime's numbering."""
+        """Translate a group rank to the inner runtime's numbering."""
         try:
             return self._members[group_rank]
         except IndexError as exc:
@@ -103,7 +86,7 @@ class GroupRuntime(GaspiRuntime):
             ) from exc
 
     def from_base_rank(self, base_rank: int) -> Optional[int]:
-        """Group rank of a base-runtime rank, or ``None`` if not a member.
+        """Group rank of an inner-runtime rank, or ``None`` if not a member.
 
         The inverse of :meth:`to_base_rank`; elastic shrink uses it to
         remap suspicion expressed in parent numbering onto survivors.
@@ -114,44 +97,10 @@ class GroupRuntime(GaspiRuntime):
             return None
 
     def _translate_group(self, group: Optional[Group]) -> Group:
-        """Map a group expressed in group-local ranks to base ranks."""
+        """Map a group expressed in group-local ranks to inner ranks."""
         if group is None:
-            return self._base_group
+            return self._member_group
         return Group(self.to_base_rank(r) for r in group.ranks)
-
-    # ------------------------------------------------------------------ #
-    # segments (local in GASPI: pass through)
-    # ------------------------------------------------------------------ #
-    def segment_create(
-        self,
-        segment_id: int,
-        size: int,
-        num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
-    ) -> None:
-        self._base.segment_create(segment_id, size, num_notifications)
-
-    def segment_delete(self, segment_id: int) -> None:
-        self._base.segment_delete(segment_id)
-
-    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
-        self._base.segment_bind(segment_id, array)
-
-    @property
-    def supports_bind(self) -> bool:
-        return self._base.supports_bind
-
-    def segment_view(
-        self, segment_id: int, dtype=np.float64, offset: int = 0, count=None
-    ) -> np.ndarray:
-        return self._base.segment_view(segment_id, dtype=dtype, offset=offset, count=count)
-
-    def segment_size(self, segment_id: int) -> int:
-        return self._base.segment_size(segment_id)
-
-    def segment_read(
-        self, segment_id: int, dtype=np.float64, offset: int = 0, count=None
-    ) -> np.ndarray:
-        return self._base.segment_read(segment_id, dtype=dtype, offset=offset, count=count)
 
     # ------------------------------------------------------------------ #
     # one-sided communication (translate the target rank)
@@ -166,14 +115,9 @@ class GroupRuntime(GaspiRuntime):
         size: int,
         queue: int = 0,
     ) -> None:
-        self._base.write(
-            segment_id_local,
-            offset_local,
-            self.to_base_rank(target_rank),
-            segment_id_remote,
-            offset_remote,
-            size,
-            queue=queue,
+        self.inner.write(
+            segment_id_local, offset_local, self.to_base_rank(target_rank),
+            segment_id_remote, offset_remote, size, queue,
         )
 
     def notify(
@@ -184,12 +128,9 @@ class GroupRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._base.notify(
-            self.to_base_rank(target_rank),
-            segment_id_remote,
-            notification_id,
-            notification_value,
-            queue=queue,
+        self.inner.notify(
+            self.to_base_rank(target_rank), segment_id_remote, notification_id,
+            notification_value, queue,
         )
 
     def write_notify(
@@ -204,16 +145,10 @@ class GroupRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._base.write_notify(
-            segment_id_local,
-            offset_local,
-            self.to_base_rank(target_rank),
-            segment_id_remote,
-            offset_remote,
-            size,
-            notification_id,
-            notification_value,
-            queue=queue,
+        self.inner.write_notify(
+            segment_id_local, offset_local, self.to_base_rank(target_rank),
+            segment_id_remote, offset_remote, size, notification_id,
+            notification_value, queue,
         )
 
     def write_notify_from(
@@ -226,64 +161,26 @@ class GroupRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._base.write_notify_from(
-            source,
-            self.to_base_rank(target_rank),
-            segment_id_remote,
-            offset_remote,
-            notification_id,
-            notification_value,
-            queue=queue,
+        self.inner.write_notify_from(
+            source, self.to_base_rank(target_rank), segment_id_remote,
+            offset_remote, notification_id, notification_value, queue,
         )
 
     # ------------------------------------------------------------------ #
-    # weak synchronisation (local: pass through)
+    # barrier / atomics (translate the group / the target rank)
     # ------------------------------------------------------------------ #
-    def notify_waitsome(
-        self,
-        segment_id_local: int,
-        notification_begin: int = 0,
-        notification_count=None,
-        timeout: float = GASPI_BLOCK,
-    ):
-        return self._base.notify_waitsome(
-            segment_id_local, notification_begin, notification_count, timeout
-        )
-
-    def notify_reset(self, segment_id_local: int, notification_id: int) -> int:
-        return self._base.notify_reset(segment_id_local, notification_id)
-
-    def notify_peek(self, segment_id_local: int, notification_id: int) -> int:
-        return self._base.notify_peek(segment_id_local, notification_id)
-
-    def notify_drain(
-        self,
-        segment_id_local: int,
-        notification_begin: int = 0,
-        notification_count=None,
-    ):
-        return self._base.notify_drain(
-            segment_id_local, notification_begin, notification_count
-        )
-
-    # ------------------------------------------------------------------ #
-    # queues / barrier / atomics
-    # ------------------------------------------------------------------ #
-    def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
-        self._base.wait(queue, timeout)
-
     def barrier(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
-        self._base.barrier(self._translate_group(group), timeout=timeout)
+        self.inner.barrier(self._translate_group(group), timeout)
 
     def atomic_fetch_add(
         self, segment_id: int, offset: int, target_rank: int, value: int
     ) -> int:
-        return self._base.atomic_fetch_add(
+        return self.inner.atomic_fetch_add(
             segment_id, offset, self.to_base_rank(target_rank), value
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GroupRuntime(rank={self._rank}/{self.size}, "
-            f"members={list(self._members)}, base={self._base!r})"
+            f"members={list(self._members)}, inner={self.inner!r})"
         )

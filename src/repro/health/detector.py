@@ -167,16 +167,6 @@ class _PeerHealth:
         self.flaps = 0
 
 
-def _layers(runtime: GaspiRuntime):
-    """The wrapper stack outermost-first (telemetry, faults, ..., base)."""
-    seen = set()
-    layer = runtime
-    while layer is not None and id(layer) not in seen:
-        seen.add(id(layer))
-        yield layer
-        layer = getattr(layer, "inner", None) or getattr(layer, "base", None)
-
-
 class HeartbeatDetector:
     """Background heartbeat protocol with per-peer phi-accrual estimation.
 
@@ -209,7 +199,7 @@ class HeartbeatDetector:
         )
         # Transport is the innermost layer: heartbeats must not advance
         # the fault layer's op counter nor pollute collective telemetry.
-        stack = list(_layers(runtime))
+        stack = list(runtime.layers())
         self._transport = stack[-1]
         self._faulty = next(
             (l for l in stack if hasattr(l, "plan") and hasattr(l, "is_crashed")),

@@ -1,9 +1,10 @@
 """Instrumented runtime wrapper: traffic counters and wait histograms.
 
-:class:`TelemetryRuntime` wraps any concrete
+:class:`TelemetryRuntime` is a
+:class:`~repro.gaspi.runtime.RuntimeWrapper` around any
 :class:`~repro.gaspi.runtime.GaspiRuntime` (threaded, shm, fault-injected
-stacks — the same forwarding idiom as
-:class:`~repro.analysis.tracing.TracingRuntime`) and feeds a
+stacks): it overrides the ten operations it counts or times, every other
+one is the inner runtime's own.  It feeds a
 :class:`~repro.telemetry.core.Telemetry` registry:
 
 * ``runtime.writes`` / ``runtime.bytes_written`` — one-sided posts;
@@ -26,7 +27,7 @@ afterwards, unlike tracing, which needs every reset individually.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -36,15 +37,15 @@ from ..gaspi.constants import (
     GASPI_BLOCK,
 )
 from ..gaspi.group import Group
-from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.runtime import GaspiRuntime, RuntimeWrapper
 from .core import CLOCK, Telemetry
 
 
-class TelemetryRuntime(GaspiRuntime):
-    """Forwarding wrapper that counts traffic into a telemetry registry."""
+class TelemetryRuntime(RuntimeWrapper):
+    """Wrapper that counts traffic into a telemetry registry."""
 
     def __init__(self, inner: GaspiRuntime, telemetry: Telemetry) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self._telemetry = telemetry
         # Instrument handles are resolved once; the hot path then pays a
         # method call and an integer add per operation.
@@ -57,19 +58,6 @@ class TelemetryRuntime(GaspiRuntime):
         self._c_deleted = telemetry.counter("runtime.segments_deleted")
         self._h_wait = telemetry.histogram("runtime.wait_s")
         self._h_barrier = telemetry.histogram("runtime.barrier_s")
-
-    # -- identity ------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self.inner.rank
-
-    @property
-    def size(self) -> int:
-        return self.inner.size
-
-    @property
-    def fault_injected(self) -> bool:
-        return self.inner.fault_injected
 
     @property
     def telemetry(self) -> Telemetry:
@@ -89,36 +77,6 @@ class TelemetryRuntime(GaspiRuntime):
     def segment_delete(self, segment_id: int) -> None:
         self.inner.segment_delete(segment_id)
         self._c_deleted.add()
-
-    def segment_view(
-        self,
-        segment_id: int,
-        dtype: Any = np.float64,
-        offset: int = 0,
-        count: Optional[int] = None,
-    ) -> np.ndarray:
-        return self.inner.segment_view(segment_id, dtype, offset, count)
-
-    def segment_size(self, segment_id: int) -> int:
-        return self.inner.segment_size(segment_id)
-
-    def segment_read(
-        self,
-        segment_id: int,
-        dtype: Any = np.float64,
-        offset: int = 0,
-        count: Optional[int] = None,
-    ) -> np.ndarray:
-        return self.inner.segment_read(segment_id, dtype, offset, count)
-
-    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
-        self.inner.segment_bind(segment_id, array)
-
-    @property
-    def supports_bind(self) -> bool:
-        # Defining segment_bind above would otherwise make the base-class
-        # probe report bind support the inner runtime may not have.
-        return self.inner.supports_bind
 
     # -- one-sided ------------------------------------------------------ #
     def write(
@@ -216,19 +174,6 @@ class TelemetryRuntime(GaspiRuntime):
             self._c_consumed.add()
         return value
 
-    def notify_peek(self, segment_id_local: int, notification_id: int) -> int:
-        return self.inner.notify_peek(segment_id_local, notification_id)
-
-    def notify_probe(
-        self,
-        segment_id_local: int,
-        notification_begin: int = 0,
-        notification_count: Optional[int] = None,
-    ) -> bool:
-        return self.inner.notify_probe(
-            segment_id_local, notification_begin, notification_count
-        )
-
     def notify_drain(
         self,
         segment_id_local: int,
@@ -242,10 +187,7 @@ class TelemetryRuntime(GaspiRuntime):
             self._c_consumed.add(len(drained))
         return drained
 
-    # -- queues / synchronisation --------------------------------------- #
-    def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
-        self.inner.wait(queue, timeout)
-
+    # -- synchronisation ------------------------------------------------ #
     def barrier(
         self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
     ) -> None:
@@ -253,11 +195,3 @@ class TelemetryRuntime(GaspiRuntime):
         self.inner.barrier(group, timeout)
         self._h_barrier.observe(CLOCK() - t0)
         self._c_barriers.add()
-
-    def atomic_fetch_add(
-        self, segment_id: int, offset: int, target_rank: int, value: int
-    ) -> int:
-        return self.inner.atomic_fetch_add(segment_id, offset, target_rank, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TelemetryRuntime({self.inner!r})"

@@ -1,10 +1,9 @@
-"""The v1 kwarg shims: they must warn *and* match the policy= path exactly.
+"""The kept v1 spellings: they must match the canonical path exactly.
 
-PR 1 kept the v1 loose kwargs (``threshold=``, ``mode=``, ``slack=``) and
-the short ``algorithm=`` aliases alive behind deprecation shims.  These
-tests pin down the contract: every shim emits a ``DeprecationWarning``
-(except ``slack=`` on ``allreduce_ssp``, which is documented as kept), and
-the result is bit-identical to the explicit ``policy=`` spelling.
+Of the v1 loose kwargs, ``slack=`` on ``allreduce_ssp`` and the short
+``algorithm=`` aliases are documented as kept (no warning); the result is
+bit-identical to the explicit ``policy=`` / registry-name spelling.  The
+``threshold=`` / ``mode=`` shims of ``bcast`` / ``reduce`` are gone.
 """
 
 from __future__ import annotations
@@ -15,76 +14,12 @@ import numpy as np
 import pytest
 
 from repro import Communicator, ConsistencyPolicy
-from repro.core.policy import coerce_policy
-from repro.core.reduce import ReduceMode
 
 from tests.helpers import expected_sum, rank_vector, spmd
 
 
 def _no_deprecation(record) -> bool:
     return not any(issubclass(w.category, DeprecationWarning) for w in record)
-
-
-class TestBcastThresholdShim:
-    N = 64
-
-    def test_warns_and_matches_policy_path(self):
-        def worker(rt):
-            comm = Communicator(rt)
-            legacy = np.arange(self.N, dtype=np.float64) if rt.rank == 0 else np.zeros(self.N)
-            with pytest.warns(DeprecationWarning, match="threshold"):
-                legacy_result = comm.bcast(legacy, root=0, threshold=0.25)
-            modern = np.arange(self.N, dtype=np.float64) if rt.rank == 0 else np.zeros(self.N)
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                modern_result = comm.bcast(
-                    modern, root=0, policy=ConsistencyPolicy.data_threshold(0.25)
-                )
-            assert _no_deprecation(record)
-            assert legacy_result.elements_received == modern_result.elements_received
-            assert legacy_result.policy == modern_result.policy
-            return np.array_equal(legacy, modern)
-
-        assert all(spmd(4, worker))
-
-
-class TestReduceThresholdModeShim:
-    N = 80
-
-    def test_warns_and_matches_policy_path(self):
-        def worker(rt):
-            comm = Communicator(rt)
-            data = rank_vector(rt.rank, self.N)
-            legacy_out = np.zeros(self.N)
-            with pytest.warns(DeprecationWarning, match="threshold/mode"):
-                legacy_result = comm.reduce(
-                    data, legacy_out, root=0, threshold=0.5, mode="processes"
-                )
-            modern_out = np.zeros(self.N)
-            with warnings.catch_warnings(record=True) as record:
-                warnings.simplefilter("always")
-                modern_result = comm.reduce(
-                    modern_out * 0 + data,
-                    modern_out,
-                    root=0,
-                    policy=ConsistencyPolicy.process_threshold(0.5),
-                )
-            assert _no_deprecation(record)
-            assert legacy_result.policy == modern_result.policy
-            assert legacy_result.policy.mode is ReduceMode.PROCESSES
-            assert legacy_result.contributors == modern_result.contributors
-            return np.array_equal(legacy_out, modern_out)
-
-        assert all(spmd(4, worker))
-
-    def test_mode_alone_also_warns(self):
-        def worker(rt):
-            comm = Communicator(rt)
-            with pytest.warns(DeprecationWarning):
-                comm.reduce(np.ones(8), np.zeros(8), root=0, mode=ReduceMode.DATA)
-            return True
-
-        assert all(spmd(2, worker))
 
 
 class TestSspSlackShim:
@@ -162,16 +97,3 @@ class TestAlgorithmAliases:
 
         for out in spmd(4, worker):
             assert np.allclose(out, expected_sum(4, self.N))
-
-
-class TestCoerceShimEquivalence:
-    def test_loose_kwargs_build_the_same_policy(self):
-        assert coerce_policy(None, threshold=0.25) == ConsistencyPolicy.data_threshold(0.25)
-        assert coerce_policy(None, threshold=0.5, mode="processes") == (
-            ConsistencyPolicy.process_threshold(0.5)
-        )
-        assert coerce_policy(None, slack=3) == ConsistencyPolicy.ssp(3)
-
-    def test_policy_plus_loose_kwargs_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_policy(ConsistencyPolicy.strict(), threshold=0.5)

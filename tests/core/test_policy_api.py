@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro import Communicator, ConsistencyPolicy, select_algorithm
-from repro.core import REGISTRY, CollectiveRequest, CollectiveResult, coerce_policy
-from repro.core.policy import STRICT
+from repro.core import REGISTRY, CollectiveRequest, CollectiveResult
 from repro.core.reduce import ReduceMode
 from repro.core.tuning import ALLREDUCE_SMALL, TuningRule, TuningTable
 
@@ -53,15 +52,6 @@ class TestConsistencyPolicy:
         assert ConsistencyPolicy().describe() == "strict"
         assert "25% data" in ConsistencyPolicy.data_threshold(0.25).describe()
         assert "slack=3" in ConsistencyPolicy.ssp(3).describe()
-
-    def test_coerce_rejects_policy_plus_loose_kwargs(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_policy(ConsistencyPolicy(), threshold=0.5)
-
-    def test_coerce_builds_policy_from_loose_kwargs(self):
-        policy = coerce_policy(None, threshold=0.5, mode="processes")
-        assert policy.threshold == 0.5 and policy.mode is ReduceMode.PROCESSES
-        assert coerce_policy(None) is STRICT
 
 
 class TestRegistryCapabilities:
@@ -259,16 +249,6 @@ class TestCommunicatorDispatch:
 
         for rank, received in spmd(4, worker):
             assert received == (n if rank == 0 else n // 2)
-
-    def test_deprecated_threshold_kwarg_warns_and_works(self):
-        def worker(rt):
-            comm = Communicator(rt)
-            buf = np.ones(16) if comm.rank == 0 else np.zeros(16)
-            with pytest.warns(DeprecationWarning):
-                result = comm.bcast(buf, root=0, threshold=0.5)
-            return result.elements_received if comm.rank else 16
-
-        assert all(r in (8, 16) for r in spmd(2, worker))
 
     def test_mpi_baseline_executes_through_the_same_dispatch(self):
         n = 96

@@ -14,95 +14,28 @@ import pytest
 
 from repro import Communicator
 from repro.gaspi import GaspiError
-from repro.gaspi.runtime import GaspiRuntime
+from repro.gaspi.runtime import RuntimeWrapper
 
 from tests.helpers import expected_sum, rank_vector, spmd
 
 
-class ArmableExplodingRuntime(GaspiRuntime):
-    """Delegating wrapper that fails every data-plane op while armed."""
-
-    def __init__(self, base):
-        self._base = base
-        self.armed = False
-
-    # -- identity -------------------------------------------------------- #
-    @property
-    def rank(self):
-        return self._base.rank
-
-    @property
-    def size(self):
-        return self._base.size
-
-    # -- fault trigger ---------------------------------------------------- #
-    def _maybe_explode(self):
+def _exploding(name):
+    def post(self, *args, **kwargs):
         if self.armed:
             raise GaspiError(f"rank {self.rank}: injected mid-flight failure")
+        return getattr(self.inner, name)(*args, **kwargs)
 
-    # -- data plane (armed) ------------------------------------------------ #
-    def write(self, *args, **kwargs):
-        self._maybe_explode()
-        return self._base.write(*args, **kwargs)
+    return post
 
-    def notify(self, *args, **kwargs):
-        self._maybe_explode()
-        return self._base.notify(*args, **kwargs)
 
-    def write_notify(self, *args, **kwargs):
-        self._maybe_explode()
-        return self._base.write_notify(*args, **kwargs)
+class ArmableExplodingRuntime(RuntimeWrapper):
+    """Fails every data-plane op while armed; everything else is ``inner``'s."""
 
-    def write_notify_from(self, *args, **kwargs):
-        self._maybe_explode()
-        return self._base.write_notify_from(*args, **kwargs)
-
-    # -- everything else delegates ----------------------------------------- #
-    def segment_create(self, *args, **kwargs):
-        return self._base.segment_create(*args, **kwargs)
-
-    def segment_delete(self, *args, **kwargs):
-        return self._base.segment_delete(*args, **kwargs)
-
-    def segment_bind(self, *args, **kwargs):
-        return self._base.segment_bind(*args, **kwargs)
-
-    @property
-    def supports_bind(self):
-        return self._base.supports_bind
-
-    def segment_view(self, *args, **kwargs):
-        return self._base.segment_view(*args, **kwargs)
-
-    def segment_size(self, *args, **kwargs):
-        return self._base.segment_size(*args, **kwargs)
-
-    def segment_read(self, *args, **kwargs):
-        return self._base.segment_read(*args, **kwargs)
-
-    def notify_waitsome(self, *args, **kwargs):
-        return self._base.notify_waitsome(*args, **kwargs)
-
-    def notify_reset(self, *args, **kwargs):
-        return self._base.notify_reset(*args, **kwargs)
-
-    def notify_peek(self, *args, **kwargs):
-        return self._base.notify_peek(*args, **kwargs)
-
-    def notify_probe(self, *args, **kwargs):
-        return self._base.notify_probe(*args, **kwargs)
-
-    def notify_drain(self, *args, **kwargs):
-        return self._base.notify_drain(*args, **kwargs)
-
-    def wait(self, *args, **kwargs):
-        return self._base.wait(*args, **kwargs)
-
-    def barrier(self, *args, **kwargs):
-        return self._base.barrier(*args, **kwargs)
-
-    def atomic_fetch_add(self, *args, **kwargs):
-        return self._base.atomic_fetch_add(*args, **kwargs)
+    armed = False
+    write = _exploding("write")
+    notify = _exploding("notify")
+    write_notify = _exploding("write_notify")
+    write_notify_from = _exploding("write_notify_from")
 
 
 def test_background_thread_drives_handles_and_close_joins_once():

@@ -169,6 +169,44 @@ class TestSplitSharesRegistry:
         assert 0 < writes < 10 * RANKS * RANKS
 
 
+class TestPreinstrumentedRuntime:
+    """A runtime already carrying the registry is not wrapped (and counted)
+    again, whatever sits on top of its ``TelemetryRuntime``."""
+
+    @staticmethod
+    def _one_allreduce(build):
+        def worker(runtime):
+            tel = Telemetry(rank=runtime.rank)
+            comm = build(runtime, tel)
+            comm.allreduce(np.ones(128))  # 1 KiB
+            layers = [type(layer).__name__ for layer in comm.runtime.layers()]
+            comm.close()
+            return layers.count("TelemetryRuntime"), tel.snapshot()["counters"]
+
+        return spmd(2, worker)
+
+    @pytest.mark.parametrize("on_top", ["fault layer", "trace layer"])
+    def test_counts_match_a_singly_instrumented_run(self, on_top):
+        from repro.analysis.tracing import TraceSink
+        from repro.faults import FaultPlan
+
+        sink = TraceSink(2)
+
+        def build(runtime, tel):
+            if on_top == "fault layer":
+                return Communicator(
+                    runtime.instrumented(tel), faults=FaultPlan(), telemetry=tel
+                )
+            return Communicator(runtime.instrumented(tel).traced(sink), telemetry=tel)
+
+        reference = self._one_allreduce(lambda rt, tel: Communicator(rt.instrumented(tel)))
+        for (layers, counters), (_, expected) in zip(self._one_allreduce(build), reference):
+            assert layers == 1
+            for name in ("writes", "bytes_written", "notifications_posted",
+                         "notifications_consumed"):
+                assert counters[f"runtime.{name}"] == expected[f"runtime.{name}"] > 0
+
+
 class TestFaultyRunTelemetry:
     def test_degraded_dispatch_records_outcome_and_suspicions(self):
         from repro.core.policy import ConsistencyPolicy
