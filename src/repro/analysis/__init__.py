@@ -111,31 +111,17 @@ def analyze(trace: ProtocolTrace) -> List[Finding]:
 
 
 def verify_algorithm(
-    algorithm: str,
-    num_ranks: int,
-    nbytes: int = 256,
-    *,
-    root: int = 0,
-    chunk_bytes: Optional[int] = None,
-    calls: int = 2,
+    algorithm: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
     """Model one cell and analyze it — the unit of the CLI sweep."""
-    run = build_model(
-        algorithm,
-        num_ranks,
-        nbytes,
-        root=root,
-        chunk_bytes=chunk_bytes,
-        calls=calls,
-    )
-    return analyze(run.trace)
+    return analyze(build_model(algorithm, num_ranks, nbytes, **model_kwargs).trace)
 
 
 def verify_recycling(
-    bcast: str, other: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
+    first: str, other: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
     """Model one workspace-recycling cell; trace findings plus wrong values."""
-    run = build_recycle_model(bcast, other, num_ranks, nbytes, **model_kwargs)
+    run = build_recycle_model(first, other, num_ranks, nbytes, **model_kwargs)
     return analyze(run.trace) + [
         Finding(WRONG_VALUE, message, trace=run.trace.name)
         for message in run.wrong_values

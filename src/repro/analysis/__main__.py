@@ -14,7 +14,8 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
 from . import analyze, build_model, verify_recycling
@@ -27,10 +28,10 @@ _PIPELINED_PAYLOADS: List[Tuple[int, Optional[int]]] = [(512, 128), (2048, 512)]
 
 
 def _cells(
-    algorithms: Sequence[str], rank_counts: Sequence[int]
-) -> List[Tuple[str, int, int, Optional[int], int]]:
-    """(algorithm, ranks, nbytes, chunk_bytes, root) cells of the sweep."""
-    cells: List[Tuple[str, int, int, Optional[int], int]] = []
+    algorithms: Sequence[str], rank_counts: Sequence[int], calls: int
+) -> List[Tuple[str, int, int, Dict[str, Any]]]:
+    """(algorithm, ranks, nbytes, further ``build_model`` arguments) cells."""
+    cells: List[Tuple[str, int, int, Dict[str, Any]]] = []
     for name in algorithms:
         info = REGISTRY.get(name)
         payloads = (
@@ -47,21 +48,43 @@ def _cells(
             roots = [0]
             if info.collective in ("bcast", "reduce") and ranks == 8:
                 roots.append(1)  # a non-default root reshapes the tree
-            for nbytes, chunk_bytes in payloads:
-                for root in roots:
-                    cells.append((name, ranks, nbytes, chunk_bytes, root))
+            shapes = [
+                dict(root=root, chunk_bytes=chunk_bytes, calls=calls, nbytes=nbytes)
+                for nbytes, chunk_bytes in payloads
+                for root in roots
+            ]
+            if info.collective == "reduce":
+                # A reduce child runs ahead of its parent until it is out
+                # of credit — one call — so it is the third call that has
+                # to wait, and somebody has to be late: the root (all its
+                # children run ahead) or, under the other root, its last
+                # child (siblings run ahead while the parent still sweeps).
+                shapes += [
+                    dict(shapes[0], threshold=0.5, mode=mode)
+                    for mode in ("data", "processes")
+                ]
+                for shape in shapes:
+                    root = shape["root"]
+                    shape.update(
+                        calls=max(calls, 3),
+                        laggard=root if root == 0 else (root + ranks // 2) % ranks,
+                    )
+            cells.extend((name, ranks, shape.pop("nbytes"), shape) for shape in shapes)
     return cells
 
 
-#: (broadcast, other plan) pairs run back to back on recycled workspace
+#: (first, other plan) pairs run back to back on recycled workspace
 #: segments (pairs whose notification boards share a class, or nothing
 #: would be recycled): consume-acks left for the next lessee under both
-#: ack-id maps, the hypercube's clocked mailboxes, the ring's step slots.
+#: ack-id maps, the hypercube's clocked mailboxes, the ring's step slots,
+#: and the credit each reduce plan leaves posted at its children — id 64
+#: under one map, id 0 (the other's first DATA id) under the other.
 _RECYCLE_PAIRS: List[Tuple[str, str]] = [
     ("gaspi_bcast_bst", "gaspi_bcast_flat"),
     ("gaspi_bcast_bst", "gaspi_allreduce_ssp_hypercube"),
     ("gaspi_bcast_flat", "gaspi_allreduce_ssp_hypercube"),
     ("gaspi_bcast_bst", "gaspi_allreduce_ring"),
+    ("gaspi_reduce_bst", "gaspi_reduce_bst_pipelined"),
 ]
 
 
@@ -91,7 +114,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--calls",
         type=int,
         default=2,
-        help="back-to-back calls per cell (2 exercises cross-call handshakes)",
+        help="back-to-back calls per cell (2 exercises cross-call handshakes; "
+        "reduce cells run at least 3)",
     )
     parser.add_argument(
         "--json",
@@ -114,20 +138,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     report: List[Dict[str, object]] = []
     all_findings: List[Finding] = []
-    for name, ranks, nbytes, chunk_bytes, root in _cells(algorithms, args.ranks):
-        run = build_model(
-            name,
-            ranks,
-            nbytes,
-            root=root,
-            chunk_bytes=chunk_bytes,
-            calls=args.calls,
-        )
+    for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls):
+        run = build_model(name, ranks, nbytes, **cell)
         findings = analyze(run.trace)
         all_findings.extend(findings)
         report.append(
             {
                 "cell": run.trace.name,
+                "kind": REGISTRY.get(name).collective,
                 "events": run.trace.total_events(),
                 "findings": [finding.describe() for finding in findings],
             }
@@ -137,15 +155,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{status:>14}  {run.trace.name}  ({run.trace.total_events()} events)")
             for finding in findings:
                 print(f"                {finding.describe()}")
-    for bcast, other in _RECYCLE_PAIRS if args.all else ():
+    for first, other in _RECYCLE_PAIRS if args.all else ():
         for ranks in args.ranks:
             if REGISTRY.get(other).capabilities.unsupported_reason(ranks, None, None):
                 continue
-            findings = verify_recycling(bcast, other, ranks, calls=args.calls)
+            findings = verify_recycling(first, other, ranks, calls=args.calls)
             all_findings.extend(findings)
-            name = f"recycle[{bcast} <-> {other}, ranks={ranks}]"
+            name = f"recycle[{first} <-> {other}, ranks={ranks}]"
             report.append(
-                {"cell": name, "findings": [finding.describe() for finding in findings]}
+                {
+                    "cell": name,
+                    "kind": "recycle",
+                    "findings": [finding.describe() for finding in findings],
+                }
             )
             if not args.json:
                 status = "ok" if not findings else f"{len(findings)} finding(s)"
@@ -166,8 +188,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
     else:
+        # Per collective, so that a cell family dropped from the sweep shows.
+        kinds = Counter(str(row["kind"]) for row in report)
+        breakdown = ", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items()))
         print(
-            f"\n{len(report)} cell(s) verified in {elapsed:.2f}s — "
+            f"\n{len(report)} cell(s) verified ({breakdown}) in {elapsed:.2f}s — "
             f"{len(all_findings)} finding(s)"
         )
     return 1 if all_findings else 0

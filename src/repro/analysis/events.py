@@ -14,7 +14,7 @@ producers —
 so a finding means the same thing regardless of where the trace came
 from, and the static model can be validated against reality.
 
-Four event kinds cover the one-sided GASPI protocol surface:
+Five event kinds cover the one-sided GASPI protocol surface:
 
 ``post``
     A notification leaving ``rank`` for ``dst`` (``gaspi_notify`` or the
@@ -29,6 +29,11 @@ Four event kinds cover the one-sided GASPI protocol surface:
     A *local* store into ``rank``'s own copy of ``segment`` — staging
     copies, segment-resident accumulator folds.  Only the model records
     these (a real runtime cannot observe stores through NumPy views).
+``read``
+    A *local* load of a fold operand from ``rank``'s own copy of
+    ``segment`` — a child slot or a mailbox read in place.  What a credit
+    or a consume-ack protects is exactly this: the peer's next write
+    racing it.  Model only, like ``write``.
 ``barrier``
     Participation in a global barrier; barriers with the same per-rank
     ordinal synchronise across all ranks.
@@ -42,6 +47,7 @@ from typing import Dict, List, Tuple
 POST = "post"
 CONSUME = "consume"
 LOCAL_WRITE = "write"
+LOCAL_READ = "read"
 BARRIER = "barrier"
 
 

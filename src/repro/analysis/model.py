@@ -11,18 +11,19 @@ per rank, over real payload bytes, for the checkers in
 
 Two execution styles are bridged:
 
-* The three *pipelined* plans and the strict hypercube are generators
-  already: ``begin(request)`` yields a
-  :class:`~repro.core.pipeline.WaitSpec` whenever a wait would block, so
-  the model simply drives the shipped generator cooperatively.
-* The four *monolithic* plans block inline (``notify_waitsome`` with a
-  real timeout).  For these, :mod:`repro.analysis.model` carries one
-  *emitter* per plan class — a generator transliteration of the plan's
-  ``execute`` body, operating on the plan instance's own frozen operands
-  (slots, offsets, notification ids), that yields instead of blocking.
-  An emitter contains no schedule knowledge of its own: every offset and
-  id it uses comes from the constructed plan, so a planner bug is
-  faithfully reproduced in the trace.
+* The three *pipelined* plans, the strict hypercube and the BST reduce are
+  generators already: ``begin(request)`` yields a
+  :class:`~repro.core.plan.WaitSpec` whenever a wait would block, so the
+  model simply drives the shipped generator cooperatively.
+* The three remaining *monolithic* plans (both broadcasts, the ring) block
+  inline (``notify_waitsome`` with a real timeout).  For these,
+  :mod:`repro.analysis.model` carries one *emitter* per plan class — a
+  generator transliteration of the plan's ``execute`` body, operating on
+  the plan instance's own frozen operands (slots, offsets, notification
+  ids), that yields instead of blocking.  An emitter contains no schedule
+  knowledge of its own: every offset and id it uses comes from the
+  constructed plan, so a planner bug is faithfully reproduced in the
+  trace.
 
 All rank programs run under a round-robin cooperative scheduler.  Because
 the model executes real NumPy payloads, callers can additionally check
@@ -34,21 +35,15 @@ honest against the executors they mirror.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..core import kernels
 from ..core.bcast import _NOTIF_DATA, BstBcastPlan, FlatBcastPlan
 from ..core.allreduce_ring import RingAllreducePlan
-from ..core.plan import CollectivePlan, PlanKey, policy_fingerprint
+from ..core.plan import CollectivePlan, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
-from ..core.reduce import (
-    _NOTIF_ACK,
-    _NOTIF_DATA_BASE,
-    _NOTIF_READY_BASE,
-    BstReducePlan,
-)
 from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
 from ..core.workspace import WorkspacePool
@@ -61,6 +56,7 @@ from ..gaspi.runtime import GaspiRuntime, source_bytes
 from .events import (
     BARRIER,
     CONSUME,
+    LOCAL_READ,
     LOCAL_WRITE,
     POST,
     Event,
@@ -68,7 +64,10 @@ from .events import (
     SegmentMeta,
 )
 
-Emitter = Generator[None, None, None]
+#: A rank program: yields whenever it cannot progress — the
+#: :class:`~repro.core.plan.WaitSpec` it is blocked on, or ``None`` when
+#: it merely gives up a turn.
+Emitter = Generator[Optional[WaitSpec], None, None]
 
 
 # --------------------------------------------------------------------------- #
@@ -80,7 +79,8 @@ class _TrackedView(np.ndarray):
     Captures the two store idioms of the collectives: slice/scalar
     assignment (staging copies) and ufunc calls with a segment-resident
     ``out=`` (the fused folds of :mod:`repro.core.kernels`, which call
-    ``func(acc, contrib, out=acc)``).
+    ``func(acc, contrib, out=acc)``) — and a fold's segment-resident
+    *operands* as ``read`` events.
     """
 
     _segment: Optional["ModelSegment"]
@@ -98,7 +98,7 @@ class _TrackedView(np.ndarray):
         else:
             target = np.ndarray.__getitem__(self, key)
         if isinstance(target, np.ndarray) and target.nbytes:
-            segment.record_store(target)
+            segment.record_access(LOCAL_WRITE, target)
 
     def __array_ufunc__(
         self, ufunc: np.ufunc, method: str, *inputs: Any, **kwargs: Any
@@ -111,12 +111,17 @@ class _TrackedView(np.ndarray):
         plain = tuple(
             x.view(np.ndarray) if isinstance(x, _TrackedView) else x for x in inputs
         )
+        for operand in inputs:
+            if isinstance(operand, _TrackedView) and operand.nbytes:
+                segment = getattr(operand, "_segment", None)
+                if segment is not None:
+                    segment.record_access(LOCAL_READ, operand)
         result = getattr(ufunc, method)(*plain, **kwargs)
         for original in out:
             if isinstance(original, _TrackedView):
                 segment = getattr(original, "_segment", None)
                 if segment is not None and original.nbytes:
-                    segment.record_store(original)
+                    segment.record_access(LOCAL_WRITE, original)
         return result
 
 
@@ -148,11 +153,11 @@ class ModelSegment:
         tracked._segment = self
         return tracked
 
-    def record_store(self, target: np.ndarray) -> None:
+    def record_access(self, kind: str, target: np.ndarray) -> None:
         offset = int(target.__array_interface__["data"][0]) - self.base_address
         self.world.record(
             Event(
-                kind=LOCAL_WRITE,
+                kind=kind,
                 rank=self.rank,
                 segment=self.segment_id,
                 dst=self.rank,
@@ -456,10 +461,10 @@ class ModelRuntime(GaspiRuntime):
 # --------------------------------------------------------------------------- #
 def _consume(
     rt: GaspiRuntime, segment_id: int, notif_id: int
-) -> Generator[None, None, int]:
+) -> Generator[WaitSpec, None, int]:
     """Poll for one notification, yielding while absent; reset and return it."""
     while rt.notify_waitsome(segment_id, notif_id, 1, timeout=0.0) is None:
-        yield
+        yield WaitSpec(segment_id, notif_id)
     return rt.notify_reset(segment_id, notif_id)
 
 
@@ -507,49 +512,6 @@ def _emit_flat_bcast(plan: FlatBcastPlan, request: CollectiveRequest) -> Emitter
     plan.calls += 1
 
 
-def _emit_bst_reduce(plan: BstReducePlan, request: CollectiveRequest) -> Emitter:
-    sendbuf = np.asarray(request.sendbuf)
-    operator = get_op(request.op)
-    rt = plan.runtime
-    sid = plan.segment_id
-    reduce_elems = plan.reduce_elems
-    contributors = 1 if plan.participating else 0
-    if plan.participating:
-        accumulator = sendbuf[:reduce_elems].astype(plan.dtype, copy=True)
-        for child in plan.children:
-            rt.notify(child, sid, _NOTIF_READY_BASE)
-        if plan.children:
-            rt.wait(0)
-        for child, child_index, slot in zip(
-            plan.children, plan.child_indices, plan._child_slots
-        ):
-            value = yield from _consume(rt, sid, _NOTIF_DATA_BASE + child_index)
-            contributors += max(1, value) if value else 1
-            kernels.reduce_into(operator, accumulator, slot)
-            rt.notify(child, sid, _NOTIF_ACK)
-        if plan.children:
-            rt.wait(0)
-        if rt.rank == plan.key.root:
-            if request.recvbuf is not None:
-                np.asarray(request.recvbuf)[:reduce_elems] = accumulator
-        else:
-            yield from _consume(rt, sid, _NOTIF_READY_BASE)
-            plan._staging[:] = accumulator
-            rt.write_notify(
-                sid,
-                0,
-                plan.parent,
-                sid,
-                plan.my_index * plan.reduce_bytes,
-                plan.reduce_bytes,
-                _NOTIF_DATA_BASE + plan.my_index,
-                max(1, contributors),
-            )
-            rt.wait(0)
-            yield from _consume(rt, sid, _NOTIF_ACK)
-    plan.calls += 1
-
-
 def _emit_ring_allreduce(plan: RingAllreducePlan, request: CollectiveRequest) -> Emitter:
     sendbuf = np.asarray(request.sendbuf)
     operator = get_op(request.op)
@@ -594,7 +556,7 @@ def _emit_ring_allreduce(plan: RingAllreducePlan, request: CollectiveRequest) ->
 
 
 def _drive_pipelined(plan: CollectivePlan, request: CollectiveRequest) -> Emitter:
-    """Cooperatively drive a pipelined plan's real ``begin()`` generator."""
+    """Cooperatively drive a generator plan's real ``begin()`` generator."""
     rt = plan.runtime
     gen = plan.begin(request)  # type: ignore[attr-defined]
     while True:
@@ -606,13 +568,12 @@ def _drive_pipelined(plan: CollectivePlan, request: CollectiveRequest) -> Emitte
             rt.notify_waitsome(spec.segment_id, spec.first, spec.count, timeout=0.0)
             is None
         ):
-            yield
+            yield spec
 
 
 _EMITTERS: Dict[type, Callable[[Any, CollectiveRequest], Emitter]] = {
     BstBcastPlan: _emit_bst_bcast,
     FlatBcastPlan: _emit_flat_bcast,
-    BstReducePlan: _emit_bst_reduce,
     RingAllreducePlan: _emit_ring_allreduce,
 }
 
@@ -647,15 +608,22 @@ class ModelRun:
     wrong_values: List[str] = field(default_factory=list)
 
 
-def _run_cooperative(world: ModelWorld, programs: List[Iterator[None]]) -> List[int]:
-    """Round-robin the rank programs to completion; return stalled ranks."""
-    live: Dict[int, Iterator[None]] = dict(enumerate(programs))
+def _run_cooperative(world: ModelWorld, programs: List[Emitter]) -> List[int]:
+    """Round-robin the rank programs to completion; return stalled ranks.
+
+    A rank that stalls inside a wait gets that wait recorded as its next
+    consume (of the first id of a range wait), so the replay names the
+    starved slot — ``unmatched-notification`` or ``deadlock`` — instead of
+    seeing a trace that merely ends early.
+    """
+    live: Dict[int, Emitter] = dict(enumerate(programs))
+    blocked: Dict[int, Optional[WaitSpec]] = {}
     while live:
         progressed = False
         for rank in sorted(live):
             before = world.op_count
             try:
-                next(live[rank])
+                blocked[rank] = next(live[rank])
             except StopIteration:
                 del live[rank]
                 progressed = True
@@ -663,8 +631,28 @@ def _run_cooperative(world: ModelWorld, programs: List[Iterator[None]]) -> List[
             if world.op_count != before:
                 progressed = True
         if not progressed:
+            for rank in sorted(live):
+                spec = blocked[rank]
+                if spec is not None:
+                    world.events[rank].append(
+                        Event(
+                            kind=CONSUME,
+                            rank=rank,
+                            segment=spec.segment_id,
+                            dst=rank,
+                            notif_id=spec.first,
+                        )
+                    )
             return sorted(live)
     return []
+
+
+def _idle(world: ModelWorld, turns: int = 8) -> Emitter:
+    """Sit out ``turns`` scheduler rounds: a rank arriving late at a call,
+    so the others run as far ahead as the protocol lets them."""
+    for _ in range(turns):
+        world.op_count += 1  # idling is progress, not a stall
+        yield
 
 
 def _payloads(
@@ -691,7 +679,10 @@ def build_model(
     root: int = 0,
     op: str = "sum",
     chunk_bytes: Optional[int] = None,
+    threshold: float = 1.0,
+    mode: str = "data",
     calls: int = 2,
+    laggard: Optional[int] = None,
     segment_id: int = 23,
     mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
 ) -> ModelRun:
@@ -699,14 +690,15 @@ def build_model(
 
     Builds the real compiled plan of ``algorithm`` on every rank of a
     ``num_ranks``-rank :class:`ModelWorld` (float64 payloads of ``nbytes``
-    bytes), runs ``calls`` consecutive calls per rank under the
-    cooperative scheduler — two calls exercise every cross-call
-    consume-ack handshake — and returns the recorded
-    :class:`~repro.analysis.events.ProtocolTrace` together with the
-    payload buffers for numerical validation.  ``mutate_plan`` is applied
-    to every rank's freshly compiled plan before the calls run — the hook
-    of the plan-level seeded defects in :mod:`repro.analysis.mutations`,
-    whose symptom is a wrong value rather than a trace finding.
+    bytes, under the ``threshold`` / ``mode`` consistency policy), runs
+    ``calls`` consecutive calls per rank under the cooperative scheduler —
+    two calls exercise every cross-call consume-ack handshake, a third
+    every credit that bounds a rank to one call ahead — and returns the
+    recorded :class:`~repro.analysis.events.ProtocolTrace` together with
+    the payload buffers for numerical validation.  Rank ``laggard`` idles
+    before every call (see :func:`_idle`).  ``mutate_plan`` is applied to
+    every rank's freshly compiled plan before the calls run — the hook of
+    the plan-level seeded defects in :mod:`repro.analysis.mutations`.
     """
     info = REGISTRY.get(algorithm)
     if not info.plannable:
@@ -714,7 +706,7 @@ def build_model(
     dtype = np.dtype(np.float64)
     elements = max(1, nbytes // dtype.itemsize)
     nbytes = elements * dtype.itemsize
-    policy = ConsistencyPolicy(chunk_bytes=chunk_bytes)
+    policy = ConsistencyPolicy(threshold=threshold, mode=mode, chunk_bytes=chunk_bytes)
     key = PlanKey(
         collective=info.collective,
         algorithm=algorithm,
@@ -740,6 +732,8 @@ def build_model(
 
     def rank_program(rank: int) -> Emitter:
         for _ in range(calls):
+            if rank == laggard:
+                yield from _idle(world)
             request = CollectiveRequest(
                 collective=info.collective,
                 sendbuf=sendbufs[rank],
@@ -754,10 +748,12 @@ def build_model(
     stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
 
     chunk_label = "-" if chunk_bytes is None else str(chunk_bytes)
+    relaxed = "" if threshold >= 1.0 else f", {int(threshold * 100)}% {policy.mode.value}"
+    lagging = "" if laggard is None else f", laggard={laggard}"
     trace = ProtocolTrace(
         name=(
             f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={nbytes}, "
-            f"chunk_bytes={chunk_label}, calls={calls}]"
+            f"chunk_bytes={chunk_label}, calls={calls}{relaxed}{lagging}]"
         ),
         num_ranks=num_ranks,
         events=world.events,
@@ -776,7 +772,7 @@ def build_model(
 
 
 def build_recycle_model(
-    bcast: str,
+    first: str,
     other: str,
     num_ranks: int,
     nbytes: int = 256,
@@ -789,14 +785,16 @@ def build_recycle_model(
 
     Every rank drives one :class:`~repro.core.workspace.WorkspacePool`
     through the misses of a one-entry plan cache over the sequence
-    ``bcast, other, other, bcast``: each miss releases the evicted plan,
-    then compiles the next.  ``other`` moves ``nbytes``; the broadcast —
-    whose workspace is its payload — is sized to ``other``'s workspace, so
-    the two share a size class.  The third plan thereby runs on the
-    segment the first one released two misses earlier and the fourth on
-    the second one's: both orders of the pair, each on a scrubbed segment
-    behind the cooling barrier.  Rank ``laggard`` idles before every
-    call, so the others run as far ahead as the protocol lets them.
+    ``first, other, other, first``: each miss releases the evicted plan,
+    then compiles the next.  ``other`` moves ``nbytes``; ``first`` — a
+    broadcast, whose workspace is its payload, or any plan whose workspace
+    is a multiple of it — moves what makes its workspace as large as
+    ``other``'s, so the two share a size class.  The third plan thereby
+    runs on the segment the first one released two misses earlier and the
+    fourth on the second one's: both orders of the pair, each on a
+    scrubbed segment behind the cooling barrier.  Rank ``laggard`` idles
+    before every call, so the others run as far ahead as the protocol
+    lets them.
 
     The model's barrier records and returns, so the programs wait where a
     real barrier would hold them: until every rank arrived, before a
@@ -805,16 +803,20 @@ def build_recycle_model(
     exposes the seeded pool defects of :mod:`repro.analysis.mutations`
     (applied to every rank's pool through ``mutate_pool``).
     """
-    sized = build_model(other, num_ranks, nbytes, calls=0)
-    workspace = sized.world.segment(0, sized.plans[0].segment_id).buffer.size
-    first, second = (bcast, workspace), (other, nbytes)
+
+    def workspace_of(algorithm: str) -> int:
+        sized = build_model(algorithm, num_ranks, nbytes, calls=0)
+        return sized.world.segment(0, sized.plans[0].segment_id).buffer.size
+
+    scaled = nbytes * workspace_of(other) // workspace_of(first)
+    head, tail = (first, scaled - scaled % 8), (other, nbytes)
     policy = ConsistencyPolicy()
     world = ModelWorld(num_ranks)
     pools = [WorkspacePool(world.runtime(r), 23, 64) for r in range(num_ranks)]
     if mutate_pool is not None:
         for pool in pools:
             mutate_pool(pool)
-    sequence = [first, second, second, first]
+    sequence = [head, tail, tail, head]
     arrived = [0] * num_ranks
     plans: List[List[CollectivePlan]] = [[] for _ in range(num_ranks)]
     wrong: List[str] = []
@@ -851,9 +853,8 @@ def build_recycle_model(
             )
             emit = _emitter_for(plan)
             for call in range(calls):
-                for _ in range(8 if rank == laggard else 0):
-                    world.op_count += 1  # idling is progress, not a stall
-                    yield
+                if rank == laggard:
+                    yield from _idle(world)
                 request = CollectiveRequest(
                     collective=info.collective,
                     sendbuf=sendbufs[rank],
@@ -883,11 +884,11 @@ def build_recycle_model(
         for p in plans
     ]
     if not stalled and mutate_pool is None and not all(recycled):
-        raise ValueError(f"{bcast} and {other} recycled nothing at {num_ranks} ranks")
+        raise ValueError(f"{first} and {other} recycled nothing at {num_ranks} ranks")
     trace = ProtocolTrace(
         name=(
-            f"recycle[{bcast} <-> {other}, ranks={num_ranks}, "
-            f"nbytes={workspace}/{nbytes}, laggard={laggard}]"
+            f"recycle[{first} <-> {other}, ranks={num_ranks}, "
+            f"nbytes={head[1]}/{nbytes}, laggard={laggard}]"
         ),
         num_ranks=num_ranks,
         events=world.events,
@@ -900,7 +901,7 @@ def build_recycle_model(
         plans=[p[-1] for p in plans if p],
         sendbufs=[],
         recvbufs=[],
-        algorithm=f"{bcast}<->{other}",
+        algorithm=f"{first}<->{other}",
         stalled_ranks=stalled,
         wrong_values=wrong,
     )

@@ -22,7 +22,11 @@ model's value check — every rank's ``recvbuf`` against the NumPy sum.
 
 So does :func:`single_mailbox_per_step`, which takes the call parity out of
 the strict hypercube's mailboxes — the proof obligation for folding a
-mailbox in place, without a locked snapshot.
+mailbox in place, without a locked snapshot.  And so do the two hazards of
+the reduce plans' credits, which let a child run one call ahead of its
+parent: :func:`stage_partial_in_child_slot` (the partial result must not
+be memory that child can write) and :func:`credit_before_last_drain` (the
+pipelined plan's credits must follow the call's last sweep).
 
 Two more live in the workspace *pool* and are applied through
 ``build_recycle_model(..., mutate_pool=...)``: :func:`reuse_without_cooling`
@@ -34,13 +38,14 @@ first write, and the scrub itself.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .events import CONSUME, POST, Event, ProtocolTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.allreduce_ssp import HypercubeAllreducePlan
-    from ..core.pipeline import PipelinedRingAllreducePlan
+    from ..core.pipeline import PipelinedBstReducePlan, PipelinedRingAllreducePlan
+    from ..core.reduce import BstReducePlan
     from ..core.workspace import WorkspacePool
 
 
@@ -228,6 +233,62 @@ def single_mailbox_per_step(plan: "HypercubeAllreducePlan") -> None:
     notification then starves the reader, or it folds the wrong call).
     """
     plan._steps = (plan._steps[0], plan._steps[0])
+
+
+def stage_partial_in_child_slot(plan: "BstReducePlan") -> None:
+    """Keep a folding rank's partial result at segment offset 0 again.
+
+    That is child slot 0.  Under the READY handshake the staging copy and
+    the child's next push could not overlap; with credits the child is
+    released as soon as *its* slot is folded, while this rank goes on
+    folding its other children into — and then pushes up from — the very
+    bytes that child's next push lands in.  Expected finding class:
+    ``data-race`` (the grandparent receives the wrong call's bytes).
+    """
+    if plan._partial is not None:
+        plan._partial = plan.runtime.segment_view(
+            plan.segment_id, plan.dtype, 0, plan.reduce_elems
+        )
+
+
+def credit_before_last_drain(plan: "PipelinedBstReducePlan") -> None:
+    """Credit the first child as soon as its chunks of the call are folded.
+
+    Folded they are at the top of the sweep after the one that collected
+    them — nothing precedes the first child in fold order — so the early
+    credit races no fold.  But the plan's ``notify_drain`` sweeps every
+    child's ids: the credited child posts its next call's chunks into a
+    sweep still collecting this call's from its siblings, where they are
+    consumed, ignored and lost.  Expected finding classes: ``deadlock`` /
+    ``unmatched-notification`` — the next call waits for chunks that were
+    already taken.
+    """
+    if not plan.children:
+        return
+    rt, child, first = plan.runtime, plan.children[0], plan.child_indices[0]
+    chunks, base, credit = plan.chunks.num_chunks, plan.notif_data.base, plan._credit_id
+    drain, notify = rt.notify_drain, rt.notify
+    state = {"arrived": 0, "credited": False}
+
+    def hasty_drain(segment_id: int, begin: int, count: int) -> dict:
+        if state["arrived"] == chunks and not state["credited"]:
+            state["credited"] = True
+            notify(child, segment_id, credit)
+        got = drain(segment_id, begin, count)
+        state["arrived"] += sum((nid - base) // chunks == first for nid in got)
+        return got
+
+    def notify_unless_credited(
+        target: int, segment_id: int, nid: int, *args: Any, **kwargs: Any
+    ) -> None:
+        if (target, nid) == (child, credit):  # the end-of-call credit
+            early = state["credited"]
+            state.update(arrived=0, credited=False)
+            if early:
+                return
+        notify(target, segment_id, nid, *args, **kwargs)
+
+    rt.notify_drain, rt.notify = hasty_drain, notify_unless_credited  # type: ignore[method-assign]
 
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:

@@ -11,10 +11,11 @@ Happens-before is generated by three edge kinds:
 A *write access* is either the remote half of a data-carrying post
 (``length`` bytes at ``offset`` of the destination rank's segment,
 ordered by the poster's clock) or a local store recorded by the model's
-tracked segment views.  Two accesses to overlapping byte ranges of the
-same (rank, segment) by different writers that are unordered under
-happens-before form the one-sided data-race class this module reports:
-nothing in the protocol prevents the writes from interleaving at byte
+tracked segment views; a *read access* is a fold operand loaded through
+one.  Two accesses to overlapping byte ranges of the same (rank, segment)
+by different ranks, at least one of them a write, that are unordered
+under happens-before form the one-sided data-race class this module
+reports: nothing in the protocol prevents them from interleaving at byte
 granularity.
 """
 
@@ -25,7 +26,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .deadlock import Loc, ReplayResult, VectorClock, vc_leq
-from .events import BARRIER, CONSUME, DATA_RACE, LOCAL_WRITE, POST, Finding, ProtocolTrace
+from .events import (
+    BARRIER,
+    CONSUME,
+    DATA_RACE,
+    LOCAL_READ,
+    LOCAL_WRITE,
+    POST,
+    Finding,
+    ProtocolTrace,
+)
 
 
 def compute_vector_clocks(
@@ -72,11 +82,12 @@ def compute_vector_clocks(
 
 
 @dataclass(frozen=True)
-class _WriteAccess:
+class _Access:
     begin: int
     end: int
     writer: int
     location: Loc
+    write: bool = True
 
 
 def check_races(
@@ -84,39 +95,43 @@ def check_races(
     replay: ReplayResult,
     clocks: Dict[Loc, VectorClock],
 ) -> List[Finding]:
-    """Report concurrent overlapping writes to the same segment bytes.
+    """Report concurrent overlapping accesses (one a write) to segment bytes.
 
     Findings are deduplicated per (segment owner, segment, writer pair):
     a racy protocol typically races on every chunk of a transfer, and one
     finding per pair names the defect without drowning the report.
     """
-    writes: Dict[Tuple[int, int], List[_WriteAccess]] = defaultdict(list)
+    touched: Dict[Tuple[int, int], List[_Access]] = defaultdict(list)
     for location in replay.order:
         rank, index = location
         event = trace.events[rank][index]
         if event.kind == POST and event.length > 0:
-            writes[(event.dst, event.segment)].append(
-                _WriteAccess(
+            touched[(event.dst, event.segment)].append(
+                _Access(
                     event.offset, event.offset + event.length, rank, location
                 )
             )
-        elif event.kind == LOCAL_WRITE and event.length > 0:
-            writes[(event.rank, event.segment)].append(
-                _WriteAccess(
-                    event.offset, event.offset + event.length, rank, location
+        elif event.kind in (LOCAL_WRITE, LOCAL_READ) and event.length > 0:
+            touched[(event.rank, event.segment)].append(
+                _Access(
+                    event.offset,
+                    event.offset + event.length,
+                    rank,
+                    location,
+                    event.kind == LOCAL_WRITE,
                 )
             )
 
     findings: List[Finding] = []
     reported: Dict[Tuple[int, int, int, int], int] = {}
     examples: Dict[Tuple[int, int, int, int], str] = {}
-    for (owner, segment), accesses in sorted(writes.items()):
+    for (owner, segment), accesses in sorted(touched.items()):
         accesses.sort(key=lambda a: (a.begin, a.end))
-        active: List[_WriteAccess] = []
+        active: List[_Access] = []
         for access in accesses:
             active = [a for a in active if a.end > access.begin]
             for other in active:
-                if other.writer == access.writer:
+                if other.writer == access.writer or not (other.write or access.write):
                     continue
                 if vc_leq(clocks[other.location], clocks[access.location]):
                     continue
@@ -136,7 +151,7 @@ def check_races(
         findings.append(
             Finding(
                 DATA_RACE,
-                f"ranks {writer_a} and {writer_b} write overlapping bytes of "
+                f"ranks {writer_a} and {writer_b} access overlapping bytes of "
                 f"rank {owner}'s segment {segment} with no happens-before "
                 f"ordering ({count} overlapping pair(s), e.g. "
                 f"{examples[(owner, segment, writer_a, writer_b)]})",

@@ -53,8 +53,14 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
 from .notifmap import NotificationLayout
-from .pipeline import PipelineGen, WaitSpec, _plan_poll_timeout, drive_pipeline
-from .plan import CollectivePlan
+from .plan import (
+    PLAN_WAIT_TIMEOUT,
+    CollectivePlan,
+    PipelineGen,
+    WaitSpec,
+    _plan_poll_timeout,
+    drive_pipeline,
+)
 from .policy import CollectiveResult
 from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
@@ -400,11 +406,6 @@ def ssp_allreduce_once(
 # --------------------------------------------------------------------------- #
 # compiled plan: the strict hypercube as a single-copy exchange
 # --------------------------------------------------------------------------- #
-#: Upper bound (seconds) on one blocking wait of a planned strict step: a
-#: partner that never posts raises :class:`TimeoutError` instead of hanging.
-PLAN_WAIT_TIMEOUT = 60.0
-
-
 class HypercubeAllreducePlan(CollectivePlan):
     """Compiled strict hypercube allreduce: one wire op and one fold per step.
 

@@ -84,27 +84,6 @@ def fold(
     return out
 
 
-def reduce_from_segment(
-    op: "ReductionOp",
-    accumulator: np.ndarray,
-    runtime,
-    segment_id: int,
-    offset: int,
-    count: int,
-) -> np.ndarray:
-    """Fold a segment slice into ``accumulator`` without copying it out.
-
-    Safe whenever the slice is quiescent — i.e. the notification covering
-    the slice has been consumed, so no concurrent remote write can land in
-    it (the GASPI visibility guarantee).  Callers that cannot rule out a
-    concurrent writer must use ``segment_read`` (copying) instead.
-    """
-    view = runtime.segment_view(
-        segment_id, dtype=accumulator.dtype, offset=offset, count=count
-    )
-    return reduce_into(op, accumulator, view)
-
-
 def fold_slots(
     op: "ReductionOp",
     accumulator: np.ndarray,

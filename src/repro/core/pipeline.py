@@ -31,8 +31,11 @@ pooled segment holds only what peers write into it.
   (:func:`repro.core.kernels.fold`: the first reads ``sendbuf``, the
   root's last lands in ``recvbuf``) with each completed chunk pushed up
   the tree while later chunks are still arriving.  An inner rank's
-  accumulator lives in the pooled segment and is pushed from there; a
-  leaf has nothing to fold and pushes ``sendbuf`` itself.
+  accumulator lives in the pooled segment — in front of the child slots,
+  where no child writes — and is pushed from there; a leaf has nothing to
+  fold and pushes ``sendbuf`` itself.  Flow control is the end-of-call
+  credit of :mod:`repro.core.reduce`: a child pushes without waiting for
+  its parent to enter the call, at most one call ahead.
 * :class:`PipelinedRingAllreducePlan` — the ring with multiple in-flight
   sub-chunk slots per step.  ``recvbuf`` is the working vector: step-0
   sends read ``sendbuf``, every scatter fold is
@@ -54,10 +57,11 @@ communication (the ML/SGD layer uses this for overlapping gradient
 allreduce).
 
 Every pipelined executor is written as a *generator* that yields
-:class:`WaitSpec` objects whenever it cannot progress without a
-notification.  The blocking path (:func:`drive_pipeline`) resumes it with
-blocking waits; the nonblocking path polls with ``timeout=0`` from
-``progress()``.  One implementation, two completion disciplines.
+:class:`~repro.core.plan.WaitSpec` objects whenever it cannot progress
+without a notification.  The blocking path
+(:func:`~repro.core.plan.drive_pipeline`) resumes it with blocking waits;
+the nonblocking path polls with ``timeout=0`` from ``progress()``.  One
+implementation, two completion disciplines.
 """
 
 from __future__ import annotations
@@ -65,19 +69,26 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
-from ..telemetry.core import CLOCK, NULL_TELEMETRY
+from ..telemetry.core import NULL_TELEMETRY
 from ..utils.logging import get_logger
 from ..utils.validation import require
 from . import kernels
 from .allreduce_ring import RingAllreduceStats, ring_allreduce_schedule
 from .bcast import BroadcastResult, _require_vector, threshold_elements
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PlanKey, policy_fingerprint
+from .plan import (
+    CollectivePlan,
+    PipelineGen,
+    PlanKey,
+    WaitSpec,
+    _plan_poll_timeout,
+    drive_pipeline,
+)
 from .policy import CollectiveResult
 from .reduce import ReduceMode, ReduceResult
 from .reduction_ops import get_op
@@ -157,105 +168,6 @@ def resolve_chunk_bytes(nbytes: int, policy) -> Optional[int]:
     from .tuning import select_chunk_bytes
 
     return select_chunk_bytes(nbytes)
-
-
-# --------------------------------------------------------------------------- #
-# generator protocol
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class WaitSpec:
-    """Resume condition of a suspended pipeline: a notification range.
-
-    A pipeline generator yields one of these whenever it cannot progress;
-    the driver resumes the generator once *any* notification in
-    ``[first, first + count)`` of ``segment_id`` is pending (the generator
-    re-checks and consumes what it needs itself, so a spurious resume is
-    harmless).
-    """
-
-    segment_id: int
-    first: int
-    count: int = 1
-
-
-PipelineGen = Generator[WaitSpec, None, CollectiveResult]
-
-
-def drive_pipeline(runtime, gen: PipelineGen, timeout: float = GASPI_BLOCK):
-    """Run a pipeline generator to completion with blocking waits.
-
-    When the runtime stack carries a telemetry registry the blocking
-    waits become ``"chunk"`` spans (nested inside the dispatch span on
-    the trace timeline) and feed the ``pipeline.chunk_wait_s`` histogram;
-    otherwise the loop is exactly the uninstrumented original.
-    """
-    tel = getattr(runtime, "telemetry", None)
-    if tel is not None and tel.enabled:
-        return _drive_pipeline_instrumented(runtime, tel, gen, timeout)
-    try:
-        spec = next(gen)
-        while True:
-            got = runtime.notify_waitsome(
-                spec.segment_id, spec.first, spec.count, timeout=timeout
-            )
-            if got is None:
-                gen.close()
-                raise TimeoutError(
-                    f"rank {runtime.rank}: pipelined collective timed out waiting "
-                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
-                    f"on segment {spec.segment_id}"
-                )
-            spec = next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _plan_poll_timeout(runtime, request) -> float:
-    """Inline-wait timeout for a plan's blocking ``execute`` path.
-
-    Uninstrumented, the generator waits inline with the request's timeout
-    and never yields (one wait per notification, no poll-then-park double
-    round-trip).  With telemetry attached it polls with ``timeout=0`` and
-    yields when blocked, so every blocked chunk surfaces as a
-    :class:`WaitSpec` and the instrumented driver can record it as a
-    ``"chunk"`` span — the cost is the extra zero-timeout probe per
-    notification, which is part of the documented enabled-mode overhead.
-    """
-    tel = getattr(runtime, "telemetry", None)
-    if tel is not None and tel.enabled:
-        return 0.0
-    return request.timeout
-
-
-def _drive_pipeline_instrumented(runtime, tel, gen: PipelineGen, timeout: float):
-    """The blocking driver with per-chunk wait instrumentation."""
-    h_wait = tel.histogram("pipeline.chunk_wait_s")
-    c_chunks = tel.counter("pipeline.chunks")
-    try:
-        spec = next(gen)
-        while True:
-            t0 = CLOCK()
-            got = runtime.notify_waitsome(
-                spec.segment_id, spec.first, spec.count, timeout=timeout
-            )
-            t1 = CLOCK()
-            if got is None:
-                gen.close()
-                raise TimeoutError(
-                    f"rank {runtime.rank}: pipelined collective timed out waiting "
-                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
-                    f"on segment {spec.segment_id}"
-                )
-            h_wait.observe(t1 - t0)
-            c_chunks.add()
-            tel.record_span(
-                "chunk", "chunk", t0, t1,
-                {"segment": spec.segment_id, "first": spec.first,
-                 "count": spec.count},
-            )
-            spec = next(gen)
-    except StopIteration as stop:
-        return stop.value
 
 
 # --------------------------------------------------------------------------- #
@@ -643,8 +555,10 @@ class PipelinedBstBcastPlan(CollectivePlan):
     the receivers, and forwards post straight from the destination buffer.
     The readiness notification doubles as the rebind fence — a child
     announces only after (re)binding, so a parent can never write into a
-    stale binding.  Without bind support the identical protocol runs over
-    per-chunk staging slots in the pooled segment.
+    stale binding — which is why this entry handshake stays where the
+    reduce plans moved to an end-of-call credit.  Without bind support the
+    identical protocol runs over per-chunk staging slots in the pooled
+    segment.
     """
 
     _segment_views = ("_staging",)
@@ -829,9 +743,15 @@ class PipelinedBstReducePlan(CollectivePlan):
     push-up posts directly from it — the staging copy of the monolithic
     plan is gone.
 
-    Reuse safety: a parent notifies each child ``ready`` at call entry,
-    which certifies that all of the previous call's child slots were
-    folded; a child pushes only after consuming it.  The child's
+    Reuse safety: the credit of :class:`~repro.core.reduce.BstReducePlan`.
+    A parent notifies each child at the *end* of a call, which certifies
+    that all of the call's child slots were folded; a child consumes it
+    before the first push of its next call (none precedes its first), so
+    it pushes without waiting for its parent to enter the call and is at
+    most one call ahead.  The credits go out only after the call's last
+    ``notify_drain``: that sweep covers every child's ids, so a child
+    credited earlier could post its next call's chunks into a sweep still
+    collecting its siblings' — consumed, ignored, lost.  The child's
     accumulator needs no acknowledgement — its pushes are flushed
     (``wait(queue)``) before the call returns, so the data has left the
     accumulator before the next call can overwrite it.
@@ -877,13 +797,13 @@ class PipelinedBstReducePlan(CollectivePlan):
             resolve_chunk_bytes(self.reduce_bytes, policy),
         )
         layout = NotificationLayout()
-        self.notif_ready = layout.add("ready", 1)
+        self.notif_credit = layout.add("credit", 1)
         # Slot (i, k): chunk k of the i-th child.  Sized by the global
         # 64-child fan-out bound (not this rank's own child count): a rank
         # computes ids for its *parent's* slot table, so the map must be
         # identical on every rank.
         self.notif_data = layout.add("data", 64 * self.chunks.num_chunks)
-        self._ready_id = self.notif_ready.id(0)
+        self._credit_id = self.notif_credit.id(0)
         C = self.chunks.num_chunks
         self._byte_bounds = [self.chunks.byte_bounds(k) for k in range(C)]
         # Segment layout: the accumulator in [0, reduce_bytes), then one
@@ -978,14 +898,9 @@ class PipelinedBstReducePlan(CollectivePlan):
                 ):
                     root_out = recvbuf
 
-            # Entry handshake: the previous call's child slots are folded,
-            # so the children may overwrite them for this call.
-            for child in self.children:
-                rt.notify(child, sid, self._ready_id, queue=queue)
-            if self.children:
-                rt.wait(queue)
-
-            parent_ready = self.parent is None
+            # Our slots at the parent are writable once it credited the
+            # previous call's pushes (before the first call they just are).
+            parent_ready = self.parent is None or not self.calls
             completed: List[int] = []
             # Deterministic fold order: drained notifications arrive in
             # whatever order the children raced in, but floating-point
@@ -1005,8 +920,8 @@ class PipelinedBstReducePlan(CollectivePlan):
             n_children = len(fold_order)
 
             def try_push() -> None:
-                # Push every completed chunk up, once the parent declared
-                # this call's slots writable.
+                # Push every completed chunk up, once the parent's credit
+                # declared our slots writable.
                 for k in completed:
                     eb, ee = bounds[k]
                     rt.write_notify_from(
@@ -1027,10 +942,10 @@ class PipelinedBstReducePlan(CollectivePlan):
                         # Nothing to fold; see whether the parent freed our
                         # slots so the completed chunks can move now.
                         if (
-                            rt.notify_waitsome(sid, self._ready_id, 1, timeout=0.0)
+                            rt.notify_waitsome(sid, self._credit_id, 1, timeout=0.0)
                             is not None
                         ):
-                            rt.notify_reset(sid, self._ready_id)
+                            rt.notify_reset(sid, self._credit_id)
                             parent_ready = True
                             try_push()
                             continue
@@ -1068,27 +983,31 @@ class PipelinedBstReducePlan(CollectivePlan):
                 if self.parent is not None and completed:
                     if not parent_ready:
                         if (
-                            rt.notify_waitsome(sid, self._ready_id, 1, timeout=0.0)
+                            rt.notify_waitsome(sid, self._credit_id, 1, timeout=0.0)
                             is not None
                         ):
-                            rt.notify_reset(sid, self._ready_id)
+                            rt.notify_reset(sid, self._credit_id)
                             parent_ready = True
                     if parent_ready:
                         try_push()
 
+            # Every child slot of this call is folded and the last drain is
+            # behind us: the children may push their next call.
+            for child in self.children:
+                rt.notify(child, sid, self._credit_id, queue=queue)
             if self.parent is not None:
                 if not parent_ready:
-                    nid = self._ready_id
+                    nid = self._credit_id
                     while rt.notify_waitsome(sid, nid, 1, timeout=poll_timeout) is None:
                         yield WaitSpec(sid, nid, 1)
                     rt.notify_reset(sid, nid)
                     parent_ready = True
                 try_push()
-                rt.wait(queue)
             elif recvbuf is not None and root_out is None:
                 # The root's last fold could not land in recvbuf (strided
                 # or differently typed), or there was nothing to fold.
                 recvbuf[: self.reduce_elems] = push_src
+            rt.wait(queue)  # the credits and the pushes
 
         self.calls += 1
         contributors = len(self.participants) if rank == root else 0
@@ -1356,67 +1275,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
 
 # --------------------------------------------------------------------------- #
-# cold-path runners (registry entry points without a cached plan)
-# --------------------------------------------------------------------------- #
-def _request_key(
-    collective: str, algorithm: str, runtime, request: "CollectiveRequest"
-) -> PlanKey:
-    """Plan key of a one-shot (cold) pipelined execution."""
-    sendbuf = np.asarray(request.sendbuf)
-    op_name = get_op(request.op).name
-    return PlanKey(
-        collective=collective,
-        algorithm=algorithm,
-        size=runtime.size,
-        root=int(request.root),
-        nbytes=int(sendbuf.nbytes),
-        dtype=sendbuf.dtype.str,
-        op=op_name,
-        policy=policy_fingerprint(request.policy),
-        tag=int(request.tag),
-    )
-
-
-def _run_cold(plan_cls, collective: str, name: str, runtime, request):
-    """Build a throwaway plan, run one call, release it (cold path).
-
-    The release barrier also drains the entry-handshake notifications
-    still in flight from the call.
-    """
-    key = _request_key(collective, name, runtime, request)
-    plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
-    try:
-        return plan.execute(request)
-    finally:
-        plan.release()
-
-
-def run_pipelined_bcast(runtime, request):
-    return _run_cold(
-        PipelinedBstBcastPlan, "bcast", "gaspi_bcast_bst_pipelined", runtime, request
-    )
-
-
-def run_pipelined_reduce(runtime, request):
-    return _run_cold(
-        PipelinedBstReducePlan, "reduce", "gaspi_reduce_bst_pipelined", runtime, request
-    )
-
-
-def run_pipelined_allreduce(runtime, request):
-    result = _run_cold(
-        PipelinedRingAllreducePlan,
-        "allreduce",
-        "gaspi_allreduce_ring_pipelined",
-        runtime,
-        request,
-    )
-    if request.recvbuf is not None:
-        result.value = request.recvbuf
-    return result
-
-
-# --------------------------------------------------------------------------- #
 # schedule builders (simulator models of the per-chunk pipelines)
 # --------------------------------------------------------------------------- #
 def _chunk_count(nbytes: int, chunk_bytes: Optional[int]) -> int:
@@ -1507,7 +1365,8 @@ def pipelined_bst_reduce_schedule(
 
     The deepest stage pushes chunk ``k`` at round ``(S_max - s) + k``;
     every hop pays the per-chunk reduction, modelled through the messages'
-    ``reduce_bytes``.
+    ``reduce_bytes``.  Data movement only: the shipped executor's flow
+    control is an end-of-call credit, off the critical path.
     """
     from ..utils.validation import check_fraction
 

@@ -37,24 +37,34 @@ Plan reuse changes the synchronisation structure: the cold path ends
 every call with the barrier of its workspace release, which also
 serialises successive calls.  Planned executors must therefore be
 *self-synchronising across calls* — each plan documents its reuse argument
-(consume-ack handshakes for the broadcast fan-out, the ready/ack handshake
-of the BST reduce, the ring's transitive step dependency, SSP's logical
-clocks).
+(consume-ack handshakes for the broadcast fan-out, one slot and one credit
+per tree edge for the BST reduce, the ring's transitive step dependency,
+the strict hypercube's call-parity mailboxes).
+
+Plans written as generators share one protocol, defined here so that every
+algorithm module can use it: the executor body yields a :class:`WaitSpec`
+where it cannot progress, :func:`drive_pipeline` runs it with blocking
+waits, a ``begin()`` generator runs it incrementally (the nonblocking API,
+the model checker), and :func:`_run_cold` is a cold call — a throwaway
+plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..gaspi.constants import GASPI_BLOCK
+from ..telemetry.core import CLOCK
 from ..utils.validation import require
 from .reduction_ops import get_op
 from .workspace import Lease, WorkspacePool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..gaspi.runtime import GaspiRuntime
+    from ..telemetry.core import Telemetry
     from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
     from .registry import AlgorithmInfo
     from .schedule import CommunicationSchedule
@@ -343,6 +353,157 @@ class CollectivePlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"calls={self.calls}"
         return f"{type(self).__name__}({self.key.algorithm}, seg={self.segment_id}, {state})"
+
+
+# --------------------------------------------------------------------------- #
+# generator protocol (one executor body, blocking or incremental)
+# --------------------------------------------------------------------------- #
+#: Upper bound (seconds) on one blocking wait of the plans that bound theirs
+#: (strict hypercube, BST reduce): a peer that never posts raises
+#: :class:`TimeoutError` instead of hanging.
+PLAN_WAIT_TIMEOUT = 60.0
+
+
+@dataclass(frozen=True)
+class WaitSpec:
+    """Resume condition of a suspended pipeline: a notification range.
+
+    A pipeline generator yields one of these whenever it cannot progress;
+    the driver resumes the generator once *any* notification in
+    ``[first, first + count)`` of ``segment_id`` is pending (the generator
+    re-checks and consumes what it needs itself, so a spurious resume is
+    harmless).
+    """
+
+    segment_id: int
+    first: int
+    count: int = 1
+
+
+PipelineGen = Generator[WaitSpec, None, "CollectiveResult"]
+
+
+def drive_pipeline(
+    runtime: "GaspiRuntime", gen: PipelineGen, timeout: float = GASPI_BLOCK
+) -> "CollectiveResult":
+    """Run a pipeline generator to completion with blocking waits.
+
+    When the runtime stack carries a telemetry registry the blocking
+    waits become ``"chunk"`` spans (nested inside the dispatch span on
+    the trace timeline) and feed the ``pipeline.chunk_wait_s`` histogram;
+    otherwise the loop is exactly the uninstrumented original.
+    """
+    tel = getattr(runtime, "telemetry", None)
+    if tel is not None and tel.enabled:
+        return _drive_pipeline_instrumented(runtime, tel, gen, timeout)
+    try:
+        spec = next(gen)
+        while True:
+            got = runtime.notify_waitsome(
+                spec.segment_id, spec.first, spec.count, timeout=timeout
+            )
+            if got is None:
+                gen.close()
+                raise TimeoutError(
+                    f"rank {runtime.rank}: pipelined collective timed out waiting "
+                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
+                    f"on segment {spec.segment_id}"
+                )
+            spec = next(gen)
+    except StopIteration as stop:
+        return stop.value
+
+
+def _plan_poll_timeout(runtime: "GaspiRuntime", request: "CollectiveRequest") -> float:
+    """Inline-wait timeout for a plan's blocking ``execute`` path.
+
+    Uninstrumented, the generator waits inline with the request's timeout
+    and never yields (one wait per notification, no poll-then-park double
+    round-trip).  With telemetry attached it polls with ``timeout=0`` and
+    yields when blocked, so every blocked chunk surfaces as a
+    :class:`WaitSpec` and the instrumented driver can record it as a
+    ``"chunk"`` span — the cost is the extra zero-timeout probe per
+    notification, which is part of the documented enabled-mode overhead.
+    """
+    tel = getattr(runtime, "telemetry", None)
+    if tel is not None and tel.enabled:
+        return 0.0
+    return request.timeout
+
+
+def _drive_pipeline_instrumented(
+    runtime: "GaspiRuntime", tel: "Telemetry", gen: PipelineGen, timeout: float
+) -> "CollectiveResult":
+    """The blocking driver with per-chunk wait instrumentation."""
+    h_wait = tel.histogram("pipeline.chunk_wait_s")
+    c_chunks = tel.counter("pipeline.chunks")
+    try:
+        spec = next(gen)
+        while True:
+            t0 = CLOCK()
+            got = runtime.notify_waitsome(
+                spec.segment_id, spec.first, spec.count, timeout=timeout
+            )
+            t1 = CLOCK()
+            if got is None:
+                gen.close()
+                raise TimeoutError(
+                    f"rank {runtime.rank}: pipelined collective timed out waiting "
+                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
+                    f"on segment {spec.segment_id}"
+                )
+            h_wait.observe(t1 - t0)
+            c_chunks.add()
+            tel.record_span(
+                "chunk", "chunk", t0, t1,
+                {"segment": spec.segment_id, "first": spec.first,
+                 "count": spec.count},
+            )
+            spec = next(gen)
+    except StopIteration as stop:
+        return stop.value
+
+
+# --------------------------------------------------------------------------- #
+# cold path (registry entry points without a cached plan)
+# --------------------------------------------------------------------------- #
+def _request_key(
+    collective: str, algorithm: str, runtime: "GaspiRuntime", request: "CollectiveRequest"
+) -> PlanKey:
+    """Plan key of a one-shot (cold) execution."""
+    sendbuf = np.asarray(request.sendbuf)
+    op_name = get_op(request.op).name
+    return PlanKey(
+        collective=collective,
+        algorithm=algorithm,
+        size=runtime.size,
+        root=int(request.root),
+        nbytes=int(sendbuf.nbytes),
+        dtype=sendbuf.dtype.str,
+        op=op_name,
+        policy=policy_fingerprint(request.policy),
+        tag=int(request.tag),
+    )
+
+
+def _run_cold(
+    plan_cls: Callable[..., CollectivePlan],
+    collective: str,
+    name: str,
+    runtime: "GaspiRuntime",
+    request: "CollectiveRequest",
+) -> "CollectiveResult":
+    """Build a throwaway plan, run one call, release it (cold path).
+
+    The release barrier also drains the handshake notifications (entry
+    fences, credits) still in flight from the call.
+    """
+    key = _request_key(collective, name, runtime, request)
+    plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
+    try:
+        return plan.execute(request)
+    finally:
+        plan.release()
 
 
 # --------------------------------------------------------------------------- #

@@ -10,11 +10,18 @@ two eventually consistent strategies:
   full vector is reduced, but only (at least) a ``threshold`` fraction of
   the processes participate; the leaves farthest from the root stay silent.
 
-The handshake follows the paper and Figure 1: a parent first notifies each
-child that its receive slot is valid, the child then ``write_notify``-s its
-(partial) contribution into a dedicated slot of the parent's segment, and
-the parent acknowledges the completed write so the child may reuse its
-buffer.
+Flow control is what is left of the paper's Figure 1 handshake (parent
+READY -> child DATA -> parent ACK).  We keep its invariant — a child
+``write_notify``-s its (partial) contribution into a dedicated slot of the
+parent's segment, and never while the parent still reads that slot — but
+not its round trip: the ACK became a *credit* that the child consumes at
+its **next** push, and READY is gone.  A child therefore pushes the moment
+it has its partial, whether or not its parent has entered the call (the
+imbalanced-arrival stall of a rendezvous), and the critical path of a call
+is one hop per tree level, like the broadcast's.  One slot and one credit
+per tree edge bound a child to one call ahead of its parent; parity slots
+would not do instead, because a reduce child never receives from its
+parent and nothing else would stop it running further ahead.
 """
 
 from __future__ import annotations
@@ -30,9 +37,17 @@ from ..utils.validation import check_fraction, require
 from . import kernels
 from .bcast import threshold_elements
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan
-from .policy import CollectiveResult, ReduceMode
-from .workspace import Lease, WorkspacePool
+from .plan import (
+    PLAN_WAIT_TIMEOUT,
+    CollectivePlan,
+    PipelineGen,
+    WaitSpec,
+    _plan_poll_timeout,
+    _run_cold,
+    drive_pipeline,
+)
+from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
+from .workspace import WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree
@@ -41,15 +56,14 @@ from .topology import BinomialTree
 REDUCE_SEGMENT_ID = 110
 
 # Notification layout inside the reduce segment (per rank):
-#   ready + i   : parent -> i-th child           "your slot is writable"
-#   data  + i   : i-th child -> parent           "contribution written"
-#   ack         : parent -> child                "write consumed"
-# The 64-slot ready/data ranges bound the per-node fan-out (a binomial
-# tree over 2**64 ranks — effectively unbounded).
+#   data + i : i-th child -> parent   "contribution written to slot i"
+#              (value: contributors in the child's subtree)
+#   credit   : parent -> child        "your slot is folded, push again"
+# The 64-slot data range bounds the per-node fan-out (a binomial tree over
+# 2**64 ranks — effectively unbounded).
 REDUCE_LAYOUT = NotificationLayout()
-_NOTIF_READY_BASE = REDUCE_LAYOUT.add("ready", 64).base
 _NOTIF_DATA_BASE = REDUCE_LAYOUT.add("data", 64).base
-_NOTIF_ACK = REDUCE_LAYOUT.add("ack", 1).id()
+_NOTIF_CREDIT = REDUCE_LAYOUT.add("credit", 1).id()
 
 
 @dataclass
@@ -87,6 +101,9 @@ def bst_reduce(
 ) -> ReduceResult:
     """Binomial-spanning-tree reduction of ``sendbuf`` onto ``root``.
 
+    A cold call: it compiles a :class:`BstReducePlan`, runs it once and
+    releases it (the release barrier also drains the call's credits).
+
     Parameters
     ----------
     sendbuf:
@@ -109,277 +126,180 @@ def bst_reduce(
         Including whether this rank participated and how many contributors
         reached the root.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
+    sendbuf = np.asarray(sendbuf)
     require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
     require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    mode = ReduceMode(mode)
-    check_fraction(threshold, "threshold")
-    operator = get_op(op)
-
-    tree = BinomialTree(runtime.size, root)
-    rank = runtime.rank
-    size = runtime.size
-
-    if mode is ReduceMode.DATA:
-        reduce_elems = threshold_elements(sendbuf.size, threshold)
-        participants = list(range(size))
-    else:
-        reduce_elems = sendbuf.size
-        participants = tree.participating_ranks(threshold)
-    reduce_bytes = reduce_elems * sendbuf.itemsize
-    participating = rank in participants
-
-    children_all = tree.children(rank)
-    children = [c for c in children_all if c in participants]
-    parent = tree.parent(rank)
-
-    # Segment layout: slot i (i-th child) at offset i * reduce_bytes, with
-    # room for the widest fan-out of the tree (the root's) on every rank:
-    # a lease must ask for the same size everywhere.
-    contributors = 1 if participating else 0
-    slots = max(1, tree.num_stages())
-    with Lease(
-        runtime, pool, segment_id, slots * sendbuf.nbytes, REDUCE_LAYOUT.used
-    ) as segment_id:
-        try:
-            if participating:
-                accumulator = sendbuf[:reduce_elems].astype(sendbuf.dtype, copy=True)
-
-                # Tell every participating child its slot may be overwritten; the
-                # child waits on READY at its own segment before pushing data up.
-                for child in children:
-                    runtime.notify(child, segment_id, _NOTIF_READY_BASE, queue=queue)
-                if children:
-                    runtime.wait(queue)
-
-                # Collect contributions from participating children.
-                for child in children:
-                    child_index = children_all.index(child)
-                    notif = _NOTIF_DATA_BASE + child_index
-                    got = runtime.notify_waitsome(segment_id, notif, 1, timeout=timeout)
-                    if got is None:
-                        raise TimeoutError(
-                            f"rank {rank}: contribution of child {child} never arrived"
-                        )
-                    value = runtime.notify_reset(segment_id, notif)
-                    contributors += max(1, value) if value else 1
-                    # Zero-copy fold: the notification guarantees the child's
-                    # write landed, and each child writes its slot exactly once
-                    # per call, so reducing straight from the segment is safe.
-                    kernels.reduce_from_segment(
-                        operator,
-                        accumulator,
-                        runtime,
-                        segment_id,
-                        offset=child_index * reduce_bytes,
-                        count=reduce_elems,
-                    )
-                    # Acknowledge so the child can reuse its buffer (Figure 1).
-                    runtime.notify(child, segment_id, _NOTIF_ACK, queue=queue)
-                if children:
-                    runtime.wait(queue)
-
-                if rank == root:
-                    if recvbuf is not None:
-                        recvbuf = np.asarray(recvbuf)
-                        require(
-                            recvbuf.size >= reduce_elems,
-                            "recvbuf too small for the reduced prefix",
-                        )
-                        recvbuf[:reduce_elems] = accumulator
-                else:
-                    # Wait until the parent declared our slot writable, then push
-                    # the partial reduction up and wait for the acknowledgement.
-                    got = runtime.notify_waitsome(
-                        segment_id, _NOTIF_READY_BASE, 1, timeout=timeout
-                    )
-                    if got is None:
-                        raise TimeoutError(f"rank {rank}: parent {parent} never got ready")
-                    runtime.notify_reset(segment_id, _NOTIF_READY_BASE)
-
-                    my_index = tree.children(parent).index(rank)
-                    staging = runtime.segment_view(
-                        segment_id, dtype=sendbuf.dtype, count=reduce_elems
-                    )
-                    staging[:] = accumulator
-                    runtime.write_notify(
-                        segment_id_local=segment_id,
-                        offset_local=0,
-                        target_rank=parent,
-                        segment_id_remote=segment_id,
-                        offset_remote=my_index * reduce_bytes,
-                        size=reduce_bytes,
-                        notification_id=_NOTIF_DATA_BASE + my_index,
-                        notification_value=max(1, contributors),
-                        queue=queue,
-                    )
-                    runtime.wait(queue)
-                    got = runtime.notify_waitsome(segment_id, _NOTIF_ACK, 1, timeout=timeout)
-                    if got is None:
-                        raise TimeoutError(f"rank {rank}: parent {parent} never acknowledged")
-                    runtime.notify_reset(segment_id, _NOTIF_ACK)
-        finally:
-            staging = None  # a live view would keep the segment's mapping open
-
-    return ReduceResult(
-        rank=rank,
+    request = CollectiveRequest(
+        "reduce",
+        sendbuf=sendbuf,
+        recvbuf=recvbuf,
         root=root,
-        mode=mode,
-        threshold=threshold,
-        participated=participating,
-        elements_reduced=reduce_elems if participating else 0,
-        contributors=contributors if rank == root else 0,
+        op=op,
+        policy=ConsistencyPolicy(threshold=threshold, mode=mode),
+        segment_id=segment_id,
+        pool=pool,
+        queue=queue,
+        timeout=timeout,
     )
+    return _run_cold(BstReducePlan, "reduce", "gaspi_reduce_bst", runtime, request).detail
 
 
 # --------------------------------------------------------------------------- #
 # compiled plan (persistent workspace, zero per-call setup)
 # --------------------------------------------------------------------------- #
 class BstReducePlan(CollectivePlan):
-    """Compiled BST reduce: frozen tree/participants, pooled child slots.
+    """Compiled BST reduce: frozen tree/participants, one slot + one credit.
 
-    The cold protocol's ready/data/ack handshake is already
-    self-synchronising across calls: a child pushes call ``k+1`` data only
-    after its parent's ``k+1`` READY, which the parent sends only after it
-    consumed *all* of its call-``k`` child slots; and a parent overwrites
-    nothing at the child (READY and ACK are pure notifications).  So the
-    planned executor runs the identical handshake — it merely skips the
-    per-call workspace lease, the barrier of its release, and all
-    topology/threshold recomputation.
+    A parent waits for each child's DATA in child order (the fold order,
+    hence the bits, never depend on arrival order), resets it, folds the
+    child's slot and posts the child's credit.  A child consumes the
+    *previous* call's credit — none before its first push — and pushes: no
+    wait follows the push, so a call costs one hop per tree level.  The
+    credit is the whole reuse argument: it is posted only after the slot
+    was folded, and a push happens only after it was consumed, so a child
+    is at most one call ahead and never writes a slot that is being read.
+    The credit of the last call stays posted; the workspace release scrubs
+    it (it lies inside :data:`REDUCE_LAYOUT`).
+
+    Single copy: a leaf posts ``sendbuf`` itself, a folding rank's first
+    fold reads ``sendbuf`` and writes the partial result, the root's
+    partial result is ``recvbuf`` when that is a contiguous vector of the
+    plan's dtype.  Everywhere else the partial result is *private* memory,
+    never the segment: a child one call ahead may write any byte a child
+    slot covers while this rank's push-up is still reading its partial.
     """
 
-    _segment_views = ("_staging", "_child_slots")
+    _segment_views = ("_child_table",)
 
     def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
         super().__init__(runtime, key, segment_id, pool)
-        self.dtype = np.dtype(key.dtype)
+        self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         self.mode = ReduceMode(policy.mode)
-        self.tree = BinomialTree(runtime.size, key.root)
+        tree = BinomialTree(runtime.size, key.root)
         rank = runtime.rank
         if self.mode is ReduceMode.DATA:
             self.reduce_elems = threshold_elements(self.elements, policy.threshold)
-            participants = list(range(runtime.size))
+            participants = set(range(runtime.size))
         else:
             self.reduce_elems = self.elements
-            participants = self.tree.participating_ranks(policy.threshold)
-        self.reduce_bytes = self.reduce_elems * self.dtype.itemsize
-        self.participants = participants
+            participants = set(tree.participating_ranks(policy.threshold))
         self.participating = rank in participants
-        self.children_all = self.tree.children(rank)
-        self.children = [c for c in self.children_all if c in participants]
-        self.child_indices = [self.children_all.index(c) for c in self.children]
-        self.parent = self.tree.parent(rank)
-        self.my_index = (
-            None
-            if self.parent is None
-            else self.tree.children(self.parent).index(rank)
-        )
+        self.parent = tree.parent(rank)
+        slot_bytes = self.reduce_elems * self.dtype.itemsize
         # Room for the widest fan-out of the tree on every rank: a lease
         # must ask for the same size everywhere.
         self._lease_workspace(
-            max(1, self.tree.num_stages()) * key.nbytes, REDUCE_LAYOUT.used
+            max(1, tree.num_stages()) * key.nbytes, REDUCE_LAYOUT.used
         )
-        # Frozen zero-copy views: one staging slot for the push-up, one
-        # receive slot per child for the folds.
-        self._staging = runtime.segment_view(
-            self.segment_id, dtype=self.dtype, count=self.reduce_elems
-        )
-        self._child_slots = [
-            runtime.segment_view(
-                self.segment_id,
-                dtype=self.dtype,
-                offset=index * self.reduce_bytes,
-                count=self.reduce_elems,
+        if self.parent is not None:
+            # Where this rank's pushes land: its slot in the parent's segment.
+            my_index = tree.children(self.parent).index(rank)
+            self._push = (my_index * slot_bytes, _NOTIF_DATA_BASE + my_index)
+        #: Per participating child, frozen: (child, DATA id, view of its slot).
+        self._child_table = [
+            (
+                child,
+                _NOTIF_DATA_BASE + index,
+                runtime.segment_view(
+                    self.segment_id, self.dtype, index * slot_bytes, self.reduce_elems
+                ),
             )
-            for index in self.child_indices
+            for index, child in enumerate(tree.children(rank))
+            if child in participants
         ]
+        #: The partial result of a folding rank (see the class docstring).
+        self._partial = (
+            np.empty(self.reduce_elems, self.dtype) if self._child_table else None
+        )
+
+    def begin(self, request) -> PipelineGen:
+        """The incremental executor: polls, and yields when a wait is blocked."""
+        return self._run(request, poll_timeout=0.0)
 
     def execute(self, request) -> CollectiveResult:
-        sendbuf = self._check_payload(np.asarray(request.sendbuf), "reduce sendbuf")
-        require(
-            sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],
-            "reduce sendbuf must be a contiguous vector",
+        bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
+        poll_timeout = min(_plan_poll_timeout(self.runtime, request), bound)
+        return drive_pipeline(self.runtime, self._run(request, poll_timeout), bound)
+
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
+        sendbuf = self._check_payload(
+            np.ascontiguousarray(request.sendbuf), "reduce sendbuf"
         )
+        require(sendbuf.ndim == 1, "reduce sendbuf must be a vector")
         operator = get_op(request.op)
         rt = self.runtime
-        rank = rt.rank
-        root = self.key.root
         sid = self.segment_id
         queue = request.queue
-        timeout = request.timeout
-        reduce_elems = self.reduce_elems
         recvbuf = request.recvbuf
+        elems = self.reduce_elems
 
-        contributors = 1 if self.participating else 0
+        contributors = 0
         if self.participating:
-            accumulator = sendbuf[:reduce_elems].astype(self.dtype, copy=True)
-
-            for child in self.children:
-                rt.notify(child, sid, _NOTIF_READY_BASE, queue=queue)
-            if self.children:
-                rt.wait(queue)
-
-            for child, child_index, slot in zip(
-                self.children, self.child_indices, self._child_slots
-            ):
-                notif = _NOTIF_DATA_BASE + child_index
-                got = rt.notify_waitsome(sid, notif, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: contribution of child {child} never arrived"
-                    )
-                value = rt.notify_reset(sid, notif)
-                contributors += max(1, value) if value else 1
-                kernels.reduce_into(operator, accumulator, slot)
-                rt.notify(child, sid, _NOTIF_ACK, queue=queue)
-            if self.children:
-                rt.wait(queue)
-
-            if rank == root:
-                if recvbuf is not None:
-                    recvbuf = np.asarray(recvbuf)
-                    require(
-                        recvbuf.size >= reduce_elems,
-                        "recvbuf too small for the reduced prefix",
-                    )
-                    recvbuf[:reduce_elems] = accumulator
-            else:
-                got = rt.notify_waitsome(sid, _NOTIF_READY_BASE, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: parent {self.parent} never got ready"
-                    )
-                rt.notify_reset(sid, _NOTIF_READY_BASE)
-                self._staging[:] = accumulator
-                rt.write_notify(
-                    segment_id_local=sid,
-                    offset_local=0,
-                    target_rank=self.parent,
-                    segment_id_remote=sid,
-                    offset_remote=self.my_index * self.reduce_bytes,
-                    size=self.reduce_bytes,
-                    notification_id=_NOTIF_DATA_BASE + self.my_index,
-                    notification_value=max(1, contributors),
-                    queue=queue,
+            contributors = 1
+            partial = sendbuf[:elems]  # this rank's own data until the first fold
+            out = self._partial
+            direct = False
+            if self.parent is None and recvbuf is not None:
+                recvbuf = np.asarray(recvbuf)
+                require(recvbuf.size >= elems, "recvbuf too small for the reduced prefix")
+                direct = (
+                    out is not None
+                    and recvbuf.ndim == 1
+                    and recvbuf.dtype == self.dtype
+                    and recvbuf.flags["C_CONTIGUOUS"]
                 )
-                rt.wait(queue)
-                got = rt.notify_waitsome(sid, _NOTIF_ACK, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: parent {self.parent} never acknowledged"
-                    )
-                rt.notify_reset(sid, _NOTIF_ACK)
+                if direct:
+                    out = recvbuf[:elems]  # the folds land in the caller's memory
+            for child, notif, slot in self._child_table:
+                while rt.notify_waitsome(sid, notif, 1, timeout=poll_timeout) is None:
+                    if poll_timeout:
+                        raise TimeoutError(
+                            f"rank {rt.rank}: reduce waited longer than "
+                            f"{poll_timeout}s for DATA from child {child} in "
+                            f"call {self.calls}"
+                        )
+                    yield WaitSpec(sid, notif, 1)
+                contributors += rt.notify_reset(sid, notif) or 1
+                kernels.fold(operator, partial, slot, out)
+                partial = out
+                # The slot is folded: the child may push its next call.
+                rt.notify(child, sid, _NOTIF_CREDIT, queue=queue)
+            if self.parent is None:
+                if recvbuf is not None and not direct:
+                    recvbuf[:elems] = partial  # strided, other dtype, or nothing folded
+            else:
+                if self.calls:
+                    # The parent folded the previous call's push out of our slot.
+                    while (
+                        rt.notify_waitsome(sid, _NOTIF_CREDIT, 1, timeout=poll_timeout)
+                        is None
+                    ):
+                        if poll_timeout:
+                            raise TimeoutError(
+                                f"rank {rt.rank}: reduce waited longer than "
+                                f"{poll_timeout}s for the credit from parent "
+                                f"{self.parent} before the push of call {self.calls}"
+                            )
+                        yield WaitSpec(sid, _NOTIF_CREDIT, 1)
+                    rt.notify_reset(sid, _NOTIF_CREDIT)
+                offset, notif = self._push
+                rt.write_notify_from(
+                    partial, self.parent, sid, offset, notif, contributors, queue=queue
+                )
+            # Flush the credits and the push: ``partial`` (the caller's
+            # sendbuf on a leaf) is reusable when the call returns.
+            rt.wait(queue)
 
         self.calls += 1
         detail = ReduceResult(
-            rank=rank,
-            root=root,
+            rank=rt.rank,
+            root=self.key.root,
             mode=self.mode,
             threshold=self.key.policy[0],
             participated=self.participating,
-            elements_reduced=reduce_elems if self.participating else 0,
-            contributors=contributors if rank == root else 0,
+            elements_reduced=elems if self.participating else 0,
+            contributors=contributors if self.parent is None else 0,
         )
         return CollectiveResult(value=request.recvbuf, detail=detail)
 
@@ -402,7 +322,10 @@ def bst_reduce_schedule(
     Children from the deepest stage send first; a parent that itself joins
     at stage ``s`` forwards its partial result in the round of stage ``s``.
     The zero-byte ready/ack handshake is modelled by one extra round before
-    and after the data movement when ``include_handshake`` is true.
+    and after the data movement when ``include_handshake`` is true: the
+    schedule models the paper's Figure 1 handshake (what Figures 9 and 10
+    were measured with), whereas the shipped executors replace it with a
+    credit that is off the critical path.
     """
     mode = ReduceMode(mode)
     check_fraction(threshold, "threshold")

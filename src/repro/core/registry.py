@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..utils.validation import is_power_of_two
-from .plan import CollectivePlan, PlanKey
+from .plan import CollectivePlan, PlanKey, _run_cold
 from .workspace import WorkspacePool
 from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
 from .schedule import CommunicationSchedule
@@ -391,25 +391,6 @@ def _run_bcast_flat(runtime, request: CollectiveRequest) -> CollectiveResult:
     return CollectiveResult(value=request.sendbuf, detail=detail)
 
 
-def _run_reduce_bst(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .reduce import bst_reduce
-
-    detail = bst_reduce(
-        runtime,
-        request.sendbuf,
-        recvbuf=request.recvbuf,
-        root=request.root,
-        op=request.op,
-        threshold=request.policy.threshold,
-        mode=request.policy.mode,
-        segment_id=request.segment_id,
-        queue=request.queue,
-        timeout=request.timeout,
-        pool=request.pool,
-    )
-    return CollectiveResult(value=request.recvbuf, detail=detail)
-
-
 def _run_allreduce_ring(runtime, request: CollectiveRequest) -> CollectiveResult:
     from .allreduce_ring import ring_allreduce
 
@@ -433,8 +414,6 @@ def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveR
     from .allreduce_ssp import HypercubeAllreducePlan, ssp_allreduce_once
 
     if request.policy.slack == 0:
-        from .pipeline import _run_cold
-
         name = "gaspi_allreduce_ssp_hypercube"
         return _run_cold(HypercubeAllreducePlan, "allreduce", name, runtime, request)
     value = ssp_allreduce_once(
@@ -519,25 +498,14 @@ def _planner(module: str, plan_class: str) -> Planner:
     return plan
 
 
-# --------------------------------------------------------------------------- #
-# pipelined (chunked) variants — the large-message data path
-# --------------------------------------------------------------------------- #
-def _run_bcast_pipelined(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .pipeline import run_pipelined_bcast
+def _cold_plan(name: str, module: str, plan_class: str) -> Runner:
+    """Runner of an algorithm whose cold call is its plan, compiled for one call."""
+    planner = _planner(module, plan_class)
 
-    return run_pipelined_bcast(runtime, request)
+    def run(runtime, request: CollectiveRequest) -> CollectiveResult:
+        return _run_cold(planner, request.collective, name, runtime, request)
 
-
-def _run_reduce_pipelined(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .pipeline import run_pipelined_reduce
-
-    return run_pipelined_reduce(runtime, request)
-
-
-def _run_allreduce_pipelined(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .pipeline import run_pipelined_allreduce
-
-    return run_pipelined_allreduce(runtime, request)
+    return run
 
 
 def _register_core_algorithms() -> None:
@@ -583,7 +551,7 @@ def _register_core_algorithms() -> None:
         collective="reduce",
         family="gaspi",
         builder=bst_reduce_schedule,
-        runner=_run_reduce_bst,
+        runner=_cold_plan("gaspi_reduce_bst", "reduce", "BstReducePlan"),
         planner=_planner("reduce", "BstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -633,7 +601,7 @@ def _register_core_algorithms() -> None:
         collective="bcast",
         family="gaspi",
         builder=pipelined_bst_bcast_schedule,
-        runner=_run_bcast_pipelined,
+        runner=_cold_plan("gaspi_bcast_bst_pipelined", "pipeline", "PipelinedBstBcastPlan"),
         planner=_planner("pipeline", "PipelinedBstBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -652,7 +620,7 @@ def _register_core_algorithms() -> None:
         collective="reduce",
         family="gaspi",
         builder=pipelined_bst_reduce_schedule,
-        runner=_run_reduce_pipelined,
+        runner=_cold_plan("gaspi_reduce_bst_pipelined", "pipeline", "PipelinedBstReducePlan"),
         planner=_planner("pipeline", "PipelinedBstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -672,7 +640,9 @@ def _register_core_algorithms() -> None:
         collective="allreduce",
         family="gaspi",
         builder=pipelined_ring_allreduce_schedule,
-        runner=_run_allreduce_pipelined,
+        runner=_cold_plan(
+            "gaspi_allreduce_ring_pipelined", "pipeline", "PipelinedRingAllreducePlan"
+        ),
         planner=_planner("pipeline", "PipelinedRingAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True, plannable=True, pipelined=True, verified=True

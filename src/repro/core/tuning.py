@@ -49,11 +49,14 @@ ALLTOALL_MEDIUM = 64 * 1024
 # --------------------------------------------------------------------------- #
 PIPELINE_MIN_BYTES = 128 * 1024
 
-#: The reduce crossover sits higher: the monolithic BST reduce's
-#: ready/data/ack handshake is already tight at a quarter megabyte, and
-#: the measured pipelined win only appears once per-chunk folds overlap
-#: multi-hundred-microsecond transfers (see BENCH_pr4.json).
-REDUCE_PIPELINE_MIN_BYTES = 512 * 1024
+#: The reduce crossover sits higher: the monolithic BST reduce is single
+#: copy and one hop per tree level (a credit, no handshake), so chunking
+#: has only its own bookkeeping to offer until per-chunk folds overlap
+#: multi-hundred-microsecond transfers.  Re-measured in PR 18 (pinned
+#: ranks, pipelined / monolithic): at 512 KiB 1.14 on shm and 1.25
+#: threaded at 2 ranks, 1.17 / 1.33 at 4; at 768 KiB 1.01 / 1.16; from
+#: 1 MiB to 4 MiB 0.94-0.96 on shm, 1.04-1.17 threaded (CHANGES.md).
+REDUCE_PIPELINE_MIN_BYTES = 1024 * 1024
 
 
 @dataclass(frozen=True)

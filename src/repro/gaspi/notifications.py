@@ -17,6 +17,7 @@ the threaded runtime always applies the data copy *before* calling
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -194,21 +195,21 @@ class NotificationBoard:
         self._check_id(begin)
         self._check_id(begin + count - 1)
 
-        deadline = None if timeout == GASPI_BLOCK else timeout
-
         with self._cond:
-            start = _monotonic()
+            deadline = None  # the clock is read only by a finite wait that blocks
             while True:
                 hit = self._first_pending(begin, count)
-                if hit is not None:
+                if hit is not None or timeout == 0.0:
                     return hit
-                if deadline is not None:
-                    remaining = deadline - (_monotonic() - start)
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-                else:
+                if timeout == GASPI_BLOCK:
                     self._cond.wait()
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + timeout
+                if now >= deadline:
+                    return None
+                self._cond.wait(deadline - now)
 
     def wait_all(
         self,
@@ -224,22 +225,21 @@ class NotificationBoard:
         wanted = list(ids)
         for nid in wanted:
             self._check_id(nid)
-        deadline = None if timeout == GASPI_BLOCK else timeout
         with self._cond:
-            start = _monotonic()
-            while True:
-                if all(self._values[nid] > 0 for nid in wanted):
-                    return
-                if deadline is not None:
-                    remaining = deadline - (_monotonic() - start)
-                    if remaining <= 0:
-                        missing = [n for n in wanted if self._values[n] == 0]
-                        raise GaspiTimeoutError(
-                            f"timed out waiting for notifications {missing}"
-                        )
-                    self._cond.wait(remaining)
-                else:
+            deadline = None
+            while not all(self._values[nid] > 0 for nid in wanted):
+                if timeout == GASPI_BLOCK:
                     self._cond.wait()  # pragma: no cover - blocking path
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + timeout
+                if now >= deadline:
+                    missing = [n for n in wanted if self._values[n] == 0]
+                    raise GaspiTimeoutError(
+                        f"timed out waiting for notifications {missing}"
+                    )
+                self._cond.wait(deadline - now)
 
     # ------------------------------------------------------------------ #
     # internals
@@ -262,9 +262,3 @@ class NotificationBoard:
             f"NotificationBoard(slots={self._num_slots}, "
             f"pending={len(self.pending_ids())})"
         )
-
-
-def _monotonic() -> float:
-    import time
-
-    return time.monotonic()

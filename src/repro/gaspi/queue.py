@@ -17,6 +17,7 @@ runtime supports two delivery modes:
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -101,22 +102,25 @@ class CommunicationQueue:
         Mirrors ``gaspi_wait``: after it returns, the local source buffers of
         all posted operations may be reused.
         """
-        deadline = None if timeout == GASPI_BLOCK else timeout
+        if not self._outstanding:
+            # Lock-free: the count only rises through the caller's own
+            # posts, and reading one int is atomic under the GIL.
+            return
         with self._cond:
-            import time
-
-            start = time.monotonic()
+            deadline = None  # the clock is read only by a finite wait that blocks
             while self._outstanding > 0:
-                if deadline is not None:
-                    remaining = deadline - (time.monotonic() - start)
-                    if remaining <= 0:
-                        raise GaspiTimeoutError(
-                            f"gaspi_wait on queue {self.queue_id} timed out with "
-                            f"{self._outstanding} outstanding requests"
-                        )
-                    self._cond.wait(remaining)
-                else:
+                if timeout == GASPI_BLOCK:
                     self._cond.wait()
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + timeout
+                if now >= deadline:
+                    raise GaspiTimeoutError(
+                        f"gaspi_wait on queue {self.queue_id} timed out with "
+                        f"{self._outstanding} outstanding requests"
+                    )
+                self._cond.wait(deadline - now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CommunicationQueue(id={self.queue_id}, outstanding={self.outstanding})"
@@ -153,8 +157,6 @@ class DeliveryWorker:
         self._thread.join(timeout=5.0)
 
     def _run(self) -> None:
-        import time
-
         while True:
             with self._cond:
                 while not self._pending and not self._stop:

@@ -80,6 +80,27 @@ def test_every_plannable_algorithm_verifies_clean(algorithm, ranks):
     assert findings == [], [finding.describe() for finding in findings]
 
 
+@pytest.mark.parametrize("ranks", [4, 8, 16])
+@pytest.mark.parametrize("mode", ["data", "processes"])
+@pytest.mark.parametrize("algorithm", ["gaspi_reduce_bst", "gaspi_reduce_bst_pipelined"])
+def test_reduce_credits_verify_clean_with_a_late_rank(algorithm, mode, ranks):
+    # Three calls: the child of a late parent pushes the second before the
+    # parent entered it and must wait for a credit before the third.
+    nbytes, chunk_bytes = _payload(algorithm)
+    for laggard in (0, ranks // 2):
+        run = build_model(
+            algorithm, ranks, nbytes, chunk_bytes=chunk_bytes,
+            threshold=0.5, mode=mode, calls=3, laggard=laggard,
+        )
+        findings = analyze(run.trace)
+        assert findings == [], [finding.describe() for finding in findings]
+        if mode == "data":
+            half = nbytes // 16
+            expected = sum(np.arange(half) + rank + 1.0 for rank in range(ranks))
+            assert np.array_equal(run.recvbufs[0][:half], expected)
+            assert not run.recvbufs[0][half:].any()
+
+
 def test_model_traces_carry_events():
     run = build_model("gaspi_allreduce_ring", 4, 256)
     assert run.trace.total_events() > 0

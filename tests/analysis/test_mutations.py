@@ -17,6 +17,7 @@ from repro.analysis import (
     DATA_RACE,
     DEADLOCK,
     DOUBLE_POST,
+    MODEL_STUCK,
     UNMATCHED,
     WRONG_VALUE,
     analyze,
@@ -26,6 +27,7 @@ from repro.analysis import (
 from repro.analysis.mutations import (
     corrupt_notification_id,
     corrupt_offset,
+    credit_before_last_drain,
     drop_consumes,
     drop_notify,
     duplicate_chunk_id,
@@ -34,6 +36,7 @@ from repro.analysis.mutations import (
     single_mailbox_per_step,
     skip_allgather_copy_out,
     skip_scrub,
+    stage_partial_in_child_slot,
 )
 
 
@@ -80,18 +83,49 @@ def test_shrunk_ack_handshake_is_double_post():
     assert classes(analyze(mutated)) == {DOUBLE_POST, UNMATCHED}
 
 
-def test_dropped_ready_fence_is_a_data_race():
-    # BST reduce: a child that skips the parent's READY fence pushes its
-    # next call's partial into the parent's child slot while the parent
-    # may still be folding the previous call — concurrent overlapping
-    # writes to the same segment bytes.
-    from repro.core.reduce import _NOTIF_READY_BASE
+def test_dropped_credit_consume_is_a_data_race():
+    # BST reduce: a child that pushes without consuming the credit of its
+    # previous push writes its next call's partial into the parent's child
+    # slot while the parent may still be folding the previous call out of
+    # it — a write racing a read of the same segment bytes.
+    from repro.core.reduce import _NOTIF_CREDIT
 
     run = build_model("gaspi_reduce_bst", 4, 256)
-    mutated = drop_consumes(run.trace, 3, [_NOTIF_READY_BASE])
+    mutated = drop_consumes(run.trace, 1, [_NOTIF_CREDIT])
     found = classes(analyze(mutated))
     assert DATA_RACE in found
     assert found == {DATA_RACE, DOUBLE_POST}
+
+
+@pytest.mark.parametrize("ranks", [8, 16])
+def test_partial_staged_in_a_child_slot_is_a_data_race(ranks):
+    # Credits release a child as soon as *its* slot is folded; the partial
+    # result of a rank with two children must not be bytes that child can
+    # write.  (Silent on 2 and 4 ranks: no inner rank folds twice there.)
+    cell = dict(nbytes=256, calls=3, laggard=0)
+    for small in (2, 4):
+        quiet = build_model(
+            "gaspi_reduce_bst", small, **cell, mutate_plan=stage_partial_in_child_slot
+        )
+        assert analyze(quiet.trace) == []
+    mutated = build_model(
+        "gaspi_reduce_bst", ranks, **cell, mutate_plan=stage_partial_in_child_slot
+    )
+    assert classes(analyze(mutated.trace)) == {DATA_RACE}
+
+
+@pytest.mark.parametrize("ranks", [8, 16])
+def test_credit_before_the_last_drain_loses_the_next_call(ranks):
+    # A child credited while a late sibling's chunks are still arriving
+    # posts its next call into a sweep of this one: taken, ignored, and the
+    # next call starves on notifications nobody will post again.  (Silent
+    # on 2 ranks, and without the skew.)
+    cell = dict(nbytes=512, chunk_bytes=128, calls=3, laggard=ranks // 2)
+    assert analyze(build_model("gaspi_reduce_bst_pipelined", ranks, **cell).trace) == []
+    mutated = build_model(
+        "gaspi_reduce_bst_pipelined", ranks, **cell, mutate_plan=credit_before_last_drain
+    )
+    assert classes(analyze(mutated.trace)) == {MODEL_STUCK, UNMATCHED}
 
 
 def test_corrupt_notification_id_is_budget_only():
@@ -151,17 +185,18 @@ RECYCLE_PAIRS = [
     ("gaspi_bcast_bst", "gaspi_bcast_flat"),
     ("gaspi_bcast_bst", "gaspi_allreduce_ssp_hypercube"),
     ("gaspi_bcast_bst", "gaspi_allreduce_ring"),
+    ("gaspi_reduce_bst", "gaspi_reduce_bst_pipelined"),
 ]
 
 
 @pytest.mark.parametrize("ranks", [4, 8])
-@pytest.mark.parametrize("bcast,other", RECYCLE_PAIRS)
-def test_reuse_without_cooling_races_the_scrub(bcast, other, ranks):
+@pytest.mark.parametrize("first,other", RECYCLE_PAIRS)
+def test_reuse_without_cooling_races_the_scrub(first, other, ranks):
     # A fast rank leases the segment released at this very miss and writes
     # into the laggard's copy before the laggard scrubbed it.
-    assert verify_recycling(bcast, other, ranks) == []
+    assert verify_recycling(first, other, ranks) == []
     found = classes(
-        verify_recycling(bcast, other, ranks, mutate_pool=reuse_without_cooling)
+        verify_recycling(first, other, ranks, mutate_pool=reuse_without_cooling)
     )
     assert DATA_RACE in found
 
@@ -188,6 +223,23 @@ def test_skipped_scrub_leaves_consume_acks_posted(ranks):
     found = classes(
         verify_recycling(
             "gaspi_bcast_bst", "gaspi_bcast_flat", ranks, mutate_pool=skip_scrub
+        )
+    )
+    assert DOUBLE_POST in found
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+def test_skipped_scrub_leaves_reduce_credits_posted(ranks):
+    # The credit of a reduce plan's last call is never consumed: it lies
+    # inside the layout the release scrubs.  Left posted, it is a second
+    # post on the next lessee's credit slot — and DATA from child 0 under
+    # the other plan's id map.
+    found = classes(
+        verify_recycling(
+            "gaspi_reduce_bst",
+            "gaspi_reduce_bst_pipelined",
+            ranks,
+            mutate_pool=skip_scrub,
         )
     )
     assert DOUBLE_POST in found

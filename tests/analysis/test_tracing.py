@@ -185,3 +185,19 @@ def test_cli_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_findings"] == 0
     assert payload["cells"]
+
+
+def test_cli_sweep_lags_a_rank_through_three_calls_of_every_reduce_cell(capsys):
+    # The summary line counts cells per collective (CI copies it into the
+    # job summary): both reduce plans x 3 rank counts x (2 payloads + data
+    # and process thresholds), + the other root at 8 ranks.
+    from repro.analysis.__main__ import main
+
+    assert main(["--all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "reduce 28" in lines[-1] and "recycle 15" in lines[-1]
+    reduce_cells = [line for line in lines if "ok  gaspi_reduce_bst" in line]
+    assert len(reduce_cells) == 28
+    assert all("calls=3" in line and "laggard=" in line for line in reduce_cells)
+    assert sum("50% processes" in line for line in reduce_cells) == 6
+    assert sum("root=1" in line for line in reduce_cells) == 4

@@ -54,21 +54,22 @@ def test_reduction_op_reduce_into_delegates_to_kernels():
     np.testing.assert_array_equal(acc, [1.0, 5.0])
 
 
-def test_reduce_from_segment_folds_a_view_without_copy():
-    class OneSegmentRuntime:
-        def __init__(self, segment):
-            self._segment = segment
-
-        def segment_view(self, segment_id, dtype, offset=0, count=None):
-            return self._segment.view(dtype, offset=offset, count=count)
-
+def test_fold_reads_a_segment_view_and_may_land_in_its_first_operand():
+    # What every reducing plan does per arrival: ``out = op(partial, slot)``
+    # straight out of the registered segment, into a third buffer or over
+    # the partial itself.
     seg = Segment(1, 64, owner_rank=0)
     seg.view(np.float64)[:] = np.arange(8, dtype=np.float64)
-    acc = np.ones(4)
-    kernels.reduce_from_segment(
-        SUM, acc, OneSegmentRuntime(seg), 1, offset=16, count=4
-    )
-    np.testing.assert_array_equal(acc, [3.0, 4.0, 5.0, 6.0])
+    slot = seg.view(np.float64, offset=16, count=4)
+    own, out = np.ones(4), np.empty(4)
+    assert kernels.fold(SUM, own, slot, out) is out
+    np.testing.assert_array_equal(out, [3.0, 4.0, 5.0, 6.0])
+    np.testing.assert_array_equal(own, np.ones(4))
+    kernels.fold(SUM, out, slot, out)
+    np.testing.assert_array_equal(out, [5.0, 7.0, 9.0, 11.0])
+    np.testing.assert_array_equal(slot, [2.0, 3.0, 4.0, 5.0])
+    pysum = ReductionOp("pysum", lambda a, b: a + b, 0.0)  # not a ufunc
+    np.testing.assert_array_equal(kernels.fold(pysum, own, slot, out), [3.0, 4.0, 5.0, 6.0])
 
 
 def test_fold_slots_accumulates_rows():

@@ -57,12 +57,12 @@ class TestSharedModuleLayouts:
         assert bcast._NOTIF_DATA == 0
         assert bcast._NOTIF_ACK_BASE == 1
 
-    def test_reduce_layout_matches_historical_ids(self):
+    def test_reduce_layout_is_child_slots_then_the_credit(self):
         from repro.core import reduce
 
-        assert reduce._NOTIF_READY_BASE == 0
-        assert reduce._NOTIF_DATA_BASE == 64
-        assert reduce._NOTIF_ACK == 128
+        assert reduce._NOTIF_DATA_BASE == 0
+        assert reduce._NOTIF_CREDIT == 64
+        assert reduce.REDUCE_LAYOUT.used == 65
 
     def test_ring_layout_is_the_step_index(self):
         steps = ring_notification_layout(6)

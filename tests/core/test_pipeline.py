@@ -9,12 +9,15 @@ plans route *around* them to the tolerant flat algorithms.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import Communicator, ConsistencyPolicy, FaultPlan
 from repro.core.pipeline import ChunkLayout
 from repro.core.registry import REGISTRY
+from repro.core.topology import BinomialTree
 from repro.core.tuning import (
     PIPELINE_MIN_BYTES,
     select_algorithm,
@@ -145,6 +148,52 @@ class TestBitIdenticalEquivalence:
             assert "pipelined" in schedule_name
 
 
+class TestReduceCredits:
+    """The pipelined reduce's end-of-call credit under a late rank."""
+
+    @pytest.mark.parametrize("late", [0, 4])
+    def test_a_late_rank_lets_children_one_call_ahead_and_no_further(self, late):
+        # 8 ranks, 4 chunks, one rank 20 ms late into every call.  A late
+        # root finds its children one call ahead.  A late rank 4 — the
+        # root's last child in fold order — is the shape that loses
+        # notifications when a credit goes out before the call's last
+        # drain: the root has folded the chunks of 1 and 2 and still sweeps
+        # for 4's while the subtree of 1 already pushes the next call.
+        ranks, n, calls = 8, 4096, 5
+        policy = ConsistencyPolicy(chunk_bytes=n * 8 // 4)
+        tree = BinomialTree(ranks, 0)
+        entered = [-1] * ranks  # last call each rank entered (shared by the threads)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            parent = tree.parent(rt.rank)
+            recv, sums, leads = np.zeros(n), [], []
+            for call in range(calls):
+                if rt.rank == late:
+                    time.sleep(0.02)
+                entered[rt.rank] = call
+                send = np.full(n, float(rt.rank + 10 * call))
+                comm.reduce(
+                    send, recv, root=0, algorithm="bst_pipelined", policy=policy
+                )
+                if parent is not None:
+                    leads.append(call - entered[parent])
+                sums.append(float(recv[0]) if parent is None else None)
+            comm.close()
+            return sums, leads
+
+        results = spmd(ranks, worker)
+        assert results[0][0] == [
+            sum(rank + 10.0 * call for rank in range(ranks)) for call in range(calls)
+        ]
+        for rank in range(1, ranks):
+            assert max(results[rank][1]) <= 1, (rank, results[rank][1])
+        if late == 0:
+            # The credit is what lets them: under an entry READY a child
+            # could not finish a call its parent had not entered.
+            assert max(results[4][1]) == 1
+
+
 class TestTuningAndChunks:
     def test_auto_routes_large_payloads_to_pipelined(self):
         from repro.core.tuning import REDUCE_PIPELINE_MIN_BYTES
@@ -162,8 +211,9 @@ class TestTuningAndChunks:
     def test_reduce_crossover_sits_higher(self):
         from repro.core.tuning import REDUCE_PIPELINE_MIN_BYTES
 
-        # Measured on this substrate: the monolithic reduce wins at a
-        # quarter megabyte, the pipelined one beyond half a megabyte.
+        # Measured on this substrate: the single-copy monolithic reduce
+        # wins up to three quarters of a megabyte, the pipelined one (on
+        # shm) from one megabyte.
         below = select_algorithm("reduce", 8, REDUCE_PIPELINE_MIN_BYTES - 1)
         assert below.name == "gaspi_reduce_bst"
 

@@ -12,6 +12,7 @@ from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry
 from repro.core.plan import PlanCache, PlanKey
 from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
+from repro.core.topology import BinomialTree
 from repro.core.workspace import size_class
 
 from tests.helpers import rank_vector, spmd
@@ -510,6 +511,42 @@ class TestHitCostsItsWireOps:
             for op in ("segment_read", "segment_view", "write_notify", "barrier"):
                 assert spent[op] == 0, op
 
+    @pytest.mark.parametrize("ranks", [2, 5, 8])
+    @pytest.mark.parametrize(
+        "policy", [ConsistencyPolicy(), ConsistencyPolicy.data_threshold(0.25)]
+    )
+    def test_planned_reduce_call_is_one_wait_reset_and_post_per_tree_edge(
+        self, ranks, policy
+    ):
+        # Per call and tree edge: the child's push, the parent's wait + reset
+        # of it and the credit back, the child's wait + reset of that credit
+        # (of the previous call: every counted call has one to consume).
+        calls, tree = 50, BinomialTree(ranks, 0)
+
+        def worker(rt):
+            counting = _CountingRuntime(rt)
+            comm = Communicator(counting)
+            x, y = np.full(128, float(rt.rank)), np.empty(128)
+            comm.reduce(x, y, root=0, policy=policy, algorithm="bst")  # compile
+            before = Counter(counting.counts)
+            for _ in range(calls):
+                comm.reduce(x, y, root=0, policy=policy, algorithm="bst")
+            spent = counting.counts - before
+            comm.close()
+            return spent, float(y[0])
+
+        results = spmd(ranks, worker)
+        assert results[0][1] == ranks * (ranks - 1) / 2
+        for rank, (spent, _) in enumerate(results):
+            children = len(tree.children(rank))
+            pushes = 0 if tree.parent(rank) is None else 1
+            assert spent["write_notify_from"] == calls * pushes, rank
+            assert spent["notify"] == calls * children, rank
+            for op in ("notify_waitsome", "notify_reset"):
+                assert spent[op] == calls * (children + pushes), (rank, op)
+            for op in ("segment_read", "segment_view", "write_notify", "barrier"):
+                assert spent[op] == 0, (rank, op)
+
     def test_a_partner_that_never_posts_is_a_timeout_not_a_hang(self, monkeypatch):
         monkeypatch.setattr("repro.core.allreduce_ssp.PLAN_WAIT_TIMEOUT", 0.2)
 
@@ -530,6 +567,53 @@ class TestHitCostsItsWireOps:
         message, elapsed = spmd(2, worker)[0]
         assert elapsed < 10.0
         for part in ("rank 0", "step 0", "partner 1", "call 1"):
+            assert part in message
+
+
+    def test_a_child_that_never_posts_is_a_timeout_not_a_hang(self, monkeypatch):
+        monkeypatch.setattr("repro.core.reduce.PLAN_WAIT_TIMEOUT", 0.2)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.ones(16)
+            comm.reduce(x, np.empty(16), algorithm="bst")  # compile; call 0
+            message, elapsed = None, 0.0
+            if rt.rank == 0:
+                started = time.perf_counter()
+                with pytest.raises(TimeoutError) as caught:
+                    comm.reduce(x, np.empty(16), algorithm="bst")
+                message, elapsed = str(caught.value), time.perf_counter() - started
+            rt.barrier()  # rank 1 never entered call 1
+            comm.close()
+            return message, elapsed
+
+        message, elapsed = spmd(2, worker)[0]
+        assert elapsed < 10.0
+        for part in ("rank 0", "DATA from child 1", "call 1"):
+            assert part in message
+
+    def test_a_parent_that_never_credits_is_a_timeout_not_a_hang(self, monkeypatch):
+        monkeypatch.setattr("repro.core.reduce.PLAN_WAIT_TIMEOUT", 0.2)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.ones(16)
+            comm.reduce(x, np.empty(16), algorithm="bst")  # compile; call 0
+            message, elapsed = None, 0.0
+            if rt.rank == 1:
+                # One call ahead is what the credit of call 0 pays for ...
+                comm.reduce(x, algorithm="bst")
+                started = time.perf_counter()
+                with pytest.raises(TimeoutError) as caught:
+                    comm.reduce(x, algorithm="bst")  # ... two is not
+                message, elapsed = str(caught.value), time.perf_counter() - started
+            rt.barrier()  # rank 0 never entered call 1
+            comm.close()
+            return message, elapsed
+
+        message, elapsed = spmd(2, worker)[1]
+        assert elapsed < 10.0
+        for part in ("rank 1", "credit from parent 0", "call 2"):
             assert part in message
 
 

@@ -95,6 +95,23 @@ class TestWaitSome:
         assert got == 2
         assert board.reset(2) == 11
 
+    def test_zero_timeout_and_satisfied_waits_never_read_the_clock(self, monkeypatch):
+        # GASPI_TEST probes exactly once; a wait whose notification is
+        # already there returns it under any timeout — neither is timed.
+        def no_clock():
+            raise AssertionError("the clock was read")
+
+        monkeypatch.setattr("repro.gaspi.notifications.time.monotonic", no_clock)
+        board = NotificationBoard(8)
+        assert board.wait_some(0, 8, timeout=0.0) is None
+        board.post(4)
+        assert board.wait_some(0, 4, timeout=0.0) is None
+        for timeout in (0.0, 5.0, float("inf")):
+            assert board.wait_some(0, 8, timeout=timeout) == 4
+        board.wait_all([4], timeout=5.0)
+        with pytest.raises(AssertionError, match="clock"):
+            board.wait_some(0, 4, timeout=5.0)  # a finite wait that blocks is
+
     def test_returns_lowest_pending_in_range(self):
         board = NotificationBoard(8)
         board.post(5)

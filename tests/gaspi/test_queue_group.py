@@ -20,6 +20,24 @@ class TestCommunicationQueue:
         q = CommunicationQueue(0)
         q.wait(timeout=0.01)  # nothing outstanding → immediate return
 
+    def test_wait_on_an_empty_queue_never_reads_the_clock(self, monkeypatch):
+        def no_clock():
+            raise AssertionError("the clock was read")
+
+        monkeypatch.setattr("repro.gaspi.queue.time.monotonic", no_clock)
+        q = CommunicationQueue(0)
+        for timeout in (0.0, 0.01, float("inf")):
+            q.wait(timeout=timeout)
+        q.post()
+        with pytest.raises(AssertionError, match="clock"):
+            q.wait(timeout=0.0)
+
+    def test_zero_timeout_with_outstanding_requests_raises_at_once(self):
+        q = CommunicationQueue(0)
+        q.post()
+        with pytest.raises(GaspiTimeoutError):
+            q.wait(timeout=0.0)
+
     def test_wait_timeout_raises(self):
         q = CommunicationQueue(0)
         q.post()
