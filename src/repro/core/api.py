@@ -1039,20 +1039,36 @@ class Communicator:
         than the last microsecond of blocking latency.  Explicit algorithm
         names are honoured verbatim; non-pipelined ones complete
         synchronously (the handle is born done).
+
+        Memoized beside :meth:`resolve`'s entries, under that key (request
+        and fault state) plus a marker: the registry walk with its
+        capability checks is several times a blocking resolve, and an
+        ``i*`` call pays it every time otherwise.
         """
+        injected = self.runtime.fault_injected
+        lossy = self._faults is not None and self._faults.can_lose_contributions
+        memo_key = (
+            collective, algorithm, int(nbytes), policy,
+            bool(self._suspected), injected, lossy, "nonblocking",
+        )  # fmt: skip
+        info = self._resolve_cache.get(memo_key)
+        if info is not None:
+            return info
         if algorithm in (None, "auto") and not (
-            (self._faults is not None and self._faults.can_lose_contributions)
-            or self.runtime.fault_injected
-            or policy.on_failure != "abort"
+            lossy or injected or policy.on_failure != "abort"
         ):
             for name in self._registry.names(collective=collective, executable=True):
-                info = self._registry.get(name)
-                if not (info.capabilities.pipelined and info.plannable):
+                candidate = self._registry.get(name)
+                if not (candidate.capabilities.pipelined and candidate.plannable):
                     continue
-                supported, _ = info.supports(self.size, policy)
+                supported, _ = candidate.supports(self.size, policy)
                 if supported:
-                    return info
-        return self.resolve(collective, nbytes, algorithm, policy)
+                    info = candidate
+                    break
+        if info is None:
+            info = self.resolve(collective, nbytes, algorithm, policy)
+        self._resolve_cache[memo_key] = info
+        return info
 
     def _dispatch_nonblocking(
         self, collective: str, algorithm: str, request: CollectiveRequest

@@ -289,6 +289,10 @@ class FaultyRuntime(RuntimeWrapper):
         self._plan = plan
         self._ops = 0
         self._crashed = False
+        # Fixed per wrapper, read on every post: the rank through the
+        # wrapper stack, and the crash step (only recover() changes it).
+        self._rank = inner.rank
+        self._crash_step = plan.crash_step(self._rank)
 
     # -- introspection ---------------------------------------------------- #
     @property
@@ -316,32 +320,32 @@ class FaultyRuntime(RuntimeWrapper):
     def recover(self) -> None:
         """Bring a crashed rank back (it may now contribute late)."""
         self._crashed = False
-        self._plan.recover(self.rank)
+        self._crash_step = None
+        self._plan.recover(self._rank)
 
     # -- fault machinery -------------------------------------------------- #
     def _check_alive(self) -> None:
         if self._crashed:
-            raise RankCrashedError(self.rank, self._ops)
+            raise RankCrashedError(self._rank, self._ops)
 
     def _data_plane_op(self, target_rank: int) -> bool:
         """Account one op; returns False when the message must be dropped."""
         self._check_alive()
+        rank = self._rank
         step = self._ops
         self._ops += 1
-        crash = self._plan.crash_step(self.rank)
+        crash = self._crash_step
         if crash is not None and step >= crash:
             self._crashed = True
-            logger.debug(
-                "rank %d: injected crash at data-plane op %d", self.rank, step
-            )
-            raise RankCrashedError(self.rank, step)
-        pause = self._plan.send_delay(self.rank, step)
+            logger.debug("rank %d: injected crash at data-plane op %d", rank, step)
+            raise RankCrashedError(rank, step)
+        pause = self._plan.send_delay(rank, step)
         if pause > 0.0:
             time.sleep(pause)
-        if self._plan.should_drop(self.rank, target_rank, step):
+        if self._plan.should_drop(rank, target_rank, step):
             logger.debug(
                 "rank %d: injected drop of op %d toward rank %d",
-                self.rank, step, target_rank,
+                rank, step, target_rank,
             )
             return False
         return True

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .segment import Segment
 from .notifications import NotificationBoard
-from .queue import CommunicationQueue, WriteRequest
+from .queue import CommunicationQueue
 from .group import Group
 from .runtime import GaspiRuntime
 from .subruntime import GroupRuntime
@@ -71,7 +71,6 @@ __all__ = [
     "Segment",
     "NotificationBoard",
     "CommunicationQueue",
-    "WriteRequest",
     "Group",
     "GroupRuntime",
     "GaspiRuntime",

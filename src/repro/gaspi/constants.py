@@ -40,3 +40,12 @@ DEFAULT_MAX_SEGMENTS: int = 256
 #: Notification value used to signal "data arrived" when the caller does not
 #: provide an explicit value.  GASPI requires notification values > 0.
 DEFAULT_NOTIFICATION_VALUE: int = 1
+
+#: Yield-and-probe iterations before a blocked notification wait parks: the
+#: threaded board's poll phase and the default of ``ShmConfig.spin``.
+WAIT_SPIN: int = 64
+
+#: A finite wait shorter than this (seconds) is a slice of a longer one its
+#: caller cuts up (the progress thread's 200 us parks) and parks at once.
+#: The default of ``ShmConfig.wait_slice``.
+WAIT_SLICE: float = 0.002

@@ -12,17 +12,32 @@ receiver, the data of the same request is already visible in the target
 segment.  :class:`NotificationBoard` enforces exactly this ordering because
 the threaded runtime always applies the data copy *before* calling
 :meth:`NotificationBoard.post`.
+
+A blocked wait polls, then parks.  Rank threads share one GIL, so the peer
+a waiter is blocked on can only post once it holds it: ``os.sched_yield()``
+hands the GIL over and takes it back in a third of the time a
+``threading.Condition`` park and wake-up cost, and the poster's
+``notify_all`` then finds nobody to wake.  So a waiter yields and probes
+(lock-free) ``WAIT_SPIN`` times — a count, no clock is read — and only then
+parks, re-checking under the condition :meth:`NotificationBoard.post`
+stores under, so a post between the last probe and the park is never lost.
+``timeout == 0`` probes once and never yields.  A finite timeout under
+``WAIT_SLICE`` parks at once: its caller is slicing a longer wait (the
+progress thread's 200 us parks), and polling every slice out would hold the
+GIL against the compute that thread overlaps.  A finite deadline is taken
+before the poll phase, so the timeout stays a bound.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
-from typing import Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 import numpy as np
 
-from .constants import DEFAULT_NOTIFICATION_COUNT, GASPI_BLOCK
+from .constants import DEFAULT_NOTIFICATION_COUNT, GASPI_BLOCK, WAIT_SLICE, WAIT_SPIN
 from .errors import GaspiInvalidArgumentError, GaspiTimeoutError
 
 
@@ -96,7 +111,7 @@ class NotificationBoard:
         self._check_id(begin)
         values = self._values
         if count == 1:
-            return values[begin] > 0
+            return bool(values[begin] > 0)
         return bool(values[begin : begin + count].max(initial=0) > 0)
 
     def pending_ids(self) -> list[int]:
@@ -115,12 +130,24 @@ class NotificationBoard:
         and coercion run outside the lock; the lock-held region is the
         slot assignment and the waiter wake-up only.
         """
+        self.store(notification_id, self.check_post(notification_id, value))
+
+    def check_post(self, notification_id: int, value: int) -> int:
+        """Validate a post without applying it; returns the coerced value."""
         self._check_id(notification_id)
         value = int(value)
         if value <= 0:
             raise GaspiInvalidArgumentError(
                 f"notification values must be > 0, got {value}"
             )
+        return value
+
+    def store(self, notification_id: int, value: int) -> None:
+        """The lock-held half of :meth:`post`, for what :meth:`check_post` passed.
+
+        Apart, because the runtime checks a whole ``write_notify`` before it
+        copies a byte, and stores after.
+        """
         with self._cond:
             self._values[notification_id] = value
             self.posted_count += 1
@@ -178,15 +205,9 @@ class NotificationBoard:
         The id of one pending notification in the range, or ``None`` when a
         finite ``timeout`` expired without any notification
         (``GASPI_TIMEOUT`` in the specification).  With ``timeout == 0``
-        (``GASPI_TEST``) the board is probed exactly once.
-
-        Raises
-        ------
-        GaspiTimeoutError
-            Never raised directly here — timeouts are reported by returning
-            ``None`` so the SSP collective can fall back to stale data
-            without exception-driven control flow.  Callers that consider a
-            timeout fatal should raise :class:`GaspiTimeoutError` themselves.
+        (``GASPI_TEST``) the board is probed exactly once.  A timeout never
+        raises here: the SSP collective falls back to stale data on ``None``,
+        and a caller to whom it is fatal raises :class:`GaspiTimeoutError`.
         """
         if count is None:
             count = self._num_slots - begin
@@ -195,21 +216,10 @@ class NotificationBoard:
         self._check_id(begin)
         self._check_id(begin + count - 1)
 
-        with self._cond:
-            deadline = None  # the clock is read only by a finite wait that blocks
-            while True:
-                hit = self._first_pending(begin, count)
-                if hit is not None or timeout == 0.0:
-                    return hit
-                if timeout == GASPI_BLOCK:
-                    self._cond.wait()
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + timeout
-                if now >= deadline:
-                    return None
-                self._cond.wait(deadline - now)
+        hit = self._first_pending(begin, count)
+        if hit is not None or timeout == 0.0:
+            return hit
+        return self._blocked_wait(lambda: self._first_pending(begin, count), timeout)
 
     def wait_all(
         self,
@@ -225,21 +235,40 @@ class NotificationBoard:
         wanted = list(ids)
         for nid in wanted:
             self._check_id(nid)
-        with self._cond:
-            deadline = None
-            while not all(self._values[nid] > 0 for nid in wanted):
-                if timeout == GASPI_BLOCK:
-                    self._cond.wait()  # pragma: no cover - blocking path
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + timeout
-                if now >= deadline:
-                    missing = [n for n in wanted if self._values[n] == 0]
-                    raise GaspiTimeoutError(
-                        f"timed out waiting for notifications {missing}"
-                    )
-                self._cond.wait(deadline - now)
+        values = self._values
+
+        def all_set() -> Optional[bool]:
+            return True if all(values[nid] > 0 for nid in wanted) else None
+
+        if all_set() or (timeout != 0.0 and self._blocked_wait(all_set, timeout)):
+            return
+        missing = [n for n in wanted if values[n] == 0]
+        raise GaspiTimeoutError(f"timed out waiting for notifications {missing}")
+
+    def _blocked_wait(self, poll: Callable[[], Any], timeout: float) -> Any:
+        """Poll, then park (module docstring), after a first probe missed.
+
+        Returns ``poll``'s first non-``None`` result, or ``None`` when a
+        finite non-zero ``timeout`` — the only kind that reads the clock —
+        ran out.
+        """
+        deadline = None if timeout == GASPI_BLOCK else time.monotonic() + timeout
+        if deadline is None or timeout >= WAIT_SLICE:
+            for _ in range(WAIT_SPIN):
+                os.sched_yield()
+                hit = poll()
+                if hit is not None:
+                    return hit
+        cond = self._cond
+        with cond:
+            while True:
+                hit = poll()
+                if hit is not None:
+                    return hit
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return None
+                cond.wait(remaining)
 
     # ------------------------------------------------------------------ #
     # internals

@@ -2,52 +2,30 @@
 
 GASPI posts one-sided operations onto *queues*; ``gaspi_wait`` flushes a
 queue, after which the local source buffers may be reused.  The threaded
-runtime supports two delivery modes:
+runtime supports two delivery modes, both of which apply a post through
+the one ``repro.gaspi.threaded._deliver``:
 
-* ``immediate`` — the data copy happens synchronously inside the posting
-  call (the queue only counts requests).  Deterministic and fast; the
+* ``immediate`` — the posting call delivers inline.  Nothing is ever
+  outstanding, so the queue only counts (:meth:`CommunicationQueue.count`,
+  no lock) and ``wait`` returns at once.  Deterministic and fast; the
   default for tests and benchmarks.
-* ``async`` — requests are handed to a per-world delivery thread which
-  applies them later (optionally with a small jitter).  This mode exercises
-  the real GASPI overlap semantics: posting returns immediately, data and
-  notification become visible asynchronously, and ``wait`` genuinely blocks
-  until local completion.
+* ``async`` — the posting call validates, takes a queue slot
+  (:meth:`CommunicationQueue.post`) and hands the same delivery plus the
+  slot's :meth:`CommunicationQueue.complete` to a per-world
+  :class:`DeliveryWorker`, which applies them later (optionally with a
+  small delay).  This mode exercises the real GASPI overlap semantics:
+  posting returns immediately, data and notification become visible
+  asynchronously, and ``wait`` genuinely blocks until local completion.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
-
-import numpy as np
+from typing import Callable, List, Tuple
 
 from .constants import DEFAULT_QUEUE_DEPTH, GASPI_BLOCK
 from .errors import GaspiQueueFullError, GaspiTimeoutError
-
-
-@dataclass
-class WriteRequest:
-    """One posted one-sided operation (write, notify or write_notify)."""
-
-    source_rank: int
-    target_rank: int
-    segment_id: int
-    offset: int
-    data: Optional[np.ndarray]
-    notification_id: Optional[int]
-    notification_value: int
-    queue: int
-    #: sequence number within the posting queue, for tracing
-    sequence: int = 0
-    #: callback applying the request at the target (set by the runtime)
-    apply: Optional[Callable[[], None]] = field(default=None, repr=False)
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size in bytes (0 for a pure notification)."""
-        return 0 if self.data is None else int(self.data.size)
 
 
 class CommunicationQueue:
@@ -64,17 +42,23 @@ class CommunicationQueue:
     @property
     def outstanding(self) -> int:
         """Number of posted but not yet completed requests."""
-        with self._cond:
-            return self._outstanding
+        return self._outstanding
 
     @property
     def posted_total(self) -> int:
         """Total number of requests ever posted to this queue."""
-        with self._cond:
-            return self._posted_total
+        return self._posted_total
 
-    def post(self) -> int:
-        """Account for a newly posted request; returns its sequence number."""
+    def count(self) -> None:
+        """Account for a post that was delivered inline (never outstanding).
+
+        Lock-free: one rank's posts are its only writers, and like
+        ``TrafficStats`` it is a diagnostic count that nothing waits on.
+        """
+        self._posted_total += 1
+
+    def post(self) -> None:
+        """Take a slot for a request handed to the delivery worker."""
         with self._cond:
             if self._outstanding >= self.depth:
                 raise GaspiQueueFullError(
@@ -83,7 +67,6 @@ class CommunicationQueue:
                 )
             self._outstanding += 1
             self._posted_total += 1
-            return self._posted_total
 
     def complete(self) -> None:
         """Mark one outstanding request as locally complete."""
@@ -130,12 +113,14 @@ class DeliveryWorker:
     """Background thread delivering asynchronously posted requests in order.
 
     A single worker per world preserves per-(source, target) ordering, which
-    GASPI guarantees for requests posted to the same queue.
+    GASPI guarantees for requests posted to the same queue.  A request is
+    ``(deliver, args, done)``: the worker calls ``deliver(*args)`` and then
+    ``done()`` — the queue completion — whether or not the delivery raised.
     """
 
     def __init__(self, delay: float = 0.0) -> None:
         self._delay = float(delay)
-        self._pending: List[WriteRequest] = []
+        self._pending: List[Tuple[Callable[..., None], tuple, Callable[[], None]]] = []
         self._cond = threading.Condition()
         self._stop = False
         self._thread = threading.Thread(
@@ -143,11 +128,13 @@ class DeliveryWorker:
         )
         self._thread.start()
 
-    def submit(self, request: WriteRequest) -> None:
+    def submit(
+        self, deliver: Callable[..., None], args: tuple, done: Callable[[], None]
+    ) -> None:
         with self._cond:
             if self._stop:
                 raise RuntimeError("delivery worker already stopped")
-            self._pending.append(request)
+            self._pending.append((deliver, args, done))
             self._cond.notify_all()
 
     def shutdown(self) -> None:
@@ -163,13 +150,12 @@ class DeliveryWorker:
                     self._cond.wait()
                 if self._stop and not self._pending:
                     return
-                request = self._pending.pop(0)
+                deliver, args, done = self._pending.pop(0)
             if self._delay > 0:
                 time.sleep(self._delay)
             try:
-                if request.apply is not None:
-                    request.apply()
-            except Exception:  # pragma: no cover - defensive: surfaced via queue
-                # The posting rank will observe the failure as a hung wait();
-                # re-raise in the worker so the test harness sees a traceback.
-                raise
+                deliver(*args)
+            finally:
+                # The poster validated the request, so a raise is a defect:
+                # free the poster's wait(), then die with the traceback.
+                done()

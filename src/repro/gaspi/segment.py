@@ -156,7 +156,8 @@ class Segment:
 
     def write_bytes(self, offset: int, data: np.ndarray) -> None:
         """Write raw bytes into the segment (remote side of ``gaspi_write``)."""
-        data = np.asarray(data, dtype=np.uint8)
+        if type(data) is not np.ndarray or data.dtype != np.uint8:
+            data = np.asarray(data, dtype=np.uint8)
         self._check_range(offset, data.size)
         with self._write_lock:
             self.buffer[offset : offset + data.size] = data

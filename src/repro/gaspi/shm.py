@@ -105,6 +105,8 @@ from .constants import (
     DEFAULT_NOTIFICATION_VALUE,
     DEFAULT_QUEUE_COUNT,
     GASPI_BLOCK,
+    WAIT_SLICE,
+    WAIT_SPIN,
 )
 from .errors import (
     GaspiInvalidArgumentError,
@@ -216,8 +218,8 @@ class ShmConfig:
 
     queue_count: int = DEFAULT_QUEUE_COUNT
     max_segments: int = DEFAULT_MAX_SEGMENTS
-    spin: int = 64
-    wait_slice: float = 0.002
+    spin: int = WAIT_SPIN
+    wait_slice: float = WAIT_SLICE
     collect_stats: bool = True
 
     def __post_init__(self) -> None:

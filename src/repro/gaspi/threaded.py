@@ -6,14 +6,21 @@ implementing :class:`~repro.gaspi.runtime.GaspiRuntime`.
 
 Semantics implemented:
 
-* ``write`` / ``write_notify`` copy bytes from the caller's local segment
-  (``write_notify_from``: from any contiguous caller array) into the
-  target rank's segment.  In ``immediate`` delivery mode the copy
-  happens synchronously; in ``async`` mode it is performed by a delivery
-  thread, but the data copy always precedes the notification post, which is
-  the GASPI visibility guarantee (Section II of the paper).
+* ``write`` / ``notify`` / ``write_notify`` / ``write_notify_from`` are one
+  post (:meth:`ThreadedRuntime._post`): validate, then :func:`_deliver` —
+  copy the bytes (a view of the caller's local segment, or of any
+  contiguous caller array) into the target rank's segment under that
+  segment's write lock, then store the notification.  The data copy always
+  precedes the notification post, which is the GASPI visibility guarantee
+  (Section II of the paper).  In ``immediate`` delivery mode the posting
+  thread calls :func:`_deliver` inline: one copy, one board store, the two
+  locks those need and nothing else.  In ``async`` mode the same call is
+  handed to a delivery thread together with its queue completion.  A
+  rejected post raises in the posting thread in both modes and changes
+  nothing.
 * ``notify_waitsome`` / ``notify_reset`` operate on the local segment's
-  notification board.
+  notification board; a blocked wait yields the GIL before it parks (see
+  :mod:`repro.gaspi.notifications`).
 * ``wait`` flushes a queue (blocks until all locally posted requests have
   been applied at their targets).
 * ``barrier`` uses a reusable threading barrier per group.
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -43,8 +50,7 @@ from .errors import (
     GaspiTimeoutError,
 )
 from .group import Group
-from .notifications import NotificationBoard  # noqa: F401  (re-exported for tests)
-from .queue import CommunicationQueue, DeliveryWorker, WriteRequest
+from .queue import CommunicationQueue, DeliveryWorker
 from .runtime import GaspiRuntime, source_bytes
 from .segment import Segment
 
@@ -102,6 +108,29 @@ class TrafficStats:
         if notified:
             self.notifications_sent += 1
         self.by_peer[target] = self.by_peer.get(target, 0) + int(nbytes)
+
+
+def _deliver(
+    segment: Segment,
+    offset: int,
+    data: Optional[np.ndarray],
+    notification_id: Optional[int],
+    value: int,
+) -> None:
+    """Apply one post at its target: data first, then the notification.
+
+    Everything is checked before anything is touched, so a rejected post
+    leaves the target's bytes and board as they were.  ``data`` is a flat
+    ``uint8`` array or ``None``; ``notification_id`` is ``None`` for a
+    bare ``write``.  Both delivery modes run through here.
+    """
+    board = segment.notifications
+    if notification_id is not None:
+        value = board.check_post(notification_id, value)
+    if data is not None and data.size:
+        segment.write_bytes(offset, data)
+    if notification_id is not None:
+        board.store(notification_id, value)
 
 
 class ThreadedWorld:
@@ -169,7 +198,7 @@ class ThreadedWorld:
             pass
 
     # ------------------------------------------------------------------ #
-    # segment registry
+    # segment registry, queues
     # ------------------------------------------------------------------ #
     def create_segment(
         self, rank: int, segment_id: int, size: int, num_notifications: int
@@ -208,50 +237,17 @@ class ThreadedWorld:
             del table[segment_id]
 
     def get_segment(self, rank: int, segment_id: int) -> Segment:
-        with self._segments_lock:
-            try:
-                return self._segments[rank][segment_id]
-            except KeyError as exc:
-                raise GaspiSegmentError(
-                    f"rank {rank} has no segment with id {segment_id}"
-                ) from exc
+        """Lock-free lookup: one dict read is atomic under the GIL.
 
-    # ------------------------------------------------------------------ #
-    # communication core
-    # ------------------------------------------------------------------ #
-    def post(self, request: WriteRequest) -> None:
-        """Route a posted request according to the delivery mode."""
-        queue = self._queues[request.source_rank][request.queue]
-        queue.post()
-
-        def apply_and_complete() -> None:
-            try:
-                self._apply(request)
-            finally:
-                queue.complete()
-
-        if self._delivery is None:
-            apply_and_complete()
-        else:
-            request.apply = apply_and_complete
-            self._delivery.submit(request)
-
-        if self.config.collect_stats:
-            self.stats[request.source_rank].record_send(
-                request.target_rank,
-                request.nbytes,
-                request.notification_id is not None,
-            )
-
-    def _apply(self, request: WriteRequest) -> None:
-        """Apply a request at its target: data first, then the notification."""
-        target_segment = self.get_segment(request.target_rank, request.segment_id)
-        if request.data is not None and request.data.size > 0:
-            target_segment.write_bytes(request.offset, request.data)
-        if request.notification_id is not None:
-            target_segment.notifications.post(
-                request.notification_id, request.notification_value
-            )
+        A lookup that races a create / delete is no less racy for taking
+        ``_segments_lock``; only those check-then-mutate paths need it.
+        """
+        try:
+            return self._segments[rank][segment_id]
+        except KeyError as exc:
+            raise GaspiSegmentError(
+                f"rank {rank} has no segment with id {segment_id}"
+            ) from exc
 
     def queue_of(self, rank: int, queue_id: int) -> CommunicationQueue:
         try:
@@ -365,20 +361,8 @@ class ThreadedRuntime(GaspiRuntime):
         size: int,
         queue: int = 0,
     ) -> None:
-        self._check_target(target_rank)
         data = self._read_local(segment_id_local, offset_local, size)
-        self._world.post(
-            WriteRequest(
-                source_rank=self._rank,
-                target_rank=target_rank,
-                segment_id=segment_id_remote,
-                offset=offset_remote,
-                data=data,
-                notification_id=None,
-                notification_value=0,
-                queue=queue,
-            )
-        )
+        self._post(data, target_rank, segment_id_remote, offset_remote, None, 0, queue)
 
     def notify(
         self,
@@ -388,19 +372,10 @@ class ThreadedRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._check_target(target_rank)
-        self._world.post(
-            WriteRequest(
-                source_rank=self._rank,
-                target_rank=target_rank,
-                segment_id=segment_id_remote,
-                offset=0,
-                data=None,
-                notification_id=notification_id,
-                notification_value=notification_value,
-                queue=queue,
-            )
-        )
+        self._post(
+            None, target_rank, segment_id_remote, 0,
+            notification_id, notification_value, queue,
+        )  # fmt: skip
 
     def write_notify(
         self,
@@ -414,16 +389,11 @@ class ThreadedRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._check_target(target_rank)
-        self._post_write_notify(
+        self._post(
             self._read_local(segment_id_local, offset_local, size),
-            target_rank,
-            segment_id_remote,
-            offset_remote,
-            notification_id,
-            notification_value,
-            queue,
-        )
+            target_rank, segment_id_remote, offset_remote,
+            notification_id, notification_value, queue,
+        )  # fmt: skip
 
     def write_notify_from(
         self,
@@ -435,41 +405,47 @@ class ThreadedRuntime(GaspiRuntime):
         notification_value: int = DEFAULT_NOTIFICATION_VALUE,
         queue: int = 0,
     ) -> None:
-        self._check_target(target_rank)
-        # The same request as write_notify: the delivery layer reads the
-        # caller's memory instead of a view of the local segment.
-        self._post_write_notify(
+        # The same post as write_notify: the delivery reads the caller's
+        # memory instead of a view of the local segment.
+        self._post(
             source_bytes(source),
-            target_rank,
-            segment_id_remote,
-            offset_remote,
-            notification_id,
-            notification_value,
-            queue,
-        )
+            target_rank, segment_id_remote, offset_remote,
+            notification_id, notification_value, queue,
+        )  # fmt: skip
 
-    def _post_write_notify(
+    def _post(
         self,
-        data: np.ndarray,
+        data: Optional[np.ndarray],
         target_rank: int,
         segment_id_remote: int,
         offset_remote: int,
-        notification_id: int,
+        notification_id: Optional[int],
         notification_value: int,
         queue: int,
     ) -> None:
-        self._world.post(
-            WriteRequest(
-                source_rank=self._rank,
-                target_rank=target_rank,
-                segment_id=segment_id_remote,
-                offset=offset_remote,
-                data=data,
-                notification_id=notification_id,
-                notification_value=notification_value,
-                queue=queue,
+        """The one post behind the four calls above."""
+        world = self._world
+        self._check_target(target_rank)
+        posting_queue = world._queues[self._rank][queue]
+        segment = world.get_segment(target_rank, segment_id_remote)
+        nbytes = 0 if data is None else data.size
+        args = (segment, offset_remote, data, notification_id, notification_value)
+        if world._delivery is None:
+            _deliver(*args)
+            posting_queue.count()
+        else:
+            # Reject here, in the poster, what _deliver would reject later
+            # in the worker; then the queue slot, then the hand-over.
+            if nbytes:
+                segment.view_bytes(offset_remote, nbytes)
+            if notification_id is not None:
+                segment.notifications.check_post(notification_id, notification_value)
+            posting_queue.post()
+            world._delivery.submit(_deliver, args, posting_queue.complete)
+        if world.config.collect_stats:
+            world.stats[self._rank].record_send(
+                target_rank, nbytes, notification_id is not None
             )
-        )
 
     # -- weak synchronisation ------------------------------------------- #
     def notify_waitsome(
@@ -550,9 +526,7 @@ class ThreadedRuntime(GaspiRuntime):
         return self._world.atomic_fetch_add(target_rank, segment_id, offset, value)
 
     # -- internals -------------------------------------------------------- #
-    def _read_local(
-        self, segment_id: int, offset: int, size: int
-    ) -> np.ndarray:
+    def _read_local(self, segment_id: int, offset: int, size: int) -> np.ndarray:
         # Zero-copy: hand the delivery layer a view of the source segment
         # instead of an intermediate bytes copy.  GASPI requires the source
         # region to stay stable until wait() flushes the queue, so the view

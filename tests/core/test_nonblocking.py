@@ -52,6 +52,37 @@ class TestHandles:
         for out in outs:
             assert np.allclose(out, expect)
 
+    def test_second_iallreduce_of_a_shape_does_not_walk_the_registry(self, monkeypatch):
+        from repro.core.registry import AlgorithmRegistry
+
+        walks = []
+        names = AlgorithmRegistry.names
+
+        def counting_names(self, *args, **kwargs):
+            walks.append(kwargs)
+            return names(self, *args, **kwargs)
+
+        def worker(rt):
+            comm = Communicator(rt)
+            send = rank_vector(rt.rank, 512)
+            out = np.empty_like(send)
+            first = comm.iallreduce(send, recvbuf=out).wait().algorithm
+            rt.barrier()
+            if rt.rank == 0:
+                monkeypatch.setattr(AlgorithmRegistry, "names", counting_names)
+            rt.barrier()
+            second = comm.iallreduce(send, recvbuf=out).wait().algorithm
+            # A blocking call of the same shape resolves under its own key.
+            comm.allreduce(send, recvbuf=out)
+            assert np.allclose(out, expected_sum(2, 512))
+            comm.close()
+            return first, second, comm.last_result.algorithm
+
+        for first, second, blocking in spmd(2, worker):
+            assert first == second == "gaspi_allreduce_ring_pipelined"
+            assert blocking != first
+        assert walks == []
+
     def test_ireduce_matches_blocking(self):
         n = 2048
 

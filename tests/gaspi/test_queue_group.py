@@ -16,6 +16,13 @@ class TestCommunicationQueue:
         assert q.outstanding == 0
         assert q.posted_total == 1
 
+    def test_an_inline_post_is_counted_and_never_outstanding(self):
+        q = CommunicationQueue(0, depth=1)
+        for _ in range(3):  # past the depth: nothing of it is in flight
+            q.count()
+        assert (q.posted_total, q.outstanding) == (3, 0)
+        q.wait(timeout=0.0)
+
     def test_wait_returns_when_empty(self):
         q = CommunicationQueue(0)
         q.wait(timeout=0.01)  # nothing outstanding → immediate return

@@ -65,6 +65,19 @@ class TestRawAccess:
         assert np.array_equal(out, data)
         assert seg.bytes_written == 8
 
+    def test_write_coerces_only_what_is_not_uint8_already(self, monkeypatch):
+        seg = Segment(0, 16, owner_rank=0)
+        seg.write_bytes(0, [1, 2, 3])  # anything array-like still goes in
+        seg.write_bytes(3, np.array([4, 5], dtype=np.int64))
+        assert seg.read_bytes(0, 5).tolist() == [1, 2, 3, 4, 5]
+
+        def no_coercion(*args, **kwargs):
+            raise AssertionError("a uint8 array was coerced again")
+
+        monkeypatch.setattr("repro.gaspi.segment.np.asarray", no_coercion)
+        seg.write_bytes(5, np.array([6, 7], dtype=np.uint8))
+        assert seg.read_bytes(5, 2).tolist() == [6, 7]
+
     def test_read_is_a_copy(self):
         seg = Segment(0, 16, owner_rank=0)
         seg.write_bytes(0, np.ones(4, dtype=np.uint8))

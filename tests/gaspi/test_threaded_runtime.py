@@ -1,6 +1,8 @@
 """Tests of the threaded GASPI runtime: write/notify semantics, queues, atomics."""
 
+import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from repro.gaspi import (
     GaspiInvalidArgumentError,
     GaspiResourceError,
     GaspiSegmentError,
+    GaspiTimeoutError,
     ThreadedWorld,
     WorldConfig,
 )
@@ -200,3 +203,199 @@ class TestWorldConfig:
             assert world.size == 2
         # close() is idempotent
         world.close()
+
+
+# --------------------------------------------------------------------------- #
+# one delivery, two modes
+# --------------------------------------------------------------------------- #
+SEG, SEG_BYTES, SLOTS = 3, 64, 8
+
+
+@pytest.fixture(params=["immediate", "async"])
+def delivery_world(request):
+    """A 2-rank world per delivery mode, segment ``SEG`` on both ranks."""
+    world = ThreadedWorld(2, WorldConfig(delivery=request.param, queue_count=2))
+    for rank in range(2):
+        world.runtime(rank).segment_create(SEG, SEG_BYTES, SLOTS)
+    world.runtime(0).segment_view(SEG, np.uint8)[:] = np.arange(SEG_BYTES)
+    yield world
+    world.close()
+
+
+def _observable(world):
+    """Everything a post may change, as plain values."""
+    target = world.get_segment(1, SEG)
+    board = target.notifications
+    return {
+        "bytes": target.buffer.tolist(),
+        "bytes_written": target.bytes_written,
+        "notifications": {nid: board.peek(nid) for nid in board.pending_ids()},
+        "posted_count": board.posted_count,
+        "stats": dataclasses.asdict(world.stats[0]),
+        "posted_total": [world.queue_of(0, q).posted_total for q in range(2)],
+        "outstanding": [world.queue_of(0, q).outstanding for q in range(2)],
+    }
+
+
+#: A valid call of each of the four posts, by keyword.
+_REMOTE = dict(target_rank=1, segment_id_remote=SEG, queue=0)
+_LOCAL = dict(segment_id_local=SEG, offset_local=0, size=8)
+_NOTIFY = dict(notification_id=5, notification_value=7)
+POSTS = {
+    "write": dict(_REMOTE, offset_remote=8, **_LOCAL),
+    "notify": dict(_REMOTE, **_NOTIFY),
+    "write_notify": dict(_REMOTE, offset_remote=8, **_LOCAL, **_NOTIFY),
+    "write_notify_from": dict(_REMOTE, offset_remote=8, source=np.ones(1), **_NOTIFY),
+}
+
+#: One defect each, and what the parent commit raised for it (a bad queue id
+#: on a post was, and is, the queue table's bare KeyError; ``wait`` names it).
+REJECTED = {
+    "target": (GaspiInvalidArgumentError, dict(target_rank=2)),
+    "queue": (KeyError, dict(queue=2)),
+    "segment": (GaspiSegmentError, dict(segment_id_remote=9)),
+    "offset-range": (GaspiSegmentError, dict(offset_remote=SEG_BYTES - 4)),
+    "negative-offset": (GaspiSegmentError, dict(offset_remote=-1)),
+    "notification-id": (GaspiInvalidArgumentError, dict(notification_id=SLOTS)),
+    "negative-id": (GaspiInvalidArgumentError, dict(notification_id=-1)),
+    "value": (GaspiInvalidArgumentError, dict(notification_value=0)),
+    "negative-value": (GaspiInvalidArgumentError, dict(notification_value=-3)),
+}
+
+
+class TestDelivery:
+    def test_a_mixed_sequence_of_the_four_posts_lands_the_same(self, delivery_world):
+        rt = delivery_world.runtime(0)
+        caller = np.arange(100, 108, dtype=np.uint8)
+        rt.write(SEG, 8, 1, SEG, 0, 8)
+        rt.notify(1, SEG, 1, 11, queue=1)
+        rt.write_notify(SEG, 32, 1, SEG, 16, 4, notification_id=2, notification_value=22)
+        rt.write_notify_from(caller.view(np.float64), 1, SEG, 40, 3, 33, queue=1)
+        rt.write_notify(SEG, 0, 1, SEG, 64, 0, notification_id=4)  # empty: only notifies
+        rt.notify(1, SEG, 1, 12)  # a slot posted twice keeps the later value
+        rt.wait(0)
+        rt.wait(1)
+
+        expected = np.zeros(SEG_BYTES, dtype=np.uint8)
+        expected[0:8] = np.arange(8, 16)
+        expected[16:20] = np.arange(32, 36)
+        expected[40:48] = caller
+        assert _observable(delivery_world) == {
+            "bytes": expected.tolist(),
+            "bytes_written": 20,
+            "notifications": {1: 12, 2: 22, 3: 33, 4: 1},
+            "posted_count": 5,
+            "stats": {
+                "messages_sent": 6,
+                "bytes_sent": 20,
+                "notifications_sent": 5,
+                "barriers": 0,
+                "by_peer": {1: 20},
+            },
+            "posted_total": [4, 2],
+            "outstanding": [0, 0],
+        }
+
+    @pytest.mark.parametrize(
+        "post, defect",
+        [(post, defect) for post in sorted(POSTS) for defect in sorted(REJECTED)
+         if set(REJECTED[defect][1]) <= set(POSTS[post])],
+    )  # fmt: skip
+    def test_a_rejected_post_raises_in_the_poster_and_changes_nothing(
+        self, delivery_world, post, defect
+    ):
+        error, bad = REJECTED[defect]
+        good = POSTS[post]
+        rt = delivery_world.runtime(0)
+        before = _observable(delivery_world)
+        with pytest.raises(error):
+            getattr(rt, post)(**{**good, **bad})
+        rt.wait(0)
+        assert _observable(delivery_world) == before
+        getattr(rt, post)(**good)  # the same post without the defect goes through
+        rt.wait(0)
+        assert _observable(delivery_world) != before
+
+    def test_a_non_contiguous_source_is_rejected_and_changes_nothing(self, delivery_world):
+        rt = delivery_world.runtime(0)
+        before = _observable(delivery_world)
+        with pytest.raises(GaspiInvalidArgumentError):
+            rt.write_notify_from(np.arange(16.0)[::2], 1, SEG, 0, 5)
+        rt.wait(0)
+        assert _observable(delivery_world) == before
+
+    def test_a_bad_local_range_is_rejected_and_changes_nothing(self, delivery_world):
+        rt = delivery_world.runtime(0)
+        before = _observable(delivery_world)
+        for post, extra in (("write", ()), ("write_notify", (5,))):
+            with pytest.raises(GaspiSegmentError):
+                getattr(rt, post)(SEG, SEG_BYTES - 4, 1, SEG, 0, 8, *extra)
+            with pytest.raises(GaspiSegmentError):
+                getattr(rt, post)(9, 0, 1, SEG, 0, 8, *extra)
+        rt.wait(0)
+        assert _observable(delivery_world) == before
+
+    def test_lookup_of_a_missing_segment_names_it(self, delivery_world):
+        with pytest.raises(GaspiSegmentError, match="rank 1 has no segment with id 9"):
+            delivery_world.get_segment(1, 9)
+        rt = delivery_world.runtime(1)
+        for lookup in (rt.segment_size, rt.segment_view, rt.notify_waitsome, rt.notify_probe):
+            with pytest.raises(GaspiSegmentError):
+                lookup(9)
+        with pytest.raises(GaspiSegmentError):
+            rt.notify_reset(9, 0)
+
+
+class TestAsyncDelivery:
+    DELAY = 0.05
+
+    @pytest.fixture
+    def slow_world(self):
+        world = ThreadedWorld(2, WorldConfig(delivery="async", delivery_delay=self.DELAY))
+        for rank in range(2):
+            world.runtime(rank).segment_create(SEG, SEG_BYTES, SLOTS)
+        yield world
+        world.close()
+
+    def test_wait_blocks_until_the_post_is_applied(self, slow_world):
+        src, dst = slow_world.runtime(0), slow_world.runtime(1)
+        src.segment_view(SEG, np.uint8)[:8] = 5
+        start = time.monotonic()
+        src.write_notify(SEG, 0, 1, SEG, 8, 8, notification_id=2)
+        queue = slow_world.queue_of(0, 0)
+        # Posted, counted and accounted for — not yet delivered.
+        assert (queue.outstanding, queue.posted_total) == (1, 1)
+        assert slow_world.stats[0].messages_sent == 1
+        assert dst.notify_peek(SEG, 2) == 0
+        assert not dst.segment_view(SEG, np.uint8).any()
+        with pytest.raises(GaspiTimeoutError):
+            src.wait(0, timeout=0.0)
+        src.wait(0)
+        assert time.monotonic() - start >= self.DELAY
+        assert queue.outstanding == 0
+        assert dst.notify_peek(SEG, 2) == 1
+        assert dst.segment_view(SEG, np.uint8)[8:16].tolist() == [5] * 8
+
+    def test_data_is_visible_before_its_notification(self, slow_world, monkeypatch):
+        order = []
+        segment = slow_world.get_segment(1, SEG)
+        write_bytes, store = segment.write_bytes, segment.notifications.store
+        monkeypatch.setattr(
+            segment, "write_bytes", lambda *a: (order.append("data"), write_bytes(*a))
+        )
+        monkeypatch.setattr(
+            segment.notifications,
+            "store",
+            lambda *a: (order.append("notification"), store(*a)),
+        )
+        src, dst = slow_world.runtime(0), slow_world.runtime(1)
+        payload = np.full(4, 2.5)
+        for call in range(1, 4):
+            src.write_notify_from(payload * call, 1, SEG, 0, 1, notification_value=call)
+            assert dst.notify_waitsome(SEG, 1, 1, timeout=5.0) == 1
+            # The GASPI guarantee, seen from the receiver ...
+            assert dst.segment_view(SEG, np.float64, count=4).tolist() == [2.5 * call] * 4
+            assert dst.notify_reset(SEG, 1) == call
+            src.wait(0)
+        # ... and in the delivery thread's own order of events.
+        assert order == ["data", "notification"] * 3
