@@ -439,70 +439,6 @@ def run_trace_measurement(
     }
 
 
-def run_telemetry_measurement(
-    collective: str = "allreduce",
-    algorithm: str = "ring_pipelined",
-    nbytes: int = 1_048_576,
-    ranks: int = 8,
-    iterations: int = 5,
-    backend: str = "threaded",
-) -> Dict[str, object]:
-    """One micro cell bare vs telemetry-enabled, plus the merged snapshot.
-
-    The cell runs twice on the same backend — without a registry, then
-    with every rank feeding a :class:`~repro.telemetry.Telemetry` — and
-    reports the enabled-mode overhead the same way ``--trace`` reports
-    tracing overhead.  The per-rank result checksums of both runs are
-    compared (telemetry must never change the numerics) and the merged,
-    schema-validated snapshot is returned for embedding in the report's
-    meta.
-    """
-    from ..telemetry import Telemetry, merge_snapshots, validate_snapshot
-
-    def timed(enabled: bool):
-        def worker(runtime):
-            tel = Telemetry(rank=runtime.rank) if enabled else None
-            comm = Communicator(runtime, telemetry=tel)
-            elements = max(1, nbytes // 8)
-            sendbuf = np.full(elements, float(runtime.rank) + 1.0, dtype=np.float64)
-            recvbuf = np.empty_like(sendbuf)
-            call = _collective_caller(comm, collective, algorithm, sendbuf, recvbuf)
-            call()  # warmup: compiles the plan
-            runtime.barrier()
-            start = time.perf_counter()
-            for _ in range(iterations):
-                call()
-            elapsed = time.perf_counter() - start
-            runtime.barrier()
-            checksum = float(np.sum(recvbuf if collective != "bcast" else sendbuf))
-            comm.close()
-            snap = tel.snapshot() if tel is not None else None
-            return elapsed / iterations, checksum, snap
-
-        results = run_backend(ranks, worker, backend=backend)
-        latency = max(r[0] for r in results)
-        checksums = [r[1] for r in results]
-        snapshots = [r[2] for r in results]
-        return latency, checksums, snapshots
-
-    base_latency, base_checksums, _ = timed(False)
-    tel_latency, tel_checksums, snapshots = timed(True)
-    merged = merge_snapshots(snapshots)
-    validate_snapshot(merged)
-    return {
-        "collective": collective,
-        "algorithm": algorithm,
-        "backend": backend,
-        "ranks": ranks,
-        "payload_bytes": nbytes,
-        "results_match": base_checksums == tel_checksums,
-        "base_seconds": base_latency,
-        "telemetry_seconds": tel_latency,
-        "overhead": tel_latency / base_latency if base_latency else float("inf"),
-        "snapshot": merged,
-    }
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backend", choices=BACKENDS + ("both",),
@@ -526,10 +462,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="run one cell under TracingRuntime, replay it "
                              "through the static checkers and report the "
                              "tracing overhead (skips the sweep)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="additionally run one cell bare vs "
-                             "telemetry-enabled, report the overhead and "
-                             "embed the merged snapshot in the report meta")
     parser.add_argument("--elasticity", action="store_true",
                         help="additionally measure time-to-shrink and "
                              "time-to-respawn per world size and embed the "
@@ -590,14 +522,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overlap_records, overlap_rows = run_overlap_measurement(quick=args.quick)
         records.extend(overlap_records)
 
-    telemetry_row: Dict[str, object] = {}
-    if args.telemetry:
-        telemetry_row = run_telemetry_measurement(
-            ranks=args.ranks,
-            nbytes=min(sizes) if args.quick else 1_048_576,
-            iterations=iterations,
-            backend=backends[0],
-        )
 
     elasticity: Dict[str, object] = {}
     if args.elasticity:
@@ -642,7 +566,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "pipelined_speedups_large": [r["speedup"] for r in large_rows],
             "backend_comparison": crossover,
             "overlap_demo": overlap_rows,
-            "telemetry": telemetry_row,
             "elasticity": {
                 k: v for k, v in elasticity.items() if k != "table"
             },
@@ -681,12 +604,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"\ndetection too slow for the degraded window in "
                   f"{len(slow)} cell(s)")
             return 1
-    if telemetry_row:
-        print(f"\ntelemetry cell [{telemetry_row['backend']}]: bare "
-              f"{telemetry_row['base_seconds']*1e3:.2f} ms vs instrumented "
-              f"{telemetry_row['telemetry_seconds']*1e3:.2f} ms "
-              f"({telemetry_row['overhead']:.2f}x, results_match="
-              f"{telemetry_row['results_match']})")
     print(f"\nreport written to {args.out}")
     return 0
 

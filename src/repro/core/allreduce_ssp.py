@@ -58,7 +58,6 @@ from .plan import (
     CollectivePlan,
     PipelineGen,
     WaitSpec,
-    _plan_poll_timeout,
     drive_pipeline,
 )
 from .policy import CollectiveResult
@@ -461,8 +460,7 @@ class HypercubeAllreducePlan(CollectivePlan):
 
     def execute(self, request) -> CollectiveResult:
         bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
-        poll_timeout = min(_plan_poll_timeout(self.runtime, request), bound)
-        return drive_pipeline(self.runtime, self._run(request, poll_timeout), bound)
+        return drive_pipeline(self.runtime, self._run(request, bound), bound)
 
     def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(

@@ -517,20 +517,37 @@ class Communicator:
         keeps the cache exact — suspicion or injected faults reroute to
         tolerant algorithms, so those states key separately.
         """
-        policy = policy or self._policy
+        return self._resolve(
+            collective, nbytes, algorithm, policy or self._policy,
+            self.runtime.fault_injected,
+        )  # fmt: skip
+
+    def _resolve(
+        self,
+        collective: str,
+        nbytes: int,
+        algorithm: str,
+        policy: ConsistencyPolicy,
+        injected: bool,
+    ) -> AlgorithmInfo:
+        """The memoized :meth:`resolve`, handed ``runtime.fault_injected``.
+
+        That property walks every wrapper of the runtime stack: a dispatch
+        reads it once, for this memo key and for :meth:`_plan_for`'s guard.
+        """
         memo_key = (
             collective,
             algorithm,
             int(nbytes),
             policy,
             bool(self._suspected),
-            self.runtime.fault_injected,
+            injected,
             self._faults is not None and self._faults.can_lose_contributions,
         )
         cached = self._resolve_cache.get(memo_key)
         if cached is not None:
             return cached
-        info = self._resolve_uncached(collective, nbytes, algorithm, policy)
+        info = self._resolve_uncached(collective, nbytes, algorithm, policy, injected)
         self._resolve_cache[memo_key] = info
         return info
 
@@ -540,11 +557,12 @@ class Communicator:
         nbytes: int,
         algorithm: str,
         policy: ConsistencyPolicy,
+        injected: bool,
     ) -> AlgorithmInfo:
         if algorithm in (None, "auto"):
             if (
                 (self._faults is not None and self._faults.can_lose_contributions)
-                or self.runtime.fault_injected
+                or injected
                 or policy.on_failure != "abort"
             ):
                 info = self._fault_tolerant_candidate(collective, policy)
@@ -611,17 +629,20 @@ class Communicator:
         while len(self._open_degraded) > _MAX_OPEN_DEGRADED:
             self._open_degraded.pop(0).close()
 
-    def _schedule_nbytes(self, collective: str, request: CollectiveRequest) -> int:
-        """Payload size the schedule builders expect for this collective."""
+    def _schedule_nbytes(self, collective: str, payload: int) -> int:
+        """Payload size the schedule builders expect for this collective.
+
+        ``payload`` is ``request.nbytes``, which a dispatch evaluates once.
+        """
         if collective == "alltoall":
-            return request.nbytes // max(self.size, 1)
-        return request.nbytes
+            return payload // max(self.size, 1)
+        return payload
 
     # ------------------------------------------------------------------ #
     # compiled plans
     # ------------------------------------------------------------------ #
     def _plan_for(
-        self, info: AlgorithmInfo, request: CollectiveRequest
+        self, info: AlgorithmInfo, request: CollectiveRequest, injected: bool
     ) -> Optional[CollectivePlan]:
         """Cached (or freshly compiled) plan serving this request, or ``None``.
 
@@ -642,9 +663,10 @@ class Communicator:
             return None
         if request.metadata.get("known_failed"):
             return None
-        if self.runtime.fault_injected:
+        if injected:
             # A loss-capable fault plan is attached somewhere in the runtime
-            # stack (the wrapper advertises exactly can_lose_contributions).
+            # stack (``runtime.fault_injected``, read once by the dispatch:
+            # the wrapper advertises exactly can_lose_contributions).
             return None
         key = PlanKey.from_request(info, self.runtime, request)
         if key is None:
@@ -684,49 +706,51 @@ class Communicator:
     ) -> CollectiveResult:
         """Route one collective through the registry (and the simulator).
 
-        With telemetry attached, the dispatch is recorded as one span per
+        With telemetry attached, the dispatch is recorded as one event per
         call (algorithm, payload bytes, plan-cache outcome, degraded
-        outcome with ``missing_ranks``) plus a latency histogram sample;
-        without it, one attribute check routes straight to the
-        uninstrumented implementation.
+        outcome with ``missing_ranks``) plus a latency histogram sample,
+        both from one pair of clock reads; without it, one attribute check
+        routes straight to the uninstrumented implementation.
         """
         tel = self._telemetry
+        payload = request.nbytes
         if not tel.enabled:
-            result = self._dispatch_impl(collective, algorithm, request)
+            result = self._dispatch_impl(collective, algorithm, request, payload)
             self._fire_boundary_hooks()
             return result
-        self._c_calls.add()
-        hits0 = self._plans._hits
-        misses0 = self._plans._misses
+        self._c_calls.value += 1
+        plans = self._plans
+        hits0 = plans._hits
+        misses0 = plans._misses
         t0 = CLOCK()
-        with tel.span(collective, cat="collective", nbytes=request.nbytes) as span:
-            try:
-                result = self._dispatch_impl(collective, algorithm, request)
-            except Exception as exc:
-                self._c_errors.add()
-                span.set(outcome="error", error=type(exc).__name__)
-                raise
-            if self._plans._hits > hits0:
-                cache = "hit"
-            elif self._plans._misses > misses0:
-                cache = "miss"
-            else:
-                cache = "bypass"
-            span.set(algorithm=result.algorithm, plan_cache=cache)
-            if result.missing_ranks:
-                self._c_degraded.add()
-                span.set(
-                    outcome="degraded",
-                    missing_ranks=sorted(result.missing_ranks),
-                )
-            else:
-                span.set(outcome="ok")
-        self._h_latency.observe(CLOCK() - t0)
+        try:
+            result = self._dispatch_impl(collective, algorithm, request, payload)
+        except Exception as exc:
+            self._c_errors.value += 1
+            tel.record_span(
+                collective, "collective", t0, CLOCK(),
+                ("nbytes", payload, "outcome", "error", "error", type(exc).__name__),
+            )  # fmt: skip
+            raise
+        t1 = CLOCK()
+        cache = (
+            "hit" if plans._hits > hits0
+            else "miss" if plans._misses > misses0
+            else "bypass"
+        )  # fmt: skip
+        args = ("nbytes", payload, "algorithm", result.algorithm, "plan_cache", cache)
+        if result.missing_ranks:
+            self._c_degraded.value += 1
+            args += ("outcome", "degraded", "missing_ranks", sorted(result.missing_ranks))
+        else:
+            args += ("outcome", "ok")
+        tel.record_span(collective, "collective", t0, t1, args)
+        self._h_latency.observe(t1 - t0)
         self._fire_boundary_hooks()
         return result
 
     def _dispatch_impl(
-        self, collective: str, algorithm: str, request: CollectiveRequest
+        self, collective: str, algorithm: str, request: CollectiveRequest, payload: int
     ) -> CollectiveResult:
         check_policy(request.policy)
         seq = self._collective_seq
@@ -741,9 +765,10 @@ class Communicator:
             request.metadata.setdefault("known_failed", frozenset(self._suspected))
         if self._detect_timeout is not None:
             request.metadata.setdefault("detect_timeout", self._detect_timeout)
-        nbytes = self._schedule_nbytes(collective, request)
-        info = self.resolve(collective, nbytes, algorithm, request.policy)
-        plan = self._plan_for(info, request)
+        nbytes = self._schedule_nbytes(collective, payload)
+        injected = self.runtime.fault_injected
+        info = self._resolve(collective, nbytes, algorithm, request.policy, injected)
+        plan = self._plan_for(info, request, injected)
         if plan is not None:
             if self._progress.active:
                 # A nonblocking handle may still be driving this plan; a
@@ -1028,7 +1053,12 @@ class Communicator:
         self._progress.stop_thread()
 
     def _resolve_nonblocking(
-        self, collective: str, nbytes: int, algorithm: str, policy: ConsistencyPolicy
+        self,
+        collective: str,
+        nbytes: int,
+        algorithm: str,
+        policy: ConsistencyPolicy,
+        injected: bool,
     ) -> AlgorithmInfo:
         """Resolution for the nonblocking path: prefer pipelined entries.
 
@@ -1045,7 +1075,6 @@ class Communicator:
         capability checks is several times a blocking resolve, and an
         ``i*`` call pays it every time otherwise.
         """
-        injected = self.runtime.fault_injected
         lossy = self._faults is not None and self._faults.can_lose_contributions
         memo_key = (
             collective, algorithm, int(nbytes), policy,
@@ -1066,7 +1095,7 @@ class Communicator:
                     info = candidate
                     break
         if info is None:
-            info = self.resolve(collective, nbytes, algorithm, policy)
+            info = self._resolve(collective, nbytes, algorithm, policy, injected)
         self._resolve_cache[memo_key] = info
         return info
 
@@ -1082,11 +1111,15 @@ class Communicator:
         merely not overlapped, in those regimes.
         """
         check_policy(request.policy)
-        nbytes = self._schedule_nbytes(collective, request)
-        info = self._resolve_nonblocking(collective, nbytes, algorithm, request.policy)
+        payload = request.nbytes
+        nbytes = self._schedule_nbytes(collective, payload)
+        injected = self.runtime.fault_injected
+        info = self._resolve_nonblocking(
+            collective, nbytes, algorithm, request.policy, injected
+        )
         plan = None
         if info.capabilities.pipelined:
-            plan = self._plan_for(info, request)
+            plan = self._plan_for(info, request, injected)
         if plan is None or not hasattr(plan, "begin"):
             result = self._dispatch(collective, info.name, request)
             return CollectiveHandle(
@@ -1103,7 +1136,6 @@ class Communicator:
         self._c_nonblocking.add()
         tel = self._telemetry
         issue_t = CLOCK() if tel.enabled else 0.0
-        span_nbytes = request.nbytes
 
         def on_complete(result: CollectiveResult) -> None:
             result.algorithm = info.name
@@ -1114,7 +1146,7 @@ class Communicator:
                 # than with a context-managed span.
                 tel.record_span(
                     f"i{collective}", "collective", issue_t, CLOCK(),
-                    {"algorithm": info.name, "nbytes": span_nbytes,
+                    {"algorithm": info.name, "nbytes": payload,
                      "outcome": "ok", "nonblocking": True},
                 )
             if self._machine is not None:
@@ -1231,15 +1263,16 @@ class Communicator:
             op=op,
             policy=policy,
         )
-        nbytes = self._schedule_nbytes(collective, probe)
-        info = self.resolve(collective, nbytes, algorithm, policy)
+        nbytes = self._schedule_nbytes(collective, probe.nbytes)
+        injected = self.runtime.fault_injected
+        info = self._resolve(collective, nbytes, algorithm, policy, injected)
         require(
             info.plannable,
             f"algorithm {info.name!r} does not support compiled plans; "
             f"plannable {collective} algorithms: "
             f"{[n for n in self._registry.names(collective=collective) if self._registry.get(n).plannable] or '<none>'}",
         )
-        plan = self._plan_for(info, probe)
+        plan = self._plan_for(info, probe, injected)
         require(
             plan is not None,
             "persistent collectives need the plan cache (plan_cache > 0) and "

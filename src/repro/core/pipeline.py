@@ -86,7 +86,6 @@ from .plan import (
     PipelineGen,
     PlanKey,
     WaitSpec,
-    _plan_poll_timeout,
     drive_pipeline,
 )
 from .policy import CollectiveResult
@@ -644,9 +643,7 @@ class PipelinedBstBcastPlan(CollectivePlan):
         # so the blocking path pays exactly one wait per notification —
         # no poll-then-park double round-trip.
         return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
+            self.runtime, self._run(request, request.timeout), request.timeout
         )
 
     # ------------------------------------------------------------------ #
@@ -853,9 +850,7 @@ class PipelinedBstReducePlan(CollectivePlan):
 
     def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
         return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
+            self.runtime, self._run(request, request.timeout), request.timeout
         )
 
     # ------------------------------------------------------------------ #
@@ -1176,9 +1171,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
     def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
         return drive_pipeline(
-            self.runtime,
-            self._run(request, poll_timeout=_plan_poll_timeout(self.runtime, request)),
-            request.timeout,
+            self.runtime, self._run(request, request.timeout), request.timeout
         )
 
     # ------------------------------------------------------------------ #

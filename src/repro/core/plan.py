@@ -46,7 +46,8 @@ algorithm module can use it: the executor body yields a :class:`WaitSpec`
 where it cannot progress, :func:`drive_pipeline` runs it with blocking
 waits, a ``begin()`` generator runs it incrementally (the nonblocking API,
 the model checker), and :func:`_run_cold` is a cold call — a throwaway
-plan.
+plan.  Nothing here measures a wait: an attached metrics registry observes
+them from the runtime stack and changes none of them.
 """
 
 from __future__ import annotations
@@ -57,14 +58,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tup
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
-from ..telemetry.core import CLOCK
 from ..utils.validation import require
 from .reduction_ops import get_op
 from .workspace import Lease, WorkspacePool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..gaspi.runtime import GaspiRuntime
-    from ..telemetry.core import Telemetry
     from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
     from .registry import AlgorithmInfo
     from .schedule import CommunicationSchedule
@@ -388,14 +387,11 @@ def drive_pipeline(
 ) -> "CollectiveResult":
     """Run a pipeline generator to completion with blocking waits.
 
-    When the runtime stack carries a telemetry registry the blocking
-    waits become ``"chunk"`` spans (nested inside the dispatch span on
-    the trace timeline) and feed the ``pipeline.chunk_wait_s`` histogram;
-    otherwise the loop is exactly the uninstrumented original.
+    The one blocking loop, whatever wraps ``runtime``: a plan's blocking
+    ``execute`` hands its generator the request's (bounded) timeout, so the
+    generator waits inline — one ``notify_waitsome`` per notification — and
+    only a wait that timed out reaches this loop.
     """
-    tel = getattr(runtime, "telemetry", None)
-    if tel is not None and tel.enabled:
-        return _drive_pipeline_instrumented(runtime, tel, gen, timeout)
     try:
         spec = next(gen)
         while True:
@@ -409,56 +405,6 @@ def drive_pipeline(
                     f"for notifications [{spec.first}, {spec.first + spec.count}) "
                     f"on segment {spec.segment_id}"
                 )
-            spec = next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
-def _plan_poll_timeout(runtime: "GaspiRuntime", request: "CollectiveRequest") -> float:
-    """Inline-wait timeout for a plan's blocking ``execute`` path.
-
-    Uninstrumented, the generator waits inline with the request's timeout
-    and never yields (one wait per notification, no poll-then-park double
-    round-trip).  With telemetry attached it polls with ``timeout=0`` and
-    yields when blocked, so every blocked chunk surfaces as a
-    :class:`WaitSpec` and the instrumented driver can record it as a
-    ``"chunk"`` span — the cost is the extra zero-timeout probe per
-    notification, which is part of the documented enabled-mode overhead.
-    """
-    tel = getattr(runtime, "telemetry", None)
-    if tel is not None and tel.enabled:
-        return 0.0
-    return request.timeout
-
-
-def _drive_pipeline_instrumented(
-    runtime: "GaspiRuntime", tel: "Telemetry", gen: PipelineGen, timeout: float
-) -> "CollectiveResult":
-    """The blocking driver with per-chunk wait instrumentation."""
-    h_wait = tel.histogram("pipeline.chunk_wait_s")
-    c_chunks = tel.counter("pipeline.chunks")
-    try:
-        spec = next(gen)
-        while True:
-            t0 = CLOCK()
-            got = runtime.notify_waitsome(
-                spec.segment_id, spec.first, spec.count, timeout=timeout
-            )
-            t1 = CLOCK()
-            if got is None:
-                gen.close()
-                raise TimeoutError(
-                    f"rank {runtime.rank}: pipelined collective timed out waiting "
-                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
-                    f"on segment {spec.segment_id}"
-                )
-            h_wait.observe(t1 - t0)
-            c_chunks.add()
-            tel.record_span(
-                "chunk", "chunk", t0, t1,
-                {"segment": spec.segment_id, "first": spec.first,
-                 "count": spec.count},
-            )
             spec = next(gen)
     except StopIteration as stop:
         return stop.value

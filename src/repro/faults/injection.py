@@ -324,25 +324,31 @@ class FaultyRuntime(RuntimeWrapper):
         self._plan.recover(self._rank)
 
     # -- fault machinery -------------------------------------------------- #
-    def _check_alive(self) -> None:
+    def _data_plane_op(self, target_rank: int) -> bool:
+        """Account one op; returns False when the message must be dropped.
+
+        The plan is asked only for what its fields say can fire — tested
+        per call, the plan is mutable — so an empty plan costs a post the
+        liveness check and the op count.
+        """
         if self._crashed:
             raise RankCrashedError(self._rank, self._ops)
-
-    def _data_plane_op(self, target_rank: int) -> bool:
-        """Account one op; returns False when the message must be dropped."""
-        self._check_alive()
         rank = self._rank
         step = self._ops
-        self._ops += 1
+        self._ops = step + 1
         crash = self._crash_step
         if crash is not None and step >= crash:
             self._crashed = True
             logger.debug("rank %d: injected crash at data-plane op %d", rank, step)
             raise RankCrashedError(rank, step)
-        pause = self._plan.send_delay(rank, step)
-        if pause > 0.0:
-            time.sleep(pause)
-        if self._plan.should_drop(rank, target_rank, step):
+        plan = self._plan
+        if plan.delay or plan.jitter:
+            pause = plan.send_delay(rank, step)
+            if pause > 0.0:
+                time.sleep(pause)
+        if (plan.drop_links or plan.drop_probability) and plan.should_drop(
+            rank, target_rank, step
+        ):
             logger.debug(
                 "rank %d: injected drop of op %d toward rank %d",
                 rank, step, target_rank,
@@ -421,11 +427,13 @@ class FaultyRuntime(RuntimeWrapper):
         size: int,
         num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
     ) -> None:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         self.inner.segment_create(segment_id, size, num_notifications)
 
     def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         self.inner.segment_bind(segment_id, array)
 
     def notify_waitsome(
@@ -435,7 +443,8 @@ class FaultyRuntime(RuntimeWrapper):
         notification_count: Optional[int] = None,
         timeout: float = GASPI_BLOCK,
     ) -> Optional[int]:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         return self.inner.notify_waitsome(
             segment_id_local, notification_begin, notification_count, timeout
         )
@@ -446,7 +455,8 @@ class FaultyRuntime(RuntimeWrapper):
         notification_begin: int = 0,
         notification_count: Optional[int] = None,
     ) -> bool:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         return self.inner.notify_probe(
             segment_id_local, notification_begin, notification_count
         )
@@ -457,23 +467,27 @@ class FaultyRuntime(RuntimeWrapper):
         notification_begin: int = 0,
         notification_count: Optional[int] = None,
     ) -> dict:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         return self.inner.notify_drain(
             segment_id_local, notification_begin, notification_count
         )
 
     def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         self.inner.wait(queue, timeout)
 
     def barrier(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         self.inner.barrier(group, timeout)
 
     def atomic_fetch_add(
         self, segment_id: int, offset: int, target_rank: int, value: int
     ) -> int:
-        self._check_alive()
+        if self._crashed:
+            raise RankCrashedError(self._rank, self._ops)
         return self.inner.atomic_fetch_add(segment_id, offset, target_rank, value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

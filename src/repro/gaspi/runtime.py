@@ -191,13 +191,14 @@ class GaspiRuntime(abc.ABC):
 
         ``telemetry`` is a :class:`repro.telemetry.Telemetry` registry; the
         returned wrapper forwards all operations to ``self`` while counting
-        writes, bytes, notifications, and wait/barrier latencies.  Imported
+        writes, bytes, notifications, and wait/barrier latencies (a disabled
+        registry has nothing to feed: ``self`` is returned as is).  Imported
         lazily so the core runtime stack carries no dependency on the
         telemetry package.
         """
         from ..telemetry.runtime import TelemetryRuntime
 
-        return TelemetryRuntime(self, telemetry)
+        return TelemetryRuntime(self, telemetry) if telemetry.enabled else self
 
     @property
     def telemetry(self) -> Any:
@@ -205,8 +206,8 @@ class GaspiRuntime(abc.ABC):
 
         Overridden by :class:`repro.telemetry.runtime.TelemetryRuntime`
         (returns the live registry) and forwarded by the wrapping runtimes
-        so downstream instrumentation (the pipeline driver, the fault
-        vertical) can discover the registry with one attribute read.
+        so downstream instrumentation (the fault vertical, the health
+        layer) can discover the registry with one attribute read.
         """
         return None
 

@@ -11,9 +11,15 @@ runs:
 * the *enabled* path takes no locks on the hot counters — one registry
   serves one rank, and under the per-rank threading model (a rank thread
   plus its progress thread) the rare lost increment is an observability
-  rounding error, never a correctness one;
-* spans are appended to a bounded event list (overflow is counted, not
-  grown), so a long run cannot balloon memory.
+  rounding error, never a correctness one — and a hot site pays an add:
+  it bumps :attr:`Counter.value` in place, no call;
+* an event is one tuple ``(name, cat, t0, t1, args)`` appended to a
+  bounded ring (:meth:`Telemetry.record_span`, the one recorder).  A full
+  ring overwrites its *oldest* event and counts it — flight-recorder
+  order: a long run keeps its most recent ``max_events`` events, the ones
+  a degradation is diagnosed from, and cannot balloon memory.  The
+  ``repro-telemetry/v1`` event dicts exist only in
+  ``snapshot(events=True)``.
 
 Cross-backend aggregation goes through :meth:`Telemetry.snapshot` — a
 plain-JSON dict — and :func:`merge_snapshots`.  On the threaded backend
@@ -29,10 +35,11 @@ processes of one shm world share a timeline.
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Monotonic clock used for every span and wait measurement.
 CLOCK = time.perf_counter
@@ -40,9 +47,14 @@ CLOCK = time.perf_counter
 #: Schema tag carried by every snapshot (per-rank and merged).
 SNAPSHOT_SCHEMA = "repro-telemetry/v1"
 
-#: Default span/event capacity of one registry; overflow increments
-#: ``events_dropped`` instead of growing the list.
+#: Default capacity of one registry's event ring; an event recorded into a
+#: full ring overwrites the oldest one, which ``events_dropped`` counts.
 DEFAULT_MAX_EVENTS = 65_536
+
+#: Attributes of an event as recorders may pass them: a dict, or — what the
+#: per-call and per-wait recorders build, one allocation — a flat
+#: ``(key, value, key, value, ...)`` tuple.
+EventArgs = Union[Dict[str, Any], Tuple[Any, ...], None]
 
 
 def default_latency_bounds() -> Tuple[float, ...]:
@@ -59,7 +71,11 @@ def default_latency_bounds() -> Tuple[float, ...]:
 # instruments
 # --------------------------------------------------------------------------- #
 class Counter:
-    """Monotonically increasing event count."""
+    """Monotonically increasing event count: a ``__slots__`` int holder.
+
+    Hot sites bump :attr:`value` in place (``counter.value += 1`` — an add,
+    not a call); :meth:`add` is the same thing for everybody else.
+    """
 
     __slots__ = ("name", "value")
 
@@ -68,7 +84,7 @@ class Counter:
         self.value = 0
 
     def add(self, n: int = 1) -> None:
-        self.value += int(n)
+        self.value += n
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
@@ -106,27 +122,29 @@ class Histogram:
     small sample counts.
     """
 
-    __slots__ = ("name", "bounds", "counts", "overflow", "count", "total", "min", "max")
+    __slots__ = ("name", "bounds", "counts", "count", "total", "min", "max")
 
     def __init__(self, name: str, bounds: Optional[Sequence[float]] = None) -> None:
         self.name = name
         self.bounds: Tuple[float, ...] = (
             tuple(float(b) for b in bounds) if bounds else default_latency_bounds()
         )
-        self.counts = [0] * len(self.bounds)
-        self.overflow = 0
+        #: One count per bound, then the overflow bucket: ``observe``
+        #: indexes it with the bisection result as is.
+        self.counts = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
         self.max = float("-inf")
 
+    @property
+    def overflow(self) -> int:
+        """Samples beyond the last bound."""
+        return self.counts[-1]
+
     def observe(self, value: float) -> None:
-        value = float(value)
-        i = bisect.bisect_left(self.bounds, value)
-        if i < len(self.counts):
-            self.counts[i] += 1
-        else:
-            self.overflow += 1
+        """Record one sample (a ``float``; hot, so nothing is coerced)."""
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.count += 1
         self.total += value
         if value < self.min:
@@ -202,9 +220,11 @@ def percentile_from_buckets(
 class Span:
     """One timed region, recorded as a trace event when the block exits.
 
-    Context manager handed out by :meth:`Telemetry.span`; attributes set
-    via :meth:`set` (algorithm, outcome, ...) land in the Chrome trace
-    event's ``args``.
+    Context manager handed out by :meth:`Telemetry.span` — the convenience
+    on top of :meth:`Telemetry.record_span` for code that is not hot (the
+    dispatch path times itself and calls the recorder directly);
+    attributes set via :meth:`set` (algorithm, outcome, ...) land in the
+    Chrome trace event's ``args``.
     """
 
     __slots__ = ("_telemetry", "name", "cat", "args", "_t0")
@@ -248,9 +268,12 @@ class Telemetry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._events: List[Dict[str, Any]] = []
-        self._max_events = int(max_events)
-        self._dropped = 0
+        #: The event ring: ``(name, cat, t0, t1, args)`` tuples, oldest first.
+        self._ring: Deque[Tuple[str, str, float, float, EventArgs]] = deque(
+            maxlen=int(max_events)
+        )
+        #: Events ever recorded; all but the ``len(ring)`` newest were dropped.
+        self._seen = 0
 
     # ------------------------------------------------------------------ #
     def counter(self, name: str) -> Counter:
@@ -274,21 +297,26 @@ class Telemetry:
                 inst = self._histograms.setdefault(name, Histogram(name, bounds))
         return inst
 
+    def alias(self, name: str, histogram: Histogram) -> None:
+        """Publish ``histogram`` under ``name`` as well: one observation, two names."""
+        with self._lock:
+            self._histograms.setdefault(name, histogram)
+
     # ------------------------------------------------------------------ #
     def span(self, name: str, cat: str = "collective", **args: Any) -> Span:
         """Context manager timing one region into the event timeline."""
         return Span(self, name, cat, args)
 
     def record_span(
-        self, name: str, cat: str, t0: float, t1: float, args: Optional[Dict[str, Any]] = None
+        self, name: str, cat: str, t0: float, t1: float, args: EventArgs = None
     ) -> None:
-        """Record one already-timed region (spans measured by hand)."""
-        if len(self._events) >= self._max_events:
-            self._dropped += 1
-            return
-        self._events.append(
-            {"name": name, "cat": cat, "ts": t0, "dur": t1 - t0, "args": args or {}}
-        )
+        """Record one already-timed region: the one recorder, one tuple.
+
+        ``args`` is kept as given (see :data:`EventArgs`) and becomes the
+        event's ``args`` dict only in :meth:`snapshot`.
+        """
+        self._seen += 1
+        self._ring.append((name, cat, t0, t1, args))  # a full ring drops its oldest
 
     def record_event(self, name: str, cat: str = "health", **args: Any) -> None:
         """Record an instant (zero-duration) event on the timeline.
@@ -309,10 +337,11 @@ class Telemetry:
         trace export); the default metrics-only form stays compact enough
         to embed in benchmark report metadata.
         """
+        kept = len(self._ring)
         snap: Dict[str, Any] = {
             "schema": SNAPSHOT_SCHEMA,
             "rank": self.rank,
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": {n: int(c.value) for n, c in sorted(self._counters.items())},
             "gauges": {
                 n: {"last": g.last, "max": g.max, "updates": g.updates}
                 for n, g in sorted(self._gauges.items())
@@ -320,18 +349,26 @@ class Telemetry:
             "histograms": {
                 n: h.snapshot() for n, h in sorted(self._histograms.items())
             },
-            "events_recorded": len(self._events),
-            "events_dropped": self._dropped,
+            "events_recorded": kept,
+            "events_dropped": max(0, self._seen - kept),
         }
         if events:
-            snap["events"] = list(self._events)
+            # list(): one atomic copy; the progress thread may be recording.
+            snap["events"] = [_event_dict(*event) for event in list(self._ring)]
         return snap
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Telemetry(rank={self.rank}, counters={len(self._counters)}, "
-            f"events={len(self._events)})"
+            f"events={len(self._ring)})"
         )
+
+
+def _event_dict(name: str, cat: str, t0: float, t1: float, args: EventArgs) -> Dict[str, Any]:
+    """The ``repro-telemetry/v1`` form of one ring entry."""
+    if not isinstance(args, dict):
+        args = dict(zip(args[::2], args[1::2])) if args else {}
+    return {"name": name, "cat": cat, "ts": t0, "dur": t1 - t0, "args": args}
 
 
 # --------------------------------------------------------------------------- #
@@ -400,7 +437,7 @@ class NullTelemetry:
         return _NULL_SPAN
 
     def record_span(
-        self, name: str, cat: str, t0: float, t1: float, args: Optional[Dict[str, Any]] = None
+        self, name: str, cat: str, t0: float, t1: float, args: EventArgs = None
     ) -> None:
         pass
 

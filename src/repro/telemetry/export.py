@@ -161,6 +161,6 @@ def render_summary(snapshot: Dict[str, Any]) -> str:
     lines.append("")
     lines.append(
         f"spans: {snapshot.get('events_recorded', 0)} recorded"
-        + (f", {dropped} dropped (raise max_events)" if dropped else "")
+        + (f", {dropped} older ones overwritten (raise max_events)" if dropped else "")
     )
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Instrumented runtime wrapper: traffic counters and wait histograms.
+"""Instrumented runtime wrapper: traffic counters, wait histograms, wait events.
 
 :class:`TelemetryRuntime` is a
 :class:`~repro.gaspi.runtime.RuntimeWrapper` around any
@@ -10,12 +10,24 @@ one is the inner runtime's own.  It feeds a
 * ``runtime.writes`` / ``runtime.bytes_written`` — one-sided posts;
 * ``runtime.notifications_posted`` / ``runtime.notifications_consumed``;
 * ``runtime.wait_s`` — latency histogram of every *blocking*
-  ``notify_waitsome`` (zero-timeout probes are forwarded untimed: the
-  progress engine polls them by the thousand);
+  ``notify_waitsome`` that returned a notification.  This is the one
+  place a wait is measured — a plan waits the same way with or without a
+  registry — so the same clock pair also is the wait's ``"chunk"`` event
+  (``segment`` / ``first`` / ``count``: which notification range) on the
+  timeline and its ``pipeline.chunks`` count, and ``pipeline.chunk_wait_s``
+  is this histogram under its second name.  Blocking ``execute`` and the
+  progress engine's ``wait_until`` record identically.  Zero-timeout
+  probes are forwarded untimed (the progress engine polls them by the
+  thousand), and a wait that timed out records nothing: the progress
+  thread parks 200 µs at a time, and a collective that gives up is an
+  ``outcome="error"`` span;
 * ``runtime.barriers`` / ``runtime.barrier_s`` — barrier count and wait
   time, the cheapest live arrival-skew signal a rank has;
 * ``runtime.segments_created`` / ``runtime.segments_deleted`` — segment
   registrations, which a warm workspace pool keeps at zero.
+
+Counters are bumped in place (``counter.value += 1``): per operation the
+wrapper costs its frame and an add per counter, nothing else.
 
 The wrapper sits *outside* any fault-injection layer (the communicator
 wraps faults first, telemetry last), so posts that a fault plan swallows
@@ -47,8 +59,8 @@ class TelemetryRuntime(RuntimeWrapper):
     def __init__(self, inner: GaspiRuntime, telemetry: Telemetry) -> None:
         super().__init__(inner)
         self._telemetry = telemetry
-        # Instrument handles are resolved once; the hot path then pays a
-        # method call and an integer add per operation.
+        # Instrument handles are resolved once; the hot path then pays an
+        # integer add per counter.
         self._c_writes = telemetry.counter("runtime.writes")
         self._c_bytes = telemetry.counter("runtime.bytes_written")
         self._c_posted = telemetry.counter("runtime.notifications_posted")
@@ -56,7 +68,9 @@ class TelemetryRuntime(RuntimeWrapper):
         self._c_barriers = telemetry.counter("runtime.barriers")
         self._c_created = telemetry.counter("runtime.segments_created")
         self._c_deleted = telemetry.counter("runtime.segments_deleted")
+        self._c_chunks = telemetry.counter("pipeline.chunks")
         self._h_wait = telemetry.histogram("runtime.wait_s")
+        telemetry.alias("pipeline.chunk_wait_s", self._h_wait)
         self._h_barrier = telemetry.histogram("runtime.barrier_s")
 
     @property
@@ -72,11 +86,11 @@ class TelemetryRuntime(RuntimeWrapper):
         num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
     ) -> None:
         self.inner.segment_create(segment_id, size, num_notifications)
-        self._c_created.add()
+        self._c_created.value += 1
 
     def segment_delete(self, segment_id: int) -> None:
         self.inner.segment_delete(segment_id)
-        self._c_deleted.add()
+        self._c_deleted.value += 1
 
     # -- one-sided ------------------------------------------------------ #
     def write(
@@ -93,8 +107,8 @@ class TelemetryRuntime(RuntimeWrapper):
             segment_id_local, offset_local, target_rank, segment_id_remote,
             offset_remote, size, queue,
         )
-        self._c_writes.add()
-        self._c_bytes.add(size)
+        self._c_writes.value += 1
+        self._c_bytes.value += size
 
     def notify(
         self,
@@ -107,7 +121,7 @@ class TelemetryRuntime(RuntimeWrapper):
         self.inner.notify(
             target_rank, segment_id_remote, notification_id, notification_value, queue
         )
-        self._c_posted.add()
+        self._c_posted.value += 1
 
     def write_notify(
         self,
@@ -125,9 +139,9 @@ class TelemetryRuntime(RuntimeWrapper):
             segment_id_local, offset_local, target_rank, segment_id_remote,
             offset_remote, size, notification_id, notification_value, queue,
         )
-        self._c_writes.add()
-        self._c_bytes.add(size)
-        self._c_posted.add()
+        self._c_writes.value += 1
+        self._c_bytes.value += size
+        self._c_posted.value += 1
 
     def write_notify_from(
         self,
@@ -143,9 +157,9 @@ class TelemetryRuntime(RuntimeWrapper):
             source, target_rank, segment_id_remote, offset_remote,
             notification_id, notification_value, queue,
         )
-        self._c_writes.add()
-        self._c_bytes.add(source.nbytes)
-        self._c_posted.add()
+        self._c_writes.value += 1
+        self._c_bytes.value += source.nbytes
+        self._c_posted.value += 1
 
     # -- weak synchronisation ------------------------------------------- #
     def notify_waitsome(
@@ -165,13 +179,21 @@ class TelemetryRuntime(RuntimeWrapper):
         got = self.inner.notify_waitsome(
             segment_id_local, notification_begin, notification_count, timeout
         )
-        self._h_wait.observe(CLOCK() - t0)
+        if got is not None:
+            t1 = CLOCK()
+            self._h_wait.observe(t1 - t0)
+            self._c_chunks.value += 1
+            self._telemetry.record_span(
+                "chunk", "chunk", t0, t1,
+                ("segment", segment_id_local, "first", notification_begin,
+                 "count", notification_count),
+            )  # fmt: skip
         return got
 
     def notify_reset(self, segment_id_local: int, notification_id: int) -> int:
         value = self.inner.notify_reset(segment_id_local, notification_id)
         if value > 0:
-            self._c_consumed.add()
+            self._c_consumed.value += 1
         return value
 
     def notify_drain(
@@ -184,7 +206,7 @@ class TelemetryRuntime(RuntimeWrapper):
             segment_id_local, notification_begin, notification_count
         )
         if drained:
-            self._c_consumed.add(len(drained))
+            self._c_consumed.value += len(drained)
         return drained
 
     # -- synchronisation ------------------------------------------------ #
@@ -194,4 +216,4 @@ class TelemetryRuntime(RuntimeWrapper):
         t0 = CLOCK()
         self.inner.barrier(group, timeout)
         self._h_barrier.observe(CLOCK() - t0)
-        self._c_barriers.add()
+        self._c_barriers.value += 1

@@ -14,6 +14,8 @@ from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
 from repro.core.topology import BinomialTree
 from repro.core.workspace import size_class
+from repro.gaspi.runtime import RuntimeWrapper
+from repro.telemetry import TelemetryRuntime
 
 from tests.helpers import rank_vector, spmd
 
@@ -434,8 +436,39 @@ class _CountingRuntime:
         return counted
 
 
+def _counted_communicator(rt, instrumented):
+    """A communicator over a counting runtime, below a registry if asked for one."""
+    counting = _CountingRuntime(rt)
+    if not instrumented:
+        return counting, Communicator(counting)
+    tel = Telemetry(rank=rt.rank)
+    return counting, Communicator(TelemetryRuntime(counting, tel), telemetry=tel)
+
+
+def _late(rt, call):
+    """Rank 1 enters every tenth call late, so its partners' waits block."""
+    if rt.rank == 1 and call % 10 == 0:
+        time.sleep(0.002)
+
+
+class _FaultFlagReads(RuntimeWrapper):
+    """Counts the reads of ``fault_injected`` (a walk through every wrapper)."""
+
+    reads = 0
+
+    @property
+    def fault_injected(self):
+        self.reads += 1
+        return self.inner.fault_injected
+
+
 class TestHitCostsItsWireOps:
-    """Counts, not timings: what a plan-cache hit may still do per call."""
+    """Counts, not timings: what a plan-cache hit may still do per call.
+
+    The hypercube and reduce gates run bare and under a registry: an
+    instrumented hit issues exactly the bare call's runtime operations,
+    also when a wait blocks.
+    """
 
     def test_hits_build_no_plan_key_and_validate_no_policy(self, monkeypatch):
         built = Counter()
@@ -488,17 +521,44 @@ class TestHitCostsItsWireOps:
             assert built1 == built0
             assert algorithm == "gaspi_allreduce_ssp_hypercube"
 
+    def test_a_cached_call_reads_the_fault_flag_once(self):
+        calls = 20
+
+        def worker(rt):
+            flagged = _FaultFlagReads(rt)
+            comm = Communicator(flagged)
+            x, y = np.full(128, float(rt.rank)), np.empty(128)
+
+            def round_of_calls():
+                comm.allreduce(x, y)
+                comm.bcast(x, root=0)
+                comm.reduce(x, y, root=0)
+                comm.iallreduce(x, y).wait()
+
+            round_of_calls()  # compiles the plans, fills the resolve memo
+            before = flagged.reads
+            for _ in range(calls):
+                round_of_calls()
+            spent = flagged.reads - before
+            comm.close()
+            return spent
+
+        assert spmd(2, worker) == [4 * calls] * 2
+
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "telemetry"])
     @pytest.mark.parametrize("ranks", [2, 8])
-    def test_planned_hypercube_call_is_one_write_wait_reset_per_step(self, ranks):
+    def test_planned_hypercube_call_is_one_write_wait_reset_per_step(
+        self, ranks, instrumented
+    ):
         calls, steps = 50, ranks.bit_length() - 1
 
         def worker(rt):
-            counting = _CountingRuntime(rt)
-            comm = Communicator(counting)
+            counting, comm = _counted_communicator(rt, instrumented)
             x, y = np.full(128, float(rt.rank)), np.empty(128)
             comm.allreduce(x, y, algorithm="hypercube")  # compile
             before = Counter(counting.counts)
-            for _ in range(calls):
+            for call in range(calls):
+                _late(rt, call)
                 comm.allreduce(x, y, algorithm="hypercube")
             spent = counting.counts - before
             comm.close()
@@ -511,12 +571,13 @@ class TestHitCostsItsWireOps:
             for op in ("segment_read", "segment_view", "write_notify", "barrier"):
                 assert spent[op] == 0, op
 
+    @pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "telemetry"])
     @pytest.mark.parametrize("ranks", [2, 5, 8])
     @pytest.mark.parametrize(
         "policy", [ConsistencyPolicy(), ConsistencyPolicy.data_threshold(0.25)]
     )
     def test_planned_reduce_call_is_one_wait_reset_and_post_per_tree_edge(
-        self, ranks, policy
+        self, ranks, policy, instrumented
     ):
         # Per call and tree edge: the child's push, the parent's wait + reset
         # of it and the credit back, the child's wait + reset of that credit
@@ -524,12 +585,12 @@ class TestHitCostsItsWireOps:
         calls, tree = 50, BinomialTree(ranks, 0)
 
         def worker(rt):
-            counting = _CountingRuntime(rt)
-            comm = Communicator(counting)
+            counting, comm = _counted_communicator(rt, instrumented)
             x, y = np.full(128, float(rt.rank)), np.empty(128)
             comm.reduce(x, y, root=0, policy=policy, algorithm="bst")  # compile
             before = Counter(counting.counts)
-            for _ in range(calls):
+            for call in range(calls):
+                _late(rt, call)
                 comm.reduce(x, y, root=0, policy=policy, algorithm="bst")
             spent = counting.counts - before
             comm.close()

@@ -78,12 +78,41 @@ class TestTelemetryRegistry:
 
     def test_event_cap_counts_drops_instead_of_growing(self):
         tel = Telemetry(max_events=2)
-        for _ in range(5):
-            tel.record_span("s", "c", 0.0, 1.0)
+        for i in range(5):
+            tel.record_span("s", "c", float(i), i + 1.0)
         snap = tel.snapshot(events=True)
         assert snap["events_recorded"] == 2
         assert snap["events_dropped"] == 3
-        assert len(snap["events"]) == 2
+        # Flight-recorder order: the ring overwrote its oldest events.
+        assert [event["ts"] for event in snap["events"]] == [3.0, 4.0]
+
+    def test_a_ring_of_zero_keeps_nothing_and_still_counts(self):
+        tel = Telemetry(max_events=0)
+        for _ in range(3):
+            tel.record_span("s", "c", 0.0, 1.0)
+        snap = tel.snapshot(events=True)
+        assert (snap["events_recorded"], snap["events_dropped"]) == (0, 3)
+        assert snap["events"] == []
+
+    def test_event_args_are_a_dict_in_the_snapshot_however_recorded(self):
+        tel = Telemetry()
+        tel.record_span("a", "c", 1.0, 3.0, {"k": 1})
+        tel.record_span("b", "c", 1.0, 3.0, ("k", 1, "why", "flat"))
+        tel.record_span("c", "c", 1.0, 3.0)
+        events = tel.snapshot(events=True)["events"]
+        assert [e["args"] for e in events] == [{"k": 1}, {"k": 1, "why": "flat"}, {}]
+        assert all(e["ts"] == 1.0 and e["dur"] == 2.0 for e in events)
+        validate_snapshot(tel.snapshot(events=True))
+
+    def test_an_aliased_histogram_is_one_instrument_under_two_names(self):
+        tel = Telemetry()
+        wait = tel.histogram("runtime.wait_s")
+        tel.alias("pipeline.chunk_wait_s", wait)
+        wait.observe(0.25)
+        histograms = tel.snapshot()["histograms"]
+        assert tel.histogram("pipeline.chunk_wait_s") is wait
+        assert histograms["pipeline.chunk_wait_s"] == histograms["runtime.wait_s"]
+        assert histograms["runtime.wait_s"]["count"] == 1
 
     def test_snapshot_is_json_serialisable_and_valid(self):
         tel = Telemetry(rank=1)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from repro import Communicator
-from repro.telemetry import Telemetry, chrome_trace, merge_snapshots, validate_snapshot
+from repro.core.policy import ConsistencyPolicy
+from repro.core.registry import REGISTRY
+from repro.telemetry import (
+    NULL_TELEMETRY,
+    Telemetry,
+    chrome_trace,
+    merge_snapshots,
+    validate_snapshot,
+)
 from tests.helpers import expected_sum, rank_vector, spmd
 
 RANKS = 4
@@ -16,8 +24,6 @@ N = 4096  # large enough for several pipeline chunks with chunk_bytes below
 
 
 def _allreduce_cell(runtime, iters=3, algorithm="ring_pipelined"):
-    from repro.core.policy import ConsistencyPolicy
-
     tel = Telemetry(rank=runtime.rank)
     comm = Communicator(
         runtime,
@@ -110,8 +116,8 @@ class TestInstrumentedRun:
 
 
 def test_blocked_hypercube_step_is_a_chunk_span():
-    # The strict hypercube polls and yields under telemetry like the
-    # pipelined plans, so a late partner is visible as a wait, with its step.
+    # Every blocking wait is recorded where the runtime stack brackets it,
+    # so a late partner is visible as a wait, with its mailbox id.
     def worker(rt):
         tel = Telemetry(rank=rt.rank)
         comm = Communicator(rt, telemetry=tel)
@@ -131,7 +137,88 @@ def test_blocked_hypercube_step_is_a_chunk_span():
     assert waiting["histograms"]["pipeline.chunk_wait_s"]["count"] == len(chunks)
 
 
+def test_wait_all_over_a_late_peer_is_a_chunk_span():
+    # The nonblocking path: the wait is ProgressEngine.wait_until's, no
+    # blocking execute() and no drive_pipeline() is involved.
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank)
+        comm = Communicator(rt, telemetry=tel)
+        x, y = rank_vector(rt.rank, N), np.empty(N)
+        comm.iallreduce(x, y).wait()  # compile
+        rt.barrier()
+        if rt.rank == 1:
+            time.sleep(0.05)
+        comm.iallreduce(x, y)
+        comm.wait_all()
+        comm.close()
+        return y, tel.snapshot(events=True)
+
+    value, waiting = spmd(2, worker)[0]
+    np.testing.assert_array_equal(value, rank_vector(0, N) + rank_vector(1, N))
+    chunks = [e for e in waiting["events"] if e["cat"] == "chunk"]
+    assert chunks and max(e["dur"] for e in chunks) >= 0.02
+    assert waiting["histograms"]["pipeline.chunk_wait_s"]["count"] == len(chunks)
+    assert waiting["counters"]["pipeline.chunks"] == len(chunks)
+
+
+PLANNABLE = [name for name in REGISTRY.names() if REGISTRY.get(name).plannable]
+
+
+def _delivered(comm, name, nonblocking):
+    """Three calls of one algorithm (two of them plan-cache hits), as bytes."""
+    collective = REGISTRY.get(name).collective
+    call = getattr(comm, ("i" if nonblocking else "") + collective)
+    out = []
+    for i in range(3):
+        x, y = rank_vector(10 * i + comm.rank, N), np.zeros(N)
+        if collective == "bcast":
+            y = x if comm.rank == 1 else y
+            handle = call(y, root=1, algorithm=name)
+        elif collective == "reduce":
+            handle = call(x, y, root=1, algorithm=name)
+        else:
+            handle = call(x, y, algorithm=name)
+        if nonblocking:
+            handle.wait()
+        out.append(y.tobytes())
+    return out
+
+
+@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
+@pytest.mark.parametrize("name", PLANNABLE)
+def test_a_registry_changes_no_result_bit(name, nonblocking):
+    # Several chunks per call for the pipelined plans; same waits, same
+    # runtime calls and same folds with a registry as without one.
+    policy = ConsistencyPolicy(chunk_bytes=4096)
+
+    def worker(rt):
+        bare = Communicator(rt, policy=policy)
+        tel = Telemetry(rank=rt.rank)
+        instrumented = Communicator(rt, segment_base=10_000, policy=policy, telemetry=tel)
+        off = _delivered(bare, name, nonblocking)
+        on = _delivered(instrumented, name, nonblocking)
+        bare.close()
+        instrumented.close()
+        return off, on, tel.snapshot()["counters"]
+
+    for off, on, counters in spmd(RANKS, worker):
+        assert on == off
+        assert counters["runtime.notifications_posted"] > 0  # attached, and fed
+
+
 class TestDisabledPathEquivalence:
+    def test_a_disabled_registry_adds_no_runtime_layer(self):
+        def worker(runtime):
+            comm = Communicator(runtime, telemetry=NULL_TELEMETRY)
+            layers = list(comm.runtime.layers())
+            out = comm.allreduce(rank_vector(runtime.rank, 128))
+            comm.close()
+            return layers == [runtime], out
+
+        for unwrapped, out in spmd(2, worker):
+            assert unwrapped
+            np.testing.assert_allclose(out, expected_sum(2, 128), rtol=1e-12)
+
     def test_uninstrumented_communicator_uses_null_registry(self):
         def worker(runtime):
             comm = Communicator(runtime)
@@ -209,7 +296,6 @@ class TestPreinstrumentedRuntime:
 
 class TestFaultyRunTelemetry:
     def test_degraded_dispatch_records_outcome_and_suspicions(self):
-        from repro.core.policy import ConsistencyPolicy
         from repro.faults import FaultPlan
 
         plan = FaultPlan.single_crash(2, at_op=0)
