@@ -9,27 +9,15 @@ per rank, over real payload bytes, for the checkers in
 :mod:`repro.analysis.deadlock`, :mod:`repro.analysis.races` and
 :mod:`repro.analysis.budget`.
 
-Two execution styles are bridged:
-
-* The three *pipelined* plans, the strict hypercube and the BST reduce are
-  generators already: ``begin(request)`` yields a
-  :class:`~repro.core.plan.WaitSpec` whenever a wait would block, so the
-  model simply drives the shipped generator cooperatively.
-* The three remaining *monolithic* plans (both broadcasts, the ring) block
-  inline (``notify_waitsome`` with a real timeout).  For these,
-  :mod:`repro.analysis.model` carries one *emitter* per plan class — a
-  generator transliteration of the plan's ``execute`` body, operating on
-  the plan instance's own frozen operands (slots, offsets, notification
-  ids), that yields instead of blocking.  An emitter contains no schedule
-  knowledge of its own: every offset and id it uses comes from the
-  constructed plan, so a planner bug is faithfully reproduced in the
-  trace.
+Every plan is a generator: ``begin(request)`` yields a
+:class:`~repro.core.plan.WaitSpec` whenever a wait would block, so the
+model simply drives the shipped generator cooperatively.  There is no
+second copy of any protocol here — the code the checkers see is the code
+that runs.
 
 All rank programs run under a round-robin cooperative scheduler.  Because
 the model executes real NumPy payloads, callers can additionally check
-the *numerical* result of the modelled collective — the model is wrong if
-it cannot reproduce the algorithm's values, which keeps the emitters
-honest against the executors they mirror.
+the *numerical* result of the modelled collective.
 """
 
 from __future__ import annotations
@@ -39,12 +27,8 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import kernels
-from ..core.bcast import _NOTIF_DATA, BstBcastPlan, FlatBcastPlan
-from ..core.allreduce_ring import RingAllreducePlan
 from ..core.plan import CollectivePlan, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
-from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
 from ..core.workspace import WorkspacePool
 from ..gaspi.constants import (
@@ -67,7 +51,7 @@ from .events import (
 #: A rank program: yields whenever it cannot progress — the
 #: :class:`~repro.core.plan.WaitSpec` it is blocked on, or ``None`` when
 #: it merely gives up a turn.
-Emitter = Generator[Optional[WaitSpec], None, None]
+Program = Generator[Optional[WaitSpec], None, None]
 
 
 # --------------------------------------------------------------------------- #
@@ -422,7 +406,7 @@ class ModelRuntime(GaspiRuntime):
         if timeout == GASPI_BLOCK or timeout > 0:
             raise RuntimeError(
                 f"rank {self._rank}: blocking notify_waitsome([{notification_begin}, "
-                f"{end}) on segment {segment_id_local}) inside the model — emitters "
+                f"{end}) on segment {segment_id_local}) inside the model — plans "
                 "must poll with timeout=0 and yield"
             )
         return None
@@ -457,108 +441,12 @@ class ModelRuntime(GaspiRuntime):
 
 
 # --------------------------------------------------------------------------- #
-# emitters: generator transliterations of the monolithic plan executors
+# cooperative scheduler and entry point
 # --------------------------------------------------------------------------- #
-def _consume(
-    rt: GaspiRuntime, segment_id: int, notif_id: int
-) -> Generator[WaitSpec, None, int]:
-    """Poll for one notification, yielding while absent; reset and return it."""
-    while rt.notify_waitsome(segment_id, notif_id, 1, timeout=0.0) is None:
-        yield WaitSpec(segment_id, notif_id)
-    return rt.notify_reset(segment_id, notif_id)
-
-
-def _emit_bst_bcast(plan: BstBcastPlan, request: CollectiveRequest) -> Emitter:
-    buffer = np.asarray(request.sendbuf)
+def _drive(plan: CollectivePlan, request: CollectiveRequest) -> Program:
+    """Cooperatively drive one call of a plan's own ``begin()`` generator."""
     rt = plan.runtime
-    sid = plan.segment_id
-    send = plan.send_elems
-    if rt.rank == plan.key.root:
-        plan._staging[:send] = buffer[:send]
-    else:
-        yield from _consume(rt, sid, _NOTIF_DATA)
-        buffer[:send] = plan._staging[:send]
-    if plan.children:
-        if plan.calls:
-            for slot in plan.child_ack_slots:
-                yield from _consume(rt, sid, slot)
-        for child in plan.children:
-            rt.write_notify(sid, 0, child, sid, 0, plan.send_bytes, _NOTIF_DATA)
-        rt.wait(0)
-    if plan.parent is not None:
-        rt.notify(plan.parent, sid, plan.parent_ack_slot)
-        rt.wait(0)
-    plan.calls += 1
-
-
-def _emit_flat_bcast(plan: FlatBcastPlan, request: CollectiveRequest) -> Emitter:
-    buffer = np.asarray(request.sendbuf)
-    rt = plan.runtime
-    sid = plan.segment_id
-    send = plan.send_elems
-    if rt.rank == plan.key.root:
-        if plan.calls:
-            for slot in plan.peer_ack_slots:
-                yield from _consume(rt, sid, slot)
-        plan._staging[:send] = buffer[:send]
-        for peer in plan.peers:
-            rt.write_notify(sid, 0, peer, sid, 0, plan.send_bytes, _NOTIF_DATA)
-        rt.wait(0)
-    else:
-        yield from _consume(rt, sid, _NOTIF_DATA)
-        buffer[:send] = plan._staging[:send]
-        rt.notify(plan.key.root, sid, plan.ack_slot)
-        rt.wait(0)
-    plan.calls += 1
-
-
-def _emit_ring_allreduce(plan: RingAllreducePlan, request: CollectiveRequest) -> Emitter:
-    sendbuf = np.asarray(request.sendbuf)
-    operator = get_op(request.op)
-    rt = plan.runtime
-    sid = plan.segment_id
-    itemsize = plan.dtype.itemsize
-    recvbuf = np.asarray(request.recvbuf) if request.recvbuf is not None else None
-    if rt.size == 1:
-        if recvbuf is not None:
-            recvbuf[:] = sendbuf
-        plan.calls += 1
-        return
-    work = sendbuf.astype(plan.dtype, copy=True)
-    for i, (step, (s_begin, s_end), (r_begin, r_end), reduce_step) in enumerate(
-        plan.steps
-    ):
-        send_slot = plan._send_slots[i]
-        if send_slot is not None:
-            send_slot[:] = work[s_begin:s_end]
-            rt.write_notify(
-                sid,
-                plan.send_region + step * plan.slot_bytes,
-                plan.next_rank,
-                sid,
-                step * plan.slot_bytes,
-                (s_end - s_begin) * itemsize,
-                step,
-            )
-        else:
-            rt.notify(plan.next_rank, sid, step)
-        rt.wait(0)
-        yield from _consume(rt, sid, step)
-        recv_slot = plan._recv_slots[i]
-        if recv_slot is not None:
-            if reduce_step:
-                kernels.reduce_into(operator, work[r_begin:r_end], recv_slot)
-            else:
-                work[r_begin:r_end] = recv_slot
-    if recvbuf is not None:
-        recvbuf[:] = work
-    plan.calls += 1
-
-
-def _drive_pipelined(plan: CollectivePlan, request: CollectiveRequest) -> Emitter:
-    """Cooperatively drive a generator plan's real ``begin()`` generator."""
-    rt = plan.runtime
-    gen = plan.begin(request)  # type: ignore[attr-defined]
+    gen = plan.begin(request)
     while True:
         try:
             spec = next(gen)
@@ -571,27 +459,6 @@ def _drive_pipelined(plan: CollectivePlan, request: CollectiveRequest) -> Emitte
             yield spec
 
 
-_EMITTERS: Dict[type, Callable[[Any, CollectiveRequest], Emitter]] = {
-    BstBcastPlan: _emit_bst_bcast,
-    FlatBcastPlan: _emit_flat_bcast,
-    RingAllreducePlan: _emit_ring_allreduce,
-}
-
-
-def _emitter_for(plan: CollectivePlan) -> Callable[[Any, CollectiveRequest], Emitter]:
-    if hasattr(plan, "begin"):
-        return _drive_pipelined
-    try:
-        return _EMITTERS[type(plan)]
-    except KeyError:
-        raise NotImplementedError(
-            f"no symbolic emitter for plan class {type(plan).__name__}"
-        ) from None
-
-
-# --------------------------------------------------------------------------- #
-# cooperative scheduler and entry point
-# --------------------------------------------------------------------------- #
 @dataclass
 class ModelRun:
     """A completed symbolic execution: the trace plus the data it computed."""
@@ -608,7 +475,7 @@ class ModelRun:
     wrong_values: List[str] = field(default_factory=list)
 
 
-def _run_cooperative(world: ModelWorld, programs: List[Emitter]) -> List[int]:
+def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
     """Round-robin the rank programs to completion; return stalled ranks.
 
     A rank that stalls inside a wait gets that wait recorded as its next
@@ -616,7 +483,7 @@ def _run_cooperative(world: ModelWorld, programs: List[Emitter]) -> List[int]:
     starved slot — ``unmatched-notification`` or ``deadlock`` — instead of
     seeing a trace that merely ends early.
     """
-    live: Dict[int, Emitter] = dict(enumerate(programs))
+    live: Dict[int, Program] = dict(enumerate(programs))
     blocked: Dict[int, Optional[WaitSpec]] = {}
     while live:
         progressed = False
@@ -647,7 +514,7 @@ def _run_cooperative(world: ModelWorld, programs: List[Emitter]) -> List[int]:
     return []
 
 
-def _idle(world: ModelWorld, turns: int = 8) -> Emitter:
+def _idle(world: ModelWorld, turns: int = 8) -> Program:
     """Sit out ``turns`` scheduler rounds: a rank arriving late at a call,
     so the others run as far ahead as the protocol lets them."""
     for _ in range(turns):
@@ -728,9 +595,8 @@ def build_model(
             mutate_plan(plan)
 
     sendbufs, recvbufs = _payloads(info.collective, num_ranks, elements, root)
-    emit = _emitter_for(plans[0])
 
-    def rank_program(rank: int) -> Emitter:
+    def rank_program(rank: int) -> Program:
         for _ in range(calls):
             if rank == laggard:
                 yield from _idle(world)
@@ -743,7 +609,7 @@ def build_model(
                 policy=policy,
                 segment_id=segment_id,
             )
-            yield from emit(plans[rank], request)
+            yield from _drive(plans[rank], request)
 
     stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
 
@@ -822,7 +688,7 @@ def build_recycle_model(
     wrong: List[str] = []
     buffers: Dict[int, Tuple[List[np.ndarray], List[Optional[np.ndarray]]]] = {}
 
-    def rank_program(rank: int) -> Emitter:
+    def rank_program(rank: int) -> Program:
         rt = world.runtime(rank)
         for step, (algorithm, nbytes) in enumerate(sequence):
             info = REGISTRY.get(algorithm)
@@ -851,7 +717,6 @@ def build_recycle_model(
             sendbufs, recvbufs = buffers.setdefault(
                 step, _payloads(info.collective, num_ranks, elements, 0)
             )
-            emit = _emitter_for(plan)
             for call in range(calls):
                 if rank == laggard:
                     yield from _idle(world)
@@ -863,7 +728,7 @@ def build_recycle_model(
                     policy=policy,
                     segment_id=plan.segment_id,
                 )
-                yield from emit(plan, request)
+                yield from _drive(plan, request)
                 if info.collective == "bcast":
                     got, want = sendbufs[rank], np.arange(elements) + 1.0
                 elif info.collective == "allreduce" or rank == 0:

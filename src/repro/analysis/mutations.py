@@ -28,6 +28,11 @@ parent: :func:`stage_partial_in_child_slot` (the partial result must not
 be memory that child can write) and :func:`credit_before_last_drain` (the
 pipelined plan's credits must follow the call's last sweep).
 
+And so does :func:`skip_child_ack_consumes`, the tree broadcast's reuse
+argument taken out of the shipped generator: a parent that no longer
+consumes its children's previous-call acks overwrites staging slots that
+may still be unread.
+
 Two more live in the workspace *pool* and are applied through
 ``build_recycle_model(..., mutate_pool=...)``: :func:`reuse_without_cooling`
 and :func:`skip_scrub` break the two halves of the argument that makes a
@@ -44,6 +49,7 @@ from .events import CONSUME, POST, Event, ProtocolTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.allreduce_ssp import HypercubeAllreducePlan
+    from ..core.bcast import BstBcastPlan
     from ..core.pipeline import PipelinedBstReducePlan, PipelinedRingAllreducePlan
     from ..core.reduce import BstReducePlan
     from ..core.workspace import WorkspacePool
@@ -289,6 +295,19 @@ def credit_before_last_drain(plan: "PipelinedBstReducePlan") -> None:
         notify(target, segment_id, nid, *args, **kwargs)
 
     rt.notify_drain, rt.notify = hasty_drain, notify_unless_credited  # type: ignore[method-assign]
+
+
+def skip_child_ack_consumes(plan: "BstBcastPlan") -> None:
+    """Let a broadcast parent forward without consuming its children's acks.
+
+    The ack says "your previous payload is copied out of my staging slot
+    and my own forwards are flushed".  A parent that does not wait for it
+    writes call ``k + 1`` into a lagging child's slot while call ``k`` may
+    still be unread there, and posts the data notification a second time.
+    Expected finding classes: ``double-post`` and/or ``data-race`` (and the
+    acks nobody consumes any more are overwritten unconsumed).
+    """
+    plan.child_ack_slots = []
 
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:

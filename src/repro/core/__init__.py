@@ -13,6 +13,10 @@ Public surface:
   :func:`~repro.core.alltoall.alltoall` / ``alltoallv``,
   :func:`~repro.core.allgather.ring_allgather`,
   :class:`~repro.core.barrier.NotificationBarrier`.
+* Compiled plans: each plannable algorithm is written once, as the
+  ``_run`` generator of a :class:`~repro.core.plan.CollectivePlan`, which
+  runs it blocking, incrementally (the ``i*`` API, the verifier) or cold —
+  the functional broadcast, reduce and ring above are cold calls of it.
 * Schedule builders for the timing simulator and the algorithm
   :data:`~repro.core.registry.REGISTRY` the benchmark harness uses.
 """

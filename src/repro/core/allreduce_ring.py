@@ -15,6 +15,10 @@ Each transfer is a ``write_notify`` into a per-step staging slot of the
 neighbour's segment; completion is detected with notifications only — no
 global synchronisation between or after the two stages, which is the key
 difference from the MPI ring implementations the paper compares against.
+
+The protocol is written once, as the :class:`~repro.core.plan.WaitSpec`
+generator of :class:`RingAllreducePlan`; :func:`ring_allreduce` is a cold
+call of it (compile, run once, release).
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from . import kernels
 from .notifmap import NotificationLayout, NotifRange
-from .plan import CollectivePlan
-from .policy import CollectiveResult
-from .workspace import Lease, WorkspacePool
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
+from .policy import CollectiveRequest, CollectiveResult
+from .workspace import WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring, chunk_bounds
@@ -75,6 +79,9 @@ def ring_allreduce(
 ) -> RingAllreduceStats:
     """Segmented pipelined ring allreduce over all ranks.
 
+    A cold call: it compiles a :class:`RingAllreducePlan`, runs it once and
+    releases it.
+
     Parameters
     ----------
     sendbuf:
@@ -98,177 +105,21 @@ def ring_allreduce(
     transfer but still advance the notification protocol so the pipeline
     stays aligned.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
+    sendbuf = np.asarray(sendbuf)
     require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    operator = get_op(op)
-    rank, size = runtime.rank, runtime.size
-
-    if recvbuf is None:
-        recvbuf = sendbuf
-    else:
-        recvbuf = np.asarray(recvbuf)
-        require(
-            recvbuf.shape == sendbuf.shape and recvbuf.dtype == sendbuf.dtype,
-            "recvbuf must match sendbuf in shape and dtype",
-        )
-
-    work = sendbuf.astype(sendbuf.dtype, copy=True)
-
-    if size == 1:
-        recvbuf[:] = work
-        return RingAllreduceStats(rank, 1, 0, 0, 0)
-
-    ring = Ring(size)
-    nxt = ring.next_rank(rank)
-    itemsize = work.itemsize
-    max_chunk = -(-work.size // size)  # ceil
-    slot_bytes = max(max_chunk * itemsize, itemsize)
-    total_steps = 2 * (size - 1)
-    # Budget-checked id map: the step index is the notification id.
-    step_ids = ring_notification_layout(total_steps)
-    assert step_ids.base == 0
-
-    # Segment layout: the lower half holds one *receive* slot per step (the
-    # predecessor writes into slot ``step``; notification id == step), the
-    # upper half holds one *send staging* slot per step.  Keeping the two
-    # regions disjoint is essential: a fast predecessor may deliver the
-    # step-k chunk before this rank has even staged its own step-k send, and
-    # the incoming data must not be clobbered.
-    send_region = slot_bytes * total_steps
-
-    bytes_sent = 0
-    bytes_received = 0
-    with Lease(
-        runtime, pool, segment_id, slot_bytes * total_steps * 2, step_ids.end
-    ) as segment_id:
-        try:
-            # ----------------------------- Scatter-Reduce ---------------------- #
-            for step in range(size - 1):
-                send_chunk = ring.scatter_reduce_send_chunk(rank, step)
-                recv_chunk = ring.scatter_reduce_recv_chunk(rank, step)
-                s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
-                r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
-
-                _send_chunk(
-                    runtime,
-                    work[s_begin:s_end],
-                    nxt,
-                    segment_id,
-                    step,
-                    slot_bytes,
-                    send_region,
-                    queue,
-                )
-                bytes_sent += (s_end - s_begin) * itemsize
-
-                incoming = _recv_chunk(
-                    runtime, segment_id, step, r_end - r_begin, work.dtype, slot_bytes, timeout
-                )
-                bytes_received += (r_end - r_begin) * itemsize
-                if incoming.size:
-                    kernels.reduce_into(operator, work[r_begin:r_end], incoming)
-
-            # ----------------------------- Allgather --------------------------- #
-            for step in range(size - 1):
-                gstep = (size - 1) + step
-                send_chunk = ring.allgather_send_chunk(rank, step)
-                recv_chunk = ring.allgather_recv_chunk(rank, step)
-                s_begin, s_end = chunk_bounds(work.size, size, send_chunk)
-                r_begin, r_end = chunk_bounds(work.size, size, recv_chunk)
-
-                _send_chunk(
-                    runtime,
-                    work[s_begin:s_end],
-                    nxt,
-                    segment_id,
-                    gstep,
-                    slot_bytes,
-                    send_region,
-                    queue,
-                )
-                bytes_sent += (s_end - s_begin) * itemsize
-
-                incoming = _recv_chunk(
-                    runtime, segment_id, gstep, r_end - r_begin, work.dtype, slot_bytes, timeout
-                )
-                bytes_received += (r_end - r_begin) * itemsize
-                if incoming.size:
-                    work[r_begin:r_end] = incoming
-        finally:
-            incoming = None  # a live view would keep the segment's mapping open
-
-    recvbuf[:] = work
-    return RingAllreduceStats(
-        rank=rank,
-        num_chunks=size,
-        steps=total_steps,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
+    request = CollectiveRequest(
+        "allreduce",
+        sendbuf=sendbuf,
+        recvbuf=sendbuf if recvbuf is None else recvbuf,
+        op=op,
+        segment_id=segment_id,
+        pool=pool,
+        queue=queue,
+        timeout=timeout,
     )
-
-
-def _send_chunk(
-    runtime: GaspiRuntime,
-    chunk: np.ndarray,
-    target: int,
-    segment_id: int,
-    step: int,
-    slot_bytes: int,
-    send_region: int,
-    queue: int,
-) -> None:
-    """Stage ``chunk`` in the local send slot and write_notify it to ``target``.
-
-    The staging slot lives in the send region of the local segment; the data
-    lands in the *receive* slot of the same step at the target.  Empty chunks
-    degenerate into a pure notification so the receiver's step counter still
-    advances.
-    """
-    if chunk.size:
-        local_offset = send_region + step * slot_bytes
-        staging = runtime.segment_view(
-            segment_id, dtype=chunk.dtype, offset=local_offset, count=chunk.size
-        )
-        staging[:] = chunk
-        runtime.write_notify(
-            segment_id_local=segment_id,
-            offset_local=local_offset,
-            target_rank=target,
-            segment_id_remote=segment_id,
-            offset_remote=step * slot_bytes,
-            size=chunk.nbytes,
-            notification_id=step,
-            queue=queue,
-        )
-    else:
-        runtime.notify(target, segment_id, step, queue=queue)
-    runtime.wait(queue)
-
-
-def _recv_chunk(
-    runtime: GaspiRuntime,
-    segment_id: int,
-    step: int,
-    count: int,
-    dtype,
-    slot_bytes: int,
-    timeout: float,
-) -> np.ndarray:
-    """Wait for the step's notification and return a view of the staged chunk.
-
-    Zero-copy: once the notification is consumed the slot is quiescent (the
-    predecessor writes each step's slot exactly once per call), so the
-    caller can reduce or copy straight out of the segment view.
-    """
-    got = runtime.notify_waitsome(segment_id, step, 1, timeout=timeout)
-    if got is None:
-        raise TimeoutError(f"rank {runtime.rank}: ring step {step} never completed")
-    runtime.notify_reset(segment_id, step)
-    if count == 0:
-        return np.empty(0, dtype=dtype)
-    return runtime.segment_view(
-        segment_id, dtype=dtype, offset=step * slot_bytes, count=count
-    )
+    return _run_cold(
+        RingAllreducePlan, "allreduce", "gaspi_allreduce_ring", runtime, request
+    ).detail
 
 
 # --------------------------------------------------------------------------- #
@@ -303,6 +154,11 @@ class RingAllreducePlan(CollectivePlan):
         self.total_steps = 2 * (size - 1)
         # Budget-checked id map: the step index is the notification id.
         self.step_ids = ring_notification_layout(self.total_steps)
+        # Segment layout: the lower half holds one *receive* slot per step
+        # (the predecessor writes into slot ``step``), the upper half one
+        # *send staging* slot per step.  The regions must be disjoint: a
+        # fast predecessor may deliver the step-k chunk before this rank
+        # has staged its own step-k send.
         self.send_region = self.slot_bytes * self.total_steps
         # Frozen step table: (step, send bounds, recv bounds, reduce?).
         self.steps = []
@@ -354,12 +210,9 @@ class RingAllreducePlan(CollectivePlan):
                 for step, _, (r_begin, r_end), _ in self.steps
             ]
 
-    def execute(self, request) -> CollectiveResult:
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(np.asarray(request.sendbuf), "allreduce sendbuf")
-        require(
-            sendbuf.ndim == 1 and sendbuf.flags["C_CONTIGUOUS"],
-            "allreduce sendbuf must be a contiguous vector",
-        )
+        require(sendbuf.ndim == 1, "allreduce sendbuf must be a vector")
         operator = get_op(request.op)
         rt = self.runtime
         rank = rt.rank
@@ -381,10 +234,11 @@ class RingAllreducePlan(CollectivePlan):
                 value=recvbuf, detail=RingAllreduceStats(rank, 1, 0, 0, 0)
             )
 
+        # The working vector is a private copy, so any 1-D sendbuf —
+        # strided, or recvbuf itself — is fine.
         work = sendbuf.astype(self.dtype, copy=True)
         sid = self.segment_id
         queue = request.queue
-        timeout = request.timeout
         itemsize = self.dtype.itemsize
         bytes_sent = 0
         bytes_received = 0
@@ -410,11 +264,8 @@ class RingAllreducePlan(CollectivePlan):
             rt.wait(queue)
             bytes_sent += (s_end - s_begin) * itemsize
 
-            got = rt.notify_waitsome(sid, step, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: planned ring step {step} never completed"
-                )
+            while rt.notify_waitsome(sid, step, 1, timeout=poll_timeout) is None:
+                yield WaitSpec(sid, step, 1, f"ring step {step}")
             rt.notify_reset(sid, step)
             bytes_received += (r_end - r_begin) * itemsize
             recv_slot = self._recv_slots[i]

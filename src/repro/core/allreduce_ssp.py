@@ -53,13 +53,7 @@ from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
 from .notifmap import NotificationLayout
-from .plan import (
-    PLAN_WAIT_TIMEOUT,
-    CollectivePlan,
-    PipelineGen,
-    WaitSpec,
-    drive_pipeline,
-)
+from .plan import CollectivePlan, PipelineGen, WaitSpec
 from .policy import CollectiveResult
 from .workspace import Lease, WorkspacePool
 from .reduction_ops import ReductionOp, get_op
@@ -454,14 +448,6 @@ class HypercubeAllreducePlan(CollectivePlan):
             for parity in (0, 1)
         )
 
-    def begin(self, request) -> PipelineGen:
-        """The incremental executor: polls, and yields when a step is blocked."""
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request) -> CollectiveResult:
-        bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
-        return drive_pipeline(self.runtime, self._run(request, bound), bound)
-
     def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(
             np.ascontiguousarray(request.sendbuf), "allreduce sendbuf"
@@ -487,13 +473,13 @@ class HypercubeAllreducePlan(CollectivePlan):
             # The posted source is folded over below: flush it first.
             rt.wait(queue)
             while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
-                if poll_timeout:
-                    raise TimeoutError(
-                        f"rank {rt.rank}: hypercube step {step} waited longer than "
-                        f"{poll_timeout}s for partner {partner}'s contribution to "
-                        f"call {self.calls}"
-                    )
-                yield WaitSpec(sid, box, 1)
+                yield WaitSpec(
+                    sid,
+                    box,
+                    1,
+                    f"hypercube step {step}: partner {partner}'s contribution "
+                    f"to call {self.calls}",
+                )
             rt.notify_reset(sid, box)
             kernels.fold(operator, partial, mailbox, acc)
             partial = acc

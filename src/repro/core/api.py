@@ -920,7 +920,7 @@ class Communicator:
         return self._dispatch("allreduce", algorithm, request).value
 
     # ------------------------------------------------------------------ #
-    # nonblocking collectives (pipelined progress engine)
+    # nonblocking collectives (progress engine)
     # ------------------------------------------------------------------ #
     def ibcast(
         self,
@@ -1052,75 +1052,25 @@ class Communicator:
         """Stop the asynchronous progress thread (idempotent)."""
         self._progress.stop_thread()
 
-    def _resolve_nonblocking(
-        self,
-        collective: str,
-        nbytes: int,
-        algorithm: str,
-        policy: ConsistencyPolicy,
-        injected: bool,
-    ) -> AlgorithmInfo:
-        """Resolution for the nonblocking path: prefer pipelined entries.
-
-        ``algorithm="auto"`` picks a pipelined implementation for *any*
-        payload size (not just beyond the large-message threshold): only
-        pipelined plans expose the incremental executor that makes a
-        handle actually nonblocking, and overlap is usually worth more
-        than the last microsecond of blocking latency.  Explicit algorithm
-        names are honoured verbatim; non-pipelined ones complete
-        synchronously (the handle is born done).
-
-        Memoized beside :meth:`resolve`'s entries, under that key (request
-        and fault state) plus a marker: the registry walk with its
-        capability checks is several times a blocking resolve, and an
-        ``i*`` call pays it every time otherwise.
-        """
-        lossy = self._faults is not None and self._faults.can_lose_contributions
-        memo_key = (
-            collective, algorithm, int(nbytes), policy,
-            bool(self._suspected), injected, lossy, "nonblocking",
-        )  # fmt: skip
-        info = self._resolve_cache.get(memo_key)
-        if info is not None:
-            return info
-        if algorithm in (None, "auto") and not (
-            lossy or injected or policy.on_failure != "abort"
-        ):
-            for name in self._registry.names(collective=collective, executable=True):
-                candidate = self._registry.get(name)
-                if not (candidate.capabilities.pipelined and candidate.plannable):
-                    continue
-                supported, _ = candidate.supports(self.size, policy)
-                if supported:
-                    info = candidate
-                    break
-        if info is None:
-            info = self._resolve(collective, nbytes, algorithm, policy, injected)
-        self._resolve_cache[memo_key] = info
-        return info
-
     def _dispatch_nonblocking(
         self, collective: str, algorithm: str, request: CollectiveRequest
     ) -> CollectiveHandle:
         """Start one collective; return a handle advancing it incrementally.
 
-        Falls back to synchronous execution (returning an already-complete
-        handle) whenever no pipelined plan can serve the request — fault
-        plans, suspected ranks, slack policies, planning disabled, or a
-        non-pipelined algorithm choice — so ``i*`` calls are always safe,
+        Resolves like the blocking call and advances whatever plan serves
+        the request.  Falls back to synchronous execution (returning an
+        already-complete handle) whenever no compiled plan can — fault
+        plans, suspected ranks, slack policies, planning disabled, or an
+        algorithm without a planner — so ``i*`` calls are always safe,
         merely not overlapped, in those regimes.
         """
         check_policy(request.policy)
         payload = request.nbytes
         nbytes = self._schedule_nbytes(collective, payload)
         injected = self.runtime.fault_injected
-        info = self._resolve_nonblocking(
-            collective, nbytes, algorithm, request.policy, injected
-        )
-        plan = None
-        if info.capabilities.pipelined:
-            plan = self._plan_for(info, request, injected)
-        if plan is None or not hasattr(plan, "begin"):
+        info = self._resolve(collective, nbytes, algorithm, request.policy, injected)
+        plan = self._plan_for(info, request, injected)
+        if plan is None:
             result = self._dispatch(collective, info.name, request)
             return CollectiveHandle(
                 self._progress, self.runtime, None, None, result=result

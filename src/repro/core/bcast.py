@@ -1,23 +1,30 @@
 """Eventually consistent Broadcast (paper Section III-B, Figures 3 & 8).
 
-Two GASPI broadcast algorithms are provided:
+One protocol, :class:`BstBcastPlan`: a tree fan-out over a leased staging
+segment with consume acknowledgements, written once as a
+:class:`~repro.core.plan.WaitSpec` generator.  Everything else here is a
+way of running it:
 
-* :func:`bst_bcast` — the binomial-spanning-tree broadcast the paper
-  evaluates (``gaspi_bcast``).  The *threshold* parameter controls which
-  fraction of the payload is actually shipped: with ``threshold = 0.25``
-  only the first quarter of the buffer reaches the non-root ranks, which is
-  the paper's way of mimicking eventual consistency ("the application can
-  proceed upon arrival of a part of the data").
-* :func:`flat_bcast` — the naive variant mentioned in the paper
-  (P-1 ``gaspi_write_notify`` calls issued by the root).
+* ``gaspi_bcast_bst`` is the plan over the binomial spanning tree the paper
+  evaluates.  The *threshold* parameter controls which fraction of the
+  payload is actually shipped: with ``threshold = 0.25`` only the first
+  quarter of the buffer reaches the non-root ranks, which is the paper's
+  way of mimicking eventual consistency ("the application can proceed upon
+  arrival of a part of the data").
+* ``gaspi_bcast_flat`` — the naive variant mentioned in the paper (P-1
+  ``gaspi_write_notify`` calls issued by the root) — is the same plan over
+  a star: :class:`FlatBcastPlan` only chooses the tree.
+* :func:`bst_bcast` / :func:`flat_bcast` are cold calls: they compile the
+  plan, run it once and release it.
 
-Both also export communication-schedule builders for the timing simulator,
-used by the Figure 8 benchmark.
+The module also exports the communication-schedule builders for the timing
+simulator, used by the Figure 8 benchmark.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -26,20 +33,22 @@ from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan
-from .policy import CollectiveResult
-from .workspace import Lease, WorkspacePool
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
+from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
+from .workspace import WorkspacePool
 from .schedule import CommunicationSchedule, Message, Protocol
-from .topology import BinomialTree
+from .topology import BinomialTree, KnomialTree
 
 #: Default segment id used by the broadcast collectives.
 BCAST_SEGMENT_ID = 100
 
 
-
+@lru_cache(maxsize=None)
 def bcast_layout(num_ranks: int) -> NotificationLayout:
     """Ids of a broadcast workspace: one data arrival slot, then one ack
-    slot per peer (child position in the BST, rank in the flat fan-out)."""
+    slot per child position (a star's root has ``num_ranks - 1``).  A pure
+    function of the world size, built once: every compile and every cold
+    call asks for it."""
     layout = NotificationLayout()
     layout.add("data", 1)
     layout.add("ack", max(1, int(num_ranks)))
@@ -83,7 +92,7 @@ def threshold_elements(num_elements: int, threshold: float) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# functional implementations (threaded runtime)
+# functional entry points (cold calls)
 # --------------------------------------------------------------------------- #
 def bst_bcast(
     runtime: GaspiRuntime,
@@ -96,6 +105,9 @@ def bst_bcast(
     pool: Optional[WorkspacePool] = None,
 ) -> BroadcastResult:
     """Binomial-spanning-tree broadcast of ``buffer`` from ``root``.
+
+    A cold call: it compiles a :class:`BstBcastPlan`, runs it once and
+    releases it (the release barrier also drains the call's consume-acks).
 
     Parameters
     ----------
@@ -119,80 +131,8 @@ def bst_bcast(
     BroadcastResult
         Per-rank status, including how many elements were received.
     """
-    buffer = _require_vector(buffer)
-    require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    send_elems = threshold_elements(buffer.size, threshold)
-    send_bytes = send_elems * buffer.itemsize
-
-    tree = BinomialTree(runtime.size, root)
-    rank = runtime.rank
-    children = tree.children(rank)
-    parent = tree.parent(rank)
-
-    with Lease(
-        runtime, pool, segment_id, buffer.nbytes, bcast_layout(runtime.size).used
-    ) as segment_id:
-        try:
-            staging = runtime.segment_view(
-                segment_id, dtype=buffer.dtype, count=buffer.size
-            )
-
-            if rank == root:
-                staging[:send_elems] = buffer[:send_elems]
-            else:
-                # Wait for the parent's write_notify: GASPI guarantees the data
-                # is already visible once the notification is.
-                got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: broadcast data from parent {parent} did not arrive"
-                    )
-                runtime.notify_reset(segment_id, _NOTIF_DATA)
-                buffer[:send_elems] = staging[:send_elems]
-
-            # Forward the (possibly partial) payload down the tree.
-            for child in children:
-                runtime.write_notify(
-                    segment_id_local=segment_id,
-                    offset_local=0,
-                    target_rank=child,
-                    segment_id_remote=segment_id,
-                    offset_remote=0,
-                    size=send_bytes,
-                    notification_id=_NOTIF_DATA,
-                    queue=queue,
-                )
-            if children:
-                runtime.wait(queue)
-
-            # Outer (leaf) nodes acknowledge their parent; inner nodes wait for
-            # the acknowledgements of their leaf children (paper: "only
-            # acknowledge the data transfer from the outer nodes to their
-            # parents; the collective is considered complete when the outer
-            # nodes receive data").
-            if parent is not None and not children:
-                ack_slot = _NOTIF_ACK_BASE + tree.children(parent).index(rank)
-                runtime.notify(parent, segment_id, ack_slot, queue=queue)
-                runtime.wait(queue)
-            leaf_children = [c for c in children if not tree.children(c)]
-            for child in leaf_children:
-                ack_slot = _NOTIF_ACK_BASE + children.index(child)
-                got = runtime.notify_waitsome(segment_id, ack_slot, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(f"rank {rank}: no ack from leaf child {child}")
-                runtime.notify_reset(segment_id, ack_slot)
-        finally:
-            staging = None  # a live view would keep the segment's mapping open
-
-    return BroadcastResult(
-        rank=rank,
-        root=root,
-        elements_total=buffer.size,
-        elements_received=buffer.size if rank == root else send_elems,
-        bytes_received=0 if rank == root else send_bytes,
-        threshold=threshold,
-        stage=tree.stage_of(rank),
-    )
+    request = _cold_request(runtime, buffer, root, threshold, segment_id, queue, timeout, pool)
+    return _run_cold(BstBcastPlan, "bcast", "gaspi_bcast_bst", runtime, request).detail
 
 
 def flat_bcast(
@@ -208,48 +148,27 @@ def flat_bcast(
     """Flat broadcast: the root issues P-1 ``write_notify`` calls directly.
 
     Mentioned by the paper as the trivial alternative to the BST; it is the
-    better choice only for very small worlds.
+    better choice only for very small worlds.  A cold call of
+    :class:`FlatBcastPlan` (see :func:`bst_bcast`).
     """
-    buffer = _require_vector(buffer)
+    request = _cold_request(runtime, buffer, root, threshold, segment_id, queue, timeout, pool)
+    return _run_cold(FlatBcastPlan, "bcast", "gaspi_bcast_flat", runtime, request).detail
+
+
+def _cold_request(
+    runtime, buffer, root, threshold, segment_id, queue, timeout, pool
+) -> CollectiveRequest:
+    """The request of a cold broadcast (validated before anything is leased)."""
     require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    send_elems = threshold_elements(buffer.size, threshold)
-    send_bytes = send_elems * buffer.itemsize
-    rank = runtime.rank
-
-    with Lease(
-        runtime, pool, segment_id, buffer.nbytes, bcast_layout(runtime.size).used
-    ) as segment_id:
-        try:
-            staging = runtime.segment_view(
-                segment_id, dtype=buffer.dtype, count=buffer.size
-            )
-            if rank == root:
-                staging[:send_elems] = buffer[:send_elems]
-                for peer in range(runtime.size):
-                    if peer == root:
-                        continue
-                    runtime.write_notify(
-                        segment_id, 0, peer, segment_id, 0, send_bytes, _NOTIF_DATA,
-                        queue=queue,
-                    )
-                runtime.wait(queue)
-            else:
-                got = runtime.notify_waitsome(segment_id, _NOTIF_DATA, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(f"rank {rank}: flat bcast data never arrived")
-                runtime.notify_reset(segment_id, _NOTIF_DATA)
-                buffer[:send_elems] = staging[:send_elems]
-        finally:
-            staging = None  # a live view would keep the segment's mapping open
-
-    return BroadcastResult(
-        rank=rank,
+    return CollectiveRequest(
+        "bcast",
+        sendbuf=_require_vector(buffer),
         root=root,
-        elements_total=buffer.size,
-        elements_received=buffer.size if rank == root else send_elems,
-        bytes_received=0 if rank == root else send_bytes,
-        threshold=threshold,
-        stage=0 if rank == root else 1,
+        policy=ConsistencyPolicy(threshold=threshold),
+        segment_id=segment_id,
+        pool=pool,
+        queue=queue,
+        timeout=timeout,
     )
 
 
@@ -357,7 +276,7 @@ def _require_vector(buffer: np.ndarray) -> np.ndarray:
 # compiled plans (persistent workspace, zero per-call setup)
 # --------------------------------------------------------------------------- #
 class BstBcastPlan(CollectivePlan):
-    """Compiled BST broadcast: frozen tree, leased workspace, no barriers.
+    """Compiled tree broadcast: frozen tree, leased workspace, no barriers.
 
     The cold path's release barrier also serialises successive calls;
     without it, reuse needs an explicit hand-shake.  This plan
@@ -368,25 +287,32 @@ class BstBcastPlan(CollectivePlan):
     therefore can never clobber an unconsumed slot, however far ahead the
     root races — and unlike a trailing barrier, the ack wait overlaps with
     the next call's compute (MPI persistent-collective style pipelining).
+    The acks of the last call stay posted; the workspace release scrubs
+    them.
     """
 
     _segment_views = ("_staging",)
 
+    #: The fan-out: anything with ``parent`` / ``children`` / ``stage_of``,
+    #: a pure function of (world size, root) — built once, not per compile
+    #: or cold call.
+    _tree = staticmethod(lru_cache(maxsize=None)(BinomialTree))
+
     def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
         super().__init__(runtime, key, segment_id, pool)
-        self.dtype = np.dtype(key.dtype)
+        self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)
         self.send_bytes = self.send_elems * self.dtype.itemsize
-        self.tree = BinomialTree(runtime.size, key.root)
+        tree = self._tree(runtime.size, key.root)
         rank = runtime.rank
-        self.children = self.tree.children(rank)
-        self.parent = self.tree.parent(rank)
-        self.stage = self.tree.stage_of(rank)
+        self.children = tree.children(rank)
+        self.parent = tree.parent(rank)
+        self.stage = tree.stage_of(rank)
         self.parent_ack_slot = (
             None
             if self.parent is None
-            else _NOTIF_ACK_BASE + self.tree.children(self.parent).index(rank)
+            else _NOTIF_ACK_BASE + tree.children(self.parent).index(rank)
         )
         self.child_ack_slots = [
             _NOTIF_ACK_BASE + i for i in range(len(self.children))
@@ -398,25 +324,18 @@ class BstBcastPlan(CollectivePlan):
             self.segment_id, dtype=self.dtype, count=self.elements
         )
 
-    def execute(self, request) -> CollectiveResult:
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
         buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
         rt = self.runtime
-        rank = rt.rank
-        root = self.key.root
         sid = self.segment_id
         queue = request.queue
-        timeout = request.timeout
         send = self.send_elems
 
-        if rank == root:
+        if self.parent is None:
             self._staging[:send] = buffer[:send]
         else:
-            got = rt.notify_waitsome(sid, _NOTIF_DATA, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: planned bcast data from parent "
-                    f"{self.parent} did not arrive"
-                )
+            while rt.notify_waitsome(sid, _NOTIF_DATA, 1, timeout=poll_timeout) is None:
+                yield WaitSpec(sid, _NOTIF_DATA, 1, f"data from parent {self.parent}")
             rt.notify_reset(sid, _NOTIF_DATA)
             buffer[:send] = self._staging[:send]
 
@@ -424,24 +343,15 @@ class BstBcastPlan(CollectivePlan):
             if self.calls:
                 # Consume each child's previous-call ack before its slot
                 # is overwritten (see the class docstring).
-                for slot in self.child_ack_slots:
-                    got = rt.notify_waitsome(sid, slot, 1, timeout=timeout)
-                    if got is None:
-                        raise TimeoutError(
-                            f"rank {rank}: planned bcast child never acknowledged "
-                            f"the previous call"
+                for child, slot in zip(self.children, self.child_ack_slots):
+                    while rt.notify_waitsome(sid, slot, 1, timeout=poll_timeout) is None:
+                        yield WaitSpec(
+                            sid, slot, 1, f"child {child}'s ack of the previous call"
                         )
                     rt.notify_reset(sid, slot)
             for child in self.children:
                 rt.write_notify(
-                    segment_id_local=sid,
-                    offset_local=0,
-                    target_rank=child,
-                    segment_id_remote=sid,
-                    offset_remote=0,
-                    size=self.send_bytes,
-                    notification_id=_NOTIF_DATA,
-                    queue=queue,
+                    sid, 0, child, sid, 0, self.send_bytes, _NOTIF_DATA, queue=queue
                 )
             rt.wait(queue)
 
@@ -452,87 +362,25 @@ class BstBcastPlan(CollectivePlan):
             rt.wait(queue)
 
         self.calls += 1
+        received = self.parent is not None
         detail = BroadcastResult(
-            rank=rank,
-            root=root,
+            rank=rt.rank,
+            root=self.key.root,
             elements_total=buffer.size,
-            elements_received=buffer.size if rank == root else send,
-            bytes_received=0 if rank == root else self.send_bytes,
+            elements_received=send if received else buffer.size,
+            bytes_received=self.send_bytes if received else 0,
             threshold=self.key.policy[0],
             stage=self.stage,
         )
         return CollectiveResult(value=request.sendbuf, detail=detail)
 
 
-class FlatBcastPlan(CollectivePlan):
-    """Compiled flat broadcast: root fan-out over a leased workspace.
+class FlatBcastPlan(BstBcastPlan):
+    """The flat broadcast is the tree plan over a star: every peer is a
+    child of the root, which consumes all P-1 previous-call acks before it
+    overwrites their staging slots."""
 
-    Reuse safety mirrors :class:`BstBcastPlan`: every receiver acks the
-    root after copying the payload out, and the root consumes all P-1
-    previous-call acks before restaging — the cold path's barrier is
-    replaced by one ack round that the root overlaps with its next call.
-    """
-
-    _segment_views = ("_staging",)
-
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
-        self.dtype = np.dtype(key.dtype)
-        self.elements = key.nbytes // self.dtype.itemsize
-        self.send_elems = threshold_elements(self.elements, policy.threshold)
-        self.send_bytes = self.send_elems * self.dtype.itemsize
-        rank = runtime.rank
-        self.peers = [r for r in range(runtime.size) if r != key.root]
-        self.ack_slot = _NOTIF_ACK_BASE + rank
-        self.peer_ack_slots = [_NOTIF_ACK_BASE + r for r in self.peers]
-        self._lease_workspace(key.nbytes, bcast_layout(runtime.size).used)
-        self._staging = runtime.segment_view(
-            self.segment_id, dtype=self.dtype, count=self.elements
-        )
-
-    def execute(self, request) -> CollectiveResult:
-        buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
-        rt = self.runtime
-        rank = rt.rank
-        root = self.key.root
-        sid = self.segment_id
-        queue = request.queue
-        timeout = request.timeout
-        send = self.send_elems
-
-        if rank == root:
-            if self.calls:
-                for slot in self.peer_ack_slots:
-                    got = rt.notify_waitsome(sid, slot, 1, timeout=timeout)
-                    if got is None:
-                        raise TimeoutError(
-                            f"rank {rank}: planned flat bcast peer never "
-                            f"acknowledged the previous call"
-                        )
-                    rt.notify_reset(sid, slot)
-            self._staging[:send] = buffer[:send]
-            for peer in self.peers:
-                rt.write_notify(
-                    sid, 0, peer, sid, 0, self.send_bytes, _NOTIF_DATA, queue=queue
-                )
-            rt.wait(queue)
-        else:
-            got = rt.notify_waitsome(sid, _NOTIF_DATA, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(f"rank {rank}: planned flat bcast data never arrived")
-            rt.notify_reset(sid, _NOTIF_DATA)
-            buffer[:send] = self._staging[:send]
-            rt.notify(root, sid, self.ack_slot, queue=queue)
-            rt.wait(queue)
-
-        self.calls += 1
-        detail = BroadcastResult(
-            rank=rank,
-            root=root,
-            elements_total=buffer.size,
-            elements_received=buffer.size if rank == root else send,
-            bytes_received=0 if rank == root else self.send_bytes,
-            threshold=self.key.policy[0],
-            stage=0 if rank == root else 1,
-        )
-        return CollectiveResult(value=request.sendbuf, detail=detail)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _tree(num_ranks: int, root: int) -> KnomialTree:
+        return KnomialTree(num_ranks, radix=max(num_ranks, 2), root=root)

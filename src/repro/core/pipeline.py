@@ -56,12 +56,12 @@ per-communicator :class:`ProgressEngine`, so callers overlap compute with
 communication (the ML/SGD layer uses this for overlapping gradient
 allreduce).
 
-Every pipelined executor is written as a *generator* that yields
-:class:`~repro.core.plan.WaitSpec` objects whenever it cannot progress
-without a notification.  The blocking path
-(:func:`~repro.core.plan.drive_pipeline`) resumes it with blocking waits;
-the nonblocking path polls with ``timeout=0`` from ``progress()``.  One
-implementation, two completion disciplines.
+Like every plan, a pipelined executor is a generator that yields a
+:class:`~repro.core.plan.WaitSpec` wherever it cannot progress without a
+notification; :mod:`repro.core.plan` owns the protocol that runs it
+(blocking, incremental, cold).  The engine here is the incremental
+discipline: it polls with ``timeout=0`` from ``progress()``, for *any*
+compiled plan, pipelined or not.
 """
 
 from __future__ import annotations
@@ -81,13 +81,7 @@ from . import kernels
 from .allreduce_ring import RingAllreduceStats, ring_allreduce_schedule
 from .bcast import BroadcastResult, _require_vector, threshold_elements
 from .notifmap import NotificationLayout
-from .plan import (
-    CollectivePlan,
-    PipelineGen,
-    PlanKey,
-    WaitSpec,
-    drive_pipeline,
-)
+from .plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec
 from .policy import CollectiveResult
 from .reduce import ReduceMode, ReduceResult
 from .reduction_ops import get_op
@@ -628,25 +622,6 @@ class PipelinedBstBcastPlan(CollectivePlan):
         )
 
     # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        """The incremental executor (generator) for one call.
-
-        Waits poll with ``timeout=0`` and yield a :class:`WaitSpec` when
-        blocked, so a :class:`ProgressEngine` can advance the pipeline
-        incrementally.
-        """
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        # Blocking mode: the generator waits inline with the request's
-        # timeout and (in the common infinite-timeout case) never yields,
-        # so the blocking path pays exactly one wait per notification —
-        # no poll-then-park double round-trip.
-        return drive_pipeline(
-            self.runtime, self._run(request, request.timeout), request.timeout
-        )
-
-    # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
         buffer = self._check_payload(_require_vector(request.sendbuf), "bcast buffer")
         rt = self.runtime
@@ -843,15 +818,6 @@ class PipelinedBstReducePlan(CollectivePlan):
 
     def _data_id(self, child_index: int, chunk: int) -> int:
         return self.notif_data.id(child_index * self.chunks.num_chunks + chunk)
-
-    # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        return drive_pipeline(
-            self.runtime, self._run(request, request.timeout), request.timeout
-        )
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:
@@ -1164,15 +1130,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
 
     def _step_id(self, step: int, sub: int) -> int:
         return self.notif_steps.id(step * self.subs + sub)
-
-    # ------------------------------------------------------------------ #
-    def begin(self, request: "CollectiveRequest") -> PipelineGen:
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        return drive_pipeline(
-            self.runtime, self._run(request, request.timeout), request.timeout
-        )
 
     # ------------------------------------------------------------------ #
     def _run(self, request: "CollectiveRequest", poll_timeout: float) -> PipelineGen:

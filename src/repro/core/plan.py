@@ -41,13 +41,16 @@ serialises successive calls.  Planned executors must therefore be
 per tree edge for the BST reduce, the ring's transitive step dependency,
 the strict hypercube's call-parity mailboxes).
 
-Plans written as generators share one protocol, defined here so that every
-algorithm module can use it: the executor body yields a :class:`WaitSpec`
-where it cannot progress, :func:`drive_pipeline` runs it with blocking
-waits, a ``begin()`` generator runs it incrementally (the nonblocking API,
-the model checker), and :func:`_run_cold` is a cold call — a throwaway
-plan.  Nothing here measures a wait: an attached metrics registry observes
-them from the runtime stack and changes none of them.
+Every plan is one generator, and :class:`CollectivePlan` owns the protocol
+that runs it: a subclass writes only ``_run(request, poll_timeout)``, which
+yields a :class:`WaitSpec` where it cannot progress.  One implementation,
+three completion disciplines — :meth:`CollectivePlan.execute` drives it with
+blocking waits (:func:`drive_pipeline`, every wait bounded by
+:data:`PLAN_WAIT_TIMEOUT`), :meth:`CollectivePlan.begin` hands it out to be
+advanced incrementally (the nonblocking API, the model checker), and
+:func:`_run_cold` is a cold call: a throwaway plan.  Nothing here measures
+a wait: an attached metrics registry observes them from the runtime stack
+and changes none of them.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ def policy_from_fingerprint(fingerprint: PolicyFingerprint) -> "ConsistencyPolic
     )
 
 
-#: Call signature -> :class:`PlanKey` (see :meth:`PlanKey.from_request`).
+#: Call signature -> :class:`PlanKey` (see :func:`_plan_key`).
 #: Keys are a pure function of the signature, so entries never go stale;
 #: the memo is simply cleared when it reaches its fixed size.
 _KEY_MEMO: Dict[tuple, "PlanKey"] = {}
@@ -141,43 +144,15 @@ class PlanKey:
     ) -> Optional["PlanKey"]:
         """Key of the plan serving ``request``, or ``None`` if unplannable.
 
-        Data-free requests (barriers) and non-array payloads cannot be
-        keyed and fall back to the cold path.  The key is a pure function
-        of the call signature, so it is built on first sight only and
-        memoized (:data:`_KEY_MEMO`): a plan-cache hit pays one dict
-        lookup, not a nine-field frozen dataclass and its hash.
+        Data-free requests (barriers), non-array payloads and unknown
+        operators cannot be keyed and fall back to the cold path.
         """
-        if request.sendbuf is None:
+        if request.sendbuf is None or np.asarray(request.sendbuf).size == 0:
             return None
-        sendbuf = np.asarray(request.sendbuf)
-        if sendbuf.size == 0:
-            return None
-        signature = (
-            info.collective, info.name, runtime.size, request.root, sendbuf.nbytes,
-            sendbuf.dtype, request.op, request.policy, request.tag,
-        )
-        key = _KEY_MEMO.get(signature)
-        if key is not None:
-            return key
         try:
-            op_name = get_op(request.op).name
+            return _plan_key(info.collective, info.name, runtime, request)
         except ValueError:
             return None
-        key = cls(
-            collective=info.collective,
-            algorithm=info.name,
-            size=runtime.size,
-            root=int(request.root),
-            nbytes=int(sendbuf.nbytes),
-            dtype=sendbuf.dtype.str,
-            op=op_name,
-            policy=policy_fingerprint(request.policy),
-            tag=int(request.tag),
-        )
-        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-            _KEY_MEMO.clear()
-        _KEY_MEMO[signature] = key
-        return key
 
     # ------------------------------------------------------------------ #
     # serialization (checkpoint snapshots)
@@ -225,6 +200,41 @@ class PlanKey:
         )
 
 
+def _plan_key(
+    collective: str, algorithm: str, runtime: "GaspiRuntime", request: "CollectiveRequest"
+) -> PlanKey:
+    """Plan key of ``request`` under ``algorithm``, cached or cold alike.
+
+    The key is a pure function of the call signature, so it is built on
+    first sight only and memoized (:data:`_KEY_MEMO`): a plan-cache hit —
+    and a cold call, whose key nobody caches — pays one dict lookup, not a
+    nine-field frozen dataclass and its hash.  An unknown operator raises
+    :class:`ValueError`.
+    """
+    sendbuf = np.asarray(request.sendbuf)
+    signature = (
+        collective, algorithm, runtime.size, request.root, sendbuf.nbytes,
+        sendbuf.dtype, request.op, request.policy, request.tag,
+    )
+    key = _KEY_MEMO.get(signature)
+    if key is None:
+        key = PlanKey(
+            collective=collective,
+            algorithm=algorithm,
+            size=runtime.size,
+            root=int(request.root),
+            nbytes=int(sendbuf.nbytes),
+            dtype=sendbuf.dtype.str,
+            op=get_op(request.op).name,
+            policy=policy_fingerprint(request.policy),
+            tag=int(request.tag),
+        )
+        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
+            _KEY_MEMO.clear()
+        _KEY_MEMO[signature] = key
+    return key
+
+
 # --------------------------------------------------------------------------- #
 # plan base class
 # --------------------------------------------------------------------------- #
@@ -232,8 +242,9 @@ class CollectivePlan:
     """Base class of compiled collectives: leased workspace + frozen layout.
 
     Subclasses precompute their topology and offsets in ``__init__`` and
-    implement :meth:`execute`; the base class owns the workspace lease and
-    the cached simulator schedule.
+    implement :meth:`_run`; the base class owns the executor protocol
+    (:meth:`execute`, :meth:`begin`), the workspace lease and the cached
+    simulator schedule.
 
     Construction is collective: every rank builds the plan for the same
     key at the same dispatch, so a pool miss can synchronise its fresh
@@ -281,9 +292,31 @@ class CollectivePlan:
         )
         self.segment_id = self._lease.segment_id
 
-    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
-        """Run one planned call (implemented by subclasses)."""
+    # ------------------------------------------------------------------ #
+    # executor protocol: one generator body, three ways to complete it
+    # ------------------------------------------------------------------ #
+    def _run(self, request: "CollectiveRequest", poll_timeout: float) -> "PipelineGen":
+        """One call, as a generator (implemented by subclasses).
+
+        A wait that may block is ``while rt.notify_waitsome(..., timeout=
+        poll_timeout) is None: yield WaitSpec(...)``: it waits inline for
+        up to ``poll_timeout`` seconds and yields what it is blocked on.
+        """
         raise NotImplementedError
+
+    def begin(self, request: "CollectiveRequest") -> "PipelineGen":
+        """The incremental executor: polls, and yields wherever it is blocked."""
+        return self._run(request, 0.0)
+
+    def execute(self, request: "CollectiveRequest") -> "CollectiveResult":
+        """Run one planned call to completion.
+
+        The generator waits inline under the bound, so the blocking path
+        pays one ``notify_waitsome`` per notification and only a wait that
+        timed out reaches the driver — which names it and raises.
+        """
+        bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
+        return drive_pipeline(self.runtime, self._run(request, bound), bound)
 
     # ------------------------------------------------------------------ #
     def schedule(self, info: "AlgorithmInfo") -> "CommunicationSchedule":
@@ -357,9 +390,9 @@ class CollectivePlan:
 # --------------------------------------------------------------------------- #
 # generator protocol (one executor body, blocking or incremental)
 # --------------------------------------------------------------------------- #
-#: Upper bound (seconds) on one blocking wait of the plans that bound theirs
-#: (strict hypercube, BST reduce): a peer that never posts raises
-#: :class:`TimeoutError` instead of hanging.
+#: Upper bound (seconds) on one blocking wait of a plan, whatever the
+#: request's timeout: a peer that never posts raises :class:`TimeoutError`
+#: instead of hanging.
 PLAN_WAIT_TIMEOUT = 60.0
 
 
@@ -371,12 +404,14 @@ class WaitSpec:
     the driver resumes the generator once *any* notification in
     ``[first, first + count)`` of ``segment_id`` is pending (the generator
     re-checks and consumes what it needs itself, so a spurious resume is
-    harmless).
+    harmless).  ``what`` says what the range stands for ("DATA from child
+    3 in call 7"); a wait that times out is reported with it.
     """
 
     segment_id: int
     first: int
     count: int = 1
+    what: str = ""
 
 
 PipelineGen = Generator[WaitSpec, None, "CollectiveResult"]
@@ -387,10 +422,10 @@ def drive_pipeline(
 ) -> "CollectiveResult":
     """Run a pipeline generator to completion with blocking waits.
 
-    The one blocking loop, whatever wraps ``runtime``: a plan's blocking
-    ``execute`` hands its generator the request's (bounded) timeout, so the
-    generator waits inline — one ``notify_waitsome`` per notification — and
-    only a wait that timed out reaches this loop.
+    The one blocking loop, whatever wraps ``runtime``
+    (:meth:`CollectivePlan.execute`).  A wait that stays unanswered for
+    ``timeout`` seconds raises a :class:`TimeoutError` naming the rank, the
+    segment and the notification range nobody posted.
     """
     try:
         spec = next(gen)
@@ -401,9 +436,10 @@ def drive_pipeline(
             if got is None:
                 gen.close()
                 raise TimeoutError(
-                    f"rank {runtime.rank}: pipelined collective timed out waiting "
-                    f"for notifications [{spec.first}, {spec.first + spec.count}) "
-                    f"on segment {spec.segment_id}"
+                    f"rank {runtime.rank}: waited longer than {timeout}s for "
+                    f"{spec.what or 'a peer'}: nobody posted notifications "
+                    f"[{spec.first}, {spec.first + spec.count}) on segment "
+                    f"{spec.segment_id}"
                 )
             spec = next(gen)
     except StopIteration as stop:
@@ -413,25 +449,6 @@ def drive_pipeline(
 # --------------------------------------------------------------------------- #
 # cold path (registry entry points without a cached plan)
 # --------------------------------------------------------------------------- #
-def _request_key(
-    collective: str, algorithm: str, runtime: "GaspiRuntime", request: "CollectiveRequest"
-) -> PlanKey:
-    """Plan key of a one-shot (cold) execution."""
-    sendbuf = np.asarray(request.sendbuf)
-    op_name = get_op(request.op).name
-    return PlanKey(
-        collective=collective,
-        algorithm=algorithm,
-        size=runtime.size,
-        root=int(request.root),
-        nbytes=int(sendbuf.nbytes),
-        dtype=sendbuf.dtype.str,
-        op=op_name,
-        policy=policy_fingerprint(request.policy),
-        tag=int(request.tag),
-    )
-
-
 def _run_cold(
     plan_cls: Callable[..., CollectivePlan],
     collective: str,
@@ -442,9 +459,9 @@ def _run_cold(
     """Build a throwaway plan, run one call, release it (cold path).
 
     The release barrier also drains the handshake notifications (entry
-    fences, credits) still in flight from the call.
+    fences, credits, consume-acks) still in flight from the call.
     """
-    key = _request_key(collective, name, runtime, request)
+    key = _plan_key(collective, name, runtime, request)
     plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
     try:
         return plan.execute(request)

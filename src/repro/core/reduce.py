@@ -37,14 +37,7 @@ from ..utils.validation import check_fraction, require
 from . import kernels
 from .bcast import threshold_elements
 from .notifmap import NotificationLayout
-from .plan import (
-    PLAN_WAIT_TIMEOUT,
-    CollectivePlan,
-    PipelineGen,
-    WaitSpec,
-    _run_cold,
-    drive_pipeline,
-)
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
 from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
 from .workspace import WorkspacePool
 from .reduction_ops import ReductionOp, get_op
@@ -212,14 +205,6 @@ class BstReducePlan(CollectivePlan):
             np.empty(self.reduce_elems, self.dtype) if self._child_table else None
         )
 
-    def begin(self, request) -> PipelineGen:
-        """The incremental executor: polls, and yields when a wait is blocked."""
-        return self._run(request, poll_timeout=0.0)
-
-    def execute(self, request) -> CollectiveResult:
-        bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
-        return drive_pipeline(self.runtime, self._run(request, bound), bound)
-
     def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(
             np.ascontiguousarray(request.sendbuf), "reduce sendbuf"
@@ -251,13 +236,9 @@ class BstReducePlan(CollectivePlan):
                     out = recvbuf[:elems]  # the folds land in the caller's memory
             for child, notif, slot in self._child_table:
                 while rt.notify_waitsome(sid, notif, 1, timeout=poll_timeout) is None:
-                    if poll_timeout:
-                        raise TimeoutError(
-                            f"rank {rt.rank}: reduce waited longer than "
-                            f"{poll_timeout}s for DATA from child {child} in "
-                            f"call {self.calls}"
-                        )
-                    yield WaitSpec(sid, notif, 1)
+                    yield WaitSpec(
+                        sid, notif, 1, f"DATA from child {child} in call {self.calls}"
+                    )
                 contributors += rt.notify_reset(sid, notif) or 1
                 kernels.fold(operator, partial, slot, out)
                 partial = out
@@ -273,13 +254,13 @@ class BstReducePlan(CollectivePlan):
                         rt.notify_waitsome(sid, _NOTIF_CREDIT, 1, timeout=poll_timeout)
                         is None
                     ):
-                        if poll_timeout:
-                            raise TimeoutError(
-                                f"rank {rt.rank}: reduce waited longer than "
-                                f"{poll_timeout}s for the credit from parent "
-                                f"{self.parent} before the push of call {self.calls}"
-                            )
-                        yield WaitSpec(sid, _NOTIF_CREDIT, 1)
+                        yield WaitSpec(
+                            sid,
+                            _NOTIF_CREDIT,
+                            1,
+                            f"the credit from parent {self.parent} before the "
+                            f"push of call {self.calls}",
+                        )
                     rt.notify_reset(sid, _NOTIF_CREDIT)
                 offset, notif = self._push
                 rt.write_notify_from(

@@ -6,12 +6,14 @@ Every registered :class:`AlgorithmInfo` carries up to three things:
   a :class:`~repro.core.schedule.CommunicationSchedule` for the timing
   simulator (all algorithms have one — it is how the paper's figures are
   regenerated);
-* an executable **runner** ``run(runtime, request)`` that performs the
-  collective for real on a :class:`~repro.gaspi.runtime.GaspiRuntime`,
-  taking a :class:`~repro.core.policy.CollectiveRequest` and returning a
-  :class:`~repro.core.policy.CollectiveResult` (the GASPI collectives and
-  the functional MPI baselines have one; schedule-only entries raise a
-  descriptive error when asked to execute);
+* an executable path that performs the collective for real on a
+  :class:`~repro.gaspi.runtime.GaspiRuntime`, taking a
+  :class:`~repro.core.policy.CollectiveRequest` and returning a
+  :class:`~repro.core.policy.CollectiveResult`: a **planner** compiling a
+  :class:`~repro.core.plan.CollectivePlan` (which also runs cold, as its
+  own throwaway plan) and/or a **runner** ``run(runtime, request)`` (the
+  unplanned GASPI collectives, the functional MPI baselines); schedule-only
+  entries raise a descriptive error when asked to execute;
 * **capability metadata** (:class:`AlgorithmCapabilities`) describing which
   consistency policies, world sizes and dtypes the algorithm accepts, so
   dispatch failures surface as clear errors *before* any communication and
@@ -81,10 +83,8 @@ class AlgorithmCapabilities:
     pipelined:
         The compiled plan is a chunked pipeline
         (:mod:`repro.core.pipeline`): it honours
-        ``ConsistencyPolicy.chunk_bytes``, its schedule builder takes a
-        ``chunk_bytes`` kwarg, and — because pipelines expose an
-        incremental ``begin()`` executor — it can back the nonblocking
-        ``ibcast``/``ireduce``/``iallreduce`` API.
+        ``ConsistencyPolicy.chunk_bytes`` and its schedule builder takes a
+        ``chunk_bytes`` kwarg.
     verified:
         The algorithm's compiled plan is covered by the static schedule
         verifier (:mod:`repro.analysis`): ``python -m repro.analysis
@@ -153,8 +153,8 @@ class AlgorithmInfo:
 
     @property
     def executable(self) -> bool:
-        """True when the algorithm has a real ``run`` entry point."""
-        return self.runner is not None
+        """True when the algorithm can run for real (a runner or a planner)."""
+        return self.runner is not None or self.planner is not None
 
     @property
     def plannable(self) -> bool:
@@ -212,9 +212,11 @@ class AlgorithmInfo:
         deadlocked collective.  When a compiled ``plan`` is supplied (the
         plan-aware entry point) the call runs through
         :meth:`CollectivePlan.execute` — leased workspace, frozen topology
-        and notification layout — instead of the cold runner.
+        and notification layout.  Without one it runs cold: through the
+        runner, or — an entry that has only a planner — as a throwaway
+        plan compiled for this call.
         """
-        if plan is None and self.runner is None:
+        if plan is None and not self.executable:
             raise ValueError(
                 f"algorithm {self.name!r} is schedule-only (no executable "
                 f"runner); simulate it through the benchmark harness instead"
@@ -223,8 +225,10 @@ class AlgorithmInfo:
         self.check_request(runtime.size, request.policy, dtype)
         if plan is not None:
             result = plan.execute(request)
-        else:
+        elif self.runner is not None:
             result = self.runner(runtime, request)
+        else:
+            result = _run_cold(self.planner, self.collective, self.name, runtime, request)
         result.algorithm = self.name
         result.policy = request.policy
         return result
@@ -359,57 +363,6 @@ REGISTRY = AlgorithmRegistry()
 # --------------------------------------------------------------------------- #
 # runners for the GASPI collectives
 # --------------------------------------------------------------------------- #
-def _run_bcast_bst(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .bcast import bst_bcast
-
-    detail = bst_bcast(
-        runtime,
-        request.sendbuf,
-        root=request.root,
-        threshold=request.policy.threshold,
-        segment_id=request.segment_id,
-        queue=request.queue,
-        timeout=request.timeout,
-        pool=request.pool,
-    )
-    return CollectiveResult(value=request.sendbuf, detail=detail)
-
-
-def _run_bcast_flat(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .bcast import flat_bcast
-
-    detail = flat_bcast(
-        runtime,
-        request.sendbuf,
-        root=request.root,
-        threshold=request.policy.threshold,
-        segment_id=request.segment_id,
-        queue=request.queue,
-        timeout=request.timeout,
-        pool=request.pool,
-    )
-    return CollectiveResult(value=request.sendbuf, detail=detail)
-
-
-def _run_allreduce_ring(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .allreduce_ring import ring_allreduce
-
-    recvbuf = request.recvbuf
-    if recvbuf is None:
-        recvbuf = np.empty_like(request.sendbuf)
-    detail = ring_allreduce(
-        runtime,
-        np.ascontiguousarray(request.sendbuf),
-        recvbuf,
-        op=request.op,
-        segment_id=request.segment_id,
-        queue=request.queue,
-        timeout=request.timeout,
-        pool=request.pool,
-    )
-    return CollectiveResult(value=recvbuf, detail=detail)
-
-
 def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveResult:
     from .allreduce_ssp import HypercubeAllreducePlan, ssp_allreduce_once
 
@@ -498,16 +451,6 @@ def _planner(module: str, plan_class: str) -> Planner:
     return plan
 
 
-def _cold_plan(name: str, module: str, plan_class: str) -> Runner:
-    """Runner of an algorithm whose cold call is its plan, compiled for one call."""
-    planner = _planner(module, plan_class)
-
-    def run(runtime, request: CollectiveRequest) -> CollectiveResult:
-        return _run_cold(planner, request.collective, name, runtime, request)
-
-    return run
-
-
 def _register_core_algorithms() -> None:
     """Register the GASPI collectives described in the paper."""
     # Import the builder functions explicitly: several submodules (e.g.
@@ -527,7 +470,6 @@ def _register_core_algorithms() -> None:
         collective="bcast",
         family="gaspi",
         builder=bst_bcast_schedule,
-        runner=_run_bcast_bst,
         planner=_planner("bcast", "BstBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True, modes=("data",), plannable=True, verified=True
@@ -539,19 +481,17 @@ def _register_core_algorithms() -> None:
         collective="bcast",
         family="gaspi",
         builder=flat_bcast_schedule,
-        runner=_run_bcast_flat,
         planner=_planner("bcast", "FlatBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True, modes=("data",), plannable=True, verified=True
         ),
-        description="Flat broadcast: P-1 write_notify calls from the root",
+        description="Flat broadcast: the tree plan over a star (P-1 writes from the root)",
     )
     REGISTRY.register(
         "gaspi_reduce_bst",
         collective="reduce",
         family="gaspi",
         builder=bst_reduce_schedule,
-        runner=_cold_plan("gaspi_reduce_bst", "reduce", "BstReducePlan"),
         planner=_planner("reduce", "BstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -567,7 +507,6 @@ def _register_core_algorithms() -> None:
         collective="allreduce",
         family="gaspi",
         builder=ring_allreduce_schedule,
-        runner=_run_allreduce_ring,
         planner=_planner("allreduce_ring", "RingAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True, plannable=True, verified=True
@@ -601,7 +540,6 @@ def _register_core_algorithms() -> None:
         collective="bcast",
         family="gaspi",
         builder=pipelined_bst_bcast_schedule,
-        runner=_cold_plan("gaspi_bcast_bst_pipelined", "pipeline", "PipelinedBstBcastPlan"),
         planner=_planner("pipeline", "PipelinedBstBcastPlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -620,7 +558,6 @@ def _register_core_algorithms() -> None:
         collective="reduce",
         family="gaspi",
         builder=pipelined_bst_reduce_schedule,
-        runner=_cold_plan("gaspi_reduce_bst_pipelined", "pipeline", "PipelinedBstReducePlan"),
         planner=_planner("pipeline", "PipelinedBstReducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_threshold=True,
@@ -640,9 +577,6 @@ def _register_core_algorithms() -> None:
         collective="allreduce",
         family="gaspi",
         builder=pipelined_ring_allreduce_schedule,
-        runner=_cold_plan(
-            "gaspi_allreduce_ring_pipelined", "pipeline", "PipelinedRingAllreducePlan"
-        ),
         planner=_planner("pipeline", "PipelinedRingAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True, plannable=True, pipelined=True, verified=True

@@ -35,6 +35,7 @@ from repro.analysis.mutations import (
     reuse_without_cooling,
     single_mailbox_per_step,
     skip_allgather_copy_out,
+    skip_child_ack_consumes,
     skip_scrub,
     stage_partial_in_child_slot,
 )
@@ -79,7 +80,7 @@ def test_shrunk_ack_handshake_is_double_post():
     # may then overwrite the data slot while call 1 is unconsumed, and
     # the unread acks starve.
     run = build_model("gaspi_bcast_flat", 4, 256)
-    mutated = drop_consumes(run.trace, 0, run.plans[0].peer_ack_slots)
+    mutated = drop_consumes(run.trace, 0, run.plans[0].child_ack_slots)
     assert classes(analyze(mutated)) == {DOUBLE_POST, UNMATCHED}
 
 
@@ -167,6 +168,20 @@ def test_single_mailbox_per_step_lets_the_next_call_overwrite_this_one(ranks):
         "gaspi_allreduce_ssp_hypercube", **cell, mutate_plan=single_mailbox_per_step
     )
     assert DOUBLE_POST in classes(analyze(mutated.trace))
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+@pytest.mark.parametrize("algorithm", ["gaspi_bcast_bst", "gaspi_bcast_flat"])
+def test_unconsumed_child_acks_overwrite_a_lagging_child(algorithm, ranks):
+    # The model drives the shipped broadcast generator, so a defect planted
+    # in the plan shows in the trace: without the ack consume the parent's
+    # next call lands on a child that has not read this one.
+    cell = dict(nbytes=256, calls=2, laggard=ranks - 1)
+    assert analyze(build_model(algorithm, ranks, **cell).trace) == []
+    mutated = build_model(
+        algorithm, ranks, **cell, mutate_plan=skip_child_ack_consumes
+    )
+    assert classes(analyze(mutated.trace)) & {DATA_RACE, DOUBLE_POST}
 
 
 @pytest.mark.parametrize(

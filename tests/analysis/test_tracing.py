@@ -9,6 +9,7 @@ injected protocol violation is caught.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.analysis import DOUBLE_POST, TraceSink, analyze
 from repro.core.plan import PlanKey, policy_fingerprint
@@ -78,34 +79,43 @@ def test_traced_bcast_run_is_clean():
     assert findings == [], [finding.describe() for finding in findings]
 
 
-def test_caller_memory_posts_trace_like_segment_posts():
+@pytest.mark.parametrize(
+    "algorithm,collective,nbytes,caller_memory",
+    [
+        ("gaspi_allreduce_ring_pipelined", "allreduce", 512, True),
+        ("gaspi_allreduce_ring", "allreduce", 512, False),
+        ("gaspi_bcast_bst", "bcast", 256, False),
+        ("gaspi_bcast_flat", "bcast", 256, False),
+    ],
+)
+def test_a_live_run_posts_what_the_model_posts(
+    algorithm, collective, nbytes, caller_memory
+):
+    # The same generator runs on both sides, so every rank posts the same
+    # sequence — destination, offset, length, slot — live and in the model.
     # write_notify_from is recorded as the same event kind as write_notify
-    # (a data-carrying post, minus the local offset caller memory lacks):
-    # a live pipelined ring replays clean and posts what the model posts.
+    # (a data-carrying post, minus the local offset caller memory lacks).
     from repro.analysis import build_model
 
-    sink, results = _run_traced(
-        "gaspi_allreduce_ring_pipelined", "allreduce", 4, 512
-    )
-    expected = sum(np.arange(64, dtype=np.float64) + rank + 1 for rank in range(4))
-    for recvbuf in results:
-        assert np.array_equal(recvbuf, expected)
-    trace = sink.trace(name="live ring_pipelined x2")
+    sink, results = _run_traced(algorithm, collective, 4, nbytes)
+    if collective == "allreduce":
+        expected = sum(np.arange(nbytes // 8) + rank + 1.0 for rank in range(4))
+        for recvbuf in results:
+            assert np.array_equal(recvbuf, expected)
+    trace = sink.trace(name=f"live {algorithm} x2")
     assert analyze(trace) == []
 
-    def data_posts(events):
-        return sorted(
-            (e.dst, e.offset, e.length, e.notif_id)
-            for e in events
-            if e.kind == "post" and e.length > 0
-        )
+    def posts(events):
+        return [
+            (e.dst, e.offset, e.length, e.notif_id) for e in events if e.kind == "post"
+        ]
 
-    model = build_model("gaspi_allreduce_ring_pipelined", 4, 512).trace
+    model = build_model(algorithm, 4, nbytes).trace
     for rank in range(4):
-        live = data_posts(trace.events[rank])
-        assert live and live == data_posts(model.events[rank])
+        live = posts(trace.events[rank])
+        assert live and live == posts(model.events[rank])
         assert all(
-            e.local_offset == -1
+            (e.local_offset == -1) == caller_memory
             for e in trace.events[rank]
             if e.kind == "post" and e.length > 0
         )

@@ -30,6 +30,7 @@ _PIPELINE_POLICY = ConsistencyPolicy(chunk_bytes=256)
 #: (collective, algorithm alias, policy) — the acceptance matrix.
 SCENARIOS = [
     ("bcast", "bst", None),
+    ("bcast", "flat", None),
     ("bcast", "bst_pipelined", _PIPELINE_POLICY),
     ("reduce", "bst", None),
     ("reduce", "bst_pipelined", _PIPELINE_POLICY),

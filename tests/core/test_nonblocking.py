@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro import Communicator
+from repro import Communicator, run_backend
 from repro.ml.sgd import OverlapAllreduce
 
 from tests.helpers import expected_sum, rank_vector, spmd
@@ -25,12 +26,14 @@ class TestHandles:
                 bool(np.allclose(buf, 0.0)),
                 handle.result is result,
             )
+            # "auto" resolves the same for the i* call and the blocking one.
+            blocking = comm.bcast(buf, root=0).algorithm
             comm.close()
-            return state
+            return state, blocking
 
-        for done, algorithm, correct, same in spmd(4, worker):
+        for (done, algorithm, correct, same), blocking in spmd(4, worker):
             assert done and correct and same
-            assert algorithm == "gaspi_bcast_bst_pipelined"
+            assert algorithm == blocking
 
     def test_iallreduce_test_polls_to_completion(self):
         n = 2048
@@ -52,7 +55,7 @@ class TestHandles:
         for out in outs:
             assert np.allclose(out, expect)
 
-    def test_second_iallreduce_of_a_shape_does_not_walk_the_registry(self, monkeypatch):
+    def test_iallreduce_resolves_once_and_like_the_blocking_call(self, monkeypatch):
         from repro.core.registry import AlgorithmRegistry
 
         walks = []
@@ -72,15 +75,14 @@ class TestHandles:
                 monkeypatch.setattr(AlgorithmRegistry, "names", counting_names)
             rt.barrier()
             second = comm.iallreduce(send, recvbuf=out).wait().algorithm
-            # A blocking call of the same shape resolves under its own key.
+            # A blocking call of the same shape resolves under the same key.
             comm.allreduce(send, recvbuf=out)
             assert np.allclose(out, expected_sum(2, 512))
             comm.close()
             return first, second, comm.last_result.algorithm
 
         for first, second, blocking in spmd(2, worker):
-            assert first == second == "gaspi_allreduce_ring_pipelined"
-            assert blocking != first
+            assert first == second == blocking
         assert walks == []
 
     def test_ireduce_matches_blocking(self):
@@ -99,22 +101,56 @@ class TestHandles:
         for nb, blocking in spmd(4, worker):
             assert np.array_equal(nb, blocking)
 
-    def test_non_pipelined_algorithm_completes_synchronously(self):
-        n = 1024
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    @pytest.mark.parametrize(
+        "collective,algorithm",
+        [
+            ("allreduce", "hypercube"),
+            ("allreduce", "gaspi_allreduce_ring"),
+            ("bcast", "gaspi_bcast_bst"),
+        ],
+    )
+    def test_monolithic_plan_is_incremental(self, backend, collective, algorithm):
+        # Rank 0 (the broadcast's root) issues late: nobody else can
+        # complete without it, so their handles are in flight, not born done.
+        results = run_backend(
+            4, _late_peer_worker, collective, algorithm, backend=backend, timeout=90
+        )
+        for rank, (in_flight, named, nonblocking, blocking) in enumerate(results):
+            assert in_flight == (rank != 0)
+            assert named in (algorithm, f"gaspi_allreduce_ssp_{algorithm}")
+            assert nonblocking == blocking
 
-        def worker(rt):
-            comm = Communicator(rt)
-            send = rank_vector(rt.rank, n)
-            out = np.empty_like(send)
-            handle = comm.iallreduce(send, recvbuf=out, algorithm="hypercube")
-            state = handle.done, handle.result.algorithm
-            comm.close()
-            return state, out
 
-        for (done, algorithm), out in spmd(4, worker):
-            assert done
-            assert algorithm == "gaspi_allreduce_ssp_hypercube"
-            assert np.allclose(out, expected_sum(4, n))
+def _late_peer_worker(rt, collective, algorithm):
+    comm = Communicator(rt)
+    n = 1024
+
+    def issue(out):
+        if collective == "bcast":
+            out[:] = rank_vector(99, n) if rt.rank == 0 else 0.0
+            return comm.ibcast(out, root=0, algorithm=algorithm)
+        return comm.iallreduce(rank_vector(rt.rank, n), recvbuf=out, algorithm=algorithm)
+
+    out = np.empty(n)
+    issue(out).wait()  # compiling the plan is collective: nobody is late for it
+    handle, in_flight = None, False
+    if rt.rank != 0:
+        handle = issue(out)
+        for _ in range(100):
+            handle.test()
+        in_flight = not handle.done
+    rt.barrier()
+    if rt.rank == 0:
+        handle = issue(out)
+    named = handle.wait().algorithm
+    nonblocking = out.tobytes()
+    if collective == "bcast":
+        comm.bcast(out, root=0, algorithm=algorithm)
+    else:
+        comm.allreduce(rank_vector(rt.rank, n), recvbuf=out, algorithm=algorithm)
+    comm.close()
+    return in_flight, named, nonblocking, out.tobytes()
 
 
 class TestTaggedConcurrency:
@@ -179,7 +215,7 @@ class TestTaggedConcurrency:
             out_b = np.empty(n)
             handle = comm.iallreduce(a, recvbuf=out_a)
             # Same shape -> same PlanKey: dispatch drains the handle first.
-            comm.allreduce(b, recvbuf=out_b, algorithm="ring_pipelined")
+            comm.allreduce(b, recvbuf=out_b)
             drained_before_blocking = handle.done
             handle.wait()
             comm.close()

@@ -609,7 +609,7 @@ class TestHitCostsItsWireOps:
                 assert spent[op] == 0, (rank, op)
 
     def test_a_partner_that_never_posts_is_a_timeout_not_a_hang(self, monkeypatch):
-        monkeypatch.setattr("repro.core.allreduce_ssp.PLAN_WAIT_TIMEOUT", 0.2)
+        monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
 
         def worker(rt):
             comm = Communicator(rt)
@@ -632,7 +632,7 @@ class TestHitCostsItsWireOps:
 
 
     def test_a_child_that_never_posts_is_a_timeout_not_a_hang(self, monkeypatch):
-        monkeypatch.setattr("repro.core.reduce.PLAN_WAIT_TIMEOUT", 0.2)
+        monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
 
         def worker(rt):
             comm = Communicator(rt)
@@ -654,7 +654,7 @@ class TestHitCostsItsWireOps:
             assert part in message
 
     def test_a_parent_that_never_credits_is_a_timeout_not_a_hang(self, monkeypatch):
-        monkeypatch.setattr("repro.core.reduce.PLAN_WAIT_TIMEOUT", 0.2)
+        monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
 
         def worker(rt):
             comm = Communicator(rt)

@@ -31,7 +31,16 @@ SCENARIOS = [
     ("allreduce", "ring", ConsistencyPolicy.strict(), {}),
     ("allreduce", "ring", ConsistencyPolicy.strict(), {"op": "min"}),
     ("allreduce", "hypercube", ConsistencyPolicy.strict(), {}),
+    # A strided (non-contiguous) 1-D sendbuf is accepted on both paths.
+    ("allreduce", "ring", ConsistencyPolicy.strict(), {"strided": True}),
+    ("allreduce", "hypercube", ConsistencyPolicy.strict(), {"strided": True}),
 ]
+
+
+def _allreduce_sendbuf(rank, elements, kwargs):
+    if kwargs.get("strided"):
+        return rank_vector(rank, 2 * elements)[::2]
+    return rank_vector(rank, elements)
 
 
 def _run_scenario(comm, collective, algorithm, policy, kwargs, elements, calls=2):
@@ -68,7 +77,10 @@ def _run_scenario(comm, collective, algorithm, policy, kwargs, elements, calls=2
             )
         else:  # allreduce
             comm.allreduce(
-                rank_vector(rank, elements), op=op, policy=policy, algorithm=algorithm
+                _allreduce_sendbuf(rank, elements, kwargs),
+                op=op,
+                policy=policy,
+                algorithm=algorithm,
             )
             result = comm.last_result
             payload = result.value
@@ -114,6 +126,10 @@ def test_cached_equals_cold_threaded(ranks, collective, algorithm, policy, kwarg
             assert cached_call["algorithm"] == cold_call["algorithm"]
             assert cached_call["missing"] == cold_call["missing"]
             assert cached_call["detail"] == cold_call["detail"]
+            if collective == "allreduce":
+                fold = {"sum": np.sum, "min": np.min, "max": np.max}[kwargs.get("op", "sum")]
+                sends = [_allreduce_sendbuf(r, elements, kwargs) for r in range(ranks)]
+                assert np.allclose(np.frombuffer(cached_call["bytes"]), fold(sends, axis=0))
 
 
 @pytest.mark.parametrize(

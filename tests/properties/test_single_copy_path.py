@@ -168,8 +168,14 @@ def _worker(rt, case):
         policy = ConsistencyPolicy(chunk_bytes=case["chunk_bytes"])
         first, second = _payload(case, rt.rank, 0), _payload(case, rt.rank, 1)
         recvbuf, _ = _recv(case, first)
-        h1 = planned.iallreduce(first, recvbuf, op=op, policy=policy, tag=1)
-        h2 = planned.iallreduce(second, second, op=op, policy=policy, tag=2)
+        # Named: "auto" resolves by size, as for a blocking call, and another
+        # algorithm folds an inexact sum in another order.
+        h1 = planned.iallreduce(
+            first, recvbuf, op=op, policy=policy, algorithm=pipelined, tag=1
+        )
+        h2 = planned.iallreduce(
+            second, second, op=op, policy=policy, algorithm=pipelined, tag=2
+        )
         out["nonblocking"] = np.asarray(h1.wait(timeout=60).value).tobytes()
         out["nonblocking_again"] = np.asarray(h2.wait(timeout=60).value).tobytes()
     cold.close()
