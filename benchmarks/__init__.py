@@ -2,6 +2,5 @@
 
 A package so the benchmark modules can import the shared helpers with
 ``from .conftest import run_once`` under pytest's default import mode.
-Run with ``pytest benchmarks/ -s`` (optionally ``--json PATH`` for a
-machine-readable report).
+Run with ``pytest benchmarks/ -s``.
 """

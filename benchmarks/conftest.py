@@ -1,91 +1,21 @@
 """Shared helpers for the figure benchmarks.
 
 Every module in this directory regenerates the data behind one figure of
-the paper (see DESIGN.md §4 for the figure → module mapping).  Benchmarks
-run the experiment once under ``benchmark.pedantic`` (the experiment
-itself is the measured unit) and print the same rows/series the paper
-plots, so ``pytest benchmarks/ --benchmark-only -s`` doubles as the
+the paper (the figure number is in the module name).  Benchmarks run the
+experiment once under ``benchmark.pedantic`` (the experiment itself is
+the measured unit) and print the same rows/series the paper plots, so
+``pytest benchmarks/ --benchmark-only -s`` doubles as the
 figure-regeneration harness.
-
-Passing ``--json PATH`` additionally writes a machine-readable report in
-the same :data:`repro.bench.harness.BENCH_SCHEMA` format as
-``BENCH_pr3.json`` (one ``wall_seconds`` record per benchmark, with the
-sweep rows attached when the experiment returned a series), so any figure
-benchmark can feed the accumulated perf trajectory.
 """
 
 from __future__ import annotations
 
-import time
-from typing import List
-
 import pytest
-
-from repro.bench.harness import BenchRecord, SweepPoint, write_json_report
-from repro.bench.report import series_to_rows
-
-#: Records accumulated by :func:`run_once` over one pytest session.
-_RECORDS: List[BenchRecord] = []
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--json",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help="write a repro-bench/v1 JSON report of the benchmark run",
-    )
-
-
-def _extract_series(result):
-    """Pull the ``{label: [SweepPoint, ...]}`` series out of a result.
-
-    The experiment functions either return the series directly or wrap it
-    in a dict under a ``"series"`` key; anything else has no rows.
-    """
-    candidates = [result]
-    if isinstance(result, dict) and "series" in result:
-        candidates.append(result["series"])
-    for candidate in candidates:
-        if isinstance(candidate, dict) and candidate and all(
-            isinstance(points, (list, tuple))
-            and all(isinstance(p, SweepPoint) for p in points)
-            for points in candidate.values()
-        ):
-            return candidate
-    return None
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under pytest-benchmark and return its result."""
-    start = time.perf_counter()
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-    elapsed = time.perf_counter() - start
-    extra = {}
-    series = _extract_series(result)
-    if series is not None:
-        extra["rows"] = series_to_rows(series)
-    _RECORDS.append(
-        BenchRecord(
-            benchmark=getattr(benchmark, "name", None) or fn.__name__,
-            metric="wall_seconds",
-            value=elapsed,
-            extra=extra,
-        )
-    )
-    return result
-
-
-def pytest_sessionfinish(session, exitstatus):
-    path = session.config.getoption("--json", default=None)
-    if path and _RECORDS:
-        write_json_report(
-            path,
-            _RECORDS,
-            benchmark="figures",
-            meta={"exit_status": int(exitstatus), "benchmarks": len(_RECORDS)},
-        )
+    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 @pytest.fixture

@@ -6,9 +6,11 @@ of the paper's evaluation section has a function in
 simulating collective schedules on a machine model (Figures 8–13) or by
 running the threaded SSP/ML experiment (Figures 6–7) — and
 :mod:`repro.bench.report` renders the same rows/series the paper plots.
+:mod:`repro.bench.faults` holds the fault-tolerance sweeps.  Wall-clock
+performance of the library itself is measured and gated by ``perf/`` at
+the repository root (``perf/README.md``), not here.
 """
 
-from .stats import Measurement, confidence_interval_95, summarize
 from .harness import (
     SweepPoint,
     TimingExperiment,
@@ -26,9 +28,6 @@ from . import experiments
 from . import faults
 
 __all__ = [
-    "Measurement",
-    "confidence_interval_95",
-    "summarize",
     "SweepPoint",
     "TimingExperiment",
     "run_node_sweep",

@@ -17,11 +17,8 @@ supports; :func:`time_auto` additionally exposes the Communicator's
 
 from __future__ import annotations
 
-import json
-import platform
-import time
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..core.policy import ConsistencyPolicy
 from ..core.registry import REGISTRY
@@ -29,13 +26,6 @@ from ..core.tuning import select_algorithm
 from ..simulate.executor import simulate_schedule
 from ..simulate.machine import MachineModel
 from ..utils.validation import require
-
-#: Version tag of the machine-readable benchmark report format.  Every
-#: JSON report this repository emits — ``BENCH_pr3.json`` from
-#: :mod:`repro.bench.micro`, the ``--json PATH`` output of the figure
-#: benchmarks, the CI perf-smoke artifact — uses this same schema, so the
-#: perf trajectory can accumulate and be diffed across PRs.
-BENCH_SCHEMA = "repro-bench/v1"
 
 
 @dataclass(frozen=True)
@@ -199,73 +189,6 @@ def run_size_sweep(
             )
         series[label] = points
     return series
-
-
-# --------------------------------------------------------------------------- #
-# machine-readable reports (the perf-regression baseline)
-# --------------------------------------------------------------------------- #
-@dataclass
-class BenchRecord:
-    """One measured data point of a benchmark run.
-
-    ``metric`` names what ``value`` is (``"latency_seconds"``,
-    ``"wall_seconds"``, ``"simulated_seconds"``); ``mode`` distinguishes
-    variants of the same measurement (``"cold"`` vs ``"cached"`` for the
-    plan-cache sweeps).  ``extra`` carries free-form companions
-    (throughput, iteration counts, sweep rows).
-    """
-
-    benchmark: str
-    metric: str
-    value: float
-    collective: str = ""
-    algorithm: str = ""
-    payload_bytes: int = 0
-    mode: str = ""
-    extra: Dict[str, Any] = field(default_factory=dict)
-
-
-def json_report(
-    records: Sequence[BenchRecord],
-    benchmark: str,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Assemble the schema-stable report document for a set of records."""
-    return {
-        "schema": BENCH_SCHEMA,
-        "benchmark": benchmark,
-        "created_unix": time.time(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "meta": dict(meta or {}),
-        "records": [asdict(r) for r in records],
-    }
-
-
-def write_json_report(
-    path: str,
-    records: Sequence[BenchRecord],
-    benchmark: str,
-    meta: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Write the report document to ``path`` and return it."""
-    document = json_report(records, benchmark, meta)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    return document
-
-
-def load_json_report(path: str) -> Dict[str, Any]:
-    """Load a report, validating the schema tag."""
-    with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    require(
-        document.get("schema") == BENCH_SCHEMA,
-        f"{path} is not a {BENCH_SCHEMA} report "
-        f"(schema: {document.get('schema')!r})",
-    )
-    return document
 
 
 def crossover_point(

@@ -256,8 +256,11 @@ class SSPAllreduce:
                 if self.runtime.notify_peek(self.segment_id, box):
                     self.runtime.notify_reset(self.segment_id, box)
 
-            # line 12: reduce sent with received data; clock = min of the two
-            kernels.reduce_into(self.op, part_red, rcv_data)
+            # line 12: reduce sent with received data; clock = min of the two.
+            # Clock 0 is a mailbox nobody has written yet (accepted only
+            # while clock <= slack): it holds no contribution to fold.
+            if rcv_clock > 0:
+                kernels.reduce_into(self.op, part_red, rcv_data)
             part_clock = min(part_clock, rcv_clock)
 
         stats.result_clock = int(part_clock)

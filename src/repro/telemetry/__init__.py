@@ -28,7 +28,7 @@ the README's "Observability" section.
 
 This plane measures *performance* (latencies, queue depths, traffic).
 For *correctness* tracing — replaying a run through the static protocol
-checkers — see :mod:`repro.analysis` and ``bench/micro.py --trace``.
+checkers — see :mod:`repro.analysis` (``runtime.traced(sink)``).
 """
 
 from .core import (

@@ -8,6 +8,7 @@ import pytest
 
 from repro.bench.faults import (
     crash_sweep,
+    detection_sweep,
     elasticity_sweep,
     measure_crash_errors,
     skew_sweep,
@@ -55,6 +56,19 @@ class TestElasticitySweep:
     def test_rejects_single_rank(self):
         with pytest.raises(ValueError, match="2 ranks"):
             elasticity_sweep(rank_counts=(1,))
+
+
+class TestDetectionSweep:
+    def test_detection_confirms_inside_the_degraded_window(self):
+        """The perf gate on supervised recovery: the detector confirms a
+        silent rank (p95) before the collectives' own missing-rank window
+        (``DEFAULT_DETECT_TIMEOUT``) would have declared it."""
+        result = detection_sweep(
+            periods=(0.01, 0.02), confirm_phis=(3.0, 6.0), trials=2
+        )
+        rows = result["rows"]
+        assert len(rows) == 4  # period x confirm_phi
+        assert all(r["within_budget"] for r in rows), result["table"]
 
 
 class TestSkewSweep:

@@ -1,48 +1,18 @@
-"""Tests of the benchmark harness, statistics and report rendering."""
+"""Tests of the benchmark harness and report rendering."""
 
 import pytest
 
 from repro.bench import (
     TimingExperiment,
-    confidence_interval_95,
     format_comparison,
     format_series_table,
     run_node_sweep,
     run_size_sweep,
     series_to_rows,
-    summarize,
     time_algorithm,
 )
 from repro.bench.harness import crossover_point
-from repro.bench.stats import geometric_mean
 from repro.simulate import skylake_fdr
-
-
-class TestStats:
-    def test_summarize_basic(self):
-        m = summarize([1.0, 2.0, 3.0])
-        assert m.mean == pytest.approx(2.0)
-        assert m.count == 3
-        assert m.minimum == 1.0 and m.maximum == 3.0
-        assert m.lower < m.mean < m.upper
-
-    def test_single_sample_has_zero_ci(self):
-        m = summarize([5.0])
-        assert m.ci95 == 0.0 and m.std == 0.0
-
-    def test_ci_shrinks_with_more_samples(self):
-        wide = confidence_interval_95([1.0, 3.0])
-        narrow = confidence_interval_95([1.0, 3.0] * 20)
-        assert narrow < wide
-
-    def test_empty_summarize_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
 
 
 class TestHarness:

@@ -251,3 +251,76 @@ class TestStrictCallsNeverReadAhead:
         assert run_backend(num_ranks, worker, backend=backend, timeout=120.0) == [
             0
         ] * num_ranks
+
+
+class TestUnwrittenMailboxIsNotAContribution:
+    """While ``clock <= slack`` a rank may run past a partner that has
+    posted nothing yet; that mailbox (clock 0, zero-filled) must not be
+    folded.  Zero is the identity of ``sum`` only: folded, it pins
+    ``prod`` / ``min`` of positive values — and ``max`` of negative ones —
+    to 0.
+    """
+
+    OPS = {"sum": np.add, "prod": np.multiply, "min": np.minimum, "max": np.maximum}
+
+    @staticmethod
+    def _contribution(op, rank):
+        # Distinct and nonzero; negative for max so that a folded 0 would win.
+        return float(-(2 + rank) if op == "max" else 2 + rank)
+
+    @classmethod
+    def _legal(cls, op, rank, size):
+        """Folds of every subset of the ranks' contributions holding ``rank``'s."""
+        values = {cls._contribution(op, rank)}
+        for other in set(range(size)) - {rank}:
+            theirs = cls._contribution(op, other)
+            values |= {float(cls.OPS[op](v, theirs)) for v in values}
+        return values
+
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    def test_result_folds_only_posted_contributions(self, backend, num_ranks):
+        import time
+
+        from repro import ConsistencyPolicy, run_backend
+
+        def worker(rt):
+            comm = Communicator(rt)
+            early = rt.rank == rt.size - 1
+            illegal = []
+            for op in self.OPS:
+                x = np.full(4, self._contribution(op, rt.rank))
+                legal = self._legal(op, rt.rank, rt.size)
+                for slack in (1, 2):
+                    # Stateful: the last rank runs its first ``slack`` calls
+                    # before any peer has posted (it may: clock <= slack).
+                    # Every rank makes the same number of calls, so the last
+                    # call's freshness bound is met by the partners' last.
+                    coll = SSPAllreduce(rt, x.size, slack=slack, op=op)
+                    values = [
+                        coll.reduce(x).value for _ in range(slack if early else 0)
+                    ]
+                    rt.barrier()
+                    values += [
+                        coll.reduce(x).value for _ in range(slack + 3 - len(values))
+                    ]
+                    coll.close()
+                    # One-shot: every call is clock 1 on fresh mailboxes; the
+                    # peers arrive late so the last rank finds them empty.
+                    for _ in range(2):
+                        if not early:
+                            time.sleep(0.005)
+                        values.append(
+                            comm.allreduce(x, op=op, policy=ConsistencyPolicy.ssp(slack))
+                        )
+                    illegal += [
+                        (op, slack, call, value.tolist())
+                        for call, value in enumerate(values)
+                        if not (float(value[0]) in legal and np.all(value == value[0]))
+                    ]
+            comm.close()
+            return illegal
+
+        assert run_backend(num_ranks, worker, backend=backend, timeout=120.0) == [
+            []
+        ] * num_ranks

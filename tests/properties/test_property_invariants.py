@@ -11,7 +11,6 @@ from repro.core.allreduce_ring import ring_allreduce_schedule
 from repro.core.topology import BinomialTree, Hypercube, KnomialTree, Ring, chunk_bounds
 from repro.simulate import simulate_schedule, skylake_fdr
 from repro.ssp import SSPConfig, combine_clocks
-from repro.bench.stats import confidence_interval_95, summarize
 
 ranks = st.integers(min_value=1, max_value=64)
 pow2_ranks = st.sampled_from([1, 2, 4, 8, 16, 32, 64])
@@ -214,25 +213,3 @@ def test_threshold_compressor_partition(values, threshold):
     kept = np.abs(vec) >= threshold
     assert np.array_equal(dense[kept], vec[kept])
     assert np.all(dense[~kept] == 0.0)
-
-
-# --------------------------------------------------------------------------- #
-# statistics invariants
-# --------------------------------------------------------------------------- #
-@given(samples=st.lists(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
-def test_summary_bounds(samples):
-    import math
-
-    m = summarize(samples)
-    # The mean sits between min and max up to floating-point rounding.
-    assert m.mean >= m.minimum or math.isclose(m.mean, m.minimum, rel_tol=1e-9, abs_tol=1e-12)
-    assert m.mean <= m.maximum or math.isclose(m.mean, m.maximum, rel_tol=1e-9, abs_tol=1e-12)
-    assert m.ci95 >= 0.0
-    assert m.count == len(samples)
-
-
-@given(samples=st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), min_size=2, max_size=50))
-def test_ci_is_symmetric_interval(samples):
-    m = summarize(samples)
-    assert m.upper - m.mean == m.mean - m.lower or abs((m.upper - m.mean) - (m.mean - m.lower)) < 1e-9
-    assert confidence_interval_95(samples) == m.ci95
