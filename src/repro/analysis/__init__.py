@@ -5,10 +5,11 @@ the code base only enforces by example: every ``write_notify`` matched by
 a consume, no slot overwritten while its value is unconsumed, no
 concurrent overlapping writes, every notification id and byte offset
 inside its budget.  The checks run over :class:`~repro.analysis.events.
-ProtocolTrace` objects produced either symbolically (:func:`~repro.
-analysis.model.build_model` executes the real plan classes on an
-in-memory runtime) or from live runs (:class:`~repro.analysis.tracing.
-TracingRuntime`).
+ProtocolTrace` objects recorded by :class:`~repro.analysis.tracing.
+TracingRuntime`, either from live runs or by the model
+(:func:`~repro.analysis.model.build_model` executes the real plan classes
+on the shipped threaded runtime, every rank on one cooperatively
+scheduled thread).
 
 Entry points
 ------------
@@ -20,9 +21,9 @@ Entry points
     Model two different plans back to back on recycled workspace-pool
     segments (one rank lagging) and analyze trace and values.
 ``python -m repro.analysis --all``
-    Sweep every registered plannable algorithm × {4, 8, 16} ranks ×
-    representative payloads, plus the recycling pairs; non-zero exit on
-    any finding.
+    Sweep every registered plannable algorithm × {4, 8, 16} ranks (or
+    ``--ranks``, each at least 2) × representative payloads, plus the
+    recycling pairs; non-zero exit on any finding.
 """
 
 from __future__ import annotations
@@ -45,13 +46,7 @@ from .events import (
     ProtocolTrace,
     SegmentMeta,
 )
-from .model import (
-    ModelRun,
-    ModelRuntime,
-    ModelWorld,
-    build_model,
-    build_recycle_model,
-)
+from .model import ModelRun, ModelWorld, build_model, build_recycle_model
 from .races import check_races, compute_vector_clocks
 from .tracing import TraceSink, TracingRuntime
 
@@ -66,7 +61,6 @@ __all__ = [
     "Event",
     "Finding",
     "ModelRun",
-    "ModelRuntime",
     "ModelWorld",
     "ProtocolTrace",
     "SegmentMeta",

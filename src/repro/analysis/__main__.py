@@ -123,6 +123,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="emit the report as JSON instead of text",
     )
     args = parser.parse_args(argv)
+    # A cell of zero calls verifies nothing, and a collective needs a peer.
+    if args.calls < 1:
+        parser.error(f"--calls must be at least 1, got {args.calls}")
+    if min(args.ranks) < 2:
+        parser.error(f"--ranks must all be at least 2, got {min(args.ranks)}")
 
     if args.all:
         algorithms = [info.name for info in REGISTRY.items() if info.plannable]

@@ -2,14 +2,16 @@
 
 Every checker in :mod:`repro.analysis` consumes the same structure: a
 :class:`ProtocolTrace` holding one *ordered event sequence per rank* plus
-the metadata of every segment the sequences touch.  Traces come from two
-producers —
+the metadata of every segment the sequences touch.  One recorder,
+:class:`~repro.analysis.tracing.TracingRuntime`, produces them all, under
+two drivers —
 
-* :mod:`repro.analysis.model` builds them symbolically, by running the
-  compiled plans of every plannable algorithm over an in-memory
-  :class:`~repro.analysis.model.ModelRuntime` (no threads, no timing);
-* :mod:`repro.analysis.tracing` records them from *real* threaded/shm
-  executions through :class:`~repro.analysis.tracing.TracingRuntime` —
+* :mod:`repro.analysis.model` runs the compiled plans of every plannable
+  algorithm on the shipped threaded runtime, every rank on one
+  cooperatively scheduled thread (no timing), through its
+  :class:`~repro.analysis.model.ModelTracingRuntime` subclass;
+* live threaded/shm executions wrap their runtimes with
+  ``runtime.traced(sink)`` —
 
 so a finding means the same thing regardless of where the trace came
 from, and the static model can be validated against reality.
@@ -28,12 +30,13 @@ Five event kinds cover the one-sided GASPI protocol surface:
 ``write``
     A *local* store into ``rank``'s own copy of ``segment`` — staging
     copies, segment-resident accumulator folds.  Only the model records
-    these (a real runtime cannot observe stores through NumPy views).
+    these, through the tracked segment views its tracing layer hands out
+    (a live run's views are the runtime's plain NumPy arrays).
 ``read``
     A *local* load of a fold operand from ``rank``'s own copy of
     ``segment`` — a child slot or a mailbox read in place.  What a credit
     or a consume-ack protects is exactly this: the peer's next write
-    racing it.  Model only, like ``write``.
+    racing it.  Model only, from the same tracked views as ``write``.
 ``barrier``
     Participation in a global barrier; barriers with the same per-rank
     ordinal synchronise across all ranks.

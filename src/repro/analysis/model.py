@@ -1,19 +1,25 @@
-"""Symbolic execution of compiled collective plans.
+"""Cooperative execution of compiled collective plans on one thread.
 
 This module runs the *real* plan classes — the same ``__init__`` that
 freezes topology, offsets and notification layouts in production — over
-an in-memory :class:`ModelRuntime` whose operations are deterministic and
-instantaneous, and records every protocol action as an
-:class:`~repro.analysis.events.Event`.  The result is one event sequence
-per rank, over real payload bytes, for the checkers in
+the *shipped* runtime: every rank of one ``immediate``-delivery
+:class:`~repro.gaspi.threaded.ThreadedWorld`, driven from a single thread
+and wrapped in the :class:`~repro.analysis.tracing.TracingRuntime` that
+records live runs.  Every protocol action becomes an
+:class:`~repro.analysis.events.Event`; the result is one event sequence per
+rank, over real payload bytes, for the checkers in
 :mod:`repro.analysis.deadlock`, :mod:`repro.analysis.races` and
-:mod:`repro.analysis.budget`.
+:mod:`repro.analysis.budget`.  A verified cell is verified on the shipped
+notification board, segment bounds checks and data-then-notification
+delivery order.
 
 Every plan is a generator: ``begin(request)`` yields a
 :class:`~repro.core.plan.WaitSpec` whenever a wait would block, so the
 model simply drives the shipped generator cooperatively.  There is no
 second copy of any protocol here — the code the checkers see is the code
-that runs.
+that runs.  The only verifier-specific code is
+:class:`ModelTracingRuntime`, the tracing layer one cooperative thread
+needs.
 
 All rank programs run under a round-robin cooperative scheduler.  Because
 the model executes real NumPy payloads, callers can additionally check
@@ -22,6 +28,7 @@ the *numerical* result of the modelled collective.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -31,31 +38,31 @@ from ..core.plan import CollectivePlan, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
 from ..core.registry import REGISTRY
 from ..core.workspace import WorkspacePool
-from ..gaspi.constants import (
-    DEFAULT_NOTIFICATION_COUNT,
-    DEFAULT_NOTIFICATION_VALUE,
-    GASPI_BLOCK,
-)
-from ..gaspi.runtime import GaspiRuntime, source_bytes
+from ..gaspi.constants import GASPI_BLOCK
+from ..gaspi.group import Group
+from ..gaspi.runtime import GaspiRuntime
+from ..gaspi.threaded import ThreadedWorld, WorldConfig
 from .events import (
     BARRIER,
     CONSUME,
     LOCAL_READ,
     LOCAL_WRITE,
-    POST,
     Event,
     ProtocolTrace,
-    SegmentMeta,
 )
+from .tracing import TraceSink, TracingRuntime
 
 #: A rank program: yields whenever it cannot progress — the
 #: :class:`~repro.core.plan.WaitSpec` it is blocked on, or ``None`` when
 #: it merely gives up a turn.
 Program = Generator[Optional[WaitSpec], None, None]
 
+#: Records one local access: ``(event kind, the array accessed)``.
+_Recorder = Callable[[str, np.ndarray], None]
+
 
 # --------------------------------------------------------------------------- #
-# model substrate
+# model substrate: the shipped threaded runtime, one thread, traced
 # --------------------------------------------------------------------------- #
 class _TrackedView(np.ndarray):
     """Segment view that records stores as ``write`` events.
@@ -67,22 +74,22 @@ class _TrackedView(np.ndarray):
     *operands* as ``read`` events.
     """
 
-    _segment: Optional["ModelSegment"]
+    _record: Optional[_Recorder]
 
     def __array_finalize__(self, obj: Optional[np.ndarray]) -> None:
-        self._segment = getattr(obj, "_segment", None)
+        self._record = getattr(obj, "_record", None)
 
     def __setitem__(self, key: Any, value: Any) -> None:
         np.ndarray.__setitem__(self, key, value)
-        segment = getattr(self, "_segment", None)
-        if segment is None:
+        record = getattr(self, "_record", None)
+        if record is None:
             return
         if isinstance(key, (int, np.integer)):
             target = np.ndarray.__getitem__(self, slice(int(key), int(key) + 1))
         else:
             target = np.ndarray.__getitem__(self, key)
         if isinstance(target, np.ndarray) and target.nbytes:
-            segment.record_access(LOCAL_WRITE, target)
+            record(LOCAL_WRITE, target)
 
     def __array_ufunc__(
         self, ufunc: np.ufunc, method: str, *inputs: Any, **kwargs: Any
@@ -97,143 +104,47 @@ class _TrackedView(np.ndarray):
         )
         for operand in inputs:
             if isinstance(operand, _TrackedView) and operand.nbytes:
-                segment = getattr(operand, "_segment", None)
-                if segment is not None:
-                    segment.record_access(LOCAL_READ, operand)
+                record = getattr(operand, "_record", None)
+                if record is not None:
+                    record(LOCAL_READ, operand)
         result = getattr(ufunc, method)(*plain, **kwargs)
         for original in out:
             if isinstance(original, _TrackedView):
-                segment = getattr(original, "_segment", None)
-                if segment is not None and original.nbytes:
-                    segment.record_access(LOCAL_WRITE, original)
+                record = getattr(original, "_record", None)
+                if record is not None and original.nbytes:
+                    record(LOCAL_WRITE, original)
         return result
 
 
-class ModelSegment:
-    """One rank's copy of a segment: bytes + notification slots."""
-
-    def __init__(
-        self, world: "ModelWorld", rank: int, segment_id: int, size: int, slots: int
-    ) -> None:
-        self.world = world
-        self.rank = rank
-        self.segment_id = segment_id
-        self.buffer = np.zeros(max(int(size), 1), dtype=np.uint8)
-        self.num_notifications = slots
-        #: Pending notification values, board semantics: a post *overwrites*
-        #: the slot — exactly the behaviour the double-post checker audits.
-        self.pending: Dict[int, int] = {}
-
-    @property
-    def base_address(self) -> int:
-        return int(self.buffer.__array_interface__["data"][0])
-
-    def view(self, dtype: Any, offset: int, count: Optional[int]) -> np.ndarray:
-        itemsize = np.dtype(dtype).itemsize
-        if count is None:
-            count = (self.buffer.size - offset) // itemsize
-        raw = self.buffer[offset : offset + count * itemsize]
-        tracked = raw.view(dtype).view(_TrackedView)
-        tracked._segment = self
-        return tracked
-
-    def record_access(self, kind: str, target: np.ndarray) -> None:
-        offset = int(target.__array_interface__["data"][0]) - self.base_address
-        self.world.record(
-            Event(
-                kind=kind,
-                rank=self.rank,
-                segment=self.segment_id,
-                dst=self.rank,
-                offset=offset,
-                length=int(target.nbytes),
-            )
-        )
+def _address(array: np.ndarray) -> int:
+    return int(array.__array_interface__["data"][0])
 
 
-class ModelWorld:
-    """All ranks' segments plus the recorded event sequences."""
+class ModelTracingRuntime(TracingRuntime):
+    """The tracing layer of one rank of the model.
 
-    def __init__(self, num_ranks: int) -> None:
-        self.num_ranks = num_ranks
-        self.events: List[List[Event]] = [[] for _ in range(num_ranks)]
-        self.segments: Dict[Tuple[int, int], ModelSegment] = {}
-        #: Barriers entered so far, per rank (the model's barrier records
-        #: and returns; programs that must not run ahead of one wait on
-        #: these counts — see :func:`build_recycle_model`).
-        self.barriers: List[int] = [0] * num_ranks
-        #: Monotone progress counter for the cooperative scheduler.
-        self.op_count = 0
-        self._runtimes = [ModelRuntime(self, r) for r in range(num_ranks)]
+    Everything that moves bytes or notifications is the wrapped
+    :class:`~repro.gaspi.threaded.ThreadedRuntime`'s; this layer changes
+    only what one cooperative thread running every rank needs:
 
-    def runtime(self, rank: int) -> "ModelRuntime":
-        return self._runtimes[rank]
-
-    def record(self, event: Event) -> None:
-        self.events[event.rank].append(event)
-        self.op_count += 1
-
-    def segment(self, rank: int, segment_id: int) -> ModelSegment:
-        try:
-            return self.segments[(rank, segment_id)]
-        except KeyError:
-            raise KeyError(
-                f"rank {rank} references segment {segment_id} before creating it"
-            ) from None
-
-    def segment_metas(self) -> Dict[Tuple[int, int], SegmentMeta]:
-        return {
-            key: SegmentMeta(
-                rank=seg.rank,
-                segment_id=seg.segment_id,
-                size=seg.buffer.size,
-                num_notifications=seg.num_notifications,
-            )
-            for key, seg in self.segments.items()
-        }
-
-
-class ModelRuntime(GaspiRuntime):
-    """Deterministic in-memory :class:`GaspiRuntime` used by the model.
-
-    Data movement is immediate and in order; waits never block (a blocking
-    wait with nothing pending is a model bug and raises).  ``segment_bind``
-    is deliberately *not* implemented so ``supports_bind`` is False and the
-    pipelined broadcast's receivers take their staging path, whose local
-    copies the tracked views can observe.  ``write_notify_from`` is a post
-    from an anonymous local source: caller memory is not a segment, so
-    there is nothing on the sending side to track or budget-check.
+    * segment views are tracked, so local stores and fold operands are
+      recorded as ``write`` / ``read`` events;
+    * :attr:`supports_bind` is False, so the pipelined broadcast's
+      receivers take their staging path, whose copies the views observe;
+    * ``barrier`` records and returns, counted in :attr:`barriers`: the
+      scheduler holds a rank where a real barrier would;
+    * a ``notify_waitsome`` with a non-zero timeout raises instead of
+      parking the thread every rank runs on — plans must poll and yield.
     """
 
-    def __init__(self, world: ModelWorld, rank: int) -> None:
-        self._world = world
-        self._rank = rank
-
-    # -- identity ------------------------------------------------------- #
-    @property
-    def rank(self) -> int:
-        return self._rank
+    def __init__(self, inner: GaspiRuntime, sink: TraceSink) -> None:
+        super().__init__(inner, sink)
+        #: Barriers entered so far.
+        self.barriers = 0
 
     @property
-    def size(self) -> int:
-        return self._world.num_ranks
-
-    # -- segments ------------------------------------------------------- #
-    def segment_create(
-        self,
-        segment_id: int,
-        size: int,
-        num_notifications: int = DEFAULT_NOTIFICATION_COUNT,
-    ) -> None:
-        key = (self._rank, segment_id)
-        if key in self._world.segments:
-            raise ValueError(f"rank {self._rank}: segment {segment_id} already exists")
-        self._world.segments[key] = ModelSegment(
-            self._world, self._rank, segment_id, size, num_notifications
-        )
-
-    def segment_delete(self, segment_id: int) -> None:
-        self._world.segments.pop((self._rank, segment_id), None)
+    def supports_bind(self) -> bool:
+        return False
 
     def segment_view(
         self,
@@ -242,149 +153,27 @@ class ModelRuntime(GaspiRuntime):
         offset: int = 0,
         count: Optional[int] = None,
     ) -> np.ndarray:
-        return self._world.segment(self._rank, segment_id).view(dtype, offset, count)
-
-    def segment_size(self, segment_id: int) -> int:
-        return self._world.segment(self._rank, segment_id).buffer.size
-
-    def segment_read(
-        self,
-        segment_id: int,
-        dtype: Any = np.float64,
-        offset: int = 0,
-        count: Optional[int] = None,
-    ) -> np.ndarray:
-        segment = self._world.segment(self._rank, segment_id)
-        itemsize = np.dtype(dtype).itemsize
-        if count is None:
-            count = (segment.buffer.size - offset) // itemsize
-        return segment.buffer[offset : offset + count * itemsize].view(dtype).copy()
-
-    # -- one-sided ------------------------------------------------------ #
-    def write(
-        self,
-        segment_id_local: int,
-        offset_local: int,
-        target_rank: int,
-        segment_id_remote: int,
-        offset_remote: int,
-        size: int,
-        queue: int = 0,
-    ) -> None:
-        self._transfer(
-            segment_id_local, offset_local, target_rank, segment_id_remote,
-            offset_remote, size,
+        view = self.inner.segment_view(segment_id, dtype, offset, count)
+        tracked = view.view(_TrackedView)
+        tracked._record = functools.partial(
+            self._record_access, segment_id, _address(view) - offset
         )
-        self._world.record(
+        return tracked
+
+    def _record_access(
+        self, segment_id: int, base: int, kind: str, target: np.ndarray
+    ) -> None:
+        self.sink.record(
             Event(
-                kind=POST,
-                rank=self._rank,
-                segment=segment_id_remote,
-                dst=target_rank,
-                offset=offset_remote,
-                length=size,
-                local_offset=offset_local,
-                note="write",
+                kind=kind,
+                rank=self.rank,
+                segment=segment_id,
+                dst=self.rank,
+                offset=_address(target) - base,
+                length=int(target.nbytes),
             )
         )
 
-    def notify(
-        self,
-        target_rank: int,
-        segment_id_remote: int,
-        notification_id: int,
-        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
-        queue: int = 0,
-    ) -> None:
-        target = self._world.segment(target_rank, segment_id_remote)
-        target.pending[notification_id] = notification_value
-        self._world.record(
-            Event(
-                kind=POST,
-                rank=self._rank,
-                segment=segment_id_remote,
-                dst=target_rank,
-                notif_id=notification_id,
-                value=notification_value,
-            )
-        )
-
-    def write_notify(
-        self,
-        segment_id_local: int,
-        offset_local: int,
-        target_rank: int,
-        segment_id_remote: int,
-        offset_remote: int,
-        size: int,
-        notification_id: int,
-        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
-        queue: int = 0,
-    ) -> None:
-        self._transfer(
-            segment_id_local, offset_local, target_rank, segment_id_remote,
-            offset_remote, size,
-        )
-        target = self._world.segment(target_rank, segment_id_remote)
-        target.pending[notification_id] = notification_value
-        self._world.record(
-            Event(
-                kind=POST,
-                rank=self._rank,
-                segment=segment_id_remote,
-                dst=target_rank,
-                offset=offset_remote,
-                length=size,
-                notif_id=notification_id,
-                value=notification_value,
-                local_offset=offset_local,
-            )
-        )
-
-    def write_notify_from(
-        self,
-        source: np.ndarray,
-        target_rank: int,
-        segment_id_remote: int,
-        offset_remote: int,
-        notification_id: int,
-        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
-        queue: int = 0,
-    ) -> None:
-        # A post from an anonymous local source: caller memory is not a
-        # segment, so the event carries no ``local_offset`` to budget-check.
-        data = source_bytes(source)
-        target = self._world.segment(target_rank, segment_id_remote)
-        target.buffer[offset_remote : offset_remote + data.size] = data
-        target.pending[notification_id] = notification_value
-        self._world.record(
-            Event(
-                kind=POST,
-                rank=self._rank,
-                segment=segment_id_remote,
-                dst=target_rank,
-                offset=offset_remote,
-                length=data.size,
-                notif_id=notification_id,
-                value=notification_value,
-            )
-        )
-
-    def _transfer(
-        self,
-        segment_id_local: int,
-        offset_local: int,
-        target_rank: int,
-        segment_id_remote: int,
-        offset_remote: int,
-        size: int,
-    ) -> None:
-        source = self._world.segment(self._rank, segment_id_local)
-        target = self._world.segment(target_rank, segment_id_remote)
-        data = source.buffer[offset_local : offset_local + size]
-        target.buffer[offset_remote : offset_remote + size] = data
-
-    # -- weak synchronisation ------------------------------------------- #
     def notify_waitsome(
         self,
         segment_id_local: int,
@@ -392,52 +181,39 @@ class ModelRuntime(GaspiRuntime):
         notification_count: Optional[int] = None,
         timeout: float = GASPI_BLOCK,
     ) -> Optional[int]:
-        segment = self._world.segment(self._rank, segment_id_local)
-        if notification_count is None:
-            notification_count = segment.num_notifications - notification_begin
-        end = notification_begin + notification_count
-        pending = [
-            nid
-            for nid, value in segment.pending.items()
-            if value > 0 and notification_begin <= nid < end
-        ]
-        if pending:
-            return min(pending)
-        if timeout == GASPI_BLOCK or timeout > 0:
+        if timeout != 0.0:
             raise RuntimeError(
-                f"rank {self._rank}: blocking notify_waitsome([{notification_begin}, "
-                f"{end}) on segment {segment_id_local}) inside the model — plans "
-                "must poll with timeout=0 and yield"
+                f"rank {self.rank}: notify_waitsome(from id {notification_begin}, "
+                f"timeout={timeout}) on segment {segment_id_local} inside the model "
+                "— plans must poll with timeout=0 and yield"
             )
-        return None
+        return self.inner.notify_waitsome(
+            segment_id_local, notification_begin, notification_count, 0.0
+        )
 
-    def notify_reset(self, segment_id_local: int, notification_id: int) -> int:
-        segment = self._world.segment(self._rank, segment_id_local)
-        value = segment.pending.pop(notification_id, 0)
-        if value > 0:
-            self._world.record(
-                Event(
-                    kind=CONSUME,
-                    rank=self._rank,
-                    segment=segment_id_local,
-                    dst=self._rank,
-                    notif_id=notification_id,
-                    value=value,
-                )
-            )
-        return value
+    def barrier(
+        self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
+    ) -> None:
+        self.barriers += 1
+        self.sink.record(Event(kind=BARRIER, rank=self.rank))
 
-    def notify_peek(self, segment_id_local: int, notification_id: int) -> int:
-        segment = self._world.segment(self._rank, segment_id_local)
-        return segment.pending.get(notification_id, 0)
 
-    # -- queues / synchronisation --------------------------------------- #
-    def wait(self, queue: int = 0, timeout: float = GASPI_BLOCK) -> None:
-        return None
+class ModelWorld:
+    """Every rank of one threaded world, traced into one sink."""
 
-    def barrier(self, group: Any = None, timeout: float = GASPI_BLOCK) -> None:
-        self._world.barriers[self._rank] += 1
-        self._world.record(Event(kind=BARRIER, rank=self._rank))
+    def __init__(self, num_ranks: int) -> None:
+        self.num_ranks = num_ranks
+        self.sink = TraceSink(num_ranks)
+        threaded = ThreadedWorld(num_ranks, WorldConfig(delivery="immediate"))
+        self.runtimes = [
+            ModelTracingRuntime(rt, self.sink) for rt in threaded.runtimes()
+        ]
+        #: Scheduler turns sat out (see :func:`_idle`).
+        self.idles = 0
+
+    def progress(self) -> int:
+        """Monotone progress counter of the cooperative scheduler."""
+        return self.idles + sum(len(sequence) for sequence in self.sink.events)
 
 
 # --------------------------------------------------------------------------- #
@@ -461,7 +237,7 @@ def _drive(plan: CollectivePlan, request: CollectiveRequest) -> Program:
 
 @dataclass
 class ModelRun:
-    """A completed symbolic execution: the trace plus the data it computed."""
+    """A completed model execution: the trace plus the data it computed."""
 
     trace: ProtocolTrace
     world: ModelWorld
@@ -478,30 +254,31 @@ class ModelRun:
 def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
     """Round-robin the rank programs to completion; return stalled ranks.
 
-    A rank that stalls inside a wait gets that wait recorded as its next
-    consume (of the first id of a range wait), so the replay names the
-    starved slot — ``unmatched-notification`` or ``deadlock`` — instead of
-    seeing a trace that merely ends early.
+    A step progresses when it records an event or idles.  A rank that
+    stalls inside a wait gets that wait recorded as its next consume (of
+    the first id of a range wait), so the replay names the starved slot —
+    ``unmatched-notification`` or ``deadlock`` — instead of seeing a trace
+    that merely ends early.
     """
     live: Dict[int, Program] = dict(enumerate(programs))
     blocked: Dict[int, Optional[WaitSpec]] = {}
     while live:
         progressed = False
         for rank in sorted(live):
-            before = world.op_count
+            before = world.progress()
             try:
                 blocked[rank] = next(live[rank])
             except StopIteration:
                 del live[rank]
                 progressed = True
                 continue
-            if world.op_count != before:
+            if world.progress() != before:
                 progressed = True
         if not progressed:
             for rank in sorted(live):
                 spec = blocked[rank]
                 if spec is not None:
-                    world.events[rank].append(
+                    world.sink.record(
                         Event(
                             kind=CONSUME,
                             rank=rank,
@@ -518,8 +295,18 @@ def _idle(world: ModelWorld, turns: int = 8) -> Program:
     """Sit out ``turns`` scheduler rounds: a rank arriving late at a call,
     so the others run as far ahead as the protocol lets them."""
     for _ in range(turns):
-        world.op_count += 1  # idling is progress, not a stall
+        world.idles += 1  # idling is progress, not a stall
         yield
+
+
+def _trace(world: ModelWorld, name: str, stalled: List[int]) -> ProtocolTrace:
+    return ProtocolTrace(
+        name=name,
+        num_ranks=world.num_ranks,
+        events=world.sink.events,
+        segments=world.sink.segments,
+        stalled_ranks=stalled,
+    )
 
 
 def _payloads(
@@ -553,7 +340,7 @@ def build_model(
     segment_id: int = 23,
     mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
 ) -> ModelRun:
-    """Symbolically execute ``calls`` back-to-back planned collectives.
+    """Execute ``calls`` back-to-back planned collectives cooperatively.
 
     Builds the real compiled plan of ``algorithm`` on every rank of a
     ``num_ranks``-rank :class:`ModelWorld` (float64 payloads of ``nbytes``
@@ -586,10 +373,7 @@ def build_model(
     )
 
     world = ModelWorld(num_ranks)
-    plans = [
-        info.plan(world.runtime(rank), key, segment_id, policy)
-        for rank in range(num_ranks)
-    ]
+    plans = [info.plan(rt, key, segment_id, policy) for rt in world.runtimes]
     if mutate_plan is not None:
         for plan in plans:
             mutate_plan(plan)
@@ -616,18 +400,12 @@ def build_model(
     chunk_label = "-" if chunk_bytes is None else str(chunk_bytes)
     relaxed = "" if threshold >= 1.0 else f", {int(threshold * 100)}% {policy.mode.value}"
     lagging = "" if laggard is None else f", laggard={laggard}"
-    trace = ProtocolTrace(
-        name=(
-            f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={nbytes}, "
-            f"chunk_bytes={chunk_label}, calls={calls}{relaxed}{lagging}]"
-        ),
-        num_ranks=num_ranks,
-        events=world.events,
-        segments=world.segment_metas(),
-        stalled_ranks=stalled,
+    name = (
+        f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={nbytes}, "
+        f"chunk_bytes={chunk_label}, calls={calls}{relaxed}{lagging}]"
     )
     return ModelRun(
-        trace=trace,
+        trace=_trace(world, name, stalled),
         world=world,
         plans=plans,
         sendbufs=sendbufs,
@@ -672,13 +450,14 @@ def build_recycle_model(
 
     def workspace_of(algorithm: str) -> int:
         sized = build_model(algorithm, num_ranks, nbytes, calls=0)
-        return sized.world.segment(0, sized.plans[0].segment_id).buffer.size
+        return sized.world.runtimes[0].segment_size(sized.plans[0].segment_id)
 
     scaled = nbytes * workspace_of(other) // workspace_of(first)
     head, tail = (first, scaled - scaled % 8), (other, nbytes)
     policy = ConsistencyPolicy()
     world = ModelWorld(num_ranks)
-    pools = [WorkspacePool(world.runtime(r), 23, 64) for r in range(num_ranks)]
+    runtimes = world.runtimes
+    pools = [WorkspacePool(rt, 23, 64) for rt in runtimes]
     if mutate_pool is not None:
         for pool in pools:
             mutate_pool(pool)
@@ -689,7 +468,7 @@ def build_recycle_model(
     buffers: Dict[int, Tuple[List[np.ndarray], List[Optional[np.ndarray]]]] = {}
 
     def rank_program(rank: int) -> Program:
-        rt = world.runtime(rank)
+        rt = runtimes[rank]
         for step, (algorithm, nbytes) in enumerate(sequence):
             info = REGISTRY.get(algorithm)
             elements = max(1, nbytes // 8)
@@ -708,11 +487,11 @@ def build_recycle_model(
                 while min(arrived) < arrived[rank]:
                     yield
                 plans[rank][-1].release()
-            entered = world.barriers[rank]
+            entered = rt.barriers
             plan = info.plan(rt, key, 0, policy, pools[rank])
             plans[rank].append(plan)
-            if world.barriers[rank] > entered:  # a pool miss: hold at its barrier
-                while min(world.barriers) < world.barriers[rank]:
+            if rt.barriers > entered:  # a pool miss: hold at its barrier
+                while min(peer.barriers for peer in runtimes) < rt.barriers:
                     yield
             sendbufs, recvbufs = buffers.setdefault(
                 step, _payloads(info.collective, num_ranks, elements, 0)
@@ -750,18 +529,12 @@ def build_recycle_model(
     ]
     if not stalled and mutate_pool is None and not all(recycled):
         raise ValueError(f"{first} and {other} recycled nothing at {num_ranks} ranks")
-    trace = ProtocolTrace(
-        name=(
-            f"recycle[{first} <-> {other}, ranks={num_ranks}, "
-            f"nbytes={head[1]}/{nbytes}, laggard={laggard}]"
-        ),
-        num_ranks=num_ranks,
-        events=world.events,
-        segments=world.segment_metas(),
-        stalled_ranks=stalled,
+    name = (
+        f"recycle[{first} <-> {other}, ranks={num_ranks}, "
+        f"nbytes={head[1]}/{nbytes}, laggard={laggard}]"
     )
     return ModelRun(
-        trace=trace,
+        trace=_trace(world, name, stalled),
         world=world,
         plans=[p[-1] for p in plans if p],
         sendbufs=[],

@@ -5,17 +5,18 @@ around any :class:`~repro.gaspi.runtime.GaspiRuntime` (threaded, shm,
 fault-injected stacks): it overrides the seven operations it records —
 every post, consume, barrier and segment registration goes into a shared
 :class:`TraceSink` — and every other one is the inner runtime's own.  The
-sink assembles the same :class:`~repro.analysis.events.ProtocolTrace` the
-static model produces, so a *real* 8-rank run can be replayed through the
-identical checkers — validating the model against reality in one
-direction, and catching protocol bugs that only a live interleaving
-exposes in the other.
+sink assembles a :class:`~repro.analysis.events.ProtocolTrace`, so a
+*real* 8-rank run can be replayed through the identical checkers —
+validating the model against reality in one direction, and catching
+protocol bugs that only a live interleaving exposes in the other.  The
+static model records through this class too (its
+:class:`~repro.analysis.model.ModelTracingRuntime` subclass).
 
 Two deliberate differences from model traces:
 
 * Local stores through :meth:`segment_view` are invisible (the wrapper
-  hands out the inner runtime's views), so race checking on recorded
-  traces covers remote writes only.
+  hands out the inner runtime's views; only the model's subclass tracks
+  them), so race checking on live traces covers remote writes only.
 * :meth:`notify_drain` is *not* the inner runtime's optimised sweep: the
   :class:`~repro.gaspi.runtime.GaspiRuntime` loop runs instead, so every
   reset is individually observed.  That costs a few waitsome calls per

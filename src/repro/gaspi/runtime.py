@@ -45,13 +45,12 @@ class GaspiRuntime(abc.ABC):
     * :class:`repro.gaspi.threaded.ThreadedRuntime` — real data movement
       between rank threads inside one process;
     * :class:`repro.gaspi.shm.ShmRuntime` — real data movement between
-      rank processes over POSIX shared memory;
-    * :class:`repro.analysis.model.ModelRuntime` — symbolic execution for
-      the static protocol checkers (no data moves).
+      rank processes over POSIX shared memory.
 
     Everything else that is a ``GaspiRuntime`` (fault injection,
-    telemetry, tracing, rank-subset views) is a :class:`RuntimeWrapper`
-    around one of those.
+    telemetry, tracing, rank-subset views, the static verifier's
+    single-thread tracing layer) is a :class:`RuntimeWrapper` around one
+    of those.
     """
 
     # ------------------------------------------------------------------ #

@@ -1,18 +1,22 @@
-"""The symbolic model: numerical fidelity and clean verification.
+"""The model: numerical fidelity and clean verification.
 
-The model executes the *real* plan classes on an in-memory runtime, so a
-planner bug shows up twice: as a wrong number here and as a finding in
-the checkers.  Both directions are pinned — the modelled collectives must
+The model executes the *real* plan classes on the shipped threaded
+runtime, one thread for every rank, so a planner bug shows up twice: as
+a wrong number here and as a finding in the checkers.  Both directions are pinned — the modelled collectives must
 compute the exact same results as the live backends, and every registered
 plannable algorithm must verify with zero findings.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.analysis import analyze, build_model, verify_algorithm
+from repro.core.plan import PLAN_WAIT_TIMEOUT
+from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
 
 PLANNABLE = sorted(
@@ -99,6 +103,23 @@ def test_reduce_credits_verify_clean_with_a_late_rank(algorithm, mode, ranks):
             expected = sum(np.arange(half) + rank + 1.0 for rank in range(ranks))
             assert np.array_equal(run.recvbufs[0][:half], expected)
             assert not run.recvbufs[0][half:].any()
+
+
+def test_a_blocking_wait_inside_the_model_raises_instead_of_parking():
+    # Every rank runs on one thread over the shipped notification board: a
+    # wait that parks would hang the whole sweep.  execute() waits up to
+    # PLAN_WAIT_TIMEOUT, so the model must refuse it outright.
+    run = build_model("gaspi_bcast_bst", 2, 256, calls=0)
+    plan = run.plans[1]
+    request = CollectiveRequest(
+        collective="bcast", sendbuf=run.sendbufs[1], segment_id=plan.segment_id
+    )
+    assert PLAN_WAIT_TIMEOUT > 1.0
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="rank 1") as error:
+        plan.execute(request)
+    assert time.monotonic() - started < 1.0
+    assert f"segment {plan.segment_id}" in str(error.value)
 
 
 def test_model_traces_carry_events():

@@ -2,7 +2,7 @@
 
 The acceptance contract of the tracing path: a clean live run — real
 threads, real notification boards, real interleavings — replays with no
-findings through the same checkers that verify the symbolic model; an
+findings through the same checkers that verify the model; an
 injected protocol violation is caught.
 """
 
@@ -195,6 +195,26 @@ def test_cli_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["total_findings"] == 0
     assert payload["cells"]
+
+
+def test_cli_rejects_a_sweep_of_zero_calls(capsys):
+    # Zero calls would report every bcast and allreduce cell clean vacuously.
+    from repro.analysis.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--all", "--calls", "0"])
+    assert exit_info.value.code == 2
+    assert "--calls must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_one_rank_world(capsys):
+    # A one-rank ring creates no workspace for the recycling pairs to share.
+    from repro.analysis.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--all", "--ranks", "4", "1"])
+    assert exit_info.value.code == 2
+    assert "--ranks must all be at least 2" in capsys.readouterr().err
 
 
 def test_cli_sweep_lags_a_rank_through_three_calls_of_every_reduce_cell(capsys):

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.analysis.events import CONSUME
-from repro.analysis.model import ModelRuntime, ModelWorld
+from repro.analysis.model import ModelTracingRuntime, ModelWorld
 from repro.analysis.tracing import TraceSink, TracingRuntime
 from repro.faults import FaultPlan, FaultyRuntime, RankCrashedError
 from repro.gaspi import Group, GroupRuntime, ShmRuntime, ThreadedRuntime
@@ -134,7 +134,7 @@ class TestForwardingBase:
                 if cls not in seen and cls.__module__.startswith("repro."):
                     seen.add(cls)
                     todo.append(cls)
-        concrete = {ThreadedRuntime, ShmRuntime, ModelRuntime}
+        concrete = {ThreadedRuntime, ShmRuntime}
         assert concrete <= seen
         hand_forwarded = {
             cls for cls in seen - concrete if not issubclass(cls, RuntimeWrapper)
@@ -157,7 +157,9 @@ class TestStackingOrders:
             "tracing": (TracingRuntime, TraceSink(2)),
             "group": (GroupRuntime, [0, 1]),
         }
-        bottom = world2.runtime(0) if concrete == "threaded" else ModelWorld(2).runtime(0)
+        # The verifier's runtime is a tracing layer over a ThreadedRuntime
+        # that reports no bind support whatever is stacked on top of it.
+        bottom = world2.runtime(0) if concrete == "threaded" else ModelWorld(2).runtimes[0]
         runtime = bottom
         for kind in order:  # innermost first
             wrapper, argument = build[kind]
@@ -166,10 +168,14 @@ class TestStackingOrders:
         assert runtime.fault_injected is plan.can_lose_contributions is True
         assert runtime.supports_bind is bottom.supports_bind is (concrete == "threaded")
         layers = list(runtime.layers())
-        assert [type(layer) for layer in layers[:-1]] == [
+        assert [type(layer) for layer in layers[: len(order)]] == [
             build[kind][0] for kind in reversed(order)
         ]
-        assert layers[0] is runtime and layers[-1] is bottom
+        assert layers[0] is runtime and layers[len(order)] is bottom
+        assert type(layers[-1]) is ThreadedRuntime
+        if concrete == "model":
+            assert isinstance(bottom, ModelTracingRuntime)
+            assert layers[-2:] == [bottom, bottom.inner]
         assert (runtime.rank, runtime.size) == (0, 2)
 
 
