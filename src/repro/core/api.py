@@ -98,6 +98,9 @@ _MAX_OPEN_DEGRADED = 8
 #: (whose workspace goes back to the pool) instead of growing without limit.
 _MAX_CACHED_PLANS = 16
 
+#: Call signatures a communicator's dispatch memo holds before it is cleared.
+_MAX_MEMO = 256
+
 logger = get_logger("core.api")
 
 #: Shorthand algorithm aliases kept from the v1 API, per collective.
@@ -118,6 +121,22 @@ _ALGORITHM_ALIASES: Dict[str, Dict[str, str]] = {
     "allgather": {"ring": "gaspi_allgather_ring"},
     "barrier": {"dissemination": "gaspi_barrier_dissemination"},
 }
+
+
+class _Bound:
+    """What one call signature, ``sig``, dispatches to (``Communicator._call``).
+
+    ``info`` (the resolved algorithm) and ``key`` (the plan key) are pure
+    functions of ``sig`` while the memo lives.  ``plan`` is set while a hit
+    needs nothing else (``Communicator._memoize``), with ``request`` its
+    reusable request.
+    """
+
+    __slots__ = ("sig", "info", "key", "plan", "request")
+
+    def __init__(self, sig: tuple) -> None:
+        self.sig = sig
+        self.info = self.key = self.plan = self.request = None
 
 
 class Communicator:
@@ -158,6 +177,9 @@ class Communicator:
         missing are remembered (:attr:`suspected_ranks`) and skipped by
         subsequent fault-tolerant collectives, and the simulator backend
         replays the degraded schedule with the plan's arrival offsets.
+        Whether the stack can lose contributions is re-read by every call
+        but a plan-cache hit, so a recovered crash (``FaultyRuntime.recover``)
+        returns the communicator to the tuned, planned algorithms.
     detect_timeout:
         Failure-detection window (seconds) handed to fault-tolerant
         collectives (their module default when ``None``).
@@ -268,7 +290,18 @@ class Communicator:
         self._c_cache_misses = tel.counter("plan_cache.misses")
         self._c_cache_evictions = tel.counter("plan_cache.evictions")
         self._progress = ProgressEngine(self.runtime, telemetry=tel)
-        self._resolve_cache: Dict[tuple, AlgorithmInfo] = {}
+        #: A loss-capable fault plan in the runtime stack; re-read by every
+        #: call that is not a memo hit (:meth:`_faults_changed`).
+        self._injected = self.runtime.fault_injected
+        #: Call signature -> its dispatch decision (see :meth:`_call`).
+        self._memo: Dict[tuple, _Bound] = {}
+        #: A plan-cache hit may skip the per-call dispatch: nothing attached
+        #: acts per call (machine model, detection metadata, arrival skew).
+        self._bindable = (
+            machine is None
+            and detect_timeout is None
+            and (faults is None or (not faults.skew and faults.skew_fn is None))
+        )
 
     # ------------------------------------------------------------------ #
     # backend-selected launching
@@ -402,6 +435,8 @@ class Communicator:
                 logger.info("rank %d: suspecting rank %d", self.rank, rank)
                 self._suspected.add(rank)
                 added.append(rank)
+        if added:
+            self._memo.clear()
         if added and self._children:
             live: List[tuple] = []
             for ref, members in self._children:
@@ -463,6 +498,7 @@ class Communicator:
             rank = int(rank)
             if rank in self._suspected:
                 logger.info("rank %d: reinstating rank %d", self.rank, rank)
+                self._memo.clear()
             self._suspected.discard(rank)
             cleared.append(rank)
         if cleared and self._children:
@@ -509,62 +545,12 @@ class Communicator:
         communicator's size; explicit names accept full registry names
         ("gaspi_allreduce_ring") or the short v1 aliases ("ring").
         Raises :class:`ValueError` for unknown or mismatched names.
-
-        Resolution is memoized per (collective, algorithm, size, policy,
-        fault state): selection re-runs the tuning-table scan with its
-        capability checks on every dispatch otherwise, which is pure
-        overhead at plan-cached call rates.  The fault-state component
-        keeps the cache exact — suspicion or injected faults reroute to
-        tolerant algorithms, so those states key separately.
+        Not memoized here: a dispatch remembers what it resolved per call
+        signature (:meth:`_call`).
         """
-        return self._resolve(
-            collective, nbytes, algorithm, policy or self._policy,
-            self.runtime.fault_injected,
-        )  # fmt: skip
-
-    def _resolve(
-        self,
-        collective: str,
-        nbytes: int,
-        algorithm: str,
-        policy: ConsistencyPolicy,
-        injected: bool,
-    ) -> AlgorithmInfo:
-        """The memoized :meth:`resolve`, handed ``runtime.fault_injected``.
-
-        That property walks every wrapper of the runtime stack: a dispatch
-        reads it once, for this memo key and for :meth:`_plan_for`'s guard.
-        """
-        memo_key = (
-            collective,
-            algorithm,
-            int(nbytes),
-            policy,
-            bool(self._suspected),
-            injected,
-            self._faults is not None and self._faults.can_lose_contributions,
-        )
-        cached = self._resolve_cache.get(memo_key)
-        if cached is not None:
-            return cached
-        info = self._resolve_uncached(collective, nbytes, algorithm, policy, injected)
-        self._resolve_cache[memo_key] = info
-        return info
-
-    def _resolve_uncached(
-        self,
-        collective: str,
-        nbytes: int,
-        algorithm: str,
-        policy: ConsistencyPolicy,
-        injected: bool,
-    ) -> AlgorithmInfo:
+        policy = policy or self._policy
         if algorithm in (None, "auto"):
-            if (
-                (self._faults is not None and self._faults.can_lose_contributions)
-                or injected
-                or policy.on_failure != "abort"
-            ):
+            if self.runtime.fault_injected or policy.on_failure != "abort":
                 info = self._fault_tolerant_candidate(collective, policy)
                 if info is not None:
                     return info
@@ -630,10 +616,7 @@ class Communicator:
             self._open_degraded.pop(0).close()
 
     def _schedule_nbytes(self, collective: str, payload: int) -> int:
-        """Payload size the schedule builders expect for this collective.
-
-        ``payload`` is ``request.nbytes``, which a dispatch evaluates once.
-        """
+        """Payload size the schedule builders expect for this collective."""
         if collective == "alltoall":
             return payload // max(self.size, 1)
         return payload
@@ -642,7 +625,7 @@ class Communicator:
     # compiled plans
     # ------------------------------------------------------------------ #
     def _plan_for(
-        self, info: AlgorithmInfo, request: CollectiveRequest, injected: bool
+        self, info: AlgorithmInfo, request: CollectiveRequest, bound: Optional[_Bound] = None
     ) -> Optional[CollectivePlan]:
         """Cached (or freshly compiled) plan serving this request, or ``None``.
 
@@ -657,20 +640,17 @@ class Communicator:
         same sequence with the same keys — so hits, builds and evictions
         agree on all ranks and the collective plan construction pairs up.
         """
-        if self._plans.capacity == 0 or not info.plannable:
+        if self._plans.capacity == 0 or not info.plannable or self._injected:
             return None
-        if request.policy.slack > 0:
+        if request.policy.slack > 0 or request.metadata.get("known_failed"):
             return None
-        if request.metadata.get("known_failed"):
-            return None
-        if injected:
-            # A loss-capable fault plan is attached somewhere in the runtime
-            # stack (``runtime.fault_injected``, read once by the dispatch:
-            # the wrapper advertises exactly can_lose_contributions).
-            return None
-        key = PlanKey.from_request(info, self.runtime, request)
+        key = bound and bound.key
         if key is None:
-            return None
+            key = PlanKey.from_request(info, self.runtime, request)
+            if key is None:
+                return None
+            if bound is not None:
+                bound.key = key
         plan = self._plans.get(key)
         if plan is None:
             self._c_cache_misses.add()
@@ -701,22 +681,50 @@ class Communicator:
         """Hit/miss/eviction counters of the compiled-plan cache."""
         return self._plans.stats()
 
-    def _dispatch(
-        self, collective: str, algorithm: str, request: CollectiveRequest
-    ) -> CollectiveResult:
-        """Route one collective through the registry (and the simulator).
+    # ------------------------------------------------------------------ #
+    # dispatch: one memo lookup, then a bound plan or the compile path
+    # ------------------------------------------------------------------ #
+    def _call(
+        self, collective: str, algorithm: str, sendbuf, recvbuf=None, root: int = 0,
+        op: str | ReductionOp = "sum", policy: Optional[ConsistencyPolicy] = None,
+    ) -> CollectiveResult:  # fmt: skip
+        """One blocking collective.
+
+        The memo key is everything the dispatch decision depends on, the
+        policy by value (its hash is computed once, so a policy built per
+        call hits like a shared one).  A hit on an entry bound to a plan
+        still cached runs :meth:`_run_bound`; anything else is the compile
+        path (:meth:`_dispatch_impl`), which fills the entry.
+        """
+        policy = policy or self._policy
+        buf = np.asarray(sendbuf)
+        sig = (collective, algorithm, root, op, policy, buf.dtype, buf.nbytes, 0)
+        bound = self._memo.get(sig)
+        if bound is not None and bound.plan is not None and not bound.plan.closed:
+            return self._dispatch(
+                collective, buf.nbytes, self._run_bound, bound, policy, sendbuf, recvbuf
+            )
+        request = CollectiveRequest(collective, sendbuf, recvbuf, root, op, policy)
+        payload = request.nbytes
+        return self._dispatch(
+            collective, payload, self._dispatch_impl, collective, algorithm, request,
+            payload, bound or _Bound(sig),
+        )  # fmt: skip
+
+    def _dispatch(self, collective: str, payload: int, run, *args) -> CollectiveResult:
+        """Run one blocking collective, ``run(*args)``, then the boundary hooks.
 
         With telemetry attached, the dispatch is recorded as one event per
         call (algorithm, payload bytes, plan-cache outcome, degraded
         outcome with ``missing_ranks``) plus a latency histogram sample,
         both from one pair of clock reads; without it, one attribute check
-        routes straight to the uninstrumented implementation.
+        routes straight to ``run``.
         """
         tel = self._telemetry
-        payload = request.nbytes
         if not tel.enabled:
-            result = self._dispatch_impl(collective, algorithm, request, payload)
-            self._fire_boundary_hooks()
+            result = run(*args)
+            if self._boundary_hooks:
+                self._fire_boundary_hooks()
             return result
         self._c_calls.value += 1
         plans = self._plans
@@ -724,7 +732,7 @@ class Communicator:
         misses0 = plans._misses
         t0 = CLOCK()
         try:
-            result = self._dispatch_impl(collective, algorithm, request, payload)
+            result = run(*args)
         except Exception as exc:
             self._c_errors.value += 1
             tel.record_span(
@@ -749,9 +757,64 @@ class Communicator:
         self._fire_boundary_hooks()
         return result
 
-    def _dispatch_impl(
-        self, collective: str, algorithm: str, request: CollectiveRequest, payload: int
+    def _run_bound(
+        self, bound: _Bound, policy: ConsistencyPolicy, sendbuf, recvbuf
     ) -> CollectiveResult:
+        """A memo hit: what a plan-cache hit still does, and nothing else."""
+        plan = bound.plan
+        self._plans.hit(plan)
+        self._c_cache_hits.add()
+        self._collective_seq += 1
+        if self._progress.active:
+            # A nonblocking handle may still be driving this plan; a
+            # blocking call must not race it on the plan's workspace and
+            # notification ids (both would consume the other's arrivals).
+            self._progress.wait_plan(plan)
+        request = bound.request
+        request.sendbuf = sendbuf
+        request.recvbuf = recvbuf
+        self._last_segment_id = plan.segment_id
+        try:
+            result = plan.execute(request)
+        finally:
+            request.sendbuf = request.recvbuf = None
+        result.algorithm = bound.info.name
+        result.policy = policy
+        self._last_result = result
+        return result
+
+    def _memoize(
+        self, bound: _Bound, info: AlgorithmInfo, plan: Optional[CollectivePlan],
+        request: CollectiveRequest,
+    ) -> None:  # fmt: skip
+        """Record a compiled call's decision, binding its plan when a hit
+        may skip everything else: :attr:`_bindable` and nobody suspected.
+        A bound entry keeps ``request`` (a finished call's) for its hits."""
+        bound.info, bound.plan = info, None
+        if plan is not None and self._bindable and not self._suspected:
+            request.sendbuf = request.recvbuf = None
+            request.segment_id = plan.segment_id
+            bound.plan, bound.request = plan, request
+        if bound.sig not in self._memo:
+            if len(self._memo) >= _MAX_MEMO:
+                self._memo.clear()
+            self._memo[bound.sig] = bound
+
+    def _faults_changed(self) -> bool:
+        """Re-read ``runtime.fault_injected``; on a change (a recovered crash
+        lowers it) forget every decision made under the old value."""
+        injected = self.runtime.fault_injected
+        if injected == self._injected:
+            return False
+        self._injected = injected
+        self._memo.clear()
+        return True
+
+    def _dispatch_impl(
+        self, collective: str, algorithm: str, request: CollectiveRequest, payload: int,
+        bound: Optional[_Bound] = None,
+    ) -> CollectiveResult:  # fmt: skip
+        """The compile path: every per-call step, then the memo entry."""
         check_policy(request.policy)
         seq = self._collective_seq
         self._collective_seq += 1
@@ -766,22 +829,25 @@ class Communicator:
         if self._detect_timeout is not None:
             request.metadata.setdefault("detect_timeout", self._detect_timeout)
         nbytes = self._schedule_nbytes(collective, payload)
-        injected = self.runtime.fault_injected
-        info = self._resolve(collective, nbytes, algorithm, request.policy, injected)
-        plan = self._plan_for(info, request, injected)
+        if self._faults_changed() and bound is not None:
+            bound = _Bound(bound.sig)
+        info = (bound and bound.info) or self.resolve(
+            collective, nbytes, algorithm, request.policy
+        )
+        plan = self._plan_for(info, request, bound)
         if plan is not None:
             if self._progress.active:
-                # A nonblocking handle may still be driving this plan; a
-                # blocking call must not race it on the plan's workspace
-                # and notification ids (both would consume the other's
-                # arrivals and deadlock).
                 self._progress.wait_plan(plan, request.timeout)
             request.segment_id = plan.segment_id
         else:
             # Cold path: the runner leases (or reserves an id) from the pool.
             request.pool = self._pool
         try:
-            result = info.run(self.runtime, request, plan=plan)
+            if plan is None:
+                result = info.run(self.runtime, request)
+            else:
+                result = plan.execute(request)
+                result.algorithm, result.policy = info.name, request.policy
         except Exception as exc:
             # A below-threshold abort still leaves a correction-capable
             # workspace behind; track it so close() can release it even if
@@ -799,6 +865,7 @@ class Communicator:
                     "rank %d: %s completed degraded, now suspecting ranks %s",
                     self.rank, collective, sorted(newly),
                 )
+                self._memo.clear()
             self._suspected.update(result.missing_ranks)
             self._track_degraded(result.detail)
         if self._machine is not None:
@@ -826,6 +893,8 @@ class Communicator:
                 rank_offsets=rank_offsets,
             )
         self._last_result = result
+        if bound is not None:
+            self._memoize(bound, info, plan, request)
         return result
 
     # ------------------------------------------------------------------ #
@@ -841,7 +910,8 @@ class Communicator:
         if algorithm is None:
             self.runtime.barrier()
             return
-        self._dispatch("barrier", algorithm, CollectiveRequest(collective="barrier"))
+        request = CollectiveRequest(collective="barrier")
+        self._dispatch("barrier", 0, self._dispatch_impl, "barrier", algorithm, request, 0)
 
     # ------------------------------------------------------------------ #
     # broadcast / reduce (eventually consistent)
@@ -858,13 +928,7 @@ class Communicator:
         A policy with ``threshold < 1`` ships only the leading fraction of
         the payload — the eventually consistent mode of the paper.
         """
-        request = CollectiveRequest(
-            collective="bcast",
-            sendbuf=buffer,
-            root=root,
-            policy=policy or self._policy,
-        )
-        return self._dispatch("bcast", algorithm, request)
+        return self._call("bcast", algorithm, buffer, None, root, "sum", policy)
 
     def reduce(
         self,
@@ -881,15 +945,7 @@ class Communicator:
         ``f`` fraction of the vector; ``process_threshold(f)`` reduces the
         full vector over a fraction of the processes (Figures 9 and 10).
         """
-        request = CollectiveRequest(
-            collective="reduce",
-            sendbuf=sendbuf,
-            recvbuf=recvbuf,
-            root=root,
-            op=op,
-            policy=policy or self._policy,
-        )
-        return self._dispatch("reduce", algorithm, request)
+        return self._call("reduce", algorithm, sendbuf, recvbuf, root, op, policy)
 
     # ------------------------------------------------------------------ #
     # allreduce
@@ -910,14 +966,7 @@ class Communicator:
         honoured after a capability check.  The dispatched algorithm and
         status live on :attr:`last_result`.
         """
-        request = CollectiveRequest(
-            collective="allreduce",
-            sendbuf=sendbuf,
-            recvbuf=recvbuf,
-            op=op,
-            policy=policy or self._policy,
-        )
-        return self._dispatch("allreduce", algorithm, request).value
+        return self._call("allreduce", algorithm, sendbuf, recvbuf, 0, op, policy).value
 
     # ------------------------------------------------------------------ #
     # nonblocking collectives (progress engine)
@@ -945,14 +994,7 @@ class Communicator:
         must not be modified (root) or read (non-root) until the handle
         completed.
         """
-        request = CollectiveRequest(
-            collective="bcast",
-            sendbuf=buffer,
-            root=root,
-            policy=policy or self._policy,
-            tag=tag,
-        )
-        return self._dispatch_nonblocking("bcast", algorithm, request)
+        return self._start("bcast", algorithm, buffer, None, root, "sum", policy, tag)
 
     def ireduce(
         self,
@@ -974,16 +1016,7 @@ class Communicator:
         ``recvbuf`` is undefined until then; modify neither before
         ``wait()``/``test()`` reports completion.
         """
-        request = CollectiveRequest(
-            collective="reduce",
-            sendbuf=sendbuf,
-            recvbuf=recvbuf,
-            root=root,
-            op=op,
-            policy=policy or self._policy,
-            tag=tag,
-        )
-        return self._dispatch_nonblocking("reduce", algorithm, request)
+        return self._start("reduce", algorithm, sendbuf, recvbuf, root, op, policy, tag)
 
     def iallreduce(
         self,
@@ -1014,15 +1047,7 @@ class Communicator:
         live array (one gradient bucket) is fine as long as that slice is
         left alone while in flight.
         """
-        request = CollectiveRequest(
-            collective="allreduce",
-            sendbuf=sendbuf,
-            recvbuf=recvbuf,
-            op=op,
-            policy=policy or self._policy,
-            tag=tag,
-        )
-        return self._dispatch_nonblocking("allreduce", algorithm, request)
+        return self._start("allreduce", algorithm, sendbuf, recvbuf, 0, op, policy, tag)
 
     def progress(self) -> int:
         """Advance every in-flight nonblocking collective without blocking.
@@ -1052,35 +1077,53 @@ class Communicator:
         """Stop the asynchronous progress thread (idempotent)."""
         self._progress.stop_thread()
 
-    def _dispatch_nonblocking(
-        self, collective: str, algorithm: str, request: CollectiveRequest
-    ) -> CollectiveHandle:
+    def _start(
+        self, collective: str, algorithm: str, sendbuf, recvbuf, root: int,
+        op: str | ReductionOp, policy: Optional[ConsistencyPolicy], tag: int,
+    ) -> CollectiveHandle:  # fmt: skip
         """Start one collective; return a handle advancing it incrementally.
 
-        Resolves like the blocking call and advances whatever plan serves
-        the request.  Falls back to synchronous execution (returning an
-        already-complete handle) whenever no compiled plan can — fault
-        plans, suspected ranks, slack policies, planning disabled, or an
-        algorithm without a planner — so ``i*`` calls are always safe,
-        merely not overlapped, in those regimes.
+        Looks up the same memo as the blocking call (:meth:`_call`) and
+        advances whatever plan serves the request.  Falls back to
+        synchronous execution (returning an already-complete handle)
+        whenever no compiled plan can — fault plans, slack policies,
+        planning disabled, or an algorithm without a planner — so ``i*``
+        calls are always safe, merely not overlapped, in those regimes.
         """
-        check_policy(request.policy)
-        payload = request.nbytes
-        nbytes = self._schedule_nbytes(collective, payload)
-        injected = self.runtime.fault_injected
-        info = self._resolve(collective, nbytes, algorithm, request.policy, injected)
-        plan = self._plan_for(info, request, injected)
-        if plan is None:
-            result = self._dispatch(collective, info.name, request)
-            return CollectiveHandle(
-                self._progress, self.runtime, None, None, result=result
-            )
+        policy = policy or self._policy
+        buf = np.asarray(sendbuf)
+        sig = (collective, algorithm, root, op, policy, buf.dtype, buf.nbytes, tag)
+        request = CollectiveRequest(collective, sendbuf, recvbuf, root, op, policy, tag=tag)
+        bound = self._memo.get(sig)
+        if bound is not None and bound.plan is not None and not bound.plan.closed:
+            info, plan = bound.info, bound.plan
+            self._plans.hit(plan)
+            self._c_cache_hits.add()
+        else:
+            check_policy(policy)
+            if self._faults_changed() or bound is None:
+                bound = _Bound(sig)
+            info = bound.info or self.resolve(
+                collective, self._schedule_nbytes(collective, request.nbytes),
+                algorithm, policy,
+            )  # fmt: skip
+            plan = self._plan_for(info, request, bound)
+            if plan is None:
+                result = self._dispatch(
+                    collective, request.nbytes, self._dispatch_impl, collective,
+                    algorithm, request, request.nbytes, bound,
+                )  # fmt: skip
+                return CollectiveHandle(
+                    self._progress, self.runtime, None, None, result=result
+                )
+            # The handle's generator keeps this call's request: a blocking
+            # hit gets one of its own.
+            hit_request = CollectiveRequest(collective, None, None, root, op, policy)
+            self._memoize(bound, info, plan, hit_request)
         # Mirror the blocking dispatch bookkeeping (sequence number,
         # arrival skew does not apply: loss-capable fault plans never get
         # here and pure-delay plans perturb the data plane directly).
         self._collective_seq += 1
-        dtype = None if request.sendbuf is None else np.asarray(request.sendbuf).dtype
-        info.check_request(self.size, request.policy, dtype)
         request.segment_id = plan.segment_id
         self._last_segment_id = plan.segment_id
         self._c_nonblocking.add()
@@ -1096,7 +1139,7 @@ class Communicator:
                 # than with a context-managed span.
                 tel.record_span(
                     f"i{collective}", "collective", issue_t, CLOCK(),
-                    {"algorithm": info.name, "nbytes": payload,
+                    {"algorithm": info.name, "nbytes": plan.key.nbytes,
                      "outcome": "ok", "nonblocking": True},
                 )
             if self._machine is not None:
@@ -1205,31 +1248,26 @@ class Communicator:
         """
         policy = policy or self._policy
         check_policy(policy)
+        self._faults_changed()
         template = np.ascontiguousarray(template)
-        probe = CollectiveRequest(
-            collective=collective,
-            sendbuf=template,
-            root=root,
-            op=op,
-            policy=policy,
+        probe = CollectiveRequest(collective, template, None, root, op, policy)
+        info = self.resolve(
+            collective, self._schedule_nbytes(collective, probe.nbytes), algorithm, policy
         )
-        nbytes = self._schedule_nbytes(collective, probe.nbytes)
-        injected = self.runtime.fault_injected
-        info = self._resolve(collective, nbytes, algorithm, policy, injected)
         require(
             info.plannable,
             f"algorithm {info.name!r} does not support compiled plans; "
             f"plannable {collective} algorithms: "
             f"{[n for n in self._registry.names(collective=collective) if self._registry.get(n).plannable] or '<none>'}",
         )
-        plan = self._plan_for(info, probe, injected)
+        plan = self._plan_for(info, probe)
         require(
             plan is not None,
             "persistent collectives need the plan cache (plan_cache > 0) and "
             "no loss-capable fault plan on the communicator",
         )
         self._plans.pin(plan.key)
-        return PersistentCollective(self, info, plan, root=root, op=op, policy=policy)
+        return PersistentCollective(self, plan, root=root, op=op, policy=policy)
 
     # ------------------------------------------------------------------ #
     # allgather / alltoall
@@ -1241,10 +1279,7 @@ class Communicator:
         algorithm: str = "auto",
     ) -> np.ndarray:
         """Gather equal-sized blocks from all ranks onto all ranks."""
-        request = CollectiveRequest(
-            collective="allgather", sendbuf=sendbuf, recvbuf=recvbuf, policy=self._policy
-        )
-        return self._dispatch("allgather", algorithm, request).value
+        return self._call("allgather", algorithm, sendbuf, recvbuf).value
 
     def alltoall(
         self,
@@ -1253,10 +1288,7 @@ class Communicator:
         algorithm: str = "auto",
     ) -> np.ndarray:
         """Exchange equal-sized blocks between every pair of ranks."""
-        request = CollectiveRequest(
-            collective="alltoall", sendbuf=sendbuf, recvbuf=recvbuf, policy=self._policy
-        )
-        return self._dispatch("alltoall", algorithm, request).value
+        return self._call("alltoall", algorithm, sendbuf, recvbuf).value
 
     def alltoallv(
         self,
@@ -1275,7 +1307,10 @@ class Communicator:
             recv_counts=recv_counts,
             policy=self._policy,
         )
-        return self._dispatch("alltoall", algorithm, request).value
+        return self._dispatch(
+            "alltoall", request.nbytes, self._dispatch_impl, "alltoall", algorithm, request,
+            request.nbytes,
+        ).value  # fmt: skip
 
     # ------------------------------------------------------------------ #
     # sub-communicators
@@ -1562,6 +1597,7 @@ class Communicator:
         }
         shrunk._parent_ranks = tuple(survivors)
         self._suspected.update(agreed)
+        self._memo.clear()
         self._children.append((weakref.ref(shrunk), tuple(survivors)))
         logger.info(
             "rank %d: shrink removed ranks %s, continuing as rank %d/%d",
@@ -1610,6 +1646,7 @@ class Communicator:
         for detail in self._open_degraded:
             detail.close()
         self._open_degraded.clear()
+        self._memo.clear()
         self._plans.close_all()
         self._pool.close(group, timeout)
 
@@ -1627,25 +1664,24 @@ class Communicator:
 class PersistentCollective:
     """Handle over one compiled collective plan (MPI persistent style).
 
-    Created by :meth:`Communicator.persistent`; calling the handle runs
-    the planned collective through the communicator's normal dispatch (so
-    ``last_result``, the simulator backend and the cache statistics all
-    behave exactly as for implicit calls) with the plan guaranteed cached
-    and pinned.  Payloads must match the compiled shape — a mismatch is a
-    usage error, reported eagerly instead of silently recompiling.
+    Created by :meth:`Communicator.persistent`; calling the handle is the
+    memo lookup of an implicit call keyed by the compiled algorithm's name,
+    so a hit runs the bound plan, and ``last_result``, the simulator backend
+    and the cache statistics behave exactly as for implicit calls, with the
+    plan guaranteed cached and pinned.  Payloads must match the compiled
+    shape — a mismatch is a usage error, reported eagerly instead of
+    silently recompiling.
     """
 
     def __init__(
         self,
         comm: Communicator,
-        info: AlgorithmInfo,
         plan: CollectivePlan,
         root: int,
         op: str | ReductionOp,
         policy: ConsistencyPolicy,
     ) -> None:
         self._comm = comm
-        self._info = info
         self._plan = plan
         self._root = int(root)
         self._op = op
@@ -1654,12 +1690,12 @@ class PersistentCollective:
 
     @property
     def collective(self) -> str:
-        return self._info.collective
+        return self._plan.key.collective
 
     @property
     def algorithm(self) -> str:
         """Registry name of the compiled algorithm."""
-        return self._info.name
+        return self._plan.key.algorithm
 
     @property
     def key(self) -> PlanKey:
@@ -1677,25 +1713,22 @@ class PersistentCollective:
         recvbuf: Optional[np.ndarray] = None,
     ) -> CollectiveResult:
         """Run one planned call; returns the full :class:`CollectiveResult`."""
-        require(not self._closed, "persistent collective handle already closed")
-        require(not self._plan.closed, "the compiled plan was torn down")
+        if self._closed:
+            raise ValueError("persistent collective handle already closed")
+        key = self._plan.key
+        if self._plan.closed:
+            raise ValueError("the compiled plan was torn down")
         sendbuf = np.asarray(sendbuf)
-        require(
-            sendbuf.nbytes == self._plan.key.nbytes
-            and sendbuf.dtype.str == self._plan.key.dtype,
-            f"payload ({sendbuf.nbytes} bytes, {sendbuf.dtype}) does not match "
-            f"the persistent plan compiled for {self._plan.key.nbytes} bytes "
-            f"of {np.dtype(self._plan.key.dtype)}",
-        )
-        request = CollectiveRequest(
-            collective=self._info.collective,
-            sendbuf=sendbuf,
-            recvbuf=recvbuf,
-            root=self._root,
-            op=self._op,
-            policy=self._policy,
-        )
-        return self._comm._dispatch(self._info.collective, self._info.name, request)
+        if sendbuf.nbytes != key.nbytes or sendbuf.dtype.str != key.dtype:
+            raise ValueError(
+                f"payload ({sendbuf.nbytes} bytes, {sendbuf.dtype}) does not match "
+                f"the persistent plan compiled for {key.nbytes} bytes "
+                f"of {np.dtype(key.dtype)}"
+            )
+        return self._comm._call(
+            key.collective, key.algorithm, sendbuf, recvbuf, self._root, self._op,
+            self._policy,
+        )  # fmt: skip
 
     def close(self) -> None:
         """Unpin the plan (collective hygiene: close on every rank).
@@ -1716,6 +1749,6 @@ class PersistentCollective:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"PersistentCollective({self._info.name}, "
+            f"PersistentCollective({self._plan.key.algorithm}, "
             f"{self._plan.key.nbytes}B, calls={self._plan.calls})"
         )

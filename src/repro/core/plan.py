@@ -56,6 +56,8 @@ and changes none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -106,13 +108,6 @@ def policy_from_fingerprint(fingerprint: PolicyFingerprint) -> "ConsistencyPolic
         on_failure=on_failure,
         chunk_bytes=chunk_bytes,
     )
-
-
-#: Call signature -> :class:`PlanKey` (see :func:`_plan_key`).
-#: Keys are a pure function of the signature, so entries never go stale;
-#: the memo is simply cleared when it reaches its fixed size.
-_KEY_MEMO: Dict[tuple, "PlanKey"] = {}
-_KEY_MEMO_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -203,36 +198,32 @@ class PlanKey:
 def _plan_key(
     collective: str, algorithm: str, runtime: "GaspiRuntime", request: "CollectiveRequest"
 ) -> PlanKey:
-    """Plan key of ``request`` under ``algorithm``, cached or cold alike.
+    """Plan key of ``request`` under ``algorithm`` (the compile and cold paths).
 
-    The key is a pure function of the call signature, so it is built on
-    first sight only and memoized (:data:`_KEY_MEMO`): a plan-cache hit —
-    and a cold call, whose key nobody caches — pays one dict lookup, not a
-    nine-field frozen dataclass and its hash.  An unknown operator raises
-    :class:`ValueError`.
+    An unknown operator raises :class:`ValueError`.
     """
     sendbuf = np.asarray(request.sendbuf)
-    signature = (
+    return _key_of(
         collective, algorithm, runtime.size, request.root, sendbuf.nbytes,
         sendbuf.dtype, request.op, request.policy, request.tag,
+    )  # fmt: skip
+
+
+@lru_cache(maxsize=1024)
+def _key_of(collective, algorithm, size, root, nbytes, dtype, op, policy, tag) -> PlanKey:
+    """A key is a pure function of the call signature: built on first sight
+    only, so a cold call pays one lookup, not a nine-field frozen dataclass."""
+    return PlanKey(
+        collective=collective,
+        algorithm=algorithm,
+        size=size,
+        root=int(root),
+        nbytes=int(nbytes),
+        dtype=dtype.str,
+        op=get_op(op).name,
+        policy=policy_fingerprint(policy),
+        tag=int(tag),
     )
-    key = _KEY_MEMO.get(signature)
-    if key is None:
-        key = PlanKey(
-            collective=collective,
-            algorithm=algorithm,
-            size=runtime.size,
-            root=int(request.root),
-            nbytes=int(sendbuf.nbytes),
-            dtype=sendbuf.dtype.str,
-            op=get_op(request.op).name,
-            policy=policy_fingerprint(request.policy),
-            tag=int(request.tag),
-        )
-        if len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-            _KEY_MEMO.clear()
-        _KEY_MEMO[signature] = key
-    return key
 
 
 # --------------------------------------------------------------------------- #
@@ -277,6 +268,9 @@ class CollectivePlan:
         #: a plain boolean would let closing one of two same-shape handles
         #: unpin the plan out from under the other.
         self.pins = 0
+        #: Recency stamp of the :class:`PlanCache` holding the plan: a hit
+        #: restamps the plan instead of re-inserting (and re-hashing) its key.
+        self.last_used = 0
         self._schedule: Optional["CommunicationSchedule"] = None
         self._pool = pool
         self._lease: Optional[Lease] = None
@@ -520,25 +514,37 @@ class PlanCache:
     becomes soft while pins exist).  Like the capped degraded-workspace
     tracking on the communicator, the bound exists so a workload that
     never repeats a shape cannot hold workspaces leased without limit.
+    Recency is a stamp on each plan (:attr:`CollectivePlan.last_used`), so
+    a hit on a plan the caller already holds (:meth:`hit`) hashes no key.
     """
 
     def __init__(self, capacity: int) -> None:
         require(capacity >= 0, f"plan cache capacity must be >= 0, got {capacity}")
         self.capacity = int(capacity)
         self._plans: Dict[PlanKey, CollectivePlan] = {}
+        self._clock = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
 
     def get(self, key: PlanKey) -> Optional[CollectivePlan]:
         """Look up a plan, counting the hit/miss and refreshing recency."""
-        plan = self._plans.pop(key, None)
+        plan = self._plans.get(key)
         if plan is None:
             self._misses += 1
             return None
-        self._plans[key] = plan  # re-insert: most recently used
-        self._hits += 1
+        self.hit(plan)
         return plan
+
+    def hit(self, plan: CollectivePlan) -> None:
+        """Count a hit on a cached plan and make it the most recently used."""
+        self._clock += 1
+        plan.last_used = self._clock
+        self._hits += 1
+
+    def lru(self) -> List[CollectivePlan]:
+        """The cached plans (each under its own ``key``), least recently used first."""
+        return sorted(self._plans.values(), key=attrgetter("last_used"))
 
     def evict(self) -> List[CollectivePlan]:
         """Make room for one more plan; returns the plans evicted by LRU.
@@ -550,17 +556,19 @@ class PlanCache:
         """
         evicted: List[CollectivePlan] = []
         if self.capacity:
-            for old_key in list(self._plans):
+            for plan in self.lru():
                 if len(self._plans) < self.capacity:
                     break
-                if self._plans[old_key].pins > 0:
+                if plan.pins > 0:
                     continue
-                evicted.append(self._plans.pop(old_key))
+                evicted.append(self._plans.pop(plan.key))
                 self._evictions += 1
         return evicted
 
     def put(self, key: PlanKey, plan: CollectivePlan) -> None:
         """Insert a freshly built plan as the most recently used."""
+        self._clock += 1
+        plan.last_used = self._clock
         self._plans[key] = plan
 
     def pin(self, key: PlanKey) -> None:

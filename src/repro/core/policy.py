@@ -109,6 +109,14 @@ class ConsistencyPolicy:
                 f"got {self.chunk_bytes!r}",
             )
             object.__setattr__(self, "chunk_bytes", int(self.chunk_bytes))
+        # Hashed once, for the dispatch memo; numbers only, so a pickled copy
+        # stays valid under another string-hash seed.
+        numbers = (self.threshold, self.slack, self.chunk_bytes or 0)
+        flags = (self.mode is ReduceMode.PROCESSES, self.on_failure == "complete")
+        object.__setattr__(self, "_hash", hash(numbers + flags))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # ------------------------------------------------------------------ #
     # constructors for the three dial positions
@@ -138,16 +146,6 @@ class ConsistencyPolicy:
     def ssp(cls, slack: int) -> "ConsistencyPolicy":
         """Stale-synchronous: accept contributions up to ``slack`` old."""
         return cls(slack=slack)
-
-    def with_chunk_bytes(self, chunk_bytes: Optional[int]) -> "ConsistencyPolicy":
-        """Copy of this policy with an explicit pipeline chunk size."""
-        return ConsistencyPolicy(
-            threshold=self.threshold,
-            mode=self.mode,
-            slack=self.slack,
-            on_failure=self.on_failure,
-            chunk_bytes=chunk_bytes,
-        )
 
     # ------------------------------------------------------------------ #
     @property

@@ -27,7 +27,7 @@ same names, so the two paths cannot diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import import_module
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -199,33 +199,24 @@ class AlgorithmInfo:
         return kwargs
 
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        runtime,
-        request: CollectiveRequest,
-        plan: Optional[CollectivePlan] = None,
-    ) -> CollectiveResult:
-        """Execute the collective for real on ``runtime``.
+    def run(self, runtime, request: CollectiveRequest) -> CollectiveResult:
+        """Execute the collective cold on ``runtime``.
 
         Validates capabilities against the world size, policy and payload
         dtype first so misuse fails fast with a clear message instead of a
-        deadlocked collective.  When a compiled ``plan`` is supplied (the
-        plan-aware entry point) the call runs through
-        :meth:`CollectivePlan.execute` — leased workspace, frozen topology
-        and notification layout.  Without one it runs cold: through the
-        runner, or — an entry that has only a planner — as a throwaway
-        plan compiled for this call.
+        deadlocked collective.  Then runs through the runner, or — an entry
+        that has only a planner — as a throwaway plan compiled for this
+        call.  A cached plan runs through :meth:`CollectivePlan.execute`
+        without this: :meth:`plan` validated its key when it compiled it.
         """
-        if plan is None and not self.executable:
+        if not self.executable:
             raise ValueError(
                 f"algorithm {self.name!r} is schedule-only (no executable "
                 f"runner); simulate it through the benchmark harness instead"
             )
         dtype = None if request.sendbuf is None else np.asarray(request.sendbuf).dtype
         self.check_request(runtime.size, request.policy, dtype)
-        if plan is not None:
-            result = plan.execute(request)
-        elif self.runner is not None:
+        if self.runner is not None:
             result = self.runner(runtime, request)
         else:
             result = _run_cold(self.planner, self.collective, self.name, runtime, request)
@@ -289,30 +280,6 @@ class AlgorithmRegistry:
             planner=planner,
         )
 
-    def attach_runner(
-        self,
-        name: str,
-        runner: Runner,
-        capabilities: Optional[AlgorithmCapabilities] = None,
-    ) -> None:
-        """Add (or replace) the executable path of an existing entry."""
-        info = self.get(name)
-        self._algorithms[name] = replace(
-            info, runner=runner, capabilities=capabilities or info.capabilities
-        )
-
-    def attach_planner(
-        self,
-        name: str,
-        planner: Planner,
-        capabilities: Optional[AlgorithmCapabilities] = None,
-    ) -> None:
-        """Add (or replace) the plan-compilation path of an existing entry."""
-        info = self.get(name)
-        self._algorithms[name] = replace(
-            info, planner=planner, capabilities=capabilities or info.capabilities
-        )
-
     def get(self, name: str) -> AlgorithmInfo:
         try:
             return self._algorithms[name]
@@ -323,10 +290,6 @@ class AlgorithmRegistry:
     def build(self, name: str, num_ranks: int, nbytes: int, **kwargs) -> CommunicationSchedule:
         """Build the schedule of a registered algorithm."""
         return self.get(name).builder(num_ranks, nbytes, **kwargs)
-
-    def run(self, name: str, runtime, request: CollectiveRequest) -> CollectiveResult:
-        """Execute a registered algorithm for real (capability-checked)."""
-        return self.get(name).run(runtime, request)
 
     def names(
         self,

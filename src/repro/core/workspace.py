@@ -28,8 +28,11 @@ misses agree everywhere:
   *next* one, which separates the slowest rank's scrub from the fastest
   rank's first write into the recycled segment.
 
-The pool holds at most the high-water mark of simultaneously leased
-segments per size class (plus the one cooling), until :meth:`close`.
+Idle segments are bounded across classes (:data:`MAX_IDLE`): a miss first
+deletes the least recently released idle segments beyond it — safe, as an
+idle segment cooled behind a barrier and every rank deletes the same ones.
+Otherwise a sweep over payload sizes keeps every class's high-water mark
+and runs the world out of segments.
 
 Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
 owns one pool over its segment-id range; a standalone caller (a cold
@@ -53,6 +56,10 @@ from ..utils.validation import require
 #: Smallest pooled segment and notification board (tiny requests share them).
 _MIN_BYTES = 64
 _MIN_SLOTS = 64
+
+#: Idle segments a pool keeps, summed over size classes: two per plan of a
+#: default-capacity plan cache (16) plus 16 for cold calls.
+MAX_IDLE = 48
 
 #: (segment bytes, notification slots) — what a free segment is matched on.
 _Key = Tuple[int, int]
@@ -93,6 +100,7 @@ class WorkspacePool:
         #: segment id -> (key, notification ids declared, exact?)
         self._leased: Dict[int, Tuple[_Key, int, bool]] = {}
         self._cooling: List[Tuple[_Key, int]] = []
+        #: Idle segments by class, least recently released class first.
         self._free: Dict[_Key, List[int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -129,6 +137,7 @@ class WorkspacePool:
         if idle:
             segment_id = idle.pop()
         else:
+            self._trim(sum(map(len, self._free.values())) - MAX_IDLE)
             segment_id = self._spare_ids.pop() if self._spare_ids else self.reserve_id()
             self.runtime.segment_create(segment_id, key[0], key[1])
             self.runtime.barrier()
@@ -150,13 +159,22 @@ class WorkspacePool:
             self._delete(segment_id)
             return
         for idle_key, idle_id in self._cooling:
-            self._free.setdefault(idle_key, []).append(idle_id)
+            idle = self._free.pop(idle_key, [])
+            idle.append(idle_id)
+            self._free[idle_key] = idle  # most recently released class last
         self._cooling.clear()
         if exact:
             self._delete(segment_id)
             return
         self._scrub(segment_id, notification_ids)
         self._cooling.append((key, segment_id))
+
+    def _trim(self, surplus: int) -> None:
+        """Delete ``surplus`` idle segments, least recently released first."""
+        for idle in self._free.values():
+            while idle and surplus > 0:
+                self._delete(idle.pop(0))
+                surplus -= 1
 
     def _scrub(self, segment_id: int, notification_ids: int) -> None:
         """Make a released segment indistinguishable from a fresh one."""

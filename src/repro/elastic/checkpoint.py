@@ -250,12 +250,12 @@ def checkpoint(
     _quiesce(comm, group, timeout)
     entries = tuple(
         PlanEntry(
-            key=key,
+            key=plan.key,
             segment_id=plan.segment_id,
             calls=plan.calls,
             pinned=plan.pins > 0,
         )
-        for key, plan in comm._plans._plans.items()  # LRU order: oldest first
+        for plan in comm._plans.lru()
     )
     snapshot = CommSnapshot(
         rank=comm.rank,

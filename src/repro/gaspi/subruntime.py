@@ -85,17 +85,6 @@ class GroupRuntime(RuntimeWrapper):
                 f"group rank {group_rank} outside group of size {self.size}"
             ) from exc
 
-    def from_base_rank(self, base_rank: int) -> Optional[int]:
-        """Group rank of an inner-runtime rank, or ``None`` if not a member.
-
-        The inverse of :meth:`to_base_rank`; elastic shrink uses it to
-        remap suspicion expressed in parent numbering onto survivors.
-        """
-        try:
-            return self._members.index(int(base_rank))
-        except ValueError:
-            return None
-
     def _translate_group(self, group: Optional[Group]) -> Group:
         """Map a group expressed in group-local ranks to inner ranks."""
         if group is None:

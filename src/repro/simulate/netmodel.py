@@ -151,10 +151,6 @@ class NetworkParameters:
         """Time to combine ``nbytes`` of payload into a local accumulator."""
         return nbytes * self.reduce_seconds_per_byte
 
-    def copy_time(self, nbytes: int) -> float:
-        """Time of a local memory copy of ``nbytes``."""
-        return nbytes * self.copy_seconds_per_byte
-
     def barrier_time(self, num_ranks: int) -> float:
         """Cost of a full synchronisation over ``num_ranks`` processes."""
         if num_ranks <= 1:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 
 def require(condition: bool, message: str) -> None:
     """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
@@ -53,9 +51,3 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError(f"divisor must be positive, got {b}")
     return -(-a // b)
-
-
-def ensure_dtype_match(a: Any, b: Any) -> None:
-    """Raise if two NumPy arrays have mismatching dtypes."""
-    if a.dtype != b.dtype:
-        raise ValueError(f"dtype mismatch: {a.dtype} vs {b.dtype}")

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry
+import repro
+from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry, run_backend
 from repro.core.plan import PlanCache, PlanKey
 from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
 from repro.core.topology import BinomialTree
-from repro.core.workspace import size_class
+from repro.core.workspace import MAX_IDLE, size_class
 from repro.gaspi.runtime import RuntimeWrapper
+from repro.simulate.machine import skylake_fdr
 from repro.telemetry import TelemetryRuntime
 
 from tests.helpers import rank_vector, spmd
@@ -416,6 +420,27 @@ class TestWorkspaceRecycling:
             assert 200 <= main_id < 232 and 1000 <= cold_id < 1032
             assert open_segments == 0
 
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    def test_a_size_sweep_keeps_idle_segments_bounded(self, backend):
+        # 600 distinct payloads touch ~30 size classes; without a bound on
+        # idle segments summed over classes, the world's 256 segments run
+        # out at the 458th size.
+        def worker(rt):
+            tel = Telemetry(rank=rt.rank, max_events=0)
+            comm = Communicator(rt, telemetry=tel)
+            peak = 0
+            for n in range(1, 601):
+                comm.allreduce(np.full(n, float(rt.rank)))
+                _, created, deleted = _runtime_counts(tel)
+                peak = max(peak, created - deleted)
+            value = comm.allreduce(np.ones(600))[0]
+            comm.close()
+            return peak, value
+
+        for peak, value in run_backend(2, worker, backend=backend, timeout=120):
+            assert value == 2.0
+            assert peak <= 16 + MAX_IDLE + 2  # leased + idle + cooling, new
+
 
 class _CountingRuntime:
     """Forwards everything to ``inner``; counts the calls by method name."""
@@ -443,6 +468,26 @@ def _counted_communicator(rt, instrumented):
         return counting, Communicator(counting)
     tel = Telemetry(rank=rt.rank)
     return counting, Communicator(TelemetryRuntime(counting, tel), telemetry=tel)
+
+
+_REPRO_DIR = str(Path(repro.__file__).parent)
+
+
+def _python_calls(call):
+    """How many ``repro`` functions ``call()`` enters (generator resumes included)."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.startswith(_REPRO_DIR):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def _late(rt, call):
@@ -521,7 +566,9 @@ class TestHitCostsItsWireOps:
             assert built1 == built0
             assert algorithm == "gaspi_allreduce_ssp_hypercube"
 
-    def test_a_cached_call_reads_the_fault_flag_once(self):
+    def test_a_cached_call_reads_the_fault_flag_at_most_once(self):
+        # The flag walks every wrapper of the runtime stack; a memo hit
+        # decided it when the call's entry was bound.
         calls = 20
 
         def worker(rt):
@@ -535,7 +582,7 @@ class TestHitCostsItsWireOps:
                 comm.reduce(x, y, root=0)
                 comm.iallreduce(x, y).wait()
 
-            round_of_calls()  # compiles the plans, fills the resolve memo
+            round_of_calls()  # compiles the plans, fills the dispatch memo
             before = flagged.reads
             for _ in range(calls):
                 round_of_calls()
@@ -543,7 +590,43 @@ class TestHitCostsItsWireOps:
             comm.close()
             return spent
 
-        assert spmd(2, worker) == [4 * calls] * 2
+        assert all(spent <= 4 * calls for spent in spmd(2, worker))
+
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    def test_a_cached_call_stays_under_its_python_call_ceiling(self, backend):
+        # ``repro`` functions entered by one cached call of each *_1k shape,
+        # wire included, on the rank that enters late (so every wait finds
+        # its notification posted and the count is exact): 38-46 measured,
+        # so dispatch cannot silently regrow.
+        ceiling = 48
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x, y = np.full(128, float(rt.rank)), np.empty(128)
+            handle = comm.persistent("allreduce", np.empty(128))
+            calls = {
+                "allreduce": lambda: comm.allreduce(x, y),
+                "bcast": lambda: comm.bcast(x, root=0),
+                "reduce": lambda: comm.reduce(x, y, root=0),
+                "persistent": lambda: handle(x, y),
+            }
+            spent = {}
+            for name, call in calls.items():
+                call()  # compiles
+                call()  # binds the memo entry
+                rt.barrier()
+                if rt.rank == 1:
+                    time.sleep(0.005)
+                    spent[name] = _python_calls(call)
+                else:
+                    call()
+            rt.barrier()
+            handle.close()
+            comm.close()
+            return spent
+
+        spent = run_backend(2, worker, backend=backend, timeout=60)[1]
+        assert max(spent.values()) <= ceiling, spent
 
     @pytest.mark.parametrize("instrumented", [False, True], ids=["bare", "telemetry"])
     @pytest.mark.parametrize("ranks", [2, 8])
@@ -676,6 +759,177 @@ class TestHitCostsItsWireOps:
         assert elapsed < 10.0
         for part in ("rank 1", "credit from parent 0", "call 2"):
             assert part in message
+
+
+class TestDispatchMemo:
+    """A memo hit skips the dispatch, so every event that reroutes a call must
+    still reroute it: same result, same error, same counters as the full path."""
+
+    def test_suspicion_leaves_the_plan_and_reinstate_returns_to_it(self):
+        def worker(rt):
+            comm = Communicator(rt)
+            x, y = np.full(128, float(rt.rank + 1)), np.empty(128)
+            for _ in range(3):
+                comm.allreduce(x, y)
+            plan_segment, hits = comm.last_segment_id, comm.plan_cache_stats().hits
+            comm.suspect(1 - rt.rank)
+            comm.allreduce(x, y)  # known_failed: the cold path, not the plan
+            suspected = (y[0], comm.plan_cache_stats().hits - hits, comm.last_segment_id)
+            comm.reinstate(1 - rt.rank)
+            comm.allreduce(x, y)
+            reinstated = (y[0], comm.plan_cache_stats().hits - hits, comm.last_segment_id)
+            comm.close()
+            return plan_segment, suspected, reinstated
+
+        for plan_segment, suspected, reinstated in spmd(2, worker):
+            assert suspected[:2] == (3.0, 0) and suspected[2] != plan_segment
+            assert reinstated == (3.0, 1, plan_segment)
+
+    def test_an_evicted_plan_recompiles_and_never_runs_again(self):
+        def worker(rt):
+            comm = Communicator(rt, plan_cache=2)
+            buffers = [np.full(n, 1.0) for n in (128, 256, 512)]
+            comm.allreduce(buffers[0])
+            comm.allreduce(buffers[0])  # bound to the first plan
+            first = next(iter(comm._plans._plans.values()))
+            for buffer in buffers[1:]:
+                comm.allreduce(buffer)  # the second shape evicts the first
+            calls, misses = first.calls, comm.plan_cache_stats().misses
+            value = comm.allreduce(buffers[0])
+            out = (
+                first.closed,
+                first.calls - calls,
+                comm.plan_cache_stats().misses - misses,
+                float(value[0]),
+            )
+            comm.close()
+            return out
+
+        assert spmd(2, worker) == [(True, 0, 1, 2.0)] * 2
+
+    def test_a_blocking_hit_drains_a_handle_on_its_plan_first(self):
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.full(128, float(rt.rank + 1))
+            comm.allreduce(x, np.empty(128))
+            comm.allreduce(x, np.empty(128))  # bound
+            early, late = np.empty(128), np.empty(128)
+            handle = comm.iallreduce(x, early)  # same plan, left in flight
+            comm.allreduce(2 * x, late)
+            done = handle.done
+            comm.close()
+            return done, early[0], late[0]
+
+        assert spmd(2, worker) == [(True, 3.0, 6.0)] * 2
+
+    def test_a_telemetry_hit_is_recorded_as_a_hit(self):
+        def worker(rt):
+            tel = Telemetry(rank=rt.rank)
+            comm = Communicator(rt, telemetry=tel)
+            x = np.full(128, 1.0)
+            for _ in range(3):
+                comm.bcast(x, root=0)
+            comm.close()
+            snapshot = tel.snapshot(events=True)
+            spans = [e["args"]["plan_cache"] for e in snapshot["events"] if e["cat"] == "collective"]
+            return spans, snapshot["counters"]["plan_cache.hits"]
+
+        assert spmd(2, worker) == [(["miss", "hit", "hit"], 2)] * 2
+
+    def test_a_machine_model_still_simulates_every_call(self):
+        def worker(rt):
+            comm = Communicator(rt, machine=skylake_fdr(2))
+            simulated = []
+            for _ in range(3):
+                comm.allreduce(np.full(128, 1.0))
+                simulated.append(comm.last_result.simulated_seconds)
+            hits = comm.plan_cache_stats().hits
+            comm.close()
+            return simulated, hits
+
+        for simulated, hits in spmd(2, worker):
+            assert hits == 2
+            assert simulated[0] > 0 and len(set(simulated)) == 1
+
+    MISUSE = {
+        "unknown op": (lambda c, x: c.allreduce(x, op="nope"), "nope"),
+        "unsupported dtype": (
+            lambda c, x: c.allreduce(x.astype(np.float32), algorithm="mpi_allreduce_default"),
+            "only supports dtype float64",
+        ),
+        "unsupported policy": (
+            lambda c, x: c.allreduce(
+                x, policy=ConsistencyPolicy.data_threshold(0.5), algorithm="ring"
+            ),
+            "does not support partial",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISUSE))
+    def test_misuse_raises_the_same_error_on_every_call(self, case):
+        call, message = self.MISUSE[case]
+
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.full(128, 1.0)
+            comm.allreduce(x)
+            comm.allreduce(x)  # a bound entry beside the misuse
+            errors = set()
+            for _ in range(100):
+                with pytest.raises(ValueError) as caught:
+                    call(comm, x)
+                errors.add(str(caught.value))
+            value = comm.allreduce(x)[0]
+            comm.close()
+            return errors, value
+
+        for errors, value in spmd(2, worker):
+            assert len(errors) == 1 and message in errors.pop()
+            assert value == 2.0
+
+    def test_the_memo_stays_bounded_over_a_size_sweep(self):
+        def worker(rt):
+            comm = Communicator(rt)
+            for n in range(1, 2001):
+                comm.allreduce(np.ones(n))
+            entries = len(comm._memo)
+            comm.close()
+            return entries
+
+        assert all(entries <= 256 for entries in spmd(2, worker))
+
+    def test_a_policy_built_per_call_hits_like_a_shared_one(self):
+        def worker(rt):
+            comm = Communicator(rt)
+            x = np.full(128, 1.0)
+            same = []
+            for _ in range(50):
+                policy = ConsistencyPolicy.data_threshold(0.5)
+                comm.bcast(x, root=0, policy=policy)
+                same.append(comm.last_result.policy is policy)
+            out = (len(comm._memo), comm.plan_cache_stats().hits, all(same))
+            comm.close()
+            return out
+
+        assert spmd(2, worker) == [(1, 49, True)] * 2
+
+    def test_a_recovered_crash_returns_to_the_planned_algorithms(self):
+        def worker(rt):
+            comm = Communicator(rt, faults=FaultPlan(crash_at={rt.rank: 10**6}))
+            x = np.full(128, 1.0)
+            comm.allreduce(x)
+            comm.allreduce(x)
+            tolerant = (comm.last_result.algorithm, comm.plan_cache_stats().entries)
+            comm.runtime.recover()  # forgets this rank's crash_at: nothing is lossy
+            values = [comm.allreduce(x)[0] for _ in range(3)]
+            planned = (comm.last_result.algorithm, comm.plan_cache_stats().hits)
+            comm.close()
+            return tolerant, planned, values
+
+        for tolerant, planned, values in spmd(2, worker):
+            assert tolerant[1] == 0
+            assert planned[0] != tolerant[0] and planned[1] == 2
+            assert values == [2.0] * 3
 
 
 class TestSplitIsolation:
