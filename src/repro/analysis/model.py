@@ -37,7 +37,7 @@ import numpy as np
 from ..core.plan import CollectivePlan, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
 from ..core.registry import REGISTRY
-from ..core.workspace import WorkspacePool
+from ..core.workspace import RETIRE_BATCH, WorkspacePool
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
@@ -421,7 +421,7 @@ def build_recycle_model(
     num_ranks: int,
     nbytes: int = 256,
     *,
-    laggard: int = 1,
+    laggard: Optional[int] = None,
     calls: int = 2,
     mutate_pool: Optional[Callable[[WorkspacePool], None]] = None,
 ) -> ModelRun:
@@ -429,39 +429,91 @@ def build_recycle_model(
 
     Every rank drives one :class:`~repro.core.workspace.WorkspacePool`
     through the misses of a one-entry plan cache over the sequence
-    ``first, other, other, first``: each miss releases the evicted plan,
-    then compiles the next.  ``other`` moves ``nbytes``; ``first`` — a
-    broadcast, whose workspace is its payload, or any plan whose workspace
-    is a multiple of it — moves what makes its workspace as large as
-    ``other``'s, so the two share a size class.  The third plan thereby
-    runs on the segment the first one released two misses earlier and the
-    fourth on the second one's: both orders of the pair, each on a
-    scrubbed segment behind the cooling barrier.  Rank ``laggard`` idles
-    before every call, so the others run as far ahead as the protocol
-    lets them.
+    ``first, other, other, first, other, first``: each miss releases the
+    evicted plan, then compiles the next.  ``other`` moves ``nbytes``;
+    ``first`` — a broadcast, whose workspace is its payload, or any plan
+    whose workspace is a multiple of it — moves what makes its workspace as
+    large as ``other``'s, so the two share a size class.  After the first
+    plan, every rank leases and releases ``RETIRE_BATCH - 1`` fillers of
+    another class, so the second plan's release takes the barrier that
+    quiesces a full batch; the misses after it take the others.  The third
+    plan thereby runs on the segment the first one released, and the sixth
+    on that segment again, released by the third: both orders of the pair,
+    each on a segment scrubbed behind one barrier and leased after the
+    next.  Rank ``laggard`` (the last one by default) idles before every
+    call, so the others run as far ahead as the protocol lets them.
 
     The model's barrier records and returns, so the programs wait where a
-    real barrier would hold them: until every rank arrived, before a
-    release; until every rank entered it, after a pool miss.  A recycled
-    lease takes no barrier and nothing holds a rank back — which is what
-    exposes the seeded pool defects of :mod:`repro.analysis.mutations`
-    (applied to every rank's pool through ``mutate_pool``).
+    real barrier would hold them: until every rank arrived, before a pool
+    operation that synchronises; until every rank entered it, after a
+    miss.  Which operations synchronise comes from a dry run of the same
+    operations on a scratch pool.  A recycled lease and a release short of
+    its batch take no barrier and nothing holds a rank back — which is
+    what exposes the seeded pool defects of :mod:`repro.analysis.mutations`
+    (applied to every pool, the dry run's included, through
+    ``mutate_pool``).
     """
 
     def workspace_of(algorithm: str) -> int:
         sized = build_model(algorithm, num_ranks, nbytes, calls=0)
         return sized.world.runtimes[0].segment_size(sized.plans[0].segment_id)
 
+    if laggard is None:
+        laggard = num_ranks - 1
     scaled = nbytes * workspace_of(other) // workspace_of(first)
     head, tail = (first, scaled - scaled % 8), (other, nbytes)
     policy = ConsistencyPolicy()
+    sequence = [head, tail, tail, head, tail, head]
+
+    def compile_plan(rt: GaspiRuntime, pool: WorkspacePool, step: int) -> CollectivePlan:
+        algorithm, size = sequence[step]
+        info = REGISTRY.get(algorithm)
+        key = PlanKey(
+            collective=info.collective,
+            algorithm=algorithm,
+            size=num_ranks,
+            root=0,
+            nbytes=max(1, size // 8) * 8,
+            dtype="<f8",
+            op="sum",
+            policy=policy_fingerprint(policy),
+        )
+        return info.plan(rt, key, 0, policy, pool)
+
+    def operations(
+        rt: GaspiRuntime, pool: WorkspacePool, plans: List[CollectivePlan]
+    ) -> List[Tuple[str, Callable[[], None]]]:
+        """One rank's pool operations in program order: (kind, operation)."""
+        fillers: List[int] = []
+        short = RETIRE_BATCH - 1  # releases one short of a batch
+        ops: List[Tuple[str, Callable[[], None]]] = []
+        for step in range(len(sequence)):
+            if step:
+                ops.append(("release", lambda: plans[-1].release()))
+            ops.append(("plan", lambda s=step: plans.append(compile_plan(rt, pool, s))))
+            if step == 0:
+                ops += [("lease", lambda: fillers.append(pool.lease(8, 1)))] * short
+                ops += [("release", lambda: pool.release(fillers.pop()))] * short
+        return ops
+
+    def make_pool(rt: GaspiRuntime) -> WorkspacePool:
+        pool = WorkspacePool(rt, 23, 64)
+        if mutate_pool is not None:
+            mutate_pool(pool)
+        return pool
+
+    probe = ModelWorld(num_ranks).runtimes[0]
+    synchronises = []
+    batched = False  # whether a release took a batch's barrier
+    for kind, operation in operations(probe, make_pool(probe), []):
+        entered = probe.barriers
+        operation()
+        synchronises.append(probe.barriers > entered)
+        batched |= synchronises[-1] and kind == "release"
+
     world = ModelWorld(num_ranks)
     runtimes = world.runtimes
-    pools = [WorkspacePool(rt, 23, 64) for rt in runtimes]
-    if mutate_pool is not None:
-        for pool in pools:
-            mutate_pool(pool)
-    sequence = [head, tail, tail, head]
+    pools = [make_pool(rt) for rt in runtimes]
     arrived = [0] * num_ranks
     plans: List[List[CollectivePlan]] = [[] for _ in range(num_ranks)]
     wrong: List[str] = []
@@ -469,65 +521,56 @@ def build_recycle_model(
 
     def rank_program(rank: int) -> Program:
         rt = runtimes[rank]
-        for step, (algorithm, nbytes) in enumerate(sequence):
-            info = REGISTRY.get(algorithm)
-            elements = max(1, nbytes // 8)
-            key = PlanKey(
-                collective=info.collective,
-                algorithm=algorithm,
-                size=num_ranks,
-                root=0,
-                nbytes=elements * 8,
-                dtype="<f8",
-                op="sum",
-                policy=policy_fingerprint(policy),
-            )
-            if plans[rank]:
+        ops = operations(rt, pools[rank], plans[rank])
+        for (kind, operation), barrier in zip(ops, synchronises):
+            if barrier:  # held until every rank arrived
                 arrived[rank] += 1
                 while min(arrived) < arrived[rank]:
                     yield
-                plans[rank][-1].release()
-            entered = rt.barriers
-            plan = info.plan(rt, key, 0, policy, pools[rank])
-            plans[rank].append(plan)
-            if rt.barriers > entered:  # a pool miss: hold at its barrier
+            operation()
+            if barrier and kind != "release":  # a miss: every rank created
                 while min(peer.barriers for peer in runtimes) < rt.barriers:
                     yield
-            sendbufs, recvbufs = buffers.setdefault(
-                step, _payloads(info.collective, num_ranks, elements, 0)
+            if kind == "plan":
+                yield from run_plan(rank, len(plans[rank]) - 1)
+
+    def run_plan(rank: int, step: int) -> Program:
+        plan = plans[rank][step]
+        algorithm, size = sequence[step]
+        info = REGISTRY.get(algorithm)
+        elements = max(1, size // 8)
+        sendbufs, recvbufs = buffers.setdefault(
+            step, _payloads(info.collective, num_ranks, elements, 0)
+        )
+        for call in range(calls):
+            if rank == laggard:
+                yield from _idle(world)
+            request = CollectiveRequest(
+                collective=info.collective,
+                sendbuf=sendbufs[rank],
+                recvbuf=recvbufs[rank],
+                op="sum",
+                policy=policy,
+                segment_id=plan.segment_id,
             )
-            for call in range(calls):
-                if rank == laggard:
-                    yield from _idle(world)
-                request = CollectiveRequest(
-                    collective=info.collective,
-                    sendbuf=sendbufs[rank],
-                    recvbuf=recvbufs[rank],
-                    op="sum",
-                    policy=policy,
-                    segment_id=plan.segment_id,
+            yield from _drive(plan, request)
+            if info.collective == "bcast":
+                got, want = sendbufs[rank], np.arange(elements) + 1.0
+            elif info.collective == "allreduce" or rank == 0:
+                got = recvbufs[rank]
+                want = sum(np.arange(elements) + r + 1.0 for r in range(num_ranks))
+            else:
+                continue
+            if not np.array_equal(got, want):
+                wrong.append(
+                    f"rank {rank}: plan {step} ({algorithm}) call {call} "
+                    f"computed a wrong result"
                 )
-                yield from _drive(plan, request)
-                if info.collective == "bcast":
-                    got, want = sendbufs[rank], np.arange(elements) + 1.0
-                elif info.collective == "allreduce" or rank == 0:
-                    got = recvbufs[rank]
-                    want = sum(np.arange(elements) + r + 1.0 for r in range(num_ranks))
-                else:
-                    continue
-                if not np.array_equal(got, want):
-                    wrong.append(
-                        f"rank {rank}: plan {step} ({algorithm}) call {call} "
-                        f"computed a wrong result"
-                    )
 
     stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
-    recycled = [
-        len(p) == 4 and (p[2].segment_id, p[3].segment_id)
-        == (p[0].segment_id, p[1].segment_id)
-        for p in plans
-    ]
-    if not stalled and mutate_pool is None and not all(recycled):
+    if not stalled and mutate_pool is None and not (
+        batched and all(_recycled_both_ways(p, sequence) for p in plans)
+    ):
         raise ValueError(f"{first} and {other} recycled nothing at {num_ranks} ranks")
     name = (
         f"recycle[{first} <-> {other}, ranks={num_ranks}, "
@@ -543,3 +586,17 @@ def build_recycle_model(
         stalled_ranks=stalled,
         wrong_values=wrong,
     )
+
+
+def _recycled_both_ways(
+    plans: List[CollectivePlan], sequence: List[Tuple[str, int]]
+) -> bool:
+    """Whether each plan of the pair ran on a segment the other one released."""
+    last_user: Dict[int, str] = {}
+    inherited = set()
+    for plan, (algorithm, _) in zip(plans, sequence):
+        previous = last_user.get(plan.segment_id, algorithm)
+        if previous != algorithm:
+            inherited.add(algorithm)
+        last_user[plan.segment_id] = algorithm
+    return len(inherited) == 2

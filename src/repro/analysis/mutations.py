@@ -33,11 +33,12 @@ argument taken out of the shipped generator: a parent that no longer
 consumes its children's previous-call acks overwrites staging slots that
 may still be unread.
 
-Two more live in the workspace *pool* and are applied through
-``build_recycle_model(..., mutate_pool=...)``: :func:`reuse_without_cooling`
-and :func:`skip_scrub` break the two halves of the argument that makes a
-recycled segment safe — the barrier between a scrub and the next lessee's
-first write, and the scrub itself.
+Three more live in the workspace *pool* and are applied through
+``build_recycle_model(..., mutate_pool=...)``: :func:`lease_before_quiescence`,
+:func:`reuse_without_cooling` and :func:`skip_scrub` break the three parts
+of the argument that makes a recycled segment safe — the barrier between
+a release and the scrub, the barrier between a scrub and the next
+lessee's first write, and the scrub itself.
 """
 
 from __future__ import annotations
@@ -311,22 +312,40 @@ def skip_child_ack_consumes(plan: "BstBcastPlan") -> None:
 
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:
-    """Make a released segment leasable at the miss that released it.
+    """Make a retired segment leasable at the barrier that scrubs it.
 
     The pool parks a scrubbed segment in ``cooling`` until the *next*
-    release barrier proves every rank finished its scrub.  Promoting it
-    at once lets a fast rank lease it and write into a slow rank's copy
-    before that rank has scrubbed: expected finding class ``data-race``
-    (a remote write unordered against the scrub's stores), and the wiped
-    arrival then starves its consumer.
+    barrier proves every rank finished its scrub.  Promoting it at once
+    lets a fast rank lease it and write into a slow rank's copy before
+    that rank has scrubbed: expected finding class ``data-race`` (a remote
+    write unordered against the scrub's stores), and the wiped arrival
+    then starves its consumer.
     """
-    release = pool.release
+    advance = pool._advance
 
-    def hasty_release(segment_id: int) -> None:
-        release(segment_id)
+    def hasty_advance() -> None:
+        advance()
         for key, idle_id in pool._cooling:
             pool._free.setdefault(key, []).append(idle_id)
         pool._cooling.clear()
+
+    pool._advance = hasty_advance  # type: ignore[method-assign]
+
+
+def lease_before_quiescence(pool: "WorkspacePool") -> None:
+    """Scrub a released segment and make it leasable at its own release.
+
+    No barrier stands between the last lessee's calls and the next one's:
+    a fast rank's scrub and first write race the posts a slow peer still
+    makes into that segment under the old plan, and the slow rank's own
+    scrub wipes what the fast rank already wrote.  Expected finding class
+    ``data-race`` or ``wrong-value``.
+    """
+
+    def hasty_release(segment_id: int) -> None:
+        key, notification_ids, _ = pool._leased.pop(segment_id)
+        pool._scrub(segment_id, notification_ids)
+        pool._free.setdefault(key, []).append(segment_id)
 
     pool.release = hasty_release  # type: ignore[method-assign]
 

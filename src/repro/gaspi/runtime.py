@@ -66,9 +66,13 @@ class GaspiRuntime(abc.ABC):
     def size(self) -> int:
         """Number of ranks in the world (``gaspi_proc_num``)."""
 
-    @property
+    @functools.cached_property
     def group_all(self) -> Group:
-        """The group containing every rank (``GASPI_GROUP_ALL``)."""
+        """The group containing every rank (``GASPI_GROUP_ALL``).
+
+        Built once per runtime — a world's size is fixed and a group is an
+        immutable value — since every default barrier asks for it.
+        """
         return Group.world(self.size)
 
     @property

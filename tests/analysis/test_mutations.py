@@ -32,6 +32,7 @@ from repro.analysis.mutations import (
     drop_notify,
     duplicate_chunk_id,
     hoist_first_consume,
+    lease_before_quiescence,
     reuse_without_cooling,
     single_mailbox_per_step,
     skip_allgather_copy_out,
@@ -207,13 +208,26 @@ RECYCLE_PAIRS = [
 @pytest.mark.parametrize("ranks", [4, 8])
 @pytest.mark.parametrize("first,other", RECYCLE_PAIRS)
 def test_reuse_without_cooling_races_the_scrub(first, other, ranks):
-    # A fast rank leases the segment released at this very miss and writes
-    # into the laggard's copy before the laggard scrubbed it.
+    # A fast rank leases the segment scrubbed at this very barrier and
+    # writes into the laggard's copy before the laggard scrubbed it.
     assert verify_recycling(first, other, ranks) == []
     found = classes(
         verify_recycling(first, other, ranks, mutate_pool=reuse_without_cooling)
     )
     assert DATA_RACE in found
+
+
+@pytest.mark.parametrize("ranks", [4, 8])
+@pytest.mark.parametrize("first,other", RECYCLE_PAIRS)
+def test_lease_before_quiescence_races_the_old_lessee(first, other, ranks):
+    # A released segment is scrubbed and leasable at once: the fast ranks'
+    # scrub and first writes meet the laggard's last posts under the old
+    # plan, and the laggard's own scrub wipes what they wrote.
+    assert verify_recycling(first, other, ranks) == []
+    found = classes(
+        verify_recycling(first, other, ranks, mutate_pool=lease_before_quiescence)
+    )
+    assert found & {DATA_RACE, WRONG_VALUE}
 
 
 @pytest.mark.parametrize("ranks", [4, 8])

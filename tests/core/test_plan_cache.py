@@ -16,7 +16,7 @@ from repro.core.plan import PlanCache, PlanKey
 from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
 from repro.core.topology import BinomialTree
-from repro.core.workspace import MAX_IDLE, size_class
+from repro.core.workspace import MAX_IDLE, RETIRE_BATCH, size_class
 from repro.gaspi.runtime import RuntimeWrapper
 from repro.simulate.machine import skylake_fdr
 from repro.telemetry import TelemetryRuntime
@@ -342,7 +342,8 @@ class TestWorkspaceRecycling:
         for misses, cold, hits, warm, closed in spmd(2, worker):
             assert misses == 200 and hits == 208
             barriers, created, deleted = cold
-            assert barriers <= 200 + 16
+            # A create's barrier, or one per batch of evictions' releases.
+            assert barriers <= created + -(-200 // RETIRE_BATCH)
             assert created <= 2 * 25  # two per size class
             assert deleted == 0
             assert warm == cold  # 208 hits: no barrier, no create, no delete
@@ -373,7 +374,7 @@ class TestWorkspaceRecycling:
     }
 
     @pytest.mark.parametrize("shape", sorted(COLD_CALLS))
-    def test_cold_calls_cost_one_barrier_each(self, shape):
+    def test_cold_calls_cost_a_barrier_per_batch(self, shape):
         call = self.COLD_CALLS[shape]
 
         def worker(rt):
@@ -390,10 +391,11 @@ class TestWorkspaceRecycling:
             if shape in ("alltoallv", "bcast_bound_window"):
                 assert (barriers, created, deleted) == (400, 200, 200)
                 continue
-            # One release barrier per call; the two segments that alternate
-            # between leased and cooling cost a create + barrier each.
-            assert created <= 2
-            assert barriers <= 200 + created
+            # One barrier per batch of releases; the segments that rotate
+            # through leased, retired, cooling and free — a batch retiring
+            # while the one before it cools — cost a create + barrier each.
+            assert created <= 2 * RETIRE_BATCH
+            assert barriers <= -(-200 // RETIRE_BATCH) + created
             assert deleted == 0
 
     def test_segment_ids_are_recycled_with_their_segments(self):
@@ -439,7 +441,8 @@ class TestWorkspaceRecycling:
 
         for peak, value in run_backend(2, worker, backend=backend, timeout=120):
             assert value == 2.0
-            assert peak <= 16 + MAX_IDLE + 2  # leased + idle + cooling, new
+            # leased + idle + a batch cooling + one short of a batch retired + new
+            assert peak <= 16 + MAX_IDLE + 2 * RETIRE_BATCH
 
 
 class _CountingRuntime:

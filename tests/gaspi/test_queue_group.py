@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import run_backend
 from repro.gaspi.errors import GaspiInvalidArgumentError, GaspiQueueFullError, GaspiTimeoutError
 from repro.gaspi.group import Group
 from repro.gaspi.queue import CommunicationQueue
@@ -76,6 +77,11 @@ class TestGroup:
         assert g.index_of(3) == 1  # groups are stored sorted
         with pytest.raises(GaspiInvalidArgumentError):
             g.index_of(2)
+
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    def test_a_runtime_builds_its_world_group_once(self, backend):
+        same = run_backend(2, lambda rt: rt.group_all is rt.group_all, backend=backend)
+        assert same == [True, True]
 
     def test_equality_and_hash(self):
         assert Group([0, 1]) == Group([1, 0])

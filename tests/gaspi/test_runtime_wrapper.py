@@ -26,11 +26,11 @@ OPERATIONS = sorted(
     for name, _ in inspect.getmembers(GaspiRuntime, inspect.isfunction)
     if not name.startswith("_") and name not in {"traced", "instrumented", "layers"}
 )
-#: Likewise the discovery properties; ``group_all`` is computed from ``size``.
+#: Likewise the discovery properties (``group_all`` is not one: a value
+#: each layer builds once from ``size``).
 PROPERTIES = sorted(
     name
     for name, _ in inspect.getmembers(GaspiRuntime, lambda m: isinstance(m, property))
-    if name != "group_all"
 )
 
 REFUSED_WHEN_CRASHED = {

@@ -17,6 +17,7 @@ from repro import (
     run_backend,
     run_shm,
 )
+from repro.core.workspace import RETIRE_BATCH
 from repro.gaspi import (
     GaspiInvalidArgumentError,
     GaspiSegmentError,
@@ -594,8 +595,11 @@ class TestShmDescriptors:
                 lambda: comm.allreduce(big, algorithm="ring_pipelined"),
                 lambda: comm.bcast(big, root=1, algorithm="bst_pipelined"),
             ]
-            for call in calls:  # first use of every code path
-                call()
+            # First use of every code path, and past the pool's rotation:
+            # released workspaces come back two batch barriers later, and
+            # the classes of the six paths share every batch.
+            for i in range(4 * RETIRE_BATCH * len(calls)):
+                calls[i % len(calls)]()
             before = _open_fds()
             for i in range(300):
                 calls[i % len(calls)]()
@@ -611,8 +615,9 @@ class TestShmDescriptors:
             comm = Communicator(rt, plan_cache=4)
             shapes = [np.ones(64 + 8 * i) for i in range(12)]
             shapes.append(np.ones(1 << 15))  # a pipelined plan in the cycle
-            for x in shapes:
-                comm.allreduce(x)
+            for _ in range(2 * RETIRE_BATCH):  # past the pool's rotation
+                for x in shapes:
+                    comm.allreduce(x)
             # The forked worker inherits the pytest process's uncollected
             # SharedMemory garbage (earlier tests' worlds); collect it now,
             # or a GC pass between the two snapshots closes its descriptors.

@@ -5,7 +5,8 @@ Every collective of a communicator leases its workspace from one
 at once, compiled plans at eviction, and the next lessee — possibly a
 different algorithm with a different notification-id map — finds the
 segment scrubbed behind a barrier.  For a random sequence of collectives
-over a small plan cache (so plans are evicted all the time), with a
+— longer than a batch of releases, so the pool recycles — over a small
+plan cache (so plans are evicted all the time), with a
 persistent handle pinned across the evictions, a tagged ``iallreduce`` in
 flight during the first of them and optionally one rank made a straggler
 by a fault plan, every result must equal the same call on a fresh
@@ -23,12 +24,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Communicator, ConsistencyPolicy, FaultPlan, run_backend
+from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry, run_backend
 from repro.core.bcast import threshold_elements
 from repro.core.topology import BinomialTree
-from repro.core.workspace import WorkspacePool, size_class
+from repro.core.workspace import RETIRE_BATCH, WorkspacePool, size_class
 from repro.faults.injection import FaultyRuntime
 from repro.gaspi.group import Group
+from repro.telemetry import TelemetryRuntime
 
 from tests.helpers import spmd
 
@@ -50,8 +52,8 @@ def cases(draw):
                 st.integers(min_value=0, max_value=ranks - 1),  # root
                 st.integers(min_value=1, max_value=4096),  # elements
             ),
-            min_size=4,
-            max_size=9,
+            min_size=RETIRE_BATCH + 1,
+            max_size=RETIRE_BATCH + 5,
         )
     )
     return {
@@ -209,21 +211,51 @@ def test_size_classes_waste_at_most_a_quarter(nbytes):
     assert size_class(served) == served
 
 
-def test_a_segment_is_leasable_one_release_after_its_own():
-    def worker(rt):
-        pool = WorkspacePool(rt, 50, 8)
-        a = pool.lease(1000, 4)
-        b = pool.lease(1000, 4)
-        pool.release(a)  # a: cooling
-        c = pool.lease(1000, 4)  # not a — nobody proved a scrubbed yet
-        pool.release(b)  # barrier: a is free, b cooling
-        d = pool.lease(1000, 4)
-        pool.close()
-        return a, b, c, d, pool.next_id, [s for s in (a, b, c) if rt.segment_exists(s)]
+def _barriers(tel):
+    return tel.snapshot()["counters"].get("runtime.barriers", 0)
 
-    for a, b, c, d, next_id, left in spmd(3, worker):
-        assert len({a, b, c}) == 3 and d == a
-        assert next_id == 53 and left == []
+
+def test_a_segment_is_leasable_one_barrier_after_its_batch():
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank, max_events=0)
+        pool = WorkspacePool(TelemetryRuntime(rt, tel), 50, 64)
+        batch = [pool.lease(1000, 4) for _ in range(RETIRE_BATCH)]  # misses
+        synced = _barriers(tel)
+        for sid in batch[:-1]:
+            pool.release(sid)  # retired: no barrier
+        short = _barriers(tel) - synced
+        pool.release(batch[-1])  # the batch's barrier: all of it cooling
+        full = _barriers(tel) - synced
+        fresh = pool.lease(1000, 4)  # a miss — nobody proved a scrub yet ...
+        recycled = pool.lease(1000, 4)  # ... behind whose barrier the batch is free
+        pool.close()
+        left = [s for s in batch + [fresh] if rt.segment_exists(s)]
+        return batch, short, full, fresh, recycled, pool.next_id, left
+
+    for batch, short, full, fresh, recycled, next_id, left in spmd(3, worker):
+        assert (short, full) == (0, 1)
+        assert fresh not in batch and recycled in batch
+        assert next_id == 50 + RETIRE_BATCH + 1 and left == []
+
+
+@pytest.mark.parametrize("backend", ["threaded", "shm"])
+def test_close_quiesces_a_partial_batch_behind_one_barrier(backend):
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank, max_events=0)
+        pool = WorkspacePool(TelemetryRuntime(rt, tel), 70, 16)
+        retired = [pool.lease(1000, 4) for _ in range(RETIRE_BATCH - 1)]
+        for sid in retired:
+            pool.release(sid)
+        synced = _barriers(tel)
+        pool.close()
+        left = [s for s in retired if rt.segment_exists(s)]
+        world = getattr(rt, "world", None)
+        if hasattr(world, "stale_segments"):  # shm: this rank's /dev/shm blocks
+            left += world.stale_segments(rt.rank)
+        return _barriers(tel) - synced, left
+
+    for barriers, left in run_backend(3, worker, backend=backend, timeout=60):
+        assert barriers == 1 and left == []
 
 
 def test_a_crashed_rank_releases_best_effort_and_never_hangs():
@@ -231,19 +263,33 @@ def test_a_crashed_rank_releases_best_effort_and_never_hangs():
 
     def worker(rt):
         faulty = FaultyRuntime(rt, FaultPlan.single_crash(crashed, at_op=0))
-        pool = WorkspacePool(faulty, 60, 8)
-        sid = pool.lease(256, 4)  # everyone is still alive here
+        pool = WorkspacePool(faulty, 60, 16)
+        # Everyone is still alive here: a batch and one more, all misses.
+        sids = [pool.lease(256, 4) for _ in range(RETIRE_BATCH + 1)]
+        held = None
         if rt.rank == crashed:
             with pytest.raises(Exception):
-                faulty.notify(0, sid, 0)  # first data-plane op: the crash
-            pool.release(sid)  # cannot synchronise: deletes, pools nothing
-            idle = (pool._cooling, pool._free)
-            pool.close()
+                faulty.notify(0, sids[0], 0)  # first data-plane op: the crash
+            # The batch's barrier cannot synchronise: it deletes the whole
+            # held-back batch and pools nothing; the last one is retired.
+            for sid in sids:
+                pool.release(sid)
+            held = (
+                [sid for _, sid, _ in pool._retired],
+                pool._cooling,
+                pool._free,
+                [sid for sid in sids[:RETIRE_BATCH] if rt.segment_exists(sid)],
+            )
+            pool.close()  # cannot synchronise either: deletes the retired one
         else:
-            idle = ([], {})
+            # Retired short of a batch: no barrier the dead rank would miss.
+            for sid in sids[: RETIRE_BATCH - 1]:
+                pool.release(sid)
             # The survivors bound their teardown: the dead rank never joins.
             pool.close(Group([r for r in range(rt.size) if r != crashed]), timeout=5.0)
-        return idle, rt.segment_exists(sid)
+        return held, [sid for sid in sids if rt.segment_exists(sid)]
 
-    for idle, exists in spmd(4, worker):
-        assert idle == ([], {}) and not exists
+    for rank, (held, left) in enumerate(spmd(4, worker)):
+        if rank == crashed:
+            assert held == ([60 + RETIRE_BATCH], [], {}, [])
+        assert left == []
