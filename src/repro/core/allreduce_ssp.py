@@ -345,8 +345,10 @@ class SSPAllreduce:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the mailbox segment (collective).  The release barrier
-        matters: slack > 0 permits in-flight partner writes at call boundaries."""
+        """Release the mailbox segment (collective).  The pool's barrier
+        matters: slack > 0 permits in-flight partner writes at call
+        boundaries, so the mailbox is retired and scrubbed only after a
+        later barrier has quiesced them."""
         if not self._closed:
             self._closed = True
             self._lease.release()

@@ -664,8 +664,9 @@ class Communicator:
                     self._plans.capacity,
                 )
                 # Evictions happen at the same dispatch on every rank; the
-                # release barrier drains what a rank a step behind still has
-                # in flight (the bcast consume-acks) before the scrub.
+                # pool retires each workspace, and the next batch or miss
+                # barrier drains what a rank a step behind still has in
+                # flight (the bcast consume-acks) before the scrub.
                 for old in evicted:
                     self._progress.wait_plan(old, request.timeout)
                     old.release()
@@ -1621,8 +1622,9 @@ class Communicator:
         workspaces held open for correction, and every pooled workspace.
 
         Collective: one barrier (skipped by a communicator that holds no
-        workspace leased — no cached plan, no SSP state) drains whatever is
-        still travelling toward a workspace — deferred consume-acks,
+        workspace leased or retired — no cached plan, no SSP state, no
+        release since the pool last synchronised) drains whatever is still
+        travelling toward a workspace — deferred consume-acks,
         slack-tolerated SSP writes — then every segment is deleted exactly
         once.  Idempotent, and
         tolerant of a runtime that can no longer synchronise or perform

@@ -107,7 +107,8 @@ def bst_bcast(
     """Binomial-spanning-tree broadcast of ``buffer`` from ``root``.
 
     A cold call: it compiles a :class:`BstBcastPlan`, runs it once and
-    releases it (the release barrier also drains the call's consume-acks).
+    releases it (a later pool barrier drains the call's consume-acks before
+    the workspace is scrubbed).
 
     Parameters
     ----------
@@ -278,8 +279,9 @@ def _require_vector(buffer: np.ndarray) -> np.ndarray:
 class BstBcastPlan(CollectivePlan):
     """Compiled tree broadcast: frozen tree, leased workspace, no barriers.
 
-    The cold path's release barrier also serialises successive calls;
-    without it, reuse needs an explicit hand-shake.  This plan
+    A cold call's workspace is leased again only after a pool barrier has
+    quiesced it; a plan reuses its workspace call after call, so reuse
+    needs an explicit hand-shake.  This plan
     uses *consume acknowledgements*: every child acks its parent once it
     has (a) copied the payload out of its staging slot and (b) flushed its
     own forwards, and a parent consumes each child's previous-call ack

@@ -342,7 +342,8 @@ class CollectivePlan:
         return self._lease
 
     def release(self) -> None:
-        """Give the workspace back to its pool (collective: one barrier).
+        """Give the workspace back to its pool (collective: the pool retires
+        it, and a later batch or miss barrier quiesces it before the scrub).
 
         What plan-cache eviction and the cold runners call.  Idempotent.
         """
@@ -452,8 +453,9 @@ def _run_cold(
 ) -> "CollectiveResult":
     """Build a throwaway plan, run one call, release it (cold path).
 
-    The release barrier also drains the handshake notifications (entry
-    fences, credits, consume-acks) still in flight from the call.
+    The release retires the workspace: the pool's next batch or miss
+    barrier drains the handshake notifications (entry fences, credits,
+    consume-acks) still in flight from the call before it is scrubbed.
     """
     key = _plan_key(collective, name, runtime, request)
     plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
@@ -551,8 +553,9 @@ class PlanCache:
 
         The caller releases them (eviction happens at a dispatch every
         rank executes, so the releases stay in lock-step) *before*
-        compiling the newcomer: that release's barrier is what makes the
-        workspace released one miss earlier leasable again.
+        compiling the newcomer: the workspaces they retire are quiesced by
+        a later barrier — the batch's, or the newcomer's miss — and only
+        then scrubbed and leasable again.
         """
         evicted: List[CollectivePlan] = []
         if self.capacity:

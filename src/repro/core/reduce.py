@@ -94,7 +94,8 @@ def bst_reduce(
     """Binomial-spanning-tree reduction of ``sendbuf`` onto ``root``.
 
     A cold call: it compiles a :class:`BstReducePlan`, runs it once and
-    releases it (the release barrier also drains the call's credits).
+    releases it (a later pool barrier drains the call's credits before the
+    workspace is scrubbed).
 
     Parameters
     ----------

@@ -19,7 +19,11 @@ misses agree everywhere:
 * ``release(segment_id)`` of a pooled workspace takes no barrier: the
   segment is *retired* — a slow peer may still be posting at it — and
   held back until the pool next synchronises.  That is every
-  :data:`RETIRE_BATCH` releases, or at a miss's barrier if one comes first.
+  :data:`RETIRE_BATCH` releases, once the retired bytes reach
+  :data:`RETIRE_BYTES`, or at a miss's barrier if one comes first.  A
+  runtime that can lose contributions (a fault plan that crashes or drops)
+  synchronises at every release instead: a rank that crashes later must
+  leave its peers nothing that needs a world barrier to tear down.
 * Behind that barrier every rank has finished every earlier call, so
   nothing more will be posted at a retired segment — and every segment
   parked before the *previous* barrier has been scrubbed on every rank.
@@ -38,8 +42,11 @@ Idle segments are bounded across classes (:data:`MAX_IDLE`): a miss first
 deletes the least recently released idle segments beyond it — safe, as an
 idle segment cooled behind a barrier and every rank deletes the same ones.
 Otherwise a sweep over payload sizes keeps every class's high-water mark
-and runs the world out of segments.  Retired and cooling segments — at most
-:data:`RETIRE_BATCH` each — come on top of the idle ones.
+and runs the world out of segments.  Retired and cooling segments come on
+top of the idle ones: at most :data:`RETIRE_BATCH` of each, and under
+:data:`RETIRE_BYTES` plus one segment of each — so a workspace of
+:data:`RETIRE_BYTES` or more is synchronised at its own release, and a
+stream of them keeps two segments, one cooling and one idle.
 
 Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
 owns one pool over its segment-id range; a standalone caller (a cold
@@ -74,6 +81,12 @@ MAX_IDLE = 48
 #: median threaded p50 latency 119 / 110 / 112 µs, peak RSS 139 / 144 /
 #: 152 MB — beyond 8, a batch only adds live segments.
 RETIRE_BATCH = 8
+
+#: Retired bytes a pool holds back before it synchronises, whatever the
+#: count: a batch of large workspaces (a cold alltoall's is its whole send
+#: buffer) pins its bytes twice over, retired then cooling.  Eight of the
+#: ``large_msgs`` benchmark's 512 KiB alltoall workspaces fill it exactly.
+RETIRE_BYTES = 4 << 20
 
 #: (segment bytes, notification slots) — what a free segment is matched on.
 _Key = Tuple[int, int]
@@ -165,12 +178,14 @@ class WorkspacePool:
     def release(self, segment_id: int) -> None:
         """Give a leased workspace back (collective).
 
-        A pooled workspace is retired, and every :data:`RETIRE_BATCH`-th
-        release takes the barrier that recycles the batch; an exact one
-        takes its barrier at once and is deleted.  A runtime that can no
-        longer synchronise — this rank crashed, the barrier broke —
-        deletes every segment the barrier held back best-effort instead of
-        pooling it, and never hangs on a scrub.
+        A pooled workspace is retired, and the release that fills a batch
+        (:data:`RETIRE_BATCH` segments or :data:`RETIRE_BYTES` bytes) takes
+        the barrier that recycles it — every release does under a runtime
+        that can lose contributions; an exact one takes its barrier at once
+        and is deleted.  A runtime that can no longer synchronise — this
+        rank crashed, the barrier broke — deletes every segment the barrier
+        held back best-effort instead of pooling it, and never hangs on a
+        scrub.
         """
         key, notification_ids, exact = self._leased.pop(segment_id)
         if exact:
@@ -178,7 +193,11 @@ class WorkspacePool:
             self._delete(segment_id)
             return
         self._retired.append((key, segment_id, notification_ids))
-        if len(self._retired) >= RETIRE_BATCH:
+        if (
+            len(self._retired) >= RETIRE_BATCH
+            or sum(k[0] for k, _, _ in self._retired) >= RETIRE_BYTES
+            or self.runtime.fault_injected
+        ):
             self._synchronise()
 
     def _synchronise(self) -> None:
@@ -222,7 +241,9 @@ class WorkspacePool:
 
         Only a leased or retired workspace needs the barrier (a peer may
         still be posting at it); cooling and free ones were retired behind
-        one already, so a pool holding neither does not synchronise.
+        one already, so a pool holding neither does not synchronise — as
+        is the case for every pool of a fault-injected runtime with no plan
+        cached, whose releases synchronise at once.
         Idempotent; a barrier that fails (dead peer, crashed rank) does
         not stop the deletes.
         """

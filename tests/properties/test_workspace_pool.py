@@ -27,9 +27,12 @@ from hypothesis import strategies as st
 from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry, run_backend
 from repro.core.bcast import threshold_elements
 from repro.core.topology import BinomialTree
-from repro.core.workspace import RETIRE_BATCH, WorkspacePool, size_class
+from repro.core.workspace import RETIRE_BATCH, RETIRE_BYTES, WorkspacePool, size_class
 from repro.faults.injection import FaultyRuntime
+from repro.gaspi.constants import GASPI_BLOCK
+from repro.gaspi.errors import GaspiError
 from repro.gaspi.group import Group
+from repro.gaspi.runtime import RuntimeWrapper
 from repro.telemetry import TelemetryRuntime
 
 from tests.helpers import spmd
@@ -266,30 +269,103 @@ def test_a_crashed_rank_releases_best_effort_and_never_hangs():
         pool = WorkspacePool(faulty, 60, 16)
         # Everyone is still alive here: a batch and one more, all misses.
         sids = [pool.lease(256, 4) for _ in range(RETIRE_BATCH + 1)]
-        held = None
+        # A runtime that can lose contributions synchronises every release:
+        # nothing is held back that a later world barrier would have to free.
+        pool.release(sids.pop(0))
+        retired = list(pool._retired)
         if rt.rank == crashed:
             with pytest.raises(Exception):
                 faulty.notify(0, sids[0], 0)  # first data-plane op: the crash
-            # The batch's barrier cannot synchronise: it deletes the whole
-            # held-back batch and pools nothing; the last one is retired.
-            for sid in sids:
+            for sid in sids:  # cannot synchronise: deletes, pools nothing
                 pool.release(sid)
-            held = (
-                [sid for _, sid, _ in pool._retired],
-                pool._cooling,
-                pool._free,
-                [sid for sid in sids[:RETIRE_BATCH] if rt.segment_exists(sid)],
-            )
-            pool.close()  # cannot synchronise either: deletes the retired one
+            retired += pool._retired
+            pool.close()
         else:
-            # Retired short of a batch: no barrier the dead rank would miss.
-            for sid in sids[: RETIRE_BATCH - 1]:
-                pool.release(sid)
             # The survivors bound their teardown: the dead rank never joins.
             pool.close(Group([r for r in range(rt.size) if r != crashed]), timeout=5.0)
-        return held, [sid for sid in sids if rt.segment_exists(sid)]
+        return retired, [sid for sid in range(60, 76) if rt.segment_exists(sid)]
 
-    for rank, (held, left) in enumerate(spmd(4, worker)):
-        if rank == crashed:
-            assert held == ([60 + RETIRE_BATCH], [], {}, [])
-        assert left == []
+    for retired, left in spmd(4, worker):
+        assert retired == [] and left == []
+
+
+class _BrokenBarrier(RuntimeWrapper):
+    """A runtime that is not fault-injected but whose barrier breaks."""
+
+    broken = False
+
+    def barrier(self, group=None, timeout=GASPI_BLOCK):
+        if self.broken:
+            raise GaspiError("barrier broken")
+        self.inner.barrier(group, timeout)
+
+
+def test_a_broken_barrier_deletes_the_batch_it_held_back():
+    def worker(rt):
+        runtime = _BrokenBarrier(rt)
+        pool = WorkspacePool(runtime, 60, 32)
+        sids = [pool.lease(256, 4) for _ in range(2 * RETIRE_BATCH - 1)]
+        runtime.broken = True
+        for sid in sids[:RETIRE_BATCH]:
+            pool.release(sid)  # the batch's barrier fails: the batch is gone
+        batch = (pool._retired, pool._cooling, pool._free)
+        gone = [sid for sid in sids[:RETIRE_BATCH] if rt.segment_exists(sid)]
+        for sid in sids[RETIRE_BATCH:]:
+            pool.release(sid)  # short of a batch: retired
+        held = len(pool._retired)
+        pool.close()  # cannot synchronise either: deletes the retired
+        return batch, gone, held, [sid for sid in sids if rt.segment_exists(sid)]
+
+    for batch, gone, held, left in spmd(2, worker):
+        assert batch == ([], [], {}) and gone == []
+        assert held == RETIRE_BATCH - 1 and left == []
+
+
+def test_a_workspace_of_the_byte_budget_is_synchronised_at_its_release():
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank, max_events=0)
+        pool = WorkspacePool(TelemetryRuntime(rt, tel), 80, 16)
+        synced = []
+        for _ in range(4):
+            sid = pool.lease(RETIRE_BYTES, 4)
+            before = _barriers(tel)
+            pool.release(sid)
+            synced.append(_barriers(tel) - before)
+        live = [s for s in range(80, pool.next_id) if rt.segment_exists(s)]
+        pool.close()
+        return synced, live
+    # A stream of large workspaces holds two, one cooling and one idle.
+    for synced, live in spmd(2, worker):
+        assert synced == [1] * 4 and live == [80, 81]
+
+
+@pytest.mark.parametrize("backend", ["threaded", "shm"])
+def test_survivors_close_after_a_crash_that_follows_a_pooled_cold_call(backend):
+    crashed = 2
+    policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
+
+    def worker(rt):
+        # A cold alltoall is two data-plane ops per rank: the crash fires
+        # at the first op after it.
+        faults = FaultPlan.single_crash(crashed, at_op=2)
+        comm = Communicator(rt, faults=faults, detect_timeout=1.0)
+        comm.alltoall(np.arange(3.0 * comm.size))  # everyone alive: released
+        missing = None
+        if rt.rank == crashed:
+            with pytest.raises(Exception):
+                comm.allreduce(np.full(8, 1.0), policy=policy)
+        else:
+            comm.allreduce(np.full(8, 1.0), policy=policy)
+            missing = tuple(comm.last_result.missing_ranks)
+        leased = range(comm._segment_base, comm._pool.next_id)
+        comm.close()  # no world barrier the dead rank would miss
+        left = [sid for sid in leased if rt.segment_exists(sid)]
+        world = getattr(rt, "world", None)
+        if hasattr(world, "stale_segments"):  # shm: this rank's /dev/shm blocks
+            left += world.stale_segments(rt.rank)
+        return missing, left
+
+    results = run_backend(3, worker, backend=backend, timeout=60)
+    del results[crashed]  # a crashed rank cannot free what it holds
+    for missing, left in results:
+        assert missing == (crashed,) and left == []
