@@ -85,7 +85,6 @@ from .core import (
     ring_allgather,
     ring_allreduce,
     select_algorithm,
-    ssp_allreduce_once,
 )
 from .simulate import (
     MachineModel,
@@ -165,7 +164,6 @@ __all__ = [
     "notification_barrier",
     "ring_allgather",
     "ring_allreduce",
-    "ssp_allreduce_once",
     # simulate
     "MachineModel",
     "NetworkParameters",

@@ -69,6 +69,13 @@ def _cells(
                         calls=max(calls, 3),
                         laggard=root if root == 0 else (root + ranks // 2) % ranks,
                     )
+            if info.capabilities.supports_slack:
+                # Stale reuse: the others run up to ``slack`` calls past a
+                # late rank, then wait for it — so it takes slack + 2 calls.
+                shapes += [
+                    dict(shapes[0], slack=slack, calls=max(calls, slack + 2), laggard=ranks - 1)
+                    for slack in (1, 2)
+                ]
             cells.extend((name, ranks, shape.pop("nbytes"), shape) for shape in shapes)
     return cells
 

@@ -299,12 +299,15 @@ def _idle(world: ModelWorld, turns: int = 8) -> Program:
         yield
 
 
-def _trace(world: ModelWorld, name: str, stalled: List[int]) -> ProtocolTrace:
+def _trace(
+    world: ModelWorld, name: str, stalled: List[int], overwrite_tolerant: bool = False
+) -> ProtocolTrace:
     return ProtocolTrace(
         name=name,
         num_ranks=world.num_ranks,
         events=world.sink.events,
         segments=world.sink.segments,
+        overwrite_tolerant=overwrite_tolerant,
         stalled_ranks=stalled,
     )
 
@@ -335,6 +338,7 @@ def build_model(
     chunk_bytes: Optional[int] = None,
     threshold: float = 1.0,
     mode: str = "data",
+    slack: int = 0,
     calls: int = 2,
     laggard: Optional[int] = None,
     segment_id: int = 23,
@@ -344,7 +348,8 @@ def build_model(
 
     Builds the real compiled plan of ``algorithm`` on every rank of a
     ``num_ranks``-rank :class:`ModelWorld` (float64 payloads of ``nbytes``
-    bytes, under the ``threshold`` / ``mode`` consistency policy), runs
+    bytes, under the ``threshold`` / ``mode`` / ``slack`` consistency
+    policy), runs
     ``calls`` consecutive calls per rank under the cooperative scheduler —
     two calls exercise every cross-call consume-ack handshake, a third
     every credit that bounds a rank to one call ahead — and returns the
@@ -353,6 +358,8 @@ def build_model(
     before every call (see :func:`_idle`).  ``mutate_plan`` is applied to
     every rank's freshly compiled plan before the calls run — the hook of
     the plan-level seeded defects in :mod:`repro.analysis.mutations`.
+    A trace under slack is ``overwrite_tolerant``: an SSP partner
+    overwrites its mailbox's notification by design.
     """
     info = REGISTRY.get(algorithm)
     if not info.plannable:
@@ -360,7 +367,9 @@ def build_model(
     dtype = np.dtype(np.float64)
     elements = max(1, nbytes // dtype.itemsize)
     nbytes = elements * dtype.itemsize
-    policy = ConsistencyPolicy(threshold=threshold, mode=mode, chunk_bytes=chunk_bytes)
+    policy = ConsistencyPolicy(
+        threshold=threshold, mode=mode, slack=slack, chunk_bytes=chunk_bytes
+    )
     key = PlanKey(
         collective=info.collective,
         algorithm=algorithm,
@@ -399,13 +408,14 @@ def build_model(
 
     chunk_label = "-" if chunk_bytes is None else str(chunk_bytes)
     relaxed = "" if threshold >= 1.0 else f", {int(threshold * 100)}% {policy.mode.value}"
+    relaxed += f", slack={slack}" if slack else ""
     lagging = "" if laggard is None else f", laggard={laggard}"
     name = (
         f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={nbytes}, "
         f"chunk_bytes={chunk_label}, calls={calls}{relaxed}{lagging}]"
     )
     return ModelRun(
-        trace=_trace(world, name, stalled),
+        trace=_trace(world, name, stalled, overwrite_tolerant=slack > 0),
         world=world,
         plans=plans,
         sendbufs=sendbufs,

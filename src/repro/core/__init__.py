@@ -46,7 +46,6 @@ from .allreduce_ssp import (
     SSPCallStats,
     SSPTotals,
     hypercube_allreduce_schedule,
-    ssp_allreduce_once,
 )
 from .alltoall import alltoall, alltoall_schedule, alltoallv
 from .barrier import (
@@ -118,7 +117,6 @@ __all__ = [
     "SSPCallStats",
     "SSPTotals",
     "hypercube_allreduce_schedule",
-    "ssp_allreduce_once",
     "alltoall",
     "alltoall_schedule",
     "alltoallv",

@@ -7,38 +7,31 @@ that step, provided it is not older than ``slack`` iterations.
 
 Implementation notes matching the paper:
 
-* **Dedicated per-step mailboxes** (``rcv_data_vec``): the segment contains
-  one slot per hypercube dimension.  The step-``k`` partner always writes
-  into slot ``k``, overwriting its previous contribution, so "read the last
-  contribution" is simply a local read of slot ``k``.
-* **Logical clocks travel with the data.**  Each slot stores
-  ``[clock, payload...]``; when two contributions are reduced the result is
-  tagged with the *minimum* of their clocks, so the clock of the final
+* **Dedicated per-step mailboxes** (``rcv_data_vec``): the step-``k``
+  partner always writes into mailbox ``k``, overwriting its previous
+  contribution, so "read the last contribution" is a local read of that
+  mailbox.
+* **Logical clocks travel with the data**, as the notification value of
+  the post that carries it; when two contributions are reduced the result
+  is tagged with the *minimum* of their clocks, so the clock of the final
   result bounds the staleness of every contribution it contains.
 * **Waiting only when too stale** (lines 7–11 of Algorithm 1): the reader
-  checks the slot's clock against ``clock - slack``; only when it is older
-  does it block on the slot's notification, and it keeps waiting until a
-  sufficiently fresh contribution lands.
+  compares the mailbox's clock with ``clock - slack`` and waits on the
+  mailbox's notification only while it is older.
 * **Strict calls never read ahead.**  "Overwriting its previous
   contribution" is the point under slack, but at ``slack = 0`` a partner
   that already entered its *next* call would replace the contribution this
-  call has yet to read, and the result would fold a value from the future.
-  A strict partner is at most one call ahead (its call ``c + 1`` needs
-  this rank's ``c + 1`` data), so a strict instance keeps two mailboxes —
-  and notification ids — per step, selected by the parity of the clock.
+  call has yet to read.  A strict partner is at most one call ahead, so at
+  slack 0 there are two mailboxes — and notification ids — per step,
+  selected by the parity of the call.
 
-The collective keeps state across calls (the mailboxes and the local
-clock), so it is exposed as a class, :class:`SSPAllreduce`, that an
-iterative application constructs once and then calls every iteration.
-
-Two executors share the hypercube.  :class:`SSPAllreduce` is Algorithm 1
-in full — clocked mailboxes, locked snapshots, stale reuse, statistics —
-and serves every call with slack: ``comm.allreduce_ssp``, the ML layer,
-the cold ``comm.allreduce(..., policy=ssp(k))``.  At slack 0 there is
-nothing to reuse or compare, so what ``comm.allreduce`` compiles (and its
-cold strict call builds for one call), :class:`HypercubeAllreducePlan`,
-keeps only the parity mailboxes: payload only, one write from the caller's
-buffer, one wait and one fused fold per step — and the same bits.
+One executor serves every slack: :class:`HypercubeAllreducePlan`, the
+compiled plan ``comm.allreduce`` caches under a key that includes the
+slack (a cold call builds it for one call).  The collective keeps state
+across calls (the mailboxes and the logical clock), so an iterative
+application holds it as :class:`SSPAllreduce` — one plan, constructed
+once and called every iteration, that reports the clocks and waits of
+each call.
 """
 
 from __future__ import annotations
@@ -52,10 +45,11 @@ import numpy as np
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
+from . import plan as plans
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec
-from .policy import CollectiveResult
-from .workspace import Lease, WorkspacePool
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _key_of, drive_pipeline
+from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
+from .workspace import WorkspacePool
 from .reduction_ops import ReductionOp, get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Hypercube
@@ -106,18 +100,23 @@ class SSPTotals:
     fresh_uses: int = 0
     per_call: List[SSPCallStats] = field(default_factory=list)
 
-    def record(self, stats: SSPCallStats, keep_per_call: bool) -> None:
+    def record(self, stats: SSPCallStats) -> None:
         self.calls += 1
         self.waits += stats.waits
         self.wait_time += stats.wait_time
         self.stale_reuses += stats.stale_reuses
         self.fresh_uses += stats.fresh_uses
-        if keep_per_call:
-            self.per_call.append(stats)
+        self.per_call.append(stats)
 
 
 class SSPAllreduce:
     """Stateful SSP allreduce collective (paper Algorithm 1).
+
+    A driver of one :class:`HypercubeAllreducePlan`: it owns the logical
+    clock and turns each call of the plan into an
+    :class:`SSPAllreduceResult` and the running :attr:`totals`.  Every wait
+    is bounded by :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`: a partner
+    that never posts raises a :class:`TimeoutError` naming the mailbox.
 
     Parameters
     ----------
@@ -138,12 +137,6 @@ class SSPAllreduce:
     pool:
         The caller's :class:`~repro.core.workspace.WorkspacePool`; the
         mailbox segment is leased from it and ``segment_id`` is not used.
-    wait_timeout:
-        Upper bound (seconds) on a single "wait for fresh update"; raising
-        :class:`TimeoutError` instead of hanging forever makes failures in
-        mis-configured runs visible.
-    keep_per_call_stats:
-        Keep an :class:`SSPCallStats` entry per call in :attr:`totals`.
     """
 
     def __init__(
@@ -154,9 +147,6 @@ class SSPAllreduce:
         op: str | ReductionOp = "sum",
         dtype=np.float64,
         segment_id: int = SSP_SEGMENT_ID,
-        queue: int = 0,
-        wait_timeout: float = 60.0,
-        keep_per_call_stats: bool = True,
         pool: Optional[WorkspacePool] = None,
     ) -> None:
         require(num_elements > 0, "num_elements must be positive")
@@ -168,196 +158,77 @@ class SSPAllreduce:
         self.slack = int(slack)
         self.op = get_op(op)
         self.dtype = np.dtype(dtype)
-        self.queue = int(queue)
-        self.wait_timeout = float(wait_timeout)
-        self.keep_per_call_stats = bool(keep_per_call_stats)
-
-        self.hypercube = Hypercube(runtime.size)
-        self.dimensions = self.hypercube.dimensions
+        self.dimensions = Hypercube(runtime.size).dimensions
         self.clock = 0
         self.totals = SSPTotals()
 
-        # Slot layout: [clock: float64][payload: num_elements * dtype]
-        self._slot_header = 8
-        self._slot_bytes = self._slot_header + self.num_elements * self.dtype.itemsize
-        # One mailbox (and notification id) per dimension — per dimension and
-        # clock parity when strict — plus one staging slot for sends.
-        self._parities = 2 if self.slack == 0 else 1
-        mailboxes = self.dimensions * self._parities
-        ids = NotificationLayout().add("mailboxes", max(1, mailboxes)).end
-        self._lease = Lease(
-            runtime, pool, segment_id, self._slot_bytes * (mailboxes + 1), ids
-        )
-        self.segment_id = self._lease.segment_id
-        self._send_offset = mailboxes * self._slot_bytes
-        self._closed = False
+        policy = ConsistencyPolicy.ssp(self.slack)
+        key = _key_of(
+            "allreduce", "gaspi_allreduce_ssp_hypercube", runtime.size, 0,
+            self.num_elements * self.dtype.itemsize, self.dtype, self.op, policy, 0,
+        )  # fmt: skip
+        self._plan = HypercubeAllreducePlan(runtime, key, segment_id, policy, pool)
+        self._request = CollectiveRequest("allreduce", op=self.op, policy=policy)
+        self.segment_id = self._plan.segment_id
 
-    # ------------------------------------------------------------------ #
-    # main entry point — Algorithm 1
-    # ------------------------------------------------------------------ #
     def reduce(
         self,
         contribution: np.ndarray,
         clock: Optional[int] = None,
     ) -> SSPAllreduceResult:
-        """Perform one SSP allreduce of ``contribution``.
+        """One SSP allreduce of ``contribution``, this rank's fresh one.
 
-        Parameters
-        ----------
-        contribution:
-            This rank's fresh contribution for the current iteration.
-        clock:
-            Explicit iteration number; by default the internal clock is
-            incremented by one (line 1 of Algorithm 1).
-
-        Returns
-        -------
-        SSPAllreduceResult
-            The (possibly partially stale) reduction, the clock associated
-            with it — the minimum clock over all contributions it contains —
-            and per-call statistics.
+        ``clock`` is an explicit iteration number; by default the clock
+        advances by one (line 1 of Algorithm 1).  The result holds the
+        (possibly partially stale) reduction, its clock — the minimum
+        clock over the contributions it contains — and the call's
+        statistics.
         """
-        self._check_open()
+        if self._plan.closed:
+            raise RuntimeError("SSPAllreduce already closed")
         contribution = np.ascontiguousarray(contribution, dtype=self.dtype)
         require(
             contribution.size == self.num_elements,
             f"contribution has {contribution.size} elements, expected {self.num_elements}",
         )
-
         start = time.perf_counter()
-        # line 1: advance the logical clock
         self.clock = self.clock + 1 if clock is None else int(clock)
-        # line 2: oldest acceptable contribution
-        min_clock_accepted = self.clock - self.slack
-        # line 3: start from the fresh local contribution
-        part_red = contribution.copy()
-        part_clock = self.clock
-
-        stats = SSPCallStats(clock=self.clock, result_clock=self.clock)
-
-        for k in range(self.dimensions):
-            partner = self.hypercube.partner(self.runtime.rank, k)
-            box = self._mailbox(k)
-
-            # line 6: send the current partial reduction (tagged with its clock)
-            self._send_partial(partner, box, part_red, part_clock)
-
-            # line 7: read the last contribution received for this step
-            rcv_clock, rcv_data = self._read_mailbox(box)
-
-            # lines 8-11: wait only if the cached contribution is too stale
-            if rcv_clock < min_clock_accepted:
-                waited = self._wait_for_update(box, min_clock_accepted, stats)
-                rcv_clock, rcv_data = waited
-            else:
-                stats.stale_reuses += 1 if rcv_clock < self.clock else 0
-                stats.fresh_uses += 1 if rcv_clock >= self.clock else 0
-                # consume a pending notification, if any, to keep the board tidy
-                if self.runtime.notify_peek(self.segment_id, box):
-                    self.runtime.notify_reset(self.segment_id, box)
-
-            # line 12: reduce sent with received data; clock = min of the two.
-            # Clock 0 is a mailbox nobody has written yet (accepted only
-            # while clock <= slack): it holds no contribution to fold.
-            if rcv_clock > 0:
-                kernels.reduce_into(self.op, part_red, rcv_data)
-            part_clock = min(part_clock, rcv_clock)
-
-        stats.result_clock = int(part_clock)
+        plan = self._plan
+        plan.clock = self.clock
+        waits, wait_time = plan.waits, plan.wait_time
+        request = self._request
+        request.sendbuf = contribution
+        try:
+            # Incrementally, so that a strict call's waits suspend the plan.
+            bound = min(request.timeout, plans.PLAN_WAIT_TIMEOUT)
+            result = drive_pipeline(self.runtime, plan.begin(request), bound)
+        finally:
+            request.sendbuf = None
+        # A slack call reports its own clocks; a strict one folds a fresh
+        # contribution at every step and only its waits are the plan's.
+        stats = result.detail or SSPCallStats(
+            clock=self.clock,
+            result_clock=self.clock,
+            waits=plan.waits - waits,
+            wait_time=plan.wait_time - wait_time,
+            fresh_uses=self.dimensions,
+        )
         stats.elapsed = time.perf_counter() - start
-        self.totals.record(stats, self.keep_per_call_stats)
-        return SSPAllreduceResult(value=part_red, clock=int(part_clock), stats=stats)
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-    def _mailbox(self, step: int) -> int:
-        """Mailbox (= notification id) of ``step`` at the current clock."""
-        return step * self._parities + self.clock % self._parities
-
-    def _send_partial(
-        self, partner: int, step: int, data: np.ndarray, data_clock: int
-    ) -> None:
-        """Write ``[clock, data]`` into the partner's mailbox ``step``."""
-        header = self.runtime.segment_view(
-            self.segment_id, dtype=np.float64, offset=self._send_offset, count=1
-        )
-        header[0] = float(data_clock)
-        payload = self.runtime.segment_view(
-            self.segment_id,
-            dtype=self.dtype,
-            offset=self._send_offset + self._slot_header,
-            count=self.num_elements,
-        )
-        payload[:] = data
-        self.runtime.write_notify(
-            segment_id_local=self.segment_id,
-            offset_local=self._send_offset,
-            target_rank=partner,
-            segment_id_remote=self.segment_id,
-            offset_remote=step * self._slot_bytes,
-            size=self._slot_bytes,
-            notification_id=step,
-            notification_value=max(1, int(data_clock)),
-            queue=self.queue,
-        )
-        self.runtime.wait(self.queue)
-
-    def _read_mailbox(self, step: int) -> tuple[int, np.ndarray]:
-        """Consistent snapshot of mailbox slot ``step``: (clock, payload)."""
-        raw = self.runtime.segment_read(
-            self.segment_id,
-            dtype=np.uint8,
-            offset=step * self._slot_bytes,
-            count=self._slot_bytes,
-        )
-        clock = int(raw[: self._slot_header].view(np.float64)[0])
-        payload = raw[self._slot_header :].view(self.dtype).copy()
-        return clock, payload
-
-    def _wait_for_update(
-        self, step: int, min_clock_accepted: int, stats: SSPCallStats
-    ) -> tuple[int, np.ndarray]:
-        """Block until the step mailbox holds a contribution fresh enough."""
-        wait_start = time.perf_counter()
-        deadline = wait_start + self.wait_timeout
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.runtime.rank}: SSP step {step} waited longer than "
-                    f"{self.wait_timeout}s for a contribution newer than clock "
-                    f"{min_clock_accepted}"
-                )
-            got = self.runtime.notify_waitsome(
-                self.segment_id, step, 1, timeout=min(remaining, 0.05)
-            )
-            if got is not None:
-                self.runtime.notify_reset(self.segment_id, got)
-            rcv_clock, rcv_data = self._read_mailbox(step)
-            if rcv_clock >= min_clock_accepted:
-                stats.waits += 1
-                stats.wait_time += time.perf_counter() - wait_start
-                stats.fresh_uses += 1
-                return rcv_clock, rcv_data
+        self.totals.record(stats)
+        return SSPAllreduceResult(value=result.value, clock=stats.result_clock, stats=stats)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the mailbox segment (collective).  The pool's barrier
-        matters: slack > 0 permits in-flight partner writes at call
-        boundaries, so the mailbox is retired and scrubbed only after a
-        later barrier has quiesced them."""
-        if not self._closed:
-            self._closed = True
-            self._lease.release()
+        """Release the mailbox segment (collective, idempotent).  Slack
+        permits partner writes in flight at call boundaries, so the pool
+        retires the mailbox and scrubs it only behind a later barrier."""
+        self._plan.release()
 
     def drop(self) -> None:
-        """Local teardown: no synchronisation (see :meth:`Lease.drop`)."""
-        if not self._closed:
-            self._closed = True
-            self._lease.drop()
+        """Local teardown: no synchronisation (see :meth:`CollectivePlan.close`)."""
+        self._plan.close()
 
     def __enter__(self) -> "SSPAllreduce":
         return self
@@ -365,79 +236,68 @@ class SSPAllreduce:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("SSPAllreduce already closed")
-
 
 # --------------------------------------------------------------------------- #
-# one-shot helper
-# --------------------------------------------------------------------------- #
-def ssp_allreduce_once(
-    runtime: GaspiRuntime,
-    contribution: np.ndarray,
-    slack: int = 0,
-    op: str | ReductionOp = "sum",
-    segment_id: int = SSP_SEGMENT_ID,
-    pool: Optional[WorkspacePool] = None,
-) -> np.ndarray:
-    """Single-call convenience wrapper (constructs and tears down the state).
-
-    With ``slack = 0`` and a single call, this is a plain synchronous
-    hypercube allreduce and the result equals the exact reduction — handy
-    for tests and for users who only need the consistent behaviour.
-    """
-    contribution = np.ascontiguousarray(contribution)
-    with SSPAllreduce(
-        runtime,
-        contribution.size,
-        slack=slack,
-        op=op,
-        dtype=contribution.dtype,
-        segment_id=segment_id,
-        pool=pool,
-    ) as coll:
-        result = coll.reduce(contribution)
-    return result.value
-
-
-# --------------------------------------------------------------------------- #
-# compiled plan: the strict hypercube as a single-copy exchange
+# compiled plan: the hypercube as a single-copy exchange, at every slack
 # --------------------------------------------------------------------------- #
 class HypercubeAllreducePlan(CollectivePlan):
-    """Compiled strict hypercube allreduce: one wire op and one fold per step.
+    """Compiled hypercube allreduce: one wire op and one fold per step.
 
     Step ``k`` posts the running partial — the caller's ``sendbuf`` at
     step 0, the accumulator afterwards — straight into the partner's
-    mailbox (``write_notify_from``: nothing is staged), waits for the
-    partner's notification, and folds ``acc = op(partial, mailbox)`` out
-    of the mailbox view in place.  The accumulator is the caller's
+    mailbox (``write_notify_from``: nothing is staged) and folds
+    ``acc = op(partial, mailbox)``.  The accumulator is the caller's
     ``recvbuf`` when that is a contiguous vector of the plan's dtype; any
     other ``recvbuf`` is filled once from a private vector at the end.
+    The fold order per step is fixed by the hypercube, so planned, cold
+    and :class:`SSPAllreduce` results are bit-identical at slack 0.
 
-    Reuse needs no barrier, no clock header and no locked snapshot: a
-    partner is at most one call ahead (it cannot pass step ``k`` of call
-    ``c + 1`` before this rank's step-``k`` write of that call, which is
-    posted only after call ``c`` finished here), so two mailboxes — and
-    notification ids — per step, selected by call parity, keep its next
-    contribution out of this call's, and nothing can land in the box being
-    folded.  The fold order per step is fixed by the hypercube, so planned,
-    cold and :class:`SSPAllreduce` ``slack = 0`` results are bit-identical.
-    Slack is never planned: its cross-call state is the explicit
-    :class:`SSPAllreduce` of ``comm.allreduce_ssp``.
+    **Slack 0.**  Each step waits for the partner's notification and
+    folds out of the mailbox view in place.  Reuse needs no barrier, no
+    clock and no snapshot: a partner is at most one call ahead (it cannot
+    pass step ``k`` of call ``c + 1`` before this rank's step-``k`` write
+    of that call, which is posted only after call ``c`` finished here), so
+    two mailboxes — and notification ids — per step, selected by call
+    parity, keep its next contribution out of this call's, and nothing can
+    land in the box being folded.
+
+    **Slack > 0.**  One mailbox per step, overwritten by every post of
+    the partner.  A post's notification value is one more than the
+    logical clock of the partial it carries (the minimum clock folded
+    into it; an unwritten mailbox counts as 0), and the last value
+    ``notify_reset`` returned for a mailbox gives its clock: a mailbox
+    whose notification was never consumed holds no contribution, whatever
+    bytes a previous lessee left in it.  A step waits only while that
+    clock is older than ``clock - slack``, and folds a ``segment_read``
+    snapshot — a partner up to ``slack`` calls ahead may be overwriting
+    the box.  (A post landing between the reset and the snapshot only
+    makes the contents fresher than their clock says.)  The plan keeps
+    the clock across calls (:attr:`clock`) and returns each call's
+    :class:`SSPCallStats` as the result's ``detail``.
+
+    :attr:`waits` and :attr:`wait_time` count the suspensions of a strict
+    call, which only an incremental driver (:meth:`begin`) lets happen.
     """
 
     _segment_views = ("_steps",)
 
     def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
         super().__init__(runtime, key, segment_id, pool)
-        require(policy.slack == 0, "a compiled hypercube plan is strict (slack 0)")
         self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         require(self.elements > 0, "num_elements must be positive")
+        self.slack = policy.slack
+        #: Logical clock of the next call at slack > 0.
+        self.clock = 1
+        self.waits = 0
+        self.wait_time = 0.0
         cube = Hypercube(runtime.size)
-        boxes = NotificationLayout().add("mailboxes", max(1, 2 * cube.dimensions))
+        parities = 1 if self.slack else 2
+        boxes = NotificationLayout().add("mailboxes", max(1, parities * cube.dimensions))
         self._lease_workspace(key.nbytes * boxes.count, boxes.end)
+        #: Notification value last consumed per step mailbox: 1 + the
+        #: clock of its contents, 0 while nothing was received (slack > 0).
+        self._held = [0] * cube.dimensions
 
         def step(k: int, box: int) -> tuple:
             # (step, partner, mailbox id, byte offset of that mailbox in the
@@ -447,11 +307,13 @@ class HypercubeAllreducePlan(CollectivePlan):
             )
             return k, cube.partner(runtime.rank, k), boxes.id(box), box * key.nbytes, view
 
-        #: Step tables of even and odd calls: mailbox ``2 * step + parity``.
-        self._steps = tuple(
-            [step(k, 2 * k + parity) for k in range(cube.dimensions)]
-            for parity in (0, 1)
-        )
+        #: Step tables of even and odd calls: mailbox ``parities * step +
+        #: parity`` (one table for both under slack).
+        tables = [
+            [step(k, parities * k + parity) for k in range(cube.dimensions)]
+            for parity in range(parities)
+        ]
+        self._steps = (tables[0], tables[-1])
 
     def _run(self, request, poll_timeout: float) -> PipelineGen:
         sendbuf = self._check_payload(
@@ -473,28 +335,82 @@ class HypercubeAllreducePlan(CollectivePlan):
         sid = self.segment_id
         queue = request.queue
         partial = sendbuf
-        for step, partner, box, offset, mailbox in self._steps[self.calls & 1]:
-            rt.write_notify_from(partial, partner, sid, offset, box, queue=queue)
-            # The posted source is folded over below: flush it first.
-            rt.wait(queue)
-            while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
-                yield WaitSpec(
-                    sid,
-                    box,
-                    1,
-                    f"hypercube step {step}: partner {partner}'s contribution "
-                    f"to call {self.calls}",
-                )
-            rt.notify_reset(sid, box)
-            kernels.fold(operator, partial, mailbox, acc)
-            partial = acc
-        if partial is sendbuf:  # a world of one: nothing was folded
+        stats = None
+        if self.slack:
+            partial, stats = yield from self._stale_steps(
+                sendbuf, acc, operator, queue, poll_timeout
+            )
+        else:
+            for step, partner, box, offset, mailbox in self._steps[self.calls & 1]:
+                rt.write_notify_from(partial, partner, sid, offset, box, queue=queue)
+                # The posted source is folded over below: flush it first.
+                rt.wait(queue)
+                while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
+                    suspended = time.perf_counter()
+                    yield WaitSpec(
+                        sid,
+                        box,
+                        1,
+                        f"hypercube step {step}: partner {partner}'s contribution "
+                        f"to call {self.calls}",
+                    )
+                    self.waits += 1
+                    self.wait_time += time.perf_counter() - suspended
+                rt.notify_reset(sid, box)
+                kernels.fold(operator, partial, mailbox, acc)
+                partial = acc
+        if partial is sendbuf:  # a world of one, or nothing received: nothing folded
             acc[:] = sendbuf
         if recvbuf is not None and acc is not recvbuf:
             recvbuf[:] = acc
             acc = recvbuf
         self.calls += 1
-        return CollectiveResult(value=acc)
+        return CollectiveResult(value=acc, detail=stats)
+
+    def _stale_steps(self, sendbuf, acc, operator, queue, poll_timeout: float):
+        """The steps of a slack call (lines 2–12 of Algorithm 1): returns
+        the last partial and the call's :class:`SSPCallStats`."""
+        rt = self.runtime
+        sid = self.segment_id
+        held = self._held
+        clock = self.clock
+        self.clock = clock + 1
+        oldest = clock - self.slack
+        stats = SSPCallStats(clock=clock, result_clock=clock)
+        partial = sendbuf
+        for step, partner, box, offset, _ in self._steps[0]:
+            rt.write_notify_from(
+                partial, partner, sid, offset, box, max(1, stats.result_clock + 1), queue
+            )
+            rt.wait(queue)
+            held[step] = rt.notify_reset(sid, box) or held[step]
+            # Too stale: the contents' clock (an unwritten box counts as 0)
+            # is older than the oldest one this call accepts.
+            if max(held[step], 1) <= oldest:
+                suspended = time.perf_counter()
+                while max(held[step], 1) <= oldest:
+                    while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
+                        yield WaitSpec(
+                            sid,
+                            box,
+                            1,
+                            f"hypercube step {step}: partner {partner}'s contribution "
+                            f"of clock {oldest} or later",
+                        )
+                    held[step] = rt.notify_reset(sid, box) or held[step]
+                stats.waits += 1
+                stats.wait_time += time.perf_counter() - suspended
+                stats.fresh_uses += 1
+            elif held[step] <= clock:
+                stats.stale_reuses += 1
+            else:
+                stats.fresh_uses += 1
+            if held[step]:
+                mailbox = rt.segment_read(sid, self.dtype, offset, self.elements)
+                kernels.fold(operator, partial, mailbox, acc)
+                partial = acc
+            stats.result_clock = min(stats.result_clock, max(held[step] - 1, 0))
+        return partial, stats
 
 
 # --------------------------------------------------------------------------- #

@@ -632,9 +632,9 @@ class Communicator:
         ``None`` routes the call down the cold path: planning disabled
         (capacity 0), an unplannable algorithm, a loss-capable fault plan
         (degraded completions must keep their per-call correction
-        workspaces), suspected ranks in play, or SSP slack (whose
-        cross-call staleness semantics belong to the explicit
-        :meth:`allreduce_ssp` state, not a transparent cache).
+        workspaces), or suspected ranks in play.  SSP slack is planned:
+        the slack is part of the key, and the cached plan keeps its
+        logical clock from call to call.
 
         Cache state evolves in SPMD lock-step — every rank dispatches the
         same sequence with the same keys — so hits, builds and evictions
@@ -642,7 +642,7 @@ class Communicator:
         """
         if self._plans.capacity == 0 or not info.plannable or self._injected:
             return None
-        if request.policy.slack > 0 or request.metadata.get("known_failed"):
+        if request.metadata.get("known_failed"):
             return None
         key = bound and bound.key
         if key is None:
@@ -1087,8 +1087,8 @@ class Communicator:
         Looks up the same memo as the blocking call (:meth:`_call`) and
         advances whatever plan serves the request.  Falls back to
         synchronous execution (returning an already-complete handle)
-        whenever no compiled plan can — fault plans, slack policies,
-        planning disabled, or an algorithm without a planner — so ``i*``
+        whenever no compiled plan can — fault plans, planning disabled,
+        or an algorithm without a planner — so ``i*``
         calls are always safe, merely not overlapped, in those regimes.
         """
         policy = policy or self._policy
@@ -1172,34 +1172,25 @@ class Communicator:
     ) -> SSPAllreduceResult:
         """Eventually consistent allreduce following the SSP model.
 
-        The first call with a given ``key`` creates the persistent mailbox
-        state (sized for ``contribution``); subsequent calls with the same
-        ``key`` advance the logical clock and reuse it.  The slack comes
-        from ``policy.slack`` (or the legacy ``slack=`` argument).  Use
-        :meth:`close_ssp` when the iterative phase ends.
+        The first call with a given ``key`` creates the persistent SSP
+        state (:class:`SSPAllreduce`, sized for ``contribution``);
+        subsequent calls with the same ``key`` advance the logical clock
+        and reuse it.  The slack comes from ``policy.slack`` (or the
+        legacy ``slack=`` argument).  The state is never evicted: it lives
+        until :meth:`close_ssp` or :meth:`close`.
         """
         if policy is not None:
             require(slack is None, "pass either policy= or slack=, not both")
-            effective_slack = policy.slack
-        elif slack is not None:
-            effective_slack = int(slack)
-        else:
-            effective_slack = self._policy.slack
+            slack = policy.slack
+        elif slack is None:
+            slack = self._policy.slack
         contribution = np.ascontiguousarray(contribution)
         inst = self._ssp_instances.get(key)
         if inst is None:
-            # The persistent SSP collective cannot be re-dispatched per call
-            # (it keeps mailbox state), but its registry entry still vets the
-            # request — power-of-two world, slack support — so misuse fails
-            # with the same error messages as the one-shot path.
-            info = self._registry.get("gaspi_allreduce_ssp_hypercube")
-            info.check_request(
-                self.size, ConsistencyPolicy.ssp(effective_slack), contribution.dtype
-            )
             inst = SSPAllreduce(
                 self.runtime,
                 contribution.size,
-                slack=effective_slack,
+                slack=int(slack),
                 op=op,
                 dtype=contribution.dtype,
                 pool=self._pool,

@@ -326,26 +326,6 @@ REGISTRY = AlgorithmRegistry()
 # --------------------------------------------------------------------------- #
 # runners for the GASPI collectives
 # --------------------------------------------------------------------------- #
-def _run_allreduce_hypercube(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .allreduce_ssp import HypercubeAllreducePlan, ssp_allreduce_once
-
-    if request.policy.slack == 0:
-        name = "gaspi_allreduce_ssp_hypercube"
-        return _run_cold(HypercubeAllreducePlan, "allreduce", name, runtime, request)
-    value = ssp_allreduce_once(
-        runtime,
-        np.ascontiguousarray(request.sendbuf),
-        slack=request.policy.slack,
-        op=request.op,
-        segment_id=request.segment_id,
-        pool=request.pool,
-    )
-    if request.recvbuf is not None:
-        request.recvbuf[:] = value
-        value = request.recvbuf
-    return CollectiveResult(value=value)
-
-
 def _run_alltoall(runtime, request: CollectiveRequest) -> CollectiveResult:
     from .alltoall import alltoall, alltoallv
 
@@ -481,7 +461,6 @@ def _register_core_algorithms() -> None:
         collective="allreduce",
         family="gaspi",
         builder=hypercube_allreduce_schedule,
-        runner=_run_allreduce_hypercube,
         planner=_planner("allreduce_ssp", "HypercubeAllreducePlan"),
         capabilities=AlgorithmCapabilities(
             supports_op=True,

@@ -30,8 +30,8 @@ misses agree everywhere:
   So the ``cooling`` list is promoted to ``free``, then each retired
   segment is scrubbed (the notification ids its layout declared are
   drained, its bytes zeroed: a pooled segment must be indistinguishable
-  from a fresh one — hypercube mailboxes start at clock 0, broadcast
-  consume-acks start unposted) and parked in ``cooling``.
+  from a fresh one — hypercube mailboxes start unposted, broadcast
+  consume-acks too) and parked in ``cooling``.
 * A segment retired before one barrier is therefore leasable after the
   *next* one, which separates the slowest rank's scrub from the fastest
   rank's first write into the recycled segment — the one-segment cooling

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import DOUBLE_POST, TraceSink, analyze
+from repro.analysis import DOUBLE_POST, TraceSink, analyze, build_model
 from repro.core.plan import PlanKey, policy_fingerprint
 from repro.core.policy import CollectiveRequest, ConsistencyPolicy
 from repro.core.registry import REGISTRY
@@ -231,3 +231,24 @@ def test_cli_sweep_lags_a_rank_through_three_calls_of_every_reduce_cell(capsys):
     assert all("calls=3" in line and "laggard=" in line for line in reduce_cells)
     assert sum("50% processes" in line for line in reduce_cells) == 6
     assert sum("root=1" in line for line in reduce_cells) == 4
+
+
+def test_cli_sweep_runs_the_hypercube_past_a_laggard_under_slack():
+    # Slack 1 and 2 at every rank count: the last rank is late into every
+    # call, so the others reuse its stale contribution up to the window and
+    # then wait — which takes slack + 2 calls.  Only these traces skip the
+    # double-post audit.
+    from repro.analysis.__main__ import _cells
+
+    cells = _cells(["gaspi_allreduce_ssp_hypercube"], [4, 8, 16], calls=2)
+    stale = [
+        (ranks, cell["slack"], cell["calls"], cell["laggard"])
+        for _, ranks, _, cell in cells
+        if cell.get("slack")
+    ]
+    assert stale == [
+        (4, 1, 3, 3), (4, 2, 4, 3), (8, 1, 3, 7), (8, 2, 4, 7), (16, 1, 3, 15), (16, 2, 4, 15)
+    ]  # fmt: skip
+    run = build_model("gaspi_allreduce_ssp_hypercube", 4, slack=2, calls=4, laggard=3)
+    assert run.trace.overwrite_tolerant and analyze(run.trace) == []
+    assert not build_model("gaspi_allreduce_ssp_hypercube", 4).trace.overwrite_tolerant

@@ -4,7 +4,8 @@ bounds, wait accounting, logical clocks."""
 import numpy as np
 import pytest
 
-from repro.core import Communicator, SSPAllreduce, ssp_allreduce_once
+from repro.core import Communicator, SSPAllreduce
+from repro.core.workspace import WorkspacePool, size_class
 from repro.gaspi import run_spmd
 
 from tests.helpers import expected_sum, rank_vector, spmd
@@ -19,17 +20,36 @@ class TestSingleShot:
         n = 65
 
         def worker(rt):
-            return ssp_allreduce_once(rt, rank_vector(rt.rank, n), slack=0)
+            with SSPAllreduce(rt, n, slack=0) as coll:
+                return coll.reduce(rank_vector(rt.rank, n)).value
 
         results = spmd(num_ranks, worker)
         reference = expected_sum(num_ranks, n)
         for value in results:
             assert np.allclose(value, reference)
 
+    def test_slack_zero_is_bit_identical_on_every_entry_point(self):
+        n = 37
+
+        def worker(rt):
+            x = np.random.default_rng(rt.rank).standard_normal(n)
+            with SSPAllreduce(rt, n, slack=0) as coll:
+                values = [coll.reduce(x).value]
+            for comm in (Communicator(rt), Communicator(rt, plan_cache=0)):
+                values += [
+                    comm.allreduce(x, algorithm="hypercube"),
+                    comm.allreduce_ssp(x, slack=0).value,
+                ]
+                comm.close()
+            return [value.tobytes() for value in values]
+
+        for values in spmd(8, worker):
+            assert len(set(values)) == 1
+
     def test_non_power_of_two_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                ssp_allreduce_once(rt, np.ones(8), slack=0)
+                SSPAllreduce(rt, 8, slack=0)
             return True
 
         spmd(3, worker)
@@ -318,6 +338,93 @@ class TestUnwrittenMailboxIsNotAContribution:
                         for call, value in enumerate(values)
                         if not (float(value[0]) in legal and np.all(value == value[0]))
                     ]
+            comm.close()
+            return illegal
+
+        assert run_backend(num_ranks, worker, backend=backend, timeout=120.0) == [
+            []
+        ] * num_ranks
+
+
+class TestRecycledMailboxHoldsNoContribution:
+    """The unwritten-mailbox scenario on pooled segments a previous lessee
+    filled, under a pool scrub that drains notifications and leaves the
+    bytes: a mailbox's clock must come from a consumed notification, never
+    from bytes the SSP collective was not sent under its lease."""
+
+    Unwritten = TestUnwrittenMailboxIsNotAContribution
+
+    @staticmethod
+    def _litter(pool, rt):
+        """Lease a workspace of every size class up to 256 bytes, fill
+        every byte as a previous lessee's payload would, and hand it back
+        through two pool barriers: each class then has a free, dirty one."""
+        classes = sorted({size_class(n) for n in range(1, 257)})
+        ids = [pool.lease(nbytes, 64) for nbytes in classes]
+        for segment_id in ids:
+            rt.segment_view(segment_id, np.float64)[:] = 7.0
+            pool.release(segment_id)
+        for _ in range(2):
+            pool._synchronise()
+
+    @pytest.mark.parametrize("entry", ["SSPAllreduce", "allreduce_ssp", "allreduce"])
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    @pytest.mark.parametrize("num_ranks", [2, 4])
+    def test_dirty_recycled_mailbox_is_not_a_contribution(
+        self, entry, backend, num_ranks, monkeypatch
+    ):
+        import time
+
+        from repro import ConsistencyPolicy, run_backend
+
+        def drain_only(pool, segment_id, notification_ids):
+            pool.runtime.notify_drain(segment_id, 0, notification_ids)
+
+        monkeypatch.setattr(WorkspacePool, "_scrub", drain_only)
+        unwritten = self.Unwritten
+
+        def worker(rt):
+            comm = Communicator(rt)
+            pool = comm._pool if entry != "SSPAllreduce" else WorkspacePool(rt, 200, 64)
+            early = rt.rank == rt.size - 1
+            illegal = []
+            for key, (op, slack) in enumerate(
+                (op, slack) for op in unwritten.OPS for slack in (1, 2)
+            ):
+                x = np.full(4, unwritten._contribution(op, rt.rank))
+                legal = unwritten._legal(op, rt.rank, rt.size)
+                self._litter(pool, rt)
+                if entry == "allreduce":
+                    # Peers arrive late, so the last rank finds empty boxes.
+                    values = []
+                    for _ in range(2):
+                        if not early:
+                            time.sleep(0.005)
+                        policy = ConsistencyPolicy.ssp(slack)
+                        values.append(comm.allreduce(x, op=op, policy=policy))
+                else:
+                    if entry == "SSPAllreduce":
+                        coll = SSPAllreduce(rt, x.size, slack=slack, op=op, pool=pool)
+                        call = coll.reduce
+                    else:
+                        def call(x, op=op, slack=slack, key=key):
+                            return comm.allreduce_ssp(x, slack=slack, op=op, key=key)
+                    # The last rank runs its first ``slack`` calls before
+                    # any peer has posted (it may: clock <= slack).
+                    values = [call(x).value for _ in range(slack if early else 0)]
+                    rt.barrier()
+                    values += [call(x).value for _ in range(slack + 3 - len(values))]
+                    if entry == "SSPAllreduce":
+                        coll.close()
+                    else:
+                        comm.close_ssp(key)
+                illegal += [
+                    (op, slack, n, value.tolist())
+                    for n, value in enumerate(values)
+                    if not (float(value[0]) in legal and np.all(value == value[0]))
+                ]
+            if entry == "SSPAllreduce":
+                pool.close()
             comm.close()
             return illegal
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Communicator, run_backend
+from repro import Communicator, ConsistencyPolicy, run_backend
 from repro.ml.sgd import OverlapAllreduce
 
 from tests.helpers import expected_sum, rank_vector, spmd
@@ -120,6 +120,41 @@ class TestHandles:
             assert in_flight == (rank != 0)
             assert named in (algorithm, f"gaspi_allreduce_ssp_{algorithm}")
             assert nonblocking == blocking
+
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    def test_slack_plan_is_incremental(self, backend):
+        # Rank 0 runs three calls past a rank that holds back: the first two
+        # reuse its clock-1 contribution, within slack 2; the third needs a
+        # fresher one, so its handle is in flight at issue.
+        results = run_backend(2, _stale_peer_worker, backend=backend, timeout=90)
+        assert results[0][0] == [False, False, True]
+        assert results[1][0] == [False, False, False]
+        for rank, (_, values) in enumerate(results):
+            assert all(v in (rank + 1.0, 3.0) for v in values), values
+        assert results[0][1][-1] == 3.0  # the wait brought rank 1's data
+
+
+def _stale_peer_worker(rt):
+    comm = Communicator(rt)
+    policy = ConsistencyPolicy.ssp(2)
+    x = np.full(8, rt.rank + 1.0)
+    comm.allreduce(x, policy=policy, algorithm="hypercube")  # compile: collective
+
+    def issue():
+        return [comm.iallreduce(x, policy=policy, algorithm="hypercube") for _ in range(3)]
+
+    if rt.rank == 0:
+        handles = issue()
+        in_flight = [not h.done for h in handles]
+        rt.barrier()
+    else:
+        rt.barrier()
+        handles = issue()
+        in_flight = [not h.done for h in handles]
+    comm.wait_all()
+    values = [float(h.result.value[0]) for h in handles]
+    comm.close()
+    return in_flight, values
 
 
 def _late_peer_worker(rt, collective, algorithm):

@@ -51,14 +51,20 @@ def test_the_model_keeps_no_copy_of_a_protocol():
 
 
 @pytest.mark.parametrize("ranks", [2, 4])
-@pytest.mark.parametrize("algorithm", PLANNABLE)
-def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, ranks, monkeypatch):
-    # One rank sits out call 1.  Whoever waits on it blocks under the
-    # request's default (GASPI_BLOCK) timeout and still comes back: the
-    # plan bound turns the wait into a TimeoutError naming the starved slot.
+@pytest.mark.parametrize(
+    "algorithm,slack",
+    [pytest.param(name, 0, id=name) for name in PLANNABLE]
+    + [pytest.param("gaspi_allreduce_ssp_hypercube", 2, id="hypercube-slack2")],
+)
+def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, monkeypatch):
+    # One rank sits out the calls after call 0 — under slack, the others
+    # run ``slack`` calls past it before one needs its data.  Whoever waits
+    # on it blocks under the request's default (GASPI_BLOCK) timeout and
+    # still comes back: the plan bound turns the wait into a TimeoutError
+    # naming the starved slot.
     monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.05)
     info = REGISTRY.get(algorithm)
-    policy = ConsistencyPolicy()
+    policy = ConsistencyPolicy.ssp(slack)
     # Nobody receives without the broadcast's root; a reduction is short of
     # its last rank's contribution.
     absent = 0 if info.collective == "bcast" else ranks - 1
@@ -87,7 +93,8 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, ranks, monkeypat
         if rt.rank != absent:
             started = time.perf_counter()
             try:
-                call()
+                for _ in range(slack + 1):
+                    call()
             except TimeoutError as exc:
                 outcome = str(exc), time.perf_counter() - started, plan.segment_id
         rt.barrier()

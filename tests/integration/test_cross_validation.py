@@ -8,7 +8,7 @@ with a direct NumPy reduction is strong evidence both are correct.
 import numpy as np
 import pytest
 
-from repro.core import Communicator, ring_allreduce, ssp_allreduce_once
+from repro.core import Communicator, SSPAllreduce, ring_allreduce
 from repro.mpi import TwoSidedLayer
 from repro.mpi.allreduce_variants import recursive_doubling_allreduce, ring_allreduce_twosided
 
@@ -24,7 +24,8 @@ class TestAllreduceAgreement:
             data = rank_vector(rt.rank, n)
             gaspi_ring = np.zeros(n)
             ring_allreduce(rt, data, gaspi_ring)
-            gaspi_ssp = ssp_allreduce_once(rt, data, slack=0)
+            with SSPAllreduce(rt, n, slack=0) as coll:
+                gaspi_ssp = coll.reduce(data).value
             with TwoSidedLayer(rt, max_elements=n) as layer:
                 mpi_rd = recursive_doubling_allreduce(layer, data)
             return gaspi_ring, gaspi_ssp, mpi_rd
