@@ -1612,17 +1612,17 @@ class Communicator:
         """Release all persistent collective state: SSP mailboxes, degraded
         workspaces held open for correction, and every pooled workspace.
 
-        Collective: one barrier (skipped by a communicator that holds no
-        workspace leased or retired — no cached plan, no SSP state, no
-        release since the pool last synchronised) drains whatever is still
-        travelling toward a workspace — deferred consume-acks,
-        slack-tolerated SSP writes — then every segment is deleted exactly
-        once.  Idempotent, and
-        tolerant of a runtime that can no longer synchronise or perform
-        segment operations (a fault plan crashed this rank), so teardown
-        never raises after a failure.
+        Collective over the ranks this communicator does not suspect: one
+        barrier (skipped when no workspace is leased or retired), bounded by
+        ``PLAN_WAIT_TIMEOUT``, drains whatever is still travelling toward a
+        workspace — deferred consume-acks, slack-tolerated SSP writes — then
+        every segment is deleted exactly once, whether or not the barrier
+        completed.  Idempotent, and never raises after a failure.
         """
-        self._teardown(None, GASPI_BLOCK)
+        from . import plan  # the bound as it is now (tests lower it)
+
+        live = [r for r in range(self.size) if r not in self._suspected]
+        self._teardown(Group(live), plan.PLAN_WAIT_TIMEOUT)
 
     def _teardown(self, group: Optional[Group], timeout: float) -> None:
         if self._progress.active:

@@ -18,12 +18,9 @@ misses agree everywhere:
   the one remaining ``segment_create`` + ``barrier`` pair.
 * ``release(segment_id)`` of a pooled workspace takes no barrier: the
   segment is *retired* — a slow peer may still be posting at it — and
-  held back until the pool next synchronises.  That is every
-  :data:`RETIRE_BATCH` releases, once the retired bytes reach
-  :data:`RETIRE_BYTES`, or at a miss's barrier if one comes first.  A
-  runtime that can lose contributions (a fault plan that crashes or drops)
-  synchronises at every release instead: a rank that crashes later must
-  leave its peers nothing that needs a world barrier to tear down.
+  held back until the pool next synchronises: at the release that fills a
+  batch of :data:`RETIRE_BATCH`, at one that leaves the pool over its byte
+  budget (below), or at a miss's barrier if one comes first.
 * Behind that barrier every rank has finished every earlier call, so
   nothing more will be posted at a retired segment — and every segment
   parked before the *previous* barrier has been scrubbed on every rank.
@@ -38,15 +35,15 @@ misses agree everywhere:
   epoch, applied to a batch.  An exact workspace (below) is deleted, so
   its release still takes its barrier at once.
 
-Idle segments are bounded across classes (:data:`MAX_IDLE`): a miss first
-deletes the least recently released idle segments beyond it — safe, as an
-idle segment cooled behind a barrier and every rank deletes the same ones.
-Otherwise a sweep over payload sizes keeps every class's high-water mark
-and runs the world out of segments.  Retired and cooling segments come on
-top of the idle ones: at most :data:`RETIRE_BATCH` of each, and under
-:data:`RETIRE_BYTES` plus one segment of each — so a workspace of
-:data:`RETIRE_BYTES` or more is synchronised at its own release, and a
-stream of them keeps two segments, one cooling and one idle.
+One budget bounds what a pool holds unleased — idle, cooling and retired
+alike: :data:`POOL_BYTES`, and :data:`MAX_IDLE` idle segments.  A miss and
+a release first delete the least recently released idle segments of the
+other size classes until both hold (safe: an idle segment cooled behind a
+barrier, and every rank deletes the same ones); a release still over budget
+synchronises.  Every pool barrier is bounded by
+:data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`: a miss whose peer never arrives
+raises :class:`TimeoutError`, and a batch, or a :meth:`WorkspacePool.close`
+over the live ranks, whose barrier fails deletes its segments best-effort.
 
 Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
 owns one pool over its segment-id range; a standalone caller (a cold
@@ -61,7 +58,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.errors import GaspiError
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
@@ -82,11 +78,9 @@ MAX_IDLE = 48
 #: 152 MB — beyond 8, a batch only adds live segments.
 RETIRE_BATCH = 8
 
-#: Retired bytes a pool holds back before it synchronises, whatever the
-#: count: a batch of large workspaces (a cold alltoall's is its whole send
-#: buffer) pins its bytes twice over, retired then cooling.  Eight of the
-#: ``large_msgs`` benchmark's 512 KiB alltoall workspaces fill it exactly.
-RETIRE_BYTES = 4 << 20
+#: Bytes a pool holds unleased (idle, cooling and retired); above the peaks
+#: of the benchmark's workloads (``large_msgs``: 6.5 MiB), so none trims.
+POOL_BYTES = 8 << 20
 
 #: (segment bytes, notification slots) — what a free segment is matched on.
 _Key = Tuple[int, int]
@@ -131,6 +125,8 @@ class WorkspacePool:
         self._cooling: List[Tuple[_Key, int]] = []
         #: Idle segments by class, least recently released class first.
         self._free: Dict[_Key, List[int]] = {}
+        #: Bytes of the idle, cooling and retired segments (the budget's count).
+        self._held = 0
 
     # ------------------------------------------------------------------ #
     def reserve_id(self) -> int:
@@ -165,11 +161,17 @@ class WorkspacePool:
         idle = None if exact else self._free.get(key)
         if idle:
             segment_id = idle.pop()
+            self._held -= key[0]
         else:
-            self._trim(sum(map(len, self._free.values())) - MAX_IDLE)
+            self._trim(key)
             segment_id = self._spare_ids.pop() if self._spare_ids else self.reserve_id()
             self.runtime.segment_create(segment_id, key[0], key[1])
-            self.runtime.barrier()
+            if not self._barrier():
+                self._delete(segment_id)
+                raise TimeoutError(
+                    f"rank {self.runtime.rank}: the barrier of workspace miss "
+                    f"{segment_id} failed or timed out"
+                )
             self._advance()
         self._leased[segment_id] = (key, int(notification_ids), exact)
         self.last_id = segment_id
@@ -178,14 +180,10 @@ class WorkspacePool:
     def release(self, segment_id: int) -> None:
         """Give a leased workspace back (collective).
 
-        A pooled workspace is retired, and the release that fills a batch
-        (:data:`RETIRE_BATCH` segments or :data:`RETIRE_BYTES` bytes) takes
-        the barrier that recycles it — every release does under a runtime
-        that can lose contributions; an exact one takes its barrier at once
-        and is deleted.  A runtime that can no longer synchronise — this
-        rank crashed, the barrier broke — deletes every segment the barrier
-        held back best-effort instead of pooling it, and never hangs on a
-        scrub.
+        A pooled workspace is retired; the release that fills a batch or
+        leaves the pool over budget takes the barrier that recycles it.  An
+        exact one takes its barrier at once and is deleted.  A barrier that
+        fails or times out deletes what it held back, best-effort.
         """
         key, notification_ids, exact = self._leased.pop(segment_id)
         if exact:
@@ -193,23 +191,29 @@ class WorkspacePool:
             self._delete(segment_id)
             return
         self._retired.append((key, segment_id, notification_ids))
-        if (
-            len(self._retired) >= RETIRE_BATCH
-            or sum(k[0] for k, _, _ in self._retired) >= RETIRE_BYTES
-            or self.runtime.fault_injected
-        ):
+        self._held += key[0]
+        self._trim(key)
+        if self._held > POOL_BYTES or len(self._retired) >= RETIRE_BATCH:
             self._synchronise()
 
     def _synchronise(self) -> None:
         """Barrier, then recycle; a failed barrier deletes the retired."""
-        try:
-            self.runtime.barrier()
-        except GaspiError:
-            for _, segment_id, _ in self._retired:
-                self._delete(segment_id)
-            self._retired.clear()
+        if self._barrier():
+            self._advance()
             return
-        self._advance()
+        for key, segment_id, _ in self._retired:
+            self._delete(segment_id, key[0])
+        self._retired.clear()
+
+    def _barrier(self, group: Optional[Group] = None, timeout: Optional[float] = None) -> bool:
+        """Barrier bounded by ``timeout`` or ``PLAN_WAIT_TIMEOUT``; False if it failed."""
+        from .plan import PLAN_WAIT_TIMEOUT  # read now: ``plan`` imports this module
+
+        try:
+            self.runtime.barrier(group, PLAN_WAIT_TIMEOUT if timeout is None else timeout)
+        except GaspiError:
+            return False
+        return True
 
     def _advance(self) -> None:
         """Right after a barrier: cooling becomes free, retired cools."""
@@ -223,12 +227,15 @@ class WorkspacePool:
             self._cooling.append((key, segment_id))
         self._retired.clear()
 
-    def _trim(self, surplus: int) -> None:
-        """Delete ``surplus`` idle segments, least recently released first."""
-        for idle in self._free.values():
-            while idle and surplus > 0:
-                self._delete(idle.pop(0))
-                surplus -= 1
+    def _trim(self, keep: _Key) -> None:
+        """Delete LRU idle segments of classes but ``keep`` while over
+        :data:`MAX_IDLE` or :data:`POOL_BYTES`."""
+        idle = sum(map(len, self._free.values()))
+        if idle > MAX_IDLE or self._held > POOL_BYTES:
+            for key, ids in self._free.items():
+                while ids and key != keep and (idle > MAX_IDLE or self._held > POOL_BYTES):
+                    self._delete(ids.pop(0), key[0])
+                    idle -= 1
 
     def _scrub(self, segment_id: int, notification_ids: int) -> None:
         """Make a released segment indistinguishable from a fresh one."""
@@ -236,22 +243,16 @@ class WorkspacePool:
         self.runtime.segment_view(segment_id, np.uint8)[:] = 0
 
     # ------------------------------------------------------------------ #
-    def close(self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK) -> None:
-        """Delete every segment behind one (group, timeout-bounded) barrier.
+    def close(self, group: Optional[Group] = None, timeout: Optional[float] = None) -> None:
+        """Delete every segment behind one barrier over ``group`` (the live
+        ranks), bounded by ``timeout`` (default ``PLAN_WAIT_TIMEOUT``).
 
         Only a leased or retired workspace needs the barrier (a peer may
-        still be posting at it); cooling and free ones were retired behind
-        one already, so a pool holding neither does not synchronise — as
-        is the case for every pool of a fault-injected runtime with no plan
-        cached, whose releases synchronise at once.
-        Idempotent; a barrier that fails (dead peer, crashed rank) does
-        not stop the deletes.
+        still be posting at it).  Idempotent; a barrier that fails or times
+        out (dead peer, crashed rank) does not stop the deletes.
         """
         if self._leased or self._retired:
-            try:
-                self.runtime.barrier(group, timeout=timeout)
-            except GaspiError:
-                pass
+            self._barrier(group, timeout)
         self.drop()
 
     def drop(self) -> None:
@@ -271,8 +272,10 @@ class WorkspacePool:
         self._retired.clear()
         self._cooling.clear()
         self._free.clear()
+        self._held = 0
 
-    def _delete(self, segment_id: int) -> None:
+    def _delete(self, segment_id: int, held: int = 0) -> None:
+        self._held -= held  # the bytes it counted against the budget
         try:
             self.runtime.segment_delete(segment_id)
         except GaspiError:  # crashed/vanished runtime: nothing left to free

@@ -13,11 +13,21 @@ by a fault plan, every result must equal the same call on a fresh
 communicator's cold path and the NumPy reference, and closing the
 communicator must leave no segment, descriptor or shared-memory block
 behind.
+
+The pool's lifecycle is also checked as a state machine: drawn SPMD
+programs of cold, cached and exact leases, optionally with one rank falling
+silent, under a runtime wrapper that counts barriers and checks the pool
+after every operation — see ``_Lifecycle``.  Every pool and teardown wait
+is bounded by ``PLAN_WAIT_TIMEOUT``, one test per wait site.
 """
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,11 +35,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry, run_backend
+from repro.core import plan
 from repro.core.bcast import threshold_elements
 from repro.core.topology import BinomialTree
-from repro.core.workspace import RETIRE_BATCH, RETIRE_BYTES, WorkspacePool, size_class
+from repro.core.workspace import MAX_IDLE, POOL_BYTES, RETIRE_BATCH, WorkspacePool, size_class
 from repro.faults.injection import FaultyRuntime
-from repro.gaspi.constants import GASPI_BLOCK
+from repro.gaspi.constants import DEFAULT_NOTIFICATION_COUNT, GASPI_BLOCK
 from repro.gaspi.errors import GaspiError
 from repro.gaspi.group import Group
 from repro.gaspi.runtime import RuntimeWrapper
@@ -269,24 +280,22 @@ def test_a_crashed_rank_releases_best_effort_and_never_hangs():
         pool = WorkspacePool(faulty, 60, 16)
         # Everyone is still alive here: a batch and one more, all misses.
         sids = [pool.lease(256, 4) for _ in range(RETIRE_BATCH + 1)]
-        # A runtime that can lose contributions synchronises every release:
-        # nothing is held back that a later world barrier would have to free.
-        pool.release(sids.pop(0))
-        retired = list(pool._retired)
+        pool.release(sids.pop(0))  # retired, as on any runtime
+        started = time.perf_counter()
         if rt.rank == crashed:
             with pytest.raises(Exception):
                 faulty.notify(0, sids[0], 0)  # first data-plane op: the crash
-            for sid in sids:  # cannot synchronise: deletes, pools nothing
+            for sid in sids:  # the batch's barrier fails: deleted, not pooled
                 pool.release(sid)
-            retired += pool._retired
             pool.close()
         else:
-            # The survivors bound their teardown: the dead rank never joins.
-            pool.close(Group([r for r in range(rt.size) if r != crashed]), timeout=5.0)
-        return retired, [sid for sid in range(60, 76) if rt.segment_exists(sid)]
+            # The survivors close over their group: the dead rank never joins.
+            pool.close(Group([r for r in range(rt.size) if r != crashed]))
+        elapsed = time.perf_counter() - started
+        return elapsed, [sid for sid in range(60, 76) if rt.segment_exists(sid)]
 
-    for retired, left in spmd(4, worker):
-        assert retired == [] and left == []
+    for elapsed, left in spmd(4, worker):
+        assert elapsed < plan.PLAN_WAIT_TIMEOUT and left == []
 
 
 class _BrokenBarrier(RuntimeWrapper):
@@ -327,16 +336,72 @@ def test_a_workspace_of_the_byte_budget_is_synchronised_at_its_release():
         pool = WorkspacePool(TelemetryRuntime(rt, tel), 80, 16)
         synced = []
         for _ in range(4):
-            sid = pool.lease(RETIRE_BYTES, 4)
+            sid = pool.lease(POOL_BYTES + 1, 4)
             before = _barriers(tel)
             pool.release(sid)
             synced.append(_barriers(tel) - before)
         live = [s for s in range(80, pool.next_id) if rt.segment_exists(s)]
         pool.close()
         return synced, live
-    # A stream of large workspaces holds two, one cooling and one idle.
+    # A stream of workspaces above the budget holds two, one cooling and
+    # one idle.
     for synced, live in spmd(2, worker):
         assert synced == [1] * 4 and live == [80, 81]
+
+
+def test_a_stream_of_large_cold_alltoalls_holds_two_segments():
+    def worker(rt):
+        tel = Telemetry(rank=rt.rank, max_events=0)
+        comm = Communicator(rt, plan_cache=0, telemetry=tel)
+        send = np.full((8 << 20) // 8, float(rt.rank))  # 8 MiB
+        counts, live = [], []
+        for _ in range(20):
+            before = _runtime_counts(tel)
+            comm.alltoall(send)
+            counts.append(tuple(b - a for a, b in zip(before, _runtime_counts(tel))))
+            ids = range(comm._segment_base, comm._pool.next_id)
+            live.append(sum(map(rt.segment_exists, ids)))
+        comm.close()
+        return counts[2:], max(live[2:])
+
+    for counts, live in spmd(2, worker):
+        assert live <= 2
+        assert set(counts) == {(1, 0)}  # per call: one barrier, no create
+
+
+def _runtime_counts(tel):
+    counters = tel.snapshot()["counters"]
+    return tuple(counters.get(f"runtime.{name}", 0) for name in ("barriers", "segments_created"))
+
+
+def _held(pool):
+    """Bytes a pool holds unleased (idle, cooling, retired) and its largest class."""
+    sizes = [key[0] for key, ids in pool._free.items() for _ in ids]
+    sizes += [key[0] for key, _ in pool._cooling]
+    sizes += [key[0] for key, _, _ in pool._retired]
+    return sum(sizes), max(sizes, default=0)
+
+
+@pytest.mark.parametrize("backend", ["threaded", "shm"])
+def test_a_size_sweep_holds_the_byte_budget_plus_two_of_its_largest_class(backend):
+    # Eight sizes per octave from 1 KiB to 8 MiB: without a budget over idle
+    # bytes, class high-water marks stay idle (78 MiB threaded, 115 MiB shm).
+    sizes = sorted({int(1024 * 2 ** (i / 8)) // 8 for i in range(8 * 13 + 1)})
+
+    def worker(rt):
+        comm = Communicator(rt)
+        peak = 0
+        for elements in sizes:
+            buffer = np.full(elements, float(rt.rank))
+            comm.allreduce(buffer)
+            peak = max(peak, _held(comm._pool)[0])
+            comm.bcast(buffer, root=0)
+            peak = max(peak, _held(comm._pool)[0])
+        comm.close()
+        return peak
+
+    for peak in run_backend(2, worker, backend=backend, timeout=120):
+        assert peak <= POOL_BYTES + 2 * (8 << 20), peak
 
 
 @pytest.mark.parametrize("backend", ["threaded", "shm"])
@@ -369,3 +434,246 @@ def test_survivors_close_after_a_crash_that_follows_a_pooled_cold_call(backend):
     del results[crashed]  # a crashed rank cannot free what it holds
     for missing, left in results:
         assert missing == (crashed,) and left == []
+
+
+# --------------------------------------------------------------------------- #
+# every pool and teardown wait is bounded
+# --------------------------------------------------------------------------- #
+class _SilentPeer:
+    """Rank 0 runs an action while rank 1 stays out of every barrier.
+
+    :meth:`run` returns ``(outcome, seconds)`` on rank 0 (``outcome`` is
+    the action's result, or the :class:`TimeoutError` it raised) and
+    ``None`` on rank 1, which waits until rank 0 is done.
+    """
+
+    def __init__(self):
+        self.done = threading.Event()
+
+    def run(self, rt, action):
+        if rt.rank == 1:
+            self.done.wait(30)
+            return None
+        started = time.perf_counter()
+        try:
+            outcome = action()
+        except TimeoutError as exc:
+            outcome = exc
+        self.done.set()
+        return outcome, time.perf_counter() - started
+
+
+def test_a_miss_whose_peer_never_arrives_raises_a_named_timeout(monkeypatch):
+    monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
+
+    silent = _SilentPeer()
+
+    def worker(rt):
+        outcome = silent.run(rt, lambda: WorkspacePool(rt, 90, 4).lease(1000, 4))
+        return outcome, [sid for sid in range(90, 94) if rt.segment_exists(sid)]
+
+    (error, elapsed), left = spmd(2, worker)[0]
+    assert isinstance(error, TimeoutError) and elapsed < 5.0 and left == []
+    for part in ("rank 0", "workspace miss 90", "timed out"):
+        assert part in str(error)
+
+
+def test_a_batch_barrier_whose_peer_never_arrives_deletes_the_batch(monkeypatch):
+    silent = _SilentPeer()
+
+    def worker(rt):
+        pool = WorkspacePool(rt, 90, 16)
+        sids = [pool.lease(256, 4) for _ in range(RETIRE_BATCH)]  # together
+
+        def release_batch():
+            for sid in sids:
+                pool.release(sid)  # the last one fills the batch: its barrier
+            return (pool._retired, pool._cooling, pool._free)
+
+        rt.barrier()
+        monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
+        outcome = silent.run(rt, release_batch)
+        if rt.rank == 1:
+            pool.close()  # rank 0 holds nothing: this barrier times out too
+        return outcome, [sid for sid in sids if rt.segment_exists(sid)]
+
+    (held, elapsed), left = spmd(2, worker)[0]
+    assert held == ([], [], {}) and elapsed < 5.0 and left == []
+
+
+def test_closing_with_a_silent_peer_returns_within_the_bound(monkeypatch):
+    monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.2)
+    silent = _SilentPeer()
+
+    def worker(rt):
+        comm = Communicator(rt)
+        comm.allreduce(np.ones(64))  # a cached plan: its workspace is leased
+        comm.alltoall(np.ones(64))  # a cold call: its workspace is retired
+        leased = range(comm._segment_base, comm._pool.next_id)
+        outcome = silent.run(rt, comm.close)
+        if rt.rank == 1:
+            comm.close()
+        return outcome, [sid for sid in leased if rt.segment_exists(sid)]
+
+    results = spmd(2, worker)
+    (_, elapsed), _ = results[0]
+    assert elapsed < 5.0
+    assert [left for _, left in results] == [[], []]
+
+
+# --------------------------------------------------------------------------- #
+# the pool's lifecycle as a state machine, on both backends
+# --------------------------------------------------------------------------- #
+class _Lifecycle(RuntimeWrapper):
+    """Counts one rank's barriers and tracks the state of its pool's segments.
+
+    A segment is leased, or released at some barrier count.  One leased
+    again without being created anew — a recycled segment — must have
+    waited out two barriers since its release: one after which nobody
+    posts at it any more, one after which every rank has scrubbed it.
+    Once ``stopped`` is set the rank is silent: its barriers fail, as a
+    crashed rank's do.
+    """
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.barriers = 0
+        self.stopped = False
+        self.created = set()
+        self.released = {}  # segment id -> barriers before its release
+        self.violations = []
+
+    def barrier(self, group=None, timeout=GASPI_BLOCK):
+        if self.stopped:
+            raise GaspiError(f"rank {self.rank} stopped")
+        self.inner.barrier(group, timeout)
+        self.barriers += 1
+
+    def segment_create(self, segment_id, size, num_notifications=DEFAULT_NOTIFICATION_COUNT):
+        self.inner.segment_create(segment_id, size, num_notifications)
+        self.created.add(segment_id)
+
+    def watch(self, pool):
+        lease, release = pool.lease, pool.release
+
+        def watched_lease(nbytes, notification_ids, exact=False):
+            self.created.clear()
+            sid = lease(nbytes, notification_ids, exact)
+            waited = self.barriers - self.released.pop(sid, self.barriers - 2)
+            if sid not in self.created and waited < 2:
+                self.violations.append(f"segment {sid} leased {waited} barriers after release")
+            return sid
+
+        def watched_release(sid):
+            self.released[sid] = self.barriers
+            release(sid)
+
+        pool.lease, pool.release = watched_lease, watched_release
+
+    def check(self, pool, step):
+        idle = sum(map(len, pool._free.values()))
+        held, largest = _held(pool)
+        if idle > MAX_IDLE:
+            self.violations.append(f"step {step}: {idle} idle segments")
+        if held > POOL_BYTES + 2 * largest:
+            self.violations.append(f"step {step}: {held} bytes held, largest class {largest}")
+        if held != pool._held:
+            self.violations.append(f"step {step}: {held} bytes held, pool counts {pool._held}")
+
+
+OPERATIONS = ("alltoall", "bcast", "allreduce", "alltoallv")
+
+
+@st.composite
+def programs(draw):
+    ranks = draw(st.integers(min_value=2, max_value=4))
+    exponents = st.integers(min_value=3, max_value=23)  # 8 B .. 8 MiB
+    sizes = exponents.flatmap(lambda e: st.integers(1 << e, min(1 << 23, (2 << e) - 1)))
+    palette = draw(st.lists(sizes, min_size=1, max_size=4))  # so segments recycle
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(OPERATIONS), st.sampled_from(palette).map(lambda n: n // 8)),
+            min_size=RETIRE_BATCH,
+            max_size=2 * RETIRE_BATCH,
+        )
+    )
+    stop = draw(st.none() | st.tuples(st.integers(0, ranks - 1), st.integers(1, len(steps))))
+    return {
+        "ranks": ranks,
+        "steps": steps,
+        "plan_cache": draw(st.sampled_from([0, 2])),
+        "stop": stop,
+    }
+
+
+def _step(comm, operation, elements):
+    size, rank = comm.size, comm.rank
+    if operation == "alltoall":
+        comm.alltoall(np.ones(max(1, elements // size) * size))
+    elif operation == "bcast":
+        comm.bcast(np.full(elements, float(rank)), root=0)
+    elif operation == "allreduce":
+        comm.allreduce(np.ones(elements))
+    else:  # every rank receives a different total: an exact lease
+        block = min(elements, 4096) // size + 1
+        comm.alltoallv(np.ones(size * (block + rank)), [block + rank] * size,
+                       [block + r for r in range(size)])
+
+
+def _run_program(rt, program, stopped_now, survivors_done):
+    runtime = _Lifecycle(rt)
+    comm = Communicator(runtime, plan_cache=program["plan_cache"])
+    runtime.watch(comm._pool)
+    stopped, stop_at = program["stop"] or (None, len(program["steps"]))
+    for index, (operation, elements) in enumerate(program["steps"][:stop_at]):
+        _step(comm, operation, elements)
+        runtime.check(comm._pool, index)
+    leased = range(comm._segment_base, comm._pool.next_id)
+    bound, closing = plan.PLAN_WAIT_TIMEOUT, None
+    if rt.rank == stopped:
+        # Silent from here on; its memory outlives the survivors' teardown.
+        stopped_now.set()
+        for _ in range(rt.size - 1):
+            survivors_done.acquire(timeout=bound)
+        runtime.stopped = True
+        comm.close()
+    else:
+        if stopped is not None:  # as a failure detector would, once it stopped
+            stopped_now.wait(bound)
+            comm.suspect(stopped)
+        started = time.perf_counter()
+        comm.close()
+        closing = time.perf_counter() - started
+        if stopped is not None:
+            survivors_done.release()
+    left = [sid for sid in leased if rt.segment_exists(sid)]
+    world = getattr(rt, "world", None)
+    if hasattr(world, "stale_segments"):  # shm: this rank's /dev/shm blocks
+        left += world.stale_segments(rt.rank)
+    return runtime.violations, closing, bound, left
+
+
+def _check_program(program, backend):
+    blocks = set(glob.glob("/dev/shm/repro-*"))
+    stopped_now, survivors_done = multiprocessing.Event(), multiprocessing.Semaphore(0)
+    results = run_backend(
+        program["ranks"], _run_program, program, stopped_now, survivors_done,
+        backend=backend, timeout=90,
+    )
+    for rank, (violations, closing, bound, left) in enumerate(results):
+        assert violations == [], (rank, violations)
+        assert closing is None or closing < bound, (rank, closing)
+        assert left == [], (rank, left)
+    assert set(glob.glob("/dev/shm/repro-*")) <= blocks
+
+
+@given(program=programs())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_pool_lifecycle_holds_on_threaded(program):
+    _check_program(program, "threaded")
+
+
+@given(program=programs())
+@settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_pool_lifecycle_holds_on_shm(program):
+    _check_program(program, "shm")
