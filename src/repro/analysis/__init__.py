@@ -15,6 +15,8 @@ Entry points
 ------------
 :func:`analyze`
     Run all four checkers over one trace; returns the findings.
+:func:`analyze_run`
+    :func:`analyze` a model run's trace, plus the values it got wrong.
 :func:`verify_algorithm`
     Model one algorithm/ranks/payload cell and analyze it.
 :func:`verify_recycling`
@@ -67,6 +69,7 @@ __all__ = [
     "TraceSink",
     "TracingRuntime",
     "analyze",
+    "analyze_run",
     "build_model",
     "build_recycle_model",
     "verify_algorithm",
@@ -104,19 +107,24 @@ def analyze(trace: ProtocolTrace) -> List[Finding]:
     ]
 
 
+def analyze_run(run: ModelRun) -> List[Finding]:
+    """Findings of one model run: its trace's, plus a ``wrong-value``
+    finding for every result the run checked and found wrong."""
+    return analyze(run.trace) + [
+        Finding(WRONG_VALUE, message, trace=run.trace.name)
+        for message in run.wrong_values
+    ]
+
+
 def verify_algorithm(
     algorithm: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
     """Model one cell and analyze it — the unit of the CLI sweep."""
-    return analyze(build_model(algorithm, num_ranks, nbytes, **model_kwargs).trace)
+    return analyze_run(build_model(algorithm, num_ranks, nbytes, **model_kwargs))
 
 
 def verify_recycling(
     first: str, other: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
     """Model one workspace-recycling cell; trace findings plus wrong values."""
-    run = build_recycle_model(first, other, num_ranks, nbytes, **model_kwargs)
-    return analyze(run.trace) + [
-        Finding(WRONG_VALUE, message, trace=run.trace.name)
-        for message in run.wrong_values
-    ]
+    return analyze_run(build_recycle_model(first, other, num_ranks, nbytes, **model_kwargs))

@@ -3,8 +3,9 @@
 Models every registered plannable algorithm at several rank counts and
 representative payloads (monolithic and pipelined/chunked), plus pairs of
 different plans back to back on recycled workspace-pool segments, runs all
-four checkers over each cell, and prints a findings report.  Exit status is
-non-zero when any finding survives — CI runs this as the
+four checkers over each cell (and, for alltoall, allgather and the barrier,
+checks what each call delivered), and prints a findings report.  Exit
+status is non-zero when any finding survives — CI runs this as the
 ``static-analysis`` job.
 """
 
@@ -18,13 +19,16 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
-from . import analyze, build_model, verify_recycling
+from . import analyze_run, build_model, verify_recycling
 from .events import Finding
 
 #: (nbytes, chunk_bytes) payload cells, chosen so pipelined plans exercise
 #: several chunks per call while the whole sweep stays CI-fast.
 _MONOLITHIC_PAYLOADS: List[Tuple[int, Optional[int]]] = [(256, None), (1024, None)]
 _PIPELINED_PAYLOADS: List[Tuple[int, Optional[int]]] = [(512, 128), (2048, 512)]
+#: Block bytes of the families whose slots are keyed by call parity; a
+#: cell's payload is P blocks, so every world size divides an alltoall's.
+_PARITY_BLOCKS = {"alltoall": [32, 128], "allgather": [32, 128], "barrier": [0]}
 
 
 def _cells(
@@ -34,11 +38,6 @@ def _cells(
     cells: List[Tuple[str, int, int, Dict[str, Any]]] = []
     for name in algorithms:
         info = REGISTRY.get(name)
-        payloads = (
-            _PIPELINED_PAYLOADS
-            if info.capabilities.pipelined
-            else _MONOLITHIC_PAYLOADS
-        )
         for ranks in rank_counts:
             reason = info.capabilities.unsupported_reason(
                 ranks, None, None
@@ -48,11 +47,24 @@ def _cells(
             roots = [0]
             if info.collective in ("bcast", "reduce") and ranks == 8:
                 roots.append(1)  # a non-default root reshapes the tree
+            payloads = (
+                _PIPELINED_PAYLOADS
+                if info.capabilities.pipelined
+                else _MONOLITHIC_PAYLOADS
+            )
+            if info.collective in _PARITY_BLOCKS:
+                payloads = [(ranks * block, None) for block in _PARITY_BLOCKS[info.collective]]
             shapes = [
                 dict(root=root, chunk_bytes=chunk_bytes, calls=calls, nbytes=nbytes)
                 for nbytes, chunk_bytes in payloads
                 for root in roots
             ]
+            if info.collective in _PARITY_BLOCKS:
+                # The third call reuses the first one's slots and ids, and a
+                # rank late to every call lets the others run as far ahead
+                # as the parity allows.
+                for shape in shapes:
+                    shape.update(calls=max(calls, 3), laggard=ranks - 1)
             if info.collective == "reduce":
                 # A reduce child runs ahead of its parent until it is out
                 # of credit — one call — so it is the third call that has
@@ -152,7 +164,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     all_findings: List[Finding] = []
     for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls):
         run = build_model(name, ranks, nbytes, **cell)
-        findings = analyze(run.trace)
+        findings = analyze_run(run)
         all_findings.extend(findings)
         report.append(
             {

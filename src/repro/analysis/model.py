@@ -247,7 +247,8 @@ class ModelRun:
     algorithm: str = ""
     stalled_ranks: List[int] = field(default_factory=list)
     #: Results that differ from the NumPy reference (recycling cells check
-    #: every plan of their sequence themselves — the buffers are reused).
+    #: every plan of their sequence themselves — the buffers are reused —
+    #: and :func:`build_model` the alltoall, allgather and barrier calls).
     wrong_values: List[str] = field(default_factory=list)
 
 
@@ -322,10 +323,23 @@ def _payloads(
             [ramp + 1.0 if r == root else np.zeros(elements) for r in range(num_ranks)],
             [None] * num_ranks,
         )
+    if collective == "barrier":
+        return [None] * num_ranks, [None] * num_ranks
+    gathered = elements * num_ranks if collective == "allgather" else elements
     return (
         [ramp + r + 1.0 for r in range(num_ranks)],
-        [np.zeros(elements) for _ in range(num_ranks)],
+        [np.zeros(gathered) for _ in range(num_ranks)],
     )
+
+
+def _delivered(collective: str, rank: int, sendbufs: List[np.ndarray]) -> Optional[np.ndarray]:
+    """What an alltoall or allgather call leaves in ``rank``'s recvbuf:
+    every block at its offset (``None`` for the other families)."""
+    if collective == "alltoall":
+        return np.concatenate([sent.reshape(len(sendbufs), -1)[rank] for sent in sendbufs])
+    if collective == "allgather":
+        return np.concatenate(sendbufs)
+    return None
 
 
 def build_model(
@@ -358,6 +372,9 @@ def build_model(
     before every call (see :func:`_idle`).  ``mutate_plan`` is applied to
     every rank's freshly compiled plan before the calls run — the hook of
     the plan-level seeded defects in :mod:`repro.analysis.mutations`.
+    Alltoall and allgather calls are checked as they finish — every block
+    at its offset — and barrier calls too: nobody leaves before everybody
+    entered.  What fails lands in the run's ``wrong_values``.
     A trace under slack is ``overwrite_tolerant``: an SSP partner
     overwrites its mailbox's notification by design.
     """
@@ -365,7 +382,7 @@ def build_model(
     if not info.plannable:
         raise ValueError(f"algorithm {algorithm!r} has no compiled plan to verify")
     dtype = np.dtype(np.float64)
-    elements = max(1, nbytes // dtype.itemsize)
+    elements = 0 if info.collective == "barrier" else max(1, nbytes // dtype.itemsize)
     nbytes = elements * dtype.itemsize
     policy = ConsistencyPolicy(
         threshold=threshold, mode=mode, slack=slack, chunk_bytes=chunk_bytes
@@ -388,11 +405,16 @@ def build_model(
             mutate_plan(plan)
 
     sendbufs, recvbufs = _payloads(info.collective, num_ranks, elements, root)
+    entered = [0] * num_ranks
+    wrong: List[str] = []
 
     def rank_program(rank: int) -> Program:
-        for _ in range(calls):
+        for call in range(calls):
             if rank == laggard:
                 yield from _idle(world)
+            entered[rank] += 1
+            if info.collective in ("alltoall", "allgather"):
+                recvbufs[rank][:] = 0  # a block this call does not deliver stays 0
             request = CollectiveRequest(
                 collective=info.collective,
                 sendbuf=sendbufs[rank],
@@ -403,6 +425,12 @@ def build_model(
                 segment_id=segment_id,
             )
             yield from _drive(plans[rank], request)
+            want = _delivered(info.collective, rank, sendbufs)
+            if want is not None and not np.array_equal(recvbufs[rank], want):
+                wrong.append(f"rank {rank}: {algorithm} call {call} misplaced a block")
+            late = [r for r, count in enumerate(entered) if count <= call]
+            if info.collective == "barrier" and late:
+                wrong.append(f"rank {rank} left barrier call {call} before {late} entered it")
 
     stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
 
@@ -422,6 +450,7 @@ def build_model(
         recvbufs=recvbufs,
         algorithm=algorithm,
         stalled_ranks=stalled,
+        wrong_values=wrong,
     )
 
 

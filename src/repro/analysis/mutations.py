@@ -31,7 +31,9 @@ pipelined plan's credits must follow the call's last sweep).
 And so does :func:`skip_child_ack_consumes`, the tree broadcast's reuse
 argument taken out of the shipped generator: a parent that no longer
 consumes its children's previous-call acks overwrites staging slots that
-may still be unread.
+may still be unread.  So do the alltoall's and the ring allgather's call
+parities (:func:`single_slot_per_peer`, :func:`single_slot_per_step`) and
+the barrier's last round (:func:`skip_last_dissemination_round`).
 
 Three more live in the workspace *pool* and are applied through
 ``build_recycle_model(..., mutate_pool=...)``: :func:`lease_before_quiescence`,
@@ -49,7 +51,10 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 from .events import CONSUME, POST, Event, ProtocolTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.allgather import RingAllgatherPlan
     from ..core.allreduce_ssp import HypercubeAllreducePlan
+    from ..core.alltoall import AlltoallPlan
+    from ..core.barrier import DisseminationBarrierPlan
     from ..core.bcast import BstBcastPlan
     from ..core.pipeline import PipelinedBstReducePlan, PipelinedRingAllreducePlan
     from ..core.reduce import BstReducePlan
@@ -240,6 +245,36 @@ def single_mailbox_per_step(plan: "HypercubeAllreducePlan") -> None:
     notification then starves the reader, or it folds the wrong call).
     """
     plan._steps = (plan._steps[0], plan._steps[0])
+
+
+def single_slot_per_peer(plan: "AlltoallPlan") -> None:
+    """Make both call parities of an alltoall share one slot per peer.
+
+    A peer may still be waiting for a third rank, this rank's call-``k``
+    block unconsumed, when this rank posts call ``k + 1`` into the same
+    slot.  Expected finding class: ``double-post``.
+    """
+    plan._firsts = (0, 0)
+
+
+def single_slot_per_step(plan: "RingAllgatherPlan") -> None:
+    """Make both call parities of a ring allgather share one slot per step.
+
+    A rank finishes call ``k`` with its successor's step-0 block, maybe
+    before that successor consumed step 0, and posts call ``k + 1``'s step
+    0 into the same slot.  Expected finding class: ``double-post``.
+    """
+    plan._firsts = (0, 0)
+
+
+def skip_last_dissemination_round(plan: "DisseminationBarrierPlan") -> None:
+    """Stop the dissemination barrier one round early.
+
+    Some rank then leaves before a late one entered, and every post is
+    still consumed: only the model's entered-before-left check sees it.
+    Expected finding class: ``wrong-value``.
+    """
+    plan._rounds = plan._rounds[:-1]
 
 
 def stage_partial_in_child_slot(plan: "BstReducePlan") -> None:

@@ -12,11 +12,12 @@ Public surface:
   :class:`~repro.core.allreduce_ssp.SSPAllreduce`,
   :func:`~repro.core.alltoall.alltoall` / ``alltoallv``,
   :func:`~repro.core.allgather.ring_allgather`,
-  :class:`~repro.core.barrier.NotificationBarrier`.
-* Compiled plans: each plannable algorithm is written once, as the
-  ``_run`` generator of a :class:`~repro.core.plan.CollectivePlan`, which
-  runs it blocking, incrementally (the ``i*`` API, the verifier) or cold —
-  the functional broadcast, reduce and ring above are cold calls of it.
+  :func:`~repro.core.barrier.notification_barrier`.
+* Compiled plans: every GASPI collective is written once, as the ``_run``
+  generator of a :class:`~repro.core.plan.CollectivePlan`, which runs it
+  blocking, incrementally (the ``i*`` API, the verifier) or cold — the
+  functional collectives above but the SSP allreduce are cold calls of it;
+  registry runners are left to the MPI baselines and the tolerant trio.
 * Schedule builders for the timing simulator and the algorithm
   :data:`~repro.core.registry.REGISTRY` the benchmark harness uses.
 """
@@ -48,11 +49,7 @@ from .allreduce_ssp import (
     hypercube_allreduce_schedule,
 )
 from .alltoall import alltoall, alltoall_schedule, alltoallv
-from .barrier import (
-    NotificationBarrier,
-    dissemination_barrier_schedule,
-    notification_barrier,
-)
+from .barrier import dissemination_barrier_schedule, notification_barrier
 from .bcast import (
     BroadcastResult,
     bst_bcast,
@@ -120,7 +117,6 @@ __all__ = [
     "alltoall",
     "alltoall_schedule",
     "alltoallv",
-    "NotificationBarrier",
     "dissemination_barrier_schedule",
     "notification_barrier",
     "BroadcastResult",

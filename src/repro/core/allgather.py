@@ -2,23 +2,25 @@
 
 The Allgather stage of the pipelined ring Allreduce is useful on its own
 (the paper's related work extends the same machinery to Allgather(V)), so
-it is exposed here both as a functional collective and as a schedule
-builder.
+it is exposed here both as a functional collective — a cold call of
+:class:`RingAllgatherPlan`'s generator — and as a schedule builder.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from .allreduce_ring import ring_notification_layout
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
+from .policy import CollectiveRequest, CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring
-from .workspace import Lease, WorkspacePool
+from .workspace import WorkspacePool
 
 #: Default segment id used by the allgather collective.
 ALLGATHER_SEGMENT_ID = 130
@@ -30,88 +32,96 @@ def ring_allgather(
     recvbuf: Optional[np.ndarray] = None,
     segment_id: int = ALLGATHER_SEGMENT_ID,
     queue: int = 0,
-    timeout: float = GASPI_BLOCK,
+    timeout: float = math.inf,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Gather equal-sized blocks from every rank onto every rank.
 
-    Parameters
-    ----------
-    sendbuf:
-        This rank's block (1-D, same length and dtype on every rank).
-    recvbuf:
-        Optional output of length ``size * len(sendbuf)``; allocated when
-        ``None``.  On return, ``recvbuf[r*b:(r+1)*b]`` holds rank ``r``'s
-        block.
-
-    Returns
-    -------
-    numpy.ndarray
-        The gathered vector (the same object as ``recvbuf`` when given).
+    ``sendbuf`` is this rank's block (1-D, same length and dtype on every
+    rank).  Returns the gathered vector — ``recvbuf`` when given, of length
+    ``size * len(sendbuf)`` — whose ``[r*b:(r+1)*b]`` holds rank ``r``'s
+    block.  Every wait is bounded by ``timeout`` and by
+    :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    rank, size = runtime.rank, runtime.size
-    block = sendbuf.size
-    if recvbuf is None:
-        recvbuf = np.empty(size * block, dtype=sendbuf.dtype)
-    else:
-        recvbuf = np.asarray(recvbuf)
-        require(
-            recvbuf.size == size * block and recvbuf.dtype == sendbuf.dtype,
-            "recvbuf must have size P*block and matching dtype",
+    request = CollectiveRequest(
+        "allgather", sendbuf=sendbuf, recvbuf=recvbuf, segment_id=segment_id,
+        pool=pool, queue=queue, timeout=timeout,
+    )  # fmt: skip
+    return _run_cold(
+        RingAllgatherPlan, "allgather", "gaspi_allgather_ring", runtime, request
+    ).value
+
+
+class RingAllgatherPlan(CollectivePlan):
+    """Compiled ring allgather: step ``s`` forwards, straight from
+    ``recvbuf``, the block received at step ``s - 1`` (its own at step 0).
+
+    The ring allreduce's reuse argument does not carry over: with only P-1
+    steps, the last block a rank needs in call ``k`` *is* its successor's
+    step-0 send, so it can finish while the successor has not consumed
+    step 0 — and its call-``k + 1`` step-0 post would overwrite that slot.
+    So slots and ids are keyed by call parity, as the strict hypercube's
+    mailboxes are: finishing call ``k + 1`` needs the successor's
+    call-``k + 1`` step-0 send, posted only after it consumed every slot of
+    call ``k``.  The workspace is 2·(P-1) block slots.
+    """
+
+    _segment_views = ("_slots",)
+
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
+        size = runtime.size
+        self.block = key.nbytes // self.key_dtype.itemsize
+        require(self.block > 0, "allgather sendbuf must be a non-empty vector")
+        self.next_rank = Ring(size).next_rank(runtime.rank)
+        #: First slot (and id) of even and odd calls: slot ``first + step``.
+        self._firsts = (0, size - 1)
+        if size > 1:
+            ids = ring_notification_layout(2 * (size - 1))
+            self._lease_workspace(key.nbytes * ids.count, ids.end)
+            self._slots = runtime.segment_view(
+                self.segment_id, self.key_dtype, 0, ids.count * self.block
+            )
+
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
+        sendbuf = self._check_payload(
+            np.ascontiguousarray(request.sendbuf), "allgather sendbuf"
         )
-
-    recvbuf[rank * block : (rank + 1) * block] = sendbuf
-    if size == 1:
-        return recvbuf
-
-    ring = Ring(size)
-    nxt = ring.next_rank(rank)
-    slot_bytes = sendbuf.nbytes
-
-    # Lower half of the segment: receive slots (one per step, written by the
-    # predecessor); upper half: local send staging.  Keeping them disjoint
-    # avoids clobbering an early-arriving block while staging the outgoing one.
-    send_region = slot_bytes * (size - 1)
-    step_ids = ring_notification_layout(size - 1).end  # notification id == step
-    with Lease(
-        runtime, pool, segment_id, slot_bytes * (size - 1) * 2, step_ids
-    ) as segment_id:
-        try:
-            for step in range(size - 1):
-                # Send the block received in the previous step (own block first).
-                send_owner = (rank - step) % size
-                recv_owner = (rank - step - 1) % size
-                offset = step * slot_bytes
-
-                staging = runtime.segment_view(
-                    segment_id, dtype=sendbuf.dtype, offset=send_region + offset, count=block
-                )
-                staging[:] = recvbuf[send_owner * block : (send_owner + 1) * block]
-                runtime.write_notify(
-                    segment_id_local=segment_id,
-                    offset_local=send_region + offset,
-                    target_rank=nxt,
-                    segment_id_remote=segment_id,
-                    offset_remote=offset,
-                    size=slot_bytes,
-                    notification_id=step,
-                    queue=queue,
-                )
-                runtime.wait(queue)
-
-                got = runtime.notify_waitsome(segment_id, step, 1, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(f"rank {rank}: allgather step {step} never completed")
-                runtime.notify_reset(segment_id, step)
-                incoming = runtime.segment_read(
-                    segment_id, dtype=sendbuf.dtype, offset=offset, count=block
-                )
-                recvbuf[recv_owner * block : (recv_owner + 1) * block] = incoming
-        finally:
-            staging = None  # a live view would keep the segment's mapping open
-    return recvbuf
+        require(sendbuf.ndim == 1, "allgather sendbuf must be a vector")
+        size, rank, b = self.runtime.size, self.runtime.rank, self.block
+        recvbuf = request.recvbuf
+        if recvbuf is None:
+            recvbuf = np.empty(size * b, dtype=sendbuf.dtype)
+        else:
+            recvbuf = np.asarray(recvbuf)
+            require(
+                recvbuf.size == size * b and recvbuf.dtype == sendbuf.dtype,
+                "recvbuf must have size P*block and matching dtype",
+            )
+        # Blocks are posted from the gathered vector: one contiguous array.
+        flat = recvbuf.ndim == 1 and recvbuf.flags["C_CONTIGUOUS"]
+        out = recvbuf if flat else np.empty(size * b, dtype=sendbuf.dtype)
+        out[rank * b : (rank + 1) * b] = sendbuf
+        rt = self.runtime
+        sid = self.segment_id
+        queue = request.queue
+        first = self._firsts[self.calls & 1]
+        for step in range(size - 1):
+            sent, received = (rank - step) % size, (rank - step - 1) % size
+            slot = first + step  # also the notification id
+            rt.write_notify_from(
+                out[sent * b : (sent + 1) * b], self.next_rank, sid, slot * sendbuf.nbytes, slot,
+                queue=queue,
+            )  # fmt: skip
+            rt.wait(queue)
+            while rt.notify_waitsome(sid, slot, 1, timeout=poll_timeout) is None:
+                yield WaitSpec(sid, slot, 1, f"allgather step {step} of call {self.calls}")
+            rt.notify_reset(sid, slot)
+            out[received * b : (received + 1) * b] = self._slots[slot * b : (slot + 1) * b]
+        if out is not recvbuf:
+            recvbuf[...] = out.reshape(recvbuf.shape)
+        self.calls += 1
+        return CollectiveResult(value=recvbuf)
 
 
 def ring_allgather_schedule(

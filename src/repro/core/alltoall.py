@@ -9,21 +9,24 @@ intermediate forwarding, no pairwise ordering and no global barrier.
 
 :func:`alltoallv` extends the same scheme to variable block sizes, which
 the paper mentions as the GASPI equivalent of ``MPI_AlltoAllV`` used by the
-Quantum Espresso FFT mini-app.
+Quantum Espresso FFT mini-app.  Both are cold calls of one generator,
+:class:`AlltoallPlan`'s: compiled, run once and released.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from .notifmap import NotificationLayout
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
+from .policy import CollectiveRequest, CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
-from .workspace import Lease, WorkspacePool
+from .workspace import WorkspacePool
 
 #: Default segment id used by the alltoall collectives.
 ALLTOALL_SEGMENT_ID = 140
@@ -35,90 +38,22 @@ def alltoall(
     recvbuf: Optional[np.ndarray] = None,
     segment_id: int = ALLTOALL_SEGMENT_ID,
     queue: int = 0,
-    timeout: float = GASPI_BLOCK,
+    timeout: float = math.inf,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Exchange equal-sized blocks between every pair of ranks.
 
-    Parameters
-    ----------
-    sendbuf:
-        1-D array of ``P * block`` elements; ``sendbuf[j*block:(j+1)*block]``
-        is destined for rank ``j``.
-    recvbuf:
-        Optional output of the same shape; ``recvbuf[i*block:(i+1)*block]``
-        receives rank ``i``'s block.  Allocated when ``None``.
-
-    Returns
-    -------
-    numpy.ndarray
-        The receive buffer.
+    ``sendbuf`` is a 1-D array of ``P * block`` elements, of which
+    ``sendbuf[j*block:(j+1)*block]`` is destined for rank ``j``; the
+    returned ``recvbuf`` (allocated when ``None``) holds rank ``i``'s block
+    at ``recvbuf[i*block:(i+1)*block]``.  Every wait is bounded by
+    ``timeout`` and by :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    rank, size = runtime.rank, runtime.size
-    require(sendbuf.ndim == 1, "sendbuf must be a 1-D vector")
-    require(
-        sendbuf.size % size == 0,
-        f"sendbuf length {sendbuf.size} is not divisible by world size {size}",
-    )
-    block = sendbuf.size // size
-    require(block > 0, "alltoall blocks must contain at least one element")
-    block_bytes = block * sendbuf.itemsize
-
-    if recvbuf is None:
-        recvbuf = np.empty_like(sendbuf)
-    else:
-        recvbuf = np.asarray(recvbuf)
-        require(
-            recvbuf.size == sendbuf.size and recvbuf.dtype == sendbuf.dtype,
-            "recvbuf must match sendbuf in size and dtype",
-        )
-
-    # Segment layout: the slot at offset i*block_bytes receives rank i's block.
-    # Outgoing blocks are posted straight from ``sendbuf`` (caller memory
-    # needs no registration), so the segment holds receive slots only.
-    producer_ids = NotificationLayout().add("data", size).end  # id = producer
-    with Lease(runtime, pool, segment_id, size * block_bytes, producer_ids) as segment_id:
-        try:
-            slots = runtime.segment_view(segment_id, dtype=sendbuf.dtype, count=sendbuf.size)
-
-            # Own block never touches the network.
-            recvbuf[rank * block : (rank + 1) * block] = sendbuf[
-                rank * block : (rank + 1) * block
-            ]
-
-            for peer in range(size):
-                if peer == rank:
-                    continue
-                runtime.write_notify_from(
-                    sendbuf[peer * block : (peer + 1) * block],
-                    target_rank=peer,
-                    segment_id_remote=segment_id,
-                    offset_remote=rank * block_bytes,
-                    notification_id=rank,
-                    queue=queue,
-                )
-            if size > 1:
-                runtime.wait(queue)
-
-            pending = {p for p in range(size) if p != rank}
-            while pending:
-                got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: alltoall still waiting for blocks from {sorted(pending)}"
-                    )
-                runtime.notify_reset(segment_id, got)
-                if got in pending:
-                    pending.discard(got)
-                    # The consumed notification makes the slot quiescent (each
-                    # peer writes it once per call): copy straight out of it.
-                    recvbuf[got * block : (got + 1) * block] = slots[
-                        got * block : (got + 1) * block
-                    ]
-        finally:
-            slots = None  # a live view would keep the segment's mapping open
-    return recvbuf
+    request = CollectiveRequest(
+        "alltoall", sendbuf=sendbuf, recvbuf=recvbuf, segment_id=segment_id,
+        pool=pool, queue=queue, timeout=timeout,
+    )  # fmt: skip
+    return _run_cold(AlltoallPlan, "alltoall", "gaspi_alltoall", runtime, request).value
 
 
 def alltoallv(
@@ -129,7 +64,7 @@ def alltoallv(
     recvbuf: Optional[np.ndarray] = None,
     segment_id: int = ALLTOALL_SEGMENT_ID,
     queue: int = 0,
-    timeout: float = GASPI_BLOCK,
+    timeout: float = math.inf,
     pool: Optional[WorkspacePool] = None,
 ) -> np.ndarray:
     """Variable-size AlltoAll (``MPI_Alltoallv`` equivalent).
@@ -137,130 +72,166 @@ def alltoallv(
     ``send_counts[j]`` elements go to rank ``j``; ``recv_counts[i]`` elements
     are expected from rank ``i``.  Displacements are the prefix sums of the
     counts (dense packing), matching how the FFT mini-app lays out its
-    pencil exchange buffers.
-
-    Because GASPI writes are one-sided, a sender needs to know *where* in
-    the receiver's segment its block belongs.  The collective therefore runs
-    a cheap offset-exchange phase first: every rank pushes the byte offset
-    at which it expects each peer's data into that peer's segment header,
-    then the data phase proceeds with plain ``write_notify`` exactly like
-    the fixed-size AlltoAll.
-
-    Every rank must pass ``recv_counts`` consistent with the peers'
-    ``send_counts``; this is the caller's responsibility exactly as with
-    MPI.
+    pencil exchange buffers.  Every rank must pass ``recv_counts``
+    consistent with the peers' ``send_counts``; this is the caller's
+    responsibility exactly as with MPI.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    rank, size = runtime.rank, runtime.size
-    send_counts = [int(c) for c in send_counts]
-    recv_counts = [int(c) for c in recv_counts]
-    require(len(send_counts) == size, "send_counts must have one entry per rank")
-    require(len(recv_counts) == size, "recv_counts must have one entry per rank")
-    require(all(c >= 0 for c in send_counts), "send_counts must be non-negative")
-    require(all(c >= 0 for c in recv_counts), "recv_counts must be non-negative")
-    require(sum(send_counts) == sendbuf.size, "send_counts must sum to len(sendbuf)")
+    request = CollectiveRequest(
+        "alltoall", sendbuf=sendbuf, recvbuf=recvbuf, send_counts=send_counts,
+        recv_counts=recv_counts, segment_id=segment_id, pool=pool, queue=queue,
+        timeout=timeout,
+    )  # fmt: skip
+    return _run_cold(AlltoallPlan, "alltoall", "gaspi_alltoall", runtime, request).value
 
-    itemsize = sendbuf.itemsize
-    send_displs = np.concatenate(([0], np.cumsum(send_counts)))[:-1].astype(int)
-    recv_displs = np.concatenate(([0], np.cumsum(recv_counts)))[:-1].astype(int)
-    total_recv = int(sum(recv_counts))
 
-    if recvbuf is None:
-        recvbuf = np.empty(total_recv, dtype=sendbuf.dtype)
-    else:
-        recvbuf = np.asarray(recvbuf)
-        require(recvbuf.size >= total_recv, "recvbuf too small for recv_counts")
+class AlltoallPlan(CollectivePlan):
+    """Compiled direct AlltoAll: one ``write_notify`` per peer, no staging.
 
-    # Segment layout: [header: size int64][recv region].  Both the offset
-    # table and the data blocks are posted straight from caller memory.
-    header_bytes = size * 8
-    recv_bytes_total = max(total_recv * itemsize, itemsize)
-    recv_region = header_bytes
+    Blocks are posted straight from the caller's ``sendbuf``
+    (``write_notify_from``) and copied out of their slots into ``recvbuf``
+    in whatever order they land.  Slots and ids are keyed by call parity:
+    a rank can finish call ``k`` while a peer that posted its own blocks
+    still waits for a third rank, this rank's block unconsumed — a single
+    slot would take the call-``k + 1`` post on top of it.  A call-``k + 2``
+    post cannot: finishing call ``k + 1`` needs every peer's call-``k + 1``
+    block, posted only after that peer consumed all of call ``k``.  So a
+    cached plan holds 2·P blocks of workspace.
 
-    # Notification ids: [0, size) for data (id = producer), [size, 2*size) for
-    # the offset-exchange header (id = size + producer).  The receive region
-    # is as large as this rank's ``recv_counts`` say — a size the ranks do
-    # not share, hence an exact lease.
-    ids = NotificationLayout().add("data+offsets", 2 * size).end
-    with Lease(
-        runtime, pool, segment_id, header_bytes + recv_bytes_total, ids, exact=True
-    ) as segment_id:
-        try:
-            header = runtime.segment_view(segment_id, dtype=np.int64, count=size)
-            arrivals = runtime.segment_view(
-                segment_id, dtype=sendbuf.dtype, offset=recv_region, count=total_recv
-            )
-            offsets_out = np.array(
-                [recv_region + int(d) * itemsize for d in recv_displs], dtype=np.int64
-            )
+    An ``alltoallv`` is the same exchange twice: the offsets its blocks
+    land at, then the blocks.  Its layout differs per rank and per call, so
+    it is never cached: its key freezes no bytes, and the call leases its
+    own exact workspace.
+    """
 
-            # Phase 1: tell every peer where its data belongs in our recv region.
-            for peer in range(size):
-                if peer == rank:
-                    continue
-                runtime.write_notify_from(
-                    offsets_out[peer : peer + 1],
-                    target_rank=peer,
-                    segment_id_remote=segment_id,
-                    offset_remote=rank * 8,
-                    notification_id=size + rank,
-                    queue=queue,
+    _segment_views = ("_slots",)
+
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
+        size = runtime.size
+        elements = key.nbytes // self.key_dtype.itemsize
+        self.block = b = elements // size
+        if not key.nbytes:  # an alltoallv: the layout comes with the call
+            return
+        require(
+            elements % size == 0,
+            f"sendbuf length {elements} is not divisible by world size {size}",
+        )
+        ids = NotificationLayout().add("blocks", 2 * size)
+        self._lease_workspace(2 * key.nbytes, ids.end)
+        self._slots = runtime.segment_view(self.segment_id, self.key_dtype, 0, 2 * elements)
+        self._blocks = [(peer * b, (peer + 1) * b) for peer in range(size)]
+        #: First slot (and id) of even and odd calls: producer ``p``'s is ``first + p``.
+        self._firsts = (0, size)
+
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
+        rt = self.runtime
+        sendbuf = np.ascontiguousarray(request.sendbuf)
+        require(sendbuf.ndim == 1, "alltoall sendbuf must be a 1-D vector")
+        if request.variable:
+            recvbuf, layout = yield from self._exchange_offsets(request, sendbuf, poll_timeout)
+        else:
+            self._check_payload(sendbuf, "alltoall sendbuf")
+            require(self.block > 0, "alltoall blocks must contain at least one element")
+            recvbuf = request.recvbuf
+            if recvbuf is None:
+                recvbuf = np.empty_like(sendbuf)
+            else:
+                recvbuf = np.asarray(recvbuf)
+                require(
+                    recvbuf.size == sendbuf.size and recvbuf.dtype == sendbuf.dtype,
+                    "recvbuf must match sendbuf in size and dtype",
                 )
-            if size > 1:
-                runtime.wait(queue)
+            first = self._firsts[self.calls & 1]
+            remote = [(first + rt.rank) * self.block * sendbuf.itemsize] * rt.size
+            arrivals = self._slots[first * self.block :]
+            layout = (first, self._blocks, self._blocks, remote, arrivals)
+        yield from self._exchange("blocks", sendbuf, recvbuf, layout, request.queue, poll_timeout)
+        self.calls += 1
+        return CollectiveResult(value=recvbuf)
 
-            # local block
-            own = sendbuf[send_displs[rank] : send_displs[rank] + send_counts[rank]]
-            recvbuf[recv_displs[rank] : recv_displs[rank] + recv_counts[rank]] = own
+    def _exchange(self, what: str, sendbuf, recvbuf, layout, queue: int, poll_timeout: float):
+        """Post ``sendbuf[sends[p]]`` to byte ``remote[p]`` of every peer
+        ``p`` under id ``first + rank``, then copy each peer's block out of
+        ``arrivals[recvs[p]]`` into ``recvbuf[recvs[p]]`` as it lands;
+        ``layout`` is ``(first, sends, recvs, remote, arrivals)``."""
+        rt = self.runtime
+        size, rank = rt.size, rt.rank
+        first, sends, recvs, remote, arrivals = layout
+        sid = self.segment_id
+        for peer in range(size):
+            if peer == rank:
+                continue
+            lo, hi = sends[peer]
+            if hi > lo:
+                rt.write_notify_from(
+                    sendbuf[lo:hi], peer, sid, remote[peer], first + rank, queue=queue
+                )
+            else:
+                rt.notify(peer, sid, first + rank, queue=queue)
+        # Own block never touches the network.
+        (s_lo, s_hi), (r_lo, r_hi) = sends[rank], recvs[rank]
+        recvbuf[r_lo:r_hi] = sendbuf[s_lo:s_hi]
+        rt.wait(queue)
+        pending = set(range(size)) - {rank}
+        while pending:
+            got = rt.notify_waitsome(sid, first, size, timeout=poll_timeout)
+            if got is None:
+                yield WaitSpec(
+                    sid, first, size,
+                    f"alltoall {what} of call {self.calls} from ranks {sorted(pending)}",
+                )  # fmt: skip
+                continue
+            rt.notify_reset(sid, got)
+            peer = got - first
+            if peer in pending:
+                pending.discard(peer)
+                # Quiescent once its notification is consumed (each peer
+                # writes a slot once per call): copy straight out of it.
+                lo, hi = recvs[peer]
+                recvbuf[lo:hi] = arrivals[lo:hi]
 
-            # Phase 2: push data to the offsets the peers advertised.
-            header_pending = {p for p in range(size) if p != rank}
-            while header_pending:
-                got = runtime.notify_waitsome(segment_id, size, size, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: alltoallv offset exchange incomplete, "
-                        f"missing {sorted(header_pending)}"
-                    )
-                runtime.notify_reset(segment_id, got)
-                peer = got - size
-                if peer not in header_pending:
-                    continue
-                header_pending.discard(peer)
-                remote_offset = int(header[peer])
-                if send_counts[peer]:
-                    begin = int(send_displs[peer])
-                    runtime.write_notify_from(
-                        sendbuf[begin : begin + send_counts[peer]],
-                        target_rank=peer,
-                        segment_id_remote=segment_id,
-                        offset_remote=remote_offset,
-                        notification_id=rank,
-                        queue=queue,
-                    )
-                else:
-                    runtime.notify(peer, segment_id, rank, queue=queue)
-            if size > 1:
-                runtime.wait(queue)
+    def _exchange_offsets(self, request, sendbuf: np.ndarray, poll_timeout: float):
+        """The first exchange of an ``alltoallv``: where its blocks land,
+        which only the receiver's ``recv_counts`` say.  Leases the call's
+        exact workspace — ``[header: P int64][receive region]``, ids
+        ``[0, P)`` for blocks and ``[P, 2P)`` for offsets — and returns
+        ``recvbuf`` and the layout of the block exchange."""
+        size = self.runtime.size
+        send_counts = [int(c) for c in request.send_counts]
+        recv_counts = [int(c) for c in request.recv_counts]
+        require(len(send_counts) == size, "send_counts must have one entry per rank")
+        require(len(recv_counts) == size, "recv_counts must have one entry per rank")
+        require(all(c >= 0 for c in send_counts), "send_counts must be non-negative")
+        require(all(c >= 0 for c in recv_counts), "recv_counts must be non-negative")
+        require(sum(send_counts) == sendbuf.size, "send_counts must sum to len(sendbuf)")
+        total_recv = sum(recv_counts)
+        recvbuf = request.recvbuf
+        if recvbuf is None:
+            recvbuf = np.empty(total_recv, dtype=sendbuf.dtype)
+        else:
+            recvbuf = np.asarray(recvbuf)
+            require(recvbuf.size >= total_recv, "recvbuf too small for recv_counts")
+            require(recvbuf.dtype == sendbuf.dtype, "recvbuf must match sendbuf in dtype")
+        send_displs = np.cumsum([0] + send_counts).tolist()
+        recv_displs = np.cumsum([0] + recv_counts).tolist()
+        sends = list(zip(send_displs, send_displs[1:]))
+        recvs = list(zip(recv_displs, recv_displs[1:]))
 
-            pending = {p for p in range(size) if p != rank}
-            while pending:
-                got = runtime.notify_waitsome(segment_id, 0, size, timeout=timeout)
-                if got is None:
-                    raise TimeoutError(
-                        f"rank {rank}: alltoallv still waiting for {sorted(pending)}"
-                    )
-                runtime.notify_reset(segment_id, got)
-                if got in pending:
-                    pending.discard(got)
-                    begin, count = int(recv_displs[got]), recv_counts[got]
-                    if count:
-                        # Quiescent once its notification is consumed: copy
-                        # straight out of the segment.
-                        recvbuf[begin : begin + count] = arrivals[begin : begin + count]
-        finally:
-            header = arrivals = None  # live views would keep the mapping open
-    return recvbuf
+        header_bytes = size * 8
+        itemsize = sendbuf.itemsize
+        ids = NotificationLayout().add("blocks+offsets", 2 * size).end
+        self._lease_workspace(header_bytes + max(total_recv, 1) * itemsize, ids, exact=True)
+        rt, sid = self.runtime, self.segment_id
+        offsets_out = header_bytes + np.array(recv_displs[:-1], dtype=np.int64) * itemsize
+        offsets_in = np.empty(size, dtype=np.int64)
+        words = [(peer, peer + 1) for peer in range(size)]
+        header = rt.segment_view(sid, np.int64, 0, size)
+        header_layout = (size, words, words, [rt.rank * 8] * size, header)
+        yield from self._exchange(
+            "offsets", offsets_out, offsets_in, header_layout, request.queue, poll_timeout
+        )
+        arrivals = rt.segment_view(sid, sendbuf.dtype, header_bytes, total_recv)
+        return recvbuf, (0, sends, recvs, offsets_in.tolist(), arrivals)
 
 
 # --------------------------------------------------------------------------- #

@@ -63,7 +63,7 @@ from ..utils.validation import require
 from .allgather import ring_allgather
 from .allreduce_ssp import SSPAllreduce, SSPAllreduceResult
 from .pipeline import CollectiveHandle, ProgressEngine
-from .plan import CollectivePlan, PlanCache, PlanCacheStats, PlanKey
+from .plan import CollectivePlan, PlanCache, PlanCacheStats, PlanKey, schedule_nbytes
 from .policy import (
     STRICT,
     CollectiveRequest,
@@ -615,12 +615,6 @@ class Communicator:
         while len(self._open_degraded) > _MAX_OPEN_DEGRADED:
             self._open_degraded.pop(0).close()
 
-    def _schedule_nbytes(self, collective: str, payload: int) -> int:
-        """Payload size the schedule builders expect for this collective."""
-        if collective == "alltoall":
-            return payload // max(self.size, 1)
-        return payload
-
     # ------------------------------------------------------------------ #
     # compiled plans
     # ------------------------------------------------------------------ #
@@ -829,7 +823,7 @@ class Communicator:
             request.metadata.setdefault("known_failed", frozenset(self._suspected))
         if self._detect_timeout is not None:
             request.metadata.setdefault("detect_timeout", self._detect_timeout)
-        nbytes = self._schedule_nbytes(collective, payload)
+        nbytes = schedule_nbytes(collective, self.size, payload)
         if self._faults_changed() and bound is not None:
             bound = _Bound(bound.sig)
         info = (bound and bound.info) or self.resolve(
@@ -1105,7 +1099,7 @@ class Communicator:
             if self._faults_changed() or bound is None:
                 bound = _Bound(sig)
             info = bound.info or self.resolve(
-                collective, self._schedule_nbytes(collective, request.nbytes),
+                collective, schedule_nbytes(collective, self.size, request.nbytes),
                 algorithm, policy,
             )  # fmt: skip
             plan = self._plan_for(info, request, bound)
@@ -1244,7 +1238,7 @@ class Communicator:
         template = np.ascontiguousarray(template)
         probe = CollectiveRequest(collective, template, None, root, op, policy)
         info = self.resolve(
-            collective, self._schedule_nbytes(collective, probe.nbytes), algorithm, policy
+            collective, schedule_nbytes(collective, self.size, probe.nbytes), algorithm, policy
         )
         require(
             info.plannable,

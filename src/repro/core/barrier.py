@@ -7,100 +7,81 @@ notifies ``(rank + 2**k) mod P`` and waits for the notification from
 ``(rank - 2**k) mod P``.  After ``⌈log2 P⌉`` rounds every rank has
 (transitively) heard from every other rank.
 
-The implementation is reusable: each instance owns a tiny segment whose
-notification slots encode ``(generation, round)`` so back-to-back barriers
-do not confuse each other.
+The protocol is the generator of :class:`DisseminationBarrierPlan`, which
+``comm.barrier(algorithm="dissemination")`` caches like any other plan;
+:func:`notification_barrier` is a cold call of it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import ceil_log2, require
 from .notifmap import NotificationLayout
+from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
+from .policy import CollectiveRequest, CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import dissemination_schedule
-from .workspace import Lease, WorkspacePool
+from .workspace import WorkspacePool
 
 #: Default segment id used by the notification barrier.
 BARRIER_SEGMENT_ID = 150
-
-#: Number of barrier generations tracked before notification ids wrap.
-_GENERATIONS = 4
-
-
-class NotificationBarrier:
-    """Reusable dissemination barrier over all ranks."""
-
-    def __init__(
-        self,
-        runtime: GaspiRuntime,
-        segment_id: int = BARRIER_SEGMENT_ID,
-        queue: int = 0,
-        pool: Optional[WorkspacePool] = None,
-    ) -> None:
-        self.runtime = runtime
-        self.queue = int(queue)
-        self.rounds = ceil_log2(runtime.size) if runtime.size > 1 else 0
-        self.generation = 0
-        # One id per (generation, round); the segment only exists to carry
-        # them, 8 bytes suffice.
-        ids = NotificationLayout().add("rounds", max(1, _GENERATIONS * self.rounds)).end
-        self._lease = Lease(runtime, pool, segment_id, 8, ids)
-        self.segment_id = self._lease.segment_id
-        self._closed = False
-
-    def wait(self, timeout: float = GASPI_BLOCK) -> None:
-        """Enter the barrier; returns when every rank has entered it."""
-        if self._closed:
-            raise RuntimeError("barrier already closed")
-        rank = self.runtime.rank
-        size = self.runtime.size
-        if size == 1:
-            self.generation += 1
-            return
-        gen_slot = self.generation % _GENERATIONS
-        for step in dissemination_schedule(size, rank):
-            notif = gen_slot * self.rounds + step.round_index
-            self.runtime.notify(step.send_to, self.segment_id, notif, queue=self.queue)
-            self.runtime.wait(self.queue)
-            got = self.runtime.notify_waitsome(self.segment_id, notif, 1, timeout=timeout)
-            if got is None:
-                raise TimeoutError(
-                    f"rank {rank}: dissemination barrier round {step.round_index} "
-                    f"timed out waiting for rank {step.recv_from}"
-                )
-            self.runtime.notify_reset(self.segment_id, got)
-        self.generation += 1
-
-    def close(self) -> None:
-        """Release the barrier segment (collective)."""
-        if self._closed:
-            return
-        self._closed = True
-        self._lease.release()
-
-    def __enter__(self) -> "NotificationBarrier":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def notification_barrier(
     runtime: GaspiRuntime,
     segment_id: int = BARRIER_SEGMENT_ID,
-    timeout: float = GASPI_BLOCK,
+    timeout: float = math.inf,
     pool: Optional[WorkspacePool] = None,
 ) -> None:
-    """One-shot dissemination barrier (constructs and tears down its state)."""
-    barrier = NotificationBarrier(runtime, segment_id=segment_id, pool=pool)
-    try:
-        barrier.wait(timeout=timeout)
-    finally:
-        barrier.close()
+    """One dissemination barrier over all ranks, as a cold call: it
+    compiles a :class:`DisseminationBarrierPlan`, runs it once and
+    releases it.  Every wait is bounded by ``timeout`` and by
+    :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`."""
+    request = CollectiveRequest("barrier", segment_id=segment_id, pool=pool, timeout=timeout)
+    _run_cold(
+        DisseminationBarrierPlan, "barrier", "gaspi_barrier_dissemination", runtime, request
+    )
+
+
+class DisseminationBarrierPlan(CollectivePlan):
+    """Compiled dissemination barrier: one notify and one wait per round.
+
+    The workspace only carries notifications.  Reuse needs two ids per
+    round, selected by call parity: a rank that enters call ``k + 2`` has
+    left call ``k + 1``, so it heard (transitively) from every rank
+    entering call ``k + 1`` — and each of them had consumed all its call-``k``
+    notifications first.  One id per round is not enough: a rank that
+    leaves call ``k`` knows only that everybody *entered* it, and its
+    call-``k + 1`` post to a rank still in an earlier round of call ``k``
+    would land on an unconsumed notification.
+    """
+
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
+        self._rounds = dissemination_schedule(runtime.size, runtime.rank)
+        ids = NotificationLayout().add("rounds", max(1, 2 * len(self._rounds)))
+        self._lease_workspace(8, ids.end)
+
+    def _run(self, request, poll_timeout: float) -> PipelineGen:
+        rt = self.runtime
+        sid = self.segment_id
+        queue = request.queue
+        first = (self.calls & 1) * len(self._rounds)  # round k: id first + k
+        for step in self._rounds:
+            nid = first + step.round_index
+            rt.notify(step.send_to, sid, nid, queue=queue)
+            rt.wait(queue)
+            while rt.notify_waitsome(sid, nid, 1, timeout=poll_timeout) is None:
+                yield WaitSpec(
+                    sid, nid, 1,
+                    f"barrier round {step.round_index}: rank {step.recv_from}, call {self.calls}",
+                )  # fmt: skip
+            rt.notify_reset(sid, nid)
+        self.calls += 1
+        return CollectiveResult(value=None)
 
 
 def dissemination_barrier_schedule(

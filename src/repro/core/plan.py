@@ -6,10 +6,7 @@ rebuilt, notification layouts are recomputed and the simulator schedule is
 rebuilt — for every single ``comm.allreduce(x)`` of an iterative
 application.  Production MPI amortises exactly this setup through
 *persistent* (initialised) collectives; this module brings the same idea
-here.  (Registering a workspace is not part of that bill: cold calls and
-plans alike lease theirs from the communicator's
-:class:`~repro.core.workspace.WorkspacePool` — one barrier per cold call
-or plan-cache miss, no segment created or deleted in the steady state.)
+here.
 
 A :class:`CollectivePlan` freezes, for one :class:`PlanKey` — the tuple
 ``(collective, algorithm, world size, root, payload bytes, dtype, op,
@@ -33,13 +30,12 @@ through the registry's planner entry points
 explicit MPI-persistent-style handle API via
 :meth:`~repro.core.api.Communicator.persistent`.
 
-Plan reuse changes the synchronisation structure: the cold path ends
-every call with the barrier of its workspace release, which also
-serialises successive calls.  Planned executors must therefore be
-*self-synchronising across calls* — each plan documents its reuse argument
-(consume-ack handshakes for the broadcast fan-out, one slot and one credit
-per tree edge for the BST reduce, the ring's transitive step dependency,
-the strict hypercube's call-parity mailboxes).
+Nothing synchronises a plan's successive calls, so every plan is
+*self-synchronising across calls* and documents its reuse argument
+(consume-acks for the broadcast fan-out, one slot and one credit per tree
+edge for the BST reduce, the ring allreduce's transitive step dependency,
+call-parity slots for the strict hypercube, the alltoall, the ring
+allgather and the dissemination barrier).
 
 Every plan is one generator, and :class:`CollectivePlan` owns the protocol
 that runs it: a subclass writes only ``_run(request, poll_timeout)``, which
@@ -139,10 +135,15 @@ class PlanKey:
     ) -> Optional["PlanKey"]:
         """Key of the plan serving ``request``, or ``None`` if unplannable.
 
-        Data-free requests (barriers), non-array payloads and unknown
-        operators cannot be keyed and fall back to the cold path.
+        A data-free request (a barrier) keys with ``nbytes = 0``.  Empty
+        payloads, unknown operators and variable-count exchanges (an
+        ``alltoallv``: its send size and receive layout differ between
+        ranks, so a per-rank key would desynchronise the lock-step cache)
+        cannot be keyed and fall back to the cold path.
         """
-        if request.sendbuf is None or np.asarray(request.sendbuf).size == 0:
+        if request.variable or (
+            request.sendbuf is not None and np.asarray(request.sendbuf).size == 0
+        ):
             return None
         try:
             return _plan_key(info.collective, info.name, runtime, request)
@@ -200,13 +201,24 @@ def _plan_key(
 ) -> PlanKey:
     """Plan key of ``request`` under ``algorithm`` (the compile and cold paths).
 
-    An unknown operator raises :class:`ValueError`.
+    A request without a payload keys as an empty one, and a variable-count
+    one freezes no bytes either: its layout is per call.  An unknown
+    operator raises :class:`ValueError`.
     """
-    sendbuf = np.asarray(request.sendbuf)
+    sendbuf = np.asarray(() if request.sendbuf is None else request.sendbuf)
     return _key_of(
-        collective, algorithm, runtime.size, request.root, sendbuf.nbytes,
-        sendbuf.dtype, request.op, request.policy, request.tag,
+        collective, algorithm, runtime.size, request.root,
+        0 if request.variable else sendbuf.nbytes, sendbuf.dtype, request.op,
+        request.policy, request.tag,
     )  # fmt: skip
+
+
+def schedule_nbytes(collective: str, size: int, payload: int) -> int:
+    """Bytes the schedule builders of ``collective`` expect for a call
+    moving ``payload`` bytes per rank: an alltoall's take the per-peer
+    block.  The one place the cold path and a cached plan's
+    :meth:`CollectivePlan.schedule` ask."""
+    return payload // max(size, 1) if collective == "alltoall" else payload
 
 
 @lru_cache(maxsize=1024)
@@ -321,8 +333,9 @@ class CollectivePlan:
         """
         if self._schedule is None:
             policy = policy_from_fingerprint(self.key.policy)
+            nbytes = schedule_nbytes(self.key.collective, self.key.size, self.key.nbytes)
             self._schedule = info.builder(
-                self.key.size, self.key.nbytes, **info.schedule_kwargs(policy)
+                self.key.size, nbytes, **info.schedule_kwargs(policy)
             )
         return self._schedule
 
@@ -345,7 +358,7 @@ class CollectivePlan:
         """Give the workspace back to its pool (collective: the pool retires
         it, and a later batch or miss barrier quiesces it before the scrub).
 
-        What plan-cache eviction and the cold runners call.  Idempotent.
+        What plan-cache eviction and the cold path call.  Idempotent.
         """
         lease = self._retire()
         if lease is not None:

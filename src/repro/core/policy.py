@@ -229,6 +229,11 @@ class CollectiveRequest:
         return self.segment_id if self.pool is None else self.pool.reserve_id()
 
     @property
+    def variable(self) -> bool:
+        """True for a variable-count exchange (``alltoallv``)."""
+        return self.send_counts is not None or self.recv_counts is not None
+
+    @property
     def nbytes(self) -> int:
         """Payload size in bytes (0 for data-free collectives)."""
         if self.sendbuf is None:

@@ -1,4 +1,4 @@
-"""Registry of collective algorithms: schedule builders *and* runners.
+"""Registry of collective algorithms: schedule builders *and* executors.
 
 Every registered :class:`AlgorithmInfo` carries up to three things:
 
@@ -11,9 +11,11 @@ Every registered :class:`AlgorithmInfo` carries up to three things:
   :class:`~repro.core.policy.CollectiveRequest` and returning a
   :class:`~repro.core.policy.CollectiveResult`: a **planner** compiling a
   :class:`~repro.core.plan.CollectivePlan` (which also runs cold, as its
-  own throwaway plan) and/or a **runner** ``run(runtime, request)`` (the
-  unplanned GASPI collectives, the functional MPI baselines); schedule-only
-  entries raise a descriptive error when asked to execute;
+  own throwaway plan) — every GASPI collective registered here has one —
+  or a **runner** ``run(runtime, request)``, which only the functional MPI
+  baselines (:mod:`repro.mpi.tuning`) and the fault-tolerant trio
+  (:mod:`repro.faults.recovery`) register; schedule-only entries raise a
+  descriptive error when asked to execute;
 * **capability metadata** (:class:`AlgorithmCapabilities`) describing which
   consistency policies, world sizes and dtypes the algorithm accepts, so
   dispatch failures surface as clear errors *before* any communication and
@@ -270,15 +272,9 @@ class AlgorithmRegistry:
         if name in self._algorithms and not overwrite:
             raise ValueError(f"algorithm {name!r} is already registered")
         self._algorithms[name] = AlgorithmInfo(
-            name=name,
-            collective=collective,
-            family=family,
-            builder=builder,
-            description=description,
-            runner=runner,
-            capabilities=capabilities or AlgorithmCapabilities(),
-            planner=planner,
-        )
+            name, collective, family, builder, description, runner,
+            capabilities or AlgorithmCapabilities(), planner,
+        )  # fmt: skip
 
     def get(self, name: str) -> AlgorithmInfo:
         try:
@@ -321,61 +317,6 @@ class AlgorithmRegistry:
 
 #: Global registry shared by the Communicator and the benchmark harness.
 REGISTRY = AlgorithmRegistry()
-
-
-# --------------------------------------------------------------------------- #
-# runners for the GASPI collectives
-# --------------------------------------------------------------------------- #
-def _run_alltoall(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .alltoall import alltoall, alltoallv
-
-    if request.send_counts is not None or request.recv_counts is not None:
-        value = alltoallv(
-            runtime,
-            request.sendbuf,
-            request.send_counts,
-            request.recv_counts,
-            request.recvbuf,
-            segment_id=request.segment_id,
-            queue=request.queue,
-            timeout=request.timeout,
-            pool=request.pool,
-        )
-    else:
-        value = alltoall(
-            runtime,
-            request.sendbuf,
-            request.recvbuf,
-            segment_id=request.segment_id,
-            queue=request.queue,
-            timeout=request.timeout,
-            pool=request.pool,
-        )
-    return CollectiveResult(value=value)
-
-
-def _run_allgather_ring(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .allgather import ring_allgather
-
-    value = ring_allgather(
-        runtime,
-        request.sendbuf,
-        request.recvbuf,
-        segment_id=request.segment_id,
-        queue=request.queue,
-        timeout=request.timeout,
-        pool=request.pool,
-    )
-    return CollectiveResult(value=value)
-
-
-def _run_barrier(runtime, request: CollectiveRequest) -> CollectiveResult:
-    from .barrier import notification_barrier
-
-    notification_barrier(
-        runtime, segment_id=request.segment_id, timeout=request.timeout, pool=request.pool
-    )
-    return CollectiveResult(value=None)
 
 
 # --------------------------------------------------------------------------- #
@@ -533,7 +474,8 @@ def _register_core_algorithms() -> None:
         collective="alltoall",
         family="gaspi",
         builder=alltoall_schedule,
-        runner=_run_alltoall,
+        planner=_planner("alltoall", "AlltoallPlan"),
+        capabilities=AlgorithmCapabilities(plannable=True, verified=True),
         description="Direct write_notify AlltoAll (paper IV-B)",
     )
     REGISTRY.register(
@@ -541,7 +483,8 @@ def _register_core_algorithms() -> None:
         collective="allgather",
         family="gaspi",
         builder=ring_allgather_schedule,
-        runner=_run_allgather_ring,
+        planner=_planner("allgather", "RingAllgatherPlan"),
+        capabilities=AlgorithmCapabilities(plannable=True, verified=True),
         description="Ring allgather (second stage of the pipelined ring allreduce)",
     )
     REGISTRY.register(
@@ -551,7 +494,8 @@ def _register_core_algorithms() -> None:
         builder=lambda num_ranks, nbytes=0, **kw: dissemination_barrier_schedule(
             num_ranks, **kw
         ),
-        runner=_run_barrier,
+        planner=_planner("barrier", "DisseminationBarrierPlan"),
+        capabilities=AlgorithmCapabilities(plannable=True, verified=True),
         description="Dissemination barrier built on notifications",
     )
 

@@ -288,8 +288,7 @@ class Lease:
 
     With ``pool=None`` the lease opens a pool of its own over the single
     id ``segment_id``; releasing the lease closes that pool (the barrier
-    and delete that used to close every cold call).  As a context manager
-    it yields the segment id and releases on exit.
+    and delete that used to close every cold call).
     """
 
     def __init__(
@@ -318,9 +317,3 @@ class Lease:
         to its pool's owner (who releases it or closes the pool)."""
         if self._standalone:
             self._pool.drop()
-
-    def __enter__(self) -> int:
-        return self.segment_id
-
-    def __exit__(self, *exc_info) -> None:
-        self.release()

@@ -124,10 +124,10 @@ def run_pairwise_alltoall(
 ) -> CollectiveResult:
     from .alltoall_variants import pairwise_alltoall_twosided
 
-    if request.send_counts is not None or request.recv_counts is not None:
+    if request.variable:
         raise ValueError(
             "the MPI alltoall baselines only support uniform blocks "
-            "(no alltoallv); use the gaspi_alltoall runner for variable counts"
+            "(no alltoallv); use gaspi_alltoall for variable counts"
         )
     with _layer(runtime, request) as layer:
         value = pairwise_alltoall_twosided(layer, request.sendbuf)

@@ -21,6 +21,7 @@ from repro.analysis import (
     UNMATCHED,
     WRONG_VALUE,
     analyze,
+    analyze_run,
     build_model,
     verify_recycling,
 )
@@ -35,8 +36,11 @@ from repro.analysis.mutations import (
     lease_before_quiescence,
     reuse_without_cooling,
     single_mailbox_per_step,
+    single_slot_per_peer,
+    single_slot_per_step,
     skip_allgather_copy_out,
     skip_child_ack_consumes,
+    skip_last_dissemination_round,
     skip_scrub,
     stage_partial_in_child_slot,
 )
@@ -183,6 +187,42 @@ def test_unconsumed_child_acks_overwrite_a_lagging_child(algorithm, ranks):
         algorithm, ranks, **cell, mutate_plan=skip_child_ack_consumes
     )
     assert classes(analyze(mutated.trace)) & {DATA_RACE, DOUBLE_POST}
+
+
+@pytest.mark.parametrize("ranks", [2, 4, 5])
+@pytest.mark.parametrize(
+    "algorithm,mutate,expected",
+    [
+        ("gaspi_alltoall", single_slot_per_peer, DOUBLE_POST),
+        ("gaspi_allgather_ring", single_slot_per_step, DOUBLE_POST),
+        ("gaspi_barrier_dissemination", skip_last_dissemination_round, WRONG_VALUE),
+    ],
+    ids=["alltoall", "allgather", "barrier"],
+)
+def test_call_parity_and_rounds_are_needed(algorithm, mutate, expected, ranks):
+    # The laggard cells of the sweep: one rank late to each of three calls,
+    # so the third reuses the first one's parity.  Clean as shipped; the
+    # alltoall and allgather re-post a slot they did not see consumed, and
+    # a barrier one round short lets a rank leave before the laggard came.
+    nbytes = 32 * ranks if algorithm == "gaspi_alltoall" else 32
+    cell = dict(nbytes=nbytes, calls=3, laggard=ranks - 1)
+    assert analyze_run(build_model(algorithm, ranks, **cell)) == []
+    mutated = build_model(algorithm, ranks, **cell, mutate_plan=mutate)
+    assert expected in classes(analyze_run(mutated))
+
+
+def test_the_model_checks_delivered_blocks():
+    # Every alltoall block and every allgather block at its offset.
+    for algorithm, nbytes in (("gaspi_alltoall", 4 * 48), ("gaspi_allgather_ring", 48)):
+        run = build_model(algorithm, 4, nbytes, calls=3, laggard=3)
+        assert run.wrong_values == []
+        blocks = [send.reshape(-1, 6) for send in run.sendbufs]
+        for rank, out in enumerate(run.recvbufs):
+            if algorithm == "gaspi_alltoall":
+                want = np.concatenate([b[rank] for b in blocks])
+            else:
+                want = np.concatenate(run.sendbufs)
+            np.testing.assert_array_equal(out, want)
 
 
 @pytest.mark.parametrize(

@@ -127,3 +127,32 @@ def test_threaded_and_shm_bit_identical(ranks, nonblocking, collective, algorith
             assert shm[rank][call] == threaded[rank][call], (
                 f"rank {rank}, call {call}: shm bytes diverge from threaded"
             )
+
+
+def _exchanges(runtime):
+    """Alltoall and allgather, cold (no plan cache) then twice cached."""
+    cold = Communicator(runtime, plan_cache=0)
+    cached = Communicator(runtime, segment_base=10_000)
+    size, rank = runtime.size, runtime.rank
+    blocks = rank_vector(rank, _ELEMENTS * size)
+    out = []
+    try:
+        for comm in (cold, cached, cached):
+            out.append(comm.alltoall(blocks).tobytes())
+            out.append(comm.allgather(rank_vector(rank, _ELEMENTS)).tobytes())
+        return out, cached.plan_cache_stats().hits
+    finally:
+        cold.close()
+        cached.close()
+
+
+@pytest.mark.parametrize("ranks", [3, 4])
+def test_cached_and_cold_exchanges_bit_identical_on_both_backends(ranks):
+    threaded = run_backend(ranks, _exchanges, backend="threaded", timeout=90)
+    shm = run_backend(ranks, _exchanges, backend="shm", timeout=90)
+    for rank in range(ranks):
+        (t_out, t_hits), (s_out, s_hits) = threaded[rank], shm[rank]
+        assert t_hits == s_hits == 2
+        assert s_out == t_out
+        # cold alltoall == cached alltoall (twice), and the same for allgather
+        assert t_out[0] == t_out[2] == t_out[4] and t_out[1] == t_out[3] == t_out[5]

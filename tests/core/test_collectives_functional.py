@@ -365,6 +365,16 @@ class TestAlltoAll:
 
         assert all(spmd(num_ranks, worker))
 
+    def test_alltoallv_rejects_a_recvbuf_of_another_dtype(self):
+        # As alltoall does: arrivals are not cast silently.
+        def worker(rt):
+            counts, narrow = [2] * rt.size, np.zeros(2 * rt.size, np.float32)
+            with pytest.raises(ValueError, match="dtype"):
+                alltoallv(rt, np.ones(2 * rt.size), counts, counts, narrow)
+            return True
+
+        assert all(spmd(2, worker))
+
     def test_alltoallv_zero_counts(self):
         def worker(rt):
             send_counts = [0] * rt.size

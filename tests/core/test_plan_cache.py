@@ -75,6 +75,23 @@ class TestPlanCacheStats:
             assert stats.entries == 1
             assert stats.hit_rate == pytest.approx(0.8)
 
+    def test_exchanges_and_the_dissemination_barrier_hit_the_cache(self):
+        # Cached since they became plans; an alltoallv never is (a per-rank
+        # key would desynchronise the cache), and leaves its stats alone.
+        def worker(rt):
+            comm = Communicator(rt)
+            x = rank_vector(rt.rank, 64)
+            for _ in range(3):
+                comm.alltoall(x)
+                comm.allgather(x)
+                comm.barrier(algorithm="dissemination")
+                comm.alltoallv(x, [16] * 4, [16] * 4)
+            stats = comm.plan_cache_stats()
+            comm.close()
+            return stats.misses, stats.hits, stats.entries
+
+        assert spmd(4, worker) == [(3, 6, 3)] * 4
+
     def test_distinct_shapes_get_distinct_plans(self):
         def worker(rt):
             comm = Communicator(rt)
@@ -236,7 +253,7 @@ class TestPersistentHandles:
         def worker(rt):
             comm = Communicator(rt)
             with pytest.raises(ValueError, match="does not support compiled plans"):
-                comm.persistent("allgather", np.empty(16))
+                comm.persistent("alltoall", np.empty(16), algorithm="mpi_alltoall_pairwise")
             comm.close()
             return True
 
@@ -988,13 +1005,24 @@ class TestPlanKeyAndCacheUnits:
         with pytest.raises(ValueError):
             PlanCache(-1)
 
-    def test_barrier_has_no_plan(self):
+    def test_barrier_keys_with_no_bytes(self):
         info = REGISTRY.get("gaspi_barrier_dissemination")
 
         class FakeRuntime:
             size = 4
 
-        assert (
-            PlanKey.from_request(info, FakeRuntime(), CollectiveRequest("barrier"))
-            is None
+        key = PlanKey.from_request(info, FakeRuntime(), CollectiveRequest("barrier"))
+        assert key is not None and key.nbytes == 0
+
+    def test_alltoallv_has_no_plan(self):
+        # Its send size and receive layout differ between ranks: a per-rank
+        # key would desynchronise the lock-step plan cache.
+        info = REGISTRY.get("gaspi_alltoall")
+
+        class FakeRuntime:
+            size = 2
+
+        request = CollectiveRequest(
+            "alltoall", sendbuf=np.ones(4), send_counts=[2, 2], recv_counts=[2, 2]
         )
+        assert PlanKey.from_request(info, FakeRuntime(), request) is None

@@ -34,6 +34,8 @@ SCENARIOS = [
     # A strided (non-contiguous) 1-D sendbuf is accepted on both paths.
     ("allreduce", "ring", ConsistencyPolicy.strict(), {"strided": True}),
     ("allreduce", "hypercube", ConsistencyPolicy.strict(), {"strided": True}),
+    ("alltoall", "direct", ConsistencyPolicy.strict(), {}),
+    ("allgather", "ring", ConsistencyPolicy.strict(), {}),
 ]
 
 
@@ -75,6 +77,19 @@ def _run_scenario(comm, collective, algorithm, policy, kwargs, elements, calls=2
                 result.elements_reduced,
                 result.contributors,
             )
+        elif collective == "alltoall":
+            # ``elements`` per peer; block j of rank r carries 1000 r + j.
+            sendbuf = np.repeat(1000.0 * rank + np.arange(comm.size), elements)
+            sendbuf += np.tile(np.arange(elements) / elements, comm.size)
+            comm.alltoall(sendbuf, algorithm=algorithm)
+            result = comm.last_result
+            payload = result.value
+            detail_fields = ()
+        elif collective == "allgather":
+            comm.allgather(rank_vector(rank, elements), algorithm=algorithm)
+            result = comm.last_result
+            payload = result.value
+            detail_fields = ()
         else:  # allreduce
             comm.allreduce(
                 _allreduce_sendbuf(rank, elements, kwargs),
@@ -119,7 +134,7 @@ def test_cached_equals_cold_threaded(ranks, collective, algorithm, policy, kwarg
         cached.close()
         return cold_calls, cached_calls, (stats.hits, stats.misses)
 
-    for cold_calls, cached_calls, (hits, misses) in spmd(ranks, worker):
+    for rank, (cold_calls, cached_calls, (hits, misses)) in enumerate(spmd(ranks, worker)):
         assert misses == 1 and hits == 1  # second call ran on the compiled plan
         for cold_call, cached_call in zip(cold_calls, cached_calls):
             assert cached_call["bytes"] == cold_call["bytes"]  # bit-identical
@@ -130,6 +145,12 @@ def test_cached_equals_cold_threaded(ranks, collective, algorithm, policy, kwarg
                 fold = {"sum": np.sum, "min": np.min, "max": np.max}[kwargs.get("op", "sum")]
                 sends = [_allreduce_sendbuf(r, elements, kwargs) for r in range(ranks)]
                 assert np.allclose(np.frombuffer(cached_call["bytes"]), fold(sends, axis=0))
+            if collective == "allgather":
+                sends = [rank_vector(r, elements) for r in range(ranks)]
+                assert cached_call["bytes"] == np.concatenate(sends).tobytes()
+        if collective == "alltoall":
+            received = np.frombuffer(cached_calls[-1]["bytes"]).reshape(ranks, elements)
+            assert np.array_equal(np.floor(received[:, 0]), 1000.0 * np.arange(ranks) + rank)
 
 
 @pytest.mark.parametrize(
@@ -139,8 +160,10 @@ def test_cached_equals_cold_threaded(ranks, collective, algorithm, policy, kwarg
         ("reduce", "bst", ConsistencyPolicy.process_threshold(0.75), {}),
         ("allreduce", "ring", ConsistencyPolicy.strict(), {}),
         ("allreduce", "hypercube", ConsistencyPolicy.strict(), {}),
+        ("alltoall", "direct", ConsistencyPolicy.strict(), {}),
+        ("allgather", "ring", ConsistencyPolicy.strict(), {}),
     ],
-    ids=["bcast", "reduce", "allreduce-ring", "allreduce-hypercube"],
+    ids=["bcast", "reduce", "allreduce-ring", "allreduce-hypercube", "alltoall", "allgather"],
 )
 def test_cached_equals_cold_on_the_simulator(collective, algorithm, policy, kwargs):
     """The cached schedule must simulate to the cold path's exact time."""

@@ -8,16 +8,20 @@ buys: every blocking plan wait is bounded and names what it waited for.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
 import pytest
 
+from repro import Communicator, run_backend
 from repro.analysis import build_model
 from repro.analysis import model as analysis_model
+from repro.core import plan as plan_module
 from repro.core.plan import CollectivePlan, PlanKey, policy_fingerprint
 from repro.core.policy import CollectiveRequest, ConsistencyPolicy
 from repro.core.registry import REGISTRY
+from repro.core.workspace import RETIRE_BATCH
 
 from tests.helpers import spmd
 
@@ -26,7 +30,7 @@ SEGMENT = 31
 
 
 def test_every_plannable_algorithm_is_covered():
-    assert len(PLANNABLE) >= 8  # an empty parametrization would pass silently
+    assert len(PLANNABLE) >= 11  # an empty parametrization would pass silently
 
 
 @pytest.mark.parametrize("algorithm", PLANNABLE)
@@ -65,9 +69,15 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
     monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.05)
     info = REGISTRY.get(algorithm)
     policy = ConsistencyPolicy.ssp(slack)
-    # Nobody receives without the broadcast's root; a reduction is short of
-    # its last rank's contribution.
+    # Nobody receives without the broadcast's root; everybody else is short
+    # of the last rank's contribution (or, at a barrier, of its entry).
     absent = 0 if info.collective == "bcast" else ranks - 1
+    # (send, receive) elements of one call: each collective its own shape.
+    send, receive = {
+        "barrier": (0, 0),
+        "allgather": (64, 64 * ranks),
+        "alltoall": (16 * ranks, 16 * ranks),
+    }.get(info.collective, (64, 64))
 
     def worker(rt):
         key = PlanKey(
@@ -75,7 +85,7 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
             algorithm=algorithm,
             size=ranks,
             root=0,
-            nbytes=512,
+            nbytes=8 * send,
             dtype="<f8",
             op="sum",
             policy=policy_fingerprint(policy),
@@ -84,7 +94,10 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
 
         def call():
             request = CollectiveRequest(
-                info.collective, sendbuf=np.ones(64), recvbuf=np.empty(64), policy=policy
+                info.collective,
+                sendbuf=np.ones(send) if send else None,
+                recvbuf=np.empty(receive) if receive else None,
+                policy=policy,
             )
             plan.execute(request)
 
@@ -110,3 +123,55 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
             assert message.startswith(f"rank {rank}: waited longer than 0.05s")
             assert "notifications [" in message
             assert message.endswith(f"on segment {segment_id}")
+
+
+def _silent_peer(rt, call, done):
+    """Everybody warms ``call`` up; then the last rank stays silent through
+    one more call.  It still registers an alltoallv's workspace, so the
+    others wait for its offsets, not for the workspace's barrier."""
+    comm = Communicator(rt)
+    size, silent = rt.size, rt.size - 1
+    x = np.ones(4 * size)
+
+    def once():
+        if call == "alltoall":
+            comm.alltoall(x)
+        else:
+            comm.alltoallv(x, [4] * size, [4] * size)
+
+    # Past two batches of releases: a cold call's lease is a pool hit then.
+    for _ in range(2 * RETIRE_BATCH + 1):
+        once()
+    bound = plan_module.PLAN_WAIT_TIMEOUT
+    outcome = None
+    if rt.rank == silent:
+        if call == "alltoallv":  # registers the exact workspace, posts nothing
+            comm._pool.lease(8 * size, 2 * size, exact=True)
+        for _ in range(size - 1):
+            done.acquire(timeout=5.0)
+    else:
+        started = time.perf_counter()
+        try:
+            once()
+        except TimeoutError as exc:
+            outcome = str(exc), time.perf_counter() - started
+        comm.suspect(silent)
+        done.release()
+    comm.close()
+    return outcome, bound
+
+
+@pytest.mark.parametrize("backend", ["threaded", "shm"])
+@pytest.mark.parametrize("call", ["alltoall", "alltoallv"])
+def test_a_silent_peer_fails_an_exchange_with_a_named_timeout(call, backend, monkeypatch):
+    monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.05)
+    results = run_backend(
+        3, _silent_peer, call, multiprocessing.Semaphore(0), backend=backend, timeout=30
+    )
+    assert results[-1] == (None, 0.05)
+    for rank, (outcome, bound) in enumerate(results[:-1]):
+        assert bound == 0.05 and outcome is not None
+        message, elapsed = outcome
+        assert elapsed < 1.0
+        assert message.startswith(f"rank {rank}: waited longer than 0.05s for alltoall")
+        assert "ranks [2]" in message

@@ -176,7 +176,13 @@ def _delivered(comm, name, nonblocking):
             handle = call(y, root=1, algorithm=name)
         elif collective == "reduce":
             handle = call(x, y, root=1, algorithm=name)
-        else:
+        elif collective == "allgather":
+            y = np.zeros(N * comm.size)
+            handle = call(x, y, algorithm=name)
+        elif collective == "barrier":
+            handle = call(algorithm=name)
+            y = np.full(1, comm.plan_cache_stats().hits)
+        else:  # allreduce, and alltoall: N splits into blocks at RANKS ranks
             handle = call(x, y, algorithm=name)
         if nonblocking:
             handle.wait()
@@ -184,8 +190,15 @@ def _delivered(comm, name, nonblocking):
     return out
 
 
-@pytest.mark.parametrize("nonblocking", [False, True], ids=["blocking", "nonblocking"])
-@pytest.mark.parametrize("name", PLANNABLE)
+# Collectives without an ``i*`` method (alltoall, allgather, barrier) run blocking only.
+NONBLOCKING = [n for n in PLANNABLE if hasattr(Communicator, "i" + REGISTRY.get(n).collective)]
+
+
+@pytest.mark.parametrize(
+    "name,nonblocking",
+    [(name, False) for name in PLANNABLE] + [(name, True) for name in NONBLOCKING],
+    ids=[f"{n}-blocking" for n in PLANNABLE] + [f"{n}-nonblocking" for n in NONBLOCKING],
+)
 def test_a_registry_changes_no_result_bit(name, nonblocking):
     # Several chunks per call for the pipelined plans; same waits, same
     # runtime calls and same folds with a registry as without one.
