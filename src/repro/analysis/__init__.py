@@ -23,9 +23,10 @@ Entry points
     Model two different plans back to back on recycled workspace-pool
     segments (one rank lagging) and analyze trace and values.
 ``python -m repro.analysis --all``
-    Sweep every registered plannable algorithm × {4, 8, 16} ranks (or
-    ``--ranks``, each at least 2) × representative payloads, plus the
-    recycling pairs; non-zero exit on any finding.
+    Sweep every registered verified algorithm × {4, 8, 16} ranks (or
+    ``--ranks``, each at least 2) × representative payloads (the
+    fault-tolerant plans: × their faults, :func:`build_tolerant_model`),
+    plus the recycling pairs; non-zero exit on any finding.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .events import (
     ProtocolTrace,
     SegmentMeta,
 )
-from .model import ModelRun, ModelWorld, build_model, build_recycle_model
+from .model import ModelRun, ModelWorld, build_model, build_recycle_model, build_tolerant_model
 from .races import check_races, compute_vector_clocks
 from .tracing import TraceSink, TracingRuntime
 
@@ -72,6 +73,7 @@ __all__ = [
     "analyze_run",
     "build_model",
     "build_recycle_model",
+    "build_tolerant_model",
     "verify_algorithm",
     "verify_recycling",
 ]
@@ -119,7 +121,10 @@ def analyze_run(run: ModelRun) -> List[Finding]:
 def verify_algorithm(
     algorithm: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
-    """Model one cell and analyze it — the unit of the CLI sweep."""
+    """Model one cell and analyze it — the unit of the CLI sweep (a
+    ``fault=`` cell of a fault-tolerant algorithm: :func:`build_tolerant_model`)."""
+    if "fault" in model_kwargs:
+        return analyze_run(build_tolerant_model(algorithm, num_ranks, nbytes, **model_kwargs))
     return analyze_run(build_model(algorithm, num_ranks, nbytes, **model_kwargs))
 
 

@@ -1,11 +1,15 @@
 """CLI sweep: ``python -m repro.analysis --all``.
 
-Models every registered plannable algorithm at several rank counts and
+Models every registered verified algorithm at several rank counts and
 representative payloads (monolithic and pipelined/chunked), plus pairs of
 different plans back to back on recycled workspace-pool segments, runs all
 four checkers over each cell (and, for alltoall, allgather and the barrier,
-checks what each call delivered), and prints a findings report.  Exit
-status is non-zero when any finding survives — CI runs this as the
+checks what each call delivered), and prints a findings report.  The
+fault-tolerant plans run one cell per fault — a rank that never enters, a
+rank crashed mid-send, a late contribution folded in by a correction pass —
+each checked against the documented contributor set and the exact result
+(:func:`~repro.analysis.model.build_tolerant_model`).  Exit status is
+non-zero when any finding survives — CI runs this as the
 ``static-analysis`` job.
 """
 
@@ -19,8 +23,9 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
-from . import analyze_run, build_model, verify_recycling
+from . import analyze_run, build_model, build_tolerant_model, verify_recycling
 from .events import Finding
+from .model import TOLERANT_FAULTS
 
 #: (nbytes, chunk_bytes) payload cells, chosen so pipelined plans exercise
 #: several chunks per call while the whole sweep stays CI-fast.
@@ -43,6 +48,9 @@ def _cells(
                 ranks, None, None
             )
             if reason is not None:
+                continue
+            if info.capabilities.fault_tolerant:
+                cells.extend((name, ranks, 256, dict(fault=fault)) for fault in TOLERANT_FAULTS)
                 continue
             roots = [0]
             if info.collective in ("bcast", "reduce") and ranks == 8:
@@ -116,11 +124,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     group.add_argument(
         "--all",
         action="store_true",
-        help="sweep every registered plannable algorithm",
+        help="sweep every registered verified algorithm",
     )
     group.add_argument(
         "--algorithm",
-        help="verify a single registered plannable algorithm",
+        help="verify a single registered verified algorithm",
     )
     parser.add_argument(
         "--ranks",
@@ -149,11 +157,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"--ranks must all be at least 2, got {min(args.ranks)}")
 
     if args.all:
-        algorithms = [info.name for info in REGISTRY.items() if info.plannable]
-        algorithms.sort()
+        algorithms = sorted(info.name for info in REGISTRY.items() if info.capabilities.verified)
     else:
         info = REGISTRY.get(args.algorithm)
-        if not info.plannable:
+        if not info.capabilities.verified:
             parser.error(
                 f"algorithm {args.algorithm!r} has no compiled plan to verify"
             )
@@ -163,13 +170,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report: List[Dict[str, object]] = []
     all_findings: List[Finding] = []
     for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls):
-        run = build_model(name, ranks, nbytes, **cell)
+        tolerant = "fault" in cell
+        if tolerant:
+            run = build_tolerant_model(name, ranks, nbytes, **cell)
+        else:
+            run = build_model(name, ranks, nbytes, **cell)
         findings = analyze_run(run)
         all_findings.extend(findings)
         report.append(
             {
                 "cell": run.trace.name,
-                "kind": REGISTRY.get(name).collective,
+                "kind": "tolerant" if tolerant else REGISTRY.get(name).collective,
                 "events": run.trace.total_events(),
                 "findings": [finding.describe() for finding in findings],
             }

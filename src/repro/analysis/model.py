@@ -30,18 +30,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.plan import CollectivePlan, PlanKey, WaitSpec, policy_fingerprint
+from ..core.plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
+from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
 from ..core.workspace import RETIRE_BATCH, WorkspacePool
 from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
 from ..gaspi.threaded import ThreadedWorld, WorldConfig
+from ..utils.validation import require
 from .events import (
     BARRIER,
     CONSUME,
@@ -54,8 +56,9 @@ from .tracing import TraceSink, TracingRuntime
 
 #: A rank program: yields whenever it cannot progress — the
 #: :class:`~repro.core.plan.WaitSpec` it is blocked on, or ``None`` when
-#: it merely gives up a turn.
-Program = Generator[Optional[WaitSpec], None, None]
+#: it merely gives up a turn — and is resumed with ``True`` when the window
+#: it waits in expires.
+Program = Generator[Optional[WaitSpec], Optional[bool], None]
 
 #: Records one local access: ``(event kind, the array accessed)``.
 _Recorder = Callable[[str, np.ndarray], None]
@@ -132,7 +135,10 @@ class ModelTracingRuntime(TracingRuntime):
     * :attr:`supports_bind` is False, so the pipelined broadcast's
       receivers take their staging path, whose copies the views observe;
     * ``barrier`` records and returns, counted in :attr:`barriers`: the
-      scheduler holds a rank where a real barrier would;
+      scheduler holds a rank where a real barrier would.  A barrier over a
+      named group — the tolerant plans' entry handshake — records nothing:
+      it is bounded and its caller goes on when it fails, so no step of a
+      protocol may lean on it;
     * a ``notify_waitsome`` with a non-zero timeout raises instead of
       parking the thread every rank runs on — plans must poll and yield.
     """
@@ -195,7 +201,8 @@ class ModelTracingRuntime(TracingRuntime):
         self, group: Optional[Group] = None, timeout: float = GASPI_BLOCK
     ) -> None:
         self.barriers += 1
-        self.sink.record(Event(kind=BARRIER, rank=self.rank))
+        if group is None:
+            self.sink.record(Event(kind=BARRIER, rank=self.rank))
 
 
 class ModelWorld:
@@ -219,20 +226,24 @@ class ModelWorld:
 # --------------------------------------------------------------------------- #
 # cooperative scheduler and entry point
 # --------------------------------------------------------------------------- #
-def _drive(plan: CollectivePlan, request: CollectiveRequest) -> Program:
-    """Cooperatively drive one call of a plan's own ``begin()`` generator."""
-    rt = plan.runtime
-    gen = plan.begin(request)
+def _drive(rt: GaspiRuntime, gen: PipelineGen) -> Generator[Optional[WaitSpec], Any, Any]:
+    """Cooperatively drive one plan generator — a call's ``begin()``, a
+    correction pass — and return what it returns.
+
+    A window (:attr:`~repro.core.plan.WaitSpec.deadline`) ends when the
+    scheduler resumes the program with ``True``: once no rank can progress.
+    """
+    expired: Optional[bool] = None
     while True:
         try:
-            spec = next(gen)
-        except StopIteration:
-            return
-        while (
-            rt.notify_waitsome(spec.segment_id, spec.first, spec.count, timeout=0.0)
-            is None
-        ):
-            yield spec
+            spec = gen.send(expired)
+        except StopIteration as stop:
+            return stop.value
+        expired = False
+        while rt.notify_waitsome(spec.segment_id, spec.first, spec.count, timeout=0.0) is None:
+            if (yield spec) and spec.deadline is not None:
+                expired = True
+                break
 
 
 @dataclass
@@ -255,7 +266,9 @@ class ModelRun:
 def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
     """Round-robin the rank programs to completion; return stalled ranks.
 
-    A step progresses when it records an event or idles.  A rank that
+    A step progresses when it records an event or idles.  When none does,
+    the open window (a fault-tolerant plan's detection window) with the
+    earliest deadline expires; only a state without one is a stall.  A rank that
     stalls inside a wait gets that wait recorded as its next consume (of
     the first id of a range wait), so the replay names the starved slot —
     ``unmatched-notification`` or ``deadlock`` — instead of seeing a trace
@@ -276,6 +289,20 @@ def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
             if world.progress() != before:
                 progressed = True
         if not progressed:
+            # Nothing can arrive any more: the open window that would expire
+            # first in real time expires, and the others run on from there.
+            windows = sorted(
+                (spec.deadline, rank)
+                for rank, spec in blocked.items()
+                if rank in live and spec is not None and spec.deadline is not None
+            )
+            if windows:
+                rank = windows[0][1]
+                try:
+                    blocked[rank] = live[rank].send(True)
+                except StopIteration:
+                    del live[rank]
+                continue
             for rank in sorted(live):
                 spec = blocked[rank]
                 if spec is not None:
@@ -424,7 +451,7 @@ def build_model(
                 policy=policy,
                 segment_id=segment_id,
             )
-            yield from _drive(plans[rank], request)
+            yield from _drive(plans[rank].runtime, plans[rank].begin(request))
             want = _delivered(info.collective, rank, sendbufs)
             if want is not None and not np.array_equal(recvbufs[rank], want):
                 wrong.append(f"rank {rank}: {algorithm} call {call} misplaced a block")
@@ -446,6 +473,159 @@ def build_model(
         trace=_trace(world, name, stalled, overwrite_tolerant=slack > 0),
         world=world,
         plans=plans,
+        sendbufs=sendbufs,
+        recvbufs=recvbufs,
+        algorithm=algorithm,
+        stalled_ranks=stalled,
+        wrong_values=wrong,
+    )
+
+
+#: How a tolerant cell's faulty rank misbehaves (:func:`build_tolerant_model`).
+TOLERANT_FAULTS = ("absent", "crash", "late")
+
+
+def build_tolerant_model(
+    algorithm: str,
+    num_ranks: int,
+    nbytes: int = 256,
+    *,
+    fault: str = "absent",
+    root: int = 0,
+    op: str = "sum",
+    segment_id: int = 23,
+    mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
+) -> ModelRun:
+    """One call of a fault-tolerant plan with a faulty rank, value-checked.
+
+    The faulty rank is the last one (a broadcast's root when it crashes or
+    is late), and ``fault`` is what it does:
+
+    * ``"absent"`` — it never enters: no workspace, no post;
+    * ``"crash"`` — it crashes at its post ``k`` under a
+      :class:`~repro.faults.injection.FaultyRuntime`: ``k = 1`` where it
+      posts to several peers (its first peer got the post, the others did
+      not), else ``k = 0``;
+    * ``"late"`` — as ``"crash"``, and once every survivor completed it
+      recovers and calls :func:`~repro.faults.recovery.send_late_contribution`;
+      a broadcast root instead enters only then.  Every survivor that
+      completed degraded then runs :meth:`DegradedResult.correct`'s
+      generator.
+
+    Windows expire when no rank can progress (:func:`_run_cooperative`).
+    The run's ``wrong_values`` get every survivor whose ``missing_ranks``
+    are not the documented set or whose value is not the fold over the
+    contributors it reports; a cell where nobody completed degraded
+    (vacuous); and, after the late cell's correction, any survivor short of
+    the exact result.
+    """
+    from ..faults.injection import FaultPlan, FaultyRuntime, RankCrashedError
+    from ..faults.recovery import (
+        DEFAULT_CORRECTION_TIMEOUT,
+        TolerantPlan,
+        send_late_contribution,
+    )
+
+    info = REGISTRY.get(algorithm)
+    require(info.capabilities.fault_tolerant, f"{algorithm!r} is not a fault-tolerant algorithm")
+    require(fault in TOLERANT_FAULTS, f"fault must be one of {TOLERANT_FAULTS}, got {fault!r}")
+    collective = info.collective
+    elements = max(1, nbytes // 8)
+    policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
+    key = PlanKey(
+        collective=collective, algorithm=algorithm, size=num_ranks, root=root,
+        nbytes=elements * 8, dtype="<f8", op=op, policy=policy_fingerprint(policy),
+    )  # fmt: skip
+    faulty = root if collective == "bcast" and fault != "absent" else num_ranks - 1
+    # The faulty rank's posts in the plan's order; the first ``crash_at`` land.
+    peers = [root] if collective == "reduce" else [r for r in range(num_ranks) if r != faulty]
+    crash_at = 1 if len(peers) > 1 else 0
+    crashes = fault == "crash" or (fault == "late" and collective != "bcast")
+    reached = set(peers[:crash_at]) if crashes else set()
+
+    world = ModelWorld(num_ranks)
+    runtimes: List[GaspiRuntime] = list(world.runtimes)
+    if crashes:
+        runtimes[faulty] = FaultyRuntime(
+            runtimes[faulty], FaultPlan.single_crash(faulty, at_op=crash_at)
+        )
+    entering = [r for r in range(num_ranks) if fault != "absent" or r != faulty]
+    plans = {r: TolerantPlan(runtimes[r], key, segment_id, policy) for r in entering}
+    if mutate_plan is not None:
+        for plan in plans.values():
+            mutate_plan(plan)
+    sendbufs, recvbufs = _payloads(collective, num_ranks, elements, root)
+    results: Dict[int, Any] = {}
+    finished: Set[int] = set()
+    wrong: List[str] = []
+    fold = get_op(op).func
+
+    def expected(rank: int, missing: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """The documented value of a survivor reporting ``missing``."""
+        if collective == "bcast":
+            return sendbufs[root] if rank == root or not missing else np.zeros(elements)
+        if collective == "reduce" and rank != root:
+            return None
+        return functools.reduce(
+            fold, [sendbufs[r] for r in range(num_ranks) if r not in missing]
+        )
+
+    def check(rank: int, when: str, missing: Tuple[int, ...]) -> None:
+        result = results[rank].detail  # its DegradedResult, which a correction updates
+        if result.missing_ranks != missing:
+            wrong.append(
+                f"rank {rank}: {algorithm} {when} reports missing ranks "
+                f"{list(result.missing_ranks)}, not {list(missing)}"
+            )
+        want = expected(rank, result.missing_ranks)
+        if want is not None and not np.array_equal(result.value, want):
+            wrong.append(
+                f"rank {rank}: {algorithm} {when} holds a value that is not "
+                "the fold over its contributors"
+            )
+
+    def rank_program(rank: int) -> Program:
+        rt = runtimes[rank]
+        if fault == "late" and rank == faulty and not crashes:
+            while len(finished) < len(plans) - 1:  # a root entering late
+                yield
+        request = CollectiveRequest(
+            collective, sendbufs[rank], recvbufs[rank], root, op, policy,
+            segment_id=segment_id,
+        )  # fmt: skip
+        try:
+            results[rank] = yield from _drive(rt, plans[rank].begin(request))
+        except RankCrashedError:
+            finished.add(rank)
+            if fault == "late":
+                while len(finished) < len(plans):  # every survivor completed
+                    yield
+                rt.recover()  # type: ignore[attr-defined]
+                send_late_contribution(rt, sendbufs[rank], plans[rank].segment_id)
+            return
+        finished.add(rank)
+        gathers = collective == "allreduce" or rank == root
+        involved = gathers or (collective == "bcast" and faulty == root)
+        lost = involved and rank != faulty and rank not in reached
+        check(rank, "call", (faulty,) if lost else ())
+        detail = results[rank].detail
+        if fault == "late" and detail.correctable:
+            yield from _drive(rt, detail.correction(DEFAULT_CORRECTION_TIMEOUT))
+            check(rank, "correction", ())
+
+    # An absent rank's program ends at once.
+    programs = [rank_program(r) if r in plans else _idle(world, 0) for r in range(num_ranks)]
+    stalled = _run_cooperative(world, programs)
+    if not stalled and not any(r.missing_ranks for r in results.values()):
+        wrong.append(f"{algorithm}: nobody completed degraded (a vacuous cell)")
+    name = (
+        f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={elements * 8}, "
+        f"{fault} rank {faulty}]"
+    )
+    return ModelRun(
+        trace=_trace(world, name, stalled),
+        world=world,
+        plans=list(plans.values()),
         sendbufs=sendbufs,
         recvbufs=recvbufs,
         algorithm=algorithm,
@@ -592,7 +772,7 @@ def build_recycle_model(
                 policy=policy,
                 segment_id=plan.segment_id,
             )
-            yield from _drive(plan, request)
+            yield from _drive(plan.runtime, plan.begin(request))
             if info.collective == "bcast":
                 got, want = sendbufs[rank], np.arange(elements) + 1.0
             elif info.collective == "allreduce" or rank == 0:

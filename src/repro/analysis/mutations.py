@@ -33,7 +33,9 @@ argument taken out of the shipped generator: a parent that no longer
 consumes its children's previous-call acks overwrites staging slots that
 may still be unread.  So do the alltoall's and the ring allgather's call
 parities (:func:`single_slot_per_peer`, :func:`single_slot_per_step`) and
-the barrier's last round (:func:`skip_last_dissemination_round`).
+the barrier's last round (:func:`skip_last_dissemination_round`).  So
+does :func:`count_unconsumed_slots`, the tolerant plans' closing drain
+counting slots nobody posted: the contributor set it reports is wrong.
 
 Three more live in the workspace *pool* and are applied through
 ``build_recycle_model(..., mutate_pool=...)``: :func:`lease_before_quiescence`,
@@ -59,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.pipeline import PipelinedBstReducePlan, PipelinedRingAllreducePlan
     from ..core.reduce import BstReducePlan
     from ..core.workspace import WorkspacePool
+    from ..faults.recovery import TolerantPlan
 
 
 def _first_post_location(
@@ -344,6 +347,23 @@ def skip_child_ack_consumes(plan: "BstBcastPlan") -> None:
     acks nobody consumes any more are overwritten unconsumed).
     """
     plan.child_ack_slots = []
+
+
+def count_unconsumed_slots(plan: "TolerantPlan") -> None:
+    """Take every slot of the closing drain as a contribution.
+
+    The tolerant plans end their detection window with a non-blocking
+    drain, so that an arrival racing the deadline is not declared missing;
+    a drain that counts what nobody posted folds the never-written slot of
+    an absent rank (zeros: invisible to a sum) and names nobody missing.
+    Only the value check sees it: expected finding class ``wrong-value``.
+    """
+    rt = plan.runtime
+
+    def everything_drained(segment_id: int, begin: int = 0, count: Optional[int] = None) -> dict:
+        return {nid: 1 for nid in range(begin, begin + (count or 0))}
+
+    rt.notify_drain = everything_drained  # type: ignore[method-assign]
 
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:

@@ -17,7 +17,8 @@ Public surface:
   generator of a :class:`~repro.core.plan.CollectivePlan`, which runs it
   blocking, incrementally (the ``i*`` API, the verifier) or cold — the
   functional collectives above but the SSP allreduce are cold calls of it;
-  registry runners are left to the MPI baselines and the tolerant trio.
+  registry runners are left to the MPI baselines (the fault-tolerant trio
+  in :mod:`repro.faults.recovery` is one such plan, never cached).
 * Schedule builders for the timing simulator and the algorithm
   :data:`~repro.core.registry.REGISTRY` the benchmark harness uses.
 """

@@ -624,19 +624,18 @@ class Communicator:
         """Cached (or freshly compiled) plan serving this request, or ``None``.
 
         ``None`` routes the call down the cold path: planning disabled
-        (capacity 0), an unplannable algorithm, a loss-capable fault plan
-        (degraded completions must keep their per-call correction
-        workspaces), or suspected ranks in play.  SSP slack is planned:
+        (capacity 0), an unplannable algorithm (the fault-tolerant trio,
+        whose degraded completions keep their per-call correction
+        workspaces), or a loss-capable fault plan.  SSP slack is planned:
         the slack is part of the key, and the cached plan keeps its
-        logical clock from call to call.
+        logical clock from call to call.  Suspicion reroutes nothing: a
+        strict plan never reads ``known_failed``.
 
         Cache state evolves in SPMD lock-step — every rank dispatches the
         same sequence with the same keys — so hits, builds and evictions
         agree on all ranks and the collective plan construction pairs up.
         """
         if self._plans.capacity == 0 or not info.plannable or self._injected:
-            return None
-        if request.metadata.get("known_failed"):
             return None
         key = bound and bound.key
         if key is None:
@@ -835,7 +834,7 @@ class Communicator:
                 self._progress.wait_plan(plan, request.timeout)
             request.segment_id = plan.segment_id
         else:
-            # Cold path: the runner leases (or reserves an id) from the pool.
+            # Cold path: a throwaway plan leases (or reserves an id) from the pool.
             request.pool = self._pool
         try:
             if plan is None:
@@ -1081,8 +1080,8 @@ class Communicator:
         Looks up the same memo as the blocking call (:meth:`_call`) and
         advances whatever plan serves the request.  Falls back to
         synchronous execution (returning an already-complete handle)
-        whenever no compiled plan can — fault plans, planning disabled,
-        or an algorithm without a planner — so ``i*``
+        whenever no cached plan can — fault plans, planning disabled,
+        or an algorithm whose plans are never cached — so ``i*``
         calls are always safe, merely not overlapped, in those regimes.
         """
         policy = policy or self._policy

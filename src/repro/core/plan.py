@@ -35,22 +35,28 @@ Nothing synchronises a plan's successive calls, so every plan is
 (consume-acks for the broadcast fan-out, one slot and one credit per tree
 edge for the BST reduce, the ring allreduce's transitive step dependency,
 call-parity slots for the strict hypercube, the alltoall, the ring
-allgather and the dissemination barrier).
+allgather and the dissemination barrier).  The fault-tolerant trio's plan
+(:class:`~repro.faults.recovery.TolerantPlan`) has none to make: it is
+never cached, since a degraded call keeps its workspace for correction.
 
 Every plan is one generator, and :class:`CollectivePlan` owns the protocol
 that runs it: a subclass writes only ``_run(request, poll_timeout)``, which
 yields a :class:`WaitSpec` where it cannot progress.  One implementation,
 three completion disciplines — :meth:`CollectivePlan.execute` drives it with
-blocking waits (:func:`drive_pipeline`, every wait bounded by
-:data:`PLAN_WAIT_TIMEOUT`), :meth:`CollectivePlan.begin` hands it out to be
-advanced incrementally (the nonblocking API, the model checker), and
-:func:`_run_cold` is a cold call: a throwaway plan.  Nothing here measures
-a wait: an attached metrics registry observes them from the runtime stack
-and changes none of them.
+blocking waits (inline, each bounded once by :data:`PLAN_WAIT_TIMEOUT`;
+a wait that timed out raises in :func:`drive_pipeline`),
+:meth:`CollectivePlan.begin` hands it out to be advanced incrementally (the
+nonblocking API, the model checker), and :func:`_run_cold` is a cold call:
+a throwaway plan.  A wait may instead be a window that expires
+(:attr:`WaitSpec.deadline`, a fault-tolerant plan's detection window):
+each way of running it resumes the generator with ``True`` when it does.
+Nothing here measures a wait: an attached metrics registry observes them
+from the runtime stack and changes none of them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -318,11 +324,18 @@ class CollectivePlan:
         """Run one planned call to completion.
 
         The generator waits inline under the bound, so the blocking path
-        pays one ``notify_waitsome`` per notification and only a wait that
-        timed out reaches the driver — which names it and raises.
+        pays one ``notify_waitsome`` per notification.  Only a wait that
+        timed out yields, and only then is :func:`drive_pipeline` called: it
+        names the wait and raises, or ends an expired window
+        (:attr:`WaitSpec.deadline`).
         """
         bound = min(request.timeout, PLAN_WAIT_TIMEOUT)
-        return drive_pipeline(self.runtime, self._run(request, bound), bound)
+        gen = self._run(request, bound)
+        try:
+            spec = next(gen)
+        except StopIteration as stop:
+            return stop.value
+        return drive_pipeline(self.runtime, gen, bound, spec)
 
     # ------------------------------------------------------------------ #
     def schedule(self, info: "AlgorithmInfo") -> "CommunicationSchedule":
@@ -414,34 +427,62 @@ class WaitSpec:
     re-checks and consumes what it needs itself, so a spurious resume is
     harmless).  ``what`` says what the range stands for ("DATA from child
     3 in call 7"); a wait that times out is reported with it.
+
+    A wait with a ``deadline`` (a :func:`time.monotonic` instant) is a
+    window that can expire — a fault-tolerant collective's detection
+    window.  Whoever drives the generator resumes it with ``True`` once
+    the deadline passed with nothing posted, instead of raising, and with
+    ``False`` on an arrival: :func:`drive_pipeline`, the ``i*`` handle and
+    the verifier's model (which expires it when no rank can progress).
     """
 
     segment_id: int
     first: int
     count: int = 1
     what: str = ""
+    deadline: Optional[float] = None
 
 
-PipelineGen = Generator[WaitSpec, None, "CollectiveResult"]
+#: A plan generator: yields what it waits for, is resumed with ``True`` when
+#: the window it waited in expired, and returns the call's result.
+PipelineGen = Generator[WaitSpec, Optional[bool], "CollectiveResult"]
 
 
 def drive_pipeline(
-    runtime: "GaspiRuntime", gen: PipelineGen, timeout: float = GASPI_BLOCK
+    runtime: "GaspiRuntime",
+    gen: PipelineGen,
+    timeout: float = GASPI_BLOCK,
+    spec: Optional[WaitSpec] = None,
 ) -> "CollectiveResult":
     """Run a pipeline generator to completion with blocking waits.
 
-    The one blocking loop, whatever wraps ``runtime``
-    (:meth:`CollectivePlan.execute`).  A wait that stays unanswered for
-    ``timeout`` seconds raises a :class:`TimeoutError` naming the rank, the
-    segment and the notification range nobody posted.
+    The one blocking loop, whatever wraps ``runtime``.  A wait that stays
+    unanswered for ``timeout`` seconds raises a :class:`TimeoutError`
+    naming the rank, the segment and the notification range nobody
+    posted; a window (:attr:`WaitSpec.deadline`) is waited out to its
+    deadline and then ends: the generator resumes with ``True``.
+
+    ``spec`` is what ``gen`` yielded after waiting inline for ``timeout``
+    itself (:meth:`CollectivePlan.execute`): each of its waits is over
+    when it yields, so this raises without waiting again.  Without one it
+    starts ``gen`` and waits for it (:meth:`begin`'s polls).
     """
+    waited = spec is not None
     try:
-        spec = next(gen)
+        if spec is None:
+            spec = next(gen)
         while True:
-            got = runtime.notify_waitsome(
+            if spec.deadline is not None:
+                left = spec.deadline - time.monotonic()
+                expired = left <= 0 or runtime.notify_waitsome(
+                    spec.segment_id, spec.first, spec.count, timeout=left
+                ) is None
+                spec = gen.send(expired)
+            elif not waited and runtime.notify_waitsome(
                 spec.segment_id, spec.first, spec.count, timeout=timeout
-            )
-            if got is None:
+            ) is not None:
+                spec = next(gen)
+            else:
                 gen.close()
                 raise TimeoutError(
                     f"rank {runtime.rank}: waited longer than {timeout}s for "
@@ -449,7 +490,6 @@ def drive_pipeline(
                     f"[{spec.first}, {spec.first + spec.count}) on segment "
                     f"{spec.segment_id}"
                 )
-            spec = next(gen)
     except StopIteration as stop:
         return stop.value
 

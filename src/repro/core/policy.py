@@ -224,8 +224,8 @@ class CollectiveRequest:
 
     def own_segment_id(self) -> int:
         """Segment id for a runner that registers its own workspace (the
-        fault-tolerant collectives, the MPI baselines): under a
-        communicator, a fresh id from its pool's range, in SPMD lock-step."""
+        MPI baselines): under a communicator, a fresh id from its pool's
+        range, in SPMD lock-step."""
         return self.segment_id if self.pool is None else self.pool.reserve_id()
 
     @property

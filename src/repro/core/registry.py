@@ -11,11 +11,11 @@ Every registered :class:`AlgorithmInfo` carries up to three things:
   :class:`~repro.core.policy.CollectiveRequest` and returning a
   :class:`~repro.core.policy.CollectiveResult`: a **planner** compiling a
   :class:`~repro.core.plan.CollectivePlan` (which also runs cold, as its
-  own throwaway plan) — every GASPI collective registered here has one —
-  or a **runner** ``run(runtime, request)``, which only the functional MPI
-  baselines (:mod:`repro.mpi.tuning`) and the fault-tolerant trio
-  (:mod:`repro.faults.recovery`) register; schedule-only entries raise a
-  descriptive error when asked to execute;
+  own throwaway plan) — every GASPI collective has one, the fault-tolerant
+  trio's (:mod:`repro.faults.recovery`) included, whose plans are never
+  cached — or a **runner** ``run(runtime, request)``, which only the
+  functional MPI baselines (:mod:`repro.mpi.tuning`) register;
+  schedule-only entries raise a descriptive error when asked to execute;
 * **capability metadata** (:class:`AlgorithmCapabilities`) describing which
   consistency policies, world sizes and dtypes the algorithm accepts, so
   dispatch failures surface as clear errors *before* any communication and
@@ -88,12 +88,13 @@ class AlgorithmCapabilities:
         ``ConsistencyPolicy.chunk_bytes`` and its schedule builder takes a
         ``chunk_bytes`` kwarg.
     verified:
-        The algorithm's compiled plan is covered by the static schedule
-        verifier (:mod:`repro.analysis`): ``python -m repro.analysis
-        --all`` models it at several rank counts/payloads and checks
-        notification matching, deadlock freedom, happens-before data-race
-        freedom and notification/offset budgets.  Set for every plannable
-        algorithm; schedule-only and cold-path-only entries are not
+        The algorithm's plan is covered by the static schedule verifier
+        (:mod:`repro.analysis`): ``python -m repro.analysis --all`` models
+        it at several rank counts/payloads (a fault-tolerant one under a
+        rank that never enters, a crash and a late contribution) and
+        checks notification matching, deadlock freedom, happens-before
+        data-race freedom, notification/offset budgets and delivered
+        values.  Set for every GASPI algorithm; the MPI baselines are not
         modelled and keep the default.
     """
 

@@ -5,8 +5,8 @@ the data or the processes has arrived; this module closes the loop for the
 *failure* regimes: thresholded broadcast / reduce / allreduce variants
 that
 
-1. **detect** non-contributing ranks through notification timeouts instead
-   of blocking forever,
+1. **detect** non-contributing ranks through a detection window that
+   expires instead of blocking forever,
 2. **complete** at the consistency policy's process threshold, recording
    exactly who was missing (:attr:`DegradedResult.missing_ranks`), and
 3. **correct**: a Küttler-style correction pass
@@ -15,41 +15,46 @@ that
    already-published result, re-converging the survivors onto the exact
    full-participation value.
 
-All three collectives use flat, rank-indexed exchanges — contribution of
-rank ``r`` lands in slot ``r`` and posts notification ``r`` — because the
-slot/notification identity is what lets a late contribution be attributed
-and folded in after the collective formally completed.  They never take a
-full-world barrier after the entry handshake: a dead rank must not be able
-to hang a survivor.
+All three are one plan, :class:`TolerantPlan`: a flat, rank-indexed
+exchange — the contribution of rank ``r`` lands in slot ``r`` and posts
+notification ``r`` — because the slot/notification identity is what lets
+a late contribution be attributed and folded in after the collective
+formally completed.  The detection window is a
+:class:`~repro.core.plan.WaitSpec` with a deadline, so a blocking call, a
+nonblocking handle and the verifier's model (``python -m repro.analysis
+--all``) end it the same way; the call and its correction pass run one
+collect step.  The plan is never cached (a degraded call keeps its
+workspace for correction) and takes no world barrier after its bounded
+entry handshake: a dead rank must not be able to hang a survivor.
 
-The variants are registered in the algorithm registry as
-``gaspi_{bcast,reduce,allreduce}_tolerant`` with the ``fault_tolerant``
-capability flag, so ``Communicator(..., faults=plan)`` auto-routes to them.
+It is registered as ``gaspi_{bcast,reduce,allreduce}_tolerant`` with the
+``fault_tolerant`` capability flag, so ``Communicator(..., faults=plan)``
+auto-routes to it; :func:`tolerant_allreduce`, :func:`tolerant_reduce`
+and :func:`tolerant_bcast` are cold calls of it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Generator, Iterable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..core import kernels
 from ..core.bcast import threshold_elements
-from ..core.policy import CollectiveRequest, CollectiveResult
-from ..core.reduce import ReduceMode
+from ..core.plan import CollectivePlan, PipelineGen, WaitSpec, drive_pipeline
+from ..core.policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
 from ..core.reduction_ops import ReductionOp, get_op
 from ..core.registry import REGISTRY, AlgorithmCapabilities
 from ..core.schedule import CommunicationSchedule, Message, Protocol
-from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.errors import GaspiError, GaspiSegmentError
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
 from ..telemetry.core import CLOCK
 from ..utils.backoff import Backoff, BackoffPolicy
 from ..utils.logging import get_logger
-from ..utils.validation import check_fraction, require
+from ..utils.validation import require
 
 logger = get_logger("faults.recovery")
 
@@ -70,9 +75,6 @@ DEFAULT_CORRECTION_TIMEOUT = 2.0
 _HANDSHAKE_BACKOFF = BackoffPolicy(
     initial=0.005, factor=2.0, max_pause=0.05, jitter=0.5
 )
-
-#: Accepted ``on_failure`` policy values (see ConsistencyPolicy).
-ON_FAILURE_MODES = ("abort", "complete")
 
 
 class DegradedCollectiveError(GaspiError):
@@ -101,6 +103,10 @@ class DegradedResult:
     was met, and — while the workspace segment is kept alive — a
     :meth:`correct` pass that folds late contributions in.
 
+    ``participants`` are the ranks this rank's result is made of: every
+    rank for an allreduce, a reduce root and a broadcast root; the root and
+    itself for a broadcast receiver; itself for a reduce child.
+
     Call :meth:`close` (or let a successful :meth:`correct` do it) once no
     late contribution is expected anymore; it releases the workspace
     segment.  Results without missing ranks need no closing.
@@ -108,40 +114,27 @@ class DegradedResult:
 
     def __init__(
         self,
-        collective: str,
-        rank: int,
-        root: Optional[int],
-        threshold: float,
-        contributors: int,
-        required: int,
-        missing_ranks: Iterable[int],
+        plan: "TolerantPlan",
         value: Optional[np.ndarray],
-        *,
-        runtime: Optional[GaspiRuntime] = None,
-        segment_id: Optional[int] = None,
-        operator: Optional[ReductionOp] = None,
-        elements: int = 0,
-        slot_bytes: int = 0,
-        data_notification: Optional[int] = None,
-        queue: int = 0,
+        participants: Iterable[int],
+        contributed: AbstractSet[int],
+        required: int,
     ) -> None:
-        self.collective = collective
-        self.rank = int(rank)
-        self.root = root
-        self.threshold = float(threshold)
-        self.contributors = int(contributors)
+        self.collective = plan.key.collective
+        self.rank = plan.runtime.rank
+        self.root: Optional[int] = None if self.collective == "allreduce" else plan.key.root
+        self.threshold = plan.threshold
         self.required = int(required)
-        self.missing_ranks: Tuple[int, ...] = tuple(sorted(int(r) for r in missing_ranks))
-        self.corrected_ranks: Tuple[int, ...] = ()
         self.value = value
-        self._runtime = runtime
-        self._segment_id = segment_id
-        self._operator = operator
-        self._elements = int(elements)
-        self._slot_bytes = int(slot_bytes)
-        self._data_notification = data_notification
-        self._queue = int(queue)
-        self._closed = runtime is None
+        self.corrected_ranks: Tuple[int, ...] = ()
+        self._plan = plan
+        self._participants = frozenset(participants)
+        self._closed = False
+        self._count(contributed)
+
+    def _count(self, contributed: AbstractSet[int]) -> None:
+        self.contributors = len(contributed)
+        self.missing_ranks: Tuple[int, ...] = tuple(sorted(self._participants - contributed))
 
     # ------------------------------------------------------------------ #
     @property
@@ -170,66 +163,35 @@ class DegradedResult:
         collective.  Returns the (possibly updated) value; when nothing is
         missing anymore the workspace segment is released.
         """
-        if self._closed or not self.missing_ranks:
+        if not self.correctable:
             return self.value
-        rt = self._runtime
-        sid = self._segment_id
-        deadline = time.monotonic() + float(timeout)
-        missing: Set[int] = set(self.missing_ranks)
-        corrected = set(self.corrected_ranks)
+        return drive_pipeline(self._plan.runtime, self.correction(timeout, math.inf))
 
-        if self.collective == "bcast" and self.rank != self.root:
-            # Receiver that never got the payload: wait for the late root.
-            remaining = deadline - time.monotonic()
-            got = rt.notify_waitsome(
-                sid, self._data_notification, 1, timeout=max(remaining, 0.0)
-            )
-            if got is not None and rt.notify_reset(sid, got) > 0:
-                self.value[: self._elements] = rt.segment_read(
-                    sid, dtype=self.value.dtype, offset=0, count=self._elements
-                )
-                try:
-                    rt.notify(self.root, sid, self.rank, queue=self._queue)
-                    rt.wait(self._queue)
-                except GaspiError:
-                    pass  # the root may have released its workspace already
-                missing.discard(self.root)
-                corrected.add(self.root)
-                self.contributors += 1
-        else:
-            # Gather-style correction (allreduce everywhere, reduce at the
-            # root, broadcast-root ack collection): same collect loop as
-            # the main detection phase, over the still-missing ranks.
-            remaining = deadline - time.monotonic()
-            arrived = _gather_contributions(
-                rt,
-                sid,
-                self.value,
-                self._operator,
-                self._elements,
-                self._slot_bytes,
-                set(missing),
-                max(remaining, 0.0),
-                already_counted=set(range(rt.size)) - set(missing),
-            )
-            missing -= arrived
-            corrected |= arrived
-            self.contributors += len(arrived)
-
-        newly = corrected - set(self.corrected_ranks)
-        if newly:
+    def correction(
+        self, timeout: float, poll_timeout: float = 0.0
+    ) -> Generator[WaitSpec, Optional[bool], Optional[np.ndarray]]:
+        """:meth:`correct` as a plan generator: the call's collect step
+        again, over the missing ranks, in a window of ``timeout`` seconds
+        (each inline wait bounded by ``poll_timeout``, as in
+        :meth:`TolerantPlan._run`).  Returns the value."""
+        missing = set(self.missing_ranks)
+        contributed = self._participants - missing
+        arrived = yield from self._plan._collect(
+            self.value, missing, contributed, time.monotonic() + timeout, poll_timeout
+        )
+        if arrived:
             logger.info(
                 "rank %d: correction folded late contribution(s) from "
                 "ranks %s into %s result%s",
-                self.rank, sorted(newly), self.collective,
-                "" if missing else " (now complete)",
+                self.rank, sorted(arrived), self.collective,
+                "" if arrived == missing else " (still incomplete)",
             )
-            tel = getattr(rt, "telemetry", None)
+            tel = getattr(self._plan.runtime, "telemetry", None)
             if tel is not None and tel.enabled:
-                tel.counter("faults.corrections").add(len(newly))
-        self.missing_ranks = tuple(sorted(missing))
-        self.corrected_ranks = tuple(sorted(corrected))
-        if not missing:
+                tel.counter("faults.corrections").add(len(arrived))
+        self.corrected_ranks = tuple(sorted(set(self.corrected_ranks) | arrived))
+        self._count(contributed | arrived)
+        if self.complete:
             self.close()
         return self.value
 
@@ -239,7 +201,7 @@ class DegradedResult:
             return
         self._closed = True
         try:
-            self._runtime.segment_delete(self._segment_id)
+            self._plan.runtime.segment_delete(self._plan.segment_id)
         except GaspiError:  # pragma: no cover - already gone
             pass
 
@@ -254,20 +216,6 @@ class DegradedResult:
 # --------------------------------------------------------------------------- #
 # shared helpers
 # --------------------------------------------------------------------------- #
-def _required_contributors(size: int, threshold: float) -> int:
-    """Minimum contributor count for a process threshold over ``size`` ranks."""
-    return max(1, math.ceil(threshold * size - 1e-9))
-
-
-def _alive_ranks(size: int, rank: int, known_failed) -> list:
-    known = {int(r) for r in known_failed}
-    require(
-        rank not in known,
-        f"rank {rank} cannot run a collective it is itself suspected dead in",
-    )
-    return [r for r in range(size) if r not in known]
-
-
 def _entry_handshake(
     runtime: GaspiRuntime, alive: Sequence[int], timeout: float
 ) -> None:
@@ -275,15 +223,17 @@ def _entry_handshake(
 
     A plain group barrier would deadlock whenever the participants'
     ``known_failed`` views diverge (e.g. a rank crashed *mid*-send, so
-    some survivors received its contribution and some did not): mismatched
-    groups wait on mismatched barriers forever.  Instead the barrier is
-    retried in jittered-backoff slices of the detection timeout
-    (:class:`~repro.utils.backoff.Backoff`) and a final miss is tolerated
-    — a straggler that arrives mid-window still synchronizes on a later
+    some survivors received its contribution and some did not):
+    mismatched groups wait on mismatched barriers forever.  Instead the
+    barrier is retried in jittered-backoff slices of the detection timeout
+    (:class:`~repro.utils.backoff.Backoff`) and a final miss is tolerated —
+    a straggler that arrives mid-window still synchronizes on a later
     slice, every rank that entered the collective has already created its
-    workspace, and a write to a rank that never entered surfaces as a
-    segment error the senders catch (:func:`_safe_write_notify`), turning
-    disagreement into a detection latency cost rather than a hang.
+    workspace, and a post to a rank that never entered surfaces as a
+    segment error the senders catch (:func:`_reaches`), turning
+    disagreement into a detection latency cost rather than a hang.  So no
+    step of the protocol may rely on it: the verifier records it as no
+    synchronisation at all.
     """
     if len(alive) <= 1:
         return
@@ -301,127 +251,250 @@ def _entry_handshake(
                 return
 
 
-def _safe_write_notify(runtime: GaspiRuntime, **kwargs) -> bool:
-    """Post a write_notify, tolerating an unreachable target.
+def _reaches(post, *args, **kwargs) -> bool:
+    """Run one post, tolerating an unreachable target.
 
-    Returns False when the target rank never created the workspace (it is
-    dead, or suspects a different rank set) — RDMA into nothing; the
-    sender simply moves on and the target shows up as missing.  Injected
-    crashes (:class:`~repro.faults.injection.RankCrashedError`) still
-    propagate: the *sender* dying is not an unreachable target.
+    Returns False when the target rank has no workspace (it is dead,
+    suspects a different rank set, or released it already) — RDMA into
+    nothing; the sender simply moves on and the target shows up as
+    missing.  Injected crashes (:class:`~repro.faults.injection.RankCrashedError`)
+    still propagate: the *sender* dying is not an unreachable target.
     """
     try:
-        runtime.write_notify(**kwargs)
+        post(*args, **kwargs)
         return True
     except GaspiSegmentError:
         return False
 
 
-def _gather_contributions(
-    runtime: GaspiRuntime,
-    segment_id: int,
-    accumulator: np.ndarray,
-    operator: Optional[ReductionOp],
-    elements: int,
-    slot_bytes: int,
-    expected: Set[int],
-    detect_timeout: float,
-    already_counted: Set[int],
-) -> Set[int]:
-    """Collect slot-indexed contributions until all arrived or the timeout.
+# --------------------------------------------------------------------------- #
+# the plan
+# --------------------------------------------------------------------------- #
+class TolerantPlan(CollectivePlan):
+    """The tolerant trio's one protocol: a flat, rank-slot-indexed exchange.
 
-    Returns the set of ranks whose contribution was folded into
-    ``accumulator`` (``operator=None`` collects pure notifications, e.g.
-    broadcast acks).  Only the ranks in ``expected`` are *waited* for, but
-    any arriving contribution not in ``already_counted`` is folded — a
-    rank wrongly suspected dead (it merely straggled past an earlier
-    detection window) must not have its notification consumed and its
-    data discarded.  Ends with a non-blocking drain so an arrival racing
-    the deadline is not misclassified as missing.
+    Three roles, one send step and one collect step (:meth:`_collect`):
+
+    * **allreduce** — every rank writes its vector into slot ``rank`` of
+      every live peer (notification ``rank``) and folds what arrives;
+    * **reduce** — the children write slot ``rank`` of the root, which
+      folds; a child is done once its write is flushed, so a dead root
+      cannot hang it;
+    * **bcast** — the root writes the payload (the leading ``threshold``
+      fraction in DATA mode, all of it in PROCESSES mode) to every live
+      rank under notification ``size``, and collects their data-free
+      acknowledgements (notification ``rank``).
+
+    Posts go out in rank order.  The collect step waits in a detection
+    window (a :class:`~repro.core.plan.WaitSpec` with a deadline) and
+    completes at the process threshold with the missing ranks named in a
+    :class:`DegradedResult`, whose correction pass runs the same step again.
+    Ranks in the request's ``known_failed`` metadata are neither written
+    to nor waited for; its ``detect_timeout`` is the window (default
+    :data:`DEFAULT_DETECT_TIMEOUT`, or the request's timeout if shorter).
+
+    Never cached: a degraded call keeps its workspace for correction, so
+    each call registers a segment of its own — under a communicator a
+    ``reserve_id`` one — which the result releases (at once when nothing
+    is missing).  There is no world barrier, only the bounded entry
+    handshake (:func:`_entry_handshake`).  A rank that crashes mid-call
+    keeps its segment.
     """
-    size = runtime.size
-    received: Set[int] = set()
-    t_detect = CLOCK()
 
-    def fold(nid: int) -> None:
-        if operator is not None:
-            # The slot must be copied out (unlike the fault-free folds): a
-            # recovered rank may re-send its late contribution into the same
-            # slot while we reduce, and a torn read here would corrupt the
-            # accumulator.  The fold itself still runs the vectorized kernel.
-            slot = runtime.segment_read(
-                segment_id,
-                dtype=accumulator.dtype,
-                offset=nid * slot_bytes,
-                count=elements,
+    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
+        super().__init__(runtime, key, segment_id, pool)
+        size = runtime.size
+        require(0 <= key.root < size, f"root {key.root} outside world of {size}")
+        self.threshold = policy.threshold
+        self.on_failure = policy.on_failure
+        self.operator: ReductionOp = get_op(key.op)
+        self.queue = 0
+        elements = key.nbytes // self.key_dtype.itemsize
+        #: Contributors the process threshold asks of a collecting rank
+        #: (``None``: every participant — a DATA-mode broadcast).
+        self.quorum: Optional[int] = max(1, math.ceil(policy.threshold * size - 1e-9))
+        if key.collective == "bcast" and policy.mode is ReduceMode.DATA:
+            elements = threshold_elements(elements, policy.threshold)
+            self.quorum = None
+        self.elements = elements
+        self.slot_bytes = elements * self.key_dtype.itemsize
+        workspace = self.slot_bytes if key.collective == "bcast" else size * self.slot_bytes
+        if pool is not None:
+            self.segment_id = pool.reserve_id()
+        runtime.segment_create(self.segment_id, max(workspace, 8))
+
+    def _run(self, request: CollectiveRequest, poll_timeout: float) -> PipelineGen:
+        rt, sid = self.runtime, self.segment_id
+        rank, size, root = rt.rank, rt.size, self.key.root
+        collective = self.key.collective
+        sendbuf = np.ascontiguousarray(request.sendbuf)
+        known = {int(r) for r in request.metadata.get("known_failed", ())}
+        try:
+            require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
+            require(
+                rank not in known,
+                f"rank {rank} cannot run a collective it is itself suspected dead in",
             )
-            kernels.reduce_into(operator, accumulator, slot)
-        received.add(nid)
-
-    deadline = time.monotonic() + float(detect_timeout)
-    while expected - received:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        nid = runtime.notify_waitsome(segment_id, 0, size, timeout=remaining)
-        if nid is None:
-            break
-        if runtime.notify_reset(segment_id, nid) == 0:
-            continue
-        if nid not in received and nid not in already_counted:
-            fold(nid)
-    for nid, value in runtime.notify_drain(segment_id, 0, size).items():
-        if value > 0 and nid not in received and nid not in already_counted:
-            fold(nid)
-    absent = expected - received
-    if absent:
-        # Suspicion latency: how long the detection window actually ran
-        # before these ranks were declared missing (≤ detect_timeout).
-        elapsed = CLOCK() - t_detect
-        logger.info(
-            "rank %d: declaring ranks %s missing after %.3fs detection window",
-            runtime.rank, sorted(absent), elapsed,
+            require(
+                collective == "allreduce" or root not in known,
+                f"root {root} is in known_failed; pick a live root",
+            )
+        except ValueError:
+            rt.segment_delete(sid)  # nobody posts to a call that never started
+            raise
+        alive = [r for r in range(size) if r not in known]
+        window = float(
+            request.metadata.get("detect_timeout", min(request.timeout, DEFAULT_DETECT_TIMEOUT))
         )
-        tel = getattr(runtime, "telemetry", None)
-        if tel is not None and tel.enabled:
-            tel.counter("faults.suspicions").add(len(absent))
-            tel.histogram("faults.suspicion_latency_s").observe(elapsed)
-    return received
+        self.queue = queue = request.queue
+        _entry_handshake(rt, alive, window)
 
+        gathers = collective == "allreduce" or rank == root
+        if collective == "bcast":
+            value = sendbuf
+            source, offset, nid = sendbuf[: self.elements], 0, size
+        else:
+            value = None
+            if gathers:
+                value = sendbuf.copy() if request.recvbuf is None else np.asarray(request.recvbuf)
+                require(value.size == sendbuf.size, "recvbuf must match sendbuf's length")
+                value[:] = sendbuf
+            source, offset, nid = sendbuf, rank * self.slot_bytes, rank
+        # Send step (an allreduce, a reduce child, a broadcast root).  An
+        # injected crash propagates as RankCrashedError from here; the
+        # rank's segment stays behind for the survivors.
+        if collective == "allreduce" or (rank == root) == (collective == "bcast"):
+            peers = [r for r in alive if r != rank] if gathers else [root]
+            for peer in peers:
+                _reaches(rt.write_notify_from, source, peer, sid, offset, nid, queue=queue)
+            if peers:
+                rt.wait(queue)
 
-def _resolve_on_failure(on_failure: str) -> str:
-    require(
-        on_failure in ON_FAILURE_MODES,
-        f"on_failure must be one of {ON_FAILURE_MODES}, got {on_failure!r}",
-    )
-    return on_failure
+        receiver = collective == "bcast" and not gathers
+        expected = {root} if receiver else set(alive) - {rank} if gathers else set()
+        arrived: Set[int] = set()
+        if expected:
+            arrived = yield from self._collect(
+                value, expected, {rank}, time.monotonic() + window, poll_timeout
+            )
+        participants = range(size) if gathers else {rank, root} if receiver else {rank}
+        required = self.quorum if gathers and self.quorum is not None else len(participants)
+        self.calls += 1
+        detail = DegradedResult(self, value, participants, arrived | {rank}, required)
+        if detail.complete:
+            detail.close()
+        else:
+            logger.info(
+                "rank %d: %s completed degraded, missing_ranks=%s "
+                "(%d/%d contributors, threshold %s)",
+                rank, collective, list(detail.missing_ranks),
+                detail.contributors, detail.required,
+                "met" if detail.met_threshold else "NOT met",
+            )
+        if not detail.met_threshold and self.on_failure == "abort":
+            raise DegradedCollectiveError(detail)
+        return CollectiveResult(value=value, detail=detail, missing_ranks=detail.missing_ranks)
 
+    def _collect(
+        self,
+        value: Optional[np.ndarray],
+        expected: Set[int],
+        counted: AbstractSet[int],
+        deadline: float,
+        poll_timeout: float,
+    ) -> Generator[WaitSpec, Optional[bool], Set[int]]:
+        """The collect step of a call and of its correction pass.
 
-def _finish(detail: DegradedResult, on_failure: str) -> DegradedResult:
-    """Apply the threshold verdict and decide the workspace's fate.
+        Waits for the contributions of ``expected`` until they all arrived
+        or ``deadline`` passed, and takes each one that arrives from a rank
+        not in ``counted``: folds it into ``value`` (allreduce, reduce),
+        copies the payload into ``value`` and acknowledges it (a broadcast
+        receiver), or counts the acknowledgement (a broadcast root).  Only
+        ``expected`` is waited for, but a rank wrongly suspected dead — it
+        merely straggled past an earlier window — must not have its
+        notification consumed and its data discarded.  Ends with a
+        non-blocking drain, so an arrival racing the deadline is not
+        declared missing.  Returns the ranks taken.
+        """
+        rt, sid = self.runtime, self.segment_id
+        rank, size, root = rt.rank, rt.size, self.key.root
+        receiver = self.key.collective == "bcast" and rank != root
+        first, count = (size, 1) if receiver else (0, size)
+        taken: Set[int] = set()
 
-    The segment is released immediately only when nothing is missing;
-    otherwise it stays alive so :meth:`DegradedResult.correct` can absorb
-    late contributions (and a late writer never hits a deleted segment).
-    """
-    if detail.missing_ranks:
-        logger.info(
-            "rank %d: %s completed degraded, missing_ranks=%s "
-            "(%d/%d contributors, threshold %s)",
-            detail.rank, detail.collective, list(detail.missing_ranks),
-            detail.contributors, detail.required,
-            "met" if detail.met_threshold else "NOT met",
-        )
-    if detail.complete:
-        detail.close()
-    if not detail.met_threshold and on_failure == "abort":
-        raise DegradedCollectiveError(detail)
-    return detail
+        def take(nid: int) -> None:
+            source = root if receiver else nid
+            if source in taken or source in counted:
+                return
+            if receiver:
+                value[: self.elements] = rt.segment_read(
+                    sid, dtype=self.key_dtype, count=self.elements
+                )
+                _reaches(rt.notify, root, sid, rank, queue=self.queue)
+                rt.wait(self.queue)
+            elif self.key.collective != "bcast":
+                # Copied out, unlike the fault-free folds: a recovered rank
+                # may re-send into the slot while this rank folds.  Read in
+                # the contribution's dtype, whatever the accumulator's.
+                slot = rt.segment_read(
+                    sid, dtype=self.key_dtype, offset=nid * self.slot_bytes,
+                    count=self.elements,
+                )  # fmt: skip
+                kernels.reduce_into(self.operator, value, slot)
+            taken.add(source)
+
+        what = f"{self.key.collective} contributions of ranks {sorted(expected)}"
+        t_detect = CLOCK()
+        while expected - taken:
+            left = deadline - time.monotonic()
+            nid = rt.notify_waitsome(sid, first, count, timeout=max(0.0, min(poll_timeout, left)))
+            if nid is None:
+                if (yield WaitSpec(sid, first, count, what, deadline)):
+                    break
+            elif rt.notify_reset(sid, nid):
+                take(nid)
+        for nid, posted in rt.notify_drain(sid, first, count).items():
+            if posted:
+                take(nid)
+        absent = expected - taken
+        if absent:
+            # Suspicion latency: how long the detection window actually ran
+            # before these ranks were declared missing.
+            elapsed = CLOCK() - t_detect
+            logger.info(
+                "rank %d: declaring ranks %s missing after %.3fs detection window",
+                rank, sorted(absent), elapsed,
+            )
+            tel = getattr(rt, "telemetry", None)
+            if tel is not None and tel.enabled:
+                tel.counter("faults.suspicions").add(len(absent))
+                tel.histogram("faults.suspicion_latency_s").observe(elapsed)
+        return taken
 
 
 # --------------------------------------------------------------------------- #
-# allreduce
+# entry points (cold calls of the plan)
 # --------------------------------------------------------------------------- #
+def _cold_call(
+    collective: str,
+    runtime: GaspiRuntime,
+    sendbuf: np.ndarray,
+    recvbuf: Optional[np.ndarray],
+    root: int,
+    op: str | ReductionOp,
+    policy: ConsistencyPolicy,
+    detect_timeout: float,
+    known_failed: Iterable[int],
+    segment_id: int,
+    queue: int,
+) -> DegradedResult:
+    request = CollectiveRequest(
+        collective, sendbuf, recvbuf, root, op, policy, segment_id=segment_id,
+        queue=queue, metadata={"detect_timeout": detect_timeout, "known_failed": known_failed},
+    )  # fmt: skip
+    return REGISTRY.get(f"gaspi_{collective}_tolerant").run(runtime, request).detail
+
+
 def tolerant_allreduce(
     runtime: GaspiRuntime,
     sendbuf: np.ndarray,
@@ -444,71 +517,11 @@ def tolerant_allreduce(
     a correction pass.  Ranks in ``known_failed`` are skipped outright —
     they are neither written to nor waited for.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    check_fraction(threshold, "threshold")
-    on_failure = _resolve_on_failure(on_failure)
-    operator = get_op(op)
-    rank, size = runtime.rank, runtime.size
-    alive = _alive_ranks(size, rank, known_failed)
-    elements = sendbuf.size
-    slot_bytes = sendbuf.nbytes
-
-    runtime.segment_create(segment_id, max(size * slot_bytes, 8))
-    _entry_handshake(runtime, alive, detect_timeout)
-
-    if recvbuf is not None:
-        out = np.asarray(recvbuf)
-        require(out.size == elements, "recvbuf must match sendbuf's length")
-        out[:] = sendbuf
-    else:
-        out = sendbuf.copy()
-
-    # Send phase: an injected crash propagates as RankCrashedError from
-    # here; the rank's segment stays behind for the survivors.
-    staged = runtime.segment_view(
-        segment_id, dtype=sendbuf.dtype, offset=rank * slot_bytes, count=elements
-    )
-    staged[:] = sendbuf
-    for peer in alive:
-        if peer == rank:
-            continue
-        _safe_write_notify(
-            runtime,
-            segment_id_local=segment_id,
-            offset_local=rank * slot_bytes,
-            target_rank=peer,
-            segment_id_remote=segment_id,
-            offset_remote=rank * slot_bytes,
-            size=slot_bytes,
-            notification_id=rank,
-            queue=queue,
-        )
-    runtime.wait(queue)
-
-    expected = set(alive) - {rank}
-    received = _gather_contributions(
-        runtime, segment_id, out, operator, elements, slot_bytes, expected,
-        detect_timeout, already_counted={rank},
-    )
-    contributed = received | {rank}
-    detail = DegradedResult(
-        collective="allreduce",
-        rank=rank,
-        root=None,
-        threshold=threshold,
-        contributors=len(contributed),
-        required=_required_contributors(size, threshold),
-        missing_ranks=set(range(size)) - contributed,
-        value=out,
-        runtime=runtime,
-        segment_id=segment_id,
-        operator=operator,
-        elements=elements,
-        slot_bytes=slot_bytes,
-        queue=queue,
-    )
-    return _finish(detail, on_failure)
+    policy = ConsistencyPolicy(threshold, ReduceMode.PROCESSES, on_failure=on_failure)
+    return _cold_call(
+        "allreduce", runtime, sendbuf, recvbuf, 0, op, policy, detect_timeout,
+        known_failed, segment_id, queue,
+    )  # fmt: skip
 
 
 def send_late_contribution(
@@ -541,35 +554,20 @@ def send_late_contribution(
     """
     sendbuf = np.ascontiguousarray(sendbuf)
     rank = runtime.rank
-    slot_bytes = sendbuf.nbytes
     peers = range(runtime.size) if targets is None else targets
-    staged = runtime.segment_view(
-        segment_id, dtype=sendbuf.dtype, offset=rank * slot_bytes, count=sendbuf.size
-    )
-    staged[:] = sendbuf
-    reached = []
-    for peer in peers:
-        if int(peer) == rank:
-            continue
-        if _safe_write_notify(
-            runtime,
-            segment_id_local=segment_id,
-            offset_local=rank * slot_bytes,
-            target_rank=int(peer),
-            segment_id_remote=segment_id,
-            offset_remote=rank * slot_bytes,
-            size=slot_bytes,
-            notification_id=rank,
-            queue=queue,
-        ):
-            reached.append(int(peer))
+    reached = [
+        int(peer)
+        for peer in peers
+        if int(peer) != rank
+        and _reaches(
+            runtime.write_notify_from, sendbuf, int(peer), segment_id,
+            rank * sendbuf.nbytes, rank, queue=queue,
+        )  # fmt: skip
+    ]
     runtime.wait(queue)
     return sorted(reached)
 
 
-# --------------------------------------------------------------------------- #
-# reduce
-# --------------------------------------------------------------------------- #
 def tolerant_reduce(
     runtime: GaspiRuntime,
     sendbuf: np.ndarray,
@@ -592,88 +590,13 @@ def tolerant_reduce(
     complete as soon as their send is flushed, so a dead root cannot hang
     them.
     """
-    sendbuf = np.ascontiguousarray(sendbuf)
-    require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    check_fraction(threshold, "threshold")
-    on_failure = _resolve_on_failure(on_failure)
-    require(
-        int(root) not in {int(r) for r in known_failed},
-        f"root {root} is in known_failed; pick a live root",
-    )
-    operator = get_op(op)
-    rank, size = runtime.rank, runtime.size
-    alive = _alive_ranks(size, rank, known_failed)
-    elements = sendbuf.size
-    slot_bytes = sendbuf.nbytes
-
-    runtime.segment_create(segment_id, max(size * slot_bytes, 8))
-    _entry_handshake(runtime, alive, detect_timeout)
-
-    if rank != root:
-        staged = runtime.segment_view(
-            segment_id, dtype=sendbuf.dtype, offset=rank * slot_bytes, count=elements
-        )
-        staged[:] = sendbuf
-        _safe_write_notify(
-            runtime,
-            segment_id_local=segment_id,
-            offset_local=rank * slot_bytes,
-            target_rank=root,
-            segment_id_remote=segment_id,
-            offset_remote=rank * slot_bytes,
-            size=slot_bytes,
-            notification_id=rank,
-            queue=queue,
-        )
-        runtime.wait(queue)
-        # Nothing is ever written into a child's workspace: release it now.
-        runtime.segment_delete(segment_id)
-        return DegradedResult(
-            collective="reduce",
-            rank=rank,
-            root=root,
-            threshold=threshold,
-            contributors=1,
-            required=1,
-            missing_ranks=(),
-            value=None,
-        )
-
-    if recvbuf is not None:
-        out = np.asarray(recvbuf)
-        require(out.size == elements, "recvbuf must match sendbuf's length")
-        out[:] = sendbuf
-    else:
-        out = sendbuf.copy()
-    expected = set(alive) - {root}
-    received = _gather_contributions(
-        runtime, segment_id, out, operator, elements, slot_bytes, expected,
-        detect_timeout, already_counted={root},
-    )
-    contributed = received | {root}
-    detail = DegradedResult(
-        collective="reduce",
-        rank=rank,
-        root=root,
-        threshold=threshold,
-        contributors=len(contributed),
-        required=_required_contributors(size, threshold),
-        missing_ranks=set(range(size)) - contributed,
-        value=out,
-        runtime=runtime,
-        segment_id=segment_id,
-        operator=operator,
-        elements=elements,
-        slot_bytes=slot_bytes,
-        queue=queue,
-    )
-    return _finish(detail, on_failure)
+    policy = ConsistencyPolicy(threshold, ReduceMode.PROCESSES, on_failure=on_failure)
+    return _cold_call(
+        "reduce", runtime, sendbuf, recvbuf, root, op, policy, detect_timeout,
+        known_failed, segment_id, queue,
+    )  # fmt: skip
 
 
-# --------------------------------------------------------------------------- #
-# bcast
-# --------------------------------------------------------------------------- #
 def tolerant_bcast(
     runtime: GaspiRuntime,
     buffer: np.ndarray,
@@ -695,116 +618,11 @@ def tolerant_bcast(
     recorded missing (their buffer is left untouched until a correction
     pass delivers the late payload).
     """
-    buffer = np.ascontiguousarray(buffer)
-    require(buffer.ndim == 1 and buffer.size > 0, "buffer must be a non-empty vector")
-    require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    check_fraction(threshold, "threshold")
-    mode = ReduceMode(mode)
-    on_failure = _resolve_on_failure(on_failure)
-    require(
-        int(root) not in {int(r) for r in known_failed},
-        f"root {root} is in known_failed; pick a live root",
-    )
-    rank, size = runtime.rank, runtime.size
-    alive = _alive_ranks(size, rank, known_failed)
-    if mode is ReduceMode.DATA:
-        elements = threshold_elements(buffer.size, threshold)
-        required = size
-    else:
-        elements = buffer.size
-        required = _required_contributors(size, threshold)
-    payload_bytes = elements * buffer.itemsize
-    data_notification = size  # beyond the rank-indexed ack ids
-
-    runtime.segment_create(segment_id, max(payload_bytes, 8))
-    _entry_handshake(runtime, alive, detect_timeout)
-
-    if rank == root:
-        staged = runtime.segment_view(segment_id, dtype=buffer.dtype, count=elements)
-        staged[:] = buffer[:elements]
-        for peer in alive:
-            if peer == root:
-                continue
-            _safe_write_notify(
-                runtime,
-                segment_id_local=segment_id,
-                offset_local=0,
-                target_rank=peer,
-                segment_id_remote=segment_id,
-                offset_remote=0,
-                size=payload_bytes,
-                notification_id=data_notification,
-                queue=queue,
-            )
-        runtime.wait(queue)
-        expected = set(alive) - {root}
-        acked = _gather_contributions(
-            runtime, segment_id, buffer, None, elements, payload_bytes, expected,
-            detect_timeout, already_counted={root},
-        )
-        contributed = acked | {root}
-        detail = DegradedResult(
-            collective="bcast",
-            rank=rank,
-            root=root,
-            threshold=threshold,
-            contributors=len(contributed),
-            required=required,
-            missing_ranks=set(range(size)) - contributed,
-            value=buffer,
-            runtime=runtime,
-            segment_id=segment_id,
-            operator=None,
-            elements=elements,
-            slot_bytes=payload_bytes,
-            queue=queue,
-        )
-        return _finish(detail, on_failure)
-
-    got = runtime.notify_waitsome(segment_id, data_notification, 1, timeout=detect_timeout)
-    if got is not None and runtime.notify_reset(segment_id, got) > 0:
-        buffer[:elements] = runtime.segment_read(
-            segment_id, dtype=buffer.dtype, offset=0, count=elements
-        )
-        runtime.notify(root, segment_id, rank, queue=queue)
-        runtime.wait(queue)
-        detail = DegradedResult(
-            collective="bcast",
-            rank=rank,
-            root=root,
-            threshold=threshold,
-            contributors=2,  # the root's payload and this rank
-            required=2,
-            missing_ranks=(),
-            value=buffer,
-            runtime=runtime,
-            segment_id=segment_id,
-            operator=None,
-            elements=elements,
-            slot_bytes=payload_bytes,
-            data_notification=data_notification,
-            queue=queue,
-        )
-        return _finish(detail, on_failure)
-
-    detail = DegradedResult(
-        collective="bcast",
-        rank=rank,
-        root=root,
-        threshold=threshold,
-        contributors=1,
-        required=2,
-        missing_ranks=(root,),
-        value=buffer,
-        runtime=runtime,
-        segment_id=segment_id,
-        operator=None,
-        elements=elements,
-        slot_bytes=payload_bytes,
-        data_notification=data_notification,
-        queue=queue,
-    )
-    return _finish(detail, on_failure)
+    policy = ConsistencyPolicy(threshold, ReduceMode(mode), on_failure=on_failure)
+    return _cold_call(
+        "bcast", runtime, buffer, None, root, "sum", policy, detect_timeout,
+        known_failed, segment_id, queue,
+    )  # fmt: skip
 
 
 # --------------------------------------------------------------------------- #
@@ -936,123 +754,35 @@ def tolerant_bcast_schedule(
 # --------------------------------------------------------------------------- #
 # registry integration
 # --------------------------------------------------------------------------- #
-def _detect_timeout_for(request: CollectiveRequest) -> float:
-    override = request.metadata.get("detect_timeout")
-    if override is not None:
-        return float(override)
-    if request.timeout != GASPI_BLOCK:
-        return float(request.timeout)
-    return DEFAULT_DETECT_TIMEOUT
-
-
-def _run_allreduce_tolerant(runtime, request: CollectiveRequest) -> CollectiveResult:
-    detail = tolerant_allreduce(
-        runtime,
-        request.sendbuf,
-        recvbuf=request.recvbuf,
-        op=request.op,
-        threshold=request.policy.threshold,
-        on_failure=request.policy.on_failure,
-        detect_timeout=_detect_timeout_for(request),
-        known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.own_segment_id(),
-        queue=request.queue,
-    )
-    return CollectiveResult(
-        value=detail.value, detail=detail, missing_ranks=detail.missing_ranks
-    )
-
-
-def _run_reduce_tolerant(runtime, request: CollectiveRequest) -> CollectiveResult:
-    detail = tolerant_reduce(
-        runtime,
-        request.sendbuf,
-        recvbuf=request.recvbuf,
-        root=request.root,
-        op=request.op,
-        threshold=request.policy.threshold,
-        on_failure=request.policy.on_failure,
-        detect_timeout=_detect_timeout_for(request),
-        known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.own_segment_id(),
-        queue=request.queue,
-    )
-    return CollectiveResult(
-        value=detail.value, detail=detail, missing_ranks=detail.missing_ranks
-    )
-
-
-def _run_bcast_tolerant(runtime, request: CollectiveRequest) -> CollectiveResult:
-    detail = tolerant_bcast(
-        runtime,
-        request.sendbuf,
-        root=request.root,
-        threshold=request.policy.threshold,
-        mode=request.policy.mode,
-        on_failure=request.policy.on_failure,
-        detect_timeout=_detect_timeout_for(request),
-        known_failed=request.metadata.get("known_failed", ()),
-        segment_id=request.own_segment_id(),
-        queue=request.queue,
-    )
-    return CollectiveResult(
-        value=request.sendbuf, detail=detail, missing_ranks=detail.missing_ranks
-    )
-
-
 def _register_fault_tolerant_algorithms() -> None:
     if "gaspi_allreduce_tolerant" in REGISTRY:
         return
-    REGISTRY.register(
-        "gaspi_allreduce_tolerant",
-        collective="allreduce",
-        family="gaspi",
-        builder=tolerant_allreduce_schedule,
-        runner=_run_allreduce_tolerant,
-        capabilities=AlgorithmCapabilities(
-            supports_threshold=True,
-            modes=("processes",),
-            supports_op=True,
-            fault_tolerant=True,
-        ),
-        description=(
-            "Flat-exchange allreduce with failure detection, degraded "
-            "completion at the process threshold, and correction"
-        ),
-    )
-    REGISTRY.register(
-        "gaspi_reduce_tolerant",
-        collective="reduce",
-        family="gaspi",
-        builder=tolerant_reduce_schedule,
-        runner=_run_reduce_tolerant,
-        capabilities=AlgorithmCapabilities(
-            supports_threshold=True,
-            modes=("processes",),
-            supports_op=True,
-            fault_tolerant=True,
-        ),
-        description=(
-            "Flat-gather reduce with failure detection at the root and "
-            "Küttler-style correction of late contributions"
-        ),
-    )
-    REGISTRY.register(
-        "gaspi_bcast_tolerant",
-        collective="bcast",
-        family="gaspi",
-        builder=tolerant_bcast_schedule,
-        runner=_run_bcast_tolerant,
-        capabilities=AlgorithmCapabilities(
-            supports_threshold=True,
-            modes=("data", "processes"),
-            fault_tolerant=True,
-        ),
-        description=(
-            "Flat broadcast with acknowledgement timeouts and late-payload "
-            "correction on receivers"
-        ),
-    )
+    for collective, builder, modes, description in (
+        ("allreduce", tolerant_allreduce_schedule, ("processes",),
+         "Flat-exchange allreduce with failure detection, degraded "
+         "completion at the process threshold, and correction"),
+        ("reduce", tolerant_reduce_schedule, ("processes",),
+         "Flat-gather reduce with failure detection at the root and "
+         "Küttler-style correction of late contributions"),
+        ("bcast", tolerant_bcast_schedule, ("data", "processes"),
+         "Flat broadcast with acknowledgement timeouts and late-payload "
+         "correction on receivers"),
+    ):  # fmt: skip
+        REGISTRY.register(
+            f"gaspi_{collective}_tolerant",
+            collective=collective,
+            family="gaspi",
+            builder=builder,
+            planner=TolerantPlan,
+            capabilities=AlgorithmCapabilities(
+                supports_threshold=True,
+                modes=modes,
+                supports_op=collective != "bcast",
+                fault_tolerant=True,
+                verified=True,
+            ),
+            description=description,
+        )
 
 
 _register_fault_tolerant_algorithms()

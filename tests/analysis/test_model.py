@@ -142,8 +142,12 @@ def test_analyze_reports_trace_name():
 # --------------------------------------------------------------------------- #
 # registry flag
 # --------------------------------------------------------------------------- #
-def test_verified_capability_matches_plannable():
-    # Exactly the plannable algorithms are covered by the verifier; the
-    # schedule-only and cold-path-only entries keep the default.
+def test_every_gaspi_collective_is_a_verified_plan():
+    # Every GASPI entry runs through a planner (cached, or never cached like
+    # the fault-tolerant trio) and is covered by the verifier; runners are
+    # left to the MPI baselines.
     for info in REGISTRY.items():
-        assert info.capabilities.verified == bool(info.plannable), info.name
+        gaspi = info.family == "gaspi"
+        assert info.capabilities.verified == gaspi, info.name
+        assert (info.planner is not None) == gaspi, info.name
+        assert info.runner is None or not gaspi, info.name

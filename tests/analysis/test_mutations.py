@@ -23,9 +23,11 @@ from repro.analysis import (
     analyze,
     analyze_run,
     build_model,
+    build_tolerant_model,
     verify_recycling,
 )
 from repro.analysis.mutations import (
+    count_unconsumed_slots,
     corrupt_notification_id,
     corrupt_offset,
     credit_before_last_drain,
@@ -223,6 +225,36 @@ def test_the_model_checks_delivered_blocks():
             else:
                 want = np.concatenate(run.sendbufs)
             np.testing.assert_array_equal(out, want)
+
+
+TOLERANT = ["gaspi_allreduce_tolerant", "gaspi_reduce_tolerant", "gaspi_bcast_tolerant"]
+
+
+@pytest.mark.parametrize("fault", ["absent", "crash", "late"])
+@pytest.mark.parametrize("algorithm", TOLERANT)
+def test_a_drain_that_counts_unconsumed_slots_is_a_wrong_value(algorithm, fault):
+    # Folding the zeros nobody posted leaves a sum unchanged, so only the
+    # contributor set the survivors report gives the defect away.
+    assert analyze_run(build_tolerant_model(algorithm, 4, fault=fault)) == []
+    mutated = build_tolerant_model(algorithm, 4, fault=fault, mutate_plan=count_unconsumed_slots)
+    assert classes(analyze_run(mutated)) == {WRONG_VALUE}
+
+
+@pytest.mark.parametrize("algorithm", TOLERANT)
+def test_tolerant_cells_complete_degraded_and_then_exactly(algorithm):
+    # Not vacuous: somebody completes degraded in every fault; and after
+    # the late contribution, every survivor holds the exact result.
+    for fault in ("absent", "crash", "late"):
+        run = build_tolerant_model(algorithm, 5, fault=fault)
+        assert run.wrong_values == [] and run.stalled_ranks == []
+    # The late rank: a broadcast's root, else the last rank (it crashed).
+    if algorithm == "gaspi_bcast_tolerant":
+        held, exact, holders = run.sendbufs, run.sendbufs[0], range(5)
+    else:
+        held, exact = run.recvbufs, sum(run.sendbufs)
+        holders = range(4) if algorithm == "gaspi_allreduce_tolerant" else [0]
+    for rank in holders:
+        np.testing.assert_array_equal(held[rank], exact)
 
 
 @pytest.mark.parametrize(

@@ -786,7 +786,9 @@ class TestDispatchMemo:
     """A memo hit skips the dispatch, so every event that reroutes a call must
     still reroute it: same result, same error, same counters as the full path."""
 
-    def test_suspicion_leaves_the_plan_and_reinstate_returns_to_it(self):
+    def test_suspicion_unbinds_the_memo_and_keeps_the_plan(self):
+        # A strict plan never reads ``known_failed``: under suspicion the
+        # call takes the full dispatch (nothing is bound) to the same plan.
         def worker(rt):
             comm = Communicator(rt)
             x, y = np.full(128, float(rt.rank + 1)), np.empty(128)
@@ -794,17 +796,19 @@ class TestDispatchMemo:
                 comm.allreduce(x, y)
             plan_segment, hits = comm.last_segment_id, comm.plan_cache_stats().hits
             comm.suspect(1 - rt.rank)
-            comm.allreduce(x, y)  # known_failed: the cold path, not the plan
+            comm.allreduce(x, y)
+            bound = [entry.plan for entry in comm._memo.values()]
             suspected = (y[0], comm.plan_cache_stats().hits - hits, comm.last_segment_id)
             comm.reinstate(1 - rt.rank)
             comm.allreduce(x, y)
             reinstated = (y[0], comm.plan_cache_stats().hits - hits, comm.last_segment_id)
             comm.close()
-            return plan_segment, suspected, reinstated
+            return plan_segment, bound, suspected, reinstated
 
-        for plan_segment, suspected, reinstated in spmd(2, worker):
-            assert suspected[:2] == (3.0, 0) and suspected[2] != plan_segment
-            assert reinstated == (3.0, 1, plan_segment)
+        for plan_segment, bound, suspected, reinstated in spmd(2, worker):
+            assert bound == [None]
+            assert suspected == (3.0, 1, plan_segment)
+            assert reinstated == (3.0, 2, plan_segment)
 
     def test_an_evicted_plan_recompiles_and_never_runs_again(self):
         def worker(rt):

@@ -15,17 +15,19 @@ import numpy as np
 import pytest
 
 from repro import Communicator, run_backend
-from repro.analysis import build_model
+from repro.analysis import build_model, build_tolerant_model
 from repro.analysis import model as analysis_model
 from repro.core import plan as plan_module
 from repro.core.plan import CollectivePlan, PlanKey, policy_fingerprint
 from repro.core.policy import CollectiveRequest, ConsistencyPolicy
 from repro.core.registry import REGISTRY
 from repro.core.workspace import RETIRE_BATCH
+from repro.gaspi.runtime import RuntimeWrapper
 
 from tests.helpers import spmd
 
 PLANNABLE = sorted(info.name for info in REGISTRY.items() if info.plannable)
+GASPI = sorted(info.name for info in REGISTRY.items() if info.family == "gaspi")
 SEGMENT = 31
 
 
@@ -33,9 +35,12 @@ def test_every_plannable_algorithm_is_covered():
     assert len(PLANNABLE) >= 11  # an empty parametrization would pass silently
 
 
-@pytest.mark.parametrize("algorithm", PLANNABLE)
+@pytest.mark.parametrize("algorithm", GASPI)
 def test_plans_implement_only_the_generator(algorithm):
-    plan_class = type(build_model(algorithm, 2, calls=0).plans[0])
+    if REGISTRY.get(algorithm).capabilities.fault_tolerant:
+        plan_class = type(build_tolerant_model(algorithm, 2).plans[0])
+    else:
+        plan_class = type(build_model(algorithm, 2, calls=0).plans[0])
     for cls in plan_class.__mro__:
         if cls is CollectivePlan:
             break
@@ -57,7 +62,7 @@ def test_the_model_keeps_no_copy_of_a_protocol():
 @pytest.mark.parametrize("ranks", [2, 4])
 @pytest.mark.parametrize(
     "algorithm,slack",
-    [pytest.param(name, 0, id=name) for name in PLANNABLE]
+    [pytest.param(name, 0, id=name) for name in GASPI]
     + [pytest.param("gaspi_allreduce_ssp_hypercube", 2, id="hypercube-slack2")],
 )
 def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, monkeypatch):
@@ -65,9 +70,12 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
     # run ``slack`` calls past it before one needs its data.  Whoever waits
     # on it blocks under the request's default (GASPI_BLOCK) timeout and
     # still comes back: the plan bound turns the wait into a TimeoutError
-    # naming the starved slot.
+    # naming the starved slot.  A fault-tolerant plan's wait is a window
+    # instead: the call completes degraded and names the absent rank.
     monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.05)
     info = REGISTRY.get(algorithm)
+    if info.capabilities.fault_tolerant:
+        return _a_peer_that_never_enters_is_named_missing(info, ranks)
     policy = ConsistencyPolicy.ssp(slack)
     # Nobody receives without the broadcast's root; everybody else is short
     # of the last rank's contribution (or, at a barrier, of its entry).
@@ -123,6 +131,105 @@ def test_a_peer_that_never_enters_is_a_named_timeout(algorithm, slack, ranks, mo
             assert message.startswith(f"rank {rank}: waited longer than 0.05s")
             assert "notifications [" in message
             assert message.endswith(f"on segment {segment_id}")
+
+
+def _a_peer_that_never_enters_is_named_missing(info, ranks):
+    policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
+    absent = 0 if info.collective == "bcast" else ranks - 1
+    window = 0.2
+
+    def worker(rt):
+        key = PlanKey(
+            collective=info.collective, algorithm=info.name, size=ranks, root=0,
+            nbytes=8 * 64, dtype="<f8", op="sum", policy=policy_fingerprint(policy),
+        )  # fmt: skip
+
+        def call():  # never cached: a plan per call
+            request = CollectiveRequest(
+                info.collective, sendbuf=np.ones(64), policy=policy,
+                metadata={"detect_timeout": window},
+            )  # fmt: skip
+            return info.planner(rt, key, SEGMENT, policy).execute(request).missing_ranks
+
+        outcomes = [call()]  # call 0: everybody
+        if rt.rank != absent:
+            started = time.perf_counter()
+            outcomes.append(call())
+            outcomes.append(time.perf_counter() - started)
+        return outcomes
+
+    outcomes = spmd(ranks, worker)
+    assert outcomes[absent] == [()]
+    named = [o for o in outcomes if len(o) == 3 and o[1]]
+    assert named and all(o[1] == (absent,) and o[2] < 4 * window for o in named)
+
+
+class _ExpiredWaits(RuntimeWrapper):
+    """Counts the ``notify_waitsome`` calls that came back empty."""
+
+    expired = 0
+
+    def notify_waitsome(self, *args, **kwargs):
+        got = self.inner.notify_waitsome(*args, **kwargs)
+        self.expired += got is None
+        return got
+
+
+@pytest.mark.parametrize("algorithm", ["ring", "hypercube"])
+def test_a_cached_plan_times_out_after_one_bound(algorithm, monkeypatch):
+    # The plan waits inline for the bound, and drive_pipeline, which it
+    # yields to, raises at once: one expired wait per failed call, not two bounds.
+    monkeypatch.setattr("repro.core.plan.PLAN_WAIT_TIMEOUT", 0.05)
+
+    def worker(rt):
+        counted = _ExpiredWaits(rt)
+        comm = Communicator(counted)
+        x = np.ones(64)
+        comm.allreduce(x, algorithm=algorithm)
+        comm.allreduce(x, algorithm=algorithm)  # a cache hit from here on
+        outcome = None
+        if rt.rank == 0:
+            before = counted.expired
+            for _ in range(3):
+                with pytest.raises(TimeoutError, match="waited longer than 0.05s"):
+                    comm.allreduce(x, algorithm=algorithm)
+            outcome = counted.expired - before
+        rt.barrier()
+        comm.suspect(1 - rt.rank)
+        comm.close()
+        return outcome
+
+    assert spmd(2, worker)[0] == 3
+
+
+def test_a_window_ends_the_same_way_under_a_nonblocking_handle():
+    # The i* handle's pump and blocking wait end an expired window as the
+    # blocking drive_pipeline does: the call completes degraded.
+    from repro.core.pipeline import CollectiveHandle, ProgressEngine
+
+    info = REGISTRY.get("gaspi_allreduce_tolerant")
+    policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
+
+    def worker(rt):
+        if rt.rank == 1:
+            return None  # never enters
+        key = PlanKey(
+            collective="allreduce", algorithm=info.name, size=2, root=0, nbytes=8 * 16,
+            dtype="<f8", op="sum", policy=policy_fingerprint(policy),
+        )  # fmt: skip
+        plan = info.planner(rt, key, SEGMENT, policy)
+        request = CollectiveRequest(
+            "allreduce", sendbuf=np.full(16, 2.0), policy=policy,
+            metadata={"detect_timeout": 0.1},
+        )  # fmt: skip
+        engine = ProgressEngine(rt)
+        handle = CollectiveHandle(engine, rt, plan, plan.begin(request))
+        engine.register(handle)
+        pumped = handle.test()  # the window is still open
+        result = handle.wait()
+        return pumped, result.missing_ranks, float(result.value[0])
+
+    assert spmd(2, worker)[0] == (False, (1,), 2.0)
 
 
 def _silent_peer(rt, call, done):

@@ -475,3 +475,29 @@ class TestDispatchIntegration:
         assert ok
         ok, why = info.supports(4, ConsistencyPolicy.data_threshold(0.5))
         assert not ok and "data" in why
+
+
+def _mixed_dtypes(rt):
+    comm = Communicator(rt)
+    policy = ConsistencyPolicy(on_failure="complete")  # routes to the tolerant trio
+    x = np.arange(4, dtype=np.float32) + comm.rank
+    allreduced, reduced = np.empty(4), np.empty(4)
+    comm.allreduce(x, allreduced, policy=policy)
+    algorithms = [comm.last_result.algorithm]
+    comm.reduce(x, reduced, root=0, policy=policy)
+    algorithms.append(comm.last_result.algorithm)
+    comm.close()
+    return algorithms, allreduced.tolist(), reduced.tolist() if comm.rank == 0 else None
+
+
+@pytest.mark.parametrize("backend", ["threaded", "shm"])
+def test_a_wider_recvbuf_folds_in_the_sendbufs_dtype(backend):
+    # The slots hold float32 contributions; an accumulator of float64 must
+    # not make the fold read them as float64 (out of range, or garbage).
+    from repro import run_backend
+
+    results = run_backend(2, _mixed_dtypes, backend=backend, timeout=60)
+    for rank, (algorithms, allreduced, reduced) in enumerate(results):
+        assert algorithms == ["gaspi_allreduce_tolerant", "gaspi_reduce_tolerant"]
+        assert allreduced == [1.0, 3.0, 5.0, 7.0]
+        assert reduced == ([1.0, 3.0, 5.0, 7.0] if rank == 0 else None)
