@@ -74,6 +74,7 @@ __all__ = [
     "build_model",
     "build_recycle_model",
     "build_tolerant_model",
+    "model_cell",
     "verify_algorithm",
     "verify_recycling",
 ]
@@ -118,14 +119,21 @@ def analyze_run(run: ModelRun) -> List[Finding]:
     ]
 
 
+def model_cell(
+    algorithm: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
+) -> ModelRun:
+    """Run one cell of the CLI sweep: :func:`build_tolerant_model` for a
+    ``fault=`` cell of a fault-tolerant algorithm, else :func:`build_model`."""
+    if "fault" in model_kwargs:
+        return build_tolerant_model(algorithm, num_ranks, nbytes, **model_kwargs)
+    return build_model(algorithm, num_ranks, nbytes, **model_kwargs)
+
+
 def verify_algorithm(
     algorithm: str, num_ranks: int, nbytes: int = 256, **model_kwargs: Any
 ) -> List[Finding]:
-    """Model one cell and analyze it — the unit of the CLI sweep (a
-    ``fault=`` cell of a fault-tolerant algorithm: :func:`build_tolerant_model`)."""
-    if "fault" in model_kwargs:
-        return analyze_run(build_tolerant_model(algorithm, num_ranks, nbytes, **model_kwargs))
-    return analyze_run(build_model(algorithm, num_ranks, nbytes, **model_kwargs))
+    """Model one cell and analyze it — the unit of the CLI sweep."""
+    return analyze_run(model_cell(algorithm, num_ranks, nbytes, **model_kwargs))
 
 
 def verify_recycling(

@@ -23,7 +23,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
-from . import analyze_run, build_model, build_tolerant_model, verify_recycling
+from . import analyze_run, model_cell, verify_recycling
 from .events import Finding
 from .model import TOLERANT_FAULTS
 
@@ -49,12 +49,18 @@ def _cells(
             )
             if reason is not None:
                 continue
-            if info.capabilities.fault_tolerant:
-                cells.extend((name, ranks, 256, dict(fault=fault)) for fault in TOLERANT_FAULTS)
-                continue
             roots = [0]
             if info.collective in ("bcast", "reduce") and ranks == 8:
-                roots.append(1)  # a non-default root reshapes the tree
+                # A non-default root reshapes the tree, and moves a
+                # tolerant broadcast's faulty root off rank 0.
+                roots.append(1)
+            if info.capabilities.fault_tolerant:
+                cells.extend(
+                    (name, ranks, 256, dict(fault=fault, root=root))
+                    for root in roots
+                    for fault in TOLERANT_FAULTS
+                )
+                continue
             payloads = (
                 _PIPELINED_PAYLOADS
                 if info.capabilities.pipelined
@@ -170,17 +176,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report: List[Dict[str, object]] = []
     all_findings: List[Finding] = []
     for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls):
-        tolerant = "fault" in cell
-        if tolerant:
-            run = build_tolerant_model(name, ranks, nbytes, **cell)
-        else:
-            run = build_model(name, ranks, nbytes, **cell)
+        run = model_cell(name, ranks, nbytes, **cell)
         findings = analyze_run(run)
         all_findings.extend(findings)
         report.append(
             {
                 "cell": run.trace.name,
-                "kind": "tolerant" if tolerant else REGISTRY.get(name).collective,
+                "kind": "tolerant" if "fault" in cell else REGISTRY.get(name).collective,
                 "events": run.trace.total_events(),
                 "findings": [finding.describe() for finding in findings],
             }

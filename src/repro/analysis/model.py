@@ -492,14 +492,13 @@ def build_tolerant_model(
     *,
     fault: str = "absent",
     root: int = 0,
-    op: str = "sum",
-    segment_id: int = 23,
     mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
 ) -> ModelRun:
     """One call of a fault-tolerant plan with a faulty rank, value-checked.
 
-    The faulty rank is the last one (a broadcast's root when it crashes or
-    is late), and ``fault`` is what it does:
+    The call sums float64 vectors.  The faulty rank is the last one (a
+    broadcast's root when it crashes or is late), and ``fault`` is what it
+    does:
 
     * ``"absent"`` — it never enters: no workspace, no post;
     * ``"crash"`` — it crashes at its post ``k`` under a
@@ -530,7 +529,12 @@ def build_tolerant_model(
     require(info.capabilities.fault_tolerant, f"{algorithm!r} is not a fault-tolerant algorithm")
     require(fault in TOLERANT_FAULTS, f"fault must be one of {TOLERANT_FAULTS}, got {fault!r}")
     collective = info.collective
+    require(
+        collective != "reduce" or root < num_ranks - 1,
+        f"root {root}: the faulty rank {num_ranks - 1} must not be the reduce's root",
+    )
     elements = max(1, nbytes // 8)
+    op, segment_id = "sum", 23
     policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
     key = PlanKey(
         collective=collective, algorithm=algorithm, size=num_ranks, root=root,

@@ -48,6 +48,7 @@ from ..core.policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
 from ..core.reduction_ops import ReductionOp, get_op
 from ..core.registry import REGISTRY, AlgorithmCapabilities
 from ..core.schedule import CommunicationSchedule, Message, Protocol
+from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.errors import GaspiError, GaspiSegmentError
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
@@ -290,8 +291,8 @@ class TolerantPlan(CollectivePlan):
     completes at the process threshold with the missing ranks named in a
     :class:`DegradedResult`, whose correction pass runs the same step again.
     Ranks in the request's ``known_failed`` metadata are neither written
-    to nor waited for; its ``detect_timeout`` is the window (default
-    :data:`DEFAULT_DETECT_TIMEOUT`, or the request's timeout if shorter).
+    to nor waited for; its ``detect_timeout`` is the window (default: the
+    request's timeout, or :data:`DEFAULT_DETECT_TIMEOUT` when unbounded).
 
     Never cached: a degraded call keeps its workspace for correction, so
     each call registers a segment of its own — under a communicator a
@@ -343,9 +344,10 @@ class TolerantPlan(CollectivePlan):
             rt.segment_delete(sid)  # nobody posts to a call that never started
             raise
         alive = [r for r in range(size) if r not in known]
-        window = float(
-            request.metadata.get("detect_timeout", min(request.timeout, DEFAULT_DETECT_TIMEOUT))
-        )
+        window = request.metadata.get("detect_timeout")
+        if window is None:
+            window = DEFAULT_DETECT_TIMEOUT if request.timeout == GASPI_BLOCK else request.timeout
+        window = float(window)
         self.queue = queue = request.queue
         _entry_handshake(rt, alive, window)
 

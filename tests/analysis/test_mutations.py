@@ -257,6 +257,19 @@ def test_tolerant_cells_complete_degraded_and_then_exactly(algorithm):
         np.testing.assert_array_equal(held[rank], exact)
 
 
+@pytest.mark.parametrize("fault", ["absent", "crash", "late"])
+@pytest.mark.parametrize("algorithm", ["gaspi_reduce_tolerant", "gaspi_bcast_tolerant"])
+def test_a_tolerant_cell_under_root_one_is_checked_as_under_root_zero(algorithm, fault):
+    # The sweep's root-1 cells at 8 ranks: the crashed or late broadcast
+    # root is rank 1, and the reduce folds at rank 1.
+    run = build_tolerant_model(algorithm, 8, fault=fault, root=1)
+    assert analyze_run(run) == [] and "root=1" in run.trace.name
+    mutated = build_tolerant_model(
+        algorithm, 8, fault=fault, root=1, mutate_plan=count_unconsumed_slots
+    )
+    assert classes(analyze_run(mutated)) == {WRONG_VALUE}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [drop_notify, hoist_first_consume, corrupt_notification_id, corrupt_offset],

@@ -501,3 +501,34 @@ def test_a_wider_recvbuf_folds_in_the_sendbufs_dtype(backend):
         assert algorithms == ["gaspi_allreduce_tolerant", "gaspi_reduce_tolerant"]
         assert allreduced == [1.0, 3.0, 5.0, 7.0]
         assert reduced == ([1.0, 3.0, 5.0, 7.0] if rank == 0 else None)
+
+
+def test_the_window_is_the_request_timeout_unless_that_is_unbounded(monkeypatch):
+    # detect_timeout when given, else the request's own timeout, and the
+    # module default only for a request that would block forever.
+    from repro.core.policy import CollectiveRequest
+    from repro.core.registry import REGISTRY
+    from repro.faults import recovery
+
+    windows = []
+    handshake = recovery._entry_handshake
+
+    def recording(runtime, alive, timeout):
+        windows.append((runtime.rank, timeout))
+        handshake(runtime, alive, timeout)
+
+    monkeypatch.setattr(recovery, "_entry_handshake", recording)
+    info = REGISTRY.get("gaspi_allreduce_tolerant")
+
+    def worker(rt):
+        for timeout, metadata in [(2.0, {}), (float("inf"), {}), (2.0, {"detect_timeout": 0.25})]:
+            request = CollectiveRequest(
+                "allreduce", np.ones(4), policy=ConsistencyPolicy(on_failure="complete"),
+                timeout=timeout, metadata=metadata,
+            )  # fmt: skip
+            assert info.run(rt, request).missing_ranks == ()
+
+    spmd(2, worker)
+    for rank in range(2):
+        got = [timeout for r, timeout in windows if r == rank]
+        assert got == [2.0, recovery.DEFAULT_DETECT_TIMEOUT, 0.25]
