@@ -36,7 +36,6 @@ import numpy as np
 
 from ..core.plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
-from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
 from ..core.workspace import RETIRE_BATCH, WorkspacePool
 from ..gaspi.constants import GASPI_BLOCK
@@ -268,11 +267,11 @@ def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
 
     A step progresses when it records an event or idles.  When none does,
     the open window (a fault-tolerant plan's detection window) with the
-    earliest deadline expires; only a state without one is a stall.  A rank that
-    stalls inside a wait gets that wait recorded as its next consume (of
-    the first id of a range wait), so the replay names the starved slot —
-    ``unmatched-notification`` or ``deadlock`` — instead of seeing a trace
-    that merely ends early.
+    earliest deadline expires; only a state without one is a stall.  A
+    rank that stalls inside a wait gets that wait recorded as its next
+    consume (of the first id of a range wait), so the replay names the
+    starved slot — ``unmatched-notification`` or ``deadlock`` — instead of
+    seeing a trace that merely ends early.
     """
     live: Dict[int, Program] = dict(enumerate(programs))
     blocked: Dict[int, Optional[WaitSpec]] = {}
@@ -529,16 +528,12 @@ def build_tolerant_model(
     require(info.capabilities.fault_tolerant, f"{algorithm!r} is not a fault-tolerant algorithm")
     require(fault in TOLERANT_FAULTS, f"fault must be one of {TOLERANT_FAULTS}, got {fault!r}")
     collective = info.collective
-    require(
-        collective != "reduce" or root < num_ranks - 1,
-        f"root {root}: the faulty rank {num_ranks - 1} must not be the reduce's root",
-    )
     elements = max(1, nbytes // 8)
-    op, segment_id = "sum", 23
+    segment_id = 23
     policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
     key = PlanKey(
         collective=collective, algorithm=algorithm, size=num_ranks, root=root,
-        nbytes=elements * 8, dtype="<f8", op=op, policy=policy_fingerprint(policy),
+        nbytes=elements * 8, dtype="<f8", op="sum", policy=policy_fingerprint(policy),
     )  # fmt: skip
     faulty = root if collective == "bcast" and fault != "absent" else num_ranks - 1
     # The faulty rank's posts in the plan's order; the first ``crash_at`` land.
@@ -562,7 +557,6 @@ def build_tolerant_model(
     results: Dict[int, Any] = {}
     finished: Set[int] = set()
     wrong: List[str] = []
-    fold = get_op(op).func
 
     def expected(rank: int, missing: Tuple[int, ...]) -> Optional[np.ndarray]:
         """The documented value of a survivor reporting ``missing``."""
@@ -570,9 +564,7 @@ def build_tolerant_model(
             return sendbufs[root] if rank == root or not missing else np.zeros(elements)
         if collective == "reduce" and rank != root:
             return None
-        return functools.reduce(
-            fold, [sendbufs[r] for r in range(num_ranks) if r not in missing]
-        )
+        return sum(sendbufs[r] for r in range(num_ranks) if r not in missing)
 
     def check(rank: int, when: str, missing: Tuple[int, ...]) -> None:
         result = results[rank].detail  # its DegradedResult, which a correction updates
@@ -594,7 +586,7 @@ def build_tolerant_model(
             while len(finished) < len(plans) - 1:  # a root entering late
                 yield
         request = CollectiveRequest(
-            collective, sendbufs[rank], recvbufs[rank], root, op, policy,
+            collective, sendbufs[rank], recvbufs[rank], root, "sum", policy,
             segment_id=segment_id,
         )  # fmt: skip
         try:

@@ -63,15 +63,7 @@ from ..utils.validation import require
 from .allgather import ring_allgather
 from .allreduce_ssp import SSPAllreduce, SSPAllreduceResult
 from .pipeline import CollectiveHandle, ProgressEngine
-from .plan import (
-    CollectivePlan,
-    PipelineGen,
-    PlanCache,
-    PlanCacheStats,
-    PlanKey,
-    _plan_key,
-    schedule_nbytes,
-)
+from .plan import CollectivePlan, PlanCache, PlanCacheStats, PlanKey, schedule_nbytes
 from .policy import (
     STRICT,
     CollectiveRequest,
@@ -812,10 +804,14 @@ class Communicator:
         self._memo.clear()
         return True
 
-    def _enter(self, request: CollectiveRequest, seq: int) -> None:
-        """What a call does before it runs on the cold path: enter late by
-        the fault plan's arrival skew for call ``seq``, and hand a
-        fault-tolerant plan the suspected ranks and the detection window."""
+    def _dispatch_impl(
+        self, collective: str, algorithm: str, request: CollectiveRequest, payload: int,
+        bound: Optional[_Bound] = None,
+    ) -> CollectiveResult:  # fmt: skip
+        """The compile path: every per-call step, then the memo entry."""
+        check_policy(request.policy)
+        seq = self._collective_seq
+        self._collective_seq += 1
         if self._faults is not None:
             # Arrival skew: the rank enters the collective late, which is
             # the process-arrival-pattern regime of the fault scenarios.
@@ -826,31 +822,6 @@ class Communicator:
             request.metadata.setdefault("known_failed", frozenset(self._suspected))
         if self._detect_timeout is not None:
             request.metadata.setdefault("detect_timeout", self._detect_timeout)
-
-    def _suspect_missing(self, collective: str, result: CollectiveResult) -> None:
-        """After a degraded completion: suspect the ranks it names missing,
-        and keep its workspace for correction (:meth:`_track_degraded`)."""
-        if not result.missing_ranks:
-            return
-        newly = set(result.missing_ranks) - self._suspected
-        if newly:
-            logger.info(
-                "rank %d: %s completed degraded, now suspecting ranks %s",
-                self.rank, collective, sorted(newly),
-            )
-            self._memo.clear()
-        self._suspected.update(result.missing_ranks)
-        self._track_degraded(result.detail)
-
-    def _dispatch_impl(
-        self, collective: str, algorithm: str, request: CollectiveRequest, payload: int,
-        bound: Optional[_Bound] = None,
-    ) -> CollectiveResult:  # fmt: skip
-        """The compile path: every per-call step, then the memo entry."""
-        check_policy(request.policy)
-        seq = self._collective_seq
-        self._collective_seq += 1
-        self._enter(request, seq)
         nbytes = schedule_nbytes(collective, self.size, payload)
         if self._faults_changed() and bound is not None:
             bound = _Bound(bound.sig)
@@ -881,7 +852,16 @@ class Communicator:
             self._last_segment_id = (
                 self._pool.last_id if plan is None else plan.segment_id
             )
-        self._suspect_missing(collective, result)
+        if result.missing_ranks:
+            newly = set(result.missing_ranks) - self._suspected
+            if newly:
+                logger.info(
+                    "rank %d: %s completed degraded, now suspecting ranks %s",
+                    self.rank, collective, sorted(newly),
+                )
+                self._memo.clear()
+            self._suspected.update(result.missing_ranks)
+            self._track_degraded(result.detail)
         if self._machine is not None:
             from ..simulate.executor import simulate_schedule
 
@@ -1098,19 +1078,16 @@ class Communicator:
         """Start one collective; return a handle advancing it incrementally.
 
         Looks up the same memo as the blocking call (:meth:`_call`) and
-        advances whatever plan serves the request: a cached plan, or a
-        fault-tolerant algorithm's throwaway one (:meth:`_begin_tolerant`),
-        whose detection window the handle ends as a blocking call does.
-        Falls back to synchronous execution (returning an already-complete
-        handle) for a strict algorithm without a cached plan — under a
-        loss-capable fault plan, or with planning disabled — so ``i*``
+        advances whatever plan serves the request.  Falls back to
+        synchronous execution (returning an already-complete handle)
+        whenever no cached plan can — fault plans, planning disabled,
+        or an algorithm whose plans are never cached — so ``i*``
         calls are always safe, merely not overlapped, in those regimes.
         """
         policy = policy or self._policy
         buf = np.asarray(sendbuf)
         sig = (collective, algorithm, root, op, policy, buf.dtype, buf.nbytes, tag)
         request = CollectiveRequest(collective, sendbuf, recvbuf, root, op, policy, tag=tag)
-        gen: Optional[PipelineGen] = None
         bound = self._memo.get(sig)
         if bound is not None and bound.plan is not None and not bound.plan.closed:
             info, plan = bound.info, bound.plan
@@ -1125,9 +1102,7 @@ class Communicator:
                 algorithm, policy,
             )  # fmt: skip
             plan = self._plan_for(info, request, bound)
-            if plan is None and info.capabilities.fault_tolerant:
-                plan, gen = self._begin_tolerant(info, request)
-            elif plan is None:
+            if plan is None:
                 result = self._dispatch(
                     collective, request.nbytes, self._dispatch_impl, collective,
                     algorithm, request, request.nbytes, bound,
@@ -1135,18 +1110,15 @@ class Communicator:
                 return CollectiveHandle(
                     self._progress, self.runtime, None, None, result=result
                 )
-            else:
-                # The handle's generator keeps this call's request: a
-                # blocking hit gets one of its own.
-                hit_request = CollectiveRequest(collective, None, None, root, op, policy)
-                self._memoize(bound, info, plan, hit_request)
-        if gen is None:
-            request.segment_id = plan.segment_id
-            gen = plan.begin(request)
-        # Mirror the blocking dispatch bookkeeping (sequence number; arrival
-        # skew does not apply to a cached plan: loss-capable fault plans
-        # never get one and pure-delay plans perturb the data plane directly).
+            # The handle's generator keeps this call's request: a blocking
+            # hit gets one of its own.
+            hit_request = CollectiveRequest(collective, None, None, root, op, policy)
+            self._memoize(bound, info, plan, hit_request)
+        # Mirror the blocking dispatch bookkeeping (sequence number,
+        # arrival skew does not apply: loss-capable fault plans never get
+        # here and pure-delay plans perturb the data plane directly).
         self._collective_seq += 1
+        request.segment_id = plan.segment_id
         self._last_segment_id = plan.segment_id
         self._c_nonblocking.add()
         tel = self._telemetry
@@ -1155,7 +1127,6 @@ class Communicator:
         def on_complete(result: CollectiveResult) -> None:
             result.algorithm = info.name
             result.policy = request.policy
-            self._suspect_missing(collective, result)
             if tel.enabled:
                 # Issue→completion window of the overlapped collective; the
                 # progress engine drives it, so this is recorded here rather
@@ -1163,8 +1134,7 @@ class Communicator:
                 tel.record_span(
                     f"i{collective}", "collective", issue_t, CLOCK(),
                     {"algorithm": info.name, "nbytes": plan.key.nbytes,
-                     "outcome": "degraded" if result.missing_ranks else "ok",
-                     "nonblocking": True},
+                     "outcome": "ok", "nonblocking": True},
                 )
             if self._machine is not None:
                 from ..simulate.executor import simulate_schedule
@@ -1174,35 +1144,15 @@ class Communicator:
                 )
             self._last_result = result
 
-        handle = CollectiveHandle(self._progress, self.runtime, plan, gen, on_complete=on_complete)
+        handle = CollectiveHandle(
+            self._progress,
+            self.runtime,
+            plan,
+            plan.begin(request),
+            on_complete=on_complete,
+        )
         self._progress.register(handle)
         return handle
-
-    def _begin_tolerant(
-        self, info: AlgorithmInfo, request: CollectiveRequest
-    ) -> Tuple[CollectivePlan, PipelineGen]:
-        """A fault-tolerant call as a handle's plan and generator.
-
-        The blocking cold call's steps (:meth:`_enter`, a workspace id the
-        pool reserves) around a throwaway plan: never cached, since a
-        degraded call keeps its workspace for correction.  A
-        below-threshold abort's workspace is tracked for :meth:`close`, as
-        under :meth:`_dispatch_impl`.
-        """
-        self._enter(request, self._collective_seq)
-        request.pool = self._pool
-        info.check_request(self.size, request.policy, np.asarray(request.sendbuf).dtype)
-        key = _plan_key(info.collective, info.name, self.runtime, request)
-        plan = info.planner(self.runtime, key, request.segment_id, request.policy, self._pool)
-
-        def call() -> PipelineGen:
-            try:
-                return (yield from plan.begin(request))
-            except Exception as exc:
-                self._track_degraded(getattr(exc, "detail", None))
-                raise
-
-        return plan, call()
 
     def allreduce_ssp(
         self,

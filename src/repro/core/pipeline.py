@@ -258,9 +258,7 @@ class CollectiveHandle:
         The ``timeout=0`` pump path uses the runtime's lock-free
         :meth:`~repro.gaspi.runtime.GaspiRuntime.notify_probe` — a pump
         over many idle pipelines must cost nanoseconds per handle, not a
-        condition-lock round trip each.  A window whose deadline passed
-        (:attr:`~repro.core.plan.WaitSpec.deadline`) ends: the generator
-        resumes with ``True``, as under :func:`~repro.core.plan.drive_pipeline`.
+        condition-lock round trip each.
         """
         if self._done:
             return True
@@ -272,21 +270,16 @@ class CollectiveHandle:
             while True:
                 spec = self._spec
                 if timeout == 0.0:
-                    posted = rt.notify_probe(spec.segment_id, spec.first, spec.count)
-                else:
-                    wait = timeout
-                    if spec.deadline is not None:
-                        wait = max(0.0, min(timeout, spec.deadline - time.monotonic()))
-                    posted = (
-                        rt.notify_waitsome(spec.segment_id, spec.first, spec.count, timeout=wait)
-                        is not None
+                    if not rt.notify_probe(spec.segment_id, spec.first, spec.count):
+                        return False
+                elif (
+                    rt.notify_waitsome(
+                        spec.segment_id, spec.first, spec.count, timeout=timeout
                     )
-                if posted:
-                    self._spec = next(self._gen)
-                elif spec.deadline is not None and time.monotonic() >= spec.deadline:
-                    self._spec = self._gen.send(True)  # the window expired
-                else:
+                    is None
+                ):
                     return False
+                self._spec = next(self._gen)
         except StopIteration as stop:
             self._finish(stop)
             return True

@@ -49,7 +49,8 @@ a wait that timed out raises in :func:`drive_pipeline`),
 nonblocking API, the model checker), and :func:`_run_cold` is a cold call:
 a throwaway plan.  A wait may instead be a window that expires
 (:attr:`WaitSpec.deadline`, a fault-tolerant plan's detection window):
-each way of running it resumes the generator with ``True`` when it does.
+:func:`drive_pipeline` and the model resume the generator with ``True``
+when it does (no ``i*`` handle holds such a plan: it is never cached).
 Nothing here measures a wait: an attached metrics registry observes them
 from the runtime stack and changes none of them.
 """
@@ -432,8 +433,8 @@ class WaitSpec:
     window that can expire — a fault-tolerant collective's detection
     window.  Whoever drives the generator resumes it with ``True`` once
     the deadline passed with nothing posted, instead of raising, and with
-    ``False`` on an arrival: :func:`drive_pipeline`, the ``i*`` handle and
-    the verifier's model (which expires it when no rank can progress).
+    ``False`` on an arrival: :func:`drive_pipeline` and the verifier's
+    model (which expires it when no rank can progress).
     """
 
     segment_id: int

@@ -20,10 +20,10 @@ exchange — the contribution of rank ``r`` lands in slot ``r`` and posts
 notification ``r`` — because the slot/notification identity is what lets
 a late contribution be attributed and folded in after the collective
 formally completed.  The detection window is a
-:class:`~repro.core.plan.WaitSpec` with a deadline, so a blocking call, a
-nonblocking handle and the verifier's model (``python -m repro.analysis
---all``) end it the same way; the call and its correction pass run one
-collect step.  The plan is never cached (a degraded call keeps its
+:class:`~repro.core.plan.WaitSpec` with a deadline, so a call (blocking,
+or nonblocking: that one runs at issue) and the verifier's model
+(``python -m repro.analysis --all``) end it the same way; the call and its
+correction pass run one collect step.  The plan is never cached (a degraded call keeps its
 workspace for correction) and takes no world barrier after its bounded
 entry handshake: a dead rank must not be able to hang a survivor.
 
@@ -344,10 +344,8 @@ class TolerantPlan(CollectivePlan):
             rt.segment_delete(sid)  # nobody posts to a call that never started
             raise
         alive = [r for r in range(size) if r not in known]
-        window = request.metadata.get("detect_timeout")
-        if window is None:
-            window = DEFAULT_DETECT_TIMEOUT if request.timeout == GASPI_BLOCK else request.timeout
-        window = float(window)
+        default = DEFAULT_DETECT_TIMEOUT if request.timeout == GASPI_BLOCK else request.timeout
+        window = float(request.metadata.get("detect_timeout", default))
         self.queue = queue = request.queue
         _entry_handshake(rt, alive, window)
 

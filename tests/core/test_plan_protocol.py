@@ -202,30 +202,6 @@ def test_a_cached_plan_times_out_after_one_bound(algorithm, monkeypatch):
     assert spmd(2, worker)[0] == 3
 
 
-def _nonblocking_window(rt):
-    comm = Communicator(rt, detect_timeout=0.1)
-    if rt.rank == 1:
-        return None  # never enters
-    policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
-    handle = comm.iallreduce(np.full(16, 2.0), policy=policy, algorithm="gaspi_allreduce_tolerant")
-    pumped = handle.test()  # the window is still open
-    result = handle.wait()
-    seen = (pumped, result.missing_ranks, float(result.value[0]))
-    seen += (comm.last_result.missing_ranks, sorted(comm.suspected_ranks))
-    comm.close()
-    return seen
-
-
-@pytest.mark.parametrize("backend", ["threaded", "shm"])
-def test_a_window_ends_the_same_way_under_a_nonblocking_handle(backend):
-    # ``comm.i*`` on a fault-tolerant algorithm hands out a real handle over
-    # a fresh plan; its pump and blocking wait end an expired window as the
-    # blocking drive_pipeline does: the call completes degraded, and the
-    # communicator suspects the absent rank as after a blocking call.
-    seen = run_backend(2, _nonblocking_window, backend=backend, timeout=60)[0]
-    assert seen == (False, (1,), 2.0, (1,), [1])
-
-
 def _silent_peer(rt, call, done):
     """Everybody warms ``call`` up; then the last rank stays silent through
     one more call.  It still registers an alltoallv's workspace, so the
