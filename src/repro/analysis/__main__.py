@@ -3,8 +3,11 @@
 Models every registered verified algorithm at several rank counts and
 representative payloads (monolithic and pipelined/chunked), plus pairs of
 different plans back to back on recycled workspace-pool segments, runs all
-four checkers over each cell (and, for alltoall, allgather and the barrier,
-checks what each call delivered), and prints a findings report.  The
+four checkers over each cell (and checks what each call delivered: the
+exact result of every strict allreduce, bcast and reduce, every block of
+an alltoall or allgather, nobody leaving a barrier early), and prints a
+findings report.  The plans with a ``segment_bind`` branch also run bound
+twins, on a model world with bind.  The
 fault-tolerant plans run one cell per fault — a rank that never enters, a
 rank crashed mid-send, a late contribution folded in by a correction pass —
 each checked against the documented contributor set and the exact result
@@ -34,6 +37,10 @@ _PIPELINED_PAYLOADS: List[Tuple[int, Optional[int]]] = [(512, 128), (2048, 512)]
 #: Block bytes of the families whose slots are keyed by call parity; a
 #: cell's payload is P blocks, so every world size divides an alltoall's.
 _PARITY_BLOCKS = {"alltoall": [32, 128], "allgather": [32, 128], "barrier": [0]}
+#: Plans with a ``segment_bind`` branch, and the world sizes of their bound
+#: twins: the smallest ring and an odd one.
+_BOUND_PLANS = ("gaspi_bcast_bst_pipelined", "gaspi_allreduce_ring_pipelined")
+_BOUND_RANKS = (2, 5)
 
 
 def _cells(
@@ -103,6 +110,23 @@ def _cells(
                     for slack in (1, 2)
                 ]
             cells.extend((name, ranks, shape.pop("nbytes"), shape) for shape in shapes)
+        if name in _BOUND_PLANS:
+            # The bound branch on a world with segment_bind; the last cell
+            # hands every call a new buffer, late into each, so every call
+            # rebinds behind its fence.
+            cells.extend(
+                (name, ranks, nbytes, dict(chunk_bytes=chunk_bytes, calls=calls, bind=True))
+                for ranks in _BOUND_RANKS
+                for nbytes, chunk_bytes in _PIPELINED_PAYLOADS
+            )
+            nbytes, chunk_bytes = _PIPELINED_PAYLOADS[0]
+            ranks = _BOUND_RANKS[-1]
+            cells.append(
+                (name, ranks, nbytes, dict(
+                    chunk_bytes=chunk_bytes, calls=max(calls, 3), laggard=ranks - 1,
+                    bind=True, fresh_buffers=True,
+                ))
+            )  # fmt: skip
     return cells
 
 

@@ -36,9 +36,10 @@ import numpy as np
 
 from ..core.plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec, policy_fingerprint
 from ..core.policy import CollectiveRequest, ConsistencyPolicy
+from ..core.reduction_ops import get_op
 from ..core.registry import REGISTRY
 from ..core.workspace import RETIRE_BATCH, WorkspacePool
-from ..gaspi.constants import GASPI_BLOCK
+from ..gaspi.constants import DEFAULT_NOTIFICATION_VALUE, GASPI_BLOCK
 from ..gaspi.group import Group
 from ..gaspi.runtime import GaspiRuntime
 from ..gaspi.threaded import ThreadedWorld, WorldConfig
@@ -129,10 +130,16 @@ class ModelTracingRuntime(TracingRuntime):
     :class:`~repro.gaspi.threaded.ThreadedRuntime`'s; this layer changes
     only what one cooperative thread running every rank needs:
 
-    * segment views are tracked, so local stores and fold operands are
-      recorded as ``write`` / ``read`` events;
-    * :attr:`supports_bind` is False, so the pipelined broadcast's
-      receivers take their staging path, whose copies the views observe;
+    * segment views are tracked, so local stores, fold operands and the
+      sources of ``write_notify_from`` posts are recorded as ``write`` /
+      ``read`` events;
+    * :attr:`supports_bind` is ``bind``.  Off, the pipelined broadcast's
+      receivers and the pipelined ring's allgather take their staging
+      path, whose copies the views observe.  On, :meth:`segment_bind`
+      records the rebind as a store over the whole segment — a remote
+      write it is not ordered against is a data race — and a bound
+      :class:`_TrackedView` (the model passes them as result buffers)
+      records its accesses against that segment from then on;
     * ``barrier`` records and returns, counted in :attr:`barriers`: the
       scheduler holds a rank where a real barrier would.  A barrier over a
       named group — the tolerant plans' entry handshake — records nothing:
@@ -142,14 +149,41 @@ class ModelTracingRuntime(TracingRuntime):
       parking the thread every rank runs on — plans must poll and yield.
     """
 
-    def __init__(self, inner: GaspiRuntime, sink: TraceSink) -> None:
+    def __init__(self, inner: GaspiRuntime, sink: TraceSink, bind: bool = False) -> None:
         super().__init__(inner, sink)
+        self._bind = bind
         #: Barriers entered so far.
         self.barriers = 0
 
     @property
     def supports_bind(self) -> bool:
-        return False
+        return self._bind
+
+    def segment_bind(self, segment_id: int, array: np.ndarray) -> None:
+        require(self._bind, "segment_bind on a model world without bind")
+        self.inner.segment_bind(segment_id, array)
+        record = functools.partial(self._record_access, segment_id, _address(array))
+        record(LOCAL_WRITE, array)
+        if isinstance(array, _TrackedView):
+            array._record = record
+
+    def write_notify_from(
+        self,
+        source: np.ndarray,
+        target_rank: int,
+        segment_id_remote: int,
+        offset_remote: int,
+        notification_id: int,
+        notification_value: int = DEFAULT_NOTIFICATION_VALUE,
+        queue: int = 0,
+    ) -> None:
+        record = getattr(source, "_record", None)
+        if record is not None and source.nbytes:
+            record(LOCAL_READ, source)
+        super().write_notify_from(
+            source, target_rank, segment_id_remote, offset_remote,
+            notification_id, notification_value, queue,
+        )  # fmt: skip
 
     def segment_view(
         self,
@@ -205,14 +239,15 @@ class ModelTracingRuntime(TracingRuntime):
 
 
 class ModelWorld:
-    """Every rank of one threaded world, traced into one sink."""
+    """Every rank of one threaded world, traced into one sink (with
+    ``segment_bind`` where ``bind``)."""
 
-    def __init__(self, num_ranks: int) -> None:
+    def __init__(self, num_ranks: int, bind: bool = False) -> None:
         self.num_ranks = num_ranks
         self.sink = TraceSink(num_ranks)
         threaded = ThreadedWorld(num_ranks, WorldConfig(delivery="immediate"))
         self.runtimes = [
-            ModelTracingRuntime(rt, self.sink) for rt in threaded.runtimes()
+            ModelTracingRuntime(rt, self.sink, bind) for rt in threaded.runtimes()
         ]
         #: Scheduler turns sat out (see :func:`_idle`).
         self.idles = 0
@@ -258,7 +293,7 @@ class ModelRun:
     stalled_ranks: List[int] = field(default_factory=list)
     #: Results that differ from the NumPy reference (recycling cells check
     #: every plan of their sequence themselves — the buffers are reused —
-    #: and :func:`build_model` the alltoall, allgather and barrier calls).
+    #: and :func:`build_model` every call it has a documented result for).
     wrong_values: List[str] = field(default_factory=list)
 
 
@@ -358,13 +393,25 @@ def _payloads(
     )
 
 
-def _delivered(collective: str, rank: int, sendbufs: List[np.ndarray]) -> Optional[np.ndarray]:
-    """What an alltoall or allgather call leaves in ``rank``'s recvbuf:
-    every block at its offset (``None`` for the other families)."""
+def _delivered(
+    collective: str, rank: int, root: int, sendbufs: List[np.ndarray], op: str, strict: bool
+) -> Optional[np.ndarray]:
+    """What one call leaves in ``rank``'s result buffer, where the model
+    checks it (``None`` where it does not): every block at its offset for
+    an alltoall or allgather; under a strict policy, the root's payload
+    for a broadcast and the elementwise fold over every rank's payload for
+    an allreduce and a reduce's root.  Payloads are integer-valued, so
+    every fold order gives the same bits."""
     if collective == "alltoall":
         return np.concatenate([sent.reshape(len(sendbufs), -1)[rank] for sent in sendbufs])
     if collective == "allgather":
         return np.concatenate(sendbufs)
+    if not strict or (collective == "reduce" and rank != root):
+        return None
+    if collective == "bcast":
+        return sendbufs[root]
+    if collective in ("allreduce", "reduce"):
+        return functools.reduce(get_op(op).func, sendbufs)
     return None
 
 
@@ -383,6 +430,8 @@ def build_model(
     laggard: Optional[int] = None,
     segment_id: int = 23,
     mutate_plan: Optional[Callable[[CollectivePlan], None]] = None,
+    bind: bool = False,
+    fresh_buffers: bool = False,
 ) -> ModelRun:
     """Execute ``calls`` back-to-back planned collectives cooperatively.
 
@@ -398,9 +447,14 @@ def build_model(
     before every call (see :func:`_idle`).  ``mutate_plan`` is applied to
     every rank's freshly compiled plan before the calls run — the hook of
     the plan-level seeded defects in :mod:`repro.analysis.mutations`.
-    Alltoall and allgather calls are checked as they finish — every block
-    at its offset — and barrier calls too: nobody leaves before everybody
-    entered.  What fails lands in the run's ``wrong_values``.
+    ``bind`` gives the world ``segment_bind``, so the pipelined broadcast
+    and ring take their bound branch; ``fresh_buffers`` passes a new
+    result buffer to every call, so that branch rebinds on every call.
+    Every call is checked as it finishes against :func:`_delivered` — the
+    exact result of a strict allreduce, bcast or reduce, every block at
+    its offset for an alltoall or allgather — and barrier calls too:
+    nobody leaves before everybody entered.  What fails lands in the run's
+    ``wrong_values``.
     A trace under slack is ``overwrite_tolerant``: an SSP partner
     overwrites its mailbox's notification by design.
     """
@@ -424,21 +478,38 @@ def build_model(
         policy=policy_fingerprint(policy),
     )
 
-    world = ModelWorld(num_ranks)
-    plans = [info.plan(rt, key, segment_id, policy) for rt in world.runtimes]
+    world = ModelWorld(num_ranks, bind)
+    # Compiled as under a communicator: from a pool, which may lease a
+    # second segment (a bound landing zone) after ``segment_id``.
+    plans = [
+        info.plan(rt, key, segment_id, policy, WorkspacePool(rt, segment_id, 2))
+        for rt in world.runtimes
+    ]
     if mutate_plan is not None:
         for plan in plans:
             mutate_plan(plan)
 
     sendbufs, recvbufs = _payloads(info.collective, num_ranks, elements, root)
+    strict = threshold >= 1.0 and not slack
     entered = [0] * num_ranks
     wrong: List[str] = []
+
+    def fresh(buffer: np.ndarray) -> np.ndarray:
+        """A zeroed result buffer; under bind, one that records its stores."""
+        return np.zeros_like(buffer).view(_TrackedView) if bind else np.zeros_like(buffer)
+
+    if bind:
+        recvbufs = [None if buffer is None else fresh(buffer) for buffer in recvbufs]
 
     def rank_program(rank: int) -> Program:
         for call in range(calls):
             if rank == laggard:
                 yield from _idle(world)
             entered[rank] += 1
+            if fresh_buffers and recvbufs[rank] is not None:
+                recvbufs[rank] = fresh(recvbufs[rank])
+            elif fresh_buffers and rank != root:  # a broadcast receiver
+                sendbufs[rank] = fresh(sendbufs[rank])
             if info.collective in ("alltoall", "allgather"):
                 recvbufs[rank][:] = 0  # a block this call does not deliver stays 0
             request = CollectiveRequest(
@@ -451,9 +522,10 @@ def build_model(
                 segment_id=segment_id,
             )
             yield from _drive(plans[rank].runtime, plans[rank].begin(request))
-            want = _delivered(info.collective, rank, sendbufs)
-            if want is not None and not np.array_equal(recvbufs[rank], want):
-                wrong.append(f"rank {rank}: {algorithm} call {call} misplaced a block")
+            want = _delivered(info.collective, rank, root, sendbufs, op, strict)
+            got = sendbufs[rank] if info.collective == "bcast" else recvbufs[rank]
+            if want is not None and not np.array_equal(np.asarray(got), want):
+                wrong.append(f"rank {rank}: {algorithm} call {call} delivered a wrong value")
             late = [r for r, count in enumerate(entered) if count <= call]
             if info.collective == "barrier" and late:
                 wrong.append(f"rank {rank} left barrier call {call} before {late} entered it")
@@ -464,6 +536,8 @@ def build_model(
     relaxed = "" if threshold >= 1.0 else f", {int(threshold * 100)}% {policy.mode.value}"
     relaxed += f", slack={slack}" if slack else ""
     lagging = "" if laggard is None else f", laggard={laggard}"
+    lagging += ", bound" if bind else ""
+    lagging += ", fresh buffers" if fresh_buffers else ""
     name = (
         f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={nbytes}, "
         f"chunk_bytes={chunk_label}, calls={calls}{relaxed}{lagging}]"
@@ -473,7 +547,7 @@ def build_model(
         world=world,
         plans=plans,
         sendbufs=sendbufs,
-        recvbufs=recvbufs,
+        recvbufs=[None if buffer is None else np.asarray(buffer) for buffer in recvbufs],
         algorithm=algorithm,
         stalled_ranks=stalled,
         wrong_values=wrong,
@@ -555,6 +629,7 @@ def build_tolerant_model(
             mutate_plan(plan)
     sendbufs, recvbufs = _payloads(collective, num_ranks, elements, root)
     results: Dict[int, Any] = {}
+    degraded: Set[int] = set()  # survivors that completed with ranks missing
     finished: Set[int] = set()
     wrong: List[str] = []
 
@@ -600,6 +675,8 @@ def build_tolerant_model(
                 send_late_contribution(rt, sendbufs[rank], plans[rank].segment_id)
             return
         finished.add(rank)
+        if results[rank].missing_ranks:
+            degraded.add(rank)
         gathers = collective == "allreduce" or rank == root
         involved = gathers or (collective == "bcast" and faulty == root)
         lost = involved and rank != faulty and rank not in reached
@@ -612,7 +689,7 @@ def build_tolerant_model(
     # An absent rank's program ends at once.
     programs = [rank_program(r) if r in plans else _idle(world, 0) for r in range(num_ranks)]
     stalled = _run_cooperative(world, programs)
-    if not stalled and not any(r.missing_ranks for r in results.values()):
+    if not stalled and not degraded:
         wrong.append(f"{algorithm}: nobody completed degraded (a vacuous cell)")
     name = (
         f"{algorithm}[ranks={num_ranks}, root={root}, nbytes={elements * 8}, "

@@ -20,6 +20,10 @@ segment posts and consumes exactly what a correct one does.  It is applied
 through ``build_model(..., mutate_plan=...)`` and must be caught by the
 model's value check — every rank's ``recvbuf`` against the NumPy sum.
 
+So does :func:`allgather_at_wrong_offset`, a ring sub-chunk that lands in
+the wrong place of the landing zone — the caller's ``recvbuf`` where the
+zone is bound, the pooled segment where it is not.
+
 So does :func:`single_mailbox_per_step`, which takes the call parity out of
 the strict hypercube's mailboxes — the proof obligation for folding a
 mailbox in place, without a locked snapshot.  And so do the two hazards of
@@ -220,11 +224,12 @@ def corrupt_offset(trace: ProtocolTrace) -> ProtocolTrace:
 
 
 def skip_allgather_copy_out(plan: "PipelinedRingAllreducePlan") -> None:
-    """Leave every allgather arrival of a pipelined ring in the segment.
+    """Leave every allgather arrival of a staged pipelined ring in the segment.
 
     The single-copy ring keeps its result in the caller's ``recvbuf``;
-    the pooled segment is only where peers' sub-chunks land, so each
-    allgather arrival has to be copied out before it is forwarded.  This
+    without ``segment_bind`` the pooled segment is where peers' sub-chunks
+    land, so each allgather arrival has to be copied out before it is
+    forwarded (a bound landing zone is ``recvbuf`` itself).  This
     empties the element bounds of those copy-outs (in place, on one
     rank's plan): notifications still flow, the trace is indistinguishable
     from a clean one, and the rank forwards — and returns — whatever its
@@ -235,6 +240,23 @@ def skip_allgather_copy_out(plan: "PipelinedRingAllreducePlan") -> None:
         (sends, recvs if fold else [(nid, rb, rb) for nid, rb, _re in recvs], fold)
         for sends, recvs, fold in plan.steps
     ]
+
+
+def allgather_at_wrong_offset(plan: "PipelinedRingAllreducePlan") -> None:
+    """Land the last sub-chunk of a ring's first allgather send at offset 0.
+
+    Sender and receiver agree on a sub-chunk's landing offset only because
+    both cut the same global chunk; a sender that gets it wrong posts the
+    same notification with the same length, inside the landing zone, and
+    the receiver forwards whatever its own bytes at the right offset hold.
+    Staged or bound, that is a wrong result: expected finding class
+    ``wrong-value``.
+    """
+    for sends, _recvs, fold in plan.steps:
+        if not fold:
+            nid, sb, se, _remote = sends[-1]
+            sends[-1] = (nid, sb, se, 0)
+            return
 
 
 def single_mailbox_per_step(plan: "HypercubeAllreducePlan") -> None:

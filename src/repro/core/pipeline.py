@@ -40,9 +40,10 @@ pooled segment holds only what peers write into it.
   sub-chunk slots per step.  ``recvbuf`` is the working vector: step-0
   sends read ``sendbuf``, every scatter fold is
   ``recvbuf[c] = op(sendbuf[c], slot)``, allgather sub-chunks land at
-  their global offsets in the segment and are copied into ``recvbuf`` as
-  they arrive, later sends read ``recvbuf`` — no entry copy, no staging,
-  no copy back.
+  their global offsets — straight in ``recvbuf`` where a second segment
+  can be bound to it, else in the pooled segment, copied into ``recvbuf``
+  as they arrive — and later sends read ``recvbuf``: no entry copy, no
+  staging, no copy back.
 
 Buffer ownership follows from that (the MPI rule): ``sendbuf`` is read and
 ``recvbuf`` written until the call — or, for the nonblocking API, the
@@ -1004,13 +1005,24 @@ class PipelinedRingAllreducePlan(CollectivePlan):
       (``policy.chunk_bytes`` / the tuning table), all in flight at once
       with per-sub-chunk notification ids;
     * the pooled segment holds only what peers write: one slot per
-      scatter sub-chunk and the allgather *landing zone*, where
-      sub-chunks arrive at their global offsets (the same on every rank)
-      and are copied into ``recvbuf`` as they arrive.  A per-call entry
-      notification from the successor fences those writes against the
-      successor's previous-call copy-out; the scatter-phase slots need no
-      fence — the ring's transitive step dependency already serialises
-      them across calls, exactly as for the monolithic plan.
+      scatter sub-chunk, and on runtimes without ``segment_bind`` the
+      allgather *landing zone*, where sub-chunks arrive at their global
+      offsets (the same on every rank) and are copied into ``recvbuf`` as
+      they arrive.  With ``segment_bind`` (and a pool to lease from) the
+      landing zone is a second, exact workspace bound to the working
+      vector: allgather sub-chunks
+      and their notifications land straight in ``recvbuf``, and nothing is
+      copied out.  A per-call entry notification from the successor
+      fences the allgather writes against the successor's previous call —
+      its copy-out, or its rebinding to this call's vector, which comes
+      before the notification.  The scatter-phase slots need no fence —
+      the ring's transitive step dependency already serialises them
+      across calls, exactly as for the monolithic plan.
+
+    A landing write into the working vector never meets a value the
+    receiver still needs: it carries a fully reduced chunk, which exists
+    only after the receiver sent its own share of that chunk on (its
+    step-0 send, or the fold it forwarded).
     """
 
     _segment_views = ("_slot_views",)
@@ -1040,6 +1052,16 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         # (rounding the *byte* quotient up leaves the slot short of — and
         # the next slot inside — a sub-chunk one element larger).
         self.sub_slot_bytes = max(-(-max_chunk // self.subs), 1) * itemsize
+        # The bound zone is a second segment, so a pooled plan's: a
+        # standalone one owns the single id ``segment_id``.  A bound window
+        # must fill its segment exactly, and a segment is at least 8 bytes:
+        # smaller payloads land in the staged zone.
+        self.bind_landing = (
+            pool is not None and runtime.supports_bind and key.nbytes >= 8 and size > 1
+        )
+        self._bound: Optional[np.ndarray] = None
+        # Scatter slots sit past the staged landing zone, or alone.
+        self._slot_base = 0 if self.bind_landing else key.nbytes
         layout = NotificationLayout()
         self.notif_entry = layout.add("entry", 1)
         self.notif_steps = layout.add(
@@ -1048,7 +1070,8 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         # Step table: per global step, the fully precomputed send and
         # receive actions.  Sends: (notif id, element bounds in the
         # caller's vector, remote byte offset).  Receives: (notif id,
-        # element bounds) — the arrival sits in ``_slot_views[nid]``.
+        # element bounds) — a scatter arrival sits in ``_slot_views[nid]``,
+        # an allgather one at its global offset of the landing zone.
         # Sub-bounds slice the *global* vector; sender and receiver cut
         # the same global chunk, so they always agree.
         self.steps: List[Tuple[List[tuple], List[tuple], bool]] = []
@@ -1071,15 +1094,16 @@ class PipelinedRingAllreducePlan(CollectivePlan):
             ]
             self.steps.append((sends, recvs, fold))
         if size > 1:
-            slot_region = self.scatter_steps * self.subs * self.sub_slot_bytes
-            workspace_bytes = max(key.nbytes, 8) + slot_region
+            slot_bytes = self.scatter_steps * self.subs * self.sub_slot_bytes
+            workspace_bytes = max(self._slot_base + slot_bytes, 8)
             # Budget check: the step table's remote offsets are computed by
             # hand (allgather arrivals at their global offsets, scatter
-            # slots past them) — prove every send of every step lands
-            # inside the workspace created just below.
+            # slots after the staged landing zone) — prove every send of
+            # every step lands inside the workspace created just below.
             for sends, _recvs, fold in self.steps:
                 for nid, sb, se, remote in sends:
                     send_bytes = (se - sb) * itemsize
+                    end = workspace_bytes if fold else key.nbytes
                     require(
                         not fold or send_bytes <= self.sub_slot_bytes,
                         f"ring scatter sub-chunk of {send_bytes} bytes "
@@ -1087,15 +1111,21 @@ class PipelinedRingAllreducePlan(CollectivePlan):
                         f"{self.sub_slot_bytes}-byte slot",
                     )
                     require(
-                        0 <= remote and remote + send_bytes <= workspace_bytes,
+                        0 <= remote and remote + send_bytes <= end,
                         f"ring step table overruns the workspace: send for "
                         f"notification {nid} covers bytes "
-                        f"[{remote}, {remote + send_bytes}) of "
-                        f"{workspace_bytes}",
+                        f"[{remote}, {remote + send_bytes}) of {end}",
                     )
             self._lease_workspace(workspace_bytes, layout.used)
-            # Frozen views of where each sub-chunk arrives (keyed by
-            # notification id) — no per-call segment lookups.
+            #: Where allgather sub-chunks land: the bound workspace, or the
+            #: staged zone at the front of the pooled one.
+            self.landing_id = (
+                self._lease_workspace(key.nbytes, layout.used, exact=True)
+                if self.bind_landing
+                else self.segment_id
+            )
+            # Frozen views of where each sub-chunk arrives in the pooled
+            # segment (keyed by notification id) — no per-call lookups.
             self._slot_views = {
                 nid: runtime.segment_view(
                     self.segment_id,
@@ -1103,9 +1133,9 @@ class PipelinedRingAllreducePlan(CollectivePlan):
                     offset=self._arrival_offset(gstep, m, rb),
                     count=re - rb,
                 )
-                for gstep, (_sends, recvs, _fold) in enumerate(self.steps)
+                for gstep, (_sends, recvs, fold) in enumerate(self.steps)
                 for m, (nid, rb, re) in enumerate(recvs)
-                if re > rb
+                if re > rb and (fold or not self.bind_landing)
             }
 
     def _sub_bounds(self, chunk_index: int) -> List[Tuple[int, int]]:
@@ -1118,14 +1148,14 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         return out
 
     def _arrival_offset(self, gstep: int, sub: int, begin: int) -> int:
-        """Segment byte offset where sub-chunk ``sub`` of ``gstep`` lands.
+        """Byte offset where sub-chunk ``sub`` of ``gstep`` lands.
 
-        Scatter sub-chunks get one slot each past the landing zone;
+        Scatter sub-chunks get one slot each of the pooled segment;
         allgather sub-chunks land at their global offset ``begin``
-        (elements) inside it — identical on sender and receiver.
+        (elements) of the landing zone — identical on sender and receiver.
         """
         if gstep < self.scatter_steps:
-            return self.key.nbytes + (gstep * self.subs + sub) * self.sub_slot_bytes
+            return self._slot_base + (gstep * self.subs + sub) * self.sub_slot_bytes
         return begin * self.dtype.itemsize
 
     def _step_id(self, step: int, sub: int) -> int:
@@ -1146,7 +1176,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         if recvbuf is None:
             recvbuf = np.empty_like(sendbuf)
         else:
-            recvbuf = np.asarray(recvbuf)
+            recvbuf = np.asanyarray(recvbuf)  # the bound zone is this very object
             require(
                 recvbuf.shape == sendbuf.shape and recvbuf.dtype == sendbuf.dtype,
                 "recvbuf must match sendbuf in shape and dtype",
@@ -1159,6 +1189,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
             )
 
         sid = self.segment_id
+        landing = self.landing_id
         queue = request.queue
         nxt = self.next_rank
         # recvbuf is the working vector: every element is written exactly
@@ -1168,9 +1199,18 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         # reduces into a private vector and is filled once at the end.
         out = recvbuf if recvbuf.flags["C_CONTIGUOUS"] else np.empty_like(sendbuf)
         arrivals = self._slot_views
-        # Entry fence: the predecessor writes its allgather sub-chunks
-        # into this rank's landing zone only after this notification, i.e.
-        # after the previous call's arrivals were all copied out.
+        staged = not self.bind_landing
+        if not staged and self._bound is not out:
+            # Point the landing zone at this call's vector.  Safe: the
+            # predecessor's allgather writes of the previous call were all
+            # consumed, and it writes this call's only after the entry
+            # notification posted below.
+            rt.segment_bind(landing, out)
+            self._bound = out
+        # Entry fence: the predecessor writes its allgather sub-chunks into
+        # this rank's landing zone only after this notification, i.e. after
+        # the previous call's arrivals were all copied out (or the zone was
+        # bound to this call's vector).
         entry_id = self.notif_entry.id(0)
         rt.notify(self.prev_rank, sid, entry_id, queue=queue)
         rt.wait(queue)
@@ -1180,6 +1220,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         bytes_received = 0
         itemsize = self.dtype.itemsize
         source = sendbuf  # step 0 sends the caller's own chunk
+        target = sid  # the segment a step writes to and waits on
         for sends, recvs, fold in self.steps:
             if not fold and not entry_seen:
                 # First allgather send: wait for the successor's entry
@@ -1188,27 +1229,28 @@ class PipelinedRingAllreducePlan(CollectivePlan):
                     yield WaitSpec(sid, entry_id, 1)
                 rt.notify_reset(sid, entry_id)
                 entry_seen = True
+                target = landing
             for nid, sb, se, remote in sends:
                 if se > sb:
                     rt.write_notify_from(
-                        source[sb:se], nxt, sid, remote, nid, queue=queue
+                        source[sb:se], nxt, target, remote, nid, queue=queue
                     )
                 else:
-                    rt.notify(nxt, sid, nid, queue=queue)
+                    rt.notify(nxt, target, nid, queue=queue)
                 bytes_sent += (se - sb) * itemsize
             rt.wait(queue)
             source = out  # every later send forwards what the last step produced
             for nid, rb, re in recvs:
-                while rt.notify_waitsome(sid, nid, 1, timeout=poll_timeout) is None:
-                    yield WaitSpec(sid, nid, 1)
-                rt.notify_reset(sid, nid)
+                while rt.notify_waitsome(target, nid, 1, timeout=poll_timeout) is None:
+                    yield WaitSpec(target, nid, 1)
+                rt.notify_reset(target, nid)
                 bytes_received += (re - rb) * itemsize
                 if re > rb:
                     if fold:
                         kernels.fold(
                             operator, sendbuf[rb:re], arrivals[nid], out[rb:re]
                         )
-                    else:
+                    elif staged:
                         out[rb:re] = arrivals[nid]
 
         if out is not recvbuf:

@@ -16,7 +16,7 @@ on the payload *values*:
 * the topology (binomial tree / ring / hypercube neighbour lists),
 * the per-round send/receive offsets and the notification-id layout,
 * the communication schedule for the simulator backend (built once), and
-* a workspace segment leased from the pool for the plan's lifetime.
+* the workspace segments leased from the pool for the plan's lifetime.
 
 Concrete plans live next to their algorithms
 (:class:`~repro.core.bcast.BstBcastPlan`,
@@ -68,7 +68,7 @@ import numpy as np
 from ..gaspi.constants import GASPI_BLOCK
 from ..utils.validation import require
 from .reduction_ops import get_op
-from .workspace import Lease, WorkspacePool
+from .workspace import WorkspacePool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from ..gaspi.runtime import GaspiRuntime
@@ -259,8 +259,8 @@ class CollectivePlan:
     Construction is collective: every rank builds the plan for the same
     key at the same dispatch, so a pool miss can synchronise its fresh
     segment with a single barrier.  With ``pool=None`` the plan is
-    standalone: its workspace is registered under ``segment_id`` and lives
-    exactly as long as the plan.
+    standalone: its one workspace is registered under ``segment_id`` and
+    lives exactly as long as the plan.
     """
 
     #: Attributes holding views of the workspace.  Teardown drops them
@@ -292,18 +292,28 @@ class CollectivePlan:
         self.last_used = 0
         self._schedule: Optional["CommunicationSchedule"] = None
         self._pool = pool
-        self._lease: Optional[Lease] = None
+        self._standalone = pool is None
+        #: Leased segment ids, the plan's :attr:`segment_id` first.
+        self._leases: List[int] = []
         self._closed = False
 
     # ------------------------------------------------------------------ #
     def _lease_workspace(
         self, nbytes: int, notification_ids: int, exact: bool = False
-    ) -> None:
-        """Lease the plan's workspace (``nbytes`` must agree on every rank)."""
-        self._lease = Lease(
-            self.runtime, self._pool, self.segment_id, nbytes, notification_ids, exact
-        )
-        self.segment_id = self._lease.segment_id
+    ) -> int:
+        """Lease a workspace (``nbytes`` must agree on every rank); its id.
+
+        The first one is the plan's :attr:`segment_id`.  Only a pooled plan
+        can lease a second: a standalone one opens a pool of its own over
+        the single id ``segment_id``.
+        """
+        if self._pool is None:
+            self._pool = WorkspacePool(self.runtime, self.segment_id)
+        segment_id = self._pool.lease(nbytes, notification_ids, exact)
+        if not self._leases:
+            self.segment_id = segment_id
+        self._leases.append(segment_id)
+        return segment_id
 
     # ------------------------------------------------------------------ #
     # executor protocol: one generator body, three ways to complete it
@@ -359,35 +369,38 @@ class CollectivePlan:
         """True once the plan gave up its workspace."""
         return self._closed
 
-    def _retire(self) -> Optional[Lease]:
-        """Flip to closed exactly once; the lease to give back, if any."""
+    def _retire(self) -> List[int]:
+        """Flip to closed exactly once; the leases to give back, if any."""
         if self._closed:
-            return None
+            return []
         self._closed = True
         for name in self._segment_views:
             setattr(self, name, None)
-        return self._lease
+        return self._leases
 
     def release(self) -> None:
-        """Give the workspace back to its pool (collective: the pool retires
-        it, and a later batch or miss barrier quiesces it before the scrub).
+        """Give the workspaces back to their pool (collective: the pool
+        retires them, and a later batch or miss barrier quiesces them before
+        the scrub).  A standalone plan closes its own pool: one barrier.
 
         What plan-cache eviction and the cold path call.  Idempotent.
         """
-        lease = self._retire()
-        if lease is not None:
-            lease.release()
+        leases = self._retire()
+        if leases and self._standalone:
+            self._pool.close()
+        else:
+            for segment_id in leases:
+                self._pool.release(segment_id)
 
     def close(self) -> None:
         """Local teardown (idempotent, never raises, no synchronisation).
 
-        A standalone plan deletes its segment — the caller synchronises
-        first, as before.  A pooled plan only forgets its workspace: the
-        pool's owner deletes it in bulk (``Communicator.close()``).
+        A standalone plan deletes its segments — the caller synchronises
+        first, as before.  A pooled plan only forgets its workspaces: the
+        pool's owner deletes them in bulk (``Communicator.close()``).
         """
-        lease = self._retire()
-        if lease is not None:
-            lease.drop()
+        if self._retire() and self._standalone:
+            self._pool.drop()
 
     def _check_payload(self, buffer: np.ndarray, name: str = "buffer") -> np.ndarray:
         """Validate that a per-call payload matches the plan's frozen key.

@@ -262,10 +262,10 @@ class CollectiveResult:
         algorithm's schedule when the communicator carries a machine
         model; ``None`` otherwise.
     missing_ranks:
-        Ranks whose contribution never arrived before a fault-tolerant
-        collective completed (empty for ordinary collectives).  The
+        Ranks whose contribution is still missing from a fault-tolerant
+        collective's result (empty for ordinary collectives): what the
         per-algorithm ``detail`` (:class:`~repro.faults.recovery.DegradedResult`)
-        carries the matching correction handle.
+        reports, so a successful correction empties it here too.
     """
 
     value: Optional[np.ndarray]
@@ -275,7 +275,10 @@ class CollectiveResult:
     policy: ConsistencyPolicy = STRICT
     detail: Any = None
     simulated: Any = None
-    missing_ranks: Tuple[int, ...] = ()
+
+    @property
+    def missing_ranks(self) -> Tuple[int, ...]:
+        return getattr(self.detail, "missing_ranks", ())
 
     @property
     def simulated_seconds(self) -> Optional[float]:

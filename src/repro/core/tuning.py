@@ -80,7 +80,7 @@ class ChunkRule:
 #: substrate no longer pays that wakeup when each rank owns a core (a
 #: blocked rank polls, see ``ShmWorld.hybrid_wait``); finer chunks on top
 #: of that measured inconclusive (+5 % / -4 % over two pairs), so the
-#: table stands until a sweep re-derives it (ROADMAP item 5).
+#: table stands until a sweep re-derives it (ROADMAP item 7c).
 #: ``ConsistencyPolicy.chunk_bytes`` overrides the table, which the
 #: nonblocking overlap path uses to force finer chunks.
 PIPELINE_CHUNK_TABLE: List[ChunkRule] = [

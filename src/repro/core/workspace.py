@@ -46,10 +46,10 @@ raises :class:`TimeoutError`, and a batch, or a :meth:`WorkspacePool.close`
 over the live ranks, whose barrier fails deletes its segments best-effort.
 
 Two lifetimes, one code path: a :class:`~repro.core.api.Communicator`
-owns one pool over its segment-id range; a standalone caller (a cold
-function called with a bare ``segment_id``, a plan compiled outside a
-communicator) gets a :class:`Lease` on a single-id pool that lives exactly
-as long as the lease.
+owns one pool over its segment-id range; a standalone plan (a cold call
+with a bare ``segment_id``, a plan compiled outside a communicator) opens
+a pool of its own over that single id, which lives exactly as long as
+the plan (:meth:`~repro.core.plan.CollectivePlan.release`).
 """
 
 from __future__ import annotations
@@ -281,39 +281,3 @@ class WorkspacePool:
         except GaspiError:  # crashed/vanished runtime: nothing left to free
             pass
         self._spare_ids.append(segment_id)
-
-
-class Lease:
-    """One leased workspace and the way back to its pool.
-
-    With ``pool=None`` the lease opens a pool of its own over the single
-    id ``segment_id``; releasing the lease closes that pool (the barrier
-    and delete that used to close every cold call).
-    """
-
-    def __init__(
-        self,
-        runtime: GaspiRuntime,
-        pool: Optional[WorkspacePool],
-        segment_id: int,
-        nbytes: int,
-        notification_ids: int,
-        exact: bool = False,
-    ) -> None:
-        self._standalone = pool is None
-        self._pool = WorkspacePool(runtime, segment_id) if pool is None else pool
-        self.segment_id = self._pool.lease(nbytes, notification_ids, exact)
-
-    def release(self) -> None:
-        """Collective: the workspace is retired to its pool, or deleted
-        behind one barrier if the lease is standalone."""
-        if self._standalone:
-            self._pool.close()
-        else:
-            self._pool.release(self.segment_id)
-
-    def drop(self) -> None:
-        """Local: a standalone workspace is deleted, a pooled one is left
-        to its pool's owner (who releases it or closes the pool)."""
-        if self._standalone:
-            self._pool.drop()

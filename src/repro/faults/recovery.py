@@ -393,7 +393,7 @@ class TolerantPlan(CollectivePlan):
             )
         if not detail.met_threshold and self.on_failure == "abort":
             raise DegradedCollectiveError(detail)
-        return CollectiveResult(value=value, detail=detail, missing_ranks=detail.missing_ranks)
+        return CollectiveResult(value=value, detail=detail)
 
     def _collect(
         self,

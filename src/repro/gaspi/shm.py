@@ -85,6 +85,7 @@ by the children instead of pickled.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import pickle
 import time
@@ -185,6 +186,37 @@ def _quiet_close(shm: shared_memory.SharedMemory) -> None:
                 pass
             shm._fd = -1
         shm.close = lambda: None  # __del__ retries close; make it a no-op
+
+
+class _Attachment(shared_memory.SharedMemory):
+    """An existing block, mapped without telling the resource tracker.
+
+    Every rank process is forked after the world's control block started
+    the tracker, so all ranks share one, and only the owner registers a
+    block (its crash is what the tracker cleans up after).  A registration
+    sent by an attacher could reach the tracker after the owner's unlink
+    unregistered the name: the tracker would then try to unlink it again
+    at exit and warn ``[Errno 2]``, hiding real leak reports among false
+    ones.  What ``SharedMemory(name, track=False)`` does from Python 3.13
+    on.
+    """
+
+    _track = False
+
+    def __init__(self, name: str) -> None:
+        # Not super().__init__: that is where the registration is sent.
+        import _posixshmem  # POSIX only, like the fork this backend needs
+
+        self._name = "/" + name
+        self._fd = _posixshmem.shm_open(self._name, os.O_RDWR, mode=self._mode)
+        try:
+            self._size = os.fstat(self._fd).st_size
+            self._mmap = mmap.mmap(self._fd, self._size)
+        except OSError:
+            os.close(self._fd)
+            self._fd = -1
+            raise
+        self._buf = memoryview(self._mmap)
 
 
 @dataclass
@@ -294,11 +326,7 @@ class _SegmentBlock:
 
     @classmethod
     def attach(cls, name: str, owner_rank: int, segment_id: int) -> "_SegmentBlock":
-        # Attach registrations are harmless here: every rank process is
-        # forked after the world's control block started the resource
-        # tracker, so all ranks share one tracker whose per-name set
-        # deduplicates them; the owner's unlink clears the single entry.
-        shm = shared_memory.SharedMemory(name=name, create=False)
+        shm = _Attachment(name)
         block = cls(name, owner_rank, segment_id, shm, owned=False)
         if not block.valid:
             block.release()

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis import analyze, build_model, verify_algorithm
+from repro.analysis import analyze, analyze_run, build_model, verify_algorithm
 from repro.core.plan import PLAN_WAIT_TIMEOUT
 from repro.core.policy import CollectiveRequest
 from repro.core.registry import REGISTRY
@@ -120,6 +120,50 @@ def test_a_blocking_wait_inside_the_model_raises_instead_of_parking():
         plan.execute(request)
     assert time.monotonic() - started < 1.0
     assert f"segment {plan.segment_id}" in str(error.value)
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+@pytest.mark.parametrize("ranks", [2, 5])
+@pytest.mark.parametrize(
+    "algorithm", ["gaspi_allreduce_ring_pipelined", "gaspi_bcast_bst_pipelined"]
+)
+def test_a_bound_world_runs_the_bind_branch_clean(algorithm, ranks, fresh):
+    # A world with segment_bind: the broadcast's receivers and the ring's
+    # allgather land in the caller's buffer.  Each bind is a store over the
+    # whole segment, once per rank, or once per call under fresh buffers.
+    calls = 3
+    run = build_model(
+        algorithm, ranks, 512, chunk_bytes=128, calls=calls, bind=True,
+        fresh_buffers=fresh, laggard=ranks - 1,
+    )  # fmt: skip
+    assert analyze_run(run) == []
+    assert "bound" in run.trace.name and ("fresh buffers" in run.trace.name) == fresh
+    plan, ring = run.plans[1], algorithm == "gaspi_allreduce_ring_pipelined"
+    assert plan.bind_landing if ring else plan.zero_copy
+    bound = plan.landing_id if ring else plan.segment_id
+    binds = [
+        event
+        for event in run.trace.events[1]
+        if event.kind == "write" and event.segment == bound
+        and event.length == run.world.runtimes[1].segment_size(bound)
+    ]
+    assert len(binds) == (calls if fresh else 1)
+
+
+def test_strict_cells_are_value_checked():
+    # Every strict allreduce, bcast and reduce call is held against the
+    # exact result; a plan that skips its allgather copy-out posts and
+    # consumes what a correct one does, so only the value check sees it.
+    from repro.analysis.mutations import skip_allgather_copy_out
+
+    for algorithm in ("gaspi_allreduce_ring_pipelined", "gaspi_reduce_bst", "gaspi_bcast_bst"):
+        assert build_model(algorithm, 4, 256).wrong_values == []
+    run = build_model(
+        "gaspi_allreduce_ring_pipelined", 4, 512, chunk_bytes=64,
+        mutate_plan=skip_allgather_copy_out,
+    )  # fmt: skip
+    assert analyze(run.trace) == []
+    assert run.wrong_values and "delivered a wrong value" in run.wrong_values[0]
 
 
 def test_model_traces_carry_events():

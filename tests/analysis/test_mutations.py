@@ -27,6 +27,7 @@ from repro.analysis import (
     verify_recycling,
 )
 from repro.analysis.mutations import (
+    allgather_at_wrong_offset,
     count_unconsumed_slots,
     corrupt_notification_id,
     corrupt_offset,
@@ -105,17 +106,15 @@ def test_dropped_credit_consume_is_a_data_race():
     assert found == {DATA_RACE, DOUBLE_POST}
 
 
-@pytest.mark.parametrize("ranks", [8, 16])
+@pytest.mark.parametrize("ranks", [4, 8, 16])
 def test_partial_staged_in_a_child_slot_is_a_data_race(ranks):
     # Credits release a child as soon as *its* slot is folded; the partial
-    # result of a rank with two children must not be bytes that child can
-    # write.  (Silent on 2 and 4 ranks: no inner rank folds twice there.)
+    # result of an inner rank must not be bytes that child can write — not
+    # even with one child, whose next push races the post read out of the
+    # slot.  (Silent on 2 ranks: there is no inner rank.)
     cell = dict(nbytes=256, calls=3, laggard=0)
-    for small in (2, 4):
-        quiet = build_model(
-            "gaspi_reduce_bst", small, **cell, mutate_plan=stage_partial_in_child_slot
-        )
-        assert analyze(quiet.trace) == []
+    quiet = build_model("gaspi_reduce_bst", 2, **cell, mutate_plan=stage_partial_in_child_slot)
+    assert analyze_run(quiet) == []
     mutated = build_model(
         "gaspi_reduce_bst", ranks, **cell, mutate_plan=stage_partial_in_child_slot
     )
@@ -163,6 +162,23 @@ def test_skipped_allgather_copy_out_fails_the_value_check():
     )
     assert analyze(mutated.trace) == []
     assert not any(np.array_equal(out, expected) for out in mutated.recvbufs)
+
+
+def test_an_allgather_at_the_wrong_offset_is_a_wrong_value_staged_and_bound():
+    # The sweep's pipelined ring cells, staged and bound (the sizes of the
+    # bound twins as well): the mutant is clean to every trace check in the
+    # staged landing zone, and a wrong result in both.
+    from repro.analysis import model_cell
+    from repro.analysis.__main__ import _cells
+
+    cells = _cells(["gaspi_allreduce_ring_pipelined"], [4], calls=2)
+    assert {bool(cell.get("bind")) for *_, cell in cells} == {False, True}
+    for name, ranks, nbytes, cell in cells:
+        assert analyze_run(model_cell(name, ranks, nbytes, **cell)) == []
+        mutated = model_cell(name, ranks, nbytes, **cell, mutate_plan=allgather_at_wrong_offset)
+        assert WRONG_VALUE in classes(analyze_run(mutated)), mutated.trace.name
+        if not cell.get("bind"):
+            assert analyze(mutated.trace) == []
 
 
 @pytest.mark.parametrize("ranks", [2, 8])

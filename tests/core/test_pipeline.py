@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import Communicator, ConsistencyPolicy, FaultPlan
+from repro import Communicator, ConsistencyPolicy, FaultPlan, run_backend
 from repro.core.pipeline import ChunkLayout
 from repro.core.registry import REGISTRY
 from repro.core.topology import BinomialTree
@@ -24,8 +24,9 @@ from repro.core.tuning import (
     select_chunk_bytes,
 )
 from repro.simulate.machine import skylake_fdr
+from repro.telemetry import Telemetry
 
-from tests.helpers import rank_vector, spmd
+from tests.helpers import expected_sum, rank_vector, spmd
 
 PAIRS = (
     ("bcast", "bst", "bst_pipelined"),
@@ -146,6 +147,86 @@ class TestBitIdenticalEquivalence:
             assert np.array_equal(out, reference)
             assert seconds is not None and seconds > 0
             assert "pipelined" in schedule_name
+
+
+def _bound_ring_results(rt):
+    """Every ``recvbuf`` shape the pipelined ring's landing zone meets.
+
+    Returns ``{scenario: [result bytes per call]}`` and whether the plans
+    bound their landing zone.  Chunked to several sub-chunks per step.
+    """
+    n, policy = 300, ConsistencyPolicy(chunk_bytes=256)
+    ring = dict(algorithm="ring_pipelined", policy=policy)
+    rank = rt.rank
+    send = rank_vector(rank, n)
+    comm = Communicator(rt)
+    out = {}
+    # recvbuf changes identity between calls, and comes back.
+    first, second = np.zeros(n), np.zeros(n)
+    out["identity"] = [
+        comm.allreduce(send, recvbuf, **ring).tobytes() for recvbuf in (first, second, first)
+    ]
+    out["none"] = [comm.allreduce(send, **ring).tobytes() for _ in range(2)]
+    inplace = []
+    for _ in range(2):
+        buf = send.copy()
+        comm.allreduce(buf, buf, **ring)
+        inplace.append(buf.tobytes())
+    out["in-place"] = inplace
+    strided = np.zeros(2 * n)
+    out["strided"] = [
+        comm.allreduce(send, strided[::2], **ring).tobytes() for _ in range(2)
+    ]
+    assert not strided[1::2].any()
+    # Four tagged nonblocking calls over the rows of one array.
+    rows = np.zeros((4, n))
+    sends = [rank_vector(rank + 10 * q, n) for q in range(4)]
+    buckets = []
+    for _ in range(2):
+        for q in range(4):
+            comm.iallreduce(sends[q], rows[q], tag=q + 1, **ring)
+        comm.wait_all()
+        buckets.append(rows.tobytes())
+    out["buckets"] = buckets
+    bound = {
+        plan.bind_landing
+        for plan in comm._plans.lru()
+        if plan.key.algorithm == "gaspi_allreduce_ring_pipelined"
+    }
+    comm.close()
+    # The wrapped stack: telemetry, an empty fault plan, a split(0) child.
+    parent = Communicator(rt, telemetry=Telemetry(rank=rank), faults=FaultPlan())
+    child = parent.split(0)
+    recvbuf = np.zeros(n)
+    out["wrapped"] = [child.allreduce(send, recvbuf, **ring).tobytes() for _ in range(2)]
+    bound |= {plan.bind_landing for plan in child._plans.lru()}
+    child.close()
+    parent.close()
+    return out, bound
+
+
+class TestBoundRingLandingZone:
+    """The ring's allgather lands in ``recvbuf`` where the runtime binds
+    (threaded) and in the pooled segment where it cannot (shm): the same
+    bytes either way, whatever the caller passes as ``recvbuf``."""
+
+    @pytest.mark.parametrize("ranks", [3, 4])
+    def test_every_recvbuf_shape_is_bit_identical_across_backends(self, ranks):
+        threaded = run_backend(ranks, _bound_ring_results, backend="threaded", timeout=90)
+        shm = run_backend(ranks, _bound_ring_results, backend="shm", timeout=90)
+        n = 300
+        want = {"buckets": [sum(rank_vector(r + 10 * q, n) for r in range(ranks)) for q in range(4)]}
+        for rank in range(ranks):
+            (t_out, t_bound), (s_out, s_bound) = threaded[rank], shm[rank]
+            assert t_bound == {True} and s_bound == {False}
+            assert t_out == s_out
+            for scenario, calls in t_out.items():
+                expected = np.reshape(want.get(scenario, expected_sum(ranks, n)), -1)
+                for got in calls:
+                    assert np.allclose(np.frombuffer(got), expected), scenario
+            # The ring's fold order is fixed: every call of every single-vector
+            # scenario holds the same bytes.
+            assert len({got for key, calls in t_out.items() if key != "buckets" for got in calls}) == 1
 
 
 class TestReduceCredits:

@@ -122,6 +122,37 @@ class TestDegradedCompletion:
             assert np.allclose(degraded, partial)
             assert np.allclose(corrected, exact)
 
+    def test_a_correction_empties_the_results_missing_ranks(self):
+        # 2 ranks: rank 1 crashes before posting, rank 0 completes alone;
+        # once rank 1's late contribution is folded in, the result object
+        # reports nobody missing, as its detail does.
+        n = 64
+        resend = threading.Event()
+
+        def worker(rt):
+            comm = Communicator(rt, faults=FaultPlan.single_crash(1, at_op=0), detect_timeout=DETECT)
+            data = rank_vector(comm.rank, n)
+            policy = ConsistencyPolicy.process_threshold(0.5, on_failure="complete")
+            try:
+                comm.allreduce(data, policy=policy, algorithm="tolerant")
+            except RankCrashedError:
+                resend.wait(30.0)
+                comm.runtime.recover()
+                send_late_contribution(comm.runtime, data, comm.last_segment_id)
+                return None
+            result = comm.last_result
+            before = result.missing_ranks
+            resend.set()
+            corrected = result.detail.correct(timeout=10.0).copy()
+            after = (comm.last_result.missing_ranks, result.detail.missing_ranks)
+            comm.close()
+            return before, after, corrected
+
+        before, after, corrected = spmd(2, worker)[0]
+        assert before == (1,)
+        assert after == ((), ())
+        assert np.allclose(corrected, expected_sum(2, n))
+
     def test_below_threshold_aborts_with_detail(self):
         # Ranks 2 and 3 crash; 2/4 contributors < 75% -> abort on survivors.
         def strict_worker(rt):

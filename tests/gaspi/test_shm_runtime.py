@@ -198,6 +198,35 @@ class TestShmSemantics:
         assert results == [1.5, 0.5]
 
 
+    def test_only_a_blocks_owner_registers_it_with_the_resource_tracker(self):
+        # The ranks share one tracker.  An attacher's registration could
+        # reach it after the owner's unlink unregistered the name, and the
+        # tracker would warn at exit that it cannot unlink a block that is
+        # gone — so the attacher sends none.
+        def worker(rt):
+            from multiprocessing import resource_tracker
+
+            registered = []
+            register = resource_tracker.register
+
+            def recording(name, rtype):
+                registered.append(name)
+                register(name, rtype)
+
+            resource_tracker.register = recording
+            try:
+                rt.segment_create(4, 64)
+                rt.barrier()
+                rt.write_notify_from(np.ones(1), (rt.rank + 1) % rt.size, 4, 0, 0)
+                assert rt.notify_waitsome(4, 0, 1, timeout=30.0) == 0
+                rt.barrier()
+            finally:
+                resource_tracker.register = register
+            return [name.rsplit("-", 2)[-2:] for name in registered]
+
+        assert _run_clean(2, worker, timeout=60) == [[["r0", "s4"]], [["r1", "s4"]]]
+
+
 # --------------------------------------------------------------------------- #
 # the split segment lock: board ops never wait for a bulk copy, reads never tear
 # --------------------------------------------------------------------------- #
