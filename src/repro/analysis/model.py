@@ -508,7 +508,7 @@ def build_model(
             entered[rank] += 1
             if fresh_buffers and recvbufs[rank] is not None:
                 recvbufs[rank] = fresh(recvbufs[rank])
-            elif fresh_buffers and rank != root:  # a broadcast receiver
+            elif fresh_buffers and info.collective == "bcast" and rank != root:
                 sendbufs[rank] = fresh(sendbufs[rank])
             if info.collective in ("alltoall", "allgather"):
                 recvbufs[rank][:] = 0  # a block this call does not deliver stays 0

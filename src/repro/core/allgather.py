@@ -68,8 +68,10 @@ class RingAllgatherPlan(CollectivePlan):
 
     _segment_views = ("_slots",)
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         size = runtime.size
         self.block = key.nbytes // self.key_dtype.itemsize
         require(self.block > 0, "allgather sendbuf must be a non-empty vector")

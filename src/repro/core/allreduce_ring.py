@@ -140,8 +140,10 @@ class RingAllreducePlan(CollectivePlan):
 
     _segment_views = ("_send_slots", "_recv_slots")
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         size = runtime.size

@@ -281,8 +281,10 @@ class HypercubeAllreducePlan(CollectivePlan):
 
     _segment_views = ("_steps",)
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         require(self.elements > 0, "num_elements must be positive")

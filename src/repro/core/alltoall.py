@@ -105,8 +105,10 @@ class AlltoallPlan(CollectivePlan):
 
     _segment_views = ("_slots",)
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         size = runtime.size
         elements = key.nbytes // self.key_dtype.itemsize
         self.block = b = elements // size

@@ -59,8 +59,10 @@ class DisseminationBarrierPlan(CollectivePlan):
     would land on an unconsumed notification.
     """
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self._rounds = dissemination_schedule(runtime.size, runtime.rank)
         ids = NotificationLayout().add("rounds", max(1, 2 * len(self._rounds)))
         self._lease_workspace(8, ids.end)

@@ -300,8 +300,10 @@ class BstBcastPlan(CollectivePlan):
     #: or cold call.
     _tree = staticmethod(lru_cache(maxsize=None)(BinomialTree))
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)

@@ -558,9 +558,9 @@ class PipelinedBstBcastPlan(CollectivePlan):
     _segment_views = ("_staging",)
 
     def __init__(
-        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None, throwaway=False
     ) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.send_elems = threshold_elements(self.elements, policy.threshold)
@@ -733,9 +733,9 @@ class PipelinedBstReducePlan(CollectivePlan):
     _segment_views = ("_acc", "_child_slots")
 
     def __init__(
-        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None, throwaway=False
     ) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         self.mode = ReduceMode(policy.mode)
@@ -1005,19 +1005,20 @@ class PipelinedRingAllreducePlan(CollectivePlan):
       (``policy.chunk_bytes`` / the tuning table), all in flight at once
       with per-sub-chunk notification ids;
     * the pooled segment holds only what peers write: one slot per
-      scatter sub-chunk, and on runtimes without ``segment_bind`` the
+      scatter sub-chunk, and, unless the plan binds it (below), the
       allgather *landing zone*, where sub-chunks arrive at their global
       offsets (the same on every rank) and are copied into ``recvbuf`` as
-      they arrive.  With ``segment_bind`` (and a pool to lease from) the
+      they arrive.  With ``segment_bind``, on a plan leased from a pool
+      that outlives one call (not a standalone or throwaway plan), the
       landing zone is a second, exact workspace bound to the working
-      vector: allgather sub-chunks
-      and their notifications land straight in ``recvbuf``, and nothing is
-      copied out.  A per-call entry notification from the successor
-      fences the allgather writes against the successor's previous call —
-      its copy-out, or its rebinding to this call's vector, which comes
-      before the notification.  The scatter-phase slots need no fence —
-      the ring's transitive step dependency already serialises them
-      across calls, exactly as for the monolithic plan.
+      vector: allgather sub-chunks and their notifications land straight
+      in ``recvbuf``, and nothing is copied out.  A per-call entry
+      notification from the successor fences the allgather writes against
+      the successor's previous call — its copy-out, or its rebinding to
+      this call's vector, which comes before the notification.  The
+      scatter-phase slots need no fence — the ring's transitive step
+      dependency already serialises them across calls, exactly as for
+      the monolithic plan.
 
     A landing write into the working vector never meets a value the
     receiver still needs: it carries a fully reduced chunk, which exists
@@ -1028,9 +1029,9 @@ class PipelinedRingAllreducePlan(CollectivePlan):
     _segment_views = ("_slot_views",)
 
     def __init__(
-        self, runtime, key: PlanKey, segment_id: int, policy, pool=None
+        self, runtime, key: PlanKey, segment_id: int, policy, pool=None, throwaway=False
     ) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = np.dtype(key.dtype)
         self.elements = key.nbytes // self.dtype.itemsize
         size = runtime.size
@@ -1053,11 +1054,17 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         # the next slot inside — a sub-chunk one element larger).
         self.sub_slot_bytes = max(-(-max_chunk // self.subs), 1) * itemsize
         # The bound zone is a second segment, so a pooled plan's: a
-        # standalone one owns the single id ``segment_id``.  A bound window
-        # must fill its segment exactly, and a segment is at least 8 bytes:
-        # smaller payloads land in the staged zone.
+        # standalone one owns the single id ``segment_id``.  It is exact —
+        # a create and a barrier at the lease, a barrier and a delete at the
+        # release — so a throwaway plan, which runs one call, lands in the
+        # staged zone.  A bound window must fill its segment exactly, and a
+        # segment is at least 8 bytes: smaller payloads are staged too.
         self.bind_landing = (
-            pool is not None and runtime.supports_bind and key.nbytes >= 8 and size > 1
+            pool is not None
+            and not self.throwaway
+            and runtime.supports_bind
+            and key.nbytes >= 8
+            and size > 1
         )
         self._bound: Optional[np.ndarray] = None
         # Scatter slots sit past the staged landing zone, or alone.

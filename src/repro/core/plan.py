@@ -260,7 +260,9 @@ class CollectivePlan:
     key at the same dispatch, so a pool miss can synchronise its fresh
     segment with a single barrier.  With ``pool=None`` the plan is
     standalone: its one workspace is registered under ``segment_id`` and
-    lives exactly as long as the plan.
+    lives exactly as long as the plan.  A ``throwaway`` plan runs one call
+    (:func:`_run_cold`), so a plan may skip for it a workspace whose cost
+    pays off only over many calls (the pipelined ring's bound landing zone).
     """
 
     #: Attributes holding views of the workspace.  Teardown drops them
@@ -274,6 +276,7 @@ class CollectivePlan:
         key: PlanKey,
         segment_id: int,
         pool: Optional[WorkspacePool] = None,
+        throwaway: bool = False,
     ) -> None:
         self.runtime = runtime
         self.key = key
@@ -293,6 +296,8 @@ class CollectivePlan:
         self._schedule: Optional["CommunicationSchedule"] = None
         self._pool = pool
         self._standalone = pool is None
+        #: Built for one call (:func:`_run_cold`), released right after it.
+        self.throwaway = throwaway
         #: Leased segment ids, the plan's :attr:`segment_id` first.
         self._leases: List[int] = []
         self._closed = False
@@ -525,7 +530,9 @@ def _run_cold(
     consume-acks) still in flight from the call before it is scrubbed.
     """
     key = _plan_key(collective, name, runtime, request)
-    plan = plan_cls(runtime, key, request.segment_id, request.policy, request.pool)
+    plan = plan_cls(
+        runtime, key, request.segment_id, request.policy, request.pool, throwaway=True
+    )
     try:
         return plan.execute(request)
     finally:

@@ -164,8 +164,10 @@ class BstReducePlan(CollectivePlan):
 
     _segment_views = ("_child_table",)
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         self.dtype = self.key_dtype
         self.elements = key.nbytes // self.dtype.itemsize
         self.mode = ReduceMode(policy.mode)

@@ -43,7 +43,8 @@ from .schedule import CommunicationSchedule
 
 ScheduleBuilder = Callable[..., CommunicationSchedule]
 Runner = Callable[..., CollectiveResult]  # runner(runtime, request)
-Planner = Callable[..., CollectivePlan]  # planner(runtime, key, segment_id, policy, pool)
+# planner(runtime, key, segment_id, policy, pool, throwaway=False)
+Planner = Callable[..., CollectivePlan]
 
 
 @dataclass(frozen=True)
@@ -329,9 +330,11 @@ def _planner(module: str, plan_class: str) -> Planner:
     Imported on first use: the plan modules import this package.
     """
 
-    def plan(runtime, key, segment_id, policy, pool=None) -> CollectivePlan:
+    def plan(
+        runtime, key, segment_id, policy, pool=None, throwaway=False
+    ) -> CollectivePlan:
         cls = getattr(import_module(f"{__package__}.{module}"), plan_class)
-        return cls(runtime, key, segment_id, policy, pool)
+        return cls(runtime, key, segment_id, policy, pool, throwaway)
 
     return plan
 

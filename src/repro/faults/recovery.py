@@ -302,8 +302,10 @@ class TolerantPlan(CollectivePlan):
     keeps its segment.
     """
 
-    def __init__(self, runtime, key, segment_id: int, policy, pool=None) -> None:
-        super().__init__(runtime, key, segment_id, pool)
+    def __init__(
+        self, runtime, key, segment_id: int, policy, pool=None, throwaway=False
+    ) -> None:
+        super().__init__(runtime, key, segment_id, pool, throwaway)
         size = runtime.size
         require(0 <= key.root < size, f"root {key.root} outside world of {size}")
         self.threshold = policy.threshold

@@ -150,6 +150,18 @@ def test_a_bound_world_runs_the_bind_branch_clean(algorithm, ranks, fresh):
     assert len(binds) == (calls if fresh else 1)
 
 
+def test_fresh_buffers_replace_only_result_buffers():
+    # Only a broadcast receiver's buffer is its result.  Every other send
+    # buffer stays what the rank contributes (a barrier's stays absent), so
+    # a value check never folds a zeroed stand-in.
+    run = build_model("gaspi_reduce_bst", 4, 256, calls=2, fresh_buffers=True)
+    assert run.wrong_values == []
+    for rank in range(4):
+        assert np.array_equal(run.sendbufs[rank], np.arange(32) + rank + 1.0)
+    run = build_model("gaspi_barrier_dissemination", 4, 0, calls=2, fresh_buffers=True)
+    assert run.wrong_values == [] and run.sendbufs == [None] * 4
+
+
 def test_strict_cells_are_value_checked():
     # Every strict allreduce, bcast and reduce call is held against the
     # exact result; a plan that skips its allgather copy-out posts and

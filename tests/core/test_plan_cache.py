@@ -391,16 +391,6 @@ class TestWorkspaceRecycling:
         ),
     }
 
-    #: Shapes with an exact lease, registered and deleted behind a barrier
-    #: per call: (barriers, creates, deletes) of 200 cold calls.  The
-    #: pipelined ring binds its allgather landing zone to the caller's
-    #: buffer on this runtime; its scatter slots are pooled (two misses).
-    EXACT_COUNTS = {
-        "alltoallv": (400, 200, 200),
-        "bcast_bound_window": (400, 200, 200),
-        "allreduce_pipelined": (402, 202, 200),
-    }
-
     @pytest.mark.parametrize("shape", sorted(COLD_CALLS))
     def test_cold_calls_cost_a_barrier_per_batch(self, shape):
         call = self.COLD_CALLS[shape]
@@ -416,8 +406,8 @@ class TestWorkspaceRecycling:
             return counts
 
         for barriers, created, deleted in spmd(4, worker):
-            if shape in self.EXACT_COUNTS:
-                assert (barriers, created, deleted) == self.EXACT_COUNTS[shape]
+            if shape in ("alltoallv", "bcast_bound_window"):
+                assert (barriers, created, deleted) == (400, 200, 200)
                 continue
             # One barrier per batch of releases; the segments that rotate
             # through leased, retired, cooling and free — a batch retiring
