@@ -3,11 +3,12 @@
 Models every registered verified algorithm at several rank counts and
 representative payloads (monolithic and pipelined/chunked), plus pairs of
 different plans back to back on recycled workspace-pool segments, runs all
-four checkers over each cell (and checks what each call delivered: the
-exact result of every strict allreduce, bcast and reduce, every block of
-an alltoall or allgather, nobody leaving a barrier early), and prints a
-findings report.  The plans with a ``segment_bind`` branch also run bound
-twins, on a model world with bind.  The
+four checkers over each cell, holds what each call delivered against
+:func:`~repro.core.policy.documented_result` (threshold and slack cells
+included; nobody leaves a barrier early), and prints a findings report
+whose summary counts the value-checked cells.  The plans with a
+``segment_bind`` branch also run bound twins, on a model world with
+bind.  The
 fault-tolerant plans run one cell per fault — a rank that never enters, a
 rank crashed mid-send, a late contribution folded in by a correction pass —
 each checked against the documented contributor set and the exact result
@@ -19,6 +20,7 @@ non-zero when any finding survives — CI runs this as the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -26,7 +28,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.registry import REGISTRY
-from . import analyze_run, model_cell, verify_recycling
+from . import analyze_run, build_recycle_model, model_cell
 from .events import Finding
 from .model import TOLERANT_FAULTS
 
@@ -86,16 +88,20 @@ def _cells(
                 # as the parity allows.
                 for shape in shapes:
                     shape.update(calls=max(calls, 3), laggard=ranks - 1)
+            if info.capabilities.supports_threshold:
+                # 0.3 rounds both ways: ⌊n·t⌋ ≠ ⌈n·t⌉ at 32 and 64
+                # elements, ⌊t·P⌋ ≠ ⌈t·P⌉ at 4, 8 and 16 ranks.
+                shapes += [
+                    dict(shapes[0], threshold=threshold, mode=mode)
+                    for mode in info.capabilities.modes
+                    for threshold in ((0.5, 0.3) if info.collective == "reduce" else (0.3,))
+                ]
             if info.collective == "reduce":
                 # A reduce child runs ahead of its parent until it is out
                 # of credit — one call — so it is the third call that has
                 # to wait, and somebody has to be late: the root (all its
                 # children run ahead) or, under the other root, its last
                 # child (siblings run ahead while the parent still sweeps).
-                shapes += [
-                    dict(shapes[0], threshold=0.5, mode=mode)
-                    for mode in ("data", "processes")
-                ]
                 for shape in shapes:
                     root = shape["root"]
                     shape.update(
@@ -199,15 +205,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.perf_counter()
     report: List[Dict[str, object]] = []
     all_findings: List[Finding] = []
-    for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls):
-        run = model_cell(name, ranks, nbytes, **cell)
+    runs = [
+        (REGISTRY.get(name).collective if "fault" not in cell else "tolerant",
+         functools.partial(model_cell, name, ranks, nbytes, **cell))
+        for name, ranks, nbytes, cell in _cells(algorithms, args.ranks, args.calls)
+    ]  # fmt: skip
+    runs += [
+        ("recycle", functools.partial(build_recycle_model, first, other, ranks, calls=args.calls))
+        for first, other in (_RECYCLE_PAIRS if args.all else ())
+        for ranks in args.ranks
+        if not REGISTRY.get(other).capabilities.unsupported_reason(ranks, None, None)
+    ]
+    for kind, build in runs:
+        run = build()
         findings = analyze_run(run)
         all_findings.extend(findings)
         report.append(
             {
                 "cell": run.trace.name,
-                "kind": "tolerant" if "fault" in cell else REGISTRY.get(name).collective,
+                "kind": kind,
                 "events": run.trace.total_events(),
+                "value_checks": run.value_checks,
                 "findings": [finding.describe() for finding in findings],
             }
         )
@@ -216,32 +234,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{status:>14}  {run.trace.name}  ({run.trace.total_events()} events)")
             for finding in findings:
                 print(f"                {finding.describe()}")
-    for first, other in _RECYCLE_PAIRS if args.all else ():
-        for ranks in args.ranks:
-            if REGISTRY.get(other).capabilities.unsupported_reason(ranks, None, None):
-                continue
-            findings = verify_recycling(first, other, ranks, calls=args.calls)
-            all_findings.extend(findings)
-            name = f"recycle[{first} <-> {other}, ranks={ranks}]"
-            report.append(
-                {
-                    "cell": name,
-                    "kind": "recycle",
-                    "findings": [finding.describe() for finding in findings],
-                }
-            )
-            if not args.json:
-                status = "ok" if not findings else f"{len(findings)} finding(s)"
-                print(f"{status:>14}  {name}")
-                for finding in findings:
-                    print(f"                {finding.describe()}")
     elapsed = time.perf_counter() - started
+    checked = sum(1 for row in report if row["value_checks"])
 
     if args.json:
         print(
             json.dumps(
                 {
                     "cells": report,
+                    "value_checked": checked,
                     "total_findings": len(all_findings),
                     "elapsed_seconds": round(elapsed, 3),
                 },
@@ -253,8 +254,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         kinds = Counter(str(row["kind"]) for row in report)
         breakdown = ", ".join(f"{kind} {count}" for kind, count in sorted(kinds.items()))
         print(
-            f"\n{len(report)} cell(s) verified ({breakdown}) in {elapsed:.2f}s — "
-            f"{len(all_findings)} finding(s)"
+            f"\n{len(report)} cell(s) verified ({breakdown}), {checked} value-checked, "
+            f"in {elapsed:.2f}s — {len(all_findings)} finding(s)"
         )
     return 1 if all_findings else 0
 

@@ -35,8 +35,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec, policy_fingerprint
-from ..core.policy import CollectiveRequest, ConsistencyPolicy
-from ..core.reduction_ops import get_op
+from ..core.policy import CollectiveRequest, ConsistencyPolicy, documented_result
 from ..core.registry import REGISTRY
 from ..core.workspace import RETIRE_BATCH, WorkspacePool
 from ..gaspi.constants import DEFAULT_NOTIFICATION_VALUE, GASPI_BLOCK
@@ -291,10 +290,12 @@ class ModelRun:
     recvbufs: List[Optional[np.ndarray]]
     algorithm: str = ""
     stalled_ranks: List[int] = field(default_factory=list)
-    #: Results that differ from the NumPy reference (recycling cells check
-    #: every plan of their sequence themselves — the buffers are reused —
-    #: and :func:`build_model` every call it has a documented result for).
+    #: Results that differ from what
+    #: :func:`~repro.core.policy.documented_result` owes (or that make the
+    #: cell vacuous), and barrier calls left early.
     wrong_values: List[str] = field(default_factory=list)
+    #: How many delivered results the run held against the oracle.
+    value_checks: int = 0
 
 
 def _run_cooperative(world: ModelWorld, programs: List[Program]) -> List[int]:
@@ -377,42 +378,49 @@ def _trace(
 def _payloads(
     collective: str, num_ranks: int, elements: int, root: int
 ) -> Tuple[List[np.ndarray], List[Optional[np.ndarray]]]:
-    """Per-rank (sendbufs, recvbufs) of one modelled collective."""
-    ramp = np.arange(elements, dtype=np.float64)
-    if collective == "bcast":
-        return (
-            [ramp + 1.0 if r == root else np.zeros(elements) for r in range(num_ranks)],
-            [None] * num_ranks,
-        )
+    """Per-rank (sendbufs, recvbufs) of one modelled collective: a
+    broadcast's receivers hold zeros, every other payload is
+    :func:`_payload` of the first call."""
     if collective == "barrier":
         return [None] * num_ranks, [None] * num_ranks
-    gathered = elements * num_ranks if collective == "allgather" else elements
-    return (
-        [ramp + r + 1.0 for r in range(num_ranks)],
-        [np.zeros(gathered) for _ in range(num_ranks)],
-    )
-
-
-def _delivered(
-    collective: str, rank: int, root: int, sendbufs: List[np.ndarray], op: str, strict: bool
-) -> Optional[np.ndarray]:
-    """What one call leaves in ``rank``'s result buffer, where the model
-    checks it (``None`` where it does not): every block at its offset for
-    an alltoall or allgather; under a strict policy, the root's payload
-    for a broadcast and the elementwise fold over every rank's payload for
-    an allreduce and a reduce's root.  Payloads are integer-valued, so
-    every fold order gives the same bits."""
-    if collective == "alltoall":
-        return np.concatenate([sent.reshape(len(sendbufs), -1)[rank] for sent in sendbufs])
-    if collective == "allgather":
-        return np.concatenate(sendbufs)
-    if not strict or (collective == "reduce" and rank != root):
-        return None
+    sendbufs = [
+        np.zeros(elements) if collective == "bcast" and r != root
+        else _payload(r, 0, elements, num_ranks)
+        for r in range(num_ranks)
+    ]  # fmt: skip
     if collective == "bcast":
-        return sendbufs[root]
-    if collective in ("allreduce", "reduce"):
-        return functools.reduce(get_op(op).func, sendbufs)
-    return None
+        return sendbufs, [None] * num_ranks
+    gathered = elements * num_ranks if collective == "allgather" else elements
+    return sendbufs, [np.zeros(gathered) for _ in range(num_ranks)]
+
+
+def _payload(rank: int, call: int, elements: int, num_ranks: int) -> np.ndarray:
+    """Rank ``rank``'s integer-valued payload of call ``call``: distinct per
+    (rank, call), so a block, a fold or a stale slot from the wrong one
+    shows in the value."""
+    return np.arange(elements, dtype=np.float64) + 1.0 + rank + call * num_ranks
+
+
+def _ssp_payload(rank: int, clock: int, elements: int, fields: Tuple[int, int]) -> np.ndarray:
+    """A slack cell's payload: rank ``rank``'s contribution of clock
+    ``clock`` holds ``clock`` in its own bit field, so a sum decodes back
+    to the clock of every contribution it holds (:func:`_decode`).
+    ``fields`` is (bits per field, groups): element ``i`` holds the fields
+    of the ranks ``r`` with ``r % groups == i % groups``, as many as a
+    float64 holds exactly."""
+    bits, groups = fields
+    out = np.zeros(elements)
+    out[rank % groups :: groups] = float(clock << bits * (rank // groups))
+    return out
+
+
+def _decode(value: np.ndarray, num_ranks: int, fields: Tuple[int, int]) -> Dict[int, int]:
+    """Rank -> clock of its contribution in a sum of slack-cell payloads."""
+    bits, groups = fields
+    return {
+        r: int(value[r % groups]) >> bits * (r // groups) & (1 << bits) - 1
+        for r in range(num_ranks)
+    }
 
 
 def build_model(
@@ -450,11 +458,14 @@ def build_model(
     ``bind`` gives the world ``segment_bind``, so the pipelined broadcast
     and ring take their bound branch; ``fresh_buffers`` passes a new
     result buffer to every call, so that branch rebinds on every call.
-    Every call is checked as it finishes against :func:`_delivered` — the
-    exact result of a strict allreduce, bcast or reduce, every block at
-    its offset for an alltoall or allgather — and barrier calls too:
-    nobody leaves before everybody entered.  What fails lands in the run's
-    ``wrong_values``.
+    Each call's payloads are integer-valued and distinct per (rank, call)
+    — under slack, bit fields that decode to the clock of every
+    contribution a sum holds — and every workspace starts out as 0xFF
+    bytes, a NaN in every float64.  Every result is checked as its call
+    finishes against :func:`~repro.core.policy.documented_result`, and
+    barrier calls too: nobody leaves before everybody entered.  What
+    fails lands in the run's ``wrong_values``, as does a relaxed cell in
+    which no result was owed less than the strict one (a vacuous cell).
     A trace under slack is ``overwrite_tolerant``: an SSP partner
     overwrites its mailbox's notification by design.
     """
@@ -489,10 +500,20 @@ def build_model(
         for plan in plans:
             mutate_plan(plan)
 
-    sendbufs, recvbufs = _payloads(info.collective, num_ranks, elements, root)
-    strict = threshold >= 1.0 and not slack
+    # A fresh segment's bytes are unspecified: none a call did not write
+    # may reach a result.
+    for (rank, segment), meta in world.sink.segments.items():
+        world.runtimes[rank].inner.segment_view(segment, np.uint8, 0, meta.size)[:] = 0xFF
+
+    collective = info.collective
+    sendbufs, recvbufs = _payloads(collective, num_ranks, elements, root)
+    bits = max(1, calls.bit_length())
+    fields = (bits, -(-num_ranks // (52 // bits)))
+    if slack:
+        require(op == "sum" and elements >= fields[1], "a slack cell decodes sums")
     entered = [0] * num_ranks
     wrong: List[str] = []
+    checks = [0, 0]  # results held against the oracle; those owed less than strict
 
     def fresh(buffer: np.ndarray) -> np.ndarray:
         """A zeroed result buffer; under bind, one that records its stores."""
@@ -501,6 +522,46 @@ def build_model(
     if bind:
         recvbufs = [None if buffer is None else fresh(buffer) for buffer in recvbufs]
 
+    def contribution(rank: int, call: int) -> np.ndarray:
+        if slack:
+            return _ssp_payload(rank, call + 1, elements, fields)
+        return _payload(rank, call, elements, num_ranks)
+
+    def check(rank: int, call: int, got: np.ndarray, before: Optional[np.ndarray]) -> None:
+        """Hold one delivered result against :func:`documented_result`."""
+        owed_before = [None] * num_ranks
+        owed_before[rank] = before
+        held: Any = None
+        try:
+            if slack:
+                if not np.isfinite(got).all():
+                    raise ValueError("is not a sum of contributions")
+                held = _decode(got, num_ranks, fields)
+                inputs: List[Any] = [
+                    [contribution(r, c) for c in range(entered[r])] for r in range(num_ranks)
+                ]
+            else:
+                inputs = [contribution(r, call) for r in range(num_ranks)]
+            owed = documented_result(
+                collective, policy, inputs, root=root, op=op, before=owed_before,
+                contributors=held, clock=call + 1,
+            )[rank]  # fmt: skip
+        except ValueError as error:
+            wrong.append(f"rank {rank}: {algorithm} call {call} delivered a value that {error}")
+            return
+        if owed is None:
+            return
+        checks[0] += 1
+        if not np.array_equal(np.asarray(got), owed):
+            wrong.append(f"rank {rank}: {algorithm} call {call} delivered a wrong value")
+        elif slack:
+            checks[1] += any(clock != call + 1 for clock in held.values())
+        elif not policy.is_strict:
+            exact = documented_result(
+                collective, ConsistencyPolicy(), inputs, root=root, op=op, before=owed_before
+            )[rank]
+            checks[1] += not np.array_equal(owed, exact)
+
     def rank_program(rank: int) -> Program:
         for call in range(calls):
             if rank == laggard:
@@ -508,12 +569,14 @@ def build_model(
             entered[rank] += 1
             if fresh_buffers and recvbufs[rank] is not None:
                 recvbufs[rank] = fresh(recvbufs[rank])
-            elif fresh_buffers and info.collective == "bcast" and rank != root:
+            elif fresh_buffers and collective == "bcast" and rank != root:
                 sendbufs[rank] = fresh(sendbufs[rank])
-            if info.collective in ("alltoall", "allgather"):
-                recvbufs[rank][:] = 0  # a block this call does not deliver stays 0
+            if sendbufs[rank] is not None and (collective != "bcast" or rank == root):
+                sendbufs[rank][:] = contribution(rank, call)
+            result = sendbufs[rank] if collective == "bcast" else recvbufs[rank]
+            before = None if result is None else np.array(result)
             request = CollectiveRequest(
-                collective=info.collective,
+                collective=collective,
                 sendbuf=sendbufs[rank],
                 recvbuf=recvbufs[rank],
                 root=root,
@@ -522,15 +585,18 @@ def build_model(
                 segment_id=segment_id,
             )
             yield from _drive(plans[rank].runtime, plans[rank].begin(request))
-            want = _delivered(info.collective, rank, root, sendbufs, op, strict)
-            got = sendbufs[rank] if info.collective == "bcast" else recvbufs[rank]
-            if want is not None and not np.array_equal(np.asarray(got), want):
-                wrong.append(f"rank {rank}: {algorithm} call {call} delivered a wrong value")
-            late = [r for r, count in enumerate(entered) if count <= call]
-            if info.collective == "barrier" and late:
-                wrong.append(f"rank {rank} left barrier call {call} before {late} entered it")
+            if collective == "barrier":
+                checks[0] += 1
+                late = [r for r, count in enumerate(entered) if count <= call]
+                if late:
+                    wrong.append(f"rank {rank} left barrier call {call} before {late} entered it")
+            else:
+                got = sendbufs[rank] if collective == "bcast" else recvbufs[rank]
+                check(rank, call, np.asarray(got), before)
 
     stalled = _run_cooperative(world, [rank_program(r) for r in range(num_ranks)])
+    if not stalled and not policy.is_strict and not checks[1]:
+        wrong.append(f"{algorithm}: no result was owed less than strict (a vacuous cell)")
 
     chunk_label = "-" if chunk_bytes is None else str(chunk_bytes)
     relaxed = "" if threshold >= 1.0 else f", {int(threshold * 100)}% {policy.mode.value}"
@@ -551,6 +617,7 @@ def build_model(
         algorithm=algorithm,
         stalled_ranks=stalled,
         wrong_values=wrong,
+        value_checks=checks[0],
     )
 
 
@@ -632,14 +699,7 @@ def build_tolerant_model(
     degraded: Set[int] = set()  # survivors that completed with ranks missing
     finished: Set[int] = set()
     wrong: List[str] = []
-
-    def expected(rank: int, missing: Tuple[int, ...]) -> Optional[np.ndarray]:
-        """The documented value of a survivor reporting ``missing``."""
-        if collective == "bcast":
-            return sendbufs[root] if rank == root or not missing else np.zeros(elements)
-        if collective == "reduce" and rank != root:
-            return None
-        return sum(sendbufs[r] for r in range(num_ranks) if r not in missing)
+    checks = [0]
 
     def check(rank: int, when: str, missing: Tuple[int, ...]) -> None:
         result = results[rank].detail  # its DegradedResult, which a correction updates
@@ -648,8 +708,14 @@ def build_tolerant_model(
                 f"rank {rank}: {algorithm} {when} reports missing ranks "
                 f"{list(result.missing_ranks)}, not {list(missing)}"
             )
-        want = expected(rank, result.missing_ranks)
-        if want is not None and not np.array_equal(result.value, want):
+        reported = set(range(num_ranks)) - set(result.missing_ranks)
+        want = documented_result(
+            collective, policy, sendbufs, root=root, contributors=reported
+        )[rank]
+        if want is None:
+            return
+        checks[0] += 1
+        if not np.array_equal(result.value, want):
             wrong.append(
                 f"rank {rank}: {algorithm} {when} holds a value that is not "
                 "the fold over its contributors"
@@ -704,6 +770,7 @@ def build_tolerant_model(
         algorithm=algorithm,
         stalled_ranks=stalled,
         wrong_values=wrong,
+        value_checks=checks[0],
     )
 
 
@@ -809,6 +876,7 @@ def build_recycle_model(
     arrived = [0] * num_ranks
     plans: List[List[CollectivePlan]] = [[] for _ in range(num_ranks)]
     wrong: List[str] = []
+    checks = [0]
     buffers: Dict[int, Tuple[List[np.ndarray], List[Optional[np.ndarray]]]] = {}
 
     def rank_program(rank: int) -> Program:
@@ -834,6 +902,7 @@ def build_recycle_model(
         sendbufs, recvbufs = buffers.setdefault(
             step, _payloads(info.collective, num_ranks, elements, 0)
         )
+        inputs = _payloads(info.collective, num_ranks, elements, 0)[0]
         for call in range(calls):
             if rank == laggard:
                 yield from _idle(world)
@@ -846,13 +915,11 @@ def build_recycle_model(
                 segment_id=plan.segment_id,
             )
             yield from _drive(plan.runtime, plan.begin(request))
-            if info.collective == "bcast":
-                got, want = sendbufs[rank], np.arange(elements) + 1.0
-            elif info.collective == "allreduce" or rank == 0:
-                got = recvbufs[rank]
-                want = sum(np.arange(elements) + r + 1.0 for r in range(num_ranks))
-            else:
+            want = documented_result(info.collective, policy, inputs)[rank]
+            if want is None:
                 continue
+            checks[0] += 1
+            got = sendbufs[rank] if info.collective == "bcast" else recvbufs[rank]
             if not np.array_equal(got, want):
                 wrong.append(
                     f"rank {rank}: plan {step} ({algorithm}) call {call} "
@@ -877,6 +944,7 @@ def build_recycle_model(
         algorithm=f"{first}<->{other}",
         stalled_ranks=stalled,
         wrong_values=wrong,
+        value_checks=checks[0],
     )
 
 

@@ -14,45 +14,32 @@ id), a handshake shortened by "obviously unnecessary" acks (lost
 notification), a missing entry fence (data race), and an off-by-range
 slice of the notification board or workspace (budget).
 
-One defect lives below the trace: :func:`skip_allgather_copy_out` corrupts
-a compiled *plan*, because a receiver that leaves an arrival in its
-segment posts and consumes exactly what a correct one does.  It is applied
-through ``build_model(..., mutate_plan=...)`` and must be caught by the
-model's value check — every rank's ``recvbuf`` against the NumPy sum.
+Three more layers take defects, each documented at its function:
 
-So does :func:`allgather_at_wrong_offset`, a ring sub-chunk that lands in
-the wrong place of the landing zone — the caller's ``recvbuf`` where the
-zone is bound, the pooled segment where it is not.
-
-So does :func:`single_mailbox_per_step`, which takes the call parity out of
-the strict hypercube's mailboxes — the proof obligation for folding a
-mailbox in place, without a locked snapshot.  And so do the two hazards of
-the reduce plans' credits, which let a child run one call ahead of its
-parent: :func:`stage_partial_in_child_slot` (the partial result must not
-be memory that child can write) and :func:`credit_before_last_drain` (the
-pipelined plan's credits must follow the call's last sweep).
-
-And so does :func:`skip_child_ack_consumes`, the tree broadcast's reuse
-argument taken out of the shipped generator: a parent that no longer
-consumes its children's previous-call acks overwrites staging slots that
-may still be unread.  So do the alltoall's and the ring allgather's call
-parities (:func:`single_slot_per_peer`, :func:`single_slot_per_step`) and
-the barrier's last round (:func:`skip_last_dissemination_round`).  So
-does :func:`count_unconsumed_slots`, the tolerant plans' closing drain
-counting slots nobody posted: the contributor set it reports is wrong.
-
-Three more live in the workspace *pool* and are applied through
-``build_recycle_model(..., mutate_pool=...)``: :func:`lease_before_quiescence`,
-:func:`reuse_without_cooling` and :func:`skip_scrub` break the three parts
-of the argument that makes a recycled segment safe — the barrier between
-a release and the scrub, the barrier between a scrub and the next
-lessee's first write, and the scrub itself.
+* a compiled *plan*, through ``build_model(..., mutate_plan=...)`` (or
+  ``build_tolerant_model``): a protocol hazard the trace checkers must
+  see, or a wrong result that posts and consumes exactly what a correct
+  plan does, so only the value check against
+  :func:`~repro.core.policy.documented_result` can;
+* a definition every plan shares — the rounding of a threshold — patched
+  for the length of a ``with`` block (:func:`ceil_threshold_elements`,
+  :func:`floor_participating_ranks`);
+* the workspace *pool*, through ``build_recycle_model(...,
+  mutate_pool=...)``: the three parts of the argument that makes a
+  recycled segment safe — the barrier between a release and the scrub,
+  the barrier between a scrub and the next lessee's first write, and the
+  scrub itself.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
+from unittest import mock
+
+import numpy as np
 
 from .events import CONSUME, POST, Event, ProtocolTrace
 
@@ -160,8 +147,7 @@ def drop_consumes(
 
     The generic "shrunk handshake" mutation.  Dropping a plan's
     previous-call ack consumes yields ``double-post`` (the acked slot —
-    and the data slot it guards — can be overwritten unconsumed), and so
-    does dropping a pipelined ring's entry-fence consume; dropping a BST
+    and the data slot it guards — can be overwritten unconsumed); dropping a BST
     reduce child's READY consume additionally yields ``data-race`` (its
     next push is no longer ordered after the parent's fold of the slot).
     """
@@ -386,6 +372,94 @@ def count_unconsumed_slots(plan: "TolerantPlan") -> None:
         return {nid: 1 for nid in range(begin, begin + (count or 0))}
 
     rt.notify_drain = everything_drained  # type: ignore[method-assign]
+
+
+class _Overwrites(np.ndarray):
+    """An operand whose every fold is a copy of itself into ``out``."""
+
+    def __array_ufunc__(self, ufunc: np.ufunc, method: str, *inputs: Any, **kwargs: Any) -> Any:
+        np.copyto(kwargs["out"][0], self.view(np.ndarray))
+        return kwargs["out"][0]
+
+
+def copy_last_child_slot(plan: "BstReducePlan") -> None:
+    """A: fold the last child's slot by copying it over the partial, which
+    loses everything folded before it.  Expected: ``wrong-value``."""
+    if plan._child_table:
+        child, notif, slot = plan._child_table[-1]
+        plan._child_table[-1] = (child, notif, slot.view(_Overwrites))
+
+
+def fold_one_element_fewer(plan: "BstReducePlan") -> None:
+    """C: under a threshold, reduce one element fewer — slots, push and
+    partial alike, so the protocol still matches up.  Expected:
+    ``wrong-value``."""
+    if plan.key.policy[0] < 1.0 and plan.reduce_elems > 1:
+        plan.reduce_elems -= 1
+        plan._child_table = [(c, n, slot[:-1]) for c, n, slot in plan._child_table]
+        if plan._partial is not None:
+            plan._partial = plan._partial[:-1]
+
+
+def fold_stale_child_slot(plan: "BstReducePlan") -> None:
+    """Fold the last child's contribution of the *previous* call: a copy of
+    its slot taken when the parent credited it (zeros before the first).
+    The waits and credits are a correct plan's.  Expected: ``wrong-value``."""
+    if not plan._child_table:
+        return
+    child, notif, slot = plan._child_table[-1]
+    stale = np.zeros(slot.shape, slot.dtype)
+    plan._child_table[-1] = (child, notif, stale)
+    notify = plan.runtime.notify
+
+    def copy_then_credit(target: int, *args: Any, **kwargs: Any) -> None:
+        if target == child:  # the credit: the slot holds this call's push
+            stale[:] = slot.view(np.ndarray)
+        notify(target, *args, **kwargs)
+
+    plan.runtime.notify = copy_then_credit  # type: ignore[method-assign]
+
+
+class _NeverUnwritten(list):
+    def __getitem__(self, step: Any) -> Any:
+        return max(1, list.__getitem__(self, step))
+
+
+def fold_unwritten_mailbox(plan: "HypercubeAllreducePlan") -> None:
+    """Under slack, fold a mailbox nobody wrote as a contribution of clock
+    0, the defect SSP once shipped with.  The model's fresh segments hold
+    no zeros, so the fold shows.  Expected: ``wrong-value``."""
+    plan._held = _NeverUnwritten(plan._held)
+
+
+@contextlib.contextmanager
+def ceil_threshold_elements() -> Iterator[None]:
+    """D: a data threshold ships ⌈n·t⌉ elements instead of ⌊n·t⌋.
+    Expected: ``wrong-value`` wherever n·t is not whole."""
+    from ..core import bcast, pipeline, reduce
+    from ..faults import recovery
+
+    def ceiled(num_elements: int, threshold: float) -> int:
+        return max(1, math.ceil(num_elements * threshold - 1e-9)) if num_elements else 0
+
+    with contextlib.ExitStack() as stack:
+        for module in (bcast, pipeline, reduce, recovery):
+            stack.enter_context(mock.patch.object(module, "threshold_elements", ceiled))
+        yield
+
+
+@contextlib.contextmanager
+def floor_participating_ranks() -> Iterator[None]:
+    """E: a process threshold keeps ⌊t·P⌋ ranks instead of ⌈t·P⌉.
+    Expected: ``wrong-value`` wherever t·P is not whole."""
+    from ..core.topology import BinomialTree
+
+    def floored(tree: BinomialTree, fraction: float) -> list:
+        keep = max(1, math.floor(fraction * tree.num_ranks + 1e-9))
+        return sorted(tree.to_real(v) for v in range(keep))
+
+    with mock.patch.object(BinomialTree, "participating_ranks", floored):
+        yield
 
 
 def reuse_without_cooling(pool: "WorkspacePool") -> None:

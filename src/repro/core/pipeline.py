@@ -597,8 +597,10 @@ class PipelinedBstBcastPlan(CollectivePlan):
             self.chunks.byte_bounds(k) for k in range(self.chunks.num_chunks)
         ]
         # A bound buffer must fill its segment exactly, and a segment is
-        # at least 8 bytes: smaller payloads take the staged protocol.
-        self.zero_copy = runtime.supports_bind and key.nbytes >= 8
+        # at least 8 bytes: smaller payloads take the staged protocol.  So
+        # does a throwaway plan: an exact window costs a create and a
+        # barrier at the lease and a barrier and a delete at the release.
+        self.zero_copy = runtime.supports_bind and key.nbytes >= 8 and not self.throwaway
         self._bound: Optional[np.ndarray] = None
         # Budget check: the chunk map is sliced by hand below, so prove
         # here — once, on every rank alike — that the last chunk ends
@@ -1012,13 +1014,14 @@ class PipelinedRingAllreducePlan(CollectivePlan):
       that outlives one call (not a standalone or throwaway plan), the
       landing zone is a second, exact workspace bound to the working
       vector: allgather sub-chunks and their notifications land straight
-      in ``recvbuf``, and nothing is copied out.  A per-call entry
-      notification from the successor fences the allgather writes against
-      the successor's previous call — its copy-out, or its rebinding to
-      this call's vector, which comes before the notification.  The
-      scatter-phase slots need no fence — the ring's transitive step
-      dependency already serialises them across calls, exactly as for
-      the monolithic plan.
+      in ``recvbuf``, and nothing is copied out.  No fence guards the
+      landing zone across calls: the predecessor's first allgather write
+      of a call follows its last scatter receive of that call, which
+      depends transitively on this rank's step-0 send of the same call —
+      and that send comes after this rank's previous copy-out and after
+      its rebinding to this call's vector.  The scatter-phase slots are
+      serialised across calls by the same step chain, exactly as for the
+      monolithic plan.
 
     A landing write into the working vector never meets a value the
     receiver still needs: it carries a fully reduced chunk, which exists
@@ -1038,7 +1041,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         rank = runtime.rank
         self.ring = Ring(size)
         self.next_rank = self.ring.next_rank(rank)
-        self.prev_rank = self.ring.prev_rank(rank)
         itemsize = self.dtype.itemsize
         max_chunk = -(-self.elements // size) if size else 0
         max_chunk_bytes = max(max_chunk * itemsize, itemsize)
@@ -1070,7 +1072,6 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         # Scatter slots sit past the staged landing zone, or alone.
         self._slot_base = 0 if self.bind_landing else key.nbytes
         layout = NotificationLayout()
-        self.notif_entry = layout.add("entry", 1)
         self.notif_steps = layout.add(
             "steps", max(1, self.total_steps * self.subs)
         )
@@ -1210,18 +1211,10 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         if not staged and self._bound is not out:
             # Point the landing zone at this call's vector.  Safe: the
             # predecessor's allgather writes of the previous call were all
-            # consumed, and it writes this call's only after the entry
-            # notification posted below.
+            # consumed, and it writes this call's only after its last
+            # scatter receive, which follows this rank's step-0 send below.
             rt.segment_bind(landing, out)
             self._bound = out
-        # Entry fence: the predecessor writes its allgather sub-chunks into
-        # this rank's landing zone only after this notification, i.e. after
-        # the previous call's arrivals were all copied out (or the zone was
-        # bound to this call's vector).
-        entry_id = self.notif_entry.id(0)
-        rt.notify(self.prev_rank, sid, entry_id, queue=queue)
-        rt.wait(queue)
-        entry_seen = False
 
         bytes_sent = 0
         bytes_received = 0
@@ -1229,13 +1222,7 @@ class PipelinedRingAllreducePlan(CollectivePlan):
         source = sendbuf  # step 0 sends the caller's own chunk
         target = sid  # the segment a step writes to and waits on
         for sends, recvs, fold in self.steps:
-            if not fold and not entry_seen:
-                # First allgather send: wait for the successor's entry
-                # notification before writing into its landing zone.
-                while rt.notify_waitsome(sid, entry_id, 1, timeout=poll_timeout) is None:
-                    yield WaitSpec(sid, entry_id, 1)
-                rt.notify_reset(sid, entry_id)
-                entry_seen = True
+            if not fold:
                 target = landing
             for nid, sb, se, remote in sends:
                 if se > sb:

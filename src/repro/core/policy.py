@@ -28,14 +28,17 @@ existing code written against the old per-collective result types
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Any, Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..gaspi.constants import GASPI_BLOCK
 from ..utils.validation import check_fraction, require
-from .reduction_ops import ReductionOp
+from .reduction_ops import ReductionOp, get_op
 from .workspace import WorkspacePool
 
 
@@ -130,14 +133,18 @@ class ConsistencyPolicy:
     def data_threshold(
         cls, threshold: float, on_failure: str = "abort"
     ) -> "ConsistencyPolicy":
-        """Eventually consistent in the data: ship the leading fraction."""
+        """Eventually consistent in the data: ship the leading ⌊n·t⌋ of a
+        vector's ``n`` elements, at least one; the rest of a result buffer
+        is left untouched."""
         return cls(threshold=threshold, mode=ReduceMode.DATA, on_failure=on_failure)
 
     @classmethod
     def process_threshold(
         cls, threshold: float, on_failure: str = "abort"
     ) -> "ConsistencyPolicy":
-        """Eventually consistent in the processes: a rank subset reduces."""
+        """Eventually consistent in the processes: ⌈t·P⌉ of the ``P`` ranks
+        reduce, at least one.  The tree drops its deepest stage first and,
+        within a stage, the highest virtual rank first; the root stays."""
         return cls(
             threshold=threshold, mode=ReduceMode.PROCESSES, on_failure=on_failure
         )
@@ -299,3 +306,111 @@ class CollectiveResult:
             f"{type(self).__name__!r} object has no attribute {name!r} "
             f"(detail is {type(detail).__name__!r})"
         )
+
+
+# --------------------------------------------------------------------------- #
+# the contract: what a policy owes each rank
+# --------------------------------------------------------------------------- #
+def documented_result(
+    collective: str,
+    policy: ConsistencyPolicy,
+    inputs: Sequence[Any],
+    *,
+    root: int = 0,
+    op: Union[str, ReductionOp] = "sum",
+    before: Optional[Sequence[Optional[np.ndarray]]] = None,
+    contributors: Union[Collection[int], Mapping[int, int], None] = None,
+    clock: int = 1,
+) -> List[Optional[np.ndarray]]:
+    """What each rank is owed by one call of ``collective`` under ``policy``,
+    written from the documented rules, not from the code that ships them.
+
+    * strict: the root's payload (``bcast``), every block at its offset
+      (``alltoall``, ``allgather``), the fold of every payload
+      (``allreduce``, a ``reduce``'s root).  A reduce folds in binomial
+      tree order — each rank folds its children, in the order they join,
+      into its own payload — so it is exact for any payload; other folds
+      run in rank order, exact for integer-valued payloads;
+    * data threshold ``t``: the leading ⌊n·t⌋ of ``n`` elements (at least
+      one) as above; the rest of the result buffer stays as ``before``;
+    * process threshold ``t``: the fold over ⌈t·P⌉ of ``P`` ranks (at
+      least one).  The tree drops its deepest stage first and, within a
+      stage, the highest virtual rank first: virtual ranks
+      ``0 … ⌈t·P⌉ − 1`` stay, the root among them;
+    * degraded (``contributors``, a set of ranks): the fold over the
+      reported contributors; a broadcast receiver whose root is not among
+      them keeps ``before``;
+    * SSP (``policy.slack > 0``): ``contributors`` maps each rank to the
+      clock of its contribution in the value, 0 for none.  None may be
+      older than ``clock − slack``, and none at all is admissible only
+      while that window reaches back before the first call (a mailbox
+      nobody wrote is no contribution); else :class:`ValueError`.
+
+    ``inputs[r]`` is rank ``r``'s payload (under slack, its payloads by
+    clock: ``inputs[r][c - 1]``); ``before[r]`` its result buffer as the
+    call found it (zeros by default).  ``None`` marks a rank owed nothing.
+    """
+    size = len(inputs)
+    if collective == "barrier":
+        return [None] * size
+    if collective == "allgather":
+        return [np.concatenate(inputs)] * size
+    if collective == "alltoall":
+        blocks = [np.asarray(sent).reshape(size, -1) for sent in inputs]
+        return [np.concatenate([block[rank] for block in blocks]) for rank in range(size)]
+    func = get_op(op).func
+    if policy.slack:
+        oldest, folded, clocks = clock - policy.slack, [], dict(contributors or {})
+        for rank in range(size):
+            call = clocks.get(rank, 0)
+            if call or oldest >= 1:  # else its mailbox may be unwritten
+                if not max(oldest, 1) <= call <= len(inputs[rank]):
+                    raise ValueError(
+                        f"holds rank {rank}'s contribution of clock {call}, outside "
+                        f"[{max(oldest, 1)}, {len(inputs[rank])}] at clock {clock}"
+                    )
+                folded.append(inputs[rank][call - 1])
+        if not folded:
+            raise ValueError("holds no contribution at all")
+        return [functools.reduce(func, folded)] * size
+    # The fraction as written (3/10, not the float just below it), exactly.
+    threshold = Fraction(policy.threshold).limit_denominator(1 << 20)
+    payload = np.asarray(inputs[root])
+    prefix, kept = payload.size, size
+    if policy.mode is ReduceMode.DATA:
+        prefix = max(1, math.floor(payload.size * threshold))
+    else:
+        kept = max(1, math.ceil(threshold * size))
+    if collective == "bcast":
+        value = payload if contributors is None or root in contributors else None
+    elif contributors is not None:
+        value = functools.reduce(func, [inputs[rank] for rank in sorted(contributors)])
+    elif collective == "reduce":
+        value = _tree_fold(func, [np.asarray(x)[:prefix] for x in inputs], root, kept)
+    else:
+        value = functools.reduce(func, [inputs[(root + v) % size] for v in range(kept)])
+    owed: List[Optional[np.ndarray]] = []
+    for rank in range(size):
+        held = None if before is None else before[rank]
+        out = np.zeros_like(payload) if held is None else np.array(held, copy=True)
+        if value is not None:
+            out[:prefix] = value[:prefix]
+        owed.append(None if collective == "reduce" and rank != root else out)
+    if collective == "bcast":
+        owed[root] = payload
+    return owed
+
+
+def _tree_fold(func: Any, payloads: List[np.ndarray], root: int, kept: int) -> np.ndarray:
+    """Fold over virtual ranks ``0 … kept − 1`` in binomial tree order: the
+    children of virtual rank ``v`` are ``v + 2**i`` for every ``2**i > v``."""
+
+    def partial(v: int) -> np.ndarray:
+        acc = payloads[(v + root) % len(payloads)]
+        step = 1 << v.bit_length()  # 1 at the root
+        while v + step < kept:
+            acc = func(acc, partial(v + step))
+            step <<= 1
+        return acc
+
+    return partial(0)

@@ -9,7 +9,8 @@ that starts misfiling defects under another class, fails here.
 
 from __future__ import annotations
 
-import numpy as np
+import contextlib
+
 import pytest
 
 from repro.analysis import (
@@ -28,6 +29,8 @@ from repro.analysis import (
 )
 from repro.analysis.mutations import (
     allgather_at_wrong_offset,
+    ceil_threshold_elements,
+    copy_last_child_slot,
     count_unconsumed_slots,
     corrupt_notification_id,
     corrupt_offset,
@@ -35,18 +38,22 @@ from repro.analysis.mutations import (
     drop_consumes,
     drop_notify,
     duplicate_chunk_id,
+    floor_participating_ranks,
+    fold_one_element_fewer,
+    fold_stale_child_slot,
+    fold_unwritten_mailbox,
     hoist_first_consume,
     lease_before_quiescence,
     reuse_without_cooling,
     single_mailbox_per_step,
     single_slot_per_peer,
     single_slot_per_step,
-    skip_allgather_copy_out,
     skip_child_ack_consumes,
     skip_last_dissemination_round,
     skip_scrub,
     stage_partial_in_child_slot,
 )
+from repro.core.registry import REGISTRY
 
 
 def classes(findings):
@@ -149,21 +156,6 @@ def test_corrupt_offset_is_budget_only():
     assert classes(analyze(corrupt_offset(trace))) == {BUDGET}
 
 
-def test_skipped_allgather_copy_out_fails_the_value_check():
-    # The single-copy ring's result lives in recvbuf; an arrival left in
-    # the landing zone posts and consumes like a copied one, so the trace
-    # stays clean and only the modelled values expose the defect.
-    cell = dict(num_ranks=4, nbytes=512, chunk_bytes=64)
-    expected = sum(np.arange(64, dtype=np.float64) + rank + 1 for rank in range(4))
-    clean = build_model("gaspi_allreduce_ring_pipelined", **cell)
-    assert all(np.array_equal(out, expected) for out in clean.recvbufs)
-    mutated = build_model(
-        "gaspi_allreduce_ring_pipelined", **cell, mutate_plan=skip_allgather_copy_out
-    )
-    assert analyze(mutated.trace) == []
-    assert not any(np.array_equal(out, expected) for out in mutated.recvbufs)
-
-
 def test_an_allgather_at_the_wrong_offset_is_a_wrong_value_staged_and_bound():
     # The sweep's pipelined ring cells, staged and bound (the sizes of the
     # bound twins as well): the mutant is clean to every trace check in the
@@ -229,20 +221,6 @@ def test_call_parity_and_rounds_are_needed(algorithm, mutate, expected, ranks):
     assert expected in classes(analyze_run(mutated))
 
 
-def test_the_model_checks_delivered_blocks():
-    # Every alltoall block and every allgather block at its offset.
-    for algorithm, nbytes in (("gaspi_alltoall", 4 * 48), ("gaspi_allgather_ring", 48)):
-        run = build_model(algorithm, 4, nbytes, calls=3, laggard=3)
-        assert run.wrong_values == []
-        blocks = [send.reshape(-1, 6) for send in run.sendbufs]
-        for rank, out in enumerate(run.recvbufs):
-            if algorithm == "gaspi_alltoall":
-                want = np.concatenate([b[rank] for b in blocks])
-            else:
-                want = np.concatenate(run.sendbufs)
-            np.testing.assert_array_equal(out, want)
-
-
 TOLERANT = ["gaspi_allreduce_tolerant", "gaspi_reduce_tolerant", "gaspi_bcast_tolerant"]
 
 
@@ -263,14 +241,7 @@ def test_tolerant_cells_complete_degraded_and_then_exactly(algorithm):
     for fault in ("absent", "crash", "late"):
         run = build_tolerant_model(algorithm, 5, fault=fault)
         assert run.wrong_values == [] and run.stalled_ranks == []
-    # The late rank: a broadcast's root, else the last rank (it crashed).
-    if algorithm == "gaspi_bcast_tolerant":
-        held, exact, holders = run.sendbufs, run.sendbufs[0], range(5)
-    else:
-        held, exact = run.recvbufs, sum(run.sendbufs)
-        holders = range(4) if algorithm == "gaspi_allreduce_tolerant" else [0]
-    for rank in holders:
-        np.testing.assert_array_equal(held[rank], exact)
+        assert run.value_checks
 
 
 @pytest.mark.parametrize("fault", ["absent", "crash", "late"])
@@ -293,6 +264,42 @@ def test_a_tolerant_cell_under_root_one_is_checked_as_under_root_zero(algorithm,
 def test_mutations_tag_the_trace_name(mutate):
     trace = build_model("gaspi_allreduce_ring", 4, 256).trace
     assert mutate.__name__ in mutate(trace).name
+
+
+#: Contract mutant -> (plan mutation, or a context that patches a shared
+#: definition; the algorithm whose sweep cells catch it, None for all).
+CONTRACT_MUTANTS = {
+    "A": (copy_last_child_slot, "gaspi_reduce_bst"),
+    "C": (fold_one_element_fewer, "gaspi_reduce_bst"),
+    "D": (ceil_threshold_elements, None),
+    "E": (floor_participating_ranks, None),
+    "stale_child_slot": (fold_stale_child_slot, "gaspi_reduce_bst"),
+    "ssp_unwritten_mailbox": (fold_unwritten_mailbox, "gaspi_allreduce_ssp_hypercube"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(CONTRACT_MUTANTS))
+def test_contract_mutants_are_wrong_values_in_the_default_sweep(mutant):
+    # The cells of the default sweep, clean as shipped; each mutant breaks
+    # what some result is owed and nothing else the checkers see.
+    from repro.analysis import model_cell
+    from repro.analysis.__main__ import _cells
+
+    mutate, only = CONTRACT_MUTANTS[mutant]
+    patches = mutate in (ceil_threshold_elements, floor_participating_ranks)
+    algorithms = [only] if only else sorted(
+        info.name for info in REGISTRY.items() if info.capabilities.verified
+    )
+    found = set()
+    for name, ranks, nbytes, cell in _cells(algorithms, [4, 8, 16], calls=2):
+        if "fault" in cell or (patches and cell.get("threshold", 1.0) == 1.0):
+            continue
+        assert analyze_run(model_cell(name, ranks, nbytes, **cell)) == []
+        if not patches:
+            cell = dict(cell, mutate_plan=mutate)
+        with mutate() if patches else contextlib.nullcontext():
+            found |= classes(analyze_run(model_cell(name, ranks, nbytes, **cell)))
+    assert found == {WRONG_VALUE}
 
 
 # --------------------------------------------------------------------------- #

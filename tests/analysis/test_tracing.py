@@ -220,17 +220,22 @@ def test_cli_rejects_a_one_rank_world(capsys):
 def test_cli_sweep_lags_a_rank_through_three_calls_of_every_reduce_cell(capsys):
     # The summary line counts cells per collective (CI copies it into the
     # job summary): both reduce plans x 3 rank counts x (2 payloads + data
-    # and process thresholds), + the other root at 8 ranks.
+    # and process thresholds at 50 % and 30 %), + the other root at 8
+    # ranks — and every cell of the sweep is value-checked.
     from repro.analysis.__main__ import main
 
     assert main(["--all"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert "reduce 28" in lines[-1] and "recycle 15" in lines[-1]
+    assert "reduce 40" in lines[-1] and "recycle 15" in lines[-1]
+    assert f"), {lines[-1].split()[0]} value-checked," in lines[-1]
     reduce_cells = [line for line in lines if "ok  gaspi_reduce_bst" in line]
-    assert len(reduce_cells) == 28
+    assert len(reduce_cells) == 40
     assert all("calls=3" in line and "laggard=" in line for line in reduce_cells)
     assert sum("50% processes" in line for line in reduce_cells) == 6
+    assert sum("30% data" in line for line in reduce_cells) == 6
     assert sum("root=1" in line for line in reduce_cells) == 4
+    bcast_cells = [line for line in lines if "ok  gaspi_bcast_" in line]
+    assert sum("30% data" in line for line in bcast_cells) == 9
 
 
 def test_cli_sweep_runs_the_hypercube_past_a_laggard_under_slack():

@@ -20,8 +20,8 @@ from repro.core import (
     notification_barrier,
     ring_allgather,
     ring_allreduce,
-    threshold_elements,
 )
+from repro.core.policy import ConsistencyPolicy, documented_result
 from repro.gaspi import WorldConfig, run_spmd
 
 from tests.helpers import expected_sum, rank_vector, spmd
@@ -58,13 +58,13 @@ class TestBroadcast:
             return buf, result
 
         results = spmd(4, worker)
-        expect = threshold_elements(n, threshold)
-        for rank, (buf, result) in enumerate(results):
-            if rank == 0:
-                continue
-            assert np.array_equal(buf[:expect], np.arange(expect, dtype=np.float64))
-            assert np.all(buf[expect:] == -1.0)  # untouched tail
-            assert result.elements_received == expect
+        owed = documented_result(
+            "bcast", ConsistencyPolicy.data_threshold(threshold),
+            [np.arange(n, dtype=np.float64)] * 4, before=[np.full(n, -1.0)] * 4,
+        )  # fmt: skip
+        for rank, (buf, result) in enumerate(results[1:], start=1):
+            assert np.array_equal(buf, owed[rank])  # the tail untouched
+            assert result.elements_received == np.count_nonzero(owed[rank] != -1.0)
             assert not result.complete
 
     def test_bst_non_zero_root(self):
@@ -162,10 +162,12 @@ class TestReduce:
 
         results = spmd(8, worker)
         recv0, res0 = results[0]
-        expect_elems = threshold_elements(n, 0.25)
-        assert np.allclose(recv0[:expect_elems], sum(range(1, 9)))
-        assert np.all(recv0[expect_elems:] == -5.0)
-        assert res0.elements_reduced == expect_elems
+        owed = documented_result(
+            "reduce", ConsistencyPolicy.data_threshold(0.25),
+            [np.full(n, r + 1.0) for r in range(8)], before=[np.full(n, -5.0)] * 8,
+        )[0]  # fmt: skip
+        assert np.array_equal(recv0, owed)
+        assert res0.elements_reduced == np.count_nonzero(owed != -5.0)
 
     def test_process_threshold_engages_subset(self):
         n = 64
@@ -178,12 +180,11 @@ class TestReduce:
 
         results = spmd(8, worker)
         recv0, res0 = results[0]
-        # At least half the processes contribute, but not necessarily all.
-        assert 4 <= recv0[0] <= 8
+        policy = ConsistencyPolicy.process_threshold(0.5)
+        assert np.array_equal(recv0, documented_result("reduce", policy, [np.ones(n)] * 8)[0])
         assert res0.contributors == int(recv0[0])
-        participated = [res.participated for _recv, res in results]
-        assert sum(participated) >= 4
-        assert participated[0] is True
+        owed = documented_result("reduce", policy, list(np.eye(8)))[0]
+        assert [res.participated for _recv, res in results] == list(owed == 1)
 
     def test_non_zero_root(self):
         def worker(rt):

@@ -383,12 +383,13 @@ class TestWorkspaceRecycling:
         "alltoall": lambda c, x, y: c.alltoall(x, y),
         "allgather": lambda c, x, y: c.allgather(x[:16]),
         "barrier": lambda c, x, y: c.barrier(algorithm="auto"),
-        # Exact leases, registered per call as before: a receive region
-        # sized by this rank's counts, a window bound to the caller's buffer.
-        "alltoallv": lambda c, x, y: c.alltoallv(x, [16] * 4, [16] * 4, y),
-        "bcast_bound_window": lambda c, x, y: c.bcast(
+        # A throwaway plan stays staged: no window bound per call.
+        "bcast_pipelined": lambda c, x, y: c.bcast(
             x, root=1, algorithm="gaspi_bcast_bst_pipelined"
         ),
+        # An exact lease, registered per call as before: a receive region
+        # sized by this rank's counts.
+        "alltoallv": lambda c, x, y: c.alltoallv(x, [16] * 4, [16] * 4, y),
     }
 
     @pytest.mark.parametrize("shape", sorted(COLD_CALLS))
@@ -406,7 +407,7 @@ class TestWorkspaceRecycling:
             return counts
 
         for barriers, created, deleted in spmd(4, worker):
-            if shape in ("alltoallv", "bcast_bound_window"):
+            if shape == "alltoallv":
                 assert (barriers, created, deleted) == (400, 200, 200)
                 continue
             # One barrier per batch of releases; the segments that rotate

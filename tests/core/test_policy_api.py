@@ -7,6 +7,7 @@ import pytest
 
 from repro import Communicator, ConsistencyPolicy, select_algorithm
 from repro.core import REGISTRY, CollectiveRequest, CollectiveResult
+from repro.core.policy import documented_result
 from repro.core.reduce import ReduceMode
 from repro.core.tuning import ALLREDUCE_SMALL, TuningRule, TuningTable
 
@@ -52,6 +53,29 @@ class TestConsistencyPolicy:
         assert ConsistencyPolicy().describe() == "strict"
         assert "25% data" in ConsistencyPolicy.data_threshold(0.25).describe()
         assert "slack=3" in ConsistencyPolicy.ssp(3).describe()
+
+    def test_documented_result_rounds_as_documented(self):
+        # ⌊32 · 0.3⌋ = 9 elements; ⌈0.3 · 4⌉ = 2 ranks, virtual ranks 0 and 1.
+        data = ConsistencyPolicy.data_threshold(0.3)
+        owed = documented_result("bcast", data, [np.ones(32), np.zeros(32)])
+        assert np.count_nonzero(owed[1]) == 9
+        procs = ConsistencyPolicy.process_threshold(0.3)
+        owed = documented_result("reduce", procs, list(np.eye(4)), root=3)
+        assert list(np.flatnonzero(owed[3])) == [0, 3]
+
+    def test_documented_result_bounds_ssp_staleness(self):
+        # Rank r's payload of clock c is c · 10**r.  At clock 3 under slack 1
+        # a contribution of clock 2 is admissible; one of clock 1, or none,
+        # is not — but at clock 1 a partner's mailbox may be unwritten.
+        policy = ConsistencyPolicy.ssp(1)
+        history = [[np.full(2, c * 10.0**r) for c in (1, 2, 3)] for r in range(2)]
+        owed = documented_result("allreduce", policy, history, contributors={0: 3, 1: 2}, clock=3)
+        assert np.array_equal(owed[1], [23.0, 23.0])
+        for stale in ({0: 3, 1: 1}, {0: 3}):
+            with pytest.raises(ValueError, match="rank 1's contribution"):
+                documented_result("allreduce", policy, history, contributors=stale, clock=3)
+        owed = documented_result("allreduce", policy, history, contributors={0: 1}, clock=1)
+        assert np.array_equal(owed[0], [1.0, 1.0])
 
 
 class TestRegistryCapabilities:

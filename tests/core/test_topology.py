@@ -1,7 +1,9 @@
 """Unit tests of the virtual topologies (BST, hypercube, ring, k-nomial)."""
 
+import numpy as np
 import pytest
 
+from repro.core.policy import ConsistencyPolicy, documented_result
 from repro.core.topology import (
     BinomialTree,
     Hypercube,
@@ -72,28 +74,15 @@ class TestBinomialTree:
         assert tree.descendants(1) == [3, 5, 7]
         assert tree.descendants(0) == list(range(1, 8))
 
-    def test_participating_ranks_drop_deepest_leaves_first(self):
-        tree = BinomialTree(8)
-        half = tree.participating_ranks(0.5)
-        assert len(half) == 4
-        assert 0 in half
-        # Stage-3 ranks (4..7) are the first to be dropped.
-        assert all(r not in half for r in (5, 6, 7))
-
-    def test_participating_ranks_stay_connected(self):
-        for P in (8, 16, 32):
-            tree = BinomialTree(P)
-            for frac in (0.25, 0.4, 0.5, 0.75, 1.0):
-                kept = set(tree.participating_ranks(frac))
-                assert 0 in kept
-                for r in kept - {0}:
-                    assert tree.parent(r) in kept
-
-    def test_participating_ranks_threshold_respected(self):
-        tree = BinomialTree(32)
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            kept = tree.participating_ranks(frac)
-            assert len(kept) >= int(frac * 32)
+    @pytest.mark.parametrize("size", [5, 8, 16, 32])
+    def test_participating_ranks_are_the_documented_set(self, size):
+        # One-hot payloads: the documented fold names the ranks it keeps.
+        for root in (0, size - 1):
+            tree = BinomialTree(size, root)
+            for frac in (0.25, 0.3, 0.4, 0.5, 0.75, 1.0):
+                policy = ConsistencyPolicy.process_threshold(frac)
+                owed = documented_result("reduce", policy, list(np.eye(size)), root=root)
+                assert tree.participating_ranks(frac) == list(np.flatnonzero(owed[root]))
 
     def test_participating_75_and_100_share_depth(self):
         """Paper observation behind Figure 10: 75 % and 100 % perform alike."""

@@ -29,14 +29,14 @@ COUNTERS = (
 
 #: (collective, ranks, payload bytes) -> (algorithm, writes, notifications,
 #: bytes, barriers, segments created) of one warm call.  The pipelined ring
-#: writes each of its 2(P-1) steps in sub-chunks to one neighbour, plus one
-#: bare entry notification per rank; its bytes are 2(P-1) x the payload,
+#: writes each of its 2(P-1) steps in sub-chunks to one neighbour, one
+#: notification per sub-chunk; its bytes are 2(P-1) x the payload,
 #: wherever the allgather lands.
 WIRE_TABLE = {
-    ("allreduce", 2, 1 * MIB): ("gaspi_allreduce_ring_pipelined", 4, 6, 2 * MIB, 0, 0),
-    ("allreduce", 2, 4 * MIB): ("gaspi_allreduce_ring_pipelined", 16, 18, 8 * MIB, 0, 0),
-    ("allreduce", 8, 1 * MIB): ("gaspi_allreduce_ring_pipelined", 112, 120, 14 * MIB, 0, 0),
-    ("allreduce", 8, 4 * MIB): ("gaspi_allreduce_ring_pipelined", 112, 120, 56 * MIB, 0, 0),
+    ("allreduce", 2, 1 * MIB): ("gaspi_allreduce_ring_pipelined", 4, 4, 2 * MIB, 0, 0),
+    ("allreduce", 2, 4 * MIB): ("gaspi_allreduce_ring_pipelined", 16, 16, 8 * MIB, 0, 0),
+    ("allreduce", 8, 1 * MIB): ("gaspi_allreduce_ring_pipelined", 112, 112, 14 * MIB, 0, 0),
+    ("allreduce", 8, 4 * MIB): ("gaspi_allreduce_ring_pipelined", 112, 112, 56 * MIB, 0, 0),
 }
 
 

@@ -36,8 +36,7 @@ from hypothesis import strategies as st
 
 from repro import Communicator, ConsistencyPolicy, FaultPlan, Telemetry, run_backend
 from repro.core import plan
-from repro.core.bcast import threshold_elements
-from repro.core.topology import BinomialTree
+from repro.core.policy import documented_result
 from repro.core.workspace import MAX_IDLE, POOL_BYTES, RETIRE_BATCH, WorkspacePool, size_class
 from repro.faults.injection import FaultyRuntime
 from repro.gaspi.constants import DEFAULT_NOTIFICATION_COUNT, GASPI_BLOCK
@@ -118,31 +117,16 @@ def _call(comm, case, index):
 
 
 def _reference(case, index):
+    """What :func:`documented_result` owes each rank of op ``index``."""
     collective, root, elements = case["ops"][index]
     size = case["ranks"]
-    policy = _policy_for(case, collective)
     if collective == "alltoall":
-        block = max(1, elements // size)
-        sent = [_payload(case, r, index, block * size) for r in range(size)]
-        return [
-            np.concatenate([s[r * block : (r + 1) * block] for s in sent]).tobytes()
-            for r in range(size)
-        ]
+        elements = max(1, elements // size) * size
     sent = [_payload(case, r, index, elements) for r in range(size)]
-    if collective == "allreduce":
-        return [sum(sent).tobytes()] * size
-    prefix = elements
-    contributors = range(size)
-    if policy.threshold < 1.0 and policy.mode.value == "data":
-        prefix = threshold_elements(elements, policy.threshold)
-    elif policy.threshold < 1.0:
-        contributors = BinomialTree(size, root).participating_ranks(policy.threshold)
-    out = np.full(elements, 77.0)
-    if collective == "bcast":
-        out[:prefix] = sent[root][:prefix]
-        return [sent[root].tobytes() if r == root else out.tobytes() for r in range(size)]
-    out[:prefix] = sum(sent[r] for r in contributors)[:prefix]
-    return [out.tobytes() if r == root else None for r in range(size)]
+    policy = _policy_for(case, collective)
+    before = [np.full(elements, 77.0)] * size
+    owed = documented_result(collective, policy, sent, root=root, before=before)
+    return [None if value is None else value.tobytes() for value in owed]
 
 
 def _open_fds():
