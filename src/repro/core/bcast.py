@@ -91,6 +91,13 @@ def threshold_elements(num_elements: int, threshold: float) -> int:
     return max(1, int(np.floor(num_elements * threshold + 1e-9))) if num_elements else 0
 
 
+def threshold_bytes(nbytes: int, threshold: float, itemsize: int = 8) -> int:
+    """Bytes a data threshold ships of ``nbytes``: :func:`threshold_elements`
+    of its ``itemsize``-byte elements, as the plans do (under one element: all)."""
+    elements = -(-nbytes // itemsize)
+    return min(nbytes, threshold_elements(elements, threshold) * itemsize)
+
+
 # --------------------------------------------------------------------------- #
 # functional entry points (cold calls)
 # --------------------------------------------------------------------------- #
@@ -191,9 +198,8 @@ def bst_bcast_schedule(
     parent to its stage-``s`` children; an optional final round models the
     zero-byte leaf acknowledgements.
     """
-    check_fraction(threshold, "threshold")
     require(nbytes >= 0, "nbytes must be non-negative")
-    send_bytes = max(1, int(nbytes * threshold)) if nbytes else 0
+    send_bytes = threshold_bytes(nbytes, threshold)
     tree = BinomialTree(num_ranks, root)
     sched = CommunicationSchedule(
         name=name or f"gaspi_bcast_bst[{int(threshold * 100)}%]",
@@ -245,12 +251,12 @@ def flat_bcast_schedule(
     name: str | None = None,
 ) -> CommunicationSchedule:
     """Schedule of the flat (root-writes-to-everyone) broadcast."""
-    check_fraction(threshold, "threshold")
-    send_bytes = max(1, int(nbytes * threshold)) if nbytes else 0
+    send_bytes = threshold_bytes(nbytes, threshold)
     sched = CommunicationSchedule(
         name=name or f"gaspi_bcast_flat[{int(threshold * 100)}%]",
         num_ranks=num_ranks,
-        metadata={"threshold": threshold, "payload_bytes": nbytes, "algorithm": "flat"},
+        metadata={"threshold": threshold, "payload_bytes": nbytes,
+                  "shipped_bytes": send_bytes, "algorithm": "flat"},
     )
     messages = [
         Message(src=root, dst=peer, nbytes=send_bytes, protocol=protocol, tag="bcast-flat")

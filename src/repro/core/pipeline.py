@@ -80,7 +80,7 @@ from ..utils.logging import get_logger
 from ..utils.validation import require
 from . import kernels
 from .allreduce_ring import RingAllreduceStats, ring_allreduce_schedule
-from .bcast import BroadcastResult, _require_vector, threshold_elements
+from .bcast import BroadcastResult, _require_vector, threshold_bytes, threshold_elements
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan, PipelineGen, PlanKey, WaitSpec
 from .policy import CollectiveResult
@@ -1291,11 +1291,8 @@ def pipelined_bst_bcast_schedule(
     the pipelining buys: with ``C`` chunks and ``S`` stages the depth is
     ``S + C - 1`` chunk times instead of ``S`` full-payload times.
     """
-    from ..utils.validation import check_fraction
-
-    check_fraction(threshold, "threshold")
     require(nbytes >= 0, "nbytes must be non-negative")
-    send_bytes = max(1, int(nbytes * threshold)) if nbytes else 0
+    send_bytes = threshold_bytes(nbytes, threshold)
     chunks = _chunk_count(send_bytes, chunk_bytes)
     tree = BinomialTree(num_ranks, root)
     sched = CommunicationSchedule(
@@ -1361,7 +1358,7 @@ def pipelined_bst_reduce_schedule(
     require(nbytes >= 0, "nbytes must be non-negative")
     tree = BinomialTree(num_ranks, root)
     if mode is ReduceMode.DATA:
-        send_bytes = max(1, int(nbytes * threshold)) if nbytes else 0
+        send_bytes = threshold_bytes(nbytes, threshold)
         participants = set(range(num_ranks))
     else:
         send_bytes = nbytes

@@ -35,7 +35,7 @@ from ..gaspi.constants import GASPI_BLOCK
 from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from . import kernels
-from .bcast import threshold_elements
+from .bcast import threshold_bytes, threshold_elements
 from .notifmap import NotificationLayout
 from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
 from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
@@ -315,7 +315,7 @@ def bst_reduce_schedule(
     tree = BinomialTree(num_ranks, root)
 
     if mode is ReduceMode.DATA:
-        send_bytes = max(1, int(nbytes * threshold)) if nbytes else 0
+        send_bytes = threshold_bytes(nbytes, threshold)
         participants = set(range(num_ranks))
         label = f"gaspi_reduce_bst[data {int(threshold * 100)}%]"
     else:

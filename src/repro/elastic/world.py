@@ -17,8 +17,11 @@ the survivors keep running.
         world.spawn(7, worker_b)         # replacement, same rank identity
         results = world.wait()
 
-Replacement processes fork from the parent like the originals, so they
-inherit the world's locks and control block; their runtime re-attaches
+Every rank process, original or replacement, is forked by
+:meth:`~repro.gaspi.shm.ShmWorld.fork` — the one fork path
+:func:`~repro.gaspi.shm.run_shm` uses too — from a parent that first
+trims its heap, so it inherits the world's locks and control block but
+none of the parent's freed memory; a replacement's runtime re-attaches
 the predecessor's leftover segments through
 :meth:`~repro.gaspi.shm.ShmRuntime.adopt_segment` (see
 :mod:`repro.elastic.respawn`).
@@ -27,12 +30,11 @@ the predecessor's leftover segments through
 from __future__ import annotations
 
 import time
-import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..gaspi.errors import GaspiInvalidArgumentError
-from ..gaspi.shm import ShmConfig, ShmWorld, _picklable_exception
+from ..gaspi.shm import ShmConfig, ShmWorld
 from ..utils.logging import get_logger
 
 logger = get_logger("elastic.world")
@@ -51,31 +53,6 @@ class RankResult:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
-
-
-def _elastic_child_main(world: ShmWorld, rank: int, fn, args, kwargs, conn) -> None:
-    """Entry point of one (re)spawned rank process (fork semantics)."""
-    # Like run_shm's children: only the parent closes/unlinks the control
-    # block; the child's inherited mapping dies with the process.
-    world._ctl.close = lambda: None
-    runtime = world.runtime(rank)
-    try:
-        try:
-            payload = ("ok", fn(runtime, *args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            payload = ("err", _picklable_exception(exc), traceback.format_exc())
-    finally:
-        runtime.close()
-    try:
-        conn.send(payload)
-    except Exception as exc:  # result not picklable, broken pipe, ...
-        try:
-            conn.send(
-                ("err", RuntimeError(f"rank {rank} could not ship its result: {exc}"), "")
-            )
-        except Exception:  # pragma: no cover - parent is gone
-            pass
-    conn.close()
 
 
 class ElasticShmWorld:
@@ -108,7 +85,8 @@ class ElasticShmWorld:
         """Fork one rank process running ``fn(runtime, *args, **kwargs)``.
 
         The rank must be in range and not currently live; respawning a
-        finished or dead rank replaces its recorded result.
+        finished or dead rank replaces its recorded result.  The process
+        comes from :meth:`ShmWorld.fork`, as :func:`run_shm`'s do.
         """
         rank = int(rank)
         if self._closed:
@@ -122,16 +100,9 @@ class ElasticShmWorld:
             raise RuntimeError(f"rank {rank} is still running; wait() for it first")
         incarnation = self.incarnations.get(rank, -1) + 1
         self.incarnations[rank] = incarnation
-        ctx = self.world.ctx
-        parent_end, child_end = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_elastic_child_main,
-            args=(self.world, rank, fn, args, kwargs, child_end),
-            name=f"gaspi-elastic-rank-{rank}.{incarnation}",
-            daemon=True,
+        proc, parent_end = self.world.fork(
+            rank, fn, args, kwargs, f"gaspi-elastic-rank-{rank}.{incarnation}"
         )
-        proc.start()
-        child_end.close()  # the parent only reads
         self._procs[rank] = proc
         self._pipes[rank] = parent_end
         self._results[rank] = RankResult(rank=rank, status="running")

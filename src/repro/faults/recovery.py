@@ -42,7 +42,7 @@ from typing import AbstractSet, Generator, Iterable, Optional, Sequence, Set, Tu
 import numpy as np
 
 from ..core import kernels
-from ..core.bcast import threshold_elements
+from ..core.bcast import threshold_bytes, threshold_elements
 from ..core.plan import CollectivePlan, PipelineGen, WaitSpec, drive_pipeline
 from ..core.policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
 from ..core.reduction_ops import ReductionOp, get_op
@@ -721,9 +721,7 @@ def tolerant_bcast_schedule(
     mode = ReduceMode(mode)
     failed_set = {int(r) for r in failed}
     alive = [r for r in range(num_ranks) if r not in failed_set]
-    send_bytes = (
-        max(1, int(nbytes * threshold)) if (mode is ReduceMode.DATA and nbytes) else nbytes
-    )
+    send_bytes = threshold_bytes(nbytes, threshold) if mode is ReduceMode.DATA else nbytes
     sched = CommunicationSchedule(
         name=name or f"gaspi_bcast_tolerant[{len(alive)}/{num_ranks}]",
         num_ranks=num_ranks,

@@ -79,11 +79,17 @@ Implementation notes, mirroring the GASPI guarantees the collectives in
 :class:`~repro.gaspi.spmd.SpmdError`, and sweep any leaked shared-memory
 blocks afterwards.  It requires the ``fork`` start method (Linux/macOS):
 worker closures and the world's synchronisation primitives are inherited
-by the children instead of pickled.
+by the children instead of pickled.  Every rank process — :func:`run_shm`'s
+and :class:`~repro.elastic.world.ElasticShmWorld`'s alike — comes from
+:meth:`ShmWorld.fork`, which first returns the parent's free heap to the
+OS (glibc ``malloc_trim``; nothing where libc lacks it): a child maps
+every resident page of its parent, so heap the parent freed but kept
+would otherwise count in each rank's resident set.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import mmap
 import os
@@ -159,6 +165,12 @@ def _group_key(group: Group) -> int:
     for rank in group.ranks:
         key = ((key ^ (rank + 1)) * 1099511628211) & 0x7FFFFFFFFFFFFFFF
     return key or 1
+
+
+try:  # glibc's; musl and macOS have no malloc_trim
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError):  # pragma: no cover - not glibc
+    _malloc_trim = lambda pad: 0  # noqa: E731
 
 
 def _quiet_close(shm: shared_memory.SharedMemory) -> None:
@@ -376,8 +388,10 @@ class ShmWorld:
 
     Create the world *before* forking the rank processes (``fork`` start
     method): the control block, the lock stripes and the notification
-    condition variable are inherited by every child.  :func:`run_shm`
-    does exactly this; tests can also drive a world manually.
+    condition variable are inherited by every child.  :meth:`fork` starts
+    a rank process; :func:`run_shm` and
+    :class:`~repro.elastic.world.ElasticShmWorld` both use it, and tests
+    can also drive a world manually.
     """
 
     def __init__(
@@ -417,11 +431,6 @@ class ShmWorld:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    @property
-    def ctx(self):
-        """The (fork) multiprocessing context of this world."""
-        return self._ctx
-
     def runtime(self, rank: int) -> "ShmRuntime":
         """Per-rank runtime facade (construct inside the rank's process)."""
         if not (0 <= rank < self.size):
@@ -429,6 +438,30 @@ class ShmWorld:
                 f"rank {rank} outside world of size {self.size}"
             )
         return ShmRuntime(self, rank)
+
+    def fork(
+        self, rank: int, fn: Callable[..., Any], args: tuple, kwargs: dict, name: str
+    ) -> Tuple[Any, Any]:
+        """Fork the process of ``rank``, running ``fn(runtime, *args, **kwargs)``.
+
+        Returns the started process and the read end of its result pipe,
+        which yields ``("ok", value)`` or ``("err", exc, traceback)`` once,
+        or EOF if the rank died without reporting.  The parent first hands
+        its heap's free pages back to the OS: a forked rank maps every
+        resident page of its parent, so memory the parent freed but its
+        allocator kept would sit in every rank's resident set.
+        """
+        parent_end, child_end = self._ctx.Pipe(duplex=False)
+        _malloc_trim(0)  # the heap's free pages back to the OS
+        proc = self._ctx.Process(
+            target=_shm_child_main,
+            args=(self, rank, fn, args, kwargs, child_end),
+            name=name,
+            daemon=True,
+        )
+        proc.start()
+        child_end.close()  # the parent only reads
+        return proc, parent_end
 
     def segment_name(self, rank: int, segment_id: int) -> str:
         return f"{self.uid}-r{rank}-s{segment_id}"
@@ -1248,7 +1281,7 @@ def _picklable_exception(exc: BaseException) -> BaseException:
 
 
 def _shm_child_main(world: ShmWorld, rank: int, fn, args, kwargs, conn) -> None:
-    """Entry point of one rank process (inherits everything via fork)."""
+    """Entry point of every rank process (inherits everything via fork)."""
     # The child's copy of the control block dies with the process; its
     # barrier-table view keeps the buffer exported, so a garbage-collected
     # close would only print an ignored BufferError.  Only the parent
@@ -1286,7 +1319,8 @@ def run_shm(
     """Run ``fn(runtime, *args, **kwargs)`` on ``num_ranks`` rank *processes*.
 
     The process-world analogue of :func:`~repro.gaspi.spmd.run_spmd`:
-    one forked OS process per rank, each with an :class:`ShmRuntime`
+    one OS process per rank, forked by :meth:`ShmWorld.fork` (which
+    trims the parent's heap first), each with an :class:`ShmRuntime`
     whose segments live in POSIX shared memory, so ranks run truly in
     parallel (no shared GIL).  Per-rank return values are shipped back
     over pipes (they must be picklable); exceptions are collected and
@@ -1301,28 +1335,16 @@ def run_shm(
     if num_ranks <= 0:
         raise ValueError(f"num_ranks must be positive, got {num_ranks}")
     world = ShmWorld(num_ranks, config)
-    ctx = world.ctx
     results: List[Any] = [None] * num_ranks
     failures: List[tuple] = []
     stuck: List[int] = []
-    procs = []
     try:
-        channels = [ctx.Pipe(duplex=False) for _ in range(num_ranks)]
-        procs = [
-            ctx.Process(
-                target=_shm_child_main,
-                args=(world, rank, fn, args, kwargs, channels[rank][1]),
-                name=f"gaspi-shm-rank-{rank}",
-                daemon=True,
-            )
+        launched = [
+            world.fork(rank, fn, args, kwargs, f"gaspi-shm-rank-{rank}")
             for rank in range(num_ranks)
         ]
-        for proc in procs:
-            proc.start()
-        for _, child_end in channels:
-            child_end.close()  # the parent only reads
         deadline = None if timeout is None else time.monotonic() + timeout
-        for rank, (parent_end, _) in enumerate(channels):
+        for rank, (_, parent_end) in enumerate(launched):
             remaining = (
                 None if deadline is None else max(0.0, deadline - time.monotonic())
             )
@@ -1351,7 +1373,7 @@ def run_shm(
                 results[rank] = payload[1]
             else:
                 failures.append((rank, payload[1], payload[2]))
-        for rank, proc in enumerate(procs):
+        for rank, (proc, _) in enumerate(launched):
             proc.join(0.0 if rank in stuck else 5.0)
             if proc.is_alive():
                 proc.terminate()

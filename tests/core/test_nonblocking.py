@@ -139,6 +139,11 @@ def _stale_peer_worker(rt):
     policy = ConsistencyPolicy.ssp(2)
     x = np.full(8, rt.rank + 1.0)
     comm.allreduce(x, policy=policy, algorithm="hypercube")  # compile: collective
+    # Clock 1's window reaches back before the first call, so rank 0 may
+    # finish it without rank 1's contribution.  Both ranks have posted
+    # theirs once their call returned: after the barrier, rank 0 holds
+    # rank 1's clock-1 contribution before it runs ahead.
+    rt.barrier()
 
     def issue():
         return [comm.iallreduce(x, policy=policy, algorithm="hypercube") for _ in range(3)]

@@ -1,19 +1,26 @@
 """Structural tests of the GASPI collective schedule builders."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
     REGISTRY,
+    ConsistencyPolicy,
     Protocol,
     alltoall_schedule,
     bst_bcast_schedule,
     bst_reduce_schedule,
     dissemination_barrier_schedule,
+    flat_bcast_schedule,
     hypercube_allreduce_schedule,
+    pipelined_bst_bcast_schedule,
+    pipelined_bst_reduce_schedule,
     ring_allgather_schedule,
     ring_allreduce_schedule,
 )
+from repro.core.policy import documented_result
 from repro.core.reduce import ReduceMode
+from repro.faults import tolerant_bcast_schedule
 
 
 class TestBcastSchedule:
@@ -38,6 +45,35 @@ class TestBcastSchedule:
 
     def test_single_rank_schedule_is_empty(self):
         assert bst_bcast_schedule(1, 1000).total_messages() == 0
+
+
+class TestShippedBytesAreTheDocumentedPrefix:
+    """A data-threshold schedule ships the bytes of the elements the
+    documented result delivers, so simulated timings are for real payloads."""
+
+    BUILDERS = {
+        "bst_bcast": (bst_bcast_schedule, "bcast"),
+        "flat_bcast": (flat_bcast_schedule, "bcast"),
+        "pipelined_bcast": (pipelined_bst_bcast_schedule, "bcast"),
+        "tolerant_bcast": (tolerant_bcast_schedule, "bcast"),
+        "bst_reduce": (bst_reduce_schedule, "reduce"),
+        "pipelined_reduce": (pipelined_bst_reduce_schedule, "reduce"),
+    }
+
+    @pytest.mark.parametrize("threshold", [0.25, 0.3, 0.5])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_shipped_bytes_match_the_documented_result(self, builder, threshold):
+        ranks, nbytes = 4, 256
+        build, collective = self.BUILDERS[builder]
+        elements = nbytes // 8
+        inputs = [np.arange(1.0, elements + 1) * (rank + 1) for rank in range(ranks)]
+        before = [np.zeros(elements) for _ in range(ranks)]
+        owed = documented_result(
+            collective, ConsistencyPolicy.data_threshold(threshold), inputs, before=before
+        )
+        delivered = np.count_nonzero(owed[1 if collective == "bcast" else 0])
+        shipped = build(ranks, nbytes, threshold=threshold).metadata["shipped_bytes"]
+        assert shipped == delivered * 8
 
 
 class TestReduceSchedule:

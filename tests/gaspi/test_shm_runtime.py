@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import os
+import resource
 import time
 import warnings
 
@@ -18,6 +20,7 @@ from repro import (
     run_shm,
 )
 from repro.core.workspace import RETIRE_BATCH
+from repro.elastic import ElasticShmWorld
 from repro.gaspi import (
     GaspiInvalidArgumentError,
     GaspiSegmentError,
@@ -512,6 +515,91 @@ class TestRunShm:
         ]
         with pytest.raises(GaspiInvalidArgumentError, match="unknown backend"):
             run_backend(2, worker, backend="quantum")
+
+
+# --------------------------------------------------------------------------- #
+# what a forked rank inherits
+# --------------------------------------------------------------------------- #
+#: Heap the parent frees before a launch: far above any rank's own growth.
+_FREED_BYTES = 96 * 1024 * 1024
+_HEAP_CHUNK = 64 * 1024  # under glibc's mmap threshold: served from the heap
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def _rank_memory(rt):
+    """A rank's resident size at entry and its peak, both in bytes."""
+    entry = _resident_bytes()
+    return entry, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+
+@pytest.fixture
+def libc():
+    try:
+        lib = ctypes.CDLL(None)
+        lib.malloc_trim
+    except (OSError, AttributeError):
+        pytest.skip("libc has no malloc_trim")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm")
+    lib.malloc.restype = ctypes.c_void_p
+    lib.free.argtypes = [ctypes.c_void_p]
+    return lib
+
+
+def _free_heap_below_a_pin(libc):
+    """Free ``_FREED_BYTES`` of touched heap under one live chunk.
+
+    The chunk allocated last sits at the top of the heap, so ``free``
+    cannot give the space below it back: it stays resident until a
+    ``malloc_trim``.  Returns the pin (free it when done) and the
+    resident size with the freed heap still in it.
+    """
+    blocks = [libc.malloc(_HEAP_CHUNK) for _ in range(_FREED_BYTES // _HEAP_CHUNK + 1)]
+    for block in blocks:
+        ctypes.memset(block, 0xA5, _HEAP_CHUNK)
+    loaded = _resident_bytes()
+    pin = blocks.pop()
+    for block in blocks:
+        libc.free(block)
+    before = _resident_bytes()
+    assert before > loaded - _FREED_BYTES // 8, "free() trimmed the heap itself"
+    return pin, before
+
+
+def _assert_not_inherited(memory, before):
+    for entry, peak in memory:
+        assert entry < before - _FREED_BYTES // 2, (entry, before)
+        assert peak < before - _FREED_BYTES // 2, (peak, before)
+
+
+class TestForkedRanksSkipFreedHeap:
+    def test_run_shm_ranks_fork_from_a_trimmed_heap(self, libc):
+        pin, before = _free_heap_below_a_pin(libc)
+        try:
+            memory = _run_clean(2, _rank_memory, timeout=60)
+        finally:
+            libc.free(pin)
+        _assert_not_inherited(memory, before)
+
+    def test_a_respawned_rank_forks_from_a_trimmed_heap(self, libc):
+        world = ElasticShmWorld(2)
+        try:
+            world.spawn_all(_rank_memory)
+            assert all(r.ok for r in world.wait(timeout=60).values())
+            pin, before = _free_heap_below_a_pin(libc)
+            try:
+                world.spawn(1, _rank_memory)
+                respawned = world.wait([1], timeout=60)[1]
+            finally:
+                libc.free(pin)
+        finally:
+            assert world.close() == []
+        assert respawned.ok and world.incarnations[1] == 1
+        _assert_not_inherited([respawned.value], before)
 
 
 # --------------------------------------------------------------------------- #

@@ -109,7 +109,9 @@ def test_bcast_schedule_reaches_everyone_and_scales(num_ranks, nbytes, threshold
     receivers = sorted(m.dst for m in sched.messages())
     assert receivers == list(range(1, num_ranks))
     if nbytes:
-        shipped = max(1, int(nbytes * threshold))
+        # Whole float64 elements, as the plan ships them; a payload shorter
+        # than one element ships whole.
+        shipped = min(nbytes, threshold_elements(-(-nbytes // 8), threshold) * 8)
         assert all(m.nbytes == shipped for m in sched.messages())
 
 
