@@ -27,8 +27,7 @@ def _ssp_job(num_ranks, elements, slack, iterations=5):
         comm = Communicator(rt)
         for _ in range(iterations):
             comm.allreduce_ssp(np.ones(elements), slack=slack)
-        comm.barrier()
-        comm.close_ssp()
+        comm.close()
         return True
 
     return run_spmd(num_ranks, worker, timeout=60)

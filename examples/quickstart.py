@@ -55,9 +55,10 @@ def worker(runtime):
     half_total = half.allreduce(np.full(10, float(rank + 1)))
 
     # --- SSP Allreduce (Algorithm 1) with a slack of 2 --------------------- #
-    ssp = comm.allreduce_ssp(gradient, policy=ConsistencyPolicy.ssp(2))
-    comm.barrier()
-    comm.close_ssp()
+    # The cached plan keeps the mailboxes and the logical clock until
+    # comm.close(); each call's clocks and waits are result.detail.
+    ssp = comm.allreduce_ssp(gradient, policy=ConsistencyPolicy.ssp(2)).detail
+    comm.close()
 
     return {
         "rank": rank,
@@ -67,8 +68,8 @@ def worker(runtime):
         "reduce_participated": reduce_status.participated,
         "alltoall_first_block_from_last_rank": float(exchanged[-16]),
         "half_group_sum": float(half_total[0]),
-        "ssp_result_clock": ssp.clock,
-        "ssp_staleness": ssp.stats.staleness,
+        "ssp_result_clock": ssp.result_clock,
+        "ssp_staleness": ssp.staleness,
     }
 
 

@@ -7,8 +7,9 @@ The package is organised as follows (see DESIGN.md for the full map):
 * :mod:`repro.core` — the paper's collectives: eventually consistent
   Broadcast/Reduce (data/process thresholds), the SSP Allreduce
   (Algorithm 1), the segmented pipelined ring Allreduce, AlltoAll(V) and a
-  notification barrier — each with a functional implementation and a
-  communication-schedule builder.
+  notification barrier — each a compiled plan behind the
+  :class:`~repro.core.api.Communicator`, with a communication-schedule
+  builder for the simulator.
 * :mod:`repro.mpi` — the Intel-MPI baseline algorithms the paper compares
   against (twelve Allreduce variants, binomial/default Bcast and Reduce,
   Bruck/pairwise/default AlltoAll) plus a two-sided messaging layer.
@@ -75,15 +76,7 @@ from .core import (
     PlanKey,
     Protocol,
     ReductionOp,
-    SSPAllreduce,
     TuningTable,
-    alltoall,
-    alltoallv,
-    bst_bcast,
-    bst_reduce,
-    notification_barrier,
-    ring_allgather,
-    ring_allreduce,
     select_algorithm,
 )
 from .simulate import (
@@ -156,14 +149,6 @@ __all__ = [
     "Message",
     "Protocol",
     "ReductionOp",
-    "SSPAllreduce",
-    "alltoall",
-    "alltoallv",
-    "bst_bcast",
-    "bst_reduce",
-    "notification_barrier",
-    "ring_allgather",
-    "ring_allreduce",
     # simulate
     "MachineModel",
     "NetworkParameters",

@@ -2,23 +2,21 @@
 
 Public surface:
 
-* :class:`~repro.core.api.Communicator` — high-level per-rank API, driven
+* :class:`~repro.core.api.Communicator` — the one per-rank API, driven
   by :class:`~repro.core.policy.ConsistencyPolicy` objects and routed
   through the algorithm :data:`~repro.core.registry.REGISTRY`
   (``algorithm="auto"`` consults the :mod:`~repro.core.tuning` tables).
-* Functional collectives: :func:`~repro.core.bcast.bst_bcast`,
-  :func:`~repro.core.reduce.bst_reduce`,
-  :func:`~repro.core.allreduce_ring.ring_allreduce`,
-  :class:`~repro.core.allreduce_ssp.SSPAllreduce`,
-  :func:`~repro.core.alltoall.alltoall` / ``alltoallv``,
-  :func:`~repro.core.allgather.ring_allgather`,
-  :func:`~repro.core.barrier.notification_barrier`.
+  Every collective returns, or records on ``comm.last_result``, a
+  :class:`~repro.core.policy.CollectiveResult` whose ``detail`` is the
+  paper's status output (:class:`BroadcastResult`, :class:`ReduceResult`,
+  :class:`RingAllreduceStats`, :class:`SSPCallStats`).
 * Compiled plans: every GASPI collective is written once, as the ``_run``
   generator of a :class:`~repro.core.plan.CollectivePlan`, which runs it
-  blocking, incrementally (the ``i*`` API, the verifier) or cold — the
-  functional collectives above but the SSP allreduce are cold calls of it;
-  registry runners are left to the MPI baselines (the fault-tolerant trio
-  in :mod:`repro.faults.recovery` is one such plan, never cached).
+  blocking, incrementally (the ``i*`` API, the verifier) or cold (a
+  throwaway plan); registry runners are left to the MPI baselines (the
+  fault-tolerant trio in :mod:`repro.faults.recovery` is one such plan,
+  never cached).  The SSP allreduce's state — its mailboxes and logical
+  clock — is its cached plan.
 * Schedule builders for the timing simulator and the algorithm
   :data:`~repro.core.registry.REGISTRY` the benchmark harness uses.
 """
@@ -40,22 +38,14 @@ from .policy import (
     ConsistencyPolicy,
 )
 from .tuning import TuningRule, TuningTable, select_algorithm, select_chunk_bytes
-from .allgather import ring_allgather, ring_allgather_schedule
-from .allreduce_ring import RingAllreduceStats, ring_allreduce, ring_allreduce_schedule
-from .allreduce_ssp import (
-    SSPAllreduce,
-    SSPAllreduceResult,
-    SSPCallStats,
-    SSPTotals,
-    hypercube_allreduce_schedule,
-)
-from .alltoall import alltoall, alltoall_schedule, alltoallv
-from .barrier import dissemination_barrier_schedule, notification_barrier
+from .allgather import ring_allgather_schedule
+from .allreduce_ring import RingAllreduceStats, ring_allreduce_schedule
+from .allreduce_ssp import SSPCallStats, hypercube_allreduce_schedule
+from .alltoall import alltoall_schedule
+from .barrier import dissemination_barrier_schedule
 from .bcast import (
     BroadcastResult,
-    bst_bcast,
     bst_bcast_schedule,
-    flat_bcast,
     flat_bcast_schedule,
     threshold_elements,
 )
@@ -65,7 +55,7 @@ from .compression import (
     TopKCompressor,
     compression_error,
 )
-from .reduce import ReduceMode, ReduceResult, bst_reduce, bst_reduce_schedule
+from .reduce import ReduceMode, ReduceResult, bst_reduce_schedule
 from .reduction_ops import MAX, MIN, PROD, SUM, ReductionOp, available_ops, get_op, register_op
 from .registry import (
     REGISTRY,
@@ -105,25 +95,15 @@ __all__ = [
     "TuningTable",
     "select_algorithm",
     "AlgorithmCapabilities",
-    "ring_allgather",
     "ring_allgather_schedule",
     "RingAllreduceStats",
-    "ring_allreduce",
     "ring_allreduce_schedule",
-    "SSPAllreduce",
-    "SSPAllreduceResult",
     "SSPCallStats",
-    "SSPTotals",
     "hypercube_allreduce_schedule",
-    "alltoall",
     "alltoall_schedule",
-    "alltoallv",
     "dissemination_barrier_schedule",
-    "notification_barrier",
     "BroadcastResult",
-    "bst_bcast",
     "bst_bcast_schedule",
-    "flat_bcast",
     "flat_bcast_schedule",
     "threshold_elements",
     "CompressedVector",
@@ -132,7 +112,6 @@ __all__ = [
     "compression_error",
     "ReduceMode",
     "ReduceResult",
-    "bst_reduce",
     "bst_reduce_schedule",
     "ReductionOp",
     "SUM",

@@ -2,54 +2,20 @@
 
 The Allgather stage of the pipelined ring Allreduce is useful on its own
 (the paper's related work extends the same machinery to Allgather(V)), so
-it is exposed here both as a functional collective — a cold call of
-:class:`RingAllgatherPlan`'s generator — and as a schedule builder.
+it is exposed here both as a plan, :class:`RingAllgatherPlan`, which
+``comm.allgather`` runs, and as a schedule builder.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from .allreduce_ring import ring_notification_layout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring
-from .workspace import WorkspacePool
-
-#: Default segment id used by the allgather collective.
-ALLGATHER_SEGMENT_ID = 130
-
-
-def ring_allgather(
-    runtime: GaspiRuntime,
-    sendbuf: np.ndarray,
-    recvbuf: Optional[np.ndarray] = None,
-    segment_id: int = ALLGATHER_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = math.inf,
-    pool: Optional[WorkspacePool] = None,
-) -> np.ndarray:
-    """Gather equal-sized blocks from every rank onto every rank.
-
-    ``sendbuf`` is this rank's block (1-D, same length and dtype on every
-    rank).  Returns the gathered vector — ``recvbuf`` when given, of length
-    ``size * len(sendbuf)`` — whose ``[r*b:(r+1)*b]`` holds rank ``r``'s
-    block.  Every wait is bounded by ``timeout`` and by
-    :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`.
-    """
-    request = CollectiveRequest(
-        "allgather", sendbuf=sendbuf, recvbuf=recvbuf, segment_id=segment_id,
-        pool=pool, queue=queue, timeout=timeout,
-    )  # fmt: skip
-    return _run_cold(
-        RingAllgatherPlan, "allgather", "gaspi_allgather_ring", runtime, request
-    ).value
 
 
 class RingAllgatherPlan(CollectivePlan):

@@ -17,31 +17,24 @@ global synchronisation between or after the two stages, which is the key
 difference from the MPI ring implementations the paper compares against.
 
 The protocol is written once, as the :class:`~repro.core.plan.WaitSpec`
-generator of :class:`RingAllreducePlan`; :func:`ring_allreduce` is a cold
-call of it (compile, run once, release).
+generator of :class:`RingAllreducePlan`, which ``comm.allreduce(x,
+algorithm="ring")`` runs, cached or cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from . import kernels
 from .notifmap import NotificationLayout, NotifRange
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult
-from .workspace import WorkspacePool
-from .reduction_ops import ReductionOp, get_op
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
+from .reduction_ops import get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Ring, chunk_bounds
-
-#: Default segment id used by the ring allreduce.
-RING_SEGMENT_ID = 120
 
 
 def ring_notification_layout(total_steps: int) -> NotifRange:
@@ -58,68 +51,13 @@ def ring_notification_layout(total_steps: int) -> NotifRange:
 
 @dataclass
 class RingAllreduceStats:
-    """Instrumentation returned by :func:`ring_allreduce`."""
+    """Per-rank counters of one ring allreduce call: the result's ``detail``."""
 
     rank: int
     num_chunks: int
     steps: int
     bytes_sent: int
     bytes_received: int
-
-
-def ring_allreduce(
-    runtime: GaspiRuntime,
-    sendbuf: np.ndarray,
-    recvbuf: Optional[np.ndarray] = None,
-    op: str | ReductionOp = "sum",
-    segment_id: int = RING_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = GASPI_BLOCK,
-    pool: Optional[WorkspacePool] = None,
-) -> RingAllreduceStats:
-    """Segmented pipelined ring allreduce over all ranks.
-
-    A cold call: it compiles a :class:`RingAllreducePlan`, runs it once and
-    releases it.
-
-    Parameters
-    ----------
-    sendbuf:
-        This rank's contribution (1-D, identical length and dtype on all
-        ranks).  Left unmodified.
-    recvbuf:
-        Output buffer; when ``None`` the reduction is written back into
-        ``sendbuf`` (in-place allreduce).
-    op:
-        Reduction operator ("sum" by default, as in the paper).
-
-    Returns
-    -------
-    RingAllreduceStats
-        Per-rank message/byte counters (useful for tests and examples).
-
-    Notes
-    -----
-    Works for any world size P >= 1 and any vector length >= P is not
-    required — chunks may be empty for tiny vectors; empty chunks skip the
-    transfer but still advance the notification protocol so the pipeline
-    stays aligned.
-    """
-    sendbuf = np.asarray(sendbuf)
-    require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    request = CollectiveRequest(
-        "allreduce",
-        sendbuf=sendbuf,
-        recvbuf=sendbuf if recvbuf is None else recvbuf,
-        op=op,
-        segment_id=segment_id,
-        pool=pool,
-        queue=queue,
-        timeout=timeout,
-    )
-    return _run_cold(
-        RingAllreducePlan, "allreduce", "gaspi_allreduce_ring", runtime, request
-    ).detail
 
 
 # --------------------------------------------------------------------------- #

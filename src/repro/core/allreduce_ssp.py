@@ -27,40 +27,34 @@ Implementation notes matching the paper:
 
 One executor serves every slack: :class:`HypercubeAllreducePlan`, the
 compiled plan ``comm.allreduce`` caches under a key that includes the
-slack (a cold call builds it for one call).  The collective keeps state
-across calls (the mailboxes and the logical clock), so an iterative
-application holds it as :class:`SSPAllreduce` — one plan, constructed
-once and called every iteration, that reports the clocks and waits of
-each call.
+slack.  At slack > 0 the collective keeps state across calls (the
+mailboxes and the logical clock), so that plan *is* the state: the
+communicator plans such a key whatever its cache capacity or fault plan,
+and never evicts it.  ``comm.allreduce_ssp`` is the paper's spelling of
+the same call; each slack call's clocks and waits are the result's
+``detail`` (:class:`SSPCallStats`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_power_of_two, require
 from . import kernels
-from . import plan as plans
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _key_of, drive_pipeline
-from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
-from .workspace import WorkspacePool
-from .reduction_ops import ReductionOp, get_op
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
+from .reduction_ops import get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import Hypercube
-
-#: Default segment id used by the SSP allreduce.
-SSP_SEGMENT_ID = 160
 
 
 @dataclass
 class SSPCallStats:
-    """Instrumentation of a single ``reduce`` call on one rank.
+    """Instrumentation of a single slack call on one rank.
 
     ``wait_time`` is the quantity plotted on the right-hand side of
     Figure 7 of the paper ("time spent waiting for fresh updates").
@@ -72,169 +66,11 @@ class SSPCallStats:
     wait_time: float = 0.0
     stale_reuses: int = 0
     fresh_uses: int = 0
-    elapsed: float = 0.0
 
     @property
     def staleness(self) -> int:
         """How many iterations behind the freshest data the result is."""
         return self.clock - self.result_clock
-
-
-@dataclass
-class SSPAllreduceResult:
-    """Result of one SSP allreduce call: the value, its clock and statistics."""
-
-    value: np.ndarray
-    clock: int
-    stats: SSPCallStats
-
-
-@dataclass
-class SSPTotals:
-    """Accumulated statistics over the lifetime of an :class:`SSPAllreduce`."""
-
-    calls: int = 0
-    waits: int = 0
-    wait_time: float = 0.0
-    stale_reuses: int = 0
-    fresh_uses: int = 0
-    per_call: List[SSPCallStats] = field(default_factory=list)
-
-    def record(self, stats: SSPCallStats) -> None:
-        self.calls += 1
-        self.waits += stats.waits
-        self.wait_time += stats.wait_time
-        self.stale_reuses += stats.stale_reuses
-        self.fresh_uses += stats.fresh_uses
-        self.per_call.append(stats)
-
-
-class SSPAllreduce:
-    """Stateful SSP allreduce collective (paper Algorithm 1).
-
-    A driver of one :class:`HypercubeAllreducePlan`: it owns the logical
-    clock and turns each call of the plan into an
-    :class:`SSPAllreduceResult` and the running :attr:`totals`.  Every wait
-    is bounded by :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`: a partner
-    that never posts raises a :class:`TimeoutError` naming the mailbox.
-
-    Parameters
-    ----------
-    runtime:
-        Per-rank GASPI runtime.
-    num_elements:
-        Length of the reduced vector (identical on all ranks).
-    slack:
-        Allowed staleness in iterations.  ``slack = 0`` degenerates to a
-        fully synchronous hypercube allreduce; larger values let fast ranks
-        proceed with older partner contributions.
-    op:
-        Reduction operator (the paper uses a sum / average of gradients).
-    dtype:
-        Element dtype of the reduced vector.
-    segment_id:
-        Segment id of the mailbox segment of a standalone instance.
-    pool:
-        The caller's :class:`~repro.core.workspace.WorkspacePool`; the
-        mailbox segment is leased from it and ``segment_id`` is not used.
-    """
-
-    def __init__(
-        self,
-        runtime: GaspiRuntime,
-        num_elements: int,
-        slack: int = 0,
-        op: str | ReductionOp = "sum",
-        dtype=np.float64,
-        segment_id: int = SSP_SEGMENT_ID,
-        pool: Optional[WorkspacePool] = None,
-    ) -> None:
-        require(num_elements > 0, "num_elements must be positive")
-        require(slack >= 0, f"slack must be non-negative, got {slack}")
-        check_power_of_two(runtime.size, "SSP allreduce world size")
-
-        self.runtime = runtime
-        self.num_elements = int(num_elements)
-        self.slack = int(slack)
-        self.op = get_op(op)
-        self.dtype = np.dtype(dtype)
-        self.dimensions = Hypercube(runtime.size).dimensions
-        self.clock = 0
-        self.totals = SSPTotals()
-
-        policy = ConsistencyPolicy.ssp(self.slack)
-        key = _key_of(
-            "allreduce", "gaspi_allreduce_ssp_hypercube", runtime.size, 0,
-            self.num_elements * self.dtype.itemsize, self.dtype, self.op, policy, 0,
-        )  # fmt: skip
-        self._plan = HypercubeAllreducePlan(runtime, key, segment_id, policy, pool)
-        self._request = CollectiveRequest("allreduce", op=self.op, policy=policy)
-        self.segment_id = self._plan.segment_id
-
-    def reduce(
-        self,
-        contribution: np.ndarray,
-        clock: Optional[int] = None,
-    ) -> SSPAllreduceResult:
-        """One SSP allreduce of ``contribution``, this rank's fresh one.
-
-        ``clock`` is an explicit iteration number; by default the clock
-        advances by one (line 1 of Algorithm 1).  The result holds the
-        (possibly partially stale) reduction, its clock — the minimum
-        clock over the contributions it contains — and the call's
-        statistics.
-        """
-        if self._plan.closed:
-            raise RuntimeError("SSPAllreduce already closed")
-        contribution = np.ascontiguousarray(contribution, dtype=self.dtype)
-        require(
-            contribution.size == self.num_elements,
-            f"contribution has {contribution.size} elements, expected {self.num_elements}",
-        )
-        start = time.perf_counter()
-        self.clock = self.clock + 1 if clock is None else int(clock)
-        plan = self._plan
-        plan.clock = self.clock
-        waits, wait_time = plan.waits, plan.wait_time
-        request = self._request
-        request.sendbuf = contribution
-        try:
-            # Incrementally, so that a strict call's waits suspend the plan.
-            bound = min(request.timeout, plans.PLAN_WAIT_TIMEOUT)
-            result = drive_pipeline(self.runtime, plan.begin(request), bound)
-        finally:
-            request.sendbuf = None
-        # A slack call reports its own clocks; a strict one folds a fresh
-        # contribution at every step and only its waits are the plan's.
-        stats = result.detail or SSPCallStats(
-            clock=self.clock,
-            result_clock=self.clock,
-            waits=plan.waits - waits,
-            wait_time=plan.wait_time - wait_time,
-            fresh_uses=self.dimensions,
-        )
-        stats.elapsed = time.perf_counter() - start
-        self.totals.record(stats)
-        return SSPAllreduceResult(value=result.value, clock=stats.result_clock, stats=stats)
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release the mailbox segment (collective, idempotent).  Slack
-        permits partner writes in flight at call boundaries, so the pool
-        retires the mailbox and scrubs it only behind a later barrier."""
-        self._plan.release()
-
-    def drop(self) -> None:
-        """Local teardown: no synchronisation (see :meth:`CollectivePlan.close`)."""
-        self._plan.close()
-
-    def __enter__(self) -> "SSPAllreduce":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -249,8 +85,8 @@ class HypercubeAllreducePlan(CollectivePlan):
     ``acc = op(partial, mailbox)``.  The accumulator is the caller's
     ``recvbuf`` when that is a contiguous vector of the plan's dtype; any
     other ``recvbuf`` is filled once from a private vector at the end.
-    The fold order per step is fixed by the hypercube, so planned, cold
-    and :class:`SSPAllreduce` results are bit-identical at slack 0.
+    The fold order per step is fixed by the hypercube, so planned and cold
+    results are bit-identical at slack 0.
 
     **Slack 0.**  Each step waits for the partner's notification and
     folds out of the mailbox view in place.  Reuse needs no barrier, no
@@ -274,9 +110,6 @@ class HypercubeAllreducePlan(CollectivePlan):
     makes the contents fresher than their clock says.)  The plan keeps
     the clock across calls (:attr:`clock`) and returns each call's
     :class:`SSPCallStats` as the result's ``detail``.
-
-    :attr:`waits` and :attr:`wait_time` count the suspensions of a strict
-    call, which only an incremental driver (:meth:`begin`) lets happen.
     """
 
     _segment_views = ("_steps",)
@@ -291,8 +124,6 @@ class HypercubeAllreducePlan(CollectivePlan):
         self.slack = policy.slack
         #: Logical clock of the next call at slack > 0.
         self.clock = 1
-        self.waits = 0
-        self.wait_time = 0.0
         cube = Hypercube(runtime.size)
         parities = 1 if self.slack else 2
         boxes = NotificationLayout().add("mailboxes", max(1, parities * cube.dimensions))
@@ -348,7 +179,6 @@ class HypercubeAllreducePlan(CollectivePlan):
                 # The posted source is folded over below: flush it first.
                 rt.wait(queue)
                 while rt.notify_waitsome(sid, box, 1, timeout=poll_timeout) is None:
-                    suspended = time.perf_counter()
                     yield WaitSpec(
                         sid,
                         box,
@@ -356,8 +186,6 @@ class HypercubeAllreducePlan(CollectivePlan):
                         f"hypercube step {step}: partner {partner}'s contribution "
                         f"to call {self.calls}",
                     )
-                    self.waits += 1
-                    self.wait_time += time.perf_counter() - suspended
                 rt.notify_reset(sid, box)
                 kernels.fold(operator, partial, mailbox, acc)
                 partial = acc

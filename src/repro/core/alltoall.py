@@ -7,81 +7,20 @@ producer), then waits for P-1 notifications, resetting each one
 (``gaspi_notify_waitsome`` + ``gaspi_notify_reset``).  There is no
 intermediate forwarding, no pairwise ordering and no global barrier.
 
-:func:`alltoallv` extends the same scheme to variable block sizes, which
-the paper mentions as the GASPI equivalent of ``MPI_AlltoAllV`` used by the
-Quantum Espresso FFT mini-app.  Both are cold calls of one generator,
-:class:`AlltoallPlan`'s: compiled, run once and released.
+:class:`AlltoallPlan` also serves ``comm.alltoallv``, the same scheme for
+variable block sizes, which the paper mentions as the GASPI equivalent of
+``MPI_AlltoAllV`` used by the Quantum Espresso FFT mini-app.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional, Sequence
-
 import numpy as np
 
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import require
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
-from .workspace import WorkspacePool
-
-#: Default segment id used by the alltoall collectives.
-ALLTOALL_SEGMENT_ID = 140
-
-
-def alltoall(
-    runtime: GaspiRuntime,
-    sendbuf: np.ndarray,
-    recvbuf: Optional[np.ndarray] = None,
-    segment_id: int = ALLTOALL_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = math.inf,
-    pool: Optional[WorkspacePool] = None,
-) -> np.ndarray:
-    """Exchange equal-sized blocks between every pair of ranks.
-
-    ``sendbuf`` is a 1-D array of ``P * block`` elements, of which
-    ``sendbuf[j*block:(j+1)*block]`` is destined for rank ``j``; the
-    returned ``recvbuf`` (allocated when ``None``) holds rank ``i``'s block
-    at ``recvbuf[i*block:(i+1)*block]``.  Every wait is bounded by
-    ``timeout`` and by :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`.
-    """
-    request = CollectiveRequest(
-        "alltoall", sendbuf=sendbuf, recvbuf=recvbuf, segment_id=segment_id,
-        pool=pool, queue=queue, timeout=timeout,
-    )  # fmt: skip
-    return _run_cold(AlltoallPlan, "alltoall", "gaspi_alltoall", runtime, request).value
-
-
-def alltoallv(
-    runtime: GaspiRuntime,
-    sendbuf: np.ndarray,
-    send_counts: Sequence[int],
-    recv_counts: Sequence[int],
-    recvbuf: Optional[np.ndarray] = None,
-    segment_id: int = ALLTOALL_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = math.inf,
-    pool: Optional[WorkspacePool] = None,
-) -> np.ndarray:
-    """Variable-size AlltoAll (``MPI_Alltoallv`` equivalent).
-
-    ``send_counts[j]`` elements go to rank ``j``; ``recv_counts[i]`` elements
-    are expected from rank ``i``.  Displacements are the prefix sums of the
-    counts (dense packing), matching how the FFT mini-app lays out its
-    pencil exchange buffers.  Every rank must pass ``recv_counts``
-    consistent with the peers' ``send_counts``; this is the caller's
-    responsibility exactly as with MPI.
-    """
-    request = CollectiveRequest(
-        "alltoall", sendbuf=sendbuf, recvbuf=recvbuf, send_counts=send_counts,
-        recv_counts=recv_counts, segment_id=segment_id, pool=pool, queue=queue,
-        timeout=timeout,
-    )  # fmt: skip
-    return _run_cold(AlltoallPlan, "alltoall", "gaspi_alltoall", runtime, request).value
 
 
 class AlltoallPlan(CollectivePlan):

@@ -48,6 +48,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import replace as dataclass_replace
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -60,8 +61,6 @@ from ..gaspi.subruntime import GroupRuntime
 from ..telemetry.core import CLOCK, NULL_TELEMETRY, Telemetry
 from ..utils.logging import get_logger
 from ..utils.validation import require
-from .allgather import ring_allgather
-from .allreduce_ssp import SSPAllreduce, SSPAllreduceResult
 from .pipeline import CollectiveHandle, ProgressEngine
 from .plan import CollectivePlan, PlanCache, PlanCacheStats, PlanKey, schedule_nbytes
 from .policy import (
@@ -102,6 +101,9 @@ _MAX_CACHED_PLANS = 16
 _MAX_MEMO = 256
 
 logger = get_logger("core.api")
+
+#: ``allreduce_ssp(slack=k)``'s policy, built once per slack.
+_ssp_policy = lru_cache(maxsize=None)(ConsistencyPolicy.ssp)
 
 #: Shorthand algorithm aliases kept from the v1 API, per collective.
 _ALGORITHM_ALIASES: Dict[str, Dict[str, str]] = {
@@ -261,7 +263,6 @@ class Communicator:
         self._suspected: Set[int] = set()
         self._open_degraded: List = []
         self._collective_seq = 0
-        self._ssp_instances: Dict[int, SSPAllreduce] = {}
         self._split_count = 0
         #: Live child communicators from split()/dup(), as (weakref, members)
         #: pairs, so reinstate() can propagate into their suspicion maps.
@@ -626,16 +627,20 @@ class Communicator:
         ``None`` routes the call down the cold path: planning disabled
         (capacity 0), an unplannable algorithm (the fault-tolerant trio,
         whose degraded completions keep their per-call correction
-        workspaces), or a loss-capable fault plan.  SSP slack is planned:
-        the slack is part of the key, and the cached plan keeps its
-        logical clock from call to call.  Suspicion reroutes nothing: a
-        strict plan never reads ``known_failed``.
+        workspaces), or a loss-capable fault plan.  A slack > 0 key is
+        planned whatever the capacity or fault plan, and never evicted:
+        the slack is part of the key, and the plan *is* the SSP state —
+        its mailboxes and its logical clock, which a cold call would
+        restart at 1 every time.  Suspicion reroutes nothing: a strict
+        plan never reads ``known_failed``.
 
         Cache state evolves in SPMD lock-step — every rank dispatches the
         same sequence with the same keys — so hits, builds and evictions
         agree on all ranks and the collective plan construction pairs up.
         """
-        if self._plans.capacity == 0 or not info.plannable or self._injected:
+        if not info.plannable or (
+            (self._plans.capacity == 0 or self._injected) and not request.policy.slack
+        ):
             return None
         key = bound and bound.key
         if key is None:
@@ -1159,47 +1164,26 @@ class Communicator:
         contribution: np.ndarray,
         slack: Optional[int] = None,
         op: str | ReductionOp = "sum",
-        key: int = 0,
-        clock: Optional[int] = None,
         policy: Optional[ConsistencyPolicy] = None,
-    ) -> SSPAllreduceResult:
-        """Eventually consistent allreduce following the SSP model.
+    ) -> CollectiveResult:
+        """Eventually consistent allreduce following the SSP model (Algorithm 1).
 
-        The first call with a given ``key`` creates the persistent SSP
-        state (:class:`SSPAllreduce`, sized for ``contribution``);
-        subsequent calls with the same ``key`` advance the logical clock
-        and reuse it.  The slack comes from ``policy.slack`` (or the
-        legacy ``slack=`` argument).  The state is never evicted: it lives
-        until :meth:`close_ssp` or :meth:`close`.
+        ``comm.allreduce(contribution, policy=ssp(slack))`` on the hypercube,
+        pinned: a fault plan never reroutes it.  The slack comes from
+        ``policy.slack``, the ``slack=`` argument, or the communicator's
+        default policy.  The plan of each shape and slack keeps the
+        mailboxes and the logical clock from call to call, until
+        :meth:`close`.  Returns the :class:`CollectiveResult`: ``value``,
+        and at slack > 0 ``detail``, the call's
+        :class:`~repro.core.allreduce_ssp.SSPCallStats` (clocks, waits).
         """
         if policy is not None:
             require(slack is None, "pass either policy= or slack=, not both")
-            slack = policy.slack
-        elif slack is None:
-            slack = self._policy.slack
-        contribution = np.ascontiguousarray(contribution)
-        inst = self._ssp_instances.get(key)
-        if inst is None:
-            inst = SSPAllreduce(
-                self.runtime,
-                contribution.size,
-                slack=int(slack),
-                op=op,
-                dtype=contribution.dtype,
-                pool=self._pool,
-            )
-            self._ssp_instances[key] = inst
-        return inst.reduce(contribution, clock=clock)
-
-    def ssp_state(self, key: int = 0) -> Optional[SSPAllreduce]:
-        """The persistent SSP collective for ``key`` (``None`` if not created)."""
-        return self._ssp_instances.get(key)
-
-    def close_ssp(self, key: int = 0) -> None:
-        """Tear down the persistent SSP state for ``key`` (collective call)."""
-        inst = self._ssp_instances.pop(key, None)
-        if inst is not None:
-            inst.close()
+        elif slack is not None:
+            policy = _ssp_policy(int(slack))
+        return self._call(
+            "allreduce", "gaspi_allreduce_ssp_hypercube", contribution, None, 0, op, policy
+        )
 
     # ------------------------------------------------------------------ #
     # persistent (initialised) collectives
@@ -1338,8 +1322,13 @@ class Communicator:
             [0 if color is None else 1, 0 if color is None else int(color), int(key)],
             dtype=np.int64,
         )
-        gathered = ring_allgather(self.runtime, mine, pool=self._pool).reshape(
-            self.size, 3
+        # A cold call on this communicator's pool, outside the dispatch:
+        # last_result, last_segment_id and the plan cache stay the caller's.
+        request = CollectiveRequest("allgather", mine, pool=self._pool)
+        gathered = (
+            REGISTRY.get("gaspi_allgather_ring")
+            .run(self.runtime, request)
+            .value.reshape(self.size, 3)
         )
         split_seq = self._split_count
         self._split_count += 1
@@ -1602,8 +1591,9 @@ class Communicator:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release all persistent collective state: SSP mailboxes, degraded
-        workspaces held open for correction, and every pooled workspace.
+        """Release all persistent collective state: every cached plan (SSP
+        mailboxes and clocks among them), degraded workspaces held open for
+        correction, and every pooled workspace.
 
         Collective over the ranks this communicator does not suspect: one
         barrier (skipped when no workspace is leased or retired), bounded by
@@ -1626,9 +1616,6 @@ class Communicator:
             except (GaspiError, TimeoutError):  # pragma: no cover - dead peer
                 pass
         self._progress.stop_thread()
-        for inst in self._ssp_instances.values():
-            inst.drop()
-        self._ssp_instances.clear()
         for detail in self._open_degraded:
             detail.close()
         self._open_degraded.clear()

@@ -8,42 +8,17 @@ notifies ``(rank + 2**k) mod P`` and waits for the notification from
 (transitively) heard from every other rank.
 
 The protocol is the generator of :class:`DisseminationBarrierPlan`, which
-``comm.barrier(algorithm="dissemination")`` caches like any other plan;
-:func:`notification_barrier` is a cold call of it.
+``comm.barrier(algorithm="dissemination")`` caches like any other plan.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import ceil_log2, require
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import dissemination_schedule
-from .workspace import WorkspacePool
-
-#: Default segment id used by the notification barrier.
-BARRIER_SEGMENT_ID = 150
-
-
-def notification_barrier(
-    runtime: GaspiRuntime,
-    segment_id: int = BARRIER_SEGMENT_ID,
-    timeout: float = math.inf,
-    pool: Optional[WorkspacePool] = None,
-) -> None:
-    """One dissemination barrier over all ranks, as a cold call: it
-    compiles a :class:`DisseminationBarrierPlan`, runs it once and
-    releases it.  Every wait is bounded by ``timeout`` and by
-    :data:`~repro.core.plan.PLAN_WAIT_TIMEOUT`."""
-    request = CollectiveRequest("barrier", segment_id=segment_id, pool=pool, timeout=timeout)
-    _run_cold(
-        DisseminationBarrierPlan, "barrier", "gaspi_barrier_dissemination", runtime, request
-    )
 
 
 class DisseminationBarrierPlan(CollectivePlan):

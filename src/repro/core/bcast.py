@@ -14,8 +14,8 @@ way of running it:
 * ``gaspi_bcast_flat`` — the naive variant mentioned in the paper (P-1
   ``gaspi_write_notify`` calls issued by the root) — is the same plan over
   a star: :class:`FlatBcastPlan` only chooses the tree.
-* :func:`bst_bcast` / :func:`flat_bcast` are cold calls: they compile the
-  plan, run it once and release it.
+
+``comm.bcast`` runs either, cached or cold (``plan_cache=0``).
 
 The module also exports the communication-schedule builders for the timing
 simulator, used by the Figure 8 benchmark.
@@ -25,22 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy
-from .workspace import WorkspacePool
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree, KnomialTree
-
-#: Default segment id used by the broadcast collectives.
-BCAST_SEGMENT_ID = 100
 
 
 @lru_cache(maxsize=None)
@@ -96,88 +89,6 @@ def threshold_bytes(nbytes: int, threshold: float, itemsize: int = 8) -> int:
     of its ``itemsize``-byte elements, as the plans do (under one element: all)."""
     elements = -(-nbytes // itemsize)
     return min(nbytes, threshold_elements(elements, threshold) * itemsize)
-
-
-# --------------------------------------------------------------------------- #
-# functional entry points (cold calls)
-# --------------------------------------------------------------------------- #
-def bst_bcast(
-    runtime: GaspiRuntime,
-    buffer: np.ndarray,
-    root: int = 0,
-    threshold: float = 1.0,
-    segment_id: int = BCAST_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = GASPI_BLOCK,
-    pool: Optional[WorkspacePool] = None,
-) -> BroadcastResult:
-    """Binomial-spanning-tree broadcast of ``buffer`` from ``root``.
-
-    A cold call: it compiles a :class:`BstBcastPlan`, runs it once and
-    releases it (a later pool barrier drains the call's consume-acks before
-    the workspace is scrubbed).
-
-    Parameters
-    ----------
-    runtime:
-        Per-rank GASPI runtime.
-    buffer:
-        1-D contiguous NumPy array, same length and dtype on every rank.
-        On non-root ranks the first ``threshold`` fraction of elements is
-        overwritten with the root's data; the rest is left untouched.
-    root:
-        Broadcasting rank.
-    threshold:
-        Fraction of the payload (by element count) to ship, in (0, 1].
-    segment_id, pool:
-        The workspace is leased from ``pool`` (a communicator passes its
-        own); without one it is registered under ``segment_id`` (free on
-        every rank) for this call only.
-
-    Returns
-    -------
-    BroadcastResult
-        Per-rank status, including how many elements were received.
-    """
-    request = _cold_request(runtime, buffer, root, threshold, segment_id, queue, timeout, pool)
-    return _run_cold(BstBcastPlan, "bcast", "gaspi_bcast_bst", runtime, request).detail
-
-
-def flat_bcast(
-    runtime: GaspiRuntime,
-    buffer: np.ndarray,
-    root: int = 0,
-    threshold: float = 1.0,
-    segment_id: int = BCAST_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = GASPI_BLOCK,
-    pool: Optional[WorkspacePool] = None,
-) -> BroadcastResult:
-    """Flat broadcast: the root issues P-1 ``write_notify`` calls directly.
-
-    Mentioned by the paper as the trivial alternative to the BST; it is the
-    better choice only for very small worlds.  A cold call of
-    :class:`FlatBcastPlan` (see :func:`bst_bcast`).
-    """
-    request = _cold_request(runtime, buffer, root, threshold, segment_id, queue, timeout, pool)
-    return _run_cold(FlatBcastPlan, "bcast", "gaspi_bcast_flat", runtime, request).detail
-
-
-def _cold_request(
-    runtime, buffer, root, threshold, segment_id, queue, timeout, pool
-) -> CollectiveRequest:
-    """The request of a cold broadcast (validated before anything is leased)."""
-    require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    return CollectiveRequest(
-        "bcast",
-        sendbuf=_require_vector(buffer),
-        root=root,
-        policy=ConsistencyPolicy(threshold=threshold),
-        segment_id=segment_id,
-        pool=pool,
-        queue=queue,
-        timeout=timeout,
-    )
 
 
 # --------------------------------------------------------------------------- #

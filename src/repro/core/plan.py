@@ -136,6 +136,12 @@ class PlanKey:
     #: the same shape disjoint workspaces.
     tag: int = 0
 
+    @property
+    def slack(self) -> int:
+        """SSP slack the plan is frozen for: above 0, the plan holds the
+        collective's state from call to call (mailboxes, logical clock)."""
+        return self.policy[2]
+
     @classmethod
     def from_request(
         cls, info: "AlgorithmInfo", runtime: "GaspiRuntime", request: "CollectiveRequest"
@@ -586,8 +592,9 @@ class PlanCacheStats:
 class PlanCache:
     """Bounded LRU mapping :class:`PlanKey` → :class:`CollectivePlan`.
 
-    Plans pinned by a persistent handle are exempt from eviction (the cap
-    becomes soft while pins exist).  Like the capped degraded-workspace
+    Plans pinned by a persistent handle, and SSP plans (slack > 0, whose
+    plan is the collective's state), are exempt from eviction (the cap
+    becomes soft while they exist).  Like the capped degraded-workspace
     tracking on the communicator, the bound exists so a workload that
     never repeats a shape cannot hold workspaces leased without limit.
     Recency is a stamp on each plan (:attr:`CollectivePlan.last_used`), so
@@ -636,7 +643,7 @@ class PlanCache:
             for plan in self.lru():
                 if len(self._plans) < self.capacity:
                     break
-                if plan.pins > 0:
+                if plan.pins > 0 or plan.key.slack:
                     continue
                 evicted.append(self._plans.pop(plan.key))
                 self._evictions += 1

@@ -27,25 +27,19 @@ parent and nothing else would stop it running further ahead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from ..gaspi.constants import GASPI_BLOCK
-from ..gaspi.runtime import GaspiRuntime
 from ..utils.validation import check_fraction, require
 from . import kernels
 from .bcast import threshold_bytes, threshold_elements
 from .notifmap import NotificationLayout
-from .plan import CollectivePlan, PipelineGen, WaitSpec, _run_cold
-from .policy import CollectiveRequest, CollectiveResult, ConsistencyPolicy, ReduceMode
-from .workspace import WorkspacePool
-from .reduction_ops import ReductionOp, get_op
+from .plan import CollectivePlan, PipelineGen, WaitSpec
+from .policy import CollectiveResult, ReduceMode
+from .reduction_ops import get_op
 from .schedule import CommunicationSchedule, Message, Protocol
 from .topology import BinomialTree
-
-#: Default segment id used by the reduce collectives.
-REDUCE_SEGMENT_ID = 110
 
 # Notification layout inside the reduce segment (per rank):
 #   data + i : i-th child -> parent   "contribution written to slot i"
@@ -73,68 +67,6 @@ class ReduceResult:
     @property
     def is_root(self) -> bool:
         return self.rank == self.root
-
-
-# --------------------------------------------------------------------------- #
-# functional implementation
-# --------------------------------------------------------------------------- #
-def bst_reduce(
-    runtime: GaspiRuntime,
-    sendbuf: np.ndarray,
-    recvbuf: Optional[np.ndarray] = None,
-    root: int = 0,
-    op: str | ReductionOp = "sum",
-    threshold: float = 1.0,
-    mode: ReduceMode | str = ReduceMode.DATA,
-    segment_id: int = REDUCE_SEGMENT_ID,
-    queue: int = 0,
-    timeout: float = GASPI_BLOCK,
-    pool: Optional[WorkspacePool] = None,
-) -> ReduceResult:
-    """Binomial-spanning-tree reduction of ``sendbuf`` onto ``root``.
-
-    A cold call: it compiles a :class:`BstReducePlan`, runs it once and
-    releases it (a later pool barrier drains the call's credits before the
-    workspace is scrubbed).
-
-    Parameters
-    ----------
-    sendbuf:
-        This rank's contribution (1-D, same length/dtype everywhere).
-    recvbuf:
-        On the root, receives the reduction result (only the reduced prefix
-        is written in DATA mode).  Ignored on other ranks; may be ``None``.
-    op:
-        Reduction operator name or :class:`ReductionOp`.
-    threshold:
-        Fraction in (0, 1]; interpreted according to ``mode``.
-    mode:
-        ``ReduceMode.DATA`` — reduce only a prefix of the vector;
-        ``ReduceMode.PROCESSES`` — reduce the whole vector over a subset of
-        processes (paper Figure 10).
-
-    Returns
-    -------
-    ReduceResult
-        Including whether this rank participated and how many contributors
-        reached the root.
-    """
-    sendbuf = np.asarray(sendbuf)
-    require(sendbuf.ndim == 1 and sendbuf.size > 0, "sendbuf must be a non-empty vector")
-    require(0 <= root < runtime.size, f"root {root} outside world of {runtime.size}")
-    request = CollectiveRequest(
-        "reduce",
-        sendbuf=sendbuf,
-        recvbuf=recvbuf,
-        root=root,
-        op=op,
-        policy=ConsistencyPolicy(threshold=threshold, mode=mode),
-        segment_id=segment_id,
-        pool=pool,
-        queue=queue,
-        timeout=timeout,
-    )
-    return _run_cold(BstReducePlan, "reduce", "gaspi_reduce_bst", runtime, request).detail
 
 
 # --------------------------------------------------------------------------- #

@@ -341,10 +341,6 @@ def _planner(module: str, plan_class: str) -> Planner:
 
 def _register_core_algorithms() -> None:
     """Register the GASPI collectives described in the paper."""
-    # Import the builder functions explicitly: several submodules (e.g.
-    # ``alltoall``) share their name with a function re-exported by
-    # ``repro.core``, so ``from . import alltoall`` could resolve to the
-    # function once the package __init__ has run.
     from .allgather import ring_allgather_schedule
     from .allreduce_ring import ring_allreduce_schedule
     from .allreduce_ssp import hypercube_allreduce_schedule
@@ -414,7 +410,7 @@ def _register_core_algorithms() -> None:
             plannable=True,
             verified=True,
         ),
-        description="Hypercube allreduce underlying allreduce_SSP (paper III-A)",
+        description="Hypercube allreduce: strict, or allreduce_SSP under slack (paper III-A)",
     )
     from .pipeline import (
         pipelined_bst_bcast_schedule,

@@ -6,15 +6,24 @@ The training loop mirrors the paper's experiment:
 * every iteration each worker computes the dense MF gradient of its shard,
   then exchanges it with the other workers through an Allreduce;
 * with ``algorithm="ssp"`` the exchange is the SSP hypercube allreduce
-  (Algorithm 1) and the worker proceeds as soon as the contributions it
-  reuses are at most ``slack`` iterations old;
-* with ``algorithm="ring"`` the exchange is the fully consistent pipelined
-  ring allreduce (the BSP baseline).
+  (Algorithm 1, ``comm.allreduce_ssp``) and the worker proceeds as soon as
+  the contributions it reuses are at most ``slack`` iterations old;
+* with ``algorithm="ring"`` the exchange is the fully consistent ring
+  allreduce (the BSP baseline, ``comm.allreduce(algorithm=
+  "gaspi_allreduce_ring")``).
+
+Every worker runs on one :class:`~repro.core.api.Communicator`, whose
+plan cache keeps each exchange compiled from the first iteration on (and
+the SSP plan's logical clock with it).
 
 Worker heterogeneity — the reason SSP helps — is injected with a
 :mod:`repro.ssp.perturbation` model, and every iteration records the wall
 clock, the training error and the SSP wait time, which is exactly the data
-plotted in Figures 6 and 7 of the paper.
+plotted in Figures 6 and 7 of the paper.  The wait time is the time a
+worker is blocked on its partners: under slack the plan times the waits
+for a contribution too stale to reuse (``SSPCallStats.wait_time``); at
+slack 0 the worker issues the exchange nonblocking, which runs it until it
+needs a partner's post, and times the rest.
 """
 
 from __future__ import annotations
@@ -25,8 +34,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.allreduce_ring import ring_allreduce
-from ..core.allreduce_ssp import SSPAllreduce
 from ..core.api import Communicator
 from ..gaspi.spmd import run_spmd
 from ..gaspi.threaded import WorldConfig
@@ -145,16 +152,11 @@ def _worker_train(
     )
     num_params = model.num_parameters
 
-    collective: Optional[SSPAllreduce] = None
-    if config.algorithm == "ssp" and size > 1:
-        collective = SSPAllreduce(
-            runtime, num_params, slack=config.slack, op="sum", dtype=np.float64
-        )
+    comm = Communicator(runtime)
+    out = np.empty(num_params)
     overlap: Optional[OverlapAllreduce] = None
     if config.algorithm == "ring_overlap" and size > 1:
-        overlap = OverlapAllreduce(
-            Communicator(runtime), num_params, buckets=config.overlap_buckets
-        )
+        overlap = OverlapAllreduce(comm, num_params, buckets=config.overlap_buckets)
 
     tracker = StalenessTracker(slack=config.slack)
     records: List[IterationRecord] = []
@@ -169,20 +171,30 @@ def _worker_train(
         if size == 1:
             averaged = gradient
             wait_time, staleness, result_clock = 0.0, 0, iteration
-        elif config.algorithm == "ssp":
-            result = collective.reduce(gradient)
+        elif config.algorithm == "ssp" and config.slack:
+            result = comm.allreduce_ssp(gradient, slack=config.slack)
             averaged = result.value / size
-            wait_time = result.stats.wait_time
-            staleness = result.stats.staleness
-            result_clock = result.clock
+            wait_time = result.detail.wait_time
+            staleness = result.detail.staleness
+            result_clock = result.detail.result_clock
+        elif config.algorithm == "ssp":
+            # Strict: issuing runs the exchange until it needs a partner's
+            # post; the rest is the time blocked on partners.
+            handle = comm.iallreduce(gradient, out, algorithm="gaspi_allreduce_ssp_hypercube")
+            wait_time = 0.0
+            if not handle.done:
+                began = time.perf_counter()
+                handle.wait()
+                wait_time = time.perf_counter() - began
+            averaged = out / size
+            staleness, result_clock = 0, iteration
         elif config.algorithm == "ring_overlap":
             # Bucketed nonblocking exchange: bucket pipelines advance in
             # the background while later buckets are issued.
             averaged = overlap.exchange(gradient) / size
             wait_time, staleness, result_clock = 0.0, 0, iteration
         else:  # fully consistent ring allreduce (BSP baseline)
-            out = np.empty_like(gradient)
-            ring_allreduce(runtime, gradient, out, op="sum")
+            comm.allreduce(gradient, out, algorithm="gaspi_allreduce_ring")
             averaged = out / size
             wait_time, staleness, result_clock = 0.0, 0, iteration
 
@@ -203,14 +215,7 @@ def _worker_train(
             )
 
     total_time = time.perf_counter() - start
-    if collective is not None:
-        runtime.barrier()
-        collective.close()
-    elif overlap is not None:
-        runtime.barrier()
-        overlap.close()
-    elif config.algorithm == "ring" and size > 1:
-        runtime.barrier()
+    comm.close()
 
     return WorkerResult(
         rank=rank,

@@ -4,7 +4,7 @@ bounds, wait accounting, logical clocks."""
 import numpy as np
 import pytest
 
-from repro.core import Communicator, SSPAllreduce
+from repro.core import Communicator
 from repro.core.workspace import WorkspacePool, size_class
 from repro.gaspi import run_spmd
 
@@ -20,8 +20,8 @@ class TestSingleShot:
         n = 65
 
         def worker(rt):
-            with SSPAllreduce(rt, n, slack=0) as coll:
-                return coll.reduce(rank_vector(rt.rank, n)).value
+            with Communicator(rt) as comm:
+                return comm.allreduce_ssp(rank_vector(rt.rank, n), slack=0).value
 
         results = spmd(num_ranks, worker)
         reference = expected_sum(num_ranks, n)
@@ -33,8 +33,7 @@ class TestSingleShot:
 
         def worker(rt):
             x = np.random.default_rng(rt.rank).standard_normal(n)
-            with SSPAllreduce(rt, n, slack=0) as coll:
-                values = [coll.reduce(x).value]
+            values = []
             for comm in (Communicator(rt), Communicator(rt, plan_cache=0)):
                 values += [
                     comm.allreduce(x, algorithm="hypercube"),
@@ -49,7 +48,7 @@ class TestSingleShot:
     def test_non_power_of_two_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                SSPAllreduce(rt, 8, slack=0)
+                Communicator(rt).allreduce_ssp(np.ones(8), slack=0)
             return True
 
         spmd(3, worker)
@@ -57,7 +56,7 @@ class TestSingleShot:
     def test_negative_slack_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                SSPAllreduce(rt, 8, slack=-1)
+                Communicator(rt).allreduce_ssp(np.ones(8), slack=-1)
             return True
 
         spmd(1, worker)
@@ -70,15 +69,14 @@ class TestIterative:
         n = 32
 
         def worker(rt):
-            coll = SSPAllreduce(rt, n, slack=0)
+            comm = Communicator(rt)
             outputs = []
             for it in range(iterations):
                 contribution = np.full(n, float(rt.rank + 1) * (it + 1))
-                result = coll.reduce(contribution)
+                result = comm.allreduce_ssp(contribution, slack=0)
                 outputs.append(result.value.copy())
                 rt.barrier()  # lockstep: nobody can run ahead
-            rt.barrier()
-            coll.close()
+            comm.close()
             return outputs
 
         results = spmd(4, worker)
@@ -93,10 +91,9 @@ class TestIterative:
         eventual-consistency trade-off the paper describes."""
 
         def worker(rt):
-            coll = SSPAllreduce(rt, 8, slack=2)
-            result = coll.reduce(np.full(8, float(rt.rank + 1)))
-            rt.barrier()
-            coll.close()
+            comm = Communicator(rt)
+            result = comm.allreduce_ssp(np.full(8, float(rt.rank + 1)), slack=2)
+            comm.close()
             # The result always contains at least the local contribution and
             # never exceeds the exact sum.
             exact = sum(r + 1 for r in range(rt.size))
@@ -113,9 +110,8 @@ class TestIterative:
             staleness_seen = []
             for _ in range(iterations):
                 result = comm.allreduce_ssp(np.ones(16), slack=slack)
-                staleness_seen.append(result.stats.staleness)
-            comm.barrier()
-            comm.close_ssp()
+                staleness_seen.append(result.detail.staleness)
+            comm.close()
             return staleness_seen
 
         results = spmd(4, worker)
@@ -124,87 +120,38 @@ class TestIterative:
 
     def test_clock_advances_every_call(self):
         def worker(rt):
-            coll = SSPAllreduce(rt, 8, slack=1)
+            comm = Communicator(rt)
             clocks = []
             for _ in range(5):
-                result = coll.reduce(np.ones(8))
-                clocks.append(result.stats.clock)
+                result = comm.allreduce_ssp(np.ones(8), slack=1)
+                clocks.append(result.detail.clock)
                 rt.barrier()
-            rt.barrier()
-            coll.close()
+            comm.close()
             return clocks
 
         for clocks in spmd(2, worker):
             assert clocks == [1, 2, 3, 4, 5]
 
-    def test_explicit_clock_override(self):
-        def worker(rt):
-            coll = SSPAllreduce(rt, 4, slack=0)
-            result = coll.reduce(np.ones(4), clock=7)
-            rt.barrier()
-            coll.close()
-            return result.stats.clock
-
-        assert spmd(2, worker) == [7, 7]
-
-    def test_totals_accumulate(self):
-        def worker(rt):
-            coll = SSPAllreduce(rt, 8, slack=1)
-            for _ in range(4):
-                coll.reduce(np.ones(8))
-                rt.barrier()
-            totals = coll.totals
-            rt.barrier()
-            coll.close()
-            return totals
-
-        for totals in spmd(2, worker):
-            assert totals.calls == 4
-            assert len(totals.per_call) == 4
-            assert totals.wait_time >= 0.0
-
     def test_result_clock_lower_bound(self):
-        """result.clock >= clock - slack is the SSP guarantee."""
+        """result_clock >= clock - slack is the SSP guarantee."""
         slack = 3
 
         def worker(rt):
             comm = Communicator(rt)
             ok = True
             for _ in range(20):
-                result = comm.allreduce_ssp(np.ones(8), slack=slack)
-                ok = ok and (result.clock >= result.stats.clock - slack)
-            comm.barrier()
-            comm.close_ssp()
+                stats = comm.allreduce_ssp(np.ones(8), slack=slack).detail
+                ok = ok and (stats.result_clock >= stats.clock - slack)
+            comm.close()
             return ok
 
         assert all(spmd(8, worker))
 
-    def test_wrong_contribution_size_rejected(self):
-        def worker(rt):
-            coll = SSPAllreduce(rt, 8, slack=0)
-            with pytest.raises(ValueError):
-                coll.reduce(np.ones(4))
-            rt.barrier()
-            coll.close()
-            return True
-
-        spmd(2, worker)
-
-    def test_use_after_close_rejected(self):
-        def worker(rt):
-            coll = SSPAllreduce(rt, 8, slack=0)
-            rt.barrier()
-            coll.close()
-            with pytest.raises(RuntimeError):
-                coll.reduce(np.ones(8))
-            return True
-
-        spmd(2, worker)
-
 
 class TestSlackBehaviour:
     def test_larger_slack_waits_less(self):
-        """With a straggler, slack > 0 must reduce the fast ranks' wait time."""
+        """With a straggler, slack > 0 must reduce the fast ranks' time
+        blocked in the collective."""
         iterations = 12
         import time
 
@@ -214,10 +161,10 @@ class TestSlackBehaviour:
             for it in range(iterations):
                 if rt.rank == rt.size - 1:
                     time.sleep(0.004)  # the straggler
-                result = comm.allreduce_ssp(np.ones(64), slack=slack)
-                total_wait += result.stats.wait_time
-            comm.barrier()
-            comm.close_ssp()
+                began = time.perf_counter()
+                comm.allreduce_ssp(np.ones(64), slack=slack)
+                total_wait += time.perf_counter() - began
+            comm.close()
             return total_wait
 
         wait_sync = sum(run_spmd(4, worker, 0, timeout=120)[:-1])
@@ -228,10 +175,9 @@ class TestSlackBehaviour:
         """The result at slack 0 (with lockstep) contains every rank's data."""
 
         def worker(rt):
-            coll = SSPAllreduce(rt, 16, slack=0)
-            result = coll.reduce(np.full(16, 10.0 ** rt.rank))
-            rt.barrier()
-            coll.close()
+            comm = Communicator(rt)
+            result = comm.allreduce_ssp(np.full(16, 10.0 ** rt.rank), slack=0)
+            comm.close()
             return result.value[0]
 
         values = spmd(4, worker)
@@ -316,22 +262,27 @@ class TestUnwrittenMailboxIsNotAContribution:
                     # before any peer has posted (it may: clock <= slack).
                     # Every rank makes the same number of calls, so the last
                     # call's freshness bound is met by the partners' last.
-                    coll = SSPAllreduce(rt, x.size, slack=slack, op=op)
-                    values = [
-                        coll.reduce(x).value for _ in range(slack if early else 0)
-                    ]
+                    # The plan is compiled (a collective) on every rank first.
+                    policy = ConsistencyPolicy.ssp(slack)
+                    comm.persistent(
+                        "allreduce", x, op=op, algorithm="hypercube", policy=policy
+                    ).close()
+
+                    def call(x=x, op=op, slack=slack):
+                        return comm.allreduce_ssp(x, slack=slack, op=op).value
+
+                    values = [call() for _ in range(slack if early else 0)]
                     rt.barrier()
-                    values += [
-                        coll.reduce(x).value for _ in range(slack + 3 - len(values))
-                    ]
-                    coll.close()
-                    # One-shot: every call is clock 1 on fresh mailboxes; the
-                    # peers arrive late so the last rank finds them empty.
+                    values += [call() for _ in range(slack + 3 - len(values))]
+                    # A shape of its own (a plan on fresh mailboxes, from
+                    # clock 1): the peers arrive late so the last rank
+                    # finds them empty.
+                    y = x[:3]
                     for _ in range(2):
                         if not early:
                             time.sleep(0.005)
                         values.append(
-                            comm.allreduce(x, op=op, policy=ConsistencyPolicy.ssp(slack))
+                            comm.allreduce(y, op=op, policy=policy)
                         )
                     illegal += [
                         (op, slack, call, value.tolist())
@@ -367,7 +318,7 @@ class TestRecycledMailboxHoldsNoContribution:
         for _ in range(2):
             pool._synchronise()
 
-    @pytest.mark.parametrize("entry", ["SSPAllreduce", "allreduce_ssp", "allreduce"])
+    @pytest.mark.parametrize("entry", ["allreduce_ssp", "allreduce"])
     @pytest.mark.parametrize("backend", ["threaded", "shm"])
     @pytest.mark.parametrize("num_ranks", [2, 4])
     def test_dirty_recycled_mailbox_is_not_a_contribution(
@@ -385,12 +336,10 @@ class TestRecycledMailboxHoldsNoContribution:
 
         def worker(rt):
             comm = Communicator(rt)
-            pool = comm._pool if entry != "SSPAllreduce" else WorkspacePool(rt, 200, 64)
+            pool = comm._pool
             early = rt.rank == rt.size - 1
             illegal = []
-            for key, (op, slack) in enumerate(
-                (op, slack) for op in unwritten.OPS for slack in (1, 2)
-            ):
+            for op, slack in ((op, slack) for op in unwritten.OPS for slack in (1, 2)):
                 x = np.full(4, unwritten._contribution(op, rt.rank))
                 legal = unwritten._legal(op, rt.rank, rt.size)
                 self._litter(pool, rt)
@@ -403,31 +352,67 @@ class TestRecycledMailboxHoldsNoContribution:
                         policy = ConsistencyPolicy.ssp(slack)
                         values.append(comm.allreduce(x, op=op, policy=policy))
                 else:
-                    if entry == "SSPAllreduce":
-                        coll = SSPAllreduce(rt, x.size, slack=slack, op=op, pool=pool)
-                        call = coll.reduce
-                    else:
-                        def call(x, op=op, slack=slack, key=key):
-                            return comm.allreduce_ssp(x, slack=slack, op=op, key=key)
                     # The last rank runs its first ``slack`` calls before
                     # any peer has posted (it may: clock <= slack).
-                    values = [call(x).value for _ in range(slack if early else 0)]
+                    def call(x=x, op=op, slack=slack):
+                        return comm.allreduce_ssp(x, slack=slack, op=op).value
+
+                    values = [call() for _ in range(slack if early else 0)]
                     rt.barrier()
-                    values += [call(x).value for _ in range(slack + 3 - len(values))]
-                    if entry == "SSPAllreduce":
-                        coll.close()
-                    else:
-                        comm.close_ssp(key)
+                    values += [call() for _ in range(slack + 3 - len(values))]
                 illegal += [
                     (op, slack, n, value.tolist())
                     for n, value in enumerate(values)
                     if not (float(value[0]) in legal and np.all(value == value[0]))
                 ]
-            if entry == "SSPAllreduce":
-                pool.close()
             comm.close()
             return illegal
 
         assert run_backend(num_ranks, worker, backend=backend, timeout=120.0) == [
             []
         ] * num_ranks
+
+
+class TestSlackPlanKeepsItsClock:
+    """A slack plan is the SSP state, so a communicator plans it whatever
+    its cache capacity or fault plan.  Run cold, every call would be a
+    throwaway plan on empty mailboxes whose clock restarts at 1: no call
+    would ever wait for, or fold, a partner's contribution."""
+
+    CALLS, SLACK = 6, 2
+
+    @pytest.mark.parametrize("entry", ["allreduce", "allreduce_ssp"])
+    @pytest.mark.parametrize("setup", ["plan_cache_0", "loss_capable_faults"])
+    @pytest.mark.parametrize("backend", ["threaded", "shm"])
+    def test_partner_contribution_stays_within_slack(self, backend, setup, entry):
+        from repro import ConsistencyPolicy, FaultPlan, run_backend
+
+        slack = self.SLACK
+
+        def worker(rt):
+            if setup == "plan_cache_0":
+                comm = Communicator(rt, plan_cache=0)
+            else:  # a crash that never fires still makes the stack loss-capable
+                comm = Communicator(rt, faults=FaultPlan(crash_at={1: 10**9}))
+            partner = 1 - comm.rank
+            stale = []
+            for clock in range(1, self.CALLS + 1):
+                x = np.full(4, 10.0 * clock + comm.rank)
+                if entry == "allreduce":
+                    value = comm.allreduce(x, policy=ConsistencyPolicy.ssp(slack))
+                else:
+                    value = comm.allreduce_ssp(x, slack=slack).value
+                theirs = value - x
+                call = (theirs[0] - partner) / 10
+                fresh_enough = (
+                    np.all(theirs == theirs[0])
+                    and call == int(call)
+                    and call >= clock - slack
+                )
+                if clock >= 3 and not fresh_enough:
+                    stale.append((clock, value[0]))
+                comm.barrier()
+            comm.close()
+            return stale
+
+        assert run_backend(2, worker, backend=backend, timeout=120.0) == [[], []]

@@ -3,24 +3,15 @@
 Every collective is checked against a NumPy reference over several world
 sizes, including non-power-of-two worlds where the algorithm supports
 them, and under asynchronous delivery (real overlap) for the most
-important ones.
+important ones.  Each call is cold (:func:`cold`): it compiles its plan,
+runs it once and releases it; ``test_plan_equivalence`` holds the cached
+path to the same bits.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    Communicator,
-    ReduceMode,
-    alltoall,
-    alltoallv,
-    bst_bcast,
-    bst_reduce,
-    flat_bcast,
-    notification_barrier,
-    ring_allgather,
-    ring_allreduce,
-)
+from repro.core import Communicator
 from repro.core.policy import ConsistencyPolicy, documented_result
 from repro.gaspi import WorldConfig, run_spmd
 
@@ -28,6 +19,30 @@ from tests.helpers import expected_sum, rank_vector, spmd
 
 
 SIZES = [1, 2, 3, 4, 5, 8]
+
+
+def cold(rt) -> Communicator:
+    """A communicator without a plan cache: every call is a throwaway plan."""
+    return Communicator(rt, plan_cache=0)
+
+
+def bcast(rt, buf, root=0, threshold=1.0, algorithm="bst"):
+    """One cold broadcast; its status (``BroadcastResult``)."""
+    policy = ConsistencyPolicy(threshold=threshold)
+    return cold(rt).bcast(buf, root, policy, algorithm).detail
+
+
+def reduce(rt, send, recv, root=0, op="sum", threshold=1.0, mode="data"):
+    """One cold BST reduce; its status (``ReduceResult``)."""
+    policy = ConsistencyPolicy(threshold=threshold, mode=mode)
+    return cold(rt).reduce(send, recv, root, op, policy, algorithm="bst").detail
+
+
+def ring(rt, send, recv, op="sum"):
+    """One cold ring allreduce; its counters (``RingAllreduceStats``)."""
+    comm = cold(rt)
+    comm.allreduce(send, recv, op, algorithm="ring")
+    return comm.last_result.detail
 
 
 # --------------------------------------------------------------------------- #
@@ -40,7 +55,7 @@ class TestBroadcast:
 
         def worker(rt):
             buf = np.arange(n, dtype=np.float64) * 3.0 if rt.rank == 0 else np.zeros(n)
-            result = bst_bcast(rt, buf, root=0, threshold=1.0)
+            result = bcast(rt, buf, root=0, threshold=1.0)
             assert result.complete
             return buf
 
@@ -54,7 +69,7 @@ class TestBroadcast:
 
         def worker(rt):
             buf = np.arange(n, dtype=np.float64) if rt.rank == 0 else np.full(n, -1.0)
-            result = bst_bcast(rt, buf, root=0, threshold=threshold)
+            result = bcast(rt, buf, root=0, threshold=threshold)
             return buf, result
 
         results = spmd(4, worker)
@@ -70,7 +85,7 @@ class TestBroadcast:
     def test_bst_non_zero_root(self):
         def worker(rt):
             buf = np.full(64, 7.0) if rt.rank == 2 else np.zeros(64)
-            bst_bcast(rt, buf, root=2)
+            bcast(rt, buf, root=2)
             return buf
 
         for buf in spmd(5, worker):
@@ -80,7 +95,7 @@ class TestBroadcast:
     def test_flat_broadcast(self, num_ranks):
         def worker(rt):
             buf = np.full(50, 1.25) if rt.rank == 0 else np.zeros(50)
-            flat_bcast(rt, buf, root=0)
+            bcast(rt, buf, root=0, algorithm="flat")
             return buf
 
         for buf in spmd(num_ranks, worker):
@@ -89,7 +104,7 @@ class TestBroadcast:
     def test_bcast_under_async_delivery(self):
         def worker(rt):
             buf = np.arange(128, dtype=np.float64) if rt.rank == 0 else np.zeros(128)
-            bst_bcast(rt, buf, root=0)
+            bcast(rt, buf, root=0)
             return buf
 
         results = run_spmd(
@@ -101,7 +116,7 @@ class TestBroadcast:
     def test_invalid_threshold_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                bst_bcast(rt, np.zeros(8), threshold=0.0)
+                bcast(rt, np.zeros(8), threshold=0.0)
             return True
 
         assert spmd(1, worker) == [True]
@@ -109,7 +124,7 @@ class TestBroadcast:
     def test_result_reports_stage(self):
         def worker(rt):
             buf = np.zeros(16) if rt.rank else np.ones(16)
-            res = bst_bcast(rt, buf, root=0)
+            res = bcast(rt, buf, root=0)
             return res.stage
 
         stages = spmd(8, worker)
@@ -129,7 +144,7 @@ class TestReduce:
         def worker(rt):
             send = rank_vector(rt.rank, n)
             recv = np.zeros(n)
-            bst_reduce(rt, send, recv, root=0, op="sum")
+            reduce(rt, send, recv, root=0, op="sum")
             return recv
 
         results = spmd(num_ranks, worker)
@@ -142,7 +157,7 @@ class TestReduce:
         def worker(rt):
             send = rank_vector(rt.rank, n) + 2.0
             recv = np.zeros(n)
-            bst_reduce(rt, send, recv, root=0, op=op)
+            reduce(rt, send, recv, root=0, op=op)
             return recv
 
         results = spmd(4, worker)
@@ -157,7 +172,7 @@ class TestReduce:
         def worker(rt):
             send = np.full(n, float(rt.rank + 1))
             recv = np.full(n, -5.0)
-            res = bst_reduce(rt, send, recv, root=0, threshold=0.25, mode="data")
+            res = reduce(rt, send, recv, root=0, threshold=0.25, mode="data")
             return recv, res
 
         results = spmd(8, worker)
@@ -175,7 +190,7 @@ class TestReduce:
         def worker(rt):
             send = np.ones(n)
             recv = np.zeros(n)
-            res = bst_reduce(rt, send, recv, root=0, threshold=0.5, mode="processes")
+            res = reduce(rt, send, recv, root=0, threshold=0.5, mode="processes")
             return recv, res
 
         results = spmd(8, worker)
@@ -190,7 +205,7 @@ class TestReduce:
         def worker(rt):
             send = np.full(32, float(rt.rank))
             recv = np.zeros(32)
-            bst_reduce(rt, send, recv, root=3, op="sum")
+            reduce(rt, send, recv, root=3, op="sum")
             return recv
 
         results = spmd(6, worker)
@@ -198,7 +213,7 @@ class TestReduce:
 
     def test_root_without_recvbuf_is_allowed(self):
         def worker(rt):
-            res = bst_reduce(rt, np.ones(8), None, root=0)
+            res = reduce(rt, np.ones(8), None, root=0)
             return res.participated
 
         assert all(spmd(4, worker))
@@ -206,7 +221,7 @@ class TestReduce:
     def test_invalid_mode_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                bst_reduce(rt, np.ones(8), mode="bogus")
+                reduce(rt, np.ones(8), None, mode="bogus")
             return True
 
         spmd(1, worker)
@@ -223,7 +238,7 @@ class TestRingAllreduce:
         def worker(rt):
             send = rank_vector(rt.rank, n)
             recv = np.zeros(n)
-            ring_allreduce(rt, send, recv, op="sum")
+            ring(rt, send, recv, op="sum")
             return recv
 
         results = spmd(num_ranks, worker)
@@ -231,10 +246,10 @@ class TestRingAllreduce:
         for recv in results:
             assert np.allclose(recv, reference)
 
-    def test_in_place_when_no_recvbuf(self):
+    def test_in_place(self):
         def worker(rt):
             buf = np.full(64, float(rt.rank + 1))
-            ring_allreduce(rt, buf)
+            ring(rt, buf, buf)
             return buf
 
         for buf in spmd(4, worker):
@@ -245,7 +260,7 @@ class TestRingAllreduce:
 
         def worker(rt):
             buf = np.full(3, 1.0)
-            ring_allreduce(rt, buf)
+            ring(rt, buf, buf)
             return buf
 
         for buf in spmd(6, worker):
@@ -254,7 +269,7 @@ class TestRingAllreduce:
     def test_max_operator(self):
         def worker(rt):
             buf = np.array([float(rt.rank), -float(rt.rank)])
-            ring_allreduce(rt, buf, op="max")
+            ring(rt, buf, buf, op="max")
             return buf
 
         for buf in spmd(5, worker):
@@ -264,7 +279,7 @@ class TestRingAllreduce:
         n = 96
 
         def worker(rt):
-            stats = ring_allreduce(rt, np.ones(n))
+            stats = ring(rt, np.ones(n), None)
             return stats
 
         results = spmd(4, worker)
@@ -277,7 +292,7 @@ class TestRingAllreduce:
     def test_async_delivery(self):
         def worker(rt):
             buf = np.full(500, float(rt.rank + 1))
-            ring_allreduce(rt, buf)
+            ring(rt, buf, buf)
             return buf
 
         results = run_spmd(
@@ -289,7 +304,7 @@ class TestRingAllreduce:
     def test_mismatched_recvbuf_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                ring_allreduce(rt, np.ones(8), np.zeros(4))
+                ring(rt, np.ones(8), np.zeros(4))
             return True
 
         spmd(2, worker)
@@ -305,7 +320,7 @@ class TestAllgather:
 
         def worker(rt):
             send = np.full(block, float(rt.rank))
-            return ring_allgather(rt, send)
+            return cold(rt).allgather(send, algorithm="ring")
 
         results = spmd(num_ranks, worker)
         expected = np.repeat(np.arange(num_ranks, dtype=np.float64), block)
@@ -315,7 +330,7 @@ class TestAllgather:
     def test_with_preallocated_recvbuf(self):
         def worker(rt):
             recv = np.zeros(4 * 3)
-            out = ring_allgather(rt, np.full(3, float(rt.rank)), recv)
+            out = cold(rt).allgather(np.full(3, float(rt.rank)), recv, algorithm="ring")
             assert out is recv
             return recv
 
@@ -332,7 +347,7 @@ class TestAlltoAll:
             send = np.concatenate(
                 [np.full(block, 100.0 * rt.rank + dst) for dst in range(rt.size)]
             )
-            return alltoall(rt, send)
+            return cold(rt).alltoall(send)
 
         results = spmd(num_ranks, worker)
         for rank, recv in enumerate(results):
@@ -344,7 +359,7 @@ class TestAlltoAll:
     def test_alltoall_indivisible_length_rejected(self):
         def worker(rt):
             with pytest.raises(ValueError):
-                alltoall(rt, np.ones(7))
+                cold(rt).alltoall(np.ones(7))
             return True
 
         spmd(4, worker)
@@ -357,7 +372,7 @@ class TestAlltoAll:
             send = np.concatenate(
                 [np.full(c, 10.0 * rt.rank + dst) for dst, c in enumerate(send_counts)]
             )
-            recv = alltoallv(rt, send, send_counts, recv_counts)
+            recv = cold(rt).alltoallv(send, send_counts, recv_counts)
             expected = np.concatenate(
                 [np.full(c, 10.0 * src + rt.rank) for src, c in enumerate(recv_counts)]
             )
@@ -371,7 +386,7 @@ class TestAlltoAll:
         def worker(rt):
             counts, narrow = [2] * rt.size, np.zeros(2 * rt.size, np.float32)
             with pytest.raises(ValueError, match="dtype"):
-                alltoallv(rt, np.ones(2 * rt.size), counts, counts, narrow)
+                cold(rt).alltoallv(np.ones(2 * rt.size), counts, counts, narrow)
             return True
 
         assert all(spmd(2, worker))
@@ -383,7 +398,7 @@ class TestAlltoAll:
             recv_counts = [0] * rt.size
             recv_counts[(rt.rank - 1) % rt.size] = 2
             send = np.full(2, float(rt.rank))
-            recv = alltoallv(rt, send, send_counts, recv_counts)
+            recv = cold(rt).alltoallv(send, send_counts, recv_counts)
             assert np.array_equal(recv, np.full(2, float((rt.rank - 1) % rt.size)))
             return True
 
@@ -403,7 +418,7 @@ class TestBarrierAndCommunicator:
         def worker(rt):
             with lock:
                 flags.append(("pre", rt.rank))
-            notification_barrier(rt)
+            cold(rt).barrier(algorithm="dissemination")
             with lock:
                 flags.append(("post", rt.rank))
             return True

@@ -33,11 +33,9 @@ class TestSspSlackShim:
             data = rank_vector(rt.rank, self.N)
             with warnings.catch_warnings(record=True) as record:
                 warnings.simplefilter("always")
-                via_slack = comm.allreduce_ssp(data, slack=0, key=0)
+                via_slack = comm.allreduce_ssp(data, slack=0)
             assert _no_deprecation(record)
-            via_policy = comm.allreduce_ssp(
-                data, policy=ConsistencyPolicy.ssp(0), key=1
-            )
+            via_policy = comm.allreduce_ssp(data, policy=ConsistencyPolicy.ssp(0))
             comm.close()
             return np.array_equal(via_slack.value, via_policy.value)
 

@@ -147,12 +147,32 @@ class TestSplit:
             if sub is None:
                 return None
             result = sub.allreduce_ssp(np.full(8, float(comm.rank + 1)), slack=0)
-            sub.barrier()
-            sub.close_ssp()
+            sub.close()
             return float(result.value[0])
 
         results = run_spmd(6, worker, timeout=60)
         assert results[:4] == [10.0] * 4 and results[4:] == [None, None]
+
+    def test_split_leaves_the_callers_dispatch_state_alone(self):
+        """split()'s exchange is a cold call outside the dispatch: what the
+        caller's last collective recorded stays what it reads."""
+
+        def worker(rt):
+            comm = Communicator(rt)
+            comm.allreduce(np.ones(16))
+            result, segment_id = comm.last_result, comm.last_segment_id
+            stats = comm.plan_cache_stats()
+            sub = comm.split(0)
+            same = (
+                comm.last_result is result
+                and comm.last_segment_id == segment_id
+                and comm.plan_cache_stats() == stats
+            )
+            sub.close()
+            comm.close()
+            return same
+
+        assert all(spmd(4, worker))
 
     def test_split_color_validation(self):
         def worker(rt):

@@ -18,6 +18,7 @@ from repro.telemetry import Telemetry
 
 from tests.helpers import spmd
 
+KIB = 1 << 10
 MIB = 1 << 20
 COUNTERS = (
     "runtime.writes",
@@ -39,12 +40,26 @@ WIRE_TABLE = {
     ("allreduce", 8, 4 * MIB): ("gaspi_allreduce_ring_pipelined", 112, 112, 56 * MIB, 0, 0),
 }
 
+#: (ranks, slack) -> (writes, notifications, bytes, barriers, segments
+#: created) of one warm 64 KiB ``allreduce_ssp``: log2 P posts of the whole
+#: running partial per rank, each its own notification, at every slack.
+SSP_WIRE_TABLE = {
+    (2, 0): (2, 2, 128 * KIB, 0, 0),
+    (2, 2): (2, 2, 128 * KIB, 0, 0),
+    (8, 0): (24, 24, 1536 * KIB, 0, 0),
+    (8, 2): (24, 24, 1536 * KIB, 0, 0),
+}
 
-def _warm_call(rt, collective, nbytes):
+
+def _warm_call(rt, collective, nbytes, **kwargs):
     telemetry = Telemetry(rank=rt.rank, max_events=0)
     comm = Communicator(rt, telemetry=telemetry)
     send, recv = np.ones(nbytes // 8), np.zeros(nbytes // 8)
-    call = getattr(comm, collective)
+    if collective == "allreduce_ssp":
+        def call(send, recv):
+            comm.allreduce_ssp(send, **kwargs)
+    else:
+        call = getattr(comm, collective)
     call(send, recv)  # compiles the plan: a segment create and its barrier
     before = [telemetry.counter(name).value for name in COUNTERS]
     call(send, recv)
@@ -65,3 +80,14 @@ def test_wire_counts_per_warm_call(collective, ranks, nbytes):
     assert {algorithm for algorithm, _ in outcomes} == {WIRE_TABLE[collective, ranks, nbytes][0]}
     totals = tuple(sum(counts[i] for _, counts in outcomes) for i in range(len(COUNTERS)))
     assert totals == WIRE_TABLE[collective, ranks, nbytes][1:]
+
+
+@pytest.mark.parametrize("ranks,slack", list(SSP_WIRE_TABLE), ids=[f"{r}-s{k}" for r, k in SSP_WIRE_TABLE])
+def test_ssp_wire_counts_per_warm_call(ranks, slack):
+    outcomes = spmd(
+        ranks, _warm_call, "allreduce_ssp", 64 * KIB, slack=slack,
+        world_config=WorldConfig(delivery="immediate"), timeout=60.0,
+    )  # fmt: skip
+    assert {algorithm for algorithm, _ in outcomes} == {"gaspi_allreduce_ssp_hypercube"}
+    totals = tuple(sum(counts[i] for _, counts in outcomes) for i in range(len(COUNTERS)))
+    assert totals == SSP_WIRE_TABLE[ranks, slack]

@@ -8,7 +8,7 @@ with a direct NumPy reduction is strong evidence both are correct.
 import numpy as np
 import pytest
 
-from repro.core import Communicator, SSPAllreduce, ring_allreduce
+from repro.core import Communicator
 from repro.mpi import TwoSidedLayer
 from repro.mpi.allreduce_variants import recursive_doubling_allreduce, ring_allreduce_twosided
 
@@ -22,10 +22,9 @@ class TestAllreduceAgreement:
 
         def worker(rt):
             data = rank_vector(rt.rank, n)
-            gaspi_ring = np.zeros(n)
-            ring_allreduce(rt, data, gaspi_ring)
-            with SSPAllreduce(rt, n, slack=0) as coll:
-                gaspi_ssp = coll.reduce(data).value
+            with Communicator(rt) as comm:
+                gaspi_ring = comm.allreduce(data, algorithm="ring")
+                gaspi_ssp = comm.allreduce_ssp(data, slack=0).value
             with TwoSidedLayer(rt, max_elements=n) as layer:
                 mpi_rd = recursive_doubling_allreduce(layer, data)
             return gaspi_ring, gaspi_ssp, mpi_rd
@@ -44,8 +43,8 @@ class TestAllreduceAgreement:
 
         def worker(rt):
             data = rank_vector(rt.rank, n)
-            out = np.zeros(n)
-            ring_allreduce(rt, data, out)
+            with Communicator(rt) as comm:
+                out = comm.allreduce(data, algorithm="ring")
             with TwoSidedLayer(rt, max_elements=n) as layer:
                 mpi_ring = ring_allreduce_twosided(layer, data)
             return out, mpi_ring
@@ -109,8 +108,6 @@ class TestCollectiveComposition:
                 total = comm.allreduce(grad, algorithm="ring")
                 model = model - 0.1 * total / comm.size
             ssp = comm.allreduce_ssp(model, slack=1)
-            comm.barrier()
-            comm.close_ssp()
             stats = comm.reduce(model, np.zeros(50), root=0)
             comm.barrier()
             return model, ssp.value

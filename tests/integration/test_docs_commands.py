@@ -1,17 +1,23 @@
-"""The commands and data files the docs quote exist.
+"""The commands, data files and API names the docs quote exist.
 
 README.md, perf/README.md and the CI workflow tell a reader what to run;
 a module, script or baseline file deleted from under them must fail a
-test, not a reader.  Nothing here runs a command or writes a file.
+test, not a reader.  So must a ``comm.<method>(`` call in a README Python
+block that the :class:`Communicator` no longer has, and a name a
+package's ``__all__`` exports but no longer defines.  Nothing here runs a
+command or writes a file.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 import pytest
+
+from repro import Communicator
 
 ROOT = Path(__file__).resolve().parents[2]
 DOCS = {
@@ -28,6 +34,9 @@ DATA_FILE = re.compile(r"(?<![\w/.-])([A-Z]{2}\w*\.json)\b")
 
 ENTRY_POINT = re.compile(r"^if __name__ == ['\"]__main__['\"]:", re.MULTILINE)
 
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+COMM_CALL = re.compile(r"\bcomm\.(\w+)\(")
+
 
 def _quoted(pattern: re.Pattern) -> list:
     return sorted(
@@ -35,9 +44,14 @@ def _quoted(pattern: re.Pattern) -> list:
     )
 
 
+def _comm_calls() -> list:
+    blocks = PYTHON_BLOCK.findall(DOCS["README.md"])
+    return sorted({name for block in blocks for name in COMM_CALL.findall(block)})
+
+
 def test_the_docs_quote_something_of_each_kind():
     """The patterns still match: an empty parametrization passes silently."""
-    assert _quoted(MODULE) and _quoted(SCRIPT) and _quoted(DATA_FILE)
+    assert _quoted(MODULE) and _quoted(SCRIPT) and _quoted(DATA_FILE) and _comm_calls()
 
 
 @pytest.mark.parametrize("doc, module", _quoted(MODULE))
@@ -63,3 +77,17 @@ def test_quoted_script_is_runnable(doc, script):
 @pytest.mark.parametrize("doc, name", _quoted(DATA_FILE))
 def test_quoted_data_file_exists(doc, name):
     assert (ROOT / name).is_file(), f"{doc} quotes {name}: no such file at the root"
+
+
+@pytest.mark.parametrize("method", _comm_calls())
+def test_quoted_communicator_call_exists(method):
+    assert hasattr(Communicator, method), (
+        f"README.md quotes `comm.{method}(`: Communicator has no such attribute"
+    )
+
+
+@pytest.mark.parametrize("package", ["repro", "repro.core", "repro.faults"])
+def test_every_exported_name_imports(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{package}.__all__ names what it does not define: {missing}"

@@ -200,6 +200,48 @@ class TestDistributedSGD:
         assert entry.mean_iterations_per_second == pytest.approx(sum(rates) / len(rates))
         assert all(w.iterations == 12 for w in entry.worker_results)
 
+    def test_bsp_baseline_compiles_its_ring_once(self, monkeypatch):
+        """The ring baseline is a cached plan: one segment per rank for the
+        whole run, not a create (and its barrier) every iteration."""
+        from repro.gaspi.threaded import ThreadedRuntime
+
+        creates = []
+        create = ThreadedRuntime.segment_create
+
+        def counting(self, *args, **kwargs):
+            creates.append(self.rank)
+            return create(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadedRuntime, "segment_create", counting)
+        config = DistributedSGDConfig(
+            num_workers=2,
+            iterations=10,
+            algorithm="ring",
+            base_compute_time=0.0,
+            perturbation="none",
+            seed=0,
+        )
+        results = run_distributed_sgd(movielens_like("small", seed=0), config)
+        assert sorted(creates) == [0, 1]
+        assert results[0].final_rmse == results[1].final_rmse
+
+    def test_strict_ssp_is_identical_across_workers_and_times_its_waits(self):
+        """Slack 0 folds every partner's fresh gradient in one fixed order,
+        so every worker holds the same model; the straggler's partners
+        spend time blocked on it, and that is their wait time."""
+        config = DistributedSGDConfig(
+            num_workers=4,
+            iterations=10,
+            slack=0,
+            base_compute_time=0.002,
+            perturbation="straggler:3:3.0",
+            seed=0,
+        )
+        results = run_distributed_sgd(movielens_like("small", seed=0), config)
+        assert len({w.final_rmse for w in results}) == 1
+        assert all(w.total_wait_time > 0.0 for w in results[:3])
+        assert all(w.staleness.max_staleness == 0 for w in results)
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             DistributedSGDConfig(algorithm="bsp")
